@@ -44,9 +44,11 @@ from .errors import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteActionGroup,
+    PointIndex,
     PointTuple,
     build_group_A,
     build_group_B,
+    flat_coords,
 )
 from .polarization import (
     PolarizationMatrix,
@@ -290,21 +292,25 @@ def _orbit_images(
     return images
 
 
+def _index(points: Sequence[PointTuple], tol: float) -> PointIndex:
+    index = PointIndex(tol, len(points[0]) if points else 1)
+    for k, q in enumerate(points):
+        index.add(k, flat_coords(q))
+    return index
+
+
 def _match_as_sets(
     left: Sequence[PointTuple], right: Sequence[PointTuple], tol: float
 ) -> bool:
-    """Multiset equality of point tuples under the toroidal sup metric."""
+    """Multiset equality of point tuples under the toroidal sup metric.
+
+    Greedy: each point of `left` in turn takes the earliest unmatched point
+    of `right` within tol.
+    """
     if len(left) != len(right):
         return False
-    remaining = list(right)
-    for p in left:
-        for k, q in enumerate(remaining):
-            if all(a.close_to(b, tol) for a, b in zip(p, q)):
-                remaining.pop(k)
-                break
-        else:
-            return False
-    return True
+    remaining = _index(right, tol)
+    return all(remaining.pop_first(flat_coords(p)) for p in left)
 
 
 def _divisor_multiset(
@@ -399,15 +405,13 @@ def _census_B(
     |orbit| = |G| this pins the fiber exactly.
     """
     d = spec.d
+    lifts = [spec.quotient.lifts(y) for y in divisor]
+    members = _index(orbit, EPS_GENERIC)
     candidates = 0
     for arrangement in itertools.permutations(range(d + 1), d):
-        lift_sets = [spec.quotient.lifts(divisor[i]) for i in arrangement]
-        for choice in itertools.product(*lift_sets):
+        for choice in itertools.product(*(lifts[i] for i in arrangement)):
             candidates += 1
-            if not any(
-                all(a.close_to(b, EPS_GENERIC) for a, b in zip(choice, q))
-                for q in orbit
-            ):
+            if not members.contains(flat_coords(choice)):
                 return False
     return candidates == spec.group.order == len(orbit)
 

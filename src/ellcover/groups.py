@@ -8,12 +8,18 @@ certificates rather than floating-point artifacts.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
-from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac
+import numpy as np
+
+from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac, _wrap_dist
 from .errors import InvalidOrder, OrderCapExceeded
+from .polarization import _det_bareiss
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Translation = tuple[tuple[Fraction, Fraction], ...]
@@ -60,30 +66,10 @@ def _mat_apply_translation(m: IntMatrix, t: Translation) -> Translation:
     return tuple(out)
 
 
-def _int_det(m: Sequence[Sequence[int]]) -> int:
-    mat = [list(row) for row in m]
-    d = len(mat)
-    det = 1
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        # fraction-free elimination over Z via exact rational rows
-        prow = mat[col]
-        for r in range(col + 1, d):
-            factor = Fraction(mat[r][col], prow[col])
-            mat[r] = [a - factor * b for a, b in zip(mat[r], prow)]
-        det *= prow[col]
-    return int(Fraction(det))
-
-
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with det +-1 (adjugate route)."""
     d = len(m)
-    det = _int_det(m)
+    det = _det_bareiss(m)
     if det not in (1, -1):
         raise InvalidOrder(f"matrix with det {det} is not an automorphism of E^d")
 
@@ -97,7 +83,7 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     if d == 1:
         return ((det,),)
     adj = [
-        [(-1) ** (i + j) * _int_det(minor(m, j, i)) for j in range(d)]
+        [(-1) ** (i + j) * _det_bareiss(minor(m, j, i)) for j in range(d)]
         for i in range(d)
     ]
     return tuple(tuple(det * v for v in row) for row in adj)
@@ -165,7 +151,12 @@ class AffineAutomorphism:
 
 
 class FiniteActionGroup:
-    """Closure of affine generators; element list sorted for reproducibility."""
+    """A finite group of affine automorphisms; element list sorted for reproducibility.
+
+    `orbit` and `stabilizer` act with every element at once: on first use the
+    group packs itself into arrays (see `_packed`) and each image coordinate
+    becomes one vectorized pass over the elements.
+    """
 
     def __init__(self, dim: int, generators: Sequence[AffineAutomorphism],
                  elements: tuple[AffineAutomorphism, ...]):
@@ -179,6 +170,12 @@ class FiniteActionGroup:
         generators: Iterable[AffineAutomorphism],
         cap: int = DEFAULT_ORDER_CAP,
     ) -> "FiniteActionGroup":
+        """Breadth-first closure of the generators.
+
+        The deck groups are enumerated directly (`build_group_A`,
+        `build_group_B`); the closure is the independent computation they are
+        tested against.
+        """
         gens = tuple(generators)
         if not gens:
             raise InvalidOrder("no generators")
@@ -208,18 +205,71 @@ class FiniteActionGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(matrices, translations) of all elements, shapes |G| x d x d and |G| x d x 2.
+
+        Translations are integer numerators over one common denominator N,
+        divided once: a single IEEE division of exact integers rounds like
+        `float(Fraction)`, so the shifts equal those `AffineAutomorphism.apply`
+        starts from.
+        """
+        d = self.dim
+        matrices = np.array([e.matrix for e in self.elements], dtype=np.int64)
+        matrices = matrices.reshape(self.order, d, d)
+        den = math.lcm(
+            *(c.denominator for e in self.elements for pair in e.translation for c in pair)
+        )
+        numerators = np.fromiter(
+            (
+                c.numerator * (den // c.denominator)
+                for e in self.elements
+                for pair in e.translation
+                for c in pair
+            ),
+            dtype=np.int64,
+            count=self.order * d * 2,
+        ).reshape(self.order, d, 2)
+        return matrices, numerators / den
+
+    def _images(self, point: PointTuple) -> np.ndarray:
+        """Coordinates (a, b) of g(point) for every element g, shape |G| x d x 2.
+
+        Bit-identical to `g.apply(point)`: each coordinate starts from the
+        translation, adds m_ij * point_j for j = 0..d-1 in order (adding a
+        zero product leaves the sum unchanged), and is reduced by `_frac`.
+        """
+        d = self.dim
+        if len(point) != d:
+            raise InvalidOrder(f"point has {len(point)} components, expected {d}")
+        matrices, shifts = self._packed
+        coords = [np.array([p.a, p.b]) for p in point]
+        images = np.empty((self.order, d, 2))
+        for i in range(d):
+            acc = shifts[:, i, :].copy()
+            for j in range(d):
+                acc += matrices[:, i, j, None] * coords[j]
+            images[:, i, :] = _frac_array(acc)
+        return images
+
     def orbit(self, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
         """Distinct images of a point, deduplicated in the toroidal metric.
 
-        Canonically sorted, so the result is independent of element order.
+        An image is kept unless it lies within tol of an image kept before it
+        in element order.  Canonically sorted, so the result is independent
+        of element order.
         """
-        reps: list[PointTuple] = []
-        for g in self.elements:
-            q = g.apply(point)
-            if not any(_tuple_close(q, r, tol) for r in reps):
-                reps.append(q)
-        reps.sort(key=lambda t: tuple(p.sort_key() for p in t))
-        return reps
+        index = PointIndex(tol, self.dim)
+        reps: list[list[float]] = []
+        for k, row in enumerate(self._images(point).reshape(self.order, -1).tolist()):
+            if index.add_new(k, row):
+                reps.append(row)
+        reps.sort()
+        lattice = point[0].lattice
+        return [
+            tuple(TorusPoint(lattice, row[2 * i], row[2 * i + 1]) for i in range(self.dim))
+            for row in reps
+        ]
 
     def is_free_at(
         self, point: PointTuple, tol: float = EPS_PT
@@ -229,13 +279,85 @@ class FiniteActionGroup:
         return len(stab) == 1, stab
 
     def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
-        return [
-            g for g in self.elements if _tuple_close(g.apply(point), point, tol)
-        ]
+        images = self._images(point)
+        here = np.array([[p.a, p.b] for p in point])
+        dist = np.abs(images - here) % 1.0
+        fixed = np.all(np.minimum(dist, 1.0 - dist) <= tol, axis=(1, 2))
+        return [self.elements[k] for k in np.flatnonzero(fixed)]
 
 
-def _tuple_close(p: PointTuple, q: PointTuple, tol: float) -> bool:
-    return all(a.close_to(b, tol) for a, b in zip(p, q))
+def _frac_array(x: np.ndarray) -> np.ndarray:
+    """`_frac` on every entry: numpy's float mod rounds like Python's `%`."""
+    r = np.mod(x, 1.0)
+    r[r >= 1.0] = 0.0
+    return r + 0.0
+
+
+#: cell count cap, so that a tiny tolerance cannot shrink cells below float rounding
+_MAX_CELLS = 1 << 32
+
+
+class PointIndex:
+    """Point tuples, hashed for lookup within tol in the toroidal sup metric.
+
+    A tuple is stored as its flat coordinates x = (a_0, b_0, a_1, b_1, ...),
+    m = 2*dim of them, and bucketed by the key f = x_1 + 2 x_2 + ... + m x_m
+    on R/Z.  Integer weights make f well defined mod 1, and two tuples
+    within tol have keys within W*tol, W = m(m+1)/2, so they share a cell or
+    sit in adjacent ones: cells are at least 2*W*tol wide, far more than the
+    rounding in a key.  A query scans three cells instead of every stored
+    tuple.  Over the orbit of a generic point, tuples share a key only when
+    they differ by a translation in the kernel of f on Q0^d, so a query
+    meets about |Q0|^(d-1) of them; a single coordinate as key would also
+    merge every permutation that fixes it.
+    """
+
+    def __init__(self, tol: float, dim: int):
+        self.tol = tol
+        width = 2 * dim * (2 * dim + 1) * tol
+        self.ncells = max(1, int(min(1 / width, _MAX_CELLS))) if width > 0 else _MAX_CELLS
+        self.cells: dict[int, list[tuple[int, Sequence[float]]]] = {}
+
+    def _key(self, coords: Sequence[float]) -> int:
+        f = sum(k * x for k, x in enumerate(coords, 1))
+        return math.floor(f % 1.0 * self.ncells) % self.ncells
+
+    def add(self, index: int, coords: Sequence[float]) -> None:
+        self.cells.setdefault(self._key(coords), []).append((index, coords))
+
+    def add_new(self, index: int, coords: Sequence[float]) -> bool:
+        """Add coords unless a stored tuple is within tol; True if added."""
+        k = self._key(coords)
+        if next(self._close(coords, k), None) is not None:
+            return False
+        self.cells.setdefault(k, []).append((index, coords))
+        return True
+
+    def _close(self, coords: Sequence[float], k: int) -> Iterator[tuple[list, int, int]]:
+        """(cell, position, index) of every stored tuple within tol of coords, whose key is k."""
+        n = self.ncells
+        for key in {(k - 1) % n, k, (k + 1) % n}:
+            cell = self.cells.get(key, ())
+            for pos, (index, other) in enumerate(cell):
+                if all(_wrap_dist(x, y) <= self.tol for x, y in zip(coords, other)):
+                    yield cell, pos, index
+
+    def contains(self, coords: Sequence[float]) -> bool:
+        return next(self._close(coords, self._key(coords)), None) is not None
+
+    def pop_first(self, coords: Sequence[float]) -> bool:
+        """Remove the close tuple added with the smallest index; False if none."""
+        hit = min(self._close(coords, self._key(coords)), key=lambda h: h[2], default=None)
+        if hit is None:
+            return False
+        cell, pos, _ = hit
+        del cell[pos]
+        return True
+
+
+def flat_coords(point: PointTuple) -> list[float]:
+    """(a_0, b_0, a_1, b_1, ...) of a point tuple, the layout `PointIndex` stores."""
+    return [c for p in point for c in (p.a, p.b)]
 
 
 def orbit(group: FiniteActionGroup, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
@@ -270,13 +392,35 @@ def _transposition_generators(d: int) -> list[AffineAutomorphism]:
     return gens
 
 
+def _semidirect_product(
+    d: int,
+    generators: Sequence[AffineAutomorphism],
+    matrices: Iterable[IntMatrix],
+    q0: FiniteSubgroupSpec,
+    cap: int,
+) -> FiniteActionGroup:
+    """All pairs (M, t) with M in a finite matrix group that preserves Q0^d, t in Q0^d.
+
+    Sorted matrices times the translations in lexicographic order list the
+    elements sorted by (matrix, translation), the order `generate` sorts to.
+    """
+    matrices = sorted(matrices)
+    order = len(matrices) * q0.order**d
+    if order > cap:
+        raise OrderCapExceeded(f"group order {order} exceeds cap {cap}")
+    shifts = list(itertools.product(q0.elements, repeat=d))
+    elements = tuple(AffineAutomorphism(m, t) for m in matrices for t in shifts)
+    return FiniteActionGroup(d, generators, elements)
+
+
 def build_group_A(
     d: int, q0: FiniteSubgroupSpec, cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteActionGroup:
     """Deck group of the wp-quotient cover: order 2^d * d! * |Q0|^d.
 
     Per coordinate: negation (wp is even) and translation by Q0 (the fibers
-    of E -> E/Q0); across coordinates: the symmetric group S_d.
+    of E -> E/Q0); across coordinates: the symmetric group S_d.  Listed
+    directly as the signed permutation matrices times Q0^d.
     """
     if d < 1:
         raise InvalidOrder(f"need d >= 1, got {d}")
@@ -289,7 +433,14 @@ def build_group_A(
         )
     gens.extend(_transposition_generators(d))
     gens.extend(_translation_generators(d, q0))
-    return FiniteActionGroup.generate(gens, cap=cap)
+    matrices = (
+        tuple(
+            tuple(sign[i] if j == perm[i] else 0 for j in range(d)) for i in range(d)
+        )
+        for perm in itertools.permutations(range(d))
+        for sign in itertools.product((1, -1), repeat=d)
+    )
+    return _semidirect_product(d, gens, matrices, q0, cap)
 
 
 def build_group_B(
@@ -301,7 +452,9 @@ def build_group_B(
     Generators: sigma_1 swaps the first two coordinates; sigma_2 cycles,
     sending (y_1, ..., y_d) to (-(y_1+...+y_d), y_1, ..., y_(d-1)), so its
     matrix has first row all -1 over a subdiagonal identity.  Coordinatewise
-    Q0 translations account for the isogeny factor.
+    Q0 translations account for the isogeny factor.  Listed directly: the
+    permutation sigma sends y_i to y_sigma(i), whose matrix row i is a unit
+    row, or all -1 where sigma(i) = d+1.
     """
     if d < 1:
         raise InvalidOrder(f"need d >= 1, got {d}")
@@ -316,4 +469,11 @@ def build_group_B(
         AffineAutomorphism(tuple(tuple(r) for r in cyc), _zero_translation(d))
     )
     gens.extend(_translation_generators(d, q0))
-    return FiniteActionGroup.generate(gens, cap=cap)
+    matrices = (
+        tuple(
+            (-1,) * d if sigma[i] == d else tuple(int(j == sigma[i]) for j in range(d))
+            for i in range(d)
+        )
+        for sigma in itertools.permutations(range(d + 1))
+    )
+    return _semidirect_product(d, gens, matrices, q0, cap)

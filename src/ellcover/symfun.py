@@ -22,6 +22,7 @@ from .elliptic import (
     HomPair,
     LatticeTau,
     TorusPoint,
+    reduce_point,
     wp_both_values,
     wp_inverse,
     wp_second_value,
@@ -43,6 +44,11 @@ _COND_FLOOR = 1e-10
 
 #: relative clustering radius for repeated polynomial roots
 _ROOT_CLUSTER = 1e-5
+
+#: cap on the Newton steps that polish a simple zero of a section; from the
+#: 1e-4 error wp_inverse can leave, two steps reach the accuracy of the
+#: coefficients
+_POLISH_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,54 @@ class ProjectivePoint:
         return self.chordal_dist(other) <= tol
 
 
+#: pairs per block of `projective_spread`: each of its temporaries is one
+#: float array of this many entries (32 KiB), about 0.3 MB for all of them
+_SPREAD_BLOCK = 1 << 12
+
+
 def projective_spread(points: Sequence[ProjectivePoint]) -> float:
-    """Largest pairwise chordal distance; 0 for fewer than two points."""
+    """Largest pairwise chordal distance; 0 for fewer than two points.
+
+    Equal to the maximum of `chordal_dist` over all pairs, bit for bit.
+    Exact duplicates are dropped first (their distance is exactly 0), then
+    blocks of rows are compared against all later points with the wedge
+    form written out in real arithmetic, in the order `chordal_dist` uses:
+    the products of Python's complex multiply, `np.hypot` for `abs`, and
+    `np.float_power` for `** 2`, which calls the same libm `pow`.
+    """
+    distinct = list(dict.fromkeys(p.coords for p in points))
+    n = len(distinct)
+    if n < 2:
+        return 0.0
+    if len({len(c) for c in distinct}) > 1:
+        raise InvalidPoint("projective points of different dimension")
+    coords = np.array(distinct).T  # one row per coordinate
+    re, im = coords.real.copy(), coords.imag.copy()
+    m = len(coords)
+    norms = 0.0
+    for k in range(m):
+        norms = norms + np.float_power(np.hypot(re[k], im[k]), 2.0)
     worst = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            worst = max(worst, points[i].chordal_dist(points[j]))
+    start = 0
+    while start < n - 1:
+        cols = slice(start + 1, n)
+        stop = min(n - 1, start + max(1, _SPREAD_BLOCK // (n - start - 1)))
+        rows = slice(start, stop)
+        pr, pi = re[:, rows, None], im[:, rows, None]
+        qr, qi = re[:, None, cols], im[:, None, cols]
+        wedge = 0.0
+        for k in range(m):
+            for l in range(k + 1, m):
+                xr = pr[k] * qr[l] - pi[k] * qi[l]
+                xi = pr[k] * qi[l] + pi[k] * qr[l]
+                yr = pr[l] * qr[k] - pi[l] * qi[k]
+                yi = pr[l] * qi[k] + pi[l] * qr[k]
+                wedge = wedge + np.float_power(np.hypot(xr - yr, xi - yi), 2.0)
+        dist = np.sqrt(wedge / (norms[rows, None] * norms[None, cols]))
+        # entries with column <= row repeat a pair of this block bit for bit
+        # (chordal_dist is exactly symmetric) or are 0, so the max keeps them
+        worst = max(worst, float(dist.max()))
+        start = stop
     return worst
 
 
@@ -286,6 +334,30 @@ def divisor_to_coords(
     return ProjectivePoint.normalize(np.conj(vh[-1]))
 
 
+def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPoint:
+    """Newton steps on f = sum c_j f_j from an approximate simple zero.
+
+    Each step is kept only if it lowers |f|; the first that does not ends
+    the polish.
+    """
+    f = complex(np.dot(c, basis.evaluate(z)))
+    for _ in range(_POLISH_STEPS):
+        df = complex(np.dot(c, basis.evaluate_derivative(z)))
+        if df == 0:
+            break
+        step = f / df
+        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+            break
+        w = reduce_point(z.z - step, basis.lattice)
+        if w.is_zero():  # the pole of every basis function
+            break
+        fw = complex(np.dot(c, basis.evaluate(w)))
+        if not abs(fw) < abs(f):
+            break
+        z, f = w, fw
+    return z
+
+
 def section_zeros(
     coeffs: Sequence[complex] | ProjectivePoint,
     basis: SectionBasis,
@@ -296,8 +368,9 @@ def section_zeros(
     Writes the section as P(wp) + wp' Q(wp) and factors its norm
     N(x) = P(x)^2 - (4x^3 - g2 x - g3) Q(x)^2, whose roots are the wp-values
     of the finite zeros; each root is lifted by `wp_inverse` and assigned to
-    the sign branch where the section actually vanishes.  The origin absorbs
-    the remaining degree.
+    the sign branch where the section actually vanishes, and each simple zero
+    is then polished by Newton steps on the section itself.  The origin
+    absorbs the remaining degree.
     """
     if isinstance(coeffs, ProjectivePoint):
         coeffs = coeffs.coords
@@ -381,6 +454,9 @@ def section_zeros(
             divisor.append((z_plus, mult))
         else:
             divisor.append((z_minus, mult))
+    # wp_inverse meets its residual contract in x = wp(z), which can leave z
+    # off by far more than the matching tolerances where wp' is small
+    divisor = [(_newton_polish(z, c, basis) if m == 1 else z, m) for z, m in divisor]
     if n > p_order:
         divisor.append((TorusPoint(lattice, 0.0, 0.0), n - p_order))
     return divisor

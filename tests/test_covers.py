@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import pytest
@@ -17,6 +18,8 @@ from ellcover import (
     very_ample_preconditions,
     wp,
 )
+
+from ellcover.covers import _match_as_sets
 
 from conftest import TAU
 
@@ -196,6 +199,24 @@ class TestGaloisVerify:
         r2 = galois_verify(spec, samples=2, seed=2)
         assert r1.samples[0].point != r2.samples[0].point
 
+    def test_recovered_divisor_is_polished(self, lattice, q3):
+        # wp_inverse left this sample's divisor 1.2e-4 to 1.7e-4 off in torus
+        # coordinates, so the census missed the orbit: a false FAIL
+        spec = build_cover("B", 3, lattice, q3)
+        report = galois_verify(spec, samples=1, seed=906133)
+        (rec,) = report.samples
+        assert rec.generic and rec.orbit_size == 648
+        assert rec.fiber_match
+        assert report.passed
+
+    @pytest.mark.parametrize("construction, order", [("A", 6144), ("B", 1920)])
+    def test_dimension_four(self, lattice, q2, construction, order):
+        spec = build_cover(construction, 4, lattice, q2)
+        report = galois_verify(spec, samples=1, seed=42)
+        (rec,) = report.samples
+        assert rec.generic and rec.orbit_size == order
+        assert report.passed
+
     def test_jobs_do_not_change_results(self, lattice, q2):
         spec = _build("B", 1, q2, lattice)
         seq = galois_verify(spec, samples=4, seed=3, jobs=1)
@@ -204,6 +225,47 @@ class TestGaloisVerify:
         assert [r.fiber_match for r in seq.samples] == [
             r.fiber_match for r in par.samples
         ]
+
+
+def _scalar_match(left, right, tol):
+    if len(left) != len(right):
+        return False
+    remaining = list(right)
+    for p in left:
+        for k, q in enumerate(remaining):
+            if all(a.close_to(b, tol) for a, b in zip(p, q)):
+                remaining.pop(k)
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_match_as_sets_keeps_greedy_semantics(lattice, seed):
+    # coordinates on a coarse grid jittered by about tol: chains of close
+    # pairs in which a greedy pick can strand a later point
+    rng = random.Random(seed)
+    tol = 0.02
+
+    def tup():
+        return tuple(
+            TorusPoint.from_coords(
+                lattice,
+                rng.choice((0.0, 0.5)) + rng.uniform(-1.5, 1.5) * tol,
+                rng.choice((0.25, 0.75)) + rng.uniform(-1.5, 1.5) * tol,
+            )
+            for _ in range(2)
+        )
+
+    outcomes = set()
+    for _ in range(40):
+        right = [tup() for _ in range(12)]
+        left = [tup() for _ in range(12)] if rng.random() < 0.5 else rng.sample(right, 12)
+        expected = _scalar_match(left, right, tol)
+        assert _match_as_sets(left, right, tol) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 class TestCriterionCheck:

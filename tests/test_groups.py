@@ -19,6 +19,7 @@ from ellcover import (
     is_free_at,
     orbit,
 )
+from ellcover.groups import PointIndex
 
 from conftest import TAU
 
@@ -253,3 +254,112 @@ def test_inverse_undoes_apply(a, b, idx):
     x = pt((a, b))
     back = g.inverse().apply(g.apply(x))
     assert back[0].close_to(x[0], tol=1e-9)
+
+
+# Q0 shapes of the oracle grid: cyclic of order 2 to 4, and a Klein four-group
+ORACLE_Q0 = [("1/2,0",), ("1/3,0",), ("1/4,0",), ("1/2,0", "0,1/2")]
+
+
+@pytest.mark.parametrize("build", [build_group_A, build_group_B])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q0", ORACLE_Q0)
+def test_enumeration_matches_closure(build, d, q0):
+    grp = build(d, FiniteSubgroupSpec.parse(q0))
+    oracle = FiniteActionGroup.generate(grp.generators)
+    assert grp.elements == oracle.elements
+
+
+def _scalar_orbit(grp, point, tol):
+    reps = []
+    for g in grp.elements:
+        q = g.apply(point)
+        if not any(all(a.close_to(b, tol) for a, b in zip(q, r)) for r in reps):
+            reps.append(q)
+    reps.sort(key=lambda t: tuple(p.sort_key() for p in t))
+    return reps
+
+
+def _scalar_stabilizer(grp, point, tol):
+    return [
+        g for g in grp.elements
+        if all(a.close_to(b, tol) for a, b in zip(g.apply(point), point))
+    ]
+
+
+def _action_points(d):
+    # 2-torsion and diagonal points have nontrivial stabilizers; coordinates
+    # within 1e-12 of 0 or 1 wrap; coordinates 1e-3 apart give distinct
+    # images that merge at the coarse tolerances below, in adjacent cells or
+    # the same one (TestPointIndex pins a cell edge down exactly)
+    rng = random.Random(d)
+    return [
+        tuple(TorusPoint.from_coords(LAT, rng.random(), rng.random()) for _ in range(d)),
+        pt(*[(0.5, 0.0)] * d),
+        pt(*[(0.31, 0.72)] * d),
+        tuple(TorusPoint(LAT, 1 - 1e-12 * (k + 1), 1e-12) for k in range(d)),
+        pt(*[(0.25 + 1e-3 * k, 0.5 - 1e-3 * k) for k in range(d)]),
+    ]
+
+
+ACTION_GROUPS = [
+    (build_group_A, 2, ("1/3,0",)),
+    (build_group_A, 3, ("1/2,0",)),
+    (build_group_B, 2, ("1/2,0", "0,1/2")),
+    (build_group_B, 3, ("1/3,0",)),
+]
+
+
+@pytest.mark.parametrize("build, d, q0", ACTION_GROUPS)
+@pytest.mark.parametrize("tol", [1e-9, 2e-3, 0.05])
+def test_packed_action_matches_scalar_reference(build, d, q0, tol):
+    grp = build(d, FiniteSubgroupSpec.parse(q0))
+    for x in _action_points(d):
+        assert [_coords(q) for q in grp.orbit(x, tol)] == [
+            _coords(q) for q in _scalar_orbit(grp, x, tol)
+        ]
+        assert grp.stabilizer(x, tol) == _scalar_stabilizer(grp, x, tol)
+
+
+def test_packed_orbit_rejects_wrong_dimension():
+    grp = build_group_A(2, FiniteSubgroupSpec.parse(("1/2,0",)))
+    with pytest.raises(InvalidOrder):
+        grp.orbit(pt((0.1, 0.2)))
+
+
+def test_construct_does_not_pack():
+    grp = build_group_B(2, FiniteSubgroupSpec.parse(("1/2,0",)))
+    assert "_packed" not in vars(grp)
+    grp.orbit(pt((0.137, 0.261), (0.389, 0.731)))
+    assert "_packed" in vars(grp)
+
+
+class TestPointIndex:
+    TOL = 1e-3
+
+    def _index(self, *entries):
+        index = PointIndex(self.TOL, 1)
+        for k, coords in enumerate(entries):
+            index.add(k, coords)
+        return index
+
+    def test_finds_a_neighbour_across_a_cell_edge(self):
+        index = PointIndex(self.TOL, 1)
+        edge = 37 / index.ncells  # the key a + 2b crosses a cell edge here
+        below, above = [edge - 0.4 * self.TOL, 0.0], [edge + 0.4 * self.TOL, 0.0]
+        assert index._key(below) != index._key(above)
+        index.add(0, below)
+        assert index.contains(above)
+        assert not index.contains([edge + 2 * self.TOL, 0.0])
+
+    def test_finds_a_neighbour_across_the_wrap(self):
+        index = self._index([1 - 1e-4, 1 - 1e-12])
+        assert index.contains([1e-4, 0.0])
+        assert not index.contains([0.5, 0.0])
+
+    def test_pop_first_takes_the_earliest_close_entry(self):
+        index = self._index([0.6, 0.1], [0.2, 0.3], [0.2 + 5e-4, 0.3], [0.2 - 5e-4, 0.3])
+        query = [0.2 + 2e-4, 0.3]
+        popped = []
+        while index.pop_first(query):
+            popped.append(sorted(k for cell in index.cells.values() for k, _ in cell))
+        assert popped == [[0, 2, 3], [0, 3], [0]]

@@ -63,6 +63,28 @@ class TestProjectivePoint:
         spread = projective_spread([p, q, r])
         assert 1e-10 < spread < 1e-8
         assert projective_spread([p]) == 0.0
+        assert projective_spread([]) == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_spread_equals_pairwise_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        m = int(rng.integers(2, 6))
+        base = rng.normal(size=m) + 1j * rng.normal(size=m)
+        noise = 10.0 ** -rng.integers(1, 16)
+        points = [
+            ProjectivePoint.normalize(
+                base * complex(*rng.normal(size=2))
+                + noise * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            )
+            for _ in range(n)
+        ]
+        points += points[: n // 3]  # exact duplicates, as orbits produce
+        worst = 0.0
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                worst = max(worst, points[i].chordal_dist(points[j]))
+        assert projective_spread(points) == worst
 
 
 class TestSymProduct:
