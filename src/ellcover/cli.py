@@ -50,7 +50,6 @@ class RunConfig:
     seed: int = 42
     eps_pt: float = 1e-9
     eps_proj: float = 1e-7
-    eps_num: float = 1e-10
     order_cap: int = 100_000
     output: Optional[str] = None
     jobs: int = 1
@@ -84,7 +83,6 @@ class RunConfig:
             "seed": self.seed,
             "eps_pt": self.eps_pt,
             "eps_proj": self.eps_proj,
-            "eps_num": self.eps_num,
             "order_cap": self.order_cap,
         }
 
@@ -219,7 +217,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         "seed",
         "eps_pt",
         "eps_proj",
-        "eps_num",
         "order_cap",
         "output",
         "jobs",
@@ -360,7 +357,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--eps-pt", dest="eps_pt", type=float)
     p.add_argument("--eps-proj", dest="eps_proj", type=float)
-    p.add_argument("--eps-num", dest="eps_num", type=float)
     p.add_argument("--order-cap", dest="order_cap", type=int)
     p.add_argument("--output", help="write the JSON report to this path")
     p.add_argument("--jobs", type=int, help="parallel verification samples")
@@ -401,11 +397,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EllcoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

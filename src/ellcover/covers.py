@@ -52,8 +52,8 @@ from .groups import (
 )
 from .polarization import (
     PolarizationMatrix,
-    chi,
     isogeny_degree_factor,
+    self_intersection,
 )
 from .symfun import (
     EPS_PROJ,
@@ -73,6 +73,11 @@ EPS_GENERIC = 1e-6
 
 #: divisor round-trip tolerance for construction B (section_zeros noise)
 EPS_ROUNDTRIP = 1e-7
+
+#: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts;
+#: two branch values e_i differ by ~24 exp(-pi Im tau') relative to their
+#: size, about 5 ulps at 12, and merge in double precision soon after
+MAX_QUOTIENT_IM_TAU = 12.0
 
 
 def very_ample_preconditions(construction: str, d: int, q0: FiniteSubgroupSpec) -> bool:
@@ -111,6 +116,16 @@ class CoverSpec:
         return map_B(self, point)
 
 
+def degree_identity(
+    construction: str, polarization: PolarizationMatrix, q0: FiniteSubgroupSpec
+) -> int:
+    """The cover degree d! chi(L), times the isogeny factor |Q0|^d for B."""
+    degree = self_intersection(polarization)
+    if construction == "B":
+        degree *= isogeny_degree_factor(q0, polarization.d)
+    return degree
+
+
 def build_cover(
     construction: str,
     d: int,
@@ -122,20 +137,27 @@ def build_cover(
 
     Warns with NotVeryAmpleWarning when the configuration misses the
     very-ampleness preconditions; the cover is still built and verifiable.
+    Raises IllConditioned when the quotient E/Q0 is taller than
+    MAX_QUOTIENT_IM_TAU, where its branch values cannot be told apart.
     """
     if construction not in ("A", "B"):
         raise ConfigError(f"construction must be 'A' or 'B', got {construction!r}")
     if d < 1:
         raise ConfigError(f"need d >= 1, got {d}")
     quotient = quotient_lattice(curve, q0)
+    height = quotient.target.tau_reduced.imag
+    if height > MAX_QUOTIENT_IM_TAU:
+        raise IllConditioned(
+            f"quotient E/Q0 has reduced Im tau' = {height:.6g} > "
+            f"{MAX_QUOTIENT_IM_TAU:g}: its branch values agree to double precision"
+        )
     if construction == "A":
         group = build_group_A(d, q0, cap=order_cap)
         polarization = PolarizationMatrix.scaled_identity(d, 2 * q0.order)
-        degree = math.factorial(d) * chi(polarization)
     else:
         group = build_group_B(d, q0, cap=order_cap)
         polarization = PolarizationMatrix.identity_plus_ones(d)
-        degree = math.factorial(d) * chi(polarization) * isogeny_degree_factor(q0, d)
+    degree = degree_identity(construction, polarization, q0)
     if degree != group.order:  # pragma: no cover - exact identity
         raise ConfigError(
             f"degree bookkeeping mismatch: {degree} != group order {group.order}"
@@ -550,14 +572,7 @@ def criterion_check(
     projectively invariant under every generator at 10 seeded points; (3)
     the map evaluates to a valid projective point across the probe grid.
     """
-    if spec.construction == "A":
-        expected = math.factorial(spec.d) * chi(spec.polarization)
-    else:
-        expected = (
-            math.factorial(spec.d)
-            * chi(spec.polarization)
-            * isogeny_degree_factor(spec.q0, spec.d)
-        )
+    expected = degree_identity(spec.construction, spec.polarization, spec.q0)
     order_ok = spec.group.order == expected
 
     rng = random.Random(seed)

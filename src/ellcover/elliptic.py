@@ -23,6 +23,7 @@ from .errors import (
     InvalidSubgroup,
     NoConvergence,
 )
+from .polarization import _hermite_2x2
 
 #: default tolerance for torus-point equality (toroidal sup metric on (a, b))
 EPS_PT = 1e-9
@@ -385,9 +386,6 @@ def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuot
     The index [Lambda' : Lambda] is computed by exact integer linear algebra
     on the rational generator coordinates and always equals |Q0|.
     """
-    import sympy
-    from sympy.matrices.normalforms import hermite_normal_form
-
     rows: list[tuple[Fraction, Fraction]] = [
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
@@ -395,11 +393,9 @@ def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuot
     rows.extend(q0.generators)
     den = math.lcm(*(f.denominator for row in rows for f in row))
     int_rows = [[int(f * den) for f in row] for row in rows]
-    # column-style HNF of the transpose gives a basis of the row lattice
-    hnf = hermite_normal_form(sympy.Matrix(int_rows).T)
-    if hnf.shape != (2, 2):  # pragma: no cover - rows always contain a basis
-        raise InvalidSubgroup("generator lattice is degenerate")
-    cols = [(Fraction(int(hnf[0, j]), den), Fraction(int(hnf[1, j]), den)) for j in (0, 1)]
+    # the columns of the Hermite normal form are a basis of the row lattice
+    hnf = _hermite_2x2(int_rows)
+    cols = [(Fraction(hnf[0][j], den), Fraction(hnf[1][j], den)) for j in (0, 1)]
     det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
     index = Fraction(1) / abs(det)
     if index.denominator != 1:  # pragma: no cover - HNF keeps this integral

@@ -30,7 +30,7 @@ class HighMultiplicity(EllcoverError):
 
 
 class IllConditioned(EllcoverError):
-    """Evaluation matrix is numerically rank-deficient beyond the expected kernel."""
+    """Input beyond numerical resolution: rank-deficient evaluation matrix or too-tall quotient."""
 
 
 class DegenerateSection(EllcoverError):

@@ -8,10 +8,11 @@ operation here is exact integer or rational arithmetic; no tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ExponentMismatch,
@@ -92,19 +93,80 @@ def _fraction_inverse(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero Smith invariant factors d_1 | d_2 | ... of an integer matrix."""
-    import sympy
-    from sympy.matrices.normalforms import smith_normal_form
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
-    mat = sympy.Matrix([list(r) for r in rows])
-    snf = smith_normal_form(mat)
-    out = []
-    for i in range(min(snf.shape)):
-        v = int(snf[i, i])
-        if v != 0:
-            out.append(abs(v))
+
+def _hermite_2x2(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Column Hermite normal form [[a, b], [0, c]] of the lattice the vectors span.
+
+    c is the gcd of the second coordinates, a*c the gcd of the 2x2 minors
+    (the covolume), and b the first coordinate of a lattice vector with
+    second coordinate c, reduced to 0 <= b < a.  The form is unique, so the
+    basis (a, 0), (b, c) does not depend on how the vectors are listed.
+    """
+    x, c = 0, 0  # a lattice vector whose second coordinate c is the gcd so far
+    for u, v in vectors:
+        c, s, t = _xgcd(c, v)
+        x = s * x + t * u
+    covolume = 0
+    for p, q in itertools.combinations(vectors, 2):
+        covolume = math.gcd(covolume, _det_bareiss([p, q]))
+    if covolume == 0:
+        raise InvalidSubgroup("vectors do not span a rank-2 lattice")
+    a = covolume // c
+    return ((a, x % a), (0, c))
+
+
+def _invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero Smith invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    The k-th determinantal divisor D_k (gcd of all k x k minors) equals
+    d_1 * ... * d_k.  D_(k-1) divides D_k, so a scan stops as soon as its
+    running gcd reaches D_(k-1); the scan ends at the rank, where D_k = 0.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    out: list[int] = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        dk = 0
+        for ri, ci in itertools.product(
+            itertools.combinations(range(m), k), itertools.combinations(range(n), k)
+        ):
+            dk = math.gcd(dk, _det_bareiss([[rows[i][j] for j in ci] for i in ri]))
+            if dk == prev:
+                break
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
     return out
+
+
+def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of the multiset once, in lexicographic order."""
+    perm = sorted(items)
+    n = len(perm)
+    while True:
+        yield tuple(perm)
+        i = n - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1 :] = reversed(perm[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -241,11 +303,9 @@ def mixed_intersection(
         raise ExponentMismatch(
             f"exponents sum to {total}, need the dimension {d}"
         )
-    from sympy.utilities.iterables import multiset_permutations
-
     labels = [i for i, (_, a) in enumerate(terms) for _ in range(a)]
     acc = 0
-    for assign in multiset_permutations(labels):
+    for assign in _multiset_permutations(labels):
         cols_matrix = [
             [terms[assign[j]][0].rows[i][j] for j in range(d)] for i in range(d)
         ]

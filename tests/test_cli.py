@@ -245,3 +245,43 @@ class TestReportCommand:
 
     def test_missing_report_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.json")]) == 2
+
+
+class TestTallQuotient:
+    """Quotients E/Q0 past the stated height are rejected before any numerics."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # reduced Im tau' = 84: wp's q-series overflowed
+            ["--d", "1", "--q0", "1/7,0"],
+            # reduced Im tau' = 24: every sample came out non-generic
+            ["--d", "2", "--q0", "1/2,0"],
+        ],
+    )
+    def test_verify_exits_two_with_ill_conditioned(self, shape, capsys):
+        argv = ["verify", "--construction", "A", "--tau=12i", "--samples", "4"]
+        assert run(argv + shape) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: IllConditioned: ")
+        assert "Im tau'" in captured.err
+        assert captured.out == ""
+
+    def test_construct_is_rejected_too(self, capsys):
+        argv = ["construct", "--construction", "B", "--d", "2", "--q0", "1/2,0"]
+        assert run(argv + ["--tau=12i"]) == 2
+        assert "IllConditioned" in capsys.readouterr().err
+
+
+class TestEpsNumRemoved:
+    def test_config_block_has_no_eps_num(self, capsys):
+        assert run(["construct", "--d", "1"]) == 0
+        out = capsys.readouterr().out
+        config = json.loads(out[out.index("{") :])["config"]
+        assert "eps_num" not in config
+        assert config["eps_pt"] == 1e-9 and config["eps_proj"] == 1e-7
+
+    def test_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--eps-num", "1e-8"])
+        assert exc.value.code == 2

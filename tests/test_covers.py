@@ -7,6 +7,8 @@ import pytest
 from ellcover import (
     ConfigError,
     FiniteSubgroupSpec,
+    IllConditioned,
+    LatticeTau,
     NonGenericTarget,
     NotVeryAmpleWarning,
     TorusPoint,
@@ -19,7 +21,7 @@ from ellcover import (
     wp,
 )
 
-from ellcover.covers import _match_as_sets
+from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets
 
 from conftest import TAU
 
@@ -290,3 +292,25 @@ class TestCriterionCheck:
         crit = criterion_check(spec)
         assert not crit.very_ample
         assert not crit.all_ok
+
+
+class TestQuotientHeightBound:
+    def test_bound_is_inclusive(self, q2):
+        # Q0 = <1/2, 0> doubles the height: tau = 6i gives Im tau' = 12
+        spec = build_cover("A", 1, LatticeTau.from_tau(6j), q2)
+        assert spec.quotient.target.tau_reduced.imag == MAX_QUOTIENT_IM_TAU
+        with pytest.raises(IllConditioned, match="Im tau'"):
+            build_cover("A", 1, LatticeTau.from_tau(6.25j), q2)
+
+    def test_tallest_benchmark_draw_builds(self):
+        # Im tau <= 2 and |Q0| <= 5 reach at most Im tau' = 10
+        q5 = FiniteSubgroupSpec.parse(("1/5,0",))
+        spec = _build("B", 1, q5, LatticeTau.from_tau(2j))
+        assert spec.quotient.target.tau_reduced.imag == pytest.approx(10.0)
+
+    def test_tall_source_with_short_quotient_builds(self):
+        # Q0 = <0, 1/2> halves the height: only the quotient is evaluated
+        q = FiniteSubgroupSpec.parse(("0,1/2",))
+        spec = build_cover("A", 1, LatticeTau.from_tau(20j), q)
+        assert spec.quotient.target.tau_reduced.imag == pytest.approx(10.0)
+
