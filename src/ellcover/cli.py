@@ -74,17 +74,17 @@ class RunConfig:
         )
 
     def as_json_dict(self) -> dict:
-        return {
-            "construction": self.construction,
-            "d": self.d,
-            "tau": self.tau,
-            "q0": list(self.q0),
-            "samples": self.samples,
-            "seed": self.seed,
-            "eps_pt": self.eps_pt,
-            "eps_proj": self.eps_proj,
-            "order_cap": self.order_cap,
+        """The `config` block of reports.
+
+        Every field but `output` and `jobs`, which cannot change a result.
+        """
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("output", "jobs")
         }
+        out["q0"] = list(self.q0)
+        return out
 
 
 def _emit_json(value, indent: int = 0) -> str:
@@ -209,21 +209,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             if key == "q0":
                 value = tuple(str(v) for v in value)
             setattr(cfg, key, value)
-    for name in (
-        "construction",
-        "d",
-        "tau",
-        "samples",
-        "seed",
-        "eps_pt",
-        "eps_proj",
-        "order_cap",
-        "output",
-        "jobs",
-    ):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            setattr(cfg, name, flag)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
+        if f.name != "q0" and flag is not None:
+            setattr(cfg, f.name, flag)
     if getattr(args, "q0", None):
         cfg.q0 = tuple(args.q0)
     env_seed = os.environ.get(SEED_ENV_VAR)

@@ -67,12 +67,9 @@ from .symfun import (
 )
 
 #: tolerance for declaring a fiber target non-generic (root collisions,
-#: branch values) and for matching census candidates against orbits; looser
-#: than eps_pt because candidates pass through polynomial root-finding
+#: branch values) and for matching recovered fibers against orbits; looser
+#: than eps_pt because fibers pass through polynomial root-finding
 EPS_GENERIC = 1e-6
-
-#: divisor round-trip tolerance for construction B (section_zeros noise)
-EPS_ROUNDTRIP = 1e-7
 
 #: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts;
 #: two branch values e_i differ by ~24 exp(-pi Im tau') relative to their
@@ -114,6 +111,11 @@ class CoverSpec:
         if self.construction == "A":
             return map_A(self, point)
         return map_B(self, point)
+
+    def fiber(self, image: ProjectivePoint) -> list[PointTuple]:
+        if self.construction == "A":
+            return fiber_A(self, image)
+        return fiber_B(self, image)
 
 
 def degree_identity(
@@ -208,6 +210,15 @@ def map_B(spec: CoverSpec, point: PointTuple) -> ProjectivePoint:
     return divisor_to_coords(ys, spec.basis)
 
 
+def _arrangements(lift_sets: list[list[TorusPoint]], d: int) -> list[PointTuple]:
+    """Every d-tuple that takes one point from each of d distinct lift sets, in order."""
+    return [
+        tuple(choice)
+        for arrangement in itertools.permutations(range(len(lift_sets)), d)
+        for choice in itertools.product(*(lift_sets[i] for i in arrangement))
+    ]
+
+
 def _half_period_values(lattice: LatticeTau) -> list[complex]:
     """The three finite branch values e_i = wp(half periods)."""
     out = []
@@ -251,11 +262,24 @@ def fiber_A(
         w_plus, w_minus = wp_inverse(x, lattice, eps=EPS_NUM)
         lifts = spec.quotient.lifts(w_plus) + spec.quotient.lifts(w_minus)
         lift_sets.append(lifts)
-    fiber = []
-    for perm in itertools.permutations(range(spec.d)):
-        for choice in itertools.product(*(lift_sets[j] for j in perm)):
-            fiber.append(tuple(choice))
-    return fiber
+    return _arrangements(lift_sets, spec.d)
+
+
+def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
+    """All (d+1)!|Q0|^d preimages of a generic target of construction B.
+
+    The target's section vanishes on a sum-zero divisor of d+1 points of
+    E/Q0; a preimage arranges d of them in order and lifts each through the
+    isogeny to one of its |Q0| preimages.  Raises NonGenericTarget when the
+    divisor has a repeated point.
+    """
+    if spec.construction != "B":
+        raise ConfigError("fiber_B needs a construction-B cover")
+    zeros = section_zeros(target, spec.basis)
+    if any(m > 1 for _, m in zeros):
+        raise NonGenericTarget("repeated point in the target divisor")
+    divisor = sorted((y for y, _ in zeros), key=TorusPoint.sort_key)
+    return _arrangements([spec.quotient.lifts(y) for y in divisor], spec.d)
 
 
 @dataclass(frozen=True)
@@ -305,22 +329,6 @@ class VerificationReport:
     timings: dict = field(default_factory=dict, compare=False)
 
 
-def _orbit_images(
-    spec: CoverSpec, orbit: Sequence[PointTuple]
-) -> list[ProjectivePoint]:
-    images = []
-    for q in orbit:
-        images.append(spec.map(q))
-    return images
-
-
-def _index(points: Sequence[PointTuple], tol: float) -> PointIndex:
-    index = PointIndex(tol, len(points[0]) if points else 1)
-    for k, q in enumerate(points):
-        index.add(k, flat_coords(q))
-    return index
-
-
 def _match_as_sets(
     left: Sequence[PointTuple], right: Sequence[PointTuple], tol: float
 ) -> bool:
@@ -331,80 +339,31 @@ def _match_as_sets(
     """
     if len(left) != len(right):
         return False
-    remaining = _index(right, tol)
+    remaining = PointIndex(tol, len(right[0]) if right else 1)
+    for k, q in enumerate(right):
+        remaining.add(k, flat_coords(q))
     return all(remaining.pop_first(flat_coords(p)) for p in left)
 
 
-def _divisor_multiset(
-    zeros: Sequence[tuple[TorusPoint, int]]
-) -> list[TorusPoint]:
-    out = [z for z, m in zeros for _ in range(m)]
-    out.sort(key=TorusPoint.sort_key)
-    return out
-
-
-def _verify_sample_A(
-    spec: CoverSpec,
-    point: PointTuple,
-    index: int,
-    eps_pt: float,
-    eps_proj: float,
+def _verify_sample(
+    spec: CoverSpec, point: PointTuple, index: int, eps_pt: float
 ) -> SampleRecord:
-    stab = spec.group.stabilizer(point, eps_pt)
-    generic = len(stab) == 1
-    orbit = spec.group.orbit(point, eps_pt)
-    images = _orbit_images(spec, orbit)
-    spread = projective_spread(images)
-    fiber_match = False
-    if generic:
-        try:
-            fiber = fiber_A(spec, spec.map(point))
-            fiber_match = _match_as_sets(fiber, orbit, EPS_GENERIC)
-        except NonGenericTarget:
-            generic = False
-    return SampleRecord(
-        index=index,
-        point=point,
-        generic=generic,
-        stabilizer_size=len(stab),
-        orbit_size=len(orbit),
-        image_spread=spread,
-        fiber_match=fiber_match,
-    )
+    """One sample of the protocol: stabilizer, orbit, spread, fiber vs orbit.
 
-
-def _verify_sample_B(
-    spec: CoverSpec,
-    point: PointTuple,
-    index: int,
-    eps_pt: float,
-    eps_proj: float,
-) -> SampleRecord:
+    A sample whose target is not a generic value of the map, for either
+    construction, is recorded as non-generic rather than failed.
+    """
     stab = spec.group.stabilizer(point, eps_pt)
     generic = len(stab) == 1
     orbit = spec.group.orbit(point, eps_pt)
     fiber_match = False
     spread = math.inf
     try:
-        images = _orbit_images(spec, orbit)
-        spread = projective_spread(images)
+        spread = projective_spread([spec.map(q) for q in orbit])
         if generic:
-            image = spec.map(point)
-            ys = [spec.quotient.map(p) for p in point]
-            total = ys[0]
-            for y in ys[1:]:
-                total = total + y
-            ys.append(-total)
-            zeros = section_zeros(image, spec.basis)
-            recovered = _divisor_multiset(zeros)
-            expected = sorted(ys, key=TorusPoint.sort_key)
-            roundtrip_ok = len(recovered) == len(expected) and all(
-                any(a.close_to(b, EPS_ROUNDTRIP) for b in expected)
-                for a in recovered
-            )
-            census_ok = _census_B(spec, recovered, orbit)
-            fiber_match = roundtrip_ok and census_ok
-    except (HighMultiplicity, IllConditioned, SumNotZero, InvalidPoint):
+            fiber = spec.fiber(spec.map(point))
+            fiber_match = _match_as_sets(fiber, orbit, EPS_GENERIC)
+    except (NonGenericTarget, HighMultiplicity, IllConditioned, SumNotZero, InvalidPoint):
         generic = False
     return SampleRecord(
         index=index,
@@ -415,27 +374,6 @@ def _verify_sample_B(
         image_spread=spread,
         fiber_match=fiber_match,
     )
-
-
-def _census_B(
-    spec: CoverSpec, divisor: Sequence[TorusPoint], orbit: Sequence[PointTuple]
-) -> bool:
-    """Check that every combinatorial preimage of the divisor is in the orbit.
-
-    A preimage picks an ordered arrangement of d of the d+1 divisor points
-    and a Q0-lift of each, giving (d+1)!|Q0|^d candidates; together with
-    |orbit| = |G| this pins the fiber exactly.
-    """
-    d = spec.d
-    lifts = [spec.quotient.lifts(y) for y in divisor]
-    members = _index(orbit, EPS_GENERIC)
-    candidates = 0
-    for arrangement in itertools.permutations(range(d + 1), d):
-        for choice in itertools.product(*(lifts[i] for i in arrangement)):
-            candidates += 1
-            if not members.contains(flat_coords(choice)):
-                return False
-    return candidates == spec.group.order == len(orbit)
 
 
 def galois_verify(
@@ -461,8 +399,6 @@ def galois_verify(
         )
         for _ in range(samples)
     ]
-    worker = _verify_sample_A if spec.construction == "A" else _verify_sample_B
-
     t0 = time.perf_counter()
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -470,13 +406,13 @@ def galois_verify(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(
                 pool.map(
-                    lambda args: worker(spec, args[1], args[0], eps_pt, eps_proj),
+                    lambda args: _verify_sample(spec, args[1], args[0], eps_pt),
                     enumerate(points),
                 )
             )
     else:
         records = [
-            worker(spec, p, i, eps_pt, eps_proj) for i, p in enumerate(points)
+            _verify_sample(spec, p, i, eps_pt) for i, p in enumerate(points)
         ]
     records.sort(key=lambda r: r.index)
     elapsed = time.perf_counter() - t0

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     InvalidOrder,
@@ -543,10 +543,3 @@ def wp_inverse(
     raise NoConvergence(
         f"wp_inverse found no solution for x={x!r} from a {grid}x{grid} grid"
     )
-
-
-def product_point(
-    lattice: LatticeTau, coords: Sequence[tuple[float, float]]
-) -> tuple[TorusPoint, ...]:
-    """Tuple of torus points from (a, b) coordinate pairs; the E^d sample type."""
-    return tuple(TorusPoint.from_coords(lattice, a, b) for a, b in coords)

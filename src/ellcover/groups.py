@@ -271,13 +271,6 @@ class FiniteActionGroup:
             for row in reps
         ]
 
-    def is_free_at(
-        self, point: PointTuple, tol: float = EPS_PT
-    ) -> tuple[bool, list[AffineAutomorphism]]:
-        """(True, [id]) when only the identity fixes the point; else the stabilizer."""
-        stab = self.stabilizer(point, tol)
-        return len(stab) == 1, stab
-
     def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
         images = self._images(point)
         here = np.array([[p.a, p.b] for p in point])
@@ -342,9 +335,6 @@ class PointIndex:
                 if all(_wrap_dist(x, y) <= self.tol for x, y in zip(coords, other)):
                     yield cell, pos, index
 
-    def contains(self, coords: Sequence[float]) -> bool:
-        return next(self._close(coords, self._key(coords)), None) is not None
-
     def pop_first(self, coords: Sequence[float]) -> bool:
         """Remove the close tuple added with the smallest index; False if none."""
         hit = min(self._close(coords, self._key(coords)), key=lambda h: h[2], default=None)
@@ -358,16 +348,6 @@ class PointIndex:
 def flat_coords(point: PointTuple) -> list[float]:
     """(a_0, b_0, a_1, b_1, ...) of a point tuple, the layout `PointIndex` stores."""
     return [c for p in point for c in (p.a, p.b)]
-
-
-def orbit(group: FiniteActionGroup, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
-    return group.orbit(point, tol)
-
-
-def is_free_at(
-    group: FiniteActionGroup, point: PointTuple, tol: float = EPS_PT
-) -> tuple[bool, list[AffineAutomorphism]]:
-    return group.is_free_at(point, tol)
 
 
 def _translation_generators(d: int, q0: FiniteSubgroupSpec) -> list[AffineAutomorphism]:

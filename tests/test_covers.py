@@ -15,12 +15,14 @@ from ellcover import (
     build_cover,
     criterion_check,
     fiber_A,
+    fiber_B,
     galois_verify,
     reduce_point,
     very_ample_preconditions,
     wp,
 )
 
+from ellcover import covers
 from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets
 
 from conftest import TAU
@@ -164,6 +166,32 @@ class TestFiberA:
             fiber_A(spec, spec.map(x))
 
 
+GENERIC = [(0.137, 0.261), (0.389, 0.731), (0.613, 0.447)]
+
+
+class TestFiberB:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fiber_matches_orbit(self, lattice, q2, d):
+        spec = _build("B", d, q2, lattice)
+        x = _point(spec, GENERIC[:d])
+        fiber = fiber_B(spec, spec.map(x))
+        assert len(fiber) == spec.group.order
+        assert _match_as_sets(fiber, spec.group.orbit(x), 1e-6)
+
+    def test_repeated_divisor_point_rejected(self, lattice, q2):
+        spec = build_cover("B", 2, lattice, q2)
+        # both slots on the same quotient class: y_1 = y_2 downstairs
+        x = _point(spec, [(0.2, 0.3), (0.7, 0.3)])
+        with pytest.raises(NonGenericTarget):
+            fiber_B(spec, spec.map(x))
+
+    def test_needs_construction_b(self, lattice, q2):
+        spec = build_cover("A", 2, lattice, q2)
+        x = _point(spec, GENERIC[:2])
+        with pytest.raises(ConfigError):
+            fiber_B(spec, spec.map(x))
+
+
 class TestGaloisVerify:
     def test_construction_a_passes(self, lattice, q2):
         spec = build_cover("A", 2, lattice, q2)
@@ -203,7 +231,7 @@ class TestGaloisVerify:
 
     def test_recovered_divisor_is_polished(self, lattice, q3):
         # wp_inverse left this sample's divisor 1.2e-4 to 1.7e-4 off in torus
-        # coordinates, so the census missed the orbit: a false FAIL
+        # coordinates, so its fiber missed the orbit: a false FAIL
         spec = build_cover("B", 3, lattice, q3)
         report = galois_verify(spec, samples=1, seed=906133)
         (rec,) = report.samples
@@ -218,6 +246,25 @@ class TestGaloisVerify:
         (rec,) = report.samples
         assert rec.generic and rec.orbit_size == order
         assert report.passed
+
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    def test_moved_preimage_fails(self, lattice, q2, monkeypatch, construction):
+        name = f"fiber_{construction}"
+        recover = getattr(covers, name)
+
+        def moved(spec, target):
+            fiber = recover(spec, target)
+            head = fiber[0][0]
+            shifted = TorusPoint.from_coords(spec.curve, head.a + 1e-3, head.b)
+            fiber[0] = (shifted,) + fiber[0][1:]
+            return fiber
+
+        monkeypatch.setattr(covers, name, moved)
+        spec = build_cover(construction, 2, lattice, q2)
+        report = galois_verify(spec, samples=3, seed=42)
+        for rec in report.samples:
+            assert rec.generic and not rec.fiber_match
+        assert not report.passed
 
     def test_jobs_do_not_change_results(self, lattice, q2):
         spec = _build("B", 1, q2, lattice)

@@ -16,8 +16,6 @@ from ellcover import (
     TorusPoint,
     build_group_A,
     build_group_B,
-    is_free_at,
-    orbit,
 )
 from ellcover.groups import PointIndex
 
@@ -155,15 +153,13 @@ class TestConstructionA:
     def test_generic_orbit_is_free(self):
         grp = build_group_A(2, FiniteSubgroupSpec.parse(("1/2,0",)))
         x = pt((0.137, 0.261), (0.389, 0.731))
-        free, stab = is_free_at(grp, x)
-        assert free and len(stab) == 1
-        assert len(orbit(grp, x)) == grp.order
+        assert len(grp.stabilizer(x)) == 1
+        assert len(grp.orbit(x)) == grp.order
 
     def test_two_torsion_is_not_free(self):
         grp = build_group_A(1, FiniteSubgroupSpec.parse(("1/2,0",)))
         x = pt((0.5, 0.0))
-        free, stab = is_free_at(grp, x)
-        assert not free
+        stab = grp.stabilizer(x)
         assert len(stab) > 1
         stab_set = set(stab)
         for g in stab:
@@ -173,7 +169,7 @@ class TestConstructionA:
     def test_orbit_size_divides_order(self):
         grp = build_group_A(2, FiniteSubgroupSpec.parse(("1/2,0",)))
         x = pt((0.5, 0.5), (0.5, 0.5))
-        assert grp.order % len(orbit(grp, x)) == 0
+        assert grp.order % len(grp.orbit(x)) == 0
 
 
 class TestConstructionB:
@@ -225,9 +221,8 @@ class TestConstructionB:
     def test_generic_orbit_is_free(self):
         grp = build_group_B(2, FiniteSubgroupSpec.parse(("1/2,0",)))
         x = pt((0.137, 0.261), (0.389, 0.731))
-        free, stab = is_free_at(grp, x)
-        assert free and len(stab) == 1
-        assert len(orbit(grp, x)) == 24
+        assert len(grp.stabilizer(x)) == 1
+        assert len(grp.orbit(x)) == 24
 
 
 @settings(max_examples=30, deadline=None)
@@ -348,13 +343,13 @@ class TestPointIndex:
         below, above = [edge - 0.4 * self.TOL, 0.0], [edge + 0.4 * self.TOL, 0.0]
         assert index._key(below) != index._key(above)
         index.add(0, below)
-        assert index.contains(above)
-        assert not index.contains([edge + 2 * self.TOL, 0.0])
+        assert not index.add_new(1, above)
+        assert index.add_new(2, [edge + 2 * self.TOL, 0.0])
 
     def test_finds_a_neighbour_across_the_wrap(self):
         index = self._index([1 - 1e-4, 1 - 1e-12])
-        assert index.contains([1e-4, 0.0])
-        assert not index.contains([0.5, 0.0])
+        assert not index.add_new(1, [1e-4, 0.0])
+        assert index.add_new(2, [0.5, 0.0])
 
     def test_pop_first_takes_the_earliest_close_entry(self):
         index = self._index([0.6, 0.1], [0.2, 0.3], [0.2 + 5e-4, 0.3], [0.2 - 5e-4, 0.3])
