@@ -26,14 +26,16 @@ from .covers import (
     criterion_check,
     galois_verify,
 )
-from .elliptic import FiniteSubgroupSpec, LatticeTau
+from .elliptic import EPS_PT, FiniteSubgroupSpec, LatticeTau
 from .errors import EllcoverError, ConfigError
+from .groups import DEFAULT_ORDER_CAP
 from .polarization import (
     PolarizationMatrix,
     chi,
     mixed_intersection,
     self_intersection,
 )
+from .symfun import EPS_PROJ
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
 
@@ -48,9 +50,9 @@ class RunConfig:
     q0: tuple[str, ...] = ("1/2,0",)
     samples: int = 20
     seed: int = 42
-    eps_pt: float = 1e-9
-    eps_proj: float = 1e-7
-    order_cap: int = 100_000
+    eps_pt: float = EPS_PT
+    eps_proj: float = EPS_PROJ
+    order_cap: int = DEFAULT_ORDER_CAP
     output: Optional[str] = None
     jobs: int = 1
 

@@ -29,7 +29,6 @@ from .elliptic import (
     quotient_lattice,
     reduce_point,
     wp,
-    wp_both_values,
     wp_inverse,
 )
 from .errors import (
@@ -219,18 +218,7 @@ def _arrangements(lift_sets: list[list[TorusPoint]], d: int) -> list[PointTuple]
     ]
 
 
-def _half_period_values(lattice: LatticeTau) -> list[complex]:
-    """The three finite branch values e_i = wp(half periods)."""
-    out = []
-    for a, b in ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
-        w, _ = wp_both_values(TorusPoint(lattice, a, b))
-        out.append(w)
-    return out
-
-
-def fiber_A(
-    spec: CoverSpec, target: ProjectivePoint, eps: float = EPS_GENERIC
-) -> list[PointTuple]:
+def fiber_A(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
     """All d!(2|Q0|)^d preimages of a generic target of construction A.
 
     The binary form is factored into d distinct P^1 roots; each root pulls
@@ -246,20 +234,19 @@ def fiber_A(
         raise NonGenericTarget("repeated roots in the target binary form")
     values = []
     for pair, _ in roots:
-        if abs(pair.den) <= eps:
+        if abs(pair.den) <= EPS_GENERIC:
             raise NonGenericTarget("root at infinity is a branch value of wp")
         values.append(pair.num / pair.den)
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= eps * (1.0 + abs(values[i])):
+            if abs(values[i] - values[j]) <= EPS_GENERIC * (1.0 + abs(values[i])):
                 raise NonGenericTarget("two roots collide")
-    branch = _half_period_values(lattice)
     for x in values:
-        if any(abs(x - e) <= eps * (1.0 + abs(e)) for e in branch):
+        if any(abs(x - e) <= EPS_GENERIC * (1.0 + abs(e)) for e in lattice.branch_values):
             raise NonGenericTarget(f"root {x:.6g} sits at a branch value")
     lift_sets: list[list[TorusPoint]] = []
     for x in values:
-        w_plus, w_minus = wp_inverse(x, lattice, eps=EPS_NUM)
+        w_plus, w_minus = wp_inverse(x, lattice)
         lifts = spec.quotient.lifts(w_plus) + spec.quotient.lifts(w_minus)
         lift_sets.append(lifts)
     return _arrangements(lift_sets, spec.d)

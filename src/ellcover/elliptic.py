@@ -34,6 +34,10 @@ EPS_NUM = 1e-10
 _SERIES_TAIL_REL = 1e-14
 _SERIES_MAX_TERMS = 64
 
+# the AGM in wp_inverse stops once |a - b| falls below this relative size
+_AGM_REL = 1e-15
+_AGM_MAX_STEPS = 32
+
 _TWO_PI_I = 2j * math.pi
 
 RationalLike = Union[int, str, Fraction]
@@ -197,6 +201,24 @@ class LatticeTau:
         g2 = (4.0 * math.pi**4 / 3.0) * e4 / s**4
         g3 = (8.0 * math.pi**6 / 27.0) * e6 / s**6
         return g2, g3
+
+    def _half_period(self, alpha: int, beta: int) -> "TorusPoint":
+        """The half period scale * (alpha + beta * tau_reduced) / 2 as a torus point."""
+        ma, mb, mc, md = self.basis_change
+        return TorusPoint.from_coords(
+            self, (md * alpha + mb * beta) / 2, (mc * alpha + ma * beta) / 2
+        )
+
+    @cached_property
+    def branch_values(self) -> tuple[complex, complex, complex]:
+        """e1, e2, e3: wp at the half periods 1/2, tau/2, (1+tau)/2 of the reduced basis.
+
+        On a tall lattice e2 and e3 are the close pair.
+        """
+        return tuple(
+            wp_both_values(self._half_period(alpha, beta))[0]
+            for alpha, beta in ((1, 0), (0, 1), (1, 1))
+        )
 
     def coords(self, z: complex) -> tuple[float, float]:
         """Real (a, b) with z = a*omega1 + b*omega2 (not reduced)."""
@@ -474,72 +496,39 @@ def wp_second_value(p: TorusPoint) -> complex:
     return 6.0 * w * w - 0.5 * g2
 
 
-def _newton_refine(
-    lattice: LatticeTau, z: complex, x: complex, tol: float, max_iter: int = 80
-) -> tuple[complex, float]:
-    """Newton iteration for wp(z) = x; returns (z, residual)."""
-    best_z, best_r = z, math.inf
-    for _ in range(max_iter):
-        num, den, nump, denp = _wp_series(lattice, *lattice.coords(z))
-        if den == 0 or denp == 0:
-            z += 0.01 * lattice.omega1 + 0.017 * lattice.omega2
-            continue
-        w = num / den
-        r = abs(w - x)
-        if r < best_r:
-            best_z, best_r = z, r
-        if r <= 0.01 * tol:
-            break
-        dw = nump / denp
-        if dw == 0:
-            break
-        step = (w - x) / dw
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        z = z - step
-    return best_z, best_r
+def _on_side(r: complex, ref: complex) -> complex:
+    """The square root r or -r, whichever lies on the side of ref."""
+    return r if abs(r - ref) <= abs(r + ref) else -r
 
 
-def wp_inverse(
-    x: complex,
-    lattice: LatticeTau,
-    eps: float = EPS_NUM,
-    grid: int = 8,
-) -> tuple[TorusPoint, TorusPoint]:
-    """The two solutions {z, -z} of wp(z) = x, from grid-seeded Newton iteration.
+def wp_inverse(x: complex, lattice: LatticeTau) -> tuple[TorusPoint, TorusPoint]:
+    """The two solutions {z, -z} of wp(z) = x, by the AGM elliptic logarithm.
 
-    Residual contract: |wp(z) - x| < eps * (1 + |x|).  Raises NoConvergence if
-    no seed converges, which signals a too-coarse grid.
+    With e_i the branch values, a = sqrt(e1-e3), b = sqrt(e1-e2) and
+    c = sqrt(x-e3), z = int_c^oo dt / sqrt((t^2-a^2)(t^2-a^2+b^2)).  Landen's
+    step (a, b, c) -> ((a+b)/2, sqrt(ab), (c + sqrt(c^2+b^2-a^2))/2) keeps the
+    integral fixed, and once a = b it equals asin(a/c)/a (Cremona and
+    Thongjunthug, J. Number Theory 133, 2013).  Residual contract:
+    |wp(z) - x| <= EPS_NUM * (1 + |x|); NoConvergence if it is missed.
     """
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise InvalidPoint(f"non-finite target value: {x!r}")
-    tol = eps * (1.0 + abs(x))
-
-    seeds: list[complex] = []
-    if x != 0:
-        # pole expansion wp(z) ~ 1/z^2 gives a cheap seed near the origin
-        root = 1.0 / cmath.sqrt(x)
-        seeds.extend([root, -root])
-    seeds.extend(
-        ((i + 0.5) / grid) * lattice.omega1 + ((j + 0.5) / grid) * lattice.omega2
-        for i in range(grid)
-        for j in range(grid)
-    )
-
-    def seed_residual(z: complex) -> float:
-        num, den, _, _ = _wp_series(lattice, *lattice.coords(z))
-        if den == 0:
-            return math.inf
-        return abs(num / den - x)
-
-    seeds.sort(key=seed_residual)
-    for z0 in seeds:
-        z, residual = _newton_refine(lattice, z0, x, tol)
-        if residual <= tol:
-            p = reduce_point(z, lattice)
-            pair = sorted([p, -p], key=TorusPoint.sort_key)
-            return pair[0], pair[1]
-    raise NoConvergence(
-        f"wp_inverse found no solution for x={x!r} from a {grid}x{grid} grid"
-    )
+    e1, e2, e3 = lattice.branch_values
+    c = cmath.sqrt(x - e3)
+    if c == 0:
+        p = lattice._half_period(1, 1)
+    else:
+        a = cmath.sqrt(e1 - e3)
+        b = _on_side(cmath.sqrt(e1 - e2), a)
+        for _ in range(_AGM_MAX_STEPS):
+            if abs(a - b) <= _AGM_REL * abs(a):
+                break
+            c = (c + _on_side(cmath.sqrt(c * c + b * b - a * a), c)) / 2
+            a, b = (a + b) / 2, _on_side(cmath.sqrt(a * b), (a + b) / 2)
+        p = reduce_point(cmath.asin(a / c) / a, lattice)
+    num, den, _, _ = _wp_series(lattice, p.a, p.b)
+    if den == 0 or not abs(num / den - x) <= EPS_NUM * (1.0 + abs(x)):
+        raise NoConvergence(f"wp_inverse missed its residual contract at x={x!r}")
+    pair = sorted([p, -p], key=TorusPoint.sort_key)
+    return pair[0], pair[1]

@@ -18,7 +18,7 @@ class InvalidSubgroup(EllcoverError):
 
 
 class NoConvergence(EllcoverError):
-    """Newton iteration failed from every grid seed; retry with a finer grid."""
+    """The AGM elliptic logarithm missed the residual contract of wp_inverse."""
 
 
 class SumNotZero(EllcoverError):

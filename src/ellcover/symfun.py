@@ -46,8 +46,8 @@ _COND_FLOOR = 1e-10
 _ROOT_CLUSTER = 1e-5
 
 #: cap on the Newton steps that polish a simple zero of a section; from the
-#: 1e-4 error wp_inverse can leave, two steps reach the accuracy of the
-#: coefficients
+#: 1e-4 error an inexact root of the norm polynomial can leave, two steps
+#: reach the accuracy of the coefficients
 _POLISH_STEPS = 6
 
 
@@ -191,9 +191,7 @@ def _cluster_roots(roots: Sequence[complex], rel_tol: float = _ROOT_CLUSTER) -> 
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
-def sym_fiber(
-    point: ProjectivePoint | Sequence[complex], eps: float = EPS_NUM
-) -> list[tuple[HomPair, int]]:
+def sym_fiber(point: ProjectivePoint | Sequence[complex]) -> list[tuple[HomPair, int]]:
     """Roots (with multiplicity) of the binary form with coefficients `point`.
 
     Returns normalized (num, den) pairs; (1, 0) stands for the root at
@@ -207,7 +205,7 @@ def sym_fiber(
     coeffs = list(point.coords)[::-1]  # decreasing degree in t = X/Y
     top = max(abs(c) for c in coeffs)
     lead = 0
-    while lead < len(coeffs) - 1 and abs(coeffs[lead]) <= eps * top:
+    while lead < len(coeffs) - 1 and abs(coeffs[lead]) <= EPS_NUM * top:
         lead += 1
     out: list[tuple[HomPair, int]] = []
     if lead:
@@ -279,11 +277,7 @@ def _group_divisor(
     return [(rep, len(members)) for rep, members in groups]
 
 
-def divisor_to_coords(
-    points: Sequence[TorusPoint],
-    basis: SectionBasis,
-    eps: float = EPS_PT,
-) -> ProjectivePoint:
+def divisor_to_coords(points: Sequence[TorusPoint], basis: SectionBasis) -> ProjectivePoint:
     """Coordinates in P^(n-1) of the section of O(n*[0]) vanishing on `points`.
 
     The divisor must be effective of degree n = basis.n with sum 0 in E;
@@ -299,18 +293,18 @@ def divisor_to_coords(
     total = points[0]
     for p in points[1:]:
         total = total + p
-    if not total.is_zero(tol=max(eps, 1e-6) * n):
+    if not total.is_zero(tol=1e-6 * n):
         raise SumNotZero(
             f"divisor sum ({total.a:.3e}, {total.b:.3e}) is not the origin"
         )
     rows: list[np.ndarray] = []
     zero_mult = 0
-    for rep, mult in _group_divisor(points, eps):
+    for rep, mult in _group_divisor(points, EPS_PT):
         if mult > 2:
             raise HighMultiplicity(
                 f"point {rep.sort_key()} repeats {mult} times; at most 2 supported"
             )
-        if rep.is_zero(eps):
+        if rep.is_zero(EPS_PT):
             zero_mult = mult
             continue
         rows.append(basis.evaluate(rep))
@@ -359,9 +353,7 @@ def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPo
 
 
 def section_zeros(
-    coeffs: Sequence[complex] | ProjectivePoint,
-    basis: SectionBasis,
-    eps: float = EPS_NUM,
+    coeffs: Sequence[complex] | ProjectivePoint, basis: SectionBasis
 ) -> list[tuple[TorusPoint, int]]:
     """Zero divisor of the section sum(c_j f_j) of O(n*[0]), n = basis.n.
 
@@ -431,7 +423,7 @@ def section_zeros(
         raise DegenerateSection("norm polynomial vanishes identically")
     roots = np.roots(norm / scale)
     for x0, mult in _cluster_roots(list(roots)):
-        z_plus, z_minus = wp_inverse(x0, lattice, eps=max(eps, 1e-12))
+        z_plus, z_minus = wp_inverse(x0, lattice)
         if z_plus.close_to(-z_plus, tol=1e-6):
             # 2-torsion: both branches coincide, full multiplicity
             divisor.append((z_plus, mult))
@@ -454,8 +446,8 @@ def section_zeros(
             divisor.append((z_plus, mult))
         else:
             divisor.append((z_minus, mult))
-    # wp_inverse meets its residual contract in x = wp(z), which can leave z
-    # off by far more than the matching tolerances where wp' is small
+    # np.roots leaves each x0 off by the norm polynomial's conditioning, and
+    # where wp' is small that moves z by far more than the matching tolerances
     divisor = [(_newton_polish(z, c, basis) if m == 1 else z, m) for z, m in divisor]
     if n > p_order:
         divisor.append((TorusPoint(lattice, 0.0, 0.0), n - p_order))

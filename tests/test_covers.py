@@ -230,8 +230,9 @@ class TestGaloisVerify:
         assert r1.samples[0].point != r2.samples[0].point
 
     def test_recovered_divisor_is_polished(self, lattice, q3):
-        # wp_inverse left this sample's divisor 1.2e-4 to 1.7e-4 off in torus
-        # coordinates, so its fiber missed the orbit: a false FAIL
+        # the lifted roots of the norm polynomial leave this sample's divisor
+        # 1.2e-4 to 1.7e-4 off in torus coordinates, so its unpolished fiber
+        # missed the orbit: a false FAIL
         spec = build_cover("B", 3, lattice, q3)
         report = galois_verify(spec, samples=1, seed=906133)
         (rec,) = report.samples

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from ellcover import (
     wp_inverse,
     wp_prime,
 )
-from ellcover.elliptic import wp_both_values
+from ellcover.covers import MAX_QUOTIENT_IM_TAU
+from ellcover.elliptic import EPS_NUM, wp_both_values
 
 from conftest import TAU, lattice_sum_g2_g3, laurent_wp
 
@@ -216,31 +218,99 @@ class TestWeierstrass:
         assert abs(v1 - v2) < 1e-9 * max(1, abs(v1))
 
 
+def _quotient(tau: complex, generator: str) -> LatticeTau:
+    return quotient_lattice(
+        LatticeTau.from_tau(tau), FiniteSubgroupSpec.parse((generator,))
+    ).target
+
+
+# Lattices with reduced Im tau <= 2, where a point is well determined by its
+# wp value, and quotients whose reduced Im tau' climbs to MAX_QUOTIENT_IM_TAU,
+# where wp is nearly constant along the long period.
+LOW_LATTICES = {
+    "default": LatticeTau.from_tau(TAU),
+    "square": LatticeTau.from_tau(1j),
+    "hexagonal": LatticeTau.from_tau(complex(0.5, math.sqrt(3) / 2)),
+    "quotient-1.7": _quotient(TAU, "0,1/2"),
+    "rotated": LatticeTau(1j, -0.9 + 1j),
+}
+TALL_LATTICES = {
+    "quotient-2.5": _quotient(2j, "0,1/5"),
+    "quotient-7.7": _quotient(TAU, "1/7,0"),
+    "quotient-9": _quotient(0.17 + 3j, "1/3,0"),
+    "quotient-12": _quotient(4j, "1/3,0"),
+}
+ALL_LATTICES = {**LOW_LATTICES, **TALL_LATTICES}
+
+
+def _within_contract(z: TorusPoint, x: complex) -> bool:
+    return abs(wp(z).value - x) <= EPS_NUM * (1 + abs(x))
+
+
+low = pytest.mark.parametrize("lat", LOW_LATTICES.values(), ids=LOW_LATTICES.keys())
+every = pytest.mark.parametrize("lat", ALL_LATTICES.values(), ids=ALL_LATTICES.keys())
+
+
 class TestWpInverse:
-    def test_roundtrip_from_wp(self, lattice):
-        for (a, b) in ((0.23, 0.11), (0.05, 0.31), (0.41, 0.37), (0.5, 0.25)):
-            pt = TorusPoint.from_coords(lattice, a, b)
+    def test_lattice_heights(self):
+        assert all(lat.tau_reduced.imag <= 2 for lat in LOW_LATTICES.values())
+        tallest = max(lat.tau_reduced.imag for lat in TALL_LATTICES.values())
+        assert tallest == pytest.approx(MAX_QUOTIENT_IM_TAU)
+
+    @low
+    def test_roundtrip_from_wp(self, lat):
+        rng = random.Random(11)
+        coords = [(0.23, 0.11), (0.05, 0.31), (0.41, 0.37), (0.5, 0.25)]
+        coords += [(rng.random(), rng.random()) for _ in range(20)]
+        for (a, b) in coords:
+            pt = TorusPoint.from_coords(lat, a, b)
             x = wp(pt).value
-            plus, minus = wp_inverse(x, lattice)
+            plus, minus = wp_inverse(x, lat)
             assert plus.close_to(pt, tol=1e-7) or minus.close_to(pt, tol=1e-7)
             assert plus.close_to(-minus, tol=1e-7)
 
-    def test_values_match_target(self, lattice):
-        for x in (2.3 - 1.1j, -14.5 + 3j, 0.01 + 0.02j, 250 + 40j):
-            plus, minus = wp_inverse(x, lattice)
-            for z in (plus, minus):
-                assert abs(wp(z).value - x) < 1e-8 * (1 + abs(x))
+    @low
+    def test_branch_values_give_two_torsion(self, lat):
+        for e in lat.branch_values:
+            plus, minus = wp_inverse(e, lat)
+            assert (plus + plus).is_zero(tol=1e-6)
+            assert plus.close_to(minus, tol=1e-6)
 
+    @every
+    def test_values_match_target(self, lat):
+        rng = random.Random(5)
+        targets = [0j, 2.3 - 1.1j, -14.5 + 3j, 0.01 + 0.02j, 250 + 40j, 1e6, -6e5 + 8e5j]
+        targets += [
+            wp(TorusPoint.from_coords(lat, rng.random(), rng.random())).value
+            for _ in range(20)
+        ]
+        # x - e3 on the negative reals, where the principal square root of
+        # the AGM's c-step leaves the side of c
+        e3 = lat.branch_values[2]
+        targets += [e3 - t for t in (0.01, 1, 100)]
+        for x in targets:
+            plus, minus = wp_inverse(x, lat)
+            assert _within_contract(plus, x) and _within_contract(minus, x)
+            assert plus.close_to(-minus, tol=1e-12)
+
+    @every
     @settings(max_examples=25, deadline=None)
     @given(
         re=st.floats(-20, 20),
         im=st.floats(-20, 20),
     )
-    def test_random_targets(self, re, im):
-        lat = LatticeTau.from_tau(TAU)
+    def test_random_targets(self, lat, re, im):
         x = complex(re, im)
         plus, _ = wp_inverse(x, lat)
-        assert abs(wp(plus).value - x) < 1e-7 * (1 + abs(x))
+        assert _within_contract(plus, x)
+
+    @every
+    def test_branch_values_are_cubic_roots(self, lat):
+        g2, g3 = lat.g2g3
+        size = abs(g2) ** 1.5 + abs(g3)
+        for e in lat.branch_values:
+            assert abs(4 * e**3 - g2 * e - g3) <= 1e-10 * size
+        assert abs(sum(lat.branch_values)) <= 1e-10 * size ** (1 / 3)
 
 
 class TestTorusPoints:
