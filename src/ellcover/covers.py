@@ -17,7 +17,10 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .elliptic import (
     EPS_NUM,
@@ -26,10 +29,18 @@ from .elliptic import (
     IsogenyQuotient,
     LatticeTau,
     TorusPoint,
+    _frac_array,
     quotient_lattice,
     reduce_point,
     wp,
     wp_inverse,
+)
+from .batch import (
+    close_pairs,
+    divisors_to_coords,
+    norm_pairs,
+    sym_product_rows,
+    wp_series_array,
 )
 from .errors import (
     ConfigError,
@@ -47,7 +58,7 @@ from .groups import (
     PointTuple,
     build_group_A,
     build_group_B,
-    flat_coords,
+    coords_array,
 )
 from .polarization import (
     PolarizationMatrix,
@@ -101,7 +112,7 @@ class CoverSpec:
     theoretical_degree: int
     very_ample: bool
 
-    @property
+    @cached_property
     def basis(self) -> SectionBasis:
         """Section basis of O((d+1)[0]) on E/Q0 (construction B target system)."""
         return SectionBasis(self.d + 1, self.quotient.target)
@@ -110,6 +121,16 @@ class CoverSpec:
         if self.construction == "A":
             return map_A(self, point)
         return map_B(self, point)
+
+    def map_array(self, coords: np.ndarray) -> np.ndarray:
+        """`map` on N point tuples given by coordinates, shape N x d x 2.
+
+        Returns the N x (d+1) coordinates of the images, normalized as
+        `ProjectivePoint.normalize` normalizes them.
+        """
+        if self.construction == "A":
+            return map_A_array(self, coords)
+        return map_B_array(self, coords)
 
     def fiber(self, image: ProjectivePoint) -> list[PointTuple]:
         if self.construction == "A":
@@ -207,6 +228,23 @@ def map_B(spec: CoverSpec, point: PointTuple) -> ProjectivePoint:
         total = total + y
     ys.append(-total)
     return divisor_to_coords(ys, spec.basis)
+
+
+def map_A_array(spec: CoverSpec, coords: np.ndarray) -> np.ndarray:
+    """`map_A` on N point tuples at once: one series pass over all N*d coordinates."""
+    ys = spec.quotient.map_coords(coords)
+    num, den = wp_series_array(spec.quotient.target, ys[..., 0], ys[..., 1], derivative=False)
+    return sym_product_rows(*norm_pairs(num, den))
+
+
+def map_B_array(spec: CoverSpec, coords: np.ndarray) -> np.ndarray:
+    """`map_B` on N point tuples at once, through `divisors_to_coords`."""
+    ys = spec.quotient.map_coords(coords)
+    total = ys[:, 0]
+    for k in range(1, spec.d):
+        total = _frac_array(total + ys[:, k])
+    divisors = np.concatenate([ys, _frac_array(-total)[:, None]], axis=1)
+    return divisors_to_coords(divisors, spec.basis)
 
 
 def _arrangements(lift_sets: list[list[TorusPoint]], d: int) -> list[PointTuple]:
@@ -316,20 +354,40 @@ class VerificationReport:
     timings: dict = field(default_factory=dict, compare=False)
 
 
-def _match_as_sets(
-    left: Sequence[PointTuple], right: Sequence[PointTuple], tol: float
+def _match_greedy(
+    left: Sequence[Sequence[float]], right: Sequence[Sequence[float]], tol: float
 ) -> bool:
-    """Multiset equality of point tuples under the toroidal sup metric.
+    """Multiset equality of flat point coordinates under the toroidal sup metric.
 
     Greedy: each point of `left` in turn takes the earliest unmatched point
     of `right` within tol.
     """
     if len(left) != len(right):
         return False
-    remaining = PointIndex(tol, len(right[0]) if right else 1)
+    remaining = PointIndex(tol, len(right[0]) // 2 if len(right) else 1)
     for k, q in enumerate(right):
-        remaining.add(k, flat_coords(q))
-    return all(remaining.pop_first(flat_coords(p)) for p in left)
+        remaining.add(k, q)
+    return all(remaining.pop_first(p) for p in left)
+
+
+def _match_as_sets(left: np.ndarray, right: np.ndarray, tol: float) -> bool:
+    """`_match_greedy` on point tuples given by coordinates, shape N x d x 2.
+
+    When every point has exactly one partner within tol on the other side,
+    the greedy match pairs them all; when some point has none, it fails.
+    Only other cases, where the greedy order decides, run `_match_greedy`.
+    """
+    if len(left) != len(right):
+        return False
+    i, j = close_pairs(left, right, tol)
+    left_hits = np.bincount(i, minlength=len(left))
+    right_hits = np.bincount(j, minlength=len(right))
+    if np.all(left_hits == 1) and np.all(right_hits == 1):
+        return True
+    if np.any(left_hits == 0) or np.any(right_hits == 0):
+        return False
+    flat = [a.reshape(len(a), -1).tolist() for a in (left, right)]
+    return _match_greedy(*flat, tol)
 
 
 def _verify_sample(
@@ -337,19 +395,21 @@ def _verify_sample(
 ) -> SampleRecord:
     """One sample of the protocol: stabilizer, orbit, spread, fiber vs orbit.
 
-    A sample whose target is not a generic value of the map, for either
+    The orbit stays an array of coordinates, mapped in one batch.  A sample
+    whose target is not a generic value of the map, for either
     construction, is recorded as non-generic rather than failed.
     """
     stab = spec.group.stabilizer(point, eps_pt)
     generic = len(stab) == 1
-    orbit = spec.group.orbit(point, eps_pt)
+    images, keep = spec.group.orbit_indices(point, eps_pt)
+    orbit = images[keep]
     fiber_match = False
     spread = math.inf
     try:
-        spread = projective_spread([spec.map(q) for q in orbit])
+        spread = projective_spread(spec.map_array(orbit))
         if generic:
             fiber = spec.fiber(spec.map(point))
-            fiber_match = _match_as_sets(fiber, orbit, EPS_GENERIC)
+            fiber_match = _match_as_sets(coords_array(fiber), orbit, EPS_GENERIC)
     except (NonGenericTarget, HighMultiplicity, IllConditioned, SumNotZero, InvalidPoint):
         generic = False
     return SampleRecord(

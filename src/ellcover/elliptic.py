@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
+import numpy as np
+
 from .errors import (
     InvalidOrder,
     InvalidPoint,
@@ -51,10 +53,23 @@ def _frac(x: float) -> float:
     return r + 0.0  # normalize -0.0
 
 
+def _frac_array(x: np.ndarray) -> np.ndarray:
+    """`_frac` on every entry: numpy's float mod rounds like Python's `%`."""
+    r = np.mod(x, 1.0)
+    r[r >= 1.0] = 0.0
+    return r + 0.0
+
+
 def _wrap_dist(x: float, y: float) -> float:
     """Distance between x and y on R/Z."""
     d = abs(x - y) % 1.0
     return min(d, 1.0 - d)
+
+
+def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
+    """`_wrap_dist` on every entry, computed the same way."""
+    d = np.abs(x - y) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -394,12 +409,19 @@ class IsogenyQuotient:
         """Image of a source point: same representative, reduced mod Lambda'."""
         return reduce_point(p.z, self.target)
 
+    def map_coords(self, coords: np.ndarray) -> np.ndarray:
+        """`map` on an array of source coordinates (a, b), shape (..., 2)."""
+        z = coords[..., 0] * self.source.omega1 + coords[..., 1] * self.source.omega2
+        return np.stack([_frac_array(c) for c in self.target.coords(z)], axis=-1)
+
+    @cached_property
+    def _lift_offsets(self) -> tuple[complex, ...]:
+        """The |Q0| source points that `lifts` adds, as complex representatives."""
+        return tuple(q.z for q in self.subgroup.points_on(self.source))
+
     def lifts(self, w: TorusPoint) -> list[TorusPoint]:
         """All |Q0| preimages on the source curve of a target point."""
-        return [
-            reduce_point(w.z + q.z, self.source)
-            for q in self.subgroup.points_on(self.source)
-        ]
+        return [reduce_point(w.z + z, self.source) for z in self._lift_offsets]
 
 
 def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuotient:
@@ -487,13 +509,6 @@ def wp_both_values(p: TorusPoint) -> tuple[complex, complex]:
     """(wp(z), wp'(z)) as plain complex values; requires a non-pole point."""
     num, den, nump, denp = _wp_series(p.lattice, p.a, p.b)
     return num / den, nump / denp
-
-
-def wp_second_value(p: TorusPoint) -> complex:
-    """wp''(z) = 6*wp^2 - g2/2 at a non-pole point."""
-    g2, _ = p.lattice.g2g3
-    w, _ = wp_both_values(p)
-    return 6.0 * w * w - 0.5 * g2
 
 
 def _on_side(r: complex, ref: complex) -> complex:

@@ -17,7 +17,16 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac, _wrap_dist
+from .batch import close_pairs
+from .elliptic import (
+    EPS_PT,
+    FiniteSubgroupSpec,
+    TorusPoint,
+    _frac,
+    _frac_array,
+    _wrap_dist,
+    _wrap_dist_array,
+)
 from .errors import InvalidOrder, OrderCapExceeded
 from .polarization import _det_bareiss
 
@@ -252,6 +261,29 @@ class FiniteActionGroup:
             images[:, i, :] = _frac_array(acc)
         return images
 
+    def orbit_indices(
+        self, point: PointTuple, tol: float = EPS_PT
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every image of a point and the indices of the orbit's representatives.
+
+        Returns `_images(point)` and, sorted by the coordinates of the rows
+        they pick, the indices of the images that are kept: an image is kept
+        unless it lies within tol of an image kept before it in element
+        order.  When no two images are that close, all are kept; otherwise
+        `PointIndex` applies the rule one image at a time.
+        """
+        images = self._images(point)
+        flat = images.reshape(self.order, -1)
+        left, right = close_pairs(flat, flat, tol)
+        if np.any(left != right):
+            index = PointIndex(tol, self.dim)
+            keep = np.array(
+                [k for k, row in enumerate(flat.tolist()) if index.add_new(k, row)]
+            )
+        else:
+            keep = np.arange(self.order)
+        return images, keep[np.lexsort(flat[keep].T[::-1])]
+
     def orbit(self, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
         """Distinct images of a point, deduplicated in the toroidal metric.
 
@@ -259,31 +291,18 @@ class FiniteActionGroup:
         in element order.  Canonically sorted, so the result is independent
         of element order.
         """
-        index = PointIndex(tol, self.dim)
-        reps: list[list[float]] = []
-        for k, row in enumerate(self._images(point).reshape(self.order, -1).tolist()):
-            if index.add_new(k, row):
-                reps.append(row)
-        reps.sort()
+        images, keep = self.orbit_indices(point, tol)
         lattice = point[0].lattice
         return [
-            tuple(TorusPoint(lattice, row[2 * i], row[2 * i + 1]) for i in range(self.dim))
-            for row in reps
+            tuple(TorusPoint(lattice, a, b) for a, b in row)
+            for row in images[keep].tolist()
         ]
 
     def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
         images = self._images(point)
         here = np.array([[p.a, p.b] for p in point])
-        dist = np.abs(images - here) % 1.0
-        fixed = np.all(np.minimum(dist, 1.0 - dist) <= tol, axis=(1, 2))
+        fixed = np.all(_wrap_dist_array(images, here) <= tol, axis=(1, 2))
         return [self.elements[k] for k in np.flatnonzero(fixed)]
-
-
-def _frac_array(x: np.ndarray) -> np.ndarray:
-    """`_frac` on every entry: numpy's float mod rounds like Python's `%`."""
-    r = np.mod(x, 1.0)
-    r[r >= 1.0] = 0.0
-    return r + 0.0
 
 
 #: cell count cap, so that a tiny tolerance cannot shrink cells below float rounding
@@ -345,9 +364,10 @@ class PointIndex:
         return True
 
 
-def flat_coords(point: PointTuple) -> list[float]:
-    """(a_0, b_0, a_1, b_1, ...) of a point tuple, the layout `PointIndex` stores."""
-    return [c for p in point for c in (p.a, p.b)]
+def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
+    """Coordinates (a, b) of point tuples, len(points) x dim x 2, laid out as `_images` does."""
+    flat = np.array([c for point in points for p in point for c in (p.a, p.b)], dtype=float)
+    return flat.reshape(len(points), -1, 2)
 
 
 def _translation_generators(d: int, q0: FiniteSubgroupSpec) -> list[AffineAutomorphism]:

@@ -25,7 +25,6 @@ from .elliptic import (
     reduce_point,
     wp_both_values,
     wp_inverse,
-    wp_second_value,
 )
 from .errors import (
     DegenerateSection,
@@ -110,17 +109,22 @@ class ProjectivePoint:
 _SPREAD_BLOCK = 1 << 12
 
 
-def projective_spread(points: Sequence[ProjectivePoint]) -> float:
+def projective_spread(points: Sequence[ProjectivePoint] | np.ndarray) -> float:
     """Largest pairwise chordal distance; 0 for fewer than two points.
 
-    Equal to the maximum of `chordal_dist` over all pairs, bit for bit.
-    Exact duplicates are dropped first (their distance is exactly 0), then
-    blocks of rows are compared against all later points with the wedge
-    form written out in real arithmetic, in the order `chordal_dist` uses:
-    the products of Python's complex multiply, `np.hypot` for `abs`, and
-    `np.float_power` for `** 2`, which calls the same libm `pow`.
+    `points` are ProjectivePoints or the rows of an array of their
+    coordinates.  Equal to the maximum of `chordal_dist` over all pairs, bit
+    for bit.  Exact duplicates are dropped first (their distance is exactly
+    0), then blocks of rows are compared against all later points with the
+    wedge form written out in real arithmetic, in the order `chordal_dist`
+    uses: the products of Python's complex multiply, `np.hypot` for `abs`,
+    and `np.float_power` for `** 2`, which calls the same libm `pow`.
     """
-    distinct = list(dict.fromkeys(p.coords for p in points))
+    if isinstance(points, np.ndarray):
+        rows = map(tuple, points.tolist())
+    else:
+        rows = (p.coords for p in points)
+    distinct = list(dict.fromkeys(rows))
     n = len(distinct)
     if n < 2:
         return 0.0
@@ -252,15 +256,21 @@ class SectionBasis:
 
     def evaluate_derivative(self, p: TorusPoint) -> np.ndarray:
         """z-derivatives of all basis functions at a non-pole point."""
+        return self.evaluate_both(p)[1]
+
+    def evaluate_both(self, p: TorusPoint) -> tuple[np.ndarray, np.ndarray]:
+        """`evaluate` and `evaluate_derivative` at a point, from one series evaluation."""
         w, wprime = wp_both_values(p)
-        wsecond = wp_second_value(p)
+        g2, _ = p.lattice.g2g3
+        wsecond = 6.0 * w * w - 0.5 * g2  # wp'' = 6 wp^2 - g2/2
+        values = [w**a * (wprime if e else 1.0) for _, a, e in self.terms]
         out = []
         for _, a, e in self.terms:
             if e == 0:
                 out.append(a * w ** (a - 1) * wprime if a else 0j)
             else:
                 out.append(a * w ** (a - 1) * wprime**2 + w**a * wsecond if a else wsecond)
-        return np.array(out)
+        return np.array(values), np.array(out)
 
 
 def _group_divisor(
@@ -334,9 +344,10 @@ def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPo
     Each step is kept only if it lowers |f|; the first that does not ends
     the polish.
     """
-    f = complex(np.dot(c, basis.evaluate(z)))
+    values, derivatives = basis.evaluate_both(z)
+    f = complex(np.dot(c, values))
     for _ in range(_POLISH_STEPS):
-        df = complex(np.dot(c, basis.evaluate_derivative(z)))
+        df = complex(np.dot(c, derivatives))
         if df == 0:
             break
         step = f / df
@@ -345,10 +356,11 @@ def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPo
         w = reduce_point(z.z - step, basis.lattice)
         if w.is_zero():  # the pole of every basis function
             break
-        fw = complex(np.dot(c, basis.evaluate(w)))
+        values, derivatives_w = basis.evaluate_both(w)
+        fw = complex(np.dot(c, values))
         if not abs(fw) < abs(f):
             break
-        z, f = w, fw
+        z, f, derivatives = w, fw, derivatives_w
     return z
 
 
@@ -428,10 +440,11 @@ def section_zeros(
             # 2-torsion: both branches coincide, full multiplicity
             divisor.append((z_plus, mult))
             continue
-        f_plus = abs(section_at(z_plus))
+        at_plus = basis.evaluate(z_plus)
+        f_plus = abs(complex(np.dot(c, at_plus)))
         f_minus = abs(section_at(z_minus))
         # scale of the two nearly-cancelling halves of the section at x0
-        vals = np.abs(basis.evaluate(z_plus)) * np.abs(c)
+        vals = np.abs(at_plus) * np.abs(c)
         size = float(np.max(vals)) + 1e-300
         if f_plus < 1e-4 * size and f_minus < 1e-4 * size:
             # both branches vanish: split the cluster between them

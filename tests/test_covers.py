@@ -2,15 +2,18 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from ellcover import (
     ConfigError,
     FiniteSubgroupSpec,
+    HighMultiplicity,
     IllConditioned,
     LatticeTau,
     NonGenericTarget,
     NotVeryAmpleWarning,
+    ProjectivePoint,
     TorusPoint,
     build_cover,
     criterion_check,
@@ -23,7 +26,9 @@ from ellcover import (
 )
 
 from ellcover import covers
-from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets
+from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets, _match_greedy
+from ellcover.batch import divisors_to_coords
+from ellcover.groups import coords_array
 
 from conftest import TAU
 
@@ -137,6 +142,91 @@ class TestCoverMaps:
         assert not spec.map(x).close_to(spec.map(y), tol=1e-3)
 
 
+class TestMapArray:
+    """Batched maps over many tuples against the scalar `map_A` / `map_B`."""
+
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_match_scalar_map(self, lattice, q2, construction, d):
+        spec = _build(construction, d, q2, lattice)
+        rng = random.Random(d)
+        x = _point(spec, [(rng.random(), rng.random()) for _ in range(d)])
+        points = [g.apply(x) for g in spec.group.elements[:: max(1, spec.group.order // 40)]]
+        points += [
+            _point(spec, [(rng.random(), rng.random()) for _ in range(d)]) for _ in range(20)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = spec.map_array(coords_array(points))
+        assert rows.shape == (len(points), d + 1)
+        for row, p in zip(rows, points):
+            assert ProjectivePoint(tuple(row)).chordal_dist(spec.map(p)) <= 1e-13
+
+    SPECIAL = {
+        # Q0 = <1/2, 0>: (0.5, 0) maps to the origin of E/Q0, and tuples
+        # 0.5 apart in a map to the same point of E/Q0
+        "pole": [(0.0, 0.0), (0.31, 0.72), (0.13, 0.45)],
+        "origin": [(0.5, 0.0), (0.31, 0.72), (0.13, 0.45)],
+        "double origin": [(0.5, 0.0), (0.0, 0.0), (0.13, 0.45)],
+        "all at origin": [(0.5, 0.0), (0.0, 0.0), (0.5, 0.0)],
+        "collision": [(0.2, 0.3), (0.7, 0.3), (0.13, 0.45)],
+        "triple": [(0.2, 0.3), (0.7, 0.3), (0.2, 0.3)],
+        "sum collision": [(0.2, 0.3), (0.6, 0.4), (0.13, 0.45)],
+    }
+
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("case", SPECIAL)
+    def test_special_rows_follow_scalar_map(self, lattice, q2, construction, d, case):
+        spec = _build(construction, d, q2, lattice)
+        special = _point(spec, self.SPECIAL[case][:d])
+        if case == "sum collision":
+            # the last point is minus the sum of the others: y_(d+1) = y_1
+            head = special[0]
+            rest = TorusPoint.from_coords(spec.curve, 0.0, 0.0)
+            for p in special[1:-1]:
+                rest = rest + p
+            last = -(head + head + rest)
+            special = special[:-1] + (last,)
+        points = [_point(spec, GENERIC[:d]), special]
+        try:
+            want = spec.map(special)
+        except (HighMultiplicity, IllConditioned) as exc:
+            with pytest.raises(type(exc)):
+                spec.map_array(coords_array(points))
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = spec.map_array(coords_array(points))
+        assert ProjectivePoint(tuple(rows[1])).chordal_dist(want) <= 1e-13
+        assert ProjectivePoint(tuple(rows[0])).chordal_dist(spec.map(points[0])) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_permuted_images_map_to_equal_rows(self, lattice, q3, d):
+        # each row's factors are sorted, so images that permute the same
+        # coordinates give equal rows, which projective_spread drops
+        spec = _build("A", d, q3, lattice)
+        x = _point(spec, (GENERIC + [(0.83, 0.09)])[:d])
+        orbit = spec.group.orbit(x)
+        rows = spec.map_array(coords_array(orbit))
+        assert len({tuple(row) for row in rows.tolist()}) <= len(orbit) // math.factorial(d)
+
+    def test_divisor_rows_ignore_point_order(self, lattice, q2):
+        # the batched B rows sort each divisor's points, as divisor_to_coords
+        # does, so reordered divisors give equal rows
+        spec = _build("B", 3, q2, lattice)
+        ys = spec.quotient.map_coords(coords_array([_point(spec, GENERIC)]))[0]
+        last = -(ys.sum(axis=0)) % 1.0
+        divisor = np.concatenate([ys, last[None]])
+        reordered = np.array([divisor, divisor[::-1], divisor[[2, 0, 3, 1]]])
+        rows = divisors_to_coords(reordered, spec.basis)
+        assert rows[0].tolist() == rows[1].tolist() == rows[2].tolist()
+
+    def test_basis_is_built_once(self, lattice, q2):
+        spec = _build("B", 2, q2, lattice)
+        assert spec.basis is spec.basis
+
+
 class TestFiberA:
     def test_fiber_matches_orbit(self, lattice, q2):
         spec = build_cover("A", 2, lattice, q2)
@@ -176,7 +266,7 @@ class TestFiberB:
         x = _point(spec, GENERIC[:d])
         fiber = fiber_B(spec, spec.map(x))
         assert len(fiber) == spec.group.order
-        assert _match_as_sets(fiber, spec.group.orbit(x), 1e-6)
+        assert _match_as_sets(coords_array(fiber), coords_array(spec.group.orbit(x)), 1e-6)
 
     def test_repeated_divisor_point_rejected(self, lattice, q2):
         spec = build_cover("B", 2, lattice, q2)
@@ -293,29 +383,43 @@ def _scalar_match(left, right, tol):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_match_as_sets_keeps_greedy_semantics(lattice, seed):
-    # coordinates on a coarse grid jittered by about tol: chains of close
-    # pairs in which a greedy pick can strand a later point
+    # coordinates on a coarse grid, offset by about tol: chains of close
+    # pairs in which a greedy pick can strand a later point.  The offsets
+    # are uniform, or whole multiples of tol/4 with a dyadic tol, so that
+    # pairs sit exactly at the tolerance edge; grid points at 0 put pairs
+    # across the wrap
     rng = random.Random(seed)
-    tol = 0.02
 
-    def tup():
+    def tup(tol, offset):
         return tuple(
             TorusPoint.from_coords(
                 lattice,
-                rng.choice((0.0, 0.5)) + rng.uniform(-1.5, 1.5) * tol,
-                rng.choice((0.25, 0.75)) + rng.uniform(-1.5, 1.5) * tol,
+                rng.choice((0.0, 0.5)) + offset(tol),
+                rng.choice((0.25, 0.75)) + offset(tol),
             )
             for _ in range(2)
         )
 
+    def uniform(tol):
+        return rng.uniform(-1.5, 1.5) * tol
+
+    def edge(tol):
+        return rng.randint(-6, 6) * tol / 4
+
     outcomes = set()
-    for _ in range(40):
-        right = [tup() for _ in range(12)]
-        left = [tup() for _ in range(12)] if rng.random() < 0.5 else rng.sample(right, 12)
-        expected = _scalar_match(left, right, tol)
-        assert _match_as_sets(left, right, tol) == expected
-        outcomes.add(expected)
-    assert outcomes == {True, False}
+    for tol, offset in ((0.02, uniform), (2.0**-6, edge)):
+        for _ in range(40):
+            right = [tup(tol, offset) for _ in range(12)]
+            if rng.random() < 0.5:
+                left = [tup(tol, offset) for _ in range(12)]
+            else:
+                left = rng.sample(right, 12)
+            expected = _scalar_match(left, right, tol)
+            flat = [[[c for p in t for c in (p.a, p.b)] for t in side] for side in (left, right)]
+            assert _match_greedy(*flat, tol) == expected
+            assert _match_as_sets(coords_array(left), coords_array(right), tol) == expected
+            outcomes.add((offset, expected))
+    assert len(outcomes) == 4
 
 
 class TestCriterionCheck:

@@ -1,6 +1,9 @@
 import math
 import random
+import warnings
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,8 @@ from ellcover import (
     wp_prime,
 )
 from ellcover.covers import MAX_QUOTIENT_IM_TAU
-from ellcover.elliptic import EPS_NUM, wp_both_values
+from ellcover.batch import norm_pairs, wp_series_array
+from ellcover.elliptic import EPS_NUM, _norm_pair, _wp_series, wp_both_values
 
 from conftest import TAU, lattice_sum_g2_g3, laurent_wp
 
@@ -311,6 +315,44 @@ class TestWpInverse:
         for e in lat.branch_values:
             assert abs(4 * e**3 - g2 * e - g3) <= 1e-10 * size
         assert abs(sum(lat.branch_values)) <= 1e-10 * size ** (1 / 3)
+
+
+def _from_reduced(lat: LatticeTau, alpha: float, beta: float) -> tuple[float, float]:
+    """Coordinates (a, b) of the point alpha + beta*tau_reduced, up to scale."""
+    ma, mb, mc, md = lat.basis_change
+    return md * alpha + mb * beta, mc * alpha + ma * beta
+
+
+class TestWpSeriesArray:
+    """The numpy kernel against the scalar series it vectorizes."""
+
+    @every
+    def test_matches_scalar_series(self, lat):
+        rng = random.Random(3)
+        coords = [(rng.random(), rng.random()) for _ in range(40)]
+        coords += [(0.0, 0.0), (1.0, 1.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
+        # |u| = |q|^(-1/2) and |q|^(1/2): the ends of the reduced strip
+        for beta in (0.5 - 1e-12, -0.5 + 1e-12):
+            coords += [_from_reduced(lat, alpha, beta) for alpha in (0.0, 0.25, 0.5)]
+        coords += [_from_reduced(lat, 1e-9, 0.0), _from_reduced(lat, 0.0, -1e-9)]
+        a, b = np.array(coords).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            num, den, nump, denp = wp_series_array(lat, a, b)
+            pairs = norm_pairs(num, den)
+        for k, (x, y) in enumerate(coords):
+            want = _wp_series(lat, x, y)
+            got = (num[k], den[k], nump[k], denp[k])
+            # numpy and CPython round complex products differently; wp' at a
+            # 2-torsion point with |u| large cancels terms ~100x its pair
+            for pair, rel in ((slice(0, 2), 1e-13), (slice(2, 4), 1e-12)):
+                size = abs(want[pair][0]) + abs(want[pair][1])
+                assert all(abs(g - w) <= rel * size for g, w in zip(got[pair], want[pair]))
+            want_pair = _norm_pair(*want[:2])
+            assert abs(pairs[0][k] - want_pair.num) <= 1e-13
+            assert abs(pairs[1][k] - want_pair.den) <= 1e-13
+        assert den[coords.index((0.0, 0.0))] == 0
+        assert (pairs[0][coords.index((0.0, 0.0))], pairs[1][coords.index((0.0, 0.0))]) == (1, 0)
 
 
 class TestTorusPoints:

@@ -24,6 +24,8 @@ from ellcover import (
     wp,
 )
 
+from ellcover.batch import normalize_rows, sym_product_rows
+
 from conftest import TAU
 
 
@@ -50,6 +52,21 @@ class TestProjectivePoint:
             ProjectivePoint.normalize([1.0, float("nan")])
         with pytest.raises(InvalidPoint):
             ProjectivePoint.normalize([1.0, complex(float("inf"), 0)])
+
+    def test_normalize_rows_matches_normalize(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
+        # ties pivot on the last maximal entry, as in normalize
+        ties = [[1, -1, 0, 0], [1j, 0, -1, 0], [2, 0, 0, 2j], [0, 0, 0, 3]]
+        rows = np.concatenate([rows, np.array(ties, dtype=complex)])
+        out = normalize_rows(rows)
+        for got, row in zip(out, rows):
+            want = ProjectivePoint.normalize(row).coords
+            assert [c == 1 for c in got] == [c == 1 for c in want]
+            assert np.max(np.abs(got - np.array(want))) <= 1e-15
+        for bad in ([0.0, 0.0], [1.0, float("nan")], [1.0, complex(float("inf"), 0)]):
+            with pytest.raises(InvalidPoint):
+                normalize_rows(np.array([[1.0, 2.0], bad], dtype=complex))
 
     def test_chordal_dist_symmetric(self):
         p = ProjectivePoint.normalize([1.0, 2.0 + 1j])
@@ -124,6 +141,11 @@ class TestSymProduct:
         shuffled = list(pairs)
         random.Random(seed).shuffle(shuffled)
         assert sym_product(pairs).coords == sym_product(shuffled).coords
+        num = np.array([[p.num for p in row] for row in (pairs, shuffled)])
+        den = np.array([[p.den for p in row] for row in (pairs, shuffled)])
+        rows = sym_product_rows(num, den)
+        assert rows[0].tolist() == rows[1].tolist()
+        assert ProjectivePoint(tuple(rows[0])).chordal_dist(sym_product(pairs)) <= 1e-13
 
 
 class TestSymFiber:
