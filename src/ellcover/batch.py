@@ -1,7 +1,7 @@
 """Array forms of the per-point maps, for whole orbits at once.
 
-Each routine here evaluates one scalar routine of `elliptic`, `symfun` or
-`groups` on a stack of points in numpy passes, and the scalar routine stays
+Each routine here evaluates one scalar routine of `elliptic` or `symfun`
+on a stack of points in numpy passes, and the scalar routine stays
 its test oracle.  Verification maps every image of a sample's orbit, so it
 runs these; single points (construct, fiber recovery, the criterion probes)
 keep the scalar path.
@@ -182,47 +182,3 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> np.ndarray:
         out[k] = divisor_to_coords(divisor, basis).coords
     return out
 
-
-#: inputs with at most this many pairs compare every pair at once: fewer
-#: numpy calls than the key search, whose fixed cost dominates small orbits
-_ALL_PAIRS = 1 << 12
-
-
-def close_pairs(
-    left: np.ndarray, right: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i ascending, with left[i] within tol of right[j].
-
-    The distance is `groups.PointIndex`'s toroidal sup metric over the
-    flattened rows, computed as `_wrap_dist` computes it.  Each left row is
-    compared only with the right rows whose `PointIndex` key lies within
-    2*W*tol of its own on R/Z, found by binary search in the sorted right
-    keys: twice the bound W*tol that close rows meet, so rounding in a key
-    drops no pair.  At most every right row is compared once.  Small inputs
-    compare all pairs.
-    """
-    left = left.reshape(len(left), -1)
-    right = right.reshape(len(right), -1)
-    if len(left) * len(right) <= _ALL_PAIRS:
-        close = np.all(_wrap_dist_array(left[:, None], right[None]) <= tol, axis=2)
-        return np.nonzero(close)
-    n = len(right)
-    m = right.shape[1]
-    weights = np.arange(1.0, m + 1)
-    keys = (right * weights).sum(axis=1) % 1.0
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    wrapped = np.concatenate([keys - 1.0, keys, keys + 1.0])
-    query = (left * weights).sum(axis=1) % 1.0
-    width = m * (m + 1) * tol
-    lo = np.searchsorted(wrapped, query - width, "left")
-    hi = np.minimum(np.searchsorted(wrapped, query + width, "right"), lo + n)
-    counts = hi - lo
-    starts = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(len(left)), counts)
-    j = order[(np.arange(counts.sum()) - np.repeat(starts - lo, counts)) % n]
-    # the first column alone rules out most candidates that share a key
-    close = _wrap_dist_array(left[i, 0], right[j, 0]) <= tol
-    i, j = i[close], j[close]
-    close = np.all(_wrap_dist_array(left[i], right[j]) <= tol, axis=1)
-    return i[close], j[close]

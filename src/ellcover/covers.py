@@ -36,7 +36,6 @@ from .elliptic import (
     wp_inverse,
 )
 from .batch import (
-    close_pairs,
     divisors_to_coords,
     norm_pairs,
     sym_product_rows,
@@ -58,6 +57,7 @@ from .groups import (
     PointTuple,
     build_group_A,
     build_group_B,
+    close_pairs,
     coords_array,
 )
 from .polarization import (

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .batch import close_pairs
 from .elliptic import (
     EPS_PT,
     FiniteSubgroupSpec,
@@ -309,30 +308,45 @@ class FiniteActionGroup:
 _MAX_CELLS = 1 << 32
 
 
+def _weighted_key(columns):
+    """The key f = x_1 + 2 x_2 + ... + m x_m on R/Z of flat coordinates x.
+
+    `columns` are the m coordinates of one tuple, or m arrays holding them
+    for many; either way each key is summed in the same order.  Integer
+    weights make f well defined mod 1.  Over the orbit of a generic point,
+    tuples share a key only when they differ by a translation in the kernel
+    of f on Q0^d, about |Q0|^(d-1) of them; a single coordinate as key would
+    also merge every permutation that fixes it.
+    """
+    return sum(k * x for k, x in enumerate(columns, 1)) % 1.0
+
+
+def _key_window(m: int, tol: float) -> float:
+    """2*W*tol, W = m(m+1)/2: twice the most that the keys of two tuples within tol differ by.
+
+    The factor 2 leaves far more room than the rounding in a key.
+    """
+    return m * (m + 1) * tol
+
+
 class PointIndex:
     """Point tuples, hashed for lookup within tol in the toroidal sup metric.
 
     A tuple is stored as its flat coordinates x = (a_0, b_0, a_1, b_1, ...),
-    m = 2*dim of them, and bucketed by the key f = x_1 + 2 x_2 + ... + m x_m
-    on R/Z.  Integer weights make f well defined mod 1, and two tuples
-    within tol have keys within W*tol, W = m(m+1)/2, so they share a cell or
-    sit in adjacent ones: cells are at least 2*W*tol wide, far more than the
-    rounding in a key.  A query scans three cells instead of every stored
-    tuple.  Over the orbit of a generic point, tuples share a key only when
-    they differ by a translation in the kernel of f on Q0^d, so a query
-    meets about |Q0|^(d-1) of them; a single coordinate as key would also
-    merge every permutation that fixes it.
+    m = 2*dim of them, and bucketed by `_weighted_key`.  Cells are
+    `_key_window` wide, so two tuples within tol share a cell or sit in
+    adjacent ones, and a query scans three cells instead of every stored
+    tuple.
     """
 
     def __init__(self, tol: float, dim: int):
         self.tol = tol
-        width = 2 * dim * (2 * dim + 1) * tol
+        width = _key_window(2 * dim, tol)
         self.ncells = max(1, int(min(1 / width, _MAX_CELLS))) if width > 0 else _MAX_CELLS
         self.cells: dict[int, list[tuple[int, Sequence[float]]]] = {}
 
     def _key(self, coords: Sequence[float]) -> int:
-        f = sum(k * x for k, x in enumerate(coords, 1))
-        return math.floor(f % 1.0 * self.ncells) % self.ncells
+        return math.floor(_weighted_key(coords) * self.ncells) % self.ncells
 
     def add(self, index: int, coords: Sequence[float]) -> None:
         self.cells.setdefault(self._key(coords), []).append((index, coords))
@@ -362,6 +376,40 @@ class PointIndex:
         cell, pos, _ = hit
         del cell[pos]
         return True
+
+
+def close_pairs(
+    left: np.ndarray, right: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i ascending, with left[i] within tol of right[j].
+
+    The distance is `PointIndex`'s toroidal sup metric over the flattened
+    rows, computed as `_wrap_dist` computes it.  Each left row is compared
+    only with the right rows whose `_weighted_key` lies within `_key_window`
+    of its own on R/Z, found by binary search in the sorted right keys; at
+    most every right row is compared once.
+    """
+    m = math.prod(right.shape[1:])
+    left = left.reshape(len(left), m)
+    right = right.reshape(len(right), m)
+    n = len(right)
+    keys = _weighted_key(right.T)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    wrapped = np.concatenate([keys - 1.0, keys, keys + 1.0])
+    query = _weighted_key(left.T)
+    width = _key_window(m, tol)
+    lo = np.searchsorted(wrapped, query - width, "left")
+    hi = np.minimum(np.searchsorted(wrapped, query + width, "right"), lo + n)
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(len(left)), counts)
+    j = order[(np.arange(counts.sum()) - np.repeat(starts - lo, counts)) % n]
+    # the first column alone rules out most candidates that share a key
+    close = _wrap_dist_array(left[i, 0], right[j, 0]) <= tol
+    i, j = i[close], j[close]
+    close = np.all(_wrap_dist_array(left[i], right[j]) <= tol, axis=1)
+    return i[close], j[close]
 
 
 def coords_array(points: Sequence[PointTuple]) -> np.ndarray:

@@ -109,27 +109,21 @@ class ProjectivePoint:
 _SPREAD_BLOCK = 1 << 12
 
 
-def projective_spread(points: Sequence[ProjectivePoint] | np.ndarray) -> float:
-    """Largest pairwise chordal distance; 0 for fewer than two points.
+def projective_spread(coords: np.ndarray) -> float:
+    """Largest pairwise chordal distance between the rows of `coords`; 0 for fewer than two.
 
-    `points` are ProjectivePoints or the rows of an array of their
-    coordinates.  Equal to the maximum of `chordal_dist` over all pairs, bit
-    for bit.  Exact duplicates are dropped first (their distance is exactly
-    0), then blocks of rows are compared against all later points with the
-    wedge form written out in real arithmetic, in the order `chordal_dist`
-    uses: the products of Python's complex multiply, `np.hypot` for `abs`,
-    and `np.float_power` for `** 2`, which calls the same libm `pow`.
+    Each row holds the coordinates of a ProjectivePoint.  Equal to the
+    maximum of `chordal_dist` over all pairs, bit for bit.  Exact
+    duplicates are dropped first (their distance is exactly 0), then blocks
+    of rows are compared against all later points with the wedge form
+    written out in real arithmetic, in the order `chordal_dist` uses: the
+    products of Python's complex multiply, `np.hypot` for `abs`, and
+    `np.float_power` for `** 2`, which calls the same libm `pow`.
     """
-    if isinstance(points, np.ndarray):
-        rows = map(tuple, points.tolist())
-    else:
-        rows = (p.coords for p in points)
-    distinct = list(dict.fromkeys(rows))
+    distinct = list(dict.fromkeys(map(tuple, coords.tolist())))
     n = len(distinct)
     if n < 2:
         return 0.0
-    if len({len(c) for c in distinct}) > 1:
-        raise InvalidPoint("projective points of different dimension")
     coords = np.array(distinct).T  # one row per coordinate
     re, im = coords.real.copy(), coords.imag.copy()
     m = len(coords)

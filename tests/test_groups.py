@@ -18,9 +18,8 @@ from ellcover import (
     build_group_A,
     build_group_B,
 )
-from ellcover.batch import _ALL_PAIRS, close_pairs
 from ellcover.elliptic import _wrap_dist
-from ellcover.groups import PointIndex
+from ellcover.groups import PointIndex, close_pairs
 
 from conftest import TAU
 
@@ -363,19 +362,19 @@ class TestPointIndex:
         assert popped == [[0, 2, 3], [0, 3], [0]]
 
 
+@pytest.mark.parametrize("sizes", [(10, 12), (70, 80)])
 @pytest.mark.parametrize("tol", [2.0**-6, 0.3])
-def test_close_pairs_key_search_matches_every_pair(tol):
-    # more pairs than _ALL_PAIRS, so the key search runs; offsets in whole
-    # multiples of tol/4 from grid points put pairs exactly at the edge and,
-    # around 0, across the wrap; tol = 0.3 makes the key window wrap whole
+def test_close_pairs_key_search_matches_every_pair(tol, sizes):
+    # offsets in whole multiples of tol/4 from grid points put pairs exactly
+    # at the edge and, around 0, across the wrap; tol = 0.3 makes the key
+    # window wrap whole
     rng = random.Random(7)
 
     def row():
         return [(rng.choice((0.0, 0.5)) + rng.randint(-6, 6) * tol / 4) % 1.0 for _ in range(4)]
 
-    left = [row() for _ in range(70)]
-    right = [row() for _ in range(80)]
-    assert len(left) * len(right) > _ALL_PAIRS
+    left = [row() for _ in range(sizes[0])]
+    right = [row() for _ in range(sizes[1])]
     i, j = close_pairs(np.array(left), np.array(right), tol)
     found = list(zip(i.tolist(), j.tolist()))
     expected = [

@@ -29,6 +29,11 @@ from ellcover.batch import normalize_rows, sym_product_rows
 from conftest import TAU
 
 
+def _coords(points):
+    """The coordinate rows that `projective_spread` takes, one per point."""
+    return np.array([p.coords for p in points], dtype=complex)
+
+
 def _finite(vals):
     return [HomPair(complex(v), 1.0 + 0j) for v in vals]
 
@@ -77,10 +82,10 @@ class TestProjectivePoint:
         p = ProjectivePoint.normalize([1.0, 0.0])
         q = ProjectivePoint.normalize([1.0, 1e-9])
         r = ProjectivePoint.normalize([1.0, 3e-9])
-        spread = projective_spread([p, q, r])
+        spread = projective_spread(_coords([p, q, r]))
         assert 1e-10 < spread < 1e-8
-        assert projective_spread([p]) == 0.0
-        assert projective_spread([]) == 0.0
+        assert projective_spread(_coords([p])) == 0.0
+        assert projective_spread(_coords([])) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_spread_equals_pairwise_loop(self, seed):
@@ -101,7 +106,7 @@ class TestProjectivePoint:
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
                 worst = max(worst, points[i].chordal_dist(points[j]))
-        assert projective_spread(points) == worst
+        assert projective_spread(_coords(points)) == worst
 
 
 class TestSymProduct:
