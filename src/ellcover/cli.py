@@ -14,35 +14,43 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
-
-from .covers import (
-    CoverSpec,
-    CriterionReport,
-    VerificationReport,
-    build_cover,
-    criterion_check,
-    galois_verify,
+from typing import (
+    TYPE_CHECKING,
+    Optional,
+    Sequence,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
-from .elliptic import EPS_PT, FiniteSubgroupSpec, LatticeTau
+
 from .errors import EllcoverError, ConfigError
-from .groups import DEFAULT_ORDER_CAP
 from .polarization import (
     PolarizationMatrix,
     chi,
     mixed_intersection,
     self_intersection,
 )
-from .symfun import EPS_PROJ
+
+if TYPE_CHECKING:
+    from .covers import CoverSpec, CriterionReport, VerificationReport
+
+# The numeric layers (covers, elliptic, groups, symfun) import numpy, so they
+# are imported inside the commands that use them: `intersection` and `report`
+# load neither.
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; field defaults are the documented defaults."""
+    """Resolved run configuration; field defaults are the documented defaults.
+
+    `eps_pt`, `eps_proj` and `order_cap` default to None, which
+    `_resolve_config` replaces by `elliptic.EPS_PT`, `symfun.EPS_PROJ` and
+    `groups.DEFAULT_ORDER_CAP`: those modules import numpy.
+    """
 
     construction: str = "A"
     d: int = 2
@@ -50,9 +58,9 @@ class RunConfig:
     q0: tuple[str, ...] = ("1/2,0",)
     samples: int = 20
     seed: int = 42
-    eps_pt: float = EPS_PT
-    eps_proj: float = EPS_PROJ
-    order_cap: int = DEFAULT_ORDER_CAP
+    eps_pt: Optional[float] = None
+    eps_proj: Optional[float] = None
+    order_cap: Optional[int] = None
     output: Optional[str] = None
     jobs: int = 1
 
@@ -69,6 +77,9 @@ class RunConfig:
         return value
 
     def build_spec(self) -> CoverSpec:
+        from .covers import build_cover
+        from .elliptic import FiniteSubgroupSpec, LatticeTau
+
         lattice = LatticeTau.from_tau(self.parse_tau())
         subgroup = FiniteSubgroupSpec.parse(self.q0)
         return build_cover(
@@ -126,6 +137,8 @@ def _emit_json(value, indent: int = 0) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -192,6 +205,17 @@ def _parse_matrix_power(text: str) -> tuple[PolarizationMatrix, int]:
     return _parse_matrix(head), a
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type `hint` of a RunConfig field."""
+    if get_origin(hint) is Union:
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -204,13 +228,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config!r} must hold a JSON object")
-        valid = {f.name for f in fields(RunConfig)}
+        hints = get_type_hints(RunConfig)
+        declared = {f.name: f.type for f in fields(RunConfig)}
         for key, value in data.items():
-            if key not in valid:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r} in {args.config!r}")
-            if key == "q0":
-                value = tuple(str(v) for v in value)
-            setattr(cfg, key, value)
+            if not _fits(value, hints[key]):
+                raise ConfigError(
+                    f"config key {key!r} in {args.config!r} must be "
+                    f"{declared[key]}, got {value!r}"
+                )
+            setattr(cfg, key, tuple(value) if key == "q0" else value)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if f.name != "q0" and flag is not None:
@@ -225,6 +253,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from exc
+    from .elliptic import EPS_PT
+    from .groups import DEFAULT_ORDER_CAP
+    from .symfun import EPS_PROJ
+
+    defaults = {"eps_pt": EPS_PT, "eps_proj": EPS_PROJ, "order_cap": DEFAULT_ORDER_CAP}
+    for name, value in defaults.items():
+        if getattr(cfg, name) is None:
+            setattr(cfg, name, value)
     if cfg.construction not in ("A", "B"):
         raise ConfigError(f"construction must be A or B, got {cfg.construction!r}")
     if cfg.d < 1:
@@ -233,6 +269,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    for name in ("eps_pt", "eps_proj"):
+        value = getattr(cfg, name)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     return cfg
 
 
@@ -259,7 +299,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def galois_verify(*args, **kwargs) -> VerificationReport:
+    """`covers.galois_verify`, imported at call time to keep numpy off the
+    exact commands.  `cmd_verify` calls it through this module-level name,
+    so rebinding `cli.galois_verify` (as `perfbench/inproc.py` does to time
+    verification) takes effect."""
+    from .covers import galois_verify as verify
+
+    return verify(*args, **kwargs)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .covers import criterion_check
+
     cfg = _resolve_config(args)
     spec = cfg.build_spec()
     report = galois_verify(
@@ -308,10 +360,20 @@ def cmd_report(args: argparse.Namespace) -> int:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read report {args.path!r}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"report {args.path!r} must hold a JSON object")
+    samples = payload.get("samples", [])
+    criterion = payload.get("criterion", {})
+    if not (isinstance(samples, list) and all(isinstance(r, dict) for r in samples)):
+        raise ConfigError(f"'samples' of report {args.path!r} must be a list of objects")
+    if not all(_fits(r.get("image_spread"), Optional[float]) for r in samples):
+        raise ConfigError(f"an 'image_spread' of report {args.path!r} is not a number")
+    if not isinstance(criterion, dict):
+        raise ConfigError(f"'criterion' of report {args.path!r} must be an object")
     construction = payload.get("construction", "?")
     order = payload.get("group_order", "?")
     print(f"construction {construction}, group order {order}")
-    for rec in payload.get("samples", []):
+    for rec in samples:
         status = "generic" if rec.get("generic") else "non-generic (excluded)"
         spread = rec.get("image_spread")
         spread_text = "n/a" if spread is None else f"{spread:.3e}"
@@ -319,7 +381,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"  sample {rec.get('index')}: {status}, orbit {rec.get('orbit_size')}, "
             f"spread {spread_text}, fiber match {rec.get('fiber_match')}"
         )
-    criterion = payload.get("criterion", {})
     print(
         "criterion: order_ok={order_ok} invariance_ok={invariance_ok} "
         "basepoint_ok={basepoint_ok} very_ample={very_ample}".format(

@@ -143,6 +143,14 @@ class TestConfigResolution:
         assert main(["verify", "--d", "0"]) == 2
         assert main(["verify", "--jobs", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps-pt", "-1"], ["--eps-proj", "0"], ["--eps-pt", "nan"], ["--eps-proj", "inf"]],
+    )
+    def test_bad_tolerances_are_config_errors(self, capsys, flags):
+        assert main(VERIFY_FAST + flags) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_bad_q0_is_config_error(self, capsys):
         assert main(["verify", "--q0", "nope", "--samples", "2"]) == 2
 
@@ -178,6 +186,35 @@ class TestConfigResolution:
     def test_invalid_env_seed_is_config_error(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["verify", "--samples", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"d": "x"},
+            {"q0": 5},
+            {"q0": ["1/2,0", 1]},
+            {"samples": 2.5},
+            {"seed": True},
+            {"eps_pt": "1e-9"},
+            {"jobs": None},
+            {"tau": 0.5},
+        ],
+    )
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["construct", "--config", str(cfg)]) == 2
+        key = next(iter(data))
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_config_accepts_ints_for_floats_and_null_for_optionals(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 1, "eps_proj": 1, "eps_pt": None, "output": None}))
+        assert run(["construct", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        config = json.loads(out[out.index("{") :])["config"]
+        assert config["eps_proj"] == 1 and config["eps_pt"] == 1e-9
+        assert config["order_cap"] == 100_000
 
 
 class TestConstructCommand:
@@ -245,6 +282,32 @@ class TestReportCommand:
 
     def test_missing_report_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            "report",
+            {"samples": 5},
+            {"samples": [1, 2]},
+            {"samples": [{"index": 0, "image_spread": "small"}]},
+            {"samples": [{"index": 0, "image_spread": True}]},
+            {"criterion": [True]},
+        ],
+    )
+    def test_malformed_report_is_config_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.out == ""
+
+    def test_report_without_spread_renders_na(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"samples": [{"index": 3, "image_spread": None}], "pass": True}))
+        assert main(["report", str(path)]) == 0
+        assert "sample 3: non-generic (excluded), orbit None, spread n/a" in capsys.readouterr().out
 
 
 class TestTallQuotient:
