@@ -7,9 +7,9 @@ by translations.  Both come with numerical verification of the Galois property
 calculus for the associated polarizations and intersection numbers.
 
 The exports below are resolved lazily (PEP 562): `import ellcover` loads no
-submodule, and `ellcover.wp` imports `ellcover.elliptic`, and so numpy, only
-when first asked for.  The exact layers (`polarization`, `errors`) never
-load numpy.
+submodule, and `ellcover.wp` imports `ellcover.elliptic` only when first
+asked for.  Only `covers`, `symfun` and `batch` load numpy; building a cover
+(`construction`, `groups`, `elliptic`, `polarization`) never does.
 """
 
 from importlib import import_module
@@ -18,10 +18,10 @@ __version__ = "0.1.0"
 
 #: home module of every exported name
 _EXPORTS = {
+    "construction": ("CoverSpec", "build_cover", "very_ample_preconditions"),
     "covers": (
-        "CoverSpec", "CriterionReport", "SampleRecord", "VerificationReport",
-        "build_cover", "criterion_check", "fiber_A", "fiber_B", "galois_verify",
-        "map_A", "map_B", "very_ample_preconditions",
+        "CriterionReport", "SampleRecord", "VerificationReport", "criterion_check",
+        "fiber_A", "fiber_B", "galois_verify", "map_A", "map_B",
     ),
     "elliptic": (
         "FiniteSubgroupSpec", "HomPair", "IsogenyQuotient", "LatticeTau",

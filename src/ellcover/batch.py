@@ -1,13 +1,16 @@
-"""Array forms of the per-point maps, for whole orbits at once.
+"""Array forms of the per-point maps and the group action, for whole orbits at once.
 
-Each routine here evaluates one scalar routine of `elliptic` or `symfun`
-on a stack of points in numpy passes, and the scalar routine stays
+Each routine here evaluates one scalar routine of `elliptic`, `groups` or
+`symfun` on a stack of points in numpy passes, and the scalar routine stays
 its test oracle.  Verification maps every image of a sample's orbit, so it
-runs these; single points (construct, fiber recovery, the criterion probes)
-keep the scalar path.
+runs these; single points (fiber recovery, the criterion probes) keep the
+scalar path.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -16,13 +19,159 @@ from .elliptic import (
     _SERIES_TAIL_REL,
     _TWO_PI_I,
     EPS_PT,
+    IsogenyQuotient,
     LatticeTau,
     TorusPoint,
-    _frac_array,
-    _wrap_dist_array,
 )
-from .errors import IllConditioned, InvalidPoint
+from .errors import IllConditioned, InvalidOrder, InvalidPoint
+from .groups import FiniteActionGroup, PointIndex, PointTuple, _key_window, _weighted_key
 from .symfun import _COND_FLOOR, SectionBasis, divisor_to_coords
+
+
+def _frac_array(x: np.ndarray) -> np.ndarray:
+    """`elliptic._frac` on every entry: numpy's float mod rounds like Python's `%`."""
+    r = np.mod(x, 1.0)
+    r[r >= 1.0] = 0.0
+    return r + 0.0
+
+
+def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
+    """`elliptic._wrap_dist` on every entry, computed the same way."""
+    d = np.abs(x - y) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def map_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
+    """`IsogenyQuotient.map` on an array of source coordinates (a, b), shape (..., 2)."""
+    z = coords[..., 0] * quotient.source.omega1 + coords[..., 1] * quotient.source.omega2
+    return np.stack([_frac_array(c) for c in quotient.target.coords(z)], axis=-1)
+
+
+def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
+    """Coordinates (a, b) of point tuples, len(points) x dim x 2, laid out as `images` does."""
+    flat = np.array([c for point in points for p in point for c in (p.a, p.b)], dtype=float)
+    return flat.reshape(len(points), -1, 2)
+
+
+def pack(group: FiniteActionGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(matrices, translations) of all elements, shapes |G| x d x d and |G| x d x 2.
+
+    Translations are integer numerators over one common denominator N,
+    divided once: a single IEEE division of exact integers rounds like
+    `float(Fraction)`, so the shifts equal those `AffineAutomorphism.apply`
+    starts from.  `FiniteActionGroup._packed` keeps the result.
+    """
+    d = group.dim
+    matrices = np.array([e.matrix for e in group.elements], dtype=np.int64)
+    matrices = matrices.reshape(group.order, d, d)
+    den = math.lcm(
+        *(c.denominator for e in group.elements for pair in e.translation for c in pair)
+    )
+    numerators = np.fromiter(
+        (
+            c.numerator * (den // c.denominator)
+            for e in group.elements
+            for pair in e.translation
+            for c in pair
+        ),
+        dtype=np.int64,
+        count=group.order * d * 2,
+    ).reshape(group.order, d, 2)
+    return matrices, numerators / den
+
+
+def images(group: FiniteActionGroup, point: PointTuple) -> np.ndarray:
+    """Coordinates (a, b) of g(point) for every element g, shape |G| x d x 2.
+
+    Bit-identical to `g.apply(point)`: each coordinate starts from the
+    translation, adds m_ij * point_j for j = 0..d-1 in order (adding a
+    zero product leaves the sum unchanged), and is reduced by `_frac`.
+    """
+    d = group.dim
+    if len(point) != d:
+        raise InvalidOrder(f"point has {len(point)} components, expected {d}")
+    matrices, shifts = group._packed
+    coords = [np.array([p.a, p.b]) for p in point]
+    out = np.empty((group.order, d, 2))
+    for i in range(d):
+        acc = shifts[:, i, :].copy()
+        for j in range(d):
+            acc += matrices[:, i, j, None] * coords[j]
+        out[:, i, :] = _frac_array(acc)
+    return out
+
+
+def orbit_indices(
+    group: FiniteActionGroup, point: PointTuple, tol: float = EPS_PT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every image of a point and the indices of the orbit's representatives.
+
+    Returns `images(group, point)` and, sorted by the coordinates of the
+    rows they pick, the indices of the images that are kept: an image is
+    kept unless it lies within tol of an image kept before it in element
+    order.  When no two images are that close, all are kept; otherwise
+    `PointIndex` applies the rule one image at a time.
+    """
+    found = images(group, point)
+    flat = found.reshape(group.order, -1)
+    left, right = close_pairs(flat, flat, tol)
+    if np.any(left != right):
+        index = PointIndex(tol, group.dim)
+        keep = np.array(
+            [k for k, row in enumerate(flat.tolist()) if index.add_new(k, row)]
+        )
+    else:
+        keep = np.arange(group.order)
+    return found, keep[np.lexsort(flat[keep].T[::-1])]
+
+
+def stabilizer_indices(
+    group: FiniteActionGroup, point: PointTuple, tol: float = EPS_PT
+) -> np.ndarray:
+    """Indices of the elements that move every coordinate of a point by at most tol."""
+    here = np.array([[p.a, p.b] for p in point])
+    return np.flatnonzero(np.all(_wrap_dist_array(images(group, point), here) <= tol, axis=(1, 2)))
+
+
+def close_pairs(
+    left: np.ndarray, right: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i ascending, with left[i] within tol of right[j].
+
+    The distance is `PointIndex`'s toroidal sup metric over the flattened
+    rows, computed as `_wrap_dist` computes it.  Each left row is compared
+    only with the right rows whose `_weighted_key` lies within `_key_window`
+    of its own on R/Z, found by binary search in the sorted right keys; at
+    most every right row is compared once.
+    """
+    m = math.prod(right.shape[1:])
+    left = left.reshape(len(left), m)
+    right = right.reshape(len(right), m)
+    n = len(right)
+    keys = _weighted_key(right.T)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    wrapped = np.concatenate([keys - 1.0, keys, keys + 1.0])
+    query = _weighted_key(left.T)
+    width = _key_window(m, tol)
+    lo = np.searchsorted(wrapped, query - width, "left")
+    hi = np.minimum(np.searchsorted(wrapped, query + width, "right"), lo + n)
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(len(left)), counts)
+    j = order[(np.arange(counts.sum()) - np.repeat(starts - lo, counts)) % n]
+    # the first column alone rules out most candidates that share a key
+    close = _wrap_dist_array(left[i, 0], right[j, 0]) <= tol
+    i, j = i[close], j[close]
+    close = np.all(_wrap_dist_array(left[i], right[j]) <= tol, axis=1)
+    return i[close], j[close]
+
+
+def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
+    """Coordinates (a, b) of point tuples, len(points) x dim x 2, laid out as `_images` does."""
+    flat = np.array([c for point in points for p in point for c in (p.a, p.b)], dtype=float)
+    return flat.reshape(len(points), -1, 2)
+
 
 
 def wp_series_array(

@@ -34,11 +34,12 @@ from .polarization import (
 )
 
 if TYPE_CHECKING:
-    from .covers import CoverSpec, CriterionReport, VerificationReport
+    from .construction import CoverSpec
+    from .covers import CriterionReport, VerificationReport
 
-# The numeric layers (covers, elliptic, groups, symfun) import numpy, so they
-# are imported inside the commands that use them: `intersection` and `report`
-# load neither.
+# The cover layers are imported inside the commands that use them:
+# `intersection` and `report` load none of them, and `construct` loads
+# `construction` but not the numpy layers (covers, symfun, batch).
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
 
@@ -48,8 +49,9 @@ class RunConfig:
     """Resolved run configuration; field defaults are the documented defaults.
 
     `eps_pt`, `eps_proj` and `order_cap` default to None, which
-    `_resolve_config` replaces by `elliptic.EPS_PT`, `symfun.EPS_PROJ` and
-    `groups.DEFAULT_ORDER_CAP`: those modules import numpy.
+    `_resolve_config` replaces by `elliptic.EPS_PT`, `elliptic.EPS_PROJ` and
+    `groups.DEFAULT_ORDER_CAP`, so that `intersection` and `report` load
+    neither module.
     """
 
     construction: str = "A"
@@ -77,7 +79,7 @@ class RunConfig:
         return value
 
     def build_spec(self) -> CoverSpec:
-        from .covers import build_cover
+        from .construction import build_cover
         from .elliptic import FiniteSubgroupSpec, LatticeTau
 
         lattice = LatticeTau.from_tau(self.parse_tau())
@@ -253,9 +255,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from exc
-    from .elliptic import EPS_PT
+    from .elliptic import EPS_PROJ, EPS_PT
     from .groups import DEFAULT_ORDER_CAP
-    from .symfun import EPS_PROJ
 
     defaults = {"eps_pt": EPS_PT, "eps_proj": EPS_PROJ, "order_cap": DEFAULT_ORDER_CAP}
     for name, value in defaults.items():
@@ -370,6 +371,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"an 'image_spread' of report {args.path!r} is not a number")
     if not isinstance(criterion, dict):
         raise ConfigError(f"'criterion' of report {args.path!r} must be an object")
+    passed = payload.get("pass")
+    if not isinstance(passed, bool):
+        raise ConfigError(f"'pass' of report {args.path!r} must be true or false, got {passed!r}")
     construction = payload.get("construction", "?")
     order = payload.get("group_order", "?")
     print(f"construction {construction}, group order {order}")
@@ -390,7 +394,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             }
         )
     )
-    passed = bool(payload.get("pass"))
     print(f"pass: {passed}")
     return 0 if passed else 1
 

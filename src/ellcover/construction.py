@@ -1,0 +1,155 @@
+"""Cover assembly: quotient isogeny, deck group and polarization, all exact.
+
+`construct` needs only this, so it loads no numpy.  `covers` re-exports it
+and holds the maps, which the `CoverSpec` methods import when called.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+from .elliptic import FiniteSubgroupSpec, IsogenyQuotient, LatticeTau, quotient_lattice
+from .errors import ConfigError, IllConditioned, NotVeryAmpleWarning
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    FiniteActionGroup,
+    PointTuple,
+    build_group_A,
+    build_group_B,
+)
+from .polarization import PolarizationMatrix, isogeny_degree_factor, self_intersection
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .symfun import ProjectivePoint, SectionBasis
+
+#: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts;
+#: two branch values e_i differ by ~24 exp(-pi Im tau') relative to their
+#: size, about 5 ulps at 12, and merge in double precision soon after
+MAX_QUOTIENT_IM_TAU = 12.0
+
+
+def very_ample_preconditions(construction: str, d: int, q0: FiniteSubgroupSpec) -> bool:
+    """Very-ampleness preconditions of the two constructions.
+
+    A needs a nontrivial Q0; B needs |Q0| >= 2 for d >= 2 but |Q0| >= 3
+    when d = 1.
+    """
+    if construction == "A":
+        return q0.order >= 2
+    return (d >= 2 and q0.order >= 2) or (d == 1 and q0.order >= 3)
+
+
+@dataclass(frozen=True)
+class CoverSpec:
+    """A configured covering map E^d -> P^d with its group and polarization."""
+
+    construction: str
+    d: int
+    curve: LatticeTau
+    q0: FiniteSubgroupSpec
+    quotient: IsogenyQuotient
+    group: FiniteActionGroup
+    polarization: PolarizationMatrix
+    theoretical_degree: int
+    very_ample: bool
+
+    @cached_property
+    def basis(self) -> SectionBasis:
+        """Section basis of O((d+1)[0]) on E/Q0 (construction B target system)."""
+        from .symfun import SectionBasis
+
+        return SectionBasis(self.d + 1, self.quotient.target)
+
+    def map(self, point: PointTuple) -> ProjectivePoint:
+        from . import covers
+
+        return (covers.map_A if self.construction == "A" else covers.map_B)(self, point)
+
+    def map_array(self, coords: np.ndarray) -> np.ndarray:
+        """`map` on N point tuples given by coordinates, shape N x d x 2.
+
+        Returns the N x (d+1) coordinates of the images, normalized as
+        `ProjectivePoint.normalize` normalizes them.
+        """
+        from . import covers
+
+        return (covers.map_A_array if self.construction == "A" else covers.map_B_array)(
+            self, coords
+        )
+
+    def fiber(self, image: ProjectivePoint) -> list[PointTuple]:
+        from . import covers
+
+        return (covers.fiber_A if self.construction == "A" else covers.fiber_B)(self, image)
+
+
+def degree_identity(
+    construction: str, polarization: PolarizationMatrix, q0: FiniteSubgroupSpec
+) -> int:
+    """The cover degree d! chi(L), times the isogeny factor |Q0|^d for B."""
+    degree = self_intersection(polarization)
+    if construction == "B":
+        degree *= isogeny_degree_factor(q0, polarization.d)
+    return degree
+
+
+def build_cover(
+    construction: str,
+    d: int,
+    curve: LatticeTau,
+    q0: FiniteSubgroupSpec,
+    order_cap: int = DEFAULT_ORDER_CAP,
+) -> CoverSpec:
+    """Assemble the cover: quotient isogeny, deck group, and polarization.
+
+    Warns with NotVeryAmpleWarning when the configuration misses the
+    very-ampleness preconditions; the cover is still built and verifiable.
+    Raises IllConditioned when the quotient E/Q0 is taller than
+    MAX_QUOTIENT_IM_TAU, where its branch values cannot be told apart.
+    """
+    if construction not in ("A", "B"):
+        raise ConfigError(f"construction must be 'A' or 'B', got {construction!r}")
+    if d < 1:
+        raise ConfigError(f"need d >= 1, got {d}")
+    quotient = quotient_lattice(curve, q0)
+    height = quotient.target.tau_reduced.imag
+    if height > MAX_QUOTIENT_IM_TAU:
+        raise IllConditioned(
+            f"quotient E/Q0 has reduced Im tau' = {height:.6g} > "
+            f"{MAX_QUOTIENT_IM_TAU:g}: its branch values agree to double precision"
+        )
+    if construction == "A":
+        group = build_group_A(d, q0, cap=order_cap)
+        polarization = PolarizationMatrix.scaled_identity(d, 2 * q0.order)
+    else:
+        group = build_group_B(d, q0, cap=order_cap)
+        polarization = PolarizationMatrix.identity_plus_ones(d)
+    degree = degree_identity(construction, polarization, q0)
+    if degree != group.order:  # pragma: no cover - exact identity
+        raise ConfigError(
+            f"degree bookkeeping mismatch: {degree} != group order {group.order}"
+        )
+    flag = very_ample_preconditions(construction, d, q0)
+    if not flag:
+        warnings.warn(
+            f"construction {construction} with d={d}, |Q0|={q0.order} misses "
+            "the very-ampleness preconditions; criterion will flag it",
+            NotVeryAmpleWarning,
+            stacklevel=2,
+        )
+    return CoverSpec(
+        construction=construction,
+        d=d,
+        curve=curve,
+        q0=q0,
+        quotient=quotient,
+        group=group,
+        polarization=polarization,
+        theoretical_degree=degree,
+        very_ample=flag,
+    )

@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
-import numpy as np
-
 from .errors import (
     InvalidOrder,
     InvalidPoint,
@@ -31,6 +29,8 @@ from .polarization import _hermite_2x2
 EPS_PT = 1e-9
 #: default relative tolerance for function-value comparisons
 EPS_NUM = 1e-10
+#: default tolerance for projective-point equality (Fubini-Study chordal)
+EPS_PROJ = 1e-7
 
 # q-series terms are added until they fall below this relative size.
 _SERIES_TAIL_REL = 1e-14
@@ -53,23 +53,10 @@ def _frac(x: float) -> float:
     return r + 0.0  # normalize -0.0
 
 
-def _frac_array(x: np.ndarray) -> np.ndarray:
-    """`_frac` on every entry: numpy's float mod rounds like Python's `%`."""
-    r = np.mod(x, 1.0)
-    r[r >= 1.0] = 0.0
-    return r + 0.0
-
-
 def _wrap_dist(x: float, y: float) -> float:
     """Distance between x and y on R/Z."""
     d = abs(x - y) % 1.0
     return min(d, 1.0 - d)
-
-
-def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
-    """`_wrap_dist` on every entry, computed the same way."""
-    d = np.abs(x - y) % 1.0
-    return np.minimum(d, 1.0 - d)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -408,11 +395,6 @@ class IsogenyQuotient:
     def map(self, p: TorusPoint) -> TorusPoint:
         """Image of a source point: same representative, reduced mod Lambda'."""
         return reduce_point(p.z, self.target)
-
-    def map_coords(self, coords: np.ndarray) -> np.ndarray:
-        """`map` on an array of source coordinates (a, b), shape (..., 2)."""
-        z = coords[..., 0] * self.source.omega1 + coords[..., 1] * self.source.omega2
-        return np.stack([_frac_array(c) for c in self.target.coords(z)], axis=-1)
 
     @cached_property
     def _lift_offsets(self) -> tuple[complex, ...]:

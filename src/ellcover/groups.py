@@ -2,8 +2,8 @@
 
 An automorphism is a pair (M, t): an integer matrix M acting coordinatewise
 on C/Lambda tuples and a translation t whose components are rational torsion
-points.  Products, inverses, and closure are all exact, so group orders are
-certificates rather than floating-point artifacts.
+points.  Products, inverses, and enumeration are all exact, so group orders
+are certificates rather than floating-point artifacts.
 """
 
 from __future__ import annotations
@@ -15,19 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .elliptic import (
-    EPS_PT,
-    FiniteSubgroupSpec,
-    TorusPoint,
-    _frac,
-    _frac_array,
-    _wrap_dist,
-    _wrap_dist_array,
-)
+from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac, _wrap_dist
 from .errors import InvalidOrder, OrderCapExceeded
-from .polarization import _det_bareiss
+from .polarization import _det_bareiss, _fraction_inverse, _matmul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Translation = tuple[tuple[Fraction, Fraction], ...]
@@ -42,14 +32,6 @@ def _identity(d: int) -> IntMatrix:
 
 def _zero_translation(d: int) -> Translation:
     return tuple((Fraction(0), Fraction(0)) for _ in range(d))
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
 
 
 _ZERO = Fraction(0)
@@ -75,26 +57,11 @@ def _mat_apply_translation(m: IntMatrix, t: Translation) -> Translation:
 
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with det +-1 (adjugate route)."""
-    d = len(m)
+    """Exact inverse of an integer matrix with det +-1, which is integral."""
     det = _det_bareiss(m)
     if det not in (1, -1):
         raise InvalidOrder(f"matrix with det {det} is not an automorphism of E^d")
-
-    def minor(rows: Sequence[Sequence[int]], i: int, j: int) -> list[list[int]]:
-        return [
-            [row[c] for c in range(d) if c != j]
-            for r, row in enumerate(rows)
-            if r != i
-        ]
-
-    if d == 1:
-        return ((det,),)
-    adj = [
-        [(-1) ** (i + j) * _det_bareiss(minor(m, j, i)) for j in range(d)]
-        for i in range(d)
-    ]
-    return tuple(tuple(det * v for v in row) for row in adj)
+    return tuple(tuple(int(v) for v in row) for row in _fraction_inverse(m))
 
 
 @dataclass(frozen=True)
@@ -118,7 +85,7 @@ class AffineAutomorphism:
 
     def compose(self, other: "AffineAutomorphism") -> "AffineAutomorphism":
         """self after other: (M1, t1) * (M2, t2) = (M1 M2, M1 t2 + t1)."""
-        m = _mat_mul(self.matrix, other.matrix)
+        m = _matmul(self.matrix, other.matrix)
         if _is_zero_translation(other.translation):
             return AffineAutomorphism(m, self.translation)
         moved = _mat_apply_translation(self.matrix, other.translation)
@@ -161,9 +128,8 @@ class AffineAutomorphism:
 class FiniteActionGroup:
     """A finite group of affine automorphisms; element list sorted for reproducibility.
 
-    `orbit` and `stabilizer` act with every element at once: on first use the
-    group packs itself into arrays (see `_packed`) and each image coordinate
-    becomes one vectorized pass over the elements.
+    `orbit` and `stabilizer` act with every element at once through
+    `batch`, imported at call time so that building a group loads no numpy.
     """
 
     def __init__(self, dim: int, generators: Sequence[AffineAutomorphism],
@@ -172,116 +138,16 @@ class FiniteActionGroup:
         self.generators = tuple(generators)
         self.elements = elements
 
-    @classmethod
-    def generate(
-        cls,
-        generators: Iterable[AffineAutomorphism],
-        cap: int = DEFAULT_ORDER_CAP,
-    ) -> "FiniteActionGroup":
-        """Breadth-first closure of the generators.
-
-        The deck groups are enumerated directly (`build_group_A`,
-        `build_group_B`); the closure is the independent computation they are
-        tested against.
-        """
-        gens = tuple(generators)
-        if not gens:
-            raise InvalidOrder("no generators")
-        d = gens[0].dim
-        if any(g.dim != d for g in gens):
-            raise InvalidOrder("generators act on different dimensions")
-        ident = AffineAutomorphism.identity(d)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    h = f * g
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-                        if len(seen) > cap:
-                            raise OrderCapExceeded(
-                                f"group closure exceeded cap {cap}"
-                            )
-            frontier = nxt
-        ordered = tuple(sorted(seen, key=lambda e: (e.matrix, e.translation)))
-        return cls(d, gens, ordered)
-
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(matrices, translations) of all elements, shapes |G| x d x d and |G| x d x 2.
+    def _packed(self):
+        """`batch.pack` of the elements, kept for the next orbit."""
+        from .batch import pack
 
-        Translations are integer numerators over one common denominator N,
-        divided once: a single IEEE division of exact integers rounds like
-        `float(Fraction)`, so the shifts equal those `AffineAutomorphism.apply`
-        starts from.
-        """
-        d = self.dim
-        matrices = np.array([e.matrix for e in self.elements], dtype=np.int64)
-        matrices = matrices.reshape(self.order, d, d)
-        den = math.lcm(
-            *(c.denominator for e in self.elements for pair in e.translation for c in pair)
-        )
-        numerators = np.fromiter(
-            (
-                c.numerator * (den // c.denominator)
-                for e in self.elements
-                for pair in e.translation
-                for c in pair
-            ),
-            dtype=np.int64,
-            count=self.order * d * 2,
-        ).reshape(self.order, d, 2)
-        return matrices, numerators / den
-
-    def _images(self, point: PointTuple) -> np.ndarray:
-        """Coordinates (a, b) of g(point) for every element g, shape |G| x d x 2.
-
-        Bit-identical to `g.apply(point)`: each coordinate starts from the
-        translation, adds m_ij * point_j for j = 0..d-1 in order (adding a
-        zero product leaves the sum unchanged), and is reduced by `_frac`.
-        """
-        d = self.dim
-        if len(point) != d:
-            raise InvalidOrder(f"point has {len(point)} components, expected {d}")
-        matrices, shifts = self._packed
-        coords = [np.array([p.a, p.b]) for p in point]
-        images = np.empty((self.order, d, 2))
-        for i in range(d):
-            acc = shifts[:, i, :].copy()
-            for j in range(d):
-                acc += matrices[:, i, j, None] * coords[j]
-            images[:, i, :] = _frac_array(acc)
-        return images
-
-    def orbit_indices(
-        self, point: PointTuple, tol: float = EPS_PT
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every image of a point and the indices of the orbit's representatives.
-
-        Returns `_images(point)` and, sorted by the coordinates of the rows
-        they pick, the indices of the images that are kept: an image is kept
-        unless it lies within tol of an image kept before it in element
-        order.  When no two images are that close, all are kept; otherwise
-        `PointIndex` applies the rule one image at a time.
-        """
-        images = self._images(point)
-        flat = images.reshape(self.order, -1)
-        left, right = close_pairs(flat, flat, tol)
-        if np.any(left != right):
-            index = PointIndex(tol, self.dim)
-            keep = np.array(
-                [k for k, row in enumerate(flat.tolist()) if index.add_new(k, row)]
-            )
-        else:
-            keep = np.arange(self.order)
-        return images, keep[np.lexsort(flat[keep].T[::-1])]
+        return pack(self)
 
     def orbit(self, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
         """Distinct images of a point, deduplicated in the toroidal metric.
@@ -290,7 +156,9 @@ class FiniteActionGroup:
         in element order.  Canonically sorted, so the result is independent
         of element order.
         """
-        images, keep = self.orbit_indices(point, tol)
+        from .batch import orbit_indices
+
+        images, keep = orbit_indices(self, point, tol)
         lattice = point[0].lattice
         return [
             tuple(TorusPoint(lattice, a, b) for a, b in row)
@@ -298,10 +166,9 @@ class FiniteActionGroup:
         ]
 
     def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
-        images = self._images(point)
-        here = np.array([[p.a, p.b] for p in point])
-        fixed = np.all(_wrap_dist_array(images, here) <= tol, axis=(1, 2))
-        return [self.elements[k] for k in np.flatnonzero(fixed)]
+        from .batch import stabilizer_indices
+
+        return [self.elements[k] for k in stabilizer_indices(self, point, tol)]
 
 
 #: cell count cap, so that a tiny tolerance cannot shrink cells below float rounding
@@ -378,46 +245,6 @@ class PointIndex:
         return True
 
 
-def close_pairs(
-    left: np.ndarray, right: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i ascending, with left[i] within tol of right[j].
-
-    The distance is `PointIndex`'s toroidal sup metric over the flattened
-    rows, computed as `_wrap_dist` computes it.  Each left row is compared
-    only with the right rows whose `_weighted_key` lies within `_key_window`
-    of its own on R/Z, found by binary search in the sorted right keys; at
-    most every right row is compared once.
-    """
-    m = math.prod(right.shape[1:])
-    left = left.reshape(len(left), m)
-    right = right.reshape(len(right), m)
-    n = len(right)
-    keys = _weighted_key(right.T)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    wrapped = np.concatenate([keys - 1.0, keys, keys + 1.0])
-    query = _weighted_key(left.T)
-    width = _key_window(m, tol)
-    lo = np.searchsorted(wrapped, query - width, "left")
-    hi = np.minimum(np.searchsorted(wrapped, query + width, "right"), lo + n)
-    counts = hi - lo
-    starts = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(len(left)), counts)
-    j = order[(np.arange(counts.sum()) - np.repeat(starts - lo, counts)) % n]
-    # the first column alone rules out most candidates that share a key
-    close = _wrap_dist_array(left[i, 0], right[j, 0]) <= tol
-    i, j = i[close], j[close]
-    close = np.all(_wrap_dist_array(left[i], right[j]) <= tol, axis=1)
-    return i[close], j[close]
-
-
-def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
-    """Coordinates (a, b) of point tuples, len(points) x dim x 2, laid out as `_images` does."""
-    flat = np.array([c for point in points for p in point for c in (p.a, p.b)], dtype=float)
-    return flat.reshape(len(points), -1, 2)
-
-
 def _translation_generators(d: int, q0: FiniteSubgroupSpec) -> list[AffineAutomorphism]:
     ident = _identity(d)
     gens = []
@@ -444,20 +271,22 @@ def _semidirect_product(
     d: int,
     generators: Sequence[AffineAutomorphism],
     matrices: Iterable[IntMatrix],
+    count: int,
     q0: FiniteSubgroupSpec,
     cap: int,
 ) -> FiniteActionGroup:
     """All pairs (M, t) with M in a finite matrix group that preserves Q0^d, t in Q0^d.
 
-    Sorted matrices times the translations in lexicographic order list the
-    elements sorted by (matrix, translation), the order `generate` sorts to.
+    The order count * |Q0|^d is checked against cap before the lazy
+    `matrices`, `count` of them, are listed.  Sorted matrices times the
+    translations in lexicographic order list the elements sorted by
+    (matrix, translation).
     """
-    matrices = sorted(matrices)
-    order = len(matrices) * q0.order**d
+    order = count * q0.order**d
     if order > cap:
         raise OrderCapExceeded(f"group order {order} exceeds cap {cap}")
     shifts = list(itertools.product(q0.elements, repeat=d))
-    elements = tuple(AffineAutomorphism(m, t) for m in matrices for t in shifts)
+    elements = tuple(AffineAutomorphism(m, t) for m in sorted(matrices) for t in shifts)
     return FiniteActionGroup(d, generators, elements)
 
 
@@ -488,7 +317,7 @@ def build_group_A(
         for perm in itertools.permutations(range(d))
         for sign in itertools.product((1, -1), repeat=d)
     )
-    return _semidirect_product(d, gens, matrices, q0, cap)
+    return _semidirect_product(d, gens, matrices, 2**d * math.factorial(d), q0, cap)
 
 
 def build_group_B(
@@ -524,4 +353,4 @@ def build_group_B(
         )
         for sigma in itertools.permutations(range(d + 1))
     )
-    return _semidirect_product(d, gens, matrices, q0, cap)
+    return _semidirect_product(d, gens, matrices, math.factorial(d + 1), q0, cap)

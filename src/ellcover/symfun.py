@@ -18,6 +18,7 @@ import numpy as np
 
 from .elliptic import (
     EPS_NUM,
+    EPS_PROJ,
     EPS_PT,
     HomPair,
     LatticeTau,
@@ -34,9 +35,6 @@ from .errors import (
     InvalidPoint,
     SumNotZero,
 )
-
-#: default tolerance for projective-point equality (Fubini-Study chordal)
-EPS_PROJ = 1e-7
 
 #: relative threshold below which the SVD kernel is considered ambiguous
 _COND_FLOOR = 1e-10

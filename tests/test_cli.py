@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +297,10 @@ class TestReportCommand:
             {"samples": [{"index": 0, "image_spread": "small"}]},
             {"samples": [{"index": 0, "image_spread": True}]},
             {"criterion": [True]},
+            # `pass` must be present and a JSON boolean
+            {"pass": "false"},
+            {"pass": 1},
+            {"samples": []},
         ],
     )
     def test_malformed_report_is_config_error(self, tmp_path, capsys, payload):
@@ -308,6 +316,30 @@ class TestReportCommand:
         path.write_text(json.dumps({"samples": [{"index": 3, "image_spread": None}], "pass": True}))
         assert main(["report", str(path)]) == 0
         assert "sample 3: non-generic (excluded), orbit None, spread n/a" in capsys.readouterr().out
+
+
+class TestOrderCap:
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    def test_order_past_cap_is_refused_before_listing(self, construction):
+        # |G| = 2^8 8! 2^8 (A) or 9! 2^8 (B) is refused from its closed form;
+        # the child gets a timeout and a 1 GiB address-space limit, so
+        # listing the elements fails this test instead of hanging it
+        resource = pytest.importorskip("resource")
+        limit = 1 << 30
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellcover.cli", "construct", "--construction", construction,
+             "--d", "8"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "OrderCapExceeded" in proc.stderr
 
 
 class TestTallQuotient:

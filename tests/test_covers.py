@@ -27,8 +27,7 @@ from ellcover import (
 
 from ellcover import covers
 from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets, _match_greedy
-from ellcover.batch import divisors_to_coords
-from ellcover.groups import coords_array
+from ellcover.batch import coords_array, divisors_to_coords, map_coords
 
 from conftest import TAU
 
@@ -215,7 +214,7 @@ class TestMapArray:
         # the batched B rows sort each divisor's points, as divisor_to_coords
         # does, so reordered divisors give equal rows
         spec = _build("B", 3, q2, lattice)
-        ys = spec.quotient.map_coords(coords_array([_point(spec, GENERIC)]))[0]
+        ys = map_coords(spec.quotient, coords_array([_point(spec, GENERIC)]))[0]
         last = -(ys.sum(axis=0)) % 1.0
         divisor = np.concatenate([ys, last[None]])
         reordered = np.array([divisor, divisor[::-1], divisor[[2, 0, 3, 1]]])

@@ -1,7 +1,10 @@
 """Which modules each command loads, and the lazy `ellcover` namespace.
 
-`intersection` and `report` need only the exact layers, so they must run
-with numpy made unimportable and must leave the numeric layers unloaded.
+Only `covers`, `symfun` and `batch` import numpy.  `construct` builds a
+cover from the exact layers (`construction`, `groups`, `elliptic`,
+`polarization`), so it must run with numpy made unimportable and print the
+same bytes as with numpy.  `intersection` and `report` need only
+`polarization`, so they must leave every cover layer unloaded too.
 """
 
 import importlib
@@ -18,7 +21,10 @@ from ellcover import NotVeryAmpleWarning, cli, covers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-NUMERIC_LAYERS = ("covers", "elliptic", "groups", "symfun", "batch")
+#: the modules that import numpy
+NUMERIC_LAYERS = ("covers", "symfun", "batch")
+#: the numpy-free modules that build a cover, which only `construct` and `verify` need
+COVER_LAYERS = ("construction", "groups", "elliptic")
 
 NO_NUMPY_SCRIPT = """
 import sys
@@ -28,13 +34,31 @@ loaded = sorted(m for m in sys.modules if m.startswith("ellcover."))
 assert not loaded, loaded
 from ellcover.cli import main
 
-assert main(["intersection", "--self", "4 0;0 4"]) == 0
-assert main(["intersection", "--chi", "2 1;1 2"]) == 0
-assert main(["intersection", "--mixed", "1 0;0 1:1", "1 1;1 1:1"]) == 0
-assert main(["report", sys.argv[1]]) == 0
+if sys.argv[1] == "construct":
+    code = main(sys.argv[1:])
+else:
+    assert main(["intersection", "--self", "4 0;0 4"]) == 0
+    assert main(["intersection", "--chi", "2 1;1 2"]) == 0
+    assert main(["intersection", "--mixed", "1 0;0 1:1", "1 1;1 1:1"]) == 0
+    code = main(["report", sys.argv[1]])
 loaded = sorted(m for m in sys.modules if m.startswith("ellcover."))
-print(" ".join(loaded))
+print(" ".join(loaded), file=sys.stderr)
+sys.exit(code)
 """
+
+
+def _run(argv, block_numpy):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    entry = ["-c", NO_NUMPY_SCRIPT] if block_numpy else ["-m", "ellcover.cli"]
+    return subprocess.run(
+        [sys.executable, *entry, *argv], env=env, capture_output=True, timeout=60
+    )
+
+
+def _loaded(proc):
+    """The `ellcover` submodules the numpy-blocked script saw loaded at its end."""
+    return set(proc.stderr.decode().splitlines()[-1].split())
 
 
 def test_exact_commands_run_without_numpy(tmp_path):
@@ -43,21 +67,35 @@ def test_exact_commands_run_without_numpy(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotVeryAmpleWarning)
         assert cli.main(argv + ["--output", str(report)]) == 0
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(report)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _run([str(report)], block_numpy=True)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = proc.stdout.decode().splitlines()
     assert lines[:4] == ["32", "3", "2", "construction A, group order 4"]
-    assert lines[-2] == "pass: True"
-    loaded = lines[-1].split()
-    assert not {f"ellcover.{m}" for m in NUMERIC_LAYERS} & set(loaded), loaded
+    assert lines[-1] == "pass: True"
+    unloaded = {f"ellcover.{m}" for m in NUMERIC_LAYERS + COVER_LAYERS}
+    assert not unloaded & _loaded(proc), _loaded(proc)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ["--construction", "A", "--d", "1"],
+        ["--construction", "A", "--d", "2"],
+        ["--construction", "B", "--d", "1"],
+        ["--construction", "B", "--d", "2"],
+        # the `exact` benchmark shapes
+        ["--construction", "A", "--d", "4", "--q0", "1/2,0"],
+        ["--construction", "B", "--d", "4", "--q0", "1/3,0"],
+    ],
+)
+def test_construct_runs_without_numpy(shape):
+    blocked = _run(["construct", *shape], block_numpy=True)
+    assert blocked.returncode == 0, blocked.stderr
+    assert not {f"ellcover.{m}" for m in NUMERIC_LAYERS} & _loaded(blocked)
+    assert {f"ellcover.{m}" for m in COVER_LAYERS} <= _loaded(blocked)
+    with_numpy = _run(["construct", *shape], block_numpy=False)
+    assert with_numpy.returncode == 0, with_numpy.stderr
+    assert blocked.stdout == with_numpy.stdout
 
 
 class TestLazyNamespace:
