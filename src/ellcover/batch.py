@@ -24,7 +24,7 @@ from .elliptic import (
     TorusPoint,
 )
 from .errors import IllConditioned, InvalidOrder, InvalidPoint
-from .groups import FiniteActionGroup, PointIndex, PointTuple, _key_window, _weighted_key
+from .groups import FiniteActionGroup, PointTuple
 from .symfun import _COND_FLOOR, SectionBasis, divisor_to_coords
 
 
@@ -101,36 +101,60 @@ def images(group: FiniteActionGroup, point: PointTuple) -> np.ndarray:
     return out
 
 
-def orbit_indices(
-    group: FiniteActionGroup, point: PointTuple, tol: float = EPS_PT
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every image of a point and the indices of the orbit's representatives.
+def orbit_indices(found: np.ndarray, tol: float = EPS_PT) -> np.ndarray:
+    """Indices of the orbit's representatives among the images `found` of a point.
 
-    Returns `images(group, point)` and, sorted by the coordinates of the
-    rows they pick, the indices of the images that are kept: an image is
-    kept unless it lies within tol of an image kept before it in element
-    order.  When no two images are that close, all are kept; otherwise
-    `PointIndex` applies the rule one image at a time.
+    `found` is `images(group, point)`.  An image is kept unless it lies
+    within tol of an image kept before it in element order; the indices
+    come sorted by the coordinates of the rows they pick.  Only images with
+    an earlier image within tol, found by `close_pairs`, are decided one at
+    a time, in element order; when no two images are that close, all are
+    kept.
     """
-    found = images(group, point)
-    flat = found.reshape(group.order, -1)
-    left, right = close_pairs(flat, flat, tol)
-    if np.any(left != right):
-        index = PointIndex(tol, group.dim)
-        keep = np.array(
-            [k for k, row in enumerate(flat.tolist()) if index.add_new(k, row)]
-        )
-    else:
-        keep = np.arange(group.order)
-    return found, keep[np.lexsort(flat[keep].T[::-1])]
+    flat = found.reshape(len(found), -1)
+    i, j = close_pairs(flat, flat, tol)
+    earlier = j < i
+    i, j = i[earlier], j[earlier]
+    keep = np.ones(len(flat), dtype=bool)
+    rows, starts = np.unique(i, return_index=True)
+    for k, partners in zip(rows.tolist(), np.split(j, starts[1:])):
+        keep[k] = not keep[partners].any()
+    keep = np.flatnonzero(keep)
+    return keep[np.lexsort(flat[keep].T[::-1])]
 
 
-def stabilizer_indices(
-    group: FiniteActionGroup, point: PointTuple, tol: float = EPS_PT
-) -> np.ndarray:
-    """Indices of the elements that move every coordinate of a point by at most tol."""
+def stabilizer_indices(found: np.ndarray, point: PointTuple, tol: float = EPS_PT) -> np.ndarray:
+    """Indices of the elements that move every coordinate of a point by at most tol.
+
+    `found` is `images(group, point)`.
+    """
     here = np.array([[p.a, p.b] for p in point])
-    return np.flatnonzero(np.all(_wrap_dist_array(images(group, point), here) <= tol, axis=(1, 2)))
+    return np.flatnonzero(np.all(_wrap_dist_array(found, here) <= tol, axis=(1, 2)))
+
+
+def _weighted_key(columns: np.ndarray) -> np.ndarray:
+    """The key f = x_1 + 2 x_2 + ... + m x_m on R/Z of flat coordinates x.
+
+    `columns` holds the m coordinates, one row each.  Integer weights make
+    f well defined mod 1.  Over the orbit of a generic point, tuples share
+    a key only when they differ by a translation in the kernel of f on
+    Q0^d, about |Q0|^(d-1) of them; a single coordinate as key would also
+    merge every permutation that fixes it.
+    """
+    return sum(k * x for k, x in enumerate(columns, 1)) % 1.0
+
+
+def _key_window(m: int, tol: float) -> float:
+    """2*W*tol, W = m(m+1)/2: twice the most that the keys of two tuples within tol differ by.
+
+    The factor 2 leaves far more room than the rounding in a key.
+    """
+    return m * (m + 1) * tol
+
+
+#: candidate pairs per block of `close_pairs`: each of its temporaries is
+#: one array of this many entries, 2 MiB for 8-byte entries
+_JOIN_BLOCK = 1 << 18
 
 
 def close_pairs(
@@ -138,11 +162,14 @@ def close_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i ascending, with left[i] within tol of right[j].
 
-    The distance is `PointIndex`'s toroidal sup metric over the flattened
-    rows, computed as `_wrap_dist` computes it.  Each left row is compared
-    only with the right rows whose `_weighted_key` lies within `_key_window`
-    of its own on R/Z, found by binary search in the sorted right keys; at
-    most every right row is compared once.
+    The distance is the toroidal sup metric over the flattened rows,
+    computed as `_wrap_dist` computes it.  Each left row is compared only
+    with the right rows whose `_weighted_key` lies within `_key_window` of
+    its own on R/Z, found by binary search in the sorted right keys; at
+    most every right row is compared once.  The candidates are compared in
+    blocks of consecutive left rows, `_JOIN_BLOCK` candidates or one row
+    each, one coordinate at a time, so that memory beyond the pairs found
+    stays bounded when many rows share a key.
     """
     m = math.prod(right.shape[1:])
     left = left.reshape(len(left), m)
@@ -157,21 +184,23 @@ def close_pairs(
     lo = np.searchsorted(wrapped, query - width, "left")
     hi = np.minimum(np.searchsorted(wrapped, query + width, "right"), lo + n)
     counts = hi - lo
-    starts = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(len(left)), counts)
-    j = order[(np.arange(counts.sum()) - np.repeat(starts - lo, counts)) % n]
-    # the first column alone rules out most candidates that share a key
-    close = _wrap_dist_array(left[i, 0], right[j, 0]) <= tol
-    i, j = i[close], j[close]
-    close = np.all(_wrap_dist_array(left[i], right[j]) <= tol, axis=1)
-    return i[close], j[close]
-
-
-def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
-    """Coordinates (a, b) of point tuples, len(points) x dim x 2, laid out as `_images` does."""
-    flat = np.array([c for point in points for p in point for c in (p.a, p.b)], dtype=float)
-    return flat.reshape(len(points), -1, 2)
-
+    ends = np.cumsum(counts)
+    found_i, found_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    first = 0
+    while first < len(left):
+        before = ends[first] - counts[first]
+        stop = max(first + 1, int(np.searchsorted(ends, before + _JOIN_BLOCK, "right")))
+        c = counts[first:stop]
+        starts = np.cumsum(c) - c
+        i = np.repeat(np.arange(first, stop), c)
+        j = order[(np.arange(c.sum()) - np.repeat(starts - lo[first:stop], c)) % n]
+        for k in range(m):
+            close = _wrap_dist_array(left[i, k], right[j, k]) <= tol
+            i, j = i[close], j[close]
+        found_i.append(i)
+        found_j.append(j)
+        first = stop
+    return np.concatenate(found_i), np.concatenate(found_j)
 
 
 def wp_series_array(

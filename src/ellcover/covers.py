@@ -16,7 +16,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +24,11 @@ from .batch import (
     close_pairs,
     coords_array,
     divisors_to_coords,
+    images,
     map_coords,
     norm_pairs,
     orbit_indices,
+    stabilizer_indices,
     sym_product_rows,
     wp_series_array,
 )
@@ -47,7 +48,7 @@ from .errors import (
     NonGenericTarget,
     SumNotZero,
 )
-from .groups import PointIndex, PointTuple
+from .groups import PointTuple
 from .symfun import (
     ProjectivePoint,
     divisor_to_coords,
@@ -212,28 +213,15 @@ class VerificationReport:
     timings: dict = field(default_factory=dict, compare=False)
 
 
-def _match_greedy(
-    left: Sequence[Sequence[float]], right: Sequence[Sequence[float]], tol: float
-) -> bool:
-    """Multiset equality of flat point coordinates under the toroidal sup metric.
-
-    Greedy: each point of `left` in turn takes the earliest unmatched point
-    of `right` within tol.
-    """
-    if len(left) != len(right):
-        return False
-    remaining = PointIndex(tol, len(right[0]) // 2 if len(right) else 1)
-    for k, q in enumerate(right):
-        remaining.add(k, q)
-    return all(remaining.pop_first(p) for p in left)
-
-
 def _match_as_sets(left: np.ndarray, right: np.ndarray, tol: float) -> bool:
-    """`_match_greedy` on point tuples given by coordinates, shape N x d x 2.
+    """Multiset equality of point tuples given by coordinates, shape N x d x 2.
 
-    When every point has exactly one partner within tol on the other side,
-    the greedy match pairs them all; when some point has none, it fails.
-    Only other cases, where the greedy order decides, run `_match_greedy`.
+    Compared in the toroidal sup metric, greedily: each left tuple in turn
+    takes the earliest unmatched right tuple within tol.  When every tuple
+    has exactly one partner within tol on the other side, the greedy match
+    pairs them all; when some tuple has none, it fails.  Only other cases,
+    where the greedy order decides, walk the left tuples through the pairs
+    `close_pairs` found.
     """
     if len(left) != len(right):
         return False
@@ -244,8 +232,13 @@ def _match_as_sets(left: np.ndarray, right: np.ndarray, tol: float) -> bool:
         return True
     if np.any(left_hits == 0) or np.any(right_hits == 0):
         return False
-    flat = [a.reshape(len(a), -1).tolist() for a in (left, right)]
-    return _match_greedy(*flat, tol)
+    free = np.ones(len(right), dtype=bool)
+    for partners in np.split(j, np.cumsum(left_hits)[:-1]):
+        partners = partners[free[partners]]
+        if not len(partners):
+            return False
+        free[partners.min()] = False
+    return True
 
 
 def _verify_sample(
@@ -253,14 +246,15 @@ def _verify_sample(
 ) -> SampleRecord:
     """One sample of the protocol: stabilizer, orbit, spread, fiber vs orbit.
 
-    The orbit stays an array of coordinates, mapped in one batch.  A sample
-    whose target is not a generic value of the map, for either
-    construction, is recorded as non-generic rather than failed.
+    The stabilizer and the orbit both come from one array of the |G|
+    images, and the orbit stays an array of coordinates, mapped in one
+    batch.  A sample whose target is not a generic value of the map, for
+    either construction, is recorded as non-generic rather than failed.
     """
-    stab = spec.group.stabilizer(point, eps_pt)
+    found = images(spec.group, point)
+    stab = stabilizer_indices(found, point, eps_pt)
     generic = len(stab) == 1
-    images, keep = orbit_indices(spec.group, point, eps_pt)
-    orbit = images[keep]
+    orbit = found[orbit_indices(found, eps_pt)]
     fiber_match = False
     spread = math.inf
     try:

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac, _wrap_dist
+from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac
 from .errors import InvalidOrder, OrderCapExceeded
 from .polarization import _det_bareiss, _fraction_inverse, _matmul
 
@@ -156,93 +156,20 @@ class FiniteActionGroup:
         in element order.  Canonically sorted, so the result is independent
         of element order.
         """
-        from .batch import orbit_indices
+        from .batch import images, orbit_indices
 
-        images, keep = orbit_indices(self, point, tol)
+        found = images(self, point)
         lattice = point[0].lattice
         return [
             tuple(TorusPoint(lattice, a, b) for a, b in row)
-            for row in images[keep].tolist()
+            for row in found[orbit_indices(found, tol)].tolist()
         ]
 
     def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
-        from .batch import stabilizer_indices
+        from .batch import images, stabilizer_indices
 
-        return [self.elements[k] for k in stabilizer_indices(self, point, tol)]
-
-
-#: cell count cap, so that a tiny tolerance cannot shrink cells below float rounding
-_MAX_CELLS = 1 << 32
-
-
-def _weighted_key(columns):
-    """The key f = x_1 + 2 x_2 + ... + m x_m on R/Z of flat coordinates x.
-
-    `columns` are the m coordinates of one tuple, or m arrays holding them
-    for many; either way each key is summed in the same order.  Integer
-    weights make f well defined mod 1.  Over the orbit of a generic point,
-    tuples share a key only when they differ by a translation in the kernel
-    of f on Q0^d, about |Q0|^(d-1) of them; a single coordinate as key would
-    also merge every permutation that fixes it.
-    """
-    return sum(k * x for k, x in enumerate(columns, 1)) % 1.0
-
-
-def _key_window(m: int, tol: float) -> float:
-    """2*W*tol, W = m(m+1)/2: twice the most that the keys of two tuples within tol differ by.
-
-    The factor 2 leaves far more room than the rounding in a key.
-    """
-    return m * (m + 1) * tol
-
-
-class PointIndex:
-    """Point tuples, hashed for lookup within tol in the toroidal sup metric.
-
-    A tuple is stored as its flat coordinates x = (a_0, b_0, a_1, b_1, ...),
-    m = 2*dim of them, and bucketed by `_weighted_key`.  Cells are
-    `_key_window` wide, so two tuples within tol share a cell or sit in
-    adjacent ones, and a query scans three cells instead of every stored
-    tuple.
-    """
-
-    def __init__(self, tol: float, dim: int):
-        self.tol = tol
-        width = _key_window(2 * dim, tol)
-        self.ncells = max(1, int(min(1 / width, _MAX_CELLS))) if width > 0 else _MAX_CELLS
-        self.cells: dict[int, list[tuple[int, Sequence[float]]]] = {}
-
-    def _key(self, coords: Sequence[float]) -> int:
-        return math.floor(_weighted_key(coords) * self.ncells) % self.ncells
-
-    def add(self, index: int, coords: Sequence[float]) -> None:
-        self.cells.setdefault(self._key(coords), []).append((index, coords))
-
-    def add_new(self, index: int, coords: Sequence[float]) -> bool:
-        """Add coords unless a stored tuple is within tol; True if added."""
-        k = self._key(coords)
-        if next(self._close(coords, k), None) is not None:
-            return False
-        self.cells.setdefault(k, []).append((index, coords))
-        return True
-
-    def _close(self, coords: Sequence[float], k: int) -> Iterator[tuple[list, int, int]]:
-        """(cell, position, index) of every stored tuple within tol of coords, whose key is k."""
-        n = self.ncells
-        for key in {(k - 1) % n, k, (k + 1) % n}:
-            cell = self.cells.get(key, ())
-            for pos, (index, other) in enumerate(cell):
-                if all(_wrap_dist(x, y) <= self.tol for x, y in zip(coords, other)):
-                    yield cell, pos, index
-
-    def pop_first(self, coords: Sequence[float]) -> bool:
-        """Remove the close tuple added with the smallest index; False if none."""
-        hit = min(self._close(coords, self._key(coords)), key=lambda h: h[2], default=None)
-        if hit is None:
-            return False
-        cell, pos, _ = hit
-        del cell[pos]
-        return True
+        found = images(self, point)
+        return [self.elements[k] for k in stabilizer_indices(found, point, tol)]
 
 
 def _translation_generators(d: int, q0: FiniteSubgroupSpec) -> list[AffineAutomorphism]:

@@ -25,8 +25,8 @@ from ellcover import (
     wp,
 )
 
-from ellcover import covers
-from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets, _match_greedy
+from ellcover import batch, covers
+from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets
 from ellcover.batch import coords_array, divisors_to_coords, map_coords
 
 from conftest import TAU
@@ -365,6 +365,21 @@ class TestGaloisVerify:
             r.fiber_match for r in par.samples
         ]
 
+    def test_images_are_computed_once_per_sample(self, lattice, q2, monkeypatch):
+        # the stabilizer and the orbit both come from one array of images
+        original = batch.images
+        calls = []
+
+        def counted(group, point):
+            calls.append(point)
+            return original(group, point)
+
+        for module in (batch, covers):
+            monkeypatch.setattr(module, "images", counted, raising=False)
+        spec = build_cover("A", 2, lattice, q2)
+        report = galois_verify(spec, samples=3, seed=42)
+        assert calls == [rec.point for rec in report.samples]
+
 
 def _scalar_match(left, right, tol):
     if len(left) != len(right):
@@ -414,11 +429,23 @@ def test_match_as_sets_keeps_greedy_semantics(lattice, seed):
             else:
                 left = rng.sample(right, 12)
             expected = _scalar_match(left, right, tol)
-            flat = [[[c for p in t for c in (p.a, p.b)] for t in side] for side in (left, right)]
-            assert _match_greedy(*flat, tol) == expected
             assert _match_as_sets(coords_array(left), coords_array(right), tol) == expected
             outcomes.add((offset, expected))
     assert len(outcomes) == 4
+
+    # q lies within tol of right 1, 2 and 3, whose keys sort as 3, 1, 2;
+    # each left point after the q's has a single partner, so both inputs
+    # match only if every q takes the earliest free partner: 1, then 2
+    def tuples(coords):
+        return [(TorusPoint.from_coords(lattice, a, b),) for a, b in coords]
+
+    tol = 1e-3
+    right = tuples([(0.6, 0.1), (0.2, 0.3), (0.2 + 5e-4, 0.3), (0.2 - 5e-4, 0.3)])
+    q = (0.2 + 2e-4, 0.3)
+    for left in (tuples([q, (0.2 + 1.2e-3, 0.3), (0.2 - 1.2e-3, 0.3), (0.6, 0.1)]),
+                 tuples([q, q, (0.2 - 1.2e-3, 0.3), (0.6, 0.1)])):
+        assert _scalar_match(left, right, tol)
+        assert _match_as_sets(coords_array(left), coords_array(right), tol)
 
 
 class TestCriterionCheck:

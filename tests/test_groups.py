@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +21,9 @@ from ellcover import (
     build_group_A,
     build_group_B,
 )
+from ellcover import batch
 from ellcover.batch import close_pairs
 from ellcover.elliptic import _wrap_dist
-from ellcover.groups import PointIndex
 
 from conftest import TAU
 
@@ -300,8 +304,11 @@ def _scalar_stabilizer(grp, point, tol):
 def _action_points(d):
     # 2-torsion and diagonal points have nontrivial stabilizers; coordinates
     # within 1e-12 of 0 or 1 wrap; coordinates 1e-3 apart give distinct
-    # images that merge at the coarse tolerances below, in adjacent cells or
-    # the same one (TestPointIndex pins a cell edge down exactly)
+    # images that merge at the coarse tolerances below, with keys near each
+    # other (test_close_pairs_key_search_matches_every_pair pins the window
+    # edge down exactly).  The last point has, at tol = 0.05 in every group
+    # below, chains a-b-c of images with b dropped for a and c kept though
+    # it lies within tol of b
     rng = random.Random(d)
     return [
         tuple(TorusPoint.from_coords(LAT, rng.random(), rng.random()) for _ in range(d)),
@@ -309,6 +316,7 @@ def _action_points(d):
         pt(*[(0.31, 0.72)] * d),
         tuple(TorusPoint(LAT, 1 - 1e-12 * (k + 1), 1e-12) for k in range(d)),
         pt(*[(0.25 + 1e-3 * k, 0.5 - 1e-3 * k) for k in range(d)]),
+        pt((0.475, 0.025), *[(0.5, 0.0)] * (d - 1)),
     ]
 
 
@@ -344,41 +352,40 @@ def test_construct_does_not_pack():
     assert "_packed" in vars(grp)
 
 
-class TestPointIndex:
-    TOL = 1e-3
-
-    def _index(self, *entries):
-        index = PointIndex(self.TOL, 1)
-        for k, coords in enumerate(entries):
-            index.add(k, coords)
-        return index
-
-    def test_finds_a_neighbour_across_a_cell_edge(self):
-        index = PointIndex(self.TOL, 1)
-        edge = 37 / index.ncells  # the key a + 2b crosses a cell edge here
-        below, above = [edge - 0.4 * self.TOL, 0.0], [edge + 0.4 * self.TOL, 0.0]
-        assert index._key(below) != index._key(above)
-        index.add(0, below)
-        assert not index.add_new(1, above)
-        assert index.add_new(2, [edge + 2 * self.TOL, 0.0])
-
-    def test_finds_a_neighbour_across_the_wrap(self):
-        index = self._index([1 - 1e-4, 1 - 1e-12])
-        assert not index.add_new(1, [1e-4, 0.0])
-        assert index.add_new(2, [0.5, 0.0])
-
-    def test_pop_first_takes_the_earliest_close_entry(self):
-        index = self._index([0.6, 0.1], [0.2, 0.3], [0.2 + 5e-4, 0.3], [0.2 - 5e-4, 0.3])
-        query = [0.2 + 2e-4, 0.3]
-        popped = []
-        while index.pop_first(query):
-            popped.append(sorted(k for cell in index.cells.values() for k, _ in cell))
-        assert popped == [[0, 2, 3], [0, 3], [0]]
+def test_torsion_orbit_runs_in_bounded_memory():
+    # every image of (1/2, 0)^4 has the key 0 or 1/2, so the join meets
+    # 6144 x 3072 candidate pairs; the child gets a timeout and a 1 GiB
+    # address-space limit, so holding them all at once fails this test
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    script = (
+        "from ellcover import FiniteSubgroupSpec, LatticeTau, TorusPoint, build_group_A\n"
+        f"lat = LatticeTau.from_tau({TAU!r})\n"
+        "grp = build_group_A(4, FiniteSubgroupSpec.parse(('1/2,0',)))\n"
+        "x = (TorusPoint.from_coords(lat, 0.5, 0.0),) * 4\n"
+        "print(len(grp.orbit(x)), len(grp.stabilizer(x)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    # OpenBLAS maps a buffer per thread at import, which would count
+    # against the limit on a many-core machine
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["16", "384"]
 
 
 @pytest.mark.parametrize("sizes", [(10, 12), (70, 80)])
 @pytest.mark.parametrize("tol", [2.0**-6, 0.3])
-def test_close_pairs_key_search_matches_every_pair(tol, sizes):
+def test_close_pairs_key_search_matches_every_pair(tol, sizes, monkeypatch):
     # offsets in whole multiples of tol/4 from grid points put pairs exactly
     # at the edge and, around 0, across the wrap; tol = 0.3 makes the key
     # window wrap whole
@@ -389,6 +396,9 @@ def test_close_pairs_key_search_matches_every_pair(tol, sizes):
 
     left = [row() for _ in range(sizes[0])]
     right = [row() for _ in range(sizes[1])]
+    # a close pair whose coordinates and keys lie on either side of the wrap
+    left.append([1 - 1e-4, 1 - 1e-12, 0.0, 0.5])
+    right.append([1e-4, 0.0, 0.0, 0.5])
     i, j = close_pairs(np.array(left), np.array(right), tol)
     found = list(zip(i.tolist(), j.tolist()))
     expected = [
@@ -400,4 +410,8 @@ def test_close_pairs_key_search_matches_every_pair(tol, sizes):
     assert sorted(found) == expected
     assert i.tolist() == sorted(i.tolist())
     assert any(max(_wrap_dist(u, v) for u, v in zip(left[a], right[b])) == tol for a, b in expected)
+    # blocks of 5 candidates split the rows, and hold alone a row with more
+    monkeypatch.setattr(batch, "_JOIN_BLOCK", 5)
+    i5, j5 = close_pairs(np.array(left), np.array(right), tol)
+    assert (i5.tolist(), j5.tolist()) == (i.tolist(), j.tolist())
 
