@@ -15,13 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import (
-    _SERIES_MAX_TERMS,
-    _SERIES_TAIL_REL,
     _TWO_PI_I,
     EPS_PT,
     IsogenyQuotient,
     LatticeTau,
     TorusPoint,
+    _wp_qseries,
 )
 from .errors import IllConditioned, InvalidOrder, InvalidPoint
 from .groups import FiniteActionGroup, PointTuple
@@ -206,46 +205,17 @@ def close_pairs(
 def wp_series_array(
     lattice: LatticeTau, a: np.ndarray, b: np.ndarray, derivative: bool = True
 ) -> tuple[np.ndarray, ...]:
-    """`elliptic._wp_series` on arrays of coordinates (a, b): the same q-series.
+    """`elliptic._wp_series` on arrays of coordinates (a, b), through the same kernel.
 
     Returns (num, den, num', den'), or (num, den) without the derivative.
     Terms are added until the smallest min(1, |u|) of the batch bounds them,
-    so every point gets at least the terms `_wp_series` gives it.  The pole
-    u = 1 only zeroes the denominators: nothing is divided by 1 - u.
+    so every point gets at least the terms `_wp_series` gives it.
     """
     ma, mb, mc, md = lattice.basis_change
     alpha = ma * a - mb * b
     beta = -mc * a + md * b
-    alpha = alpha - np.rint(alpha)
-    beta = beta - np.rint(beta)
-    q = lattice._nome
-    u = np.exp(_TWO_PI_I * (alpha + beta * lattice.tau_reduced))
-    limit = _SERIES_TAIL_REL * float(np.min(np.abs(u), initial=1.0))
-    # the terms in q^n u and q^n / u, stacked to run as one array
-    both = np.stack([u, 1.0 / u])
-    tail = np.full(u.shape, 1.0 / 12.0 + 0j)
-    dtail = np.zeros(u.shape, dtype=complex)
-    qn = 1.0 + 0j
-    for _ in range(1, _SERIES_MAX_TERMS):
-        qn *= q
-        x = qn * both
-        rest = 1.0 - x
-        t = x / (rest * rest)
-        tail += t[0] + t[1] - 2.0 * qn / (1.0 - qn) ** 2
-        if derivative:
-            dt = t * (1.0 + x) / rest
-            dtail += dt[0] - dt[1]
-        if abs(qn) < limit:
-            break
-    s = lattice.scale
-    one_minus_u = 1.0 - u
-    num = _TWO_PI_I**2 * (u + one_minus_u**2 * tail)
-    den = s**2 * one_minus_u**2
-    if not derivative:
-        return num, den
-    nump = _TWO_PI_I**3 * (u * (1.0 + u) + one_minus_u**3 * dtail)
-    denp = s**3 * one_minus_u**3
-    return num, den, nump, denp
+    u = np.exp(_TWO_PI_I * (alpha - np.rint(alpha) + (beta - np.rint(beta)) * lattice.tau_reduced))
+    return _wp_qseries(lattice, u, float(np.min(np.abs(u), initial=1.0)), derivative)
 
 
 def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

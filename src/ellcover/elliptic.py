@@ -442,17 +442,16 @@ def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:
     return lattice.g2g3
 
 
-def _wp_series(lattice: LatticeTau, a: float, b: float) -> tuple[complex, complex, complex, complex]:
-    """Raw homogeneous pairs (num, den, num', den') for wp and wp' at a point.
+def _wp_qseries(lattice: LatticeTau, u, floor: float, derivative: bool = True) -> tuple:
+    """(num, den, num', den') of wp and wp' at u = exp(2*pi*i*z'), z' on the reduced basis.
 
-    Coordinates (a, b) are w.r.t. (omega1, omega2); evaluation runs on the
-    reduced basis where the Fourier series converges geometrically with ratio
-    |q| <= exp(-pi*sqrt(3)).
+    `u` is a complex or a numpy array, touched only by arithmetic, so one
+    loop serves `_wp_series` and `batch.wp_series_array`.  Terms are added
+    until |q^n| < _SERIES_TAIL_REL * floor, floor = min(1, |u|) (the least
+    of a batch).  Without the derivative: (num, den).  The pole u = 1 only
+    zeroes the denominators; nothing is divided by 1 - u.
     """
-    alpha, beta = lattice._reduced_coords(a, b)
-    tau = lattice.tau_reduced
     q = lattice._nome
-    u = cmath.exp(_TWO_PI_I * (alpha + beta * tau))
     tail = 1.0 / 12.0 + 0j
     dtail = 0j
     qn = 1.0 + 0j
@@ -460,25 +459,40 @@ def _wp_series(lattice: LatticeTau, a: float, b: float) -> tuple[complex, comple
         qn *= q
         qu = qn * u
         qiu = qn / u
-        t = qu / (1.0 - qu) ** 2 + qiu / (1.0 - qiu) ** 2 - 2.0 * qn / (1.0 - qn) ** 2
-        dt = qu * (1.0 + qu) / (1.0 - qu) ** 3 - qiu * (1.0 + qiu) / (1.0 - qiu) ** 3
-        tail += t
-        dtail += dt
-        if abs(qn) < _SERIES_TAIL_REL * min(1.0, abs(u)):
+        # Python's complex ** 2 and ** 3 are these products, so shared factors keep the bits
+        r, ri = 1.0 - qu, 1.0 - qiu
+        r2, ri2 = r * r, ri * ri
+        tail += qu / r2 + qiu / ri2 - 2.0 * qn / (1.0 - qn) ** 2
+        if derivative:
+            dtail += qu * (1.0 + qu) / (r * r2) - qiu * (1.0 + qiu) / (ri * ri2)
+        if abs(qn) < _SERIES_TAIL_REL * floor:
             break
     s = lattice.scale
     one_minus_u = 1.0 - u
     num = _TWO_PI_I**2 * (u + one_minus_u**2 * tail)
     den = s**2 * one_minus_u**2
+    if not derivative:
+        return num, den
     nump = _TWO_PI_I**3 * (u * (1.0 + u) + one_minus_u**3 * dtail)
     denp = s**3 * one_minus_u**3
     return num, den, nump, denp
 
 
+def _wp_series(lattice: LatticeTau, a: float, b: float, derivative: bool = True) -> tuple:
+    """Raw homogeneous pairs (num, den, num', den') for wp and wp' at a point.
+
+    Coordinates (a, b) are w.r.t. (omega1, omega2); evaluation runs on the
+    reduced basis where the Fourier series converges geometrically with ratio
+    |q| <= exp(-pi*sqrt(3)).
+    """
+    alpha, beta = lattice._reduced_coords(a, b)
+    u = cmath.exp(_TWO_PI_I * (alpha + beta * lattice.tau_reduced))
+    return _wp_qseries(lattice, u, min(1.0, abs(u)), derivative)
+
+
 def wp(p: TorusPoint) -> HomPair:
     """Weierstrass wp(z) as a normalized homogeneous pair; (1, 0) at poles."""
-    num, den, _, _ = _wp_series(p.lattice, p.a, p.b)
-    return _norm_pair(num, den)
+    return _norm_pair(*_wp_series(p.lattice, p.a, p.b, derivative=False))
 
 
 def wp_prime(p: TorusPoint) -> HomPair:
@@ -524,7 +538,7 @@ def wp_inverse(x: complex, lattice: LatticeTau) -> tuple[TorusPoint, TorusPoint]
             c = (c + _on_side(cmath.sqrt(c * c + b * b - a * a), c)) / 2
             a, b = (a + b) / 2, _on_side(cmath.sqrt(a * b), (a + b) / 2)
         p = reduce_point(cmath.asin(a / c) / a, lattice)
-    num, den, _, _ = _wp_series(lattice, p.a, p.b)
+    num, den = _wp_series(lattice, p.a, p.b, derivative=False)
     if den == 0 or not abs(num / den - x) <= EPS_NUM * (1.0 + abs(x)):
         raise NoConvergence(f"wp_inverse missed its residual contract at x={x!r}")
     pair = sorted([p, -p], key=TorusPoint.sort_key)

@@ -136,6 +136,23 @@ class TestVerifyCommand:
         assert json.loads(out.read_text())["pass"] is True
 
 
+class TestUnwritableOutput:
+    """An --output that cannot be written is a configuration error, not a traceback."""
+
+    COMMANDS = {
+        "construct": ["construct", "--d", "1", "--q0", "1/2,0"],
+        "verify": VERIFY_FAST,
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+    def test_exits_two_naming_the_path(self, tmp_path, capsys, command, where):
+        target = tmp_path / "absent" / "r.json" if where == "missing_dir" else tmp_path
+        assert run(self.COMMANDS[command] + ["--output", str(target)]) == 2
+        assert str(target) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+
 class TestConfigResolution:
     def test_bad_tau_is_config_error(self, capsys):
         assert main(["verify", "--tau", "0.3-1.1i", "--samples", "2"]) == 2

@@ -356,6 +356,18 @@ class TestGaloisVerify:
             assert rec.generic and not rec.fiber_match
         assert not report.passed
 
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    def test_samples_are_mapped_only_in_batches(self, lattice, q2, monkeypatch, construction):
+        # the fiber target is the sample's own row of the orbit's batch
+        def scalar_map(spec, point):
+            raise AssertionError("galois_verify called the scalar map")
+
+        monkeypatch.setattr(covers, f"map_{construction}", scalar_map)
+        spec = build_cover(construction, 2, lattice, q2)
+        report = galois_verify(spec, samples=3, seed=42)
+        assert all(rec.generic and rec.fiber_match for rec in report.samples)
+        assert report.passed
+
     def test_jobs_do_not_change_results(self, lattice, q2):
         spec = _build("B", 1, q2, lattice)
         seq = galois_verify(spec, samples=4, seed=3, jobs=1)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import warnings
@@ -323,18 +324,65 @@ def _from_reduced(lat: LatticeTau, alpha: float, beta: float) -> tuple[float, fl
     return md * alpha + mb * beta, mc * alpha + ma * beta
 
 
+def _series_coords(lat: LatticeTau) -> list[tuple[float, float]]:
+    """Random points, the pole, the 2-torsion points and the edges of the reduced strip."""
+    rng = random.Random(3)
+    coords = [(rng.random(), rng.random()) for _ in range(40)]
+    coords += [(0.0, 0.0), (1.0, 1.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
+    # |u| = |q|^(-1/2) and |q|^(1/2): the ends of the reduced strip
+    for beta in (0.5 - 1e-12, -0.5 + 1e-12):
+        coords += [_from_reduced(lat, alpha, beta) for alpha in (0.0, 0.25, 0.5)]
+    coords += [_from_reduced(lat, 1e-9, 0.0), _from_reduced(lat, 0.0, -1e-9)]
+    return coords
+
+
+def _reference_wp_series(lat: LatticeTau, a: float, b: float) -> tuple[complex, ...]:
+    """The scalar q-series written with Python's complex `**`: the bits `_wp_series` must keep."""
+    alpha, beta = lat._reduced_coords(a, b)
+    two_pi_i = 2j * math.pi
+    q = cmath.exp(two_pi_i * lat.tau_reduced)
+    u = cmath.exp(two_pi_i * (alpha + beta * lat.tau_reduced))
+    tail = 1.0 / 12.0 + 0j
+    dtail = 0j
+    qn = 1.0 + 0j
+    for _ in range(1, 64):
+        qn *= q
+        qu = qn * u
+        qiu = qn / u
+        t = qu / (1.0 - qu) ** 2 + qiu / (1.0 - qiu) ** 2 - 2.0 * qn / (1.0 - qn) ** 2
+        dt = qu * (1.0 + qu) / (1.0 - qu) ** 3 - qiu * (1.0 + qiu) / (1.0 - qiu) ** 3
+        tail += t
+        dtail += dt
+        if abs(qn) < 1e-14 * min(1.0, abs(u)):
+            break
+    s = lat.scale
+    one_minus_u = 1.0 - u
+    num = two_pi_i**2 * (u + one_minus_u**2 * tail)
+    den = s**2 * one_minus_u**2
+    nump = two_pi_i**3 * (u * (1.0 + u) + one_minus_u**3 * dtail)
+    denp = s**3 * one_minus_u**3
+    return num, den, nump, denp
+
+
+def _bits(values) -> list[str]:
+    return [float.hex(v.real) + float.hex(v.imag) for v in values]
+
+
+class TestWpSeries:
+    @every
+    def test_bits_match_reference_loop(self, lat):
+        for a, b in _series_coords(lat):
+            want = _bits(_reference_wp_series(lat, a, b))
+            assert _bits(_wp_series(lat, a, b)) == want
+            assert _bits(_wp_series(lat, a, b, derivative=False)) == want[:2]
+
+
 class TestWpSeriesArray:
     """The numpy kernel against the scalar series it vectorizes."""
 
     @every
     def test_matches_scalar_series(self, lat):
-        rng = random.Random(3)
-        coords = [(rng.random(), rng.random()) for _ in range(40)]
-        coords += [(0.0, 0.0), (1.0, 1.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
-        # |u| = |q|^(-1/2) and |q|^(1/2): the ends of the reduced strip
-        for beta in (0.5 - 1e-12, -0.5 + 1e-12):
-            coords += [_from_reduced(lat, alpha, beta) for alpha in (0.0, 0.25, 0.5)]
-        coords += [_from_reduced(lat, 1e-9, 0.0), _from_reduced(lat, 0.0, -1e-9)]
+        coords = _series_coords(lat)
         a, b = np.array(coords).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -353,6 +401,14 @@ class TestWpSeriesArray:
             assert abs(pairs[1][k] - want_pair.den) <= 1e-13
         assert den[coords.index((0.0, 0.0))] == 0
         assert (pairs[0][coords.index((0.0, 0.0))], pairs[1][coords.index((0.0, 0.0))]) == (1, 0)
+
+    @every
+    def test_derivative_flag_leaves_wp_bits(self, lat):
+        a, b = np.array(_series_coords(lat)).T
+        num, den, _, _ = wp_series_array(lat, a, b)
+        bare = wp_series_array(lat, a, b, derivative=False)
+        assert len(bare) == 2
+        assert _bits(bare[0]) == _bits(num) and _bits(bare[1]) == _bits(den)
 
 
 class TestTorusPoints:
