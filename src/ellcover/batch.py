@@ -20,11 +20,12 @@ from .elliptic import (
     IsogenyQuotient,
     LatticeTau,
     TorusPoint,
+    _series_terms,
     _wp_qseries,
 )
-from .errors import IllConditioned, InvalidOrder, InvalidPoint
+from .errors import HighMultiplicity, IllConditioned, InvalidOrder, InvalidPoint, SumNotZero
 from .groups import FiniteActionGroup, PointTuple
-from .symfun import _COND_FLOOR, SectionBasis, divisor_to_coords
+from .symfun import _COND_FLOOR, SectionBasis, divisor_to_coords, first_copies
 
 
 def _frac_array(x: np.ndarray) -> np.ndarray:
@@ -79,56 +80,61 @@ def pack(group: FiniteActionGroup) -> tuple[np.ndarray, np.ndarray]:
     return matrices, numerators / den
 
 
-def images(group: FiniteActionGroup, point: PointTuple) -> np.ndarray:
-    """Coordinates (a, b) of g(point) for every element g, shape |G| x d x 2.
+def images(group: FiniteActionGroup, points: Sequence[PointTuple]) -> np.ndarray:
+    """Coordinates (a, b) of g(point) for every point and element g, shape P x |G| x d x 2.
 
     Bit-identical to `g.apply(point)`: each coordinate starts from the
     translation, adds m_ij * point_j for j = 0..d-1 in order (adding a
     zero product leaves the sum unchanged), and is reduced by `_frac`.
     """
     d = group.dim
-    if len(point) != d:
-        raise InvalidOrder(f"point has {len(point)} components, expected {d}")
+    for point in points:
+        if len(point) != d:
+            raise InvalidOrder(f"point has {len(point)} components, expected {d}")
     matrices, shifts = group._packed
-    coords = [np.array([p.a, p.b]) for p in point]
-    out = np.empty((group.order, d, 2))
+    coords = coords_array(points)[:, None]
+    out = np.empty((len(points), group.order, d, 2))
     for i in range(d):
-        acc = shifts[:, i, :].copy()
+        acc = np.repeat(shifts[None, :, i], len(points), axis=0)
         for j in range(d):
-            acc += matrices[:, i, j, None] * coords[j]
-        out[:, i, :] = _frac_array(acc)
+            acc += matrices[:, i, j, None] * coords[:, :, j]
+        out[:, :, i] = _frac_array(acc)
     return out
 
 
 def orbit_indices(found: np.ndarray, tol: float = EPS_PT) -> np.ndarray:
-    """Indices of the orbit's representatives among the images `found` of a point.
+    """Indices of the orbit representatives among the images `found` of P points.
 
-    `found` is `images(group, point)`.  An image is kept unless it lies
-    within tol of an image kept before it in element order; the indices
-    come sorted by the coordinates of the rows they pick.  Only images with
-    an earlier image within tol, found by `close_pairs`, are decided one at
-    a time, in element order; when no two images are that close, all are
-    kept.
+    `found` is `images(group, points)`; the indices run over its P*|G|
+    rows.  Of a point's images, one is kept unless it lies within tol of
+    an image of the same point kept before it in element order.  Images
+    equal to an earlier image of the same point are dropped first, as the
+    earlier copy decides them; of the rest, only those with an earlier
+    image of the same point within tol, found by one `close_pairs`, are
+    decided one at a time.  The indices come point by point, each point's
+    sorted by the coordinates of the rows they pick.
     """
-    flat = found.reshape(len(found), -1)
-    i, j = close_pairs(flat, flat, tol)
-    earlier = j < i
+    count, order = found.shape[:2]
+    flat = found.reshape(count * order, -1)
+    owner = np.repeat(np.arange(count), order)
+    rows = first_copies(np.column_stack([owner, flat]))
+    i, j = close_pairs(flat[rows], flat[rows], tol)
+    earlier = (j < i) & (owner[rows[i]] == owner[rows[j]])
     i, j = i[earlier], j[earlier]
-    keep = np.ones(len(flat), dtype=bool)
-    rows, starts = np.unique(i, return_index=True)
-    for k, partners in zip(rows.tolist(), np.split(j, starts[1:])):
+    keep = np.ones(len(rows), dtype=bool)
+    heads, starts = np.unique(i, return_index=True)
+    for k, partners in zip(heads.tolist(), np.split(j, starts[1:])):
         keep[k] = not keep[partners].any()
-    keep = np.flatnonzero(keep)
-    return keep[np.lexsort(flat[keep].T[::-1])]
+    keep = rows[keep]
+    return keep[np.lexsort(np.vstack([flat[keep].T[::-1], owner[keep]]))]
 
 
-def stabilizer_indices(found: np.ndarray, point: PointTuple, tol: float = EPS_PT) -> np.ndarray:
-    """Indices of the elements that move every coordinate of a point by at most tol.
+def stabilizer_mask(found: np.ndarray, coords: np.ndarray, tol: float = EPS_PT) -> np.ndarray:
+    """Which elements move every coordinate of each of P points by at most tol, P x |G|.
 
-    `found` is `images(group, point)`.
+    `found` is `images(group, points)` and `coords` is `coords_array(points)`.
     """
-    here = np.array([[p.a, p.b] for p in point])
-    return np.flatnonzero(np.all(_wrap_dist_array(found, here) <= tol, axis=(1, 2)))
+    return np.all(_wrap_dist_array(found, coords[:, None]) <= tol, axis=(2, 3))
 
 
 def _weighted_key(columns: np.ndarray) -> np.ndarray:
@@ -203,19 +209,39 @@ def close_pairs(
 
 
 def wp_series_array(
-    lattice: LatticeTau, a: np.ndarray, b: np.ndarray, derivative: bool = True
+    lattice: LatticeTau,
+    a: np.ndarray,
+    b: np.ndarray,
+    derivative: bool = True,
+    samples: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """`elliptic._wp_series` on arrays of coordinates (a, b), through the same kernel.
 
     Returns (num, den, num', den'), or (num, den) without the derivative.
-    Terms are added until the smallest min(1, |u|) of the batch bounds them,
-    so every point gets at least the terms `_wp_series` gives it.
+    `samples` labels the rows (the first axis) with the samples they belong
+    to, all one sample by default.  A sample's rows get the terms of its
+    smallest min(1, |u|): at least the terms `_wp_series` gives each point,
+    and the bits they would get without the other samples' rows.
     """
     ma, mb, mc, md = lattice.basis_change
     alpha = ma * a - mb * b
     beta = -mc * a + md * b
     u = np.exp(_TWO_PI_I * (alpha - np.rint(alpha) + (beta - np.rint(beta)) * lattice.tau_reduced))
-    return _wp_qseries(lattice, u, float(np.min(np.abs(u), initial=1.0)), derivative)
+    if samples is None:
+        samples = np.zeros(len(u), dtype=int)
+    floors = np.ones(np.max(samples, initial=-1) + 1)
+    np.minimum.at(floors, samples, np.abs(u).min(axis=tuple(range(1, u.ndim)), initial=1.0))
+    terms = [_series_terms(lattice, f) for f in floors.tolist()]
+    counts = sorted(set(terms))
+    if len(counts) == 1:
+        return _wp_qseries(lattice, u, counts[0], derivative)
+    terms = np.array(terms, dtype=int)[samples]
+    out = [np.empty_like(u) for _ in range(4 if derivative else 2)]
+    for count in counts:
+        rows = np.flatnonzero(terms == count)
+        for whole, part in zip(out, _wp_qseries(lattice, u[rows], count, derivative)):
+            whole[rows] = part
+    return tuple(out)
 
 
 def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,29 +257,32 @@ def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def normalize_rows(vecs: np.ndarray) -> np.ndarray:
+def normalize_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`ProjectivePoint.normalize` on every row of an N x (m+1) array.
 
-    Raises InvalidPoint if any row is zero or not finite.
+    Returns the rows and a mask of those that are zero or not finite,
+    where `normalize` raises InvalidPoint; those rows hold nan.
     """
     mags = np.abs(vecs)
     top = np.max(mags, axis=1, initial=0.0)  # nan or inf if any entry is
-    if not np.all(np.isfinite(top) & (top > 0)):
-        raise InvalidPoint("invalid projective coordinates in a batch")
+    invalid = ~(np.isfinite(top) & (top > 0))
     # ties pivot on the last maximal entry
     pivot = np.zeros(len(vecs), dtype=int)
     for k in range(vecs.shape[1]):
         pivot[mags[:, k] == top] = k
     rows = np.arange(len(vecs))
+    vecs = np.where(invalid[:, None], 1.0, vecs)
     out = vecs / vecs[rows, pivot, None]
     out[rows, pivot] = 1.0
-    return out
+    out[invalid] = np.nan
+    return out, invalid
 
 
-def sym_product_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+def sym_product_rows(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`symfun.sym_product` of every row of factors (num, den), shape N x d.
 
-    Returns the N x (d+1) coordinates of the products.
+    Returns the N x (d+1) coordinates of the products and the mask of
+    `normalize_rows`.
 
     Each row's factors are sorted by `symfun._pair_sort_key` before the
     running product, so rows that hold the same factors in any order come
@@ -284,16 +313,26 @@ def _section_values(basis: SectionBasis, w: np.ndarray, wprime: np.ndarray) -> n
     )
 
 
-def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> np.ndarray:
+#: what `divisor_to_coords` raises for a divisor that has no section it can
+#: compute; `divisors_to_coords` marks such a row as failed
+MAP_ERRORS = (HighMultiplicity, IllConditioned, SumNotZero, InvalidPoint)
+
+
+def divisors_to_coords(
+    points: np.ndarray, basis: SectionBasis, samples: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """`symfun.divisor_to_coords` on N divisors given by coordinates, N x n x 2.
 
     Returns the N x n coordinates of the sections, rows normalized as
-    `ProjectivePoint.normalize` does.  Divisors of n distinct points off the
-    origin with sum 0 share one stacked evaluation matrix and one batched
-    SVD; as in `divisor_to_coords`, the order of their points does not
-    matter.  The rest need derivative or unit rows, or raise: they go
-    through `divisor_to_coords` one at a time, which returns or raises for
-    them exactly as it does alone.
+    `ProjectivePoint.normalize` does, and a mask of the rows where
+    `divisor_to_coords` raises one of MAP_ERRORS; those rows hold no
+    section.  Divisors of n distinct points off the origin with sum 0
+    share one stacked evaluation matrix and one batched SVD, whose rows
+    are labelled by `samples` as in `wp_series_array`; as in
+    `divisor_to_coords`, the order of their points does not matter.  The
+    rest need derivative or unit rows, or raise: they go through
+    `divisor_to_coords` one at a time, which returns or raises for them
+    exactly as it does alone.
     """
     n = basis.n
     lattice = basis.lattice
@@ -306,6 +345,7 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> np.ndarray:
         for j in range(i + 1, n):
             special |= np.all(_wrap_dist_array(points[:, i], points[:, j]) <= EPS_PT, axis=1)
     out = np.empty((len(points), n), dtype=complex)
+    failed = np.zeros(len(points), dtype=bool)
     batch = np.flatnonzero(~special)
     if len(batch):
         # points sorted as `_group_divisor` sorts them, so that divisors
@@ -313,20 +353,18 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> np.ndarray:
         pts = points[batch]
         order = np.lexsort((pts[..., 1], pts[..., 0]), axis=-1)
         pts = pts[np.arange(len(pts))[:, None], order]
-        num, den, nump, denp = wp_series_array(lattice, pts[..., 0], pts[..., 1])
+        labels = None if samples is None else samples[batch]
+        num, den, nump, denp = wp_series_array(lattice, pts[..., 0], pts[..., 1], samples=labels)
         matrix = _section_values(basis, num / den, nump / denp)
         norms = np.max(np.abs(matrix), axis=2, keepdims=True)
         matrix = matrix / np.where(norms == 0, 1.0, norms)
         _, s, vh = np.linalg.svd(matrix)
-        degenerate = s[:, -2] <= _COND_FLOOR * s[:, 0]
-        if np.any(degenerate):
-            k = np.argmax(degenerate)
-            raise IllConditioned(
-                f"section system is numerically degenerate (s2/s0={s[k, -2] / s[k, 0]:.2e})"
-            )
-        out[batch] = normalize_rows(np.conj(vh[:, -1]))
+        out[batch], failed[batch] = normalize_rows(np.conj(vh[:, -1]))
+        failed[batch] |= s[:, -2] <= _COND_FLOOR * s[:, 0]
     for k in np.flatnonzero(special):
         divisor = [TorusPoint(lattice, a, b) for a, b in points[k].tolist()]
-        out[k] = divisor_to_coords(divisor, basis).coords
-    return out
-
+        try:
+            out[k] = divisor_to_coords(divisor, basis).coords
+        except MAP_ERRORS:
+            failed[k] = True
+    return out, failed

@@ -276,7 +276,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(cfg, name)
         if not 0 < value < math.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
+    if cfg.output:
+        _check_output(cfg.output)
     return cfg
+
+
+def _check_output(path: str) -> None:
+    """Raise ConfigError now if `_write_atomic` could not write `path` after the run."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(directory):
+        problem = f"directory {directory!r} does not exist"
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        problem = f"directory {directory!r} is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write output {path!r}: {problem}")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -416,7 +432,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-proj", dest="eps_proj", type=float)
     p.add_argument("--order-cap", dest="order_cap", type=int)
     p.add_argument("--output", help="write the JSON report to this path")
-    p.add_argument("--jobs", type=int, help="parallel verification samples")
+    p.add_argument("--jobs", type=int, help="threads that verify chunks of samples")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -70,16 +70,21 @@ class CoverSpec:
 
         return (covers.map_A if self.construction == "A" else covers.map_B)(self, point)
 
-    def map_array(self, coords: np.ndarray) -> np.ndarray:
+    def map_array(
+        self, coords: np.ndarray, samples: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """`map` on N point tuples given by coordinates, shape N x d x 2.
 
         Returns the N x (d+1) coordinates of the images, normalized as
-        `ProjectivePoint.normalize` normalizes them.
+        `ProjectivePoint.normalize` normalizes them, and a mask of the rows
+        where `map` raises one of `batch.MAP_ERRORS`; those rows hold no
+        image.  `samples` labels the rows with the samples they belong to:
+        each sample's rows then get the bits they would get mapped alone.
         """
         from . import covers
 
         return (covers.map_A_array if self.construction == "A" else covers.map_B_array)(
-            self, coords
+            self, coords, samples
         )
 
     def fiber(self, image: ProjectivePoint) -> list[PointTuple]:

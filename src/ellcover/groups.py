@@ -158,18 +158,19 @@ class FiniteActionGroup:
         """
         from .batch import images, orbit_indices
 
-        found = images(self, point)
+        found = images(self, [point])
         lattice = point[0].lattice
         return [
             tuple(TorusPoint(lattice, a, b) for a, b in row)
-            for row in found[orbit_indices(found, tol)].tolist()
+            for row in found[0, orbit_indices(found, tol)].tolist()
         ]
 
     def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
-        from .batch import images, stabilizer_indices
+        from .batch import coords_array, images, stabilizer_mask
 
-        found = images(self, point)
-        return [self.elements[k] for k in stabilizer_indices(found, point, tol)]
+        found = images(self, [point])
+        fixes = stabilizer_mask(found, coords_array([point]), tol)[0].tolist()
+        return [g for g, fixed in zip(self.elements, fixes) if fixed]
 
 
 def _translation_generators(d: int, q0: FiniteSubgroupSpec) -> list[AffineAutomorphism]:

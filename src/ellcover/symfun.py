@@ -102,6 +102,20 @@ class ProjectivePoint:
         return self.chordal_dist(other) <= tol
 
 
+def first_copies(rows: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the rows of a 2-d float array that equal no earlier row.
+
+    Rows are equal when their entries are, by `==`, as for tuples of floats.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.zeros(len(rows), dtype=bool)
+    first[order[new]] = True
+    return np.flatnonzero(first)
+
+
 #: pairs per block of `projective_spread`: each of its temporaries is one
 #: float array of this many entries (32 KiB), about 0.3 MB for all of them
 _SPREAD_BLOCK = 1 << 12
@@ -118,11 +132,12 @@ def projective_spread(coords: np.ndarray) -> float:
     products of Python's complex multiply, `np.hypot` for `abs`, and
     `np.float_power` for `** 2`, which calls the same libm `pow`.
     """
-    distinct = list(dict.fromkeys(map(tuple, coords.tolist())))
-    n = len(distinct)
+    if len(coords) < 2:
+        return 0.0
+    coords = coords[first_copies(np.ascontiguousarray(coords).view(np.float64))].T
+    n = coords.shape[1]
     if n < 2:
         return 0.0
-    coords = np.array(distinct).T  # one row per coordinate
     re, im = coords.real.copy(), coords.imag.copy()
     m = len(coords)
     norms = 0.0

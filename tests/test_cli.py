@@ -152,6 +152,29 @@ class TestUnwritableOutput:
         assert str(target) in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == []
 
+    @pytest.mark.parametrize("where", ["missing_dir", "a_directory", "read_only_dir"])
+    def test_checked_before_any_group_is_built(self, tmp_path, capsys, monkeypatch, where):
+        from ellcover import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the run started before --output was checked")
+
+        monkeypatch.setattr(cli, "galois_verify", never)
+        monkeypatch.setattr(cli.RunConfig, "build_spec", never)
+        target = tmp_path / "r.json"
+        if where == "missing_dir":
+            target = tmp_path / "absent" / "r.json"
+        elif where == "a_directory":
+            target = tmp_path
+        else:
+            # a root user writes through any mode bits, so deny the access check itself
+            access = os.access
+            monkeypatch.setattr(
+                cli.os, "access", lambda path, mode: path != str(tmp_path) and access(path, mode)
+            )
+        assert run(VERIFY_FAST + ["--output", str(target)]) == 2
+        assert str(target) in capsys.readouterr().err
+
 
 class TestConfigResolution:
     def test_bad_tau_is_config_error(self, capsys):

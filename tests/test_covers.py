@@ -26,8 +26,11 @@ from ellcover import (
 )
 
 from ellcover import batch, covers
-from ellcover.covers import MAX_QUOTIENT_IM_TAU, _match_as_sets
+from ellcover.covers import EPS_GENERIC, MAX_QUOTIENT_IM_TAU, SampleRecord, _match_as_sets
 from ellcover.batch import coords_array, divisors_to_coords, map_coords
+from ellcover.elliptic import EPS_PT
+from ellcover.errors import InvalidPoint, SumNotZero
+from ellcover.symfun import projective_spread
 
 from conftest import TAU
 
@@ -36,6 +39,60 @@ def _build(construction, d, q0spec, lattice):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotVeryAmpleWarning)
         return build_cover(construction, d, lattice, q0spec)
+
+
+def _match_one(left, right, tol):
+    """`_match_as_sets` on one sample's tuples."""
+    own_left, own_right = np.zeros(len(left), dtype=int), np.zeros(len(right), dtype=int)
+    (matched,) = _match_as_sets(left, own_left, right, own_right, 1, tol)
+    return matched
+
+
+def _verify_sample(spec, point, index, eps_pt=EPS_PT):
+    """One sample of the protocol, alone: the oracle of `galois_verify`'s chunks.
+
+    Stabilizer and orbit come from the sample's own |G| images, and its
+    orbit is mapped by itself, so that the q-series gets the terms of the
+    sample's own smallest |u|.
+    """
+    found = batch.images(spec.group, [point])
+    here = coords_array([point])
+    stab = np.flatnonzero(batch.stabilizer_mask(found, here, eps_pt)[0])
+    generic = len(stab) == 1
+    orbit = found[0, batch.orbit_indices(found, eps_pt)]
+    fiber_match = False
+    spread = math.inf
+    mapped, failed = spec.map_array(orbit)
+    if failed.any():
+        generic = False
+    else:
+        spread = projective_spread(mapped)
+    if generic:
+        target = mapped[np.all(orbit == here[0], axis=(1, 2))][0]
+        try:
+            fiber = spec.fiber(ProjectivePoint(tuple(target.tolist())))
+            fiber_match = _match_one(coords_array(fiber), orbit, EPS_GENERIC)
+        except (NonGenericTarget, HighMultiplicity, IllConditioned, SumNotZero, InvalidPoint):
+            generic = False
+    return SampleRecord(
+        index=index,
+        point=point,
+        generic=generic,
+        stabilizer_size=len(stab),
+        orbit_size=len(orbit),
+        image_spread=spread,
+        fiber_match=fiber_match,
+    )
+
+
+#: tau whose quotient by <1/2, 0> has tau' = 0.4 + 1.4i: the orbits of
+#: different samples take 4 or 5 series terms, and at this height a fifth
+#: term moves some of the mapped rows by an ulp
+TERMS_VARY = (0.2, 0.7)
+
+def _bits(records):
+    """Records with their spreads as exact bit patterns."""
+    return [(r, r.image_spread.hex()) for r in records]
 
 
 def _point(spec, coords):
@@ -156,8 +213,9 @@ class TestMapArray:
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = spec.map_array(coords_array(points))
+            rows, failed = spec.map_array(coords_array(points))
         assert rows.shape == (len(points), d + 1)
+        assert not failed.any()
         for row, p in zip(rows, points):
             assert ProjectivePoint(tuple(row)).chordal_dist(spec.map(p)) <= 1e-13
 
@@ -190,13 +248,17 @@ class TestMapArray:
         points = [_point(spec, GENERIC[:d]), special]
         try:
             want = spec.map(special)
-        except (HighMultiplicity, IllConditioned) as exc:
-            with pytest.raises(type(exc)):
-                spec.map_array(coords_array(points))
+        except (HighMultiplicity, IllConditioned):
+            # the row where the scalar map raises is marked, and only that row
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, failed = spec.map_array(coords_array(points))
+            assert failed.tolist() == [False, True]
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = spec.map_array(coords_array(points))
+            rows, failed = spec.map_array(coords_array(points))
+        assert not failed.any()
         assert ProjectivePoint(tuple(rows[1])).chordal_dist(want) <= 1e-13
         assert ProjectivePoint(tuple(rows[0])).chordal_dist(spec.map(points[0])) <= 1e-13
 
@@ -207,7 +269,7 @@ class TestMapArray:
         spec = _build("A", d, q3, lattice)
         x = _point(spec, (GENERIC + [(0.83, 0.09)])[:d])
         orbit = spec.group.orbit(x)
-        rows = spec.map_array(coords_array(orbit))
+        rows, _ = spec.map_array(coords_array(orbit))
         assert len({tuple(row) for row in rows.tolist()}) <= len(orbit) // math.factorial(d)
 
     def test_divisor_rows_ignore_point_order(self, lattice, q2):
@@ -218,7 +280,7 @@ class TestMapArray:
         last = -(ys.sum(axis=0)) % 1.0
         divisor = np.concatenate([ys, last[None]])
         reordered = np.array([divisor, divisor[::-1], divisor[[2, 0, 3, 1]]])
-        rows = divisors_to_coords(reordered, spec.basis)
+        rows, _ = divisors_to_coords(reordered, spec.basis)
         assert rows[0].tolist() == rows[1].tolist() == rows[2].tolist()
 
     def test_basis_is_built_once(self, lattice, q2):
@@ -265,7 +327,7 @@ class TestFiberB:
         x = _point(spec, GENERIC[:d])
         fiber = fiber_B(spec, spec.map(x))
         assert len(fiber) == spec.group.order
-        assert _match_as_sets(coords_array(fiber), coords_array(spec.group.orbit(x)), 1e-6)
+        assert _match_one(coords_array(fiber), coords_array(spec.group.orbit(x)), 1e-6)
 
     def test_repeated_divisor_point_rejected(self, lattice, q2):
         spec = build_cover("B", 2, lattice, q2)
@@ -368,29 +430,84 @@ class TestGaloisVerify:
         assert all(rec.generic and rec.fiber_match for rec in report.samples)
         assert report.passed
 
-    def test_jobs_do_not_change_results(self, lattice, q2):
-        spec = _build("B", 1, q2, lattice)
-        seq = galois_verify(spec, samples=4, seed=3, jobs=1)
-        par = galois_verify(spec, samples=4, seed=3, jobs=4)
-        assert [r.point for r in seq.samples] == [r.point for r in par.samples]
-        assert [r.fiber_match for r in seq.samples] == [
-            r.fiber_match for r in par.samples
-        ]
+    def test_jobs_do_not_change_results(self, q2, monkeypatch):
+        # whole records, spread bits included, in one chunk and split into
+        # chunks of 3 samples; the samples' orbits take different numbers of
+        # q-series terms, so a term count shared across a chunk shows
+        spec = _build("B", 1, q2, LatticeTau.from_tau(complex(*TERMS_VARY)))
+        terms = []
+
+        def counted(lat, floor):
+            terms.append(batch._series_terms.__wrapped__(lat, floor))
+            return terms[-1]
+
+        counted.__wrapped__ = batch._series_terms
+        monkeypatch.setattr(batch, "_series_terms", counted)
+        seq = galois_verify(spec, samples=10, seed=3, jobs=1)
+        assert len(set(terms)) > 1
+        monkeypatch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.order)
+        par = galois_verify(spec, samples=10, seed=3, jobs=4)
+        assert _bits(seq.samples) == _bits(par.samples)
+        assert seq.passed == par.passed
 
     def test_images_are_computed_once_per_sample(self, lattice, q2, monkeypatch):
-        # the stabilizer and the orbit both come from one array of images
+        # the stabilizer and the orbit both come from one array of images,
+        # computed for the sample points, each once, in order
         original = batch.images
         calls = []
 
-        def counted(group, point):
-            calls.append(point)
-            return original(group, point)
+        def counted(group, points):
+            calls.extend(points)
+            return original(group, points)
 
         for module in (batch, covers):
             monkeypatch.setattr(module, "images", counted, raising=False)
         spec = build_cover("A", 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
         assert calls == [rec.point for rec in report.samples]
+
+
+ORACLE_SPECS = [
+    (construction, d, TERMS_VARY, ("1/2,0",), samples)
+    for d, samples in ((1, 40), (2, 16), (3, 4))
+    for construction in ("A", "B")
+] + [
+    # reduced Im tau' = 9 on the quotient: one or two series terms per sample
+    ("A", 1, (0.17, 3.0), ("1/3,0",), 12),
+    ("B", 1, (0.17, 3.0), ("1/3,0",), 12),
+]
+
+
+@pytest.mark.parametrize("construction, d, tau, q0, samples", ORACLE_SPECS)
+def test_chunks_match_the_one_sample_oracle(monkeypatch, construction, d, tau, q0, samples):
+    # chunks of four samples, the last one partial, against each sample alone
+    lattice = LatticeTau.from_tau(complex(*tau))
+    spec = _build(construction, d, FiniteSubgroupSpec.parse(q0), lattice)
+    monkeypatch.setattr(covers, "_CHUNK_ROWS", 4 * spec.group.order)
+    report = galois_verify(spec, samples=samples, seed=11)
+    oracle = [_verify_sample(spec, r.point, r.index) for r in report.samples]
+    assert _bits(report.samples) == _bits(oracle)
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
+    # generic samples around a 2-torsion point (stabilizer 4) and a diagonal
+    # 6-torsion point, whose B divisor is one point three times: the map
+    # raises there
+    spec = _build(construction, 2, q2, lattice)
+    points = [
+        _point(spec, GENERIC[:2]),
+        _point(spec, [(0.5, 0.0), (0.0, 0.5)]),
+        _point(spec, GENERIC[1:]),
+        _point(spec, [(1 / 6, 0.0), (1 / 6, 0.0)]),
+        _point(spec, [(0.83, 0.09), (0.25, 0.64)]),
+    ]
+    records = covers._verify_chunk(spec, points, 0, EPS_PT)
+    assert _bits(records) == _bits(_verify_sample(spec, p, k) for k, p in enumerate(points))
+    assert [r.generic for r in records] == [True, False, True, False, True]
+    assert records[1].stabilizer_size > 1
+    if construction == "B":
+        assert records[3].image_spread == math.inf
 
 
 def _scalar_match(left, right, tol):
@@ -441,7 +558,7 @@ def test_match_as_sets_keeps_greedy_semantics(lattice, seed):
             else:
                 left = rng.sample(right, 12)
             expected = _scalar_match(left, right, tol)
-            assert _match_as_sets(coords_array(left), coords_array(right), tol) == expected
+            assert _match_one(coords_array(left), coords_array(right), tol) == expected
             outcomes.add((offset, expected))
     assert len(outcomes) == 4
 
@@ -457,7 +574,7 @@ def test_match_as_sets_keeps_greedy_semantics(lattice, seed):
     for left in (tuples([q, (0.2 + 1.2e-3, 0.3), (0.2 - 1.2e-3, 0.3), (0.6, 0.1)]),
                  tuples([q, q, (0.2 - 1.2e-3, 0.3), (0.6, 0.1)])):
         assert _scalar_match(left, right, tol)
-        assert _match_as_sets(coords_array(left), coords_array(right), tol)
+        assert _match_one(coords_array(left), coords_array(right), tol)
 
 
 class TestCriterionCheck:

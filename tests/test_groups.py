@@ -383,6 +383,22 @@ def test_torsion_orbit_runs_in_bounded_memory():
     assert proc.stdout.split() == ["16", "384"]
 
 
+def test_torsion_orbit_joins_distinct_images_only(monkeypatch):
+    # the 6144 images of (1/2, 0)^4 take 16 distinct values; images equal to
+    # an earlier one are dropped before the tolerance join
+    grp = build_group_A(4, FiniteSubgroupSpec.parse(("1/2,0",)))
+    sizes = []
+    join = batch.close_pairs
+
+    def spy(left, right, tol):
+        sizes.append((len(left), len(right)))
+        return join(left, right, tol)
+
+    monkeypatch.setattr(batch, "close_pairs", spy)
+    assert len(grp.orbit(pt(*[(0.5, 0.0)] * 4))) == 16
+    assert sizes == [(16, 16)]
+
+
 @pytest.mark.parametrize("sizes", [(10, 12), (70, 80)])
 @pytest.mark.parametrize("tol", [2.0**-6, 0.3])
 def test_close_pairs_key_search_matches_every_pair(tol, sizes, monkeypatch):

@@ -64,14 +64,17 @@ class TestProjectivePoint:
         # ties pivot on the last maximal entry, as in normalize
         ties = [[1, -1, 0, 0], [1j, 0, -1, 0], [2, 0, 0, 2j], [0, 0, 0, 3]]
         rows = np.concatenate([rows, np.array(ties, dtype=complex)])
-        out = normalize_rows(rows)
+        out, invalid = normalize_rows(rows)
+        assert not invalid.any()
         for got, row in zip(out, rows):
             want = ProjectivePoint.normalize(row).coords
             assert [c == 1 for c in got] == [c == 1 for c in want]
             assert np.max(np.abs(got - np.array(want))) <= 1e-15
+        # rows where normalize raises are marked, and only those
         for bad in ([0.0, 0.0], [1.0, float("nan")], [1.0, complex(float("inf"), 0)]):
-            with pytest.raises(InvalidPoint):
-                normalize_rows(np.array([[1.0, 2.0], bad], dtype=complex))
+            out, invalid = normalize_rows(np.array([[1.0, 2.0], bad], dtype=complex))
+            assert invalid.tolist() == [False, True]
+            assert out[0].tolist() == list(ProjectivePoint.normalize([1.0, 2.0]).coords)
 
     def test_chordal_dist_symmetric(self):
         p = ProjectivePoint.normalize([1.0, 2.0 + 1j])
@@ -148,7 +151,7 @@ class TestSymProduct:
         assert sym_product(pairs).coords == sym_product(shuffled).coords
         num = np.array([[p.num for p in row] for row in (pairs, shuffled)])
         den = np.array([[p.den for p in row] for row in (pairs, shuffled)])
-        rows = sym_product_rows(num, den)
+        rows, _ = sym_product_rows(num, den)
         assert rows[0].tolist() == rows[1].tolist()
         assert ProjectivePoint(tuple(rows[0])).chordal_dist(sym_product(pairs)) <= 1e-13
 
