@@ -21,7 +21,7 @@ _EXPORTS = {
     "construction": ("CoverSpec", "build_cover", "very_ample_preconditions"),
     "covers": (
         "CriterionReport", "SampleRecord", "VerificationReport", "criterion_check",
-        "fiber_A", "fiber_B", "galois_verify", "map_A", "map_B",
+        "fiber_A", "fiber_B", "galois_verify",
     ),
     "elliptic": (
         "FiniteSubgroupSpec", "HomPair", "IsogenyQuotient", "LatticeTau",

@@ -1,10 +1,9 @@
-"""Array forms of the per-point maps and the group action, for whole orbits at once.
+"""Array forms of the per-point routines and the group action, for whole orbits at once.
 
 Each routine here evaluates one scalar routine of `elliptic`, `groups` or
 `symfun` on a stack of points in numpy passes, and the scalar routine stays
-its test oracle.  Verification maps every image of a sample's orbit, so it
-runs these; single points (fiber recovery, the criterion probes) keep the
-scalar path.
+its test oracle.  The covers' maps, the only maps, are built from them:
+verification and the criterion probes both run them.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .elliptic import (
 )
 from .errors import HighMultiplicity, IllConditioned, InvalidOrder, InvalidPoint, SumNotZero
 from .groups import FiniteActionGroup, PointTuple
-from .symfun import _COND_FLOOR, SectionBasis, divisor_to_coords, first_copies
+from .symfun import _COND_FLOOR, SectionBasis, divisor_to_coords, first_copies, normalize_rows
 
 
 def _frac_array(x: np.ndarray) -> np.ndarray:
@@ -255,52 +254,6 @@ def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
         np.divide(num, den, out=ones.copy(), where=~flip),
         np.divide(den, num, out=ones, where=flip),
     )
-
-
-def normalize_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`ProjectivePoint.normalize` on every row of an N x (m+1) array.
-
-    Returns the rows and a mask of those that are zero or not finite,
-    where `normalize` raises InvalidPoint; those rows hold nan.
-    """
-    mags = np.abs(vecs)
-    top = np.max(mags, axis=1, initial=0.0)  # nan or inf if any entry is
-    invalid = ~(np.isfinite(top) & (top > 0))
-    # ties pivot on the last maximal entry
-    pivot = np.zeros(len(vecs), dtype=int)
-    for k in range(vecs.shape[1]):
-        pivot[mags[:, k] == top] = k
-    rows = np.arange(len(vecs))
-    vecs = np.where(invalid[:, None], 1.0, vecs)
-    out = vecs / vecs[rows, pivot, None]
-    out[rows, pivot] = 1.0
-    out[invalid] = np.nan
-    return out, invalid
-
-
-def sym_product_rows(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`symfun.sym_product` of every row of factors (num, den), shape N x d.
-
-    Returns the N x (d+1) coordinates of the products and the mask of
-    `normalize_rows`.
-
-    Each row's factors are sorted by `symfun._pair_sort_key` before the
-    running product, so rows that hold the same factors in any order come
-    out equal bit for bit, as `sym_product` makes them.
-    """
-    order = np.lexsort((den.imag, den.real, num.imag, num.real), axis=-1)
-    count, d = num.shape
-    rows = np.arange(count)[:, None]
-    num, den = num[rows, order], den[rows, order]
-    # coefficients of decreasing X-power, multiplied by (den*X - num*Y) in turn
-    coeffs = np.zeros((count, d + 1), dtype=complex)
-    coeffs[:, 0] = 1.0
-    for k in range(d):
-        coeffs[:, 1 : k + 2] = (
-            coeffs[:, 1 : k + 2] * den[:, k, None] - coeffs[:, : k + 1] * num[:, k, None]
-        )
-        coeffs[:, 0] *= den[:, k]
-    return normalize_rows(coeffs[:, ::-1])
 
 
 def _section_values(basis: SectionBasis, w: np.ndarray, wprime: np.ndarray) -> np.ndarray:

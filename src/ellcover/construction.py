@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .elliptic import FiniteSubgroupSpec, IsogenyQuotient, LatticeTau, quotient_lattice
-from .errors import ConfigError, IllConditioned, NotVeryAmpleWarning
+from .errors import ConfigError, IllConditioned, InvalidOrder, NotVeryAmpleWarning
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteActionGroup,
@@ -66,21 +66,33 @@ class CoverSpec:
         return SectionBasis(self.d + 1, self.quotient.target)
 
     def map(self, point: PointTuple) -> ProjectivePoint:
-        from . import covers
+        """The image of one point tuple in P^d: the single row of `map_array`.
 
-        return (covers.map_A if self.construction == "A" else covers.map_B)(self, point)
+        Raises IllConditioned where `map_array` marks that row as failed.
+        """
+        from .batch import coords_array
+        from .symfun import ProjectivePoint
+
+        rows, failed = self.map_array(coords_array([point]))
+        if failed[0]:
+            raise IllConditioned("the map has no computable image at this point")
+        return ProjectivePoint(tuple(rows[0].tolist()))
 
     def map_array(
         self, coords: np.ndarray, samples: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """`map` on N point tuples given by coordinates, shape N x d x 2.
+        """The map on N point tuples given by coordinates, shape N x d x 2.
 
         Returns the N x (d+1) coordinates of the images, normalized as
         `ProjectivePoint.normalize` normalizes them, and a mask of the rows
-        where `map` raises one of `batch.MAP_ERRORS`; those rows hold no
-        image.  `samples` labels the rows with the samples they belong to:
-        each sample's rows then get the bits they would get mapped alone.
+        that have no image, such as a divisor where `divisor_to_coords`
+        raises one of `batch.MAP_ERRORS`.  `samples` labels the rows with
+        the samples they belong to: each sample's rows then get the bits
+        they would get mapped alone.  Raises InvalidOrder unless the tuples
+        have d points.
         """
+        if coords.shape[1] != self.d:
+            raise InvalidOrder(f"point has {coords.shape[1]} components, expected {self.d}")
         from . import covers
 
         return (covers.map_A_array if self.construction == "A" else covers.map_B_array)(

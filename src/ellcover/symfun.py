@@ -1,8 +1,9 @@
 """Projective coordinates, symmetric products, and section calculus on E.
 
-Two coordinate engines live here.  `sym_product` turns a d-tuple of P^1
-points into the coefficient vector of the degree-d binary form with those
-roots, which is the quotient map (P^1)^d -> P^d; `sym_fiber` inverts it.
+Two coordinate engines live here.  `sym_product` turns rows of d-tuples of
+P^1 points into the coefficient vectors of the degree-d binary forms with
+those roots, which is the quotient map (P^1)^d -> P^d on a whole stack of
+tuples at once; `sym_fiber` inverts it for one point.
 `SectionBasis` / `divisor_to_coords` / `section_zeros` realize the linear
 system L(n*[0]) on E concretely enough to map divisors to coordinate vectors
 and back.
@@ -167,25 +168,52 @@ def projective_spread(coords: np.ndarray) -> float:
     return worst
 
 
-def _pair_sort_key(pair: HomPair) -> tuple[float, float, float, float]:
-    return (pair.num.real, pair.num.imag, pair.den.real, pair.den.imag)
+def normalize_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`ProjectivePoint.normalize` on every row of an N x (m+1) array.
 
-
-def sym_product(pairs: Sequence[HomPair]) -> ProjectivePoint:
-    """Coefficients (c_0 : ... : c_d) of prod_i (den_i*X - num_i*Y) in P^d.
-
-    Index k holds the coefficient of X^k Y^(d-k), so the roots num_i/den_i
-    of the dehomogenization in t = X/Y are the roots of c_d*t^d + ... + c_0.
-    Factors are multiplied in sorted order, making the result exactly
-    invariant under permutations of the input.
+    Returns the rows and a mask of those that are zero or not finite,
+    where `normalize` raises InvalidPoint; those rows hold nan.
     """
-    if not pairs:
-        raise InvalidPoint("need at least one factor")
-    ordered = sorted(pairs, key=_pair_sort_key)
-    coeffs = np.array([1.0 + 0j])
-    for num, den in ordered:
-        coeffs = np.convolve(coeffs, np.array([den, -num]))
-    return ProjectivePoint.normalize(coeffs[::-1])
+    mags = np.abs(vecs)
+    top = np.max(mags, axis=1, initial=0.0)  # nan or inf if any entry is
+    invalid = ~(np.isfinite(top) & (top > 0))
+    # ties pivot on the last maximal entry
+    pivot = np.zeros(len(vecs), dtype=int)
+    for k in range(vecs.shape[1]):
+        pivot[mags[:, k] == top] = k
+    rows = np.arange(len(vecs))
+    vecs = np.where(invalid[:, None], 1.0, vecs)
+    out = vecs / vecs[rows, pivot, None]
+    out[rows, pivot] = 1.0
+    out[invalid] = np.nan
+    return out, invalid
+
+
+def sym_product(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (c_0 : ... : c_d) of prod_i (den_i*X - num_i*Y) in P^d, per row.
+
+    `num` and `den` hold N rows of d homogeneous pairs (num_i : den_i).
+    Index k of a row holds the coefficient of X^k Y^(d-k), so the roots
+    num_i/den_i of the dehomogenization in t = X/Y are the roots of
+    c_d*t^d + ... + c_0.  Returns the N x (d+1) coordinates, normalized as
+    `ProjectivePoint.normalize` normalizes them, and the mask of
+    `normalize_rows`.  Each row's factors are multiplied in sorted order,
+    so rows that hold the same factors in any order come out equal bit for
+    bit.
+    """
+    order = np.lexsort((den.imag, den.real, num.imag, num.real), axis=-1)
+    count, d = num.shape
+    rows = np.arange(count)[:, None]
+    num, den = num[rows, order], den[rows, order]
+    # coefficients of decreasing X-power, multiplied by (den*X - num*Y) in turn
+    coeffs = np.zeros((count, d + 1), dtype=complex)
+    coeffs[:, 0] = 1.0
+    for k in range(d):
+        coeffs[:, 1 : k + 2] = (
+            coeffs[:, 1 : k + 2] * den[:, k, None] - coeffs[:, : k + 1] * num[:, k, None]
+        )
+        coeffs[:, 0] *= den[:, k]
+    return normalize_rows(coeffs[:, ::-1])
 
 
 def _cluster_roots(roots: Sequence[complex], rel_tol: float = _ROOT_CLUSTER) -> list[tuple[complex, int]]:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ellcover import FiniteSubgroupSpec, LatticeTau
+from ellcover import (
+    FiniteSubgroupSpec,
+    LatticeTau,
+    ProjectivePoint,
+    divisor_to_coords,
+    reduce_point,
+    wp,
+)
 
 TAU = complex(0.3, 1.1)
 
@@ -64,3 +71,41 @@ def q3() -> FiniteSubgroupSpec:
 @pytest.fixture(scope="session")
 def q4() -> FiniteSubgroupSpec:
     return FiniteSubgroupSpec.parse(("1/4,0",))
+
+
+def scalar_sym_product(pairs):
+    """`sym_product` of one tuple of `HomPair`s, factor by factor: its scalar oracle.
+
+    Coefficients (c_0 : ... : c_d) of prod_i (den_i*X - num_i*Y), index k
+    holding the coefficient of X^k Y^(d-k); factors are multiplied in
+    sorted order, as the array form sorts them.
+    """
+    ordered = sorted(pairs, key=lambda p: (p.num.real, p.num.imag, p.den.real, p.den.imag))
+    coeffs = np.array([1.0 + 0j])
+    for num, den in ordered:
+        coeffs = np.convolve(coeffs, np.array([den, -num]))
+    return ProjectivePoint.normalize(coeffs[::-1])
+
+
+def scalar_map_A(spec, point):
+    """Construction A on one point tuple: scalar `wp` on E/Q0, then `scalar_sym_product`."""
+    target = spec.quotient.target
+    return scalar_sym_product([wp(reduce_point(p.z, target)) for p in point])
+
+
+def scalar_map_B(spec, point):
+    """Construction B on one point tuple: `divisor_to_coords` of y_1, ..., y_d, -sum y_i.
+
+    Raises what `divisor_to_coords` raises on a divisor it cannot map.
+    """
+    ys = [spec.quotient.map(p) for p in point]
+    total = ys[0]
+    for y in ys[1:]:
+        total = total + y
+    ys.append(-total)
+    return divisor_to_coords(ys, spec.basis)
+
+
+def scalar_map(spec, point):
+    """The scalar oracle of `spec.map_array` on one point tuple."""
+    return (scalar_map_A if spec.construction == "A" else scalar_map_B)(spec, point)

@@ -7,6 +7,7 @@ import pytest
 
 from ellcover import (
     ConfigError,
+    CoverSpec,
     FiniteSubgroupSpec,
     HighMultiplicity,
     IllConditioned,
@@ -29,10 +30,10 @@ from ellcover import batch, covers
 from ellcover.covers import EPS_GENERIC, MAX_QUOTIENT_IM_TAU, SampleRecord, _match_as_sets
 from ellcover.batch import coords_array, divisors_to_coords, map_coords
 from ellcover.elliptic import EPS_PT
-from ellcover.errors import InvalidPoint, SumNotZero
+from ellcover.errors import InvalidOrder, InvalidPoint, SumNotZero
 from ellcover.symfun import projective_spread
 
-from conftest import TAU
+from conftest import TAU, scalar_map
 
 
 def _build(construction, d, q0spec, lattice):
@@ -199,7 +200,7 @@ class TestCoverMaps:
 
 
 class TestMapArray:
-    """Batched maps over many tuples against the scalar `map_A` / `map_B`."""
+    """Batched maps over many tuples against the scalar oracle `scalar_map`."""
 
     @pytest.mark.parametrize("construction", ["A", "B"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -217,7 +218,7 @@ class TestMapArray:
         assert rows.shape == (len(points), d + 1)
         assert not failed.any()
         for row, p in zip(rows, points):
-            assert ProjectivePoint(tuple(row)).chordal_dist(spec.map(p)) <= 1e-13
+            assert ProjectivePoint(tuple(row)).chordal_dist(scalar_map(spec, p)) <= 1e-13
 
     SPECIAL = {
         # Q0 = <1/2, 0>: (0.5, 0) maps to the origin of E/Q0, and tuples
@@ -247,20 +248,33 @@ class TestMapArray:
             special = special[:-1] + (last,)
         points = [_point(spec, GENERIC[:d]), special]
         try:
-            want = spec.map(special)
+            want = scalar_map(spec, special)
         except (HighMultiplicity, IllConditioned):
             # the row where the scalar map raises is marked, and only that row
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 _, failed = spec.map_array(coords_array(points))
             assert failed.tolist() == [False, True]
+            with pytest.raises(IllConditioned):
+                spec.map(special)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows, failed = spec.map_array(coords_array(points))
         assert not failed.any()
         assert ProjectivePoint(tuple(rows[1])).chordal_dist(want) <= 1e-13
-        assert ProjectivePoint(tuple(rows[0])).chordal_dist(spec.map(points[0])) <= 1e-13
+        assert ProjectivePoint(tuple(rows[0])).chordal_dist(scalar_map(spec, points[0])) <= 1e-13
+        assert spec.map(special).chordal_dist(want) <= 1e-13
+
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_tuples_of_the_wrong_length_are_rejected(self, lattice, q2, construction, length):
+        spec = _build(construction, 2, q2, lattice)
+        point = _point(spec, GENERIC[:length])
+        with pytest.raises(InvalidOrder, match=f"{length} components, expected 2"):
+            spec.map_array(coords_array([point]))
+        with pytest.raises(InvalidOrder):
+            spec.map(point)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_permuted_images_map_to_equal_rows(self, lattice, q3, d):
@@ -420,11 +434,12 @@ class TestGaloisVerify:
 
     @pytest.mark.parametrize("construction", ["A", "B"])
     def test_samples_are_mapped_only_in_batches(self, lattice, q2, monkeypatch, construction):
-        # the fiber target is the sample's own row of the orbit's batch
-        def scalar_map(spec, point):
-            raise AssertionError("galois_verify called the scalar map")
+        # the fiber target is the sample's own row of the orbit's batch, not
+        # a map of the sample's point alone
+        def one_point(spec, point):
+            raise AssertionError("galois_verify mapped a single point")
 
-        monkeypatch.setattr(covers, f"map_{construction}", scalar_map)
+        monkeypatch.setattr(CoverSpec, "map", one_point)
         spec = build_cover(construction, 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
         assert all(rec.generic and rec.fiber_match for rec in report.samples)

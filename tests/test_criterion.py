@@ -1,0 +1,199 @@
+"""`criterion_check` against the scalar probe loop it replaced.
+
+`oracle_criterion` is `criterion_check` as it ran one scalar map per point:
+an invariance loop that maps each drawn point and its generator images in
+turn, and base-point probes that try each probe's candidates in turn.  The
+batched check must report the same four flags.
+"""
+
+import functools
+import random
+import warnings
+
+import numpy as np
+import pytest
+
+from ellcover import (
+    CoverSpec,
+    FiniteSubgroupSpec,
+    HighMultiplicity,
+    IllConditioned,
+    InvalidPoint,
+    LatticeTau,
+    NotVeryAmpleWarning,
+    SumNotZero,
+    TorusPoint,
+    build_cover,
+    criterion_check,
+)
+from ellcover.construction import degree_identity
+from ellcover.covers import CriterionReport, _probe_points
+from ellcover.elliptic import EPS_PROJ
+
+from conftest import TAU, scalar_map
+
+
+def _probe_valid(spec, point, rng, map_one):
+    """True when `map_one` yields a projective point at `point` or at one of 3 perturbations.
+
+    The candidates are drawn up front; the first that maps decides, and an
+    InvalidPoint ends the probe as invalid.
+    """
+    candidates = [point]
+    for _ in range(3):
+        delta = 1e-3
+        candidates.append(
+            tuple(
+                TorusPoint.from_coords(
+                    spec.curve, p.a + delta * rng.random(), p.b + delta * rng.random()
+                )
+                for p in point
+            )
+        )
+    for cand in candidates:
+        try:
+            image = map_one(spec, cand)
+        except (HighMultiplicity, IllConditioned, SumNotZero):
+            continue
+        except InvalidPoint:
+            return False
+        return max(abs(c) for c in image.coords) > 0
+    return False
+
+
+def oracle_criterion(spec, seed=42, eps_proj=EPS_PROJ, map_one=scalar_map):
+    """`criterion_check` one scalar map at a time."""
+    order_ok = spec.group.order == degree_identity(spec.construction, spec.polarization, spec.q0)
+
+    rng = random.Random(seed)
+    invariance_ok = True
+    checked = 0
+    attempts = 0
+    while checked < 10 and attempts < 40:
+        attempts += 1
+        p = tuple(
+            TorusPoint.from_coords(spec.curve, rng.random(), rng.random())
+            for _ in range(spec.d)
+        )
+        try:
+            base = map_one(spec, p)
+            for g in spec.group.generators:
+                if base.chordal_dist(map_one(spec, g.apply(p))) >= eps_proj:
+                    invariance_ok = False
+        except (HighMultiplicity, IllConditioned, SumNotZero):
+            continue
+        checked += 1
+    if checked < 10:
+        invariance_ok = False
+
+    probe_rng = random.Random(seed + 1)
+    basepoint_ok = all(
+        _probe_valid(spec, probe, probe_rng, map_one) for probe in _probe_points(spec, seed)
+    )
+    return CriterionReport(order_ok, invariance_ok, basepoint_ok, spec.very_ample)
+
+
+@functools.lru_cache(maxsize=None)
+def _cover(construction, d, q0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotVeryAmpleWarning)
+        q0 = FiniteSubgroupSpec.parse(q0)
+        return build_cover(construction, d, LatticeTau.from_tau(TAU), q0)
+
+
+GRID = [
+    (construction, d, (f"1/{n},0",))
+    for construction in "AB"
+    for d in (1, 2, 3)
+    for n in (2, 3, 4, 5)
+] + [("A", 1, ()), ("A", 2, ()), ("B", 2, ())]
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize(
+    "construction,d,q0", GRID, ids=[f"{c}-d{d}-{q[0] if q else 'trivial'}" for c, d, q in GRID]
+)
+def test_batched_criterion_equals_scalar_loop(construction, d, q0, seed):
+    spec = _cover(construction, d, q0)
+    assert criterion_check(spec, seed=seed) == oracle_criterion(spec, seed=seed)
+
+
+def _failing(monkeypatch, where, marks=None):
+    """Make `map_array` mark the rows where `where(coords)` holds, and the oracle raise there.
+
+    Returns the oracle's map, which raises IllConditioned at those tuples.
+    Each call's marks are appended to `marks`.
+    """
+    original = CoverSpec.map_array
+
+    def marked(self, coords, samples=None):
+        rows, failed = original(self, coords, samples)
+        if marks is not None:
+            marks.append(where(coords))
+        return rows, failed | where(coords)
+
+    monkeypatch.setattr(CoverSpec, "map_array", marked)
+
+    def map_one(spec, point):
+        coords = np.array([[(p.a, p.b) for p in point]])
+        if where(coords)[0]:
+            raise IllConditioned("marked")
+        return scalar_map(spec, point)
+
+    return map_one
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_invariance_skips_points_that_fail_to_map(monkeypatch, construction):
+    spec = _cover(construction, 2, ("1/2,0",))
+
+    def where(coords):
+        return coords[:, 0, 0] < 0.1
+
+    marks = []
+    map_one = _failing(monkeypatch, where, marks)
+    report = criterion_check(spec)
+    assert marks[0].any()  # the invariance probe's call
+    assert report.invariance_ok
+    assert report == oracle_criterion(spec, map_one=map_one)
+
+
+def test_invariance_fails_when_too_few_points_map(monkeypatch):
+    spec = _cover("A", 2, ("1/2,0",))
+
+    def where(coords):
+        return np.any(coords[..., 0] < 0.8, axis=1)
+
+    map_one = _failing(monkeypatch, where)
+    report = criterion_check(spec)
+    assert not report.invariance_ok
+    assert report == oracle_criterion(spec, map_one=map_one)
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_probe_whose_candidates_all_fail(monkeypatch, construction):
+    spec = _cover(construction, 2, ("1/3,0",))
+
+    # the first probe is the origin on the diagonal, and its perturbations
+    # move each coordinate by less than 1e-3
+    def where(coords):
+        return np.all(coords < 2e-3, axis=(1, 2))
+
+    map_one = _failing(monkeypatch, where)
+    report = criterion_check(spec)
+    assert report.invariance_ok and not report.basepoint_ok
+    assert report == oracle_criterion(spec, map_one=map_one)
+
+
+def test_maps_in_at_most_two_calls(monkeypatch):
+    spec = _cover("B", 2, ("1/3,0",))
+    calls = []
+    original = CoverSpec.map_array
+
+    def counted(self, coords, samples=None):
+        calls.append(len(coords))
+        return original(self, coords, samples)
+
+    monkeypatch.setattr(CoverSpec, "map_array", counted)
+    assert criterion_check(spec).all_ok
+    assert len(calls) == 2

@@ -24,9 +24,9 @@ from ellcover import (
     wp,
 )
 
-from ellcover.batch import normalize_rows, sym_product_rows
+from ellcover.symfun import normalize_rows
 
-from conftest import TAU
+from conftest import TAU, scalar_sym_product
 
 
 def _coords(points):
@@ -36,6 +36,15 @@ def _coords(points):
 
 def _finite(vals):
     return [HomPair(complex(v), 1.0 + 0j) for v in vals]
+
+
+def _sym(pairs):
+    """`sym_product` of one tuple of pairs, as a ProjectivePoint."""
+    rows, invalid = sym_product(
+        np.array([[p.num for p in pairs]]), np.array([[p.den for p in pairs]])
+    )
+    assert not invalid.any()
+    return ProjectivePoint(tuple(rows[0].tolist()))
 
 
 class TestProjectivePoint:
@@ -115,25 +124,28 @@ class TestProjectivePoint:
 class TestSymProduct:
     def test_double_zero(self):
         # both factors at x = 0: coefficients (0 : 0 : 1)
-        out = sym_product(_finite([0.0, 0.0]))
+        out = _sym(_finite([0.0, 0.0]))
         assert out.coords == (0j, 0j, 1.0 + 0j)
 
     def test_plus_minus_one(self):
-        out = sym_product(_finite([1.0, -1.0]))
+        out = _sym(_finite([1.0, -1.0]))
         assert out.coords == (-1.0 + 0j, 0j, 1.0 + 0j)
 
     def test_single_point(self):
-        out = sym_product(_finite([2.5]))
+        out = _sym(_finite([2.5]))
         assert out.close_to(ProjectivePoint.normalize([-2.5, 1.0]))
 
     def test_pole_factor(self):
         # (1:0) and (2:1): (X - 2Y) * (-Y) has coefficients (2, -1, 0)
-        out = sym_product([HomPair(1.0 + 0j, 0j), HomPair(2.0 + 0j, 1.0 + 0j)])
+        pairs = [HomPair(1.0 + 0j, 0j), HomPair(2.0 + 0j, 1.0 + 0j)]
+        out = _sym(pairs)
         assert out.close_to(ProjectivePoint.normalize([2.0, -1.0, 0.0]))
+        assert out.chordal_dist(scalar_sym_product(pairs)) <= 1e-13
 
     def test_all_poles(self):
-        out = sym_product([HomPair(1.0 + 0j, 0j)] * 3)
+        out = _sym([HomPair(1.0 + 0j, 0j)] * 3)
         assert out.close_to(ProjectivePoint.normalize([-1.0, 0.0, 0.0, 0.0]))
+        assert out.chordal_dist(scalar_sym_product([HomPair(1.0 + 0j, 0j)] * 3)) <= 1e-13
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -148,18 +160,19 @@ class TestSymProduct:
         pairs = _finite(vals)
         shuffled = list(pairs)
         random.Random(seed).shuffle(shuffled)
-        assert sym_product(pairs).coords == sym_product(shuffled).coords
         num = np.array([[p.num for p in row] for row in (pairs, shuffled)])
         den = np.array([[p.den for p in row] for row in (pairs, shuffled)])
-        rows, _ = sym_product_rows(num, den)
+        rows, invalid = sym_product(num, den)
+        assert not invalid.any()
         assert rows[0].tolist() == rows[1].tolist()
-        assert ProjectivePoint(tuple(rows[0])).chordal_dist(sym_product(pairs)) <= 1e-13
+        want = scalar_sym_product(pairs)
+        assert ProjectivePoint(tuple(rows[0])).chordal_dist(want) <= 1e-13
 
 
 class TestSymFiber:
     def test_roundtrip_distinct(self):
         vals = [2.0 + 1j, -0.5, 3.3 - 2j]
-        fiber = sym_fiber(sym_product(_finite(vals)))
+        fiber = sym_fiber(_sym(_finite(vals)))
         assert sum(m for _, m in fiber) == 3
         got = sorted(
             (pair.value for pair, m in fiber for _ in range(m)),
@@ -171,14 +184,14 @@ class TestSymFiber:
 
     def test_roundtrip_with_multiplicity(self):
         vals = [1.5, 1.5, -2.0]
-        fiber = sym_fiber(sym_product(_finite(vals)))
+        fiber = sym_fiber(_sym(_finite(vals)))
         mults = sorted(m for _, m in fiber)
         assert mults == [1, 2]
 
     def test_infinity_roots(self):
         # one pole factor: top coefficient vanishes
         pairs = [HomPair(1.0 + 0j, 0j)] + _finite([1.0, 2.0])
-        fiber = sym_fiber(sym_product(pairs))
+        fiber = sym_fiber(_sym(pairs))
         poles = [m for pair, m in fiber if pair.is_pole]
         assert poles == [1]
         finite = sorted(pair.value.real for pair, m in fiber if not pair.is_pole)
