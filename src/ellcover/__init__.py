@@ -30,9 +30,9 @@ _EXPORTS = {
     ),
     "errors": (
         "ConfigError", "DegenerateSection", "EllcoverError", "ExponentMismatch",
-        "HighMultiplicity", "IllConditioned", "InvalidOrder", "InvalidPoint",
-        "InvalidSubgroup", "NoConvergence", "NonGenericTarget", "NonIntegralNorm",
-        "NotVeryAmpleWarning", "OrderCapExceeded", "SumNotZero",
+        "IllConditioned", "InvalidOrder", "InvalidPoint", "InvalidSubgroup",
+        "NoConvergence", "NonGenericTarget", "NonIntegralNorm", "NotVeryAmpleWarning",
+        "OrderCapExceeded", "SumNotZero",
     ),
     "groups": (
         "AffineAutomorphism", "FiniteActionGroup", "build_group_A", "build_group_B",

@@ -2,8 +2,10 @@
 
 Each routine here evaluates one scalar routine of `elliptic`, `groups` or
 `symfun` on a stack of points in numpy passes, and the scalar routine stays
-its test oracle.  The covers' maps, the only maps, are built from them:
-verification and the criterion probes both run them.
+its test oracle; `divisors_to_coords` is the only divisor-to-section
+solver, and its scalar oracle lives in the tests.  The covers' maps, the
+only maps, are built from them: verification and the criterion probes both
+run them.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from .elliptic import (
     EPS_PT,
     IsogenyQuotient,
     LatticeTau,
-    TorusPoint,
     _series_terms,
     _wp_qseries,
 )
-from .errors import HighMultiplicity, IllConditioned, InvalidOrder, InvalidPoint, SumNotZero
+from .errors import IllConditioned, InvalidOrder, InvalidPoint, SumNotZero
 from .groups import FiniteActionGroup, PointTuple
-from .symfun import _COND_FLOOR, SectionBasis, divisor_to_coords, first_copies, normalize_rows
+from .symfun import _COND_FLOOR, SectionBasis, first_copies, normalize_rows
 
 
 def _frac_array(x: np.ndarray) -> np.ndarray:
@@ -256,68 +257,62 @@ def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def _section_values(basis: SectionBasis, w: np.ndarray, wprime: np.ndarray) -> np.ndarray:
-    """`SectionBasis.evaluate` from arrays of wp and wp' values, along a new last axis."""
-    powers = [np.ones_like(w)]
-    for _ in range(basis.n // 2):
-        powers.append(powers[-1] * w)
-    return np.stack(
-        [powers[a] * wprime if e else powers[a] for _, a, e in basis.terms], axis=-1
-    )
-
-
 #: what `divisor_to_coords` raises for a divisor that has no section it can
 #: compute; `divisors_to_coords` marks such a row as failed
-MAP_ERRORS = (HighMultiplicity, IllConditioned, SumNotZero, InvalidPoint)
+MAP_ERRORS = (IllConditioned, SumNotZero, InvalidPoint)
 
 
 def divisors_to_coords(
     points: np.ndarray, basis: SectionBasis, samples: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`symfun.divisor_to_coords` on N divisors given by coordinates, N x n x 2.
+    """Sections of O(n*[0]) vanishing on N divisors given by coordinates, N x n x 2.
 
     Returns the N x n coordinates of the sections, rows normalized as
-    `ProjectivePoint.normalize` does, and a mask of the rows where
-    `divisor_to_coords` raises one of MAP_ERRORS; those rows hold no
-    section.  Divisors of n distinct points off the origin with sum 0
-    share one stacked evaluation matrix and one batched SVD, whose rows
-    are labelled by `samples` as in `wp_series_array`; as in
-    `divisor_to_coords`, the order of their points does not matter.  The
-    rest need derivative or unit rows, or raise: they go through
-    `divisor_to_coords` one at a time, which returns or raises for them
-    exactly as it does alone.
+    `ProjectivePoint.normalize` does, and a mask of the rows that hold no
+    section: those whose points do not sum to 0, whose system is
+    degenerate (`_COND_FLOOR`) or whose kernel does not normalize.  Each
+    divisor's points are sorted and each is joined to the first earlier
+    representative within EPS_PT, so the order of the points does not
+    matter.  The k-th copy of a point contributes the (k-1)-th
+    z-derivative of the basis there; the k-th copy of the origin strikes
+    the basis element of pole order n+1-k, and the n-th has none to strike.
+    All N systems share one stacked evaluation, whose rows are labelled by
+    `samples` as in `wp_series_array`, and one batched SVD; no series is
+    evaluated at the origin.
     """
+    count = len(points)
     n = basis.n
-    lattice = basis.lattice
     total = points[:, 0]
     for k in range(1, n):
         total = _frac_array(total + points[:, k])
-    special = np.any(_wrap_dist_array(total, 0.0) > 1e-6 * n, axis=1)
-    special |= np.any(np.all(_wrap_dist_array(points, 0.0) <= EPS_PT, axis=2), axis=1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            special |= np.all(_wrap_dist_array(points[:, i], points[:, j]) <= EPS_PT, axis=1)
-    out = np.empty((len(points), n), dtype=complex)
-    failed = np.zeros(len(points), dtype=bool)
-    batch = np.flatnonzero(~special)
-    if len(batch):
-        # points sorted as `_group_divisor` sorts them, so that divisors
-        # listing the same points in another order give equal rows
-        pts = points[batch]
-        order = np.lexsort((pts[..., 1], pts[..., 0]), axis=-1)
-        pts = pts[np.arange(len(pts))[:, None], order]
-        labels = None if samples is None else samples[batch]
-        num, den, nump, denp = wp_series_array(lattice, pts[..., 0], pts[..., 1], samples=labels)
-        matrix = _section_values(basis, num / den, nump / denp)
-        norms = np.max(np.abs(matrix), axis=2, keepdims=True)
-        matrix = matrix / np.where(norms == 0, 1.0, norms)
-        _, s, vh = np.linalg.svd(matrix)
-        out[batch], failed[batch] = normalize_rows(np.conj(vh[:, -1]))
-        failed[batch] |= s[:, -2] <= _COND_FLOOR * s[:, 0]
-    for k in np.flatnonzero(special):
-        divisor = [TorusPoint(lattice, a, b) for a, b in points[k].tolist()]
-        try:
-            out[k] = divisor_to_coords(divisor, basis).coords
-        except MAP_ERRORS:
-            failed[k] = True
-    return out, failed
+    failed = np.any(_wrap_dist_array(total, 0.0) > 1e-6 * n, axis=1)
+    index = np.arange(count)[:, None]
+    pts = points[index, np.lexsort((points[..., 1], points[..., 0]), axis=-1)]
+    rep = np.tile(np.arange(n), (count, 1))
+    for k in range(1, n):
+        for j in range(k - 1, -1, -1):  # the earliest representative wins
+            close = np.all(_wrap_dist_array(pts[:, j], pts[:, k]) <= EPS_PT, axis=1)
+            rep[close & (rep[:, j] == j), k] = j
+    copies = np.sum((rep[:, :, None] == rep[:, None, :]) & np.tri(n, k=-1, dtype=bool), axis=2)
+    pts = pts[index, rep]
+    origin = np.all(_wrap_dist_array(pts, 0.0) <= EPS_PT, axis=2)
+    live = ~origin
+    labels = None if samples is None else np.broadcast_to(samples[:, None], live.shape)[live]
+    num, den, nump, denp = wp_series_array(basis.lattice, *pts[live].T, samples=labels)
+    w = np.zeros((count, n), dtype=complex)
+    wprime = w.copy()
+    w[live], wprime[live] = num / den, nump / denp
+    # copy k of the origin strikes pole order n+1-k; no function has pole order 1
+    strike = np.eye(n)[::-1]
+    strike[-1] = 0.0
+    matrix = np.empty((count, n, n), dtype=complex)
+    matrix[origin] = strike[copies[origin]]
+    for k in set(copies[live].tolist()):
+        slots = live & (copies == k)
+        matrix[slots] = basis.jet(w[slots], wprime[slots], k)[k]
+    # row scaling does not change the kernel but tames wp-power growth
+    norms = np.max(np.abs(matrix), axis=2, keepdims=True)
+    matrix = matrix / np.where(norms == 0, 1.0, norms)
+    _, s, vh = np.linalg.svd(matrix)
+    out, invalid = normalize_rows(np.conj(vh[:, -1]))
+    return out, failed | invalid | (s[:, -2] <= _COND_FLOOR * s[:, 0])

@@ -85,11 +85,11 @@ class CoverSpec:
 
         Returns the N x (d+1) coordinates of the images, normalized as
         `ProjectivePoint.normalize` normalizes them, and a mask of the rows
-        that have no image, such as a divisor where `divisor_to_coords`
-        raises one of `batch.MAP_ERRORS`.  `samples` labels the rows with
-        the samples they belong to: each sample's rows then get the bits
-        they would get mapped alone.  Raises InvalidOrder unless the tuples
-        have d points.
+        that have no image, such as a divisor whose section system is
+        degenerate (`batch.divisors_to_coords`).  `samples` labels the rows
+        with the samples they belong to: each sample's rows then get the
+        bits they would get mapped alone.  Raises InvalidOrder unless the
+        tuples have d points.
         """
         if coords.shape[1] != self.d:
             raise InvalidOrder(f"point has {coords.shape[1]} components, expected {self.d}")

@@ -78,8 +78,7 @@ def map_B_array(
     """Divisor-of-sections map on N point tuples, through `divisors_to_coords`.
 
     A tuple's divisor is y_1, ..., y_d, -sum y_i, its images in E/Q0.  Rows
-    whose divisor repeats a point beyond what the evaluation matrix
-    supports, or whose section system is degenerate, are marked failed.
+    whose section system is degenerate are marked failed.
     """
     ys = map_coords(spec.quotient, coords)
     total = ys[:, 0]
@@ -408,11 +407,10 @@ def criterion_check(
     first 10 that map with all their generator images must each have a
     spread below eps_proj; (3) the map evaluates to a valid projective point
     across the probe grid: each probe, or one of 3 seeded perturbations of
-    it, must map, since construction B rejects divisor collisions outright
-    and the bundle is base-point-free.  The points of (2) and the probes
-    are mapped in one `map_array` call, and the perturbations of the
-    probes that fail to map in a second, so that no call holds every
-    probe's perturbations.
+    it, must map, since the bundle is base-point-free.  The points of (2)
+    and the probes are mapped in one `map_array` call, and the
+    perturbations of the probes that fail to map in a second, so that no
+    call holds every probe's perturbations.
     """
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
     order_ok = spec.group.order == expected

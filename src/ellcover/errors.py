@@ -25,10 +25,6 @@ class SumNotZero(EllcoverError):
     """Divisor points do not sum to zero on the curve."""
 
 
-class HighMultiplicity(EllcoverError):
-    """A divisor point occurs with multiplicity greater than the supported cap."""
-
-
 class IllConditioned(EllcoverError):
     """Input beyond numerical resolution: rank-deficient evaluation matrix or too-tall quotient."""
 

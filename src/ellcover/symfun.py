@@ -6,7 +6,9 @@ those roots, which is the quotient map (P^1)^d -> P^d on a whole stack of
 tuples at once; `sym_fiber` inverts it for one point.
 `SectionBasis` / `divisor_to_coords` / `section_zeros` realize the linear
 system L(n*[0]) on E concretely enough to map divisors to coordinate vectors
-and back.
+and back: the basis gives values and z-derivatives of every order from wp
+and wp', and `divisor_to_coords` is the one-row call of the stacked solver
+`batch.divisors_to_coords`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .elliptic import (
     EPS_NUM,
     EPS_PROJ,
-    EPS_PT,
     HomPair,
     LatticeTau,
     TorusPoint,
@@ -30,7 +31,6 @@ from .elliptic import (
 )
 from .errors import (
     DegenerateSection,
-    HighMultiplicity,
     IllConditioned,
     InvalidOrder,
     InvalidPoint,
@@ -260,11 +260,28 @@ def sym_fiber(point: ProjectivePoint | Sequence[complex]) -> list[tuple[HomPair,
     return out
 
 
+def _derive(even: list, odd: list, g2: complex, g3: complex) -> tuple[list, list]:
+    """The z-derivative of P(wp) + wp' Q(wp), as the coefficients of P and Q, lowest degree first.
+
+    d/dz P(wp) = wp' P'(wp) and d/dz wp' Q(wp) = wp'' Q(wp) + wp'^2 Q'(wp),
+    with wp'' = 6 wp^2 - g2/2 and wp'^2 = 4 wp^3 - g2 wp - g3.
+    """
+    new_even = [0] * (len(odd) + 2 if odd else 0)
+    for i, q in enumerate(odd):
+        new_even[i + 2] += (4 * i + 6) * q
+        new_even[i] -= (i + 0.5) * g2 * q
+        if i:
+            new_even[i - 1] -= i * g3 * q
+    return new_even, [i * p for i, p in enumerate(even)][1:]
+
+
 class SectionBasis:
     """Monomial basis of L(n*[0]): {1} u {wp^a : 2a <= n} u {wp^b wp' : 2b+3 <= n}.
 
     The n basis functions have pairwise distinct pole orders at 0, namely
-    {0, 2, 3, ..., n}, and are listed in increasing pole order.
+    {0, 2, 3, ..., n}, and are listed in increasing pole order.  Their
+    z-derivatives of every order k < n are tabulated once, each written as
+    P(wp) + wp' Q(wp), so that `jet` needs only arithmetic on wp and wp'.
     """
 
     def __init__(self, n: int, lattice: LatticeTau):
@@ -278,59 +295,60 @@ class SectionBasis:
         terms.sort()
         self.terms = tuple(terms)
         self.pole_orders = tuple(t[0] for t in terms)
+        g2, g3 = lattice.g2g3
+        # _jets[k][j]: the terms (i, c, odd) of the k-th derivative of
+        # function j, c wp^i (wp')^odd with c != 0
+        self._jets: list[list[tuple]] = [[] for _ in range(n)]
+        for _, a, e in terms:
+            pair = ([], [0] * a + [1]) if e else ([0] * a + [1], [])
+            for jets in self._jets:
+                jets.append(
+                    tuple((i, c, odd) for odd, p in enumerate(pair) for i, c in enumerate(p) if c != 0)
+                )
+                pair = _derive(*pair, g2, g3)
 
     def __len__(self) -> int:
         return self.n
 
+    def jet(self, w, wprime, k: int = 0) -> list[np.ndarray]:
+        """The k-jet of the basis, k < n: its z-derivatives of orders 0, 1, ..., k.
+
+        `w` and `wprime` are the values of wp and wp' at non-pole points:
+        complex numbers, or 1-d arrays of one length, touched only by
+        arithmetic.  Entry m holds the m-th derivatives of all basis
+        functions along a new last axis.  A unit coefficient multiplies
+        nothing, so the values keep the bits of the powers of wp.
+        """
+        powers = [w**0]
+        # a k-th derivative has pole order at most n + k, and wp^i has 2i
+        for _ in range((self.n + k) // 2):
+            powers.append(powers[-1] * w)
+        out = []
+        for jets in self._jets[: k + 1]:
+            rows = []
+            for terms in jets:
+                value = None
+                for i, c, odd in terms:
+                    term = powers[i] if c == 1 else c * powers[i]
+                    if odd:
+                        term = term * wprime
+                    value = term if value is None else value + term
+                rows.append(0 * powers[0] if value is None else value)
+            out.append(np.array(rows).T)
+        return out
+
     def evaluate(self, p: TorusPoint) -> np.ndarray:
         """Values of all basis functions at a non-pole point."""
-        w, wprime = wp_both_values(p)
-        return np.array(
-            [w**a * (wprime if e else 1.0) for _, a, e in self.terms]
-        )
-
-    def evaluate_derivative(self, p: TorusPoint) -> np.ndarray:
-        """z-derivatives of all basis functions at a non-pole point."""
-        return self.evaluate_both(p)[1]
-
-    def evaluate_both(self, p: TorusPoint) -> tuple[np.ndarray, np.ndarray]:
-        """`evaluate` and `evaluate_derivative` at a point, from one series evaluation."""
-        w, wprime = wp_both_values(p)
-        g2, _ = p.lattice.g2g3
-        wsecond = 6.0 * w * w - 0.5 * g2  # wp'' = 6 wp^2 - g2/2
-        values = [w**a * (wprime if e else 1.0) for _, a, e in self.terms]
-        out = []
-        for _, a, e in self.terms:
-            if e == 0:
-                out.append(a * w ** (a - 1) * wprime if a else 0j)
-            else:
-                out.append(a * w ** (a - 1) * wprime**2 + w**a * wsecond if a else wsecond)
-        return np.array(values), np.array(out)
-
-
-def _group_divisor(
-    points: Sequence[TorusPoint], tol: float
-) -> list[tuple[TorusPoint, int]]:
-    groups: list[tuple[TorusPoint, list[TorusPoint]]] = []
-    for p in sorted(points, key=TorusPoint.sort_key):
-        for rep, members in groups:
-            if p.close_to(rep, tol):
-                members.append(p)
-                break
-        else:
-            groups.append((p, [p]))
-    return [(rep, len(members)) for rep, members in groups]
+        return self.jet(*wp_both_values(p))[0]
 
 
 def divisor_to_coords(points: Sequence[TorusPoint], basis: SectionBasis) -> ProjectivePoint:
     """Coordinates in P^(n-1) of the section of O(n*[0]) vanishing on `points`.
 
     The divisor must be effective of degree n = basis.n with sum 0 in E;
-    otherwise no section exists and SumNotZero is raised.  Each point may
-    appear at most twice: a repeated finite point contributes a derivative
-    row, each copy of the origin strikes the basis element of highest
-    remaining pole order.  The kernel is extracted by SVD; a collapsing
-    second-smallest singular value raises IllConditioned.
+    otherwise no section exists and SumNotZero is raised.  The section is
+    the one row of `batch.divisors_to_coords`, which states the rule for
+    repeated points; IllConditioned is raised where it marks that row.
     """
     n = basis.n
     if len(points) != n:
@@ -342,35 +360,12 @@ def divisor_to_coords(points: Sequence[TorusPoint], basis: SectionBasis) -> Proj
         raise SumNotZero(
             f"divisor sum ({total.a:.3e}, {total.b:.3e}) is not the origin"
         )
-    rows: list[np.ndarray] = []
-    zero_mult = 0
-    for rep, mult in _group_divisor(points, EPS_PT):
-        if mult > 2:
-            raise HighMultiplicity(
-                f"point {rep.sort_key()} repeats {mult} times; at most 2 supported"
-            )
-        if rep.is_zero(EPS_PT):
-            zero_mult = mult
-            continue
-        rows.append(basis.evaluate(rep))
-        if mult == 2:
-            rows.append(basis.evaluate_derivative(rep))
-    # a zero of multiplicity m at the origin kills the m basis elements of
-    # largest pole order, leaving a section of L((n-m)*[0])
-    for k in range(zero_mult):
-        unit = np.zeros(n, dtype=complex)
-        unit[n - 1 - k] = 1.0
-        rows.append(unit)
-    matrix = np.array(rows)
-    # row scaling does not change the kernel but tames wp-power growth
-    norms = np.max(np.abs(matrix), axis=1, keepdims=True)
-    matrix = matrix / np.where(norms == 0, 1.0, norms)
-    _, s, vh = np.linalg.svd(matrix)
-    if len(s) >= 2 and s[-2] <= _COND_FLOOR * s[0]:
-        raise IllConditioned(
-            f"section system is numerically degenerate (s2/s0={s[-2] / s[0]:.2e})"
-        )
-    return ProjectivePoint.normalize(np.conj(vh[-1]))
+    from .batch import divisors_to_coords
+
+    rows, failed = divisors_to_coords(np.array([[(p.a, p.b) for p in points]]), basis)
+    if failed[0]:
+        raise IllConditioned("section system is numerically degenerate")
+    return ProjectivePoint(tuple(rows[0].tolist()))
 
 
 def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPoint:
@@ -379,10 +374,8 @@ def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPo
     Each step is kept only if it lowers |f|; the first that does not ends
     the polish.
     """
-    values, derivatives = basis.evaluate_both(z)
-    f = complex(np.dot(c, values))
+    f, df = (complex(np.dot(c, row)) for row in basis.jet(*wp_both_values(z), 1))
     for _ in range(_POLISH_STEPS):
-        df = complex(np.dot(c, derivatives))
         if df == 0:
             break
         step = f / df
@@ -391,11 +384,10 @@ def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPo
         w = reduce_point(z.z - step, basis.lattice)
         if w.is_zero():  # the pole of every basis function
             break
-        values, derivatives_w = basis.evaluate_both(w)
-        fw = complex(np.dot(c, values))
+        fw, dfw = (complex(np.dot(c, row)) for row in basis.jet(*wp_both_values(w), 1))
         if not abs(fw) < abs(f):
             break
-        z, f, derivatives = w, fw, derivatives_w
+        z, f, df = w, fw, dfw
     return z
 
 
@@ -462,9 +454,6 @@ def section_zeros(
     # strip numerically void leading terms down to the true degree
     norm = norm[len(norm) - (p_order + 1) :]
 
-    def section_at(z: TorusPoint) -> complex:
-        return complex(np.dot(c, basis.evaluate(z)))
-
     scale = float(np.max(np.abs(norm)))
     if scale == 0:
         raise DegenerateSection("norm polynomial vanishes identically")
@@ -475,9 +464,12 @@ def section_zeros(
             # 2-torsion: both branches coincide, full multiplicity
             divisor.append((z_plus, mult))
             continue
-        at_plus = basis.evaluate(z_plus)
+        # wp is even and wp' odd: the basis at z_minus = -z_plus is read off
+        # the same series values with wp' negated
+        w, wprime = wp_both_values(z_plus)
+        at_plus = basis.jet(w, wprime)[0]
         f_plus = abs(complex(np.dot(c, at_plus)))
-        f_minus = abs(section_at(z_minus))
+        f_minus = abs(complex(np.dot(c, basis.jet(w, -wprime)[0])))
         # scale of the two nearly-cancelling halves of the section at x0
         vals = np.abs(at_plus) * np.abs(c)
         size = float(np.max(vals)) + 1e-300

@@ -3,12 +3,17 @@ import pytest
 
 from ellcover import (
     FiniteSubgroupSpec,
+    IllConditioned,
+    InvalidPoint,
     LatticeTau,
     ProjectivePoint,
-    divisor_to_coords,
+    SumNotZero,
+    TorusPoint,
     reduce_point,
     wp,
 )
+from ellcover.elliptic import EPS_PT, wp_both_values
+from ellcover.symfun import _COND_FLOOR
 
 TAU = complex(0.3, 1.1)
 
@@ -93,8 +98,53 @@ def scalar_map_A(spec, point):
     return scalar_sym_product([wp(reduce_point(p.z, target)) for p in point])
 
 
+def scalar_divisor_to_coords(points, basis):
+    """`divisor_to_coords` of one divisor, one group of points at a time: its scalar oracle.
+
+    The points are sorted, and each joins the first earlier representative
+    within EPS_PT.  A group of m copies of a point off the origin gives the
+    rows of its z-derivatives of orders 0, ..., m-1; m copies of the origin
+    strike the basis elements of pole orders n, n-1, ..., n+1-m, down to 2.
+    The kernel comes from the SVD of the row-scaled matrix; a collapsing
+    second-smallest singular value raises IllConditioned.
+    """
+    n = basis.n
+    if len(points) != n:
+        raise InvalidPoint(f"divisor degree {len(points)} does not match n={n}")
+    total = points[0]
+    for p in points[1:]:
+        total = total + p
+    if not total.is_zero(tol=1e-6 * n):
+        raise SumNotZero("divisor sum is not the origin")
+    groups = []
+    for p in sorted(points, key=TorusPoint.sort_key):
+        for rep, members in groups:
+            if p.close_to(rep, EPS_PT):
+                members.append(p)
+                break
+        else:
+            groups.append((p, [p]))
+    rows = []
+    for rep, members in groups:
+        if rep.is_zero(EPS_PT):
+            for k in range(len(members)):
+                unit = np.zeros(n, dtype=complex)
+                if k < n - 1:  # no basis function has a simple pole
+                    unit[n - 1 - k] = 1.0
+                rows.append(unit)
+        else:
+            rows.extend(basis.jet(*wp_both_values(rep), len(members) - 1))
+    matrix = np.array(rows)
+    norms = np.max(np.abs(matrix), axis=1, keepdims=True)
+    matrix = matrix / np.where(norms == 0, 1.0, norms)
+    _, s, vh = np.linalg.svd(matrix)
+    if s[-2] <= _COND_FLOOR * s[0]:
+        raise IllConditioned(f"section system is numerically degenerate (s2/s0={s[-2] / s[0]:.2e})")
+    return ProjectivePoint.normalize(np.conj(vh[-1]))
+
+
 def scalar_map_B(spec, point):
-    """Construction B on one point tuple: `divisor_to_coords` of y_1, ..., y_d, -sum y_i.
+    """Construction B on one point tuple: `scalar_divisor_to_coords` of y_1, ..., y_d, -sum y_i.
 
     Raises what `divisor_to_coords` raises on a divisor it cannot map.
     """
@@ -103,7 +153,7 @@ def scalar_map_B(spec, point):
     for y in ys[1:]:
         total = total + y
     ys.append(-total)
-    return divisor_to_coords(ys, spec.basis)
+    return scalar_divisor_to_coords(ys, spec.basis)
 
 
 def scalar_map(spec, point):

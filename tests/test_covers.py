@@ -9,7 +9,6 @@ from ellcover import (
     ConfigError,
     CoverSpec,
     FiniteSubgroupSpec,
-    HighMultiplicity,
     IllConditioned,
     LatticeTau,
     NonGenericTarget,
@@ -73,7 +72,7 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
         try:
             fiber = spec.fiber(ProjectivePoint(tuple(target.tolist())))
             fiber_match = _match_one(coords_array(fiber), orbit, EPS_GENERIC)
-        except (NonGenericTarget, HighMultiplicity, IllConditioned, SumNotZero, InvalidPoint):
+        except (NonGenericTarget, IllConditioned, SumNotZero, InvalidPoint):
             generic = False
     return SampleRecord(
         index=index,
@@ -249,7 +248,7 @@ class TestMapArray:
         points = [_point(spec, GENERIC[:d]), special]
         try:
             want = scalar_map(spec, special)
-        except (HighMultiplicity, IllConditioned):
+        except IllConditioned:
             # the row where the scalar map raises is marked, and only that row
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -507,8 +506,8 @@ def test_chunks_match_the_one_sample_oracle(monkeypatch, construction, d, tau, q
 @pytest.mark.parametrize("construction", ["A", "B"])
 def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
     # generic samples around a 2-torsion point (stabilizer 4) and a diagonal
-    # 6-torsion point, whose B divisor is one point three times: the map
-    # raises there
+    # 6-torsion point, whose B divisor is one point three times: it maps,
+    # but its stabilizer is not trivial
     spec = _build(construction, 2, q2, lattice)
     points = [
         _point(spec, GENERIC[:2]),
@@ -521,8 +520,7 @@ def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
     assert _bits(records) == _bits(_verify_sample(spec, p, k) for k, p in enumerate(points))
     assert [r.generic for r in records] == [True, False, True, False, True]
     assert records[1].stabilizer_size > 1
-    if construction == "B":
-        assert records[3].image_spread == math.inf
+    assert math.isfinite(records[3].image_spread)
 
 
 def _scalar_match(left, right, tol):

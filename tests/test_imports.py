@@ -100,7 +100,7 @@ def test_construct_runs_without_numpy(shape):
 
 class TestLazyNamespace:
     def test_every_export_is_its_home_modules_object(self):
-        assert len(ellcover.__all__) == len(set(ellcover.__all__)) == 56
+        assert len(ellcover.__all__) == len(set(ellcover.__all__)) == 55
         for name in ellcover.__all__:
             value = getattr(ellcover, name)
             home = importlib.import_module(value.__module__)

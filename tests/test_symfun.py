@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from ellcover import (
     DegenerateSection,
-    HighMultiplicity,
     HomPair,
     InvalidOrder,
     InvalidPoint,
@@ -21,9 +21,11 @@ from ellcover import (
     section_zeros,
     sym_fiber,
     sym_product,
+    reduce_point,
     wp,
 )
 
+from ellcover.elliptic import wp_both_values
 from ellcover.symfun import normalize_rows
 
 from conftest import TAU, scalar_sym_product
@@ -235,9 +237,26 @@ class TestSectionBasis:
         down = basis.evaluate(TorusPoint.from_coords(lattice, a - h, b))
         # d/dz = d/da when moving along the first period (scale 1 here)
         fd = (up - down) / (2 * h * abs(1.0))
-        dv = basis.evaluate_derivative(TorusPoint.from_coords(lattice, a, b))
+        dv = basis.jet(*wp_both_values(TorusPoint.from_coords(lattice, a, b)), 1)[1]
         for got, want in zip(dv[1:], fd[1:]):
             assert abs(got - want) < 1e-4 * (1 + abs(want))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("center", [(0.31, 0.17), (0.5, 0.5), (0.62, 0.93)])
+    def test_derivatives_of_every_order_match_contour_integrals(self, lattice, n, center):
+        # f^(k)(z) = k!/r^k * mean_j f(z + r e^(i t_j)) e^(-i k t_j) on a circle
+        # of radius r, exact up to (r/R)^m for the m points and R the
+        # distance to the nearest pole, here 0.4 or more
+        basis = SectionBasis(n, lattice)
+        p = TorusPoint.from_coords(lattice, *center)
+        r, m = 0.2, 64
+        turns = np.exp(2j * np.pi * np.arange(m) / m)
+        values = np.array([basis.evaluate(reduce_point(p.z + r * t, lattice)) for t in turns])
+        for k in range(n):
+            want = math.factorial(k) / r**k * (turns[:, None] ** -k * values).mean(axis=0)
+            got = basis.jet(*wp_both_values(p), k)[k]
+            scale = math.factorial(k) / r**k * np.abs(values).max(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-11 * scale), k
 
 
 def _points(lattice, coords):
@@ -274,22 +293,34 @@ class TestDivisorToCoords:
         with pytest.raises(InvalidPoint):
             divisor_to_coords([y, -y], basis)
 
-    def test_high_multiplicity_rejected(self, lattice):
-        basis = SectionBasis(4, lattice)
-        y = TorusPoint.from_coords(lattice, 0.2, 0.3)
-        rest = -(y + y + y)
-        with pytest.raises(HighMultiplicity):
-            divisor_to_coords([y, y, y, rest], basis)
+    @pytest.mark.parametrize(
+        "n, coords", [(4, (0.31, 0.21)), (5, (0.31, 0.21)), (4, (0.25, 0.25)), (5, (0.4, 0.2))]
+    )
+    def test_repeated_point_is_a_zero_of_its_multiplicity(self, lattice, n, coords):
+        # n - 1 copies of y and -(n-1)y, or n copies of an n-torsion point
+        basis = SectionBasis(n, lattice)
+        y = TorusPoint.from_coords(lattice, *coords)
+        divisor = [y] * (n - 1)
+        rest = -(sum(divisor[1:], y))
+        mult = n if rest.close_to(y) else n - 1
+        divisor.append(rest)
+        c = np.asarray(divisor_to_coords(divisor, basis).coords)
+        jets = np.array(basis.jet(*wp_both_values(y), n - 1))
+        sizes = np.abs(jets) @ np.abs(c)
+        assert np.all(np.abs(jets[:mult] @ c) <= 1e-9 * sizes[:mult])
+        if mult < n:
+            assert abs(jets[mult] @ c) > 1e-3 * sizes[mult]
 
-    def test_origin_triple_rejected(self, lattice):
-        basis = SectionBasis(4, lattice)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_copies_of_the_origin(self, lattice, n):
+        # n copies give the constant section; n - 2 copies and y, -y give wp - wp(y)
+        basis = SectionBasis(n, lattice)
         zero = TorusPoint.from_coords(lattice, 0.0, 0.0)
         y = TorusPoint.from_coords(lattice, 0.25, 0.35)
-        with pytest.raises(HighMultiplicity):
-            divisor_to_coords([zero, zero, zero, zero], basis)
-        # origin with multiplicity 2 is fine
-        out = divisor_to_coords([zero, zero, y, -y], basis)
-        assert isinstance(out, ProjectivePoint)
+        constant = ProjectivePoint.normalize([1.0] + [0.0] * (n - 1))
+        assert divisor_to_coords([zero] * n, basis).close_to(constant, tol=1e-15)
+        shift = ProjectivePoint.normalize([-wp(y).value, 1.0] + [0.0] * (n - 2))
+        assert divisor_to_coords([zero] * (n - 2) + [y, -y], basis).close_to(shift, tol=1e-9)
 
     def test_double_point_divisor(self, lattice):
         basis = SectionBasis(4, lattice)
@@ -303,7 +334,7 @@ class TestDivisorToCoords:
         c = np.asarray(coeffs.coords)
         # double zero: value and derivative both vanish at y
         assert abs(np.dot(c, basis.evaluate(y))) < 1e-7
-        assert abs(np.dot(c, basis.evaluate_derivative(y))) < 1e-5
+        assert abs(np.dot(c, basis.jet(*wp_both_values(y), 1)[1])) < 1e-5
 
 
 class TestSectionZeros:
@@ -377,10 +408,7 @@ class TestSectionZeros:
         q = TorusPoint.from_coords(lattice, a2, b2)
         r = -(p + q)
         divisor = [p, q, r]
-        try:
-            coeffs = divisor_to_coords(divisor, basis)
-        except HighMultiplicity:
-            return  # colliding random draw, outside this property's domain
+        coeffs = divisor_to_coords(divisor, basis)
         zeros = section_zeros(coeffs, basis)
         assert sum(m for _, m in zeros) == 3
         for target in divisor:
