@@ -20,7 +20,6 @@ from .elliptic import (
     EPS_PT,
     IsogenyQuotient,
     LatticeTau,
-    _series_terms,
     _wp_qseries,
 )
 from .errors import IllConditioned, InvalidOrder, InvalidPoint, SumNotZero
@@ -209,39 +208,19 @@ def close_pairs(
 
 
 def wp_series_array(
-    lattice: LatticeTau,
-    a: np.ndarray,
-    b: np.ndarray,
-    derivative: bool = True,
-    samples: np.ndarray | None = None,
+    lattice: LatticeTau, a: np.ndarray, b: np.ndarray, derivative: bool = True
 ) -> tuple[np.ndarray, ...]:
     """`elliptic._wp_series` on arrays of coordinates (a, b), through the same kernel.
 
     Returns (num, den, num', den'), or (num, den) without the derivative.
-    `samples` labels the rows (the first axis) with the samples they belong
-    to, all one sample by default.  A sample's rows get the terms of its
-    smallest min(1, |u|): at least the terms `_wp_series` gives each point,
-    and the bits they would get without the other samples' rows.
+    Every entry gets the lattice's `series_terms`, so it depends on its
+    own coordinates alone.
     """
     ma, mb, mc, md = lattice.basis_change
     alpha = ma * a - mb * b
     beta = -mc * a + md * b
     u = np.exp(_TWO_PI_I * (alpha - np.rint(alpha) + (beta - np.rint(beta)) * lattice.tau_reduced))
-    if samples is None:
-        samples = np.zeros(len(u), dtype=int)
-    floors = np.ones(np.max(samples, initial=-1) + 1)
-    np.minimum.at(floors, samples, np.abs(u).min(axis=tuple(range(1, u.ndim)), initial=1.0))
-    terms = [_series_terms(lattice, f) for f in floors.tolist()]
-    counts = sorted(set(terms))
-    if len(counts) == 1:
-        return _wp_qseries(lattice, u, counts[0], derivative)
-    terms = np.array(terms, dtype=int)[samples]
-    out = [np.empty_like(u) for _ in range(4 if derivative else 2)]
-    for count in counts:
-        rows = np.flatnonzero(terms == count)
-        for whole, part in zip(out, _wp_qseries(lattice, u[rows], count, derivative)):
-            whole[rows] = part
-    return tuple(out)
+    return _wp_qseries(lattice, u, derivative)
 
 
 def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +241,7 @@ def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
 MAP_ERRORS = (IllConditioned, SumNotZero, InvalidPoint)
 
 
-def divisors_to_coords(
-    points: np.ndarray, basis: SectionBasis, samples: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
     """Sections of O(n*[0]) vanishing on N divisors given by coordinates, N x n x 2.
 
     Returns the N x n coordinates of the sections, rows normalized as
@@ -276,9 +253,12 @@ def divisors_to_coords(
     matter.  The k-th copy of a point contributes the (k-1)-th
     z-derivative of the basis there; the k-th copy of the origin strikes
     the basis element of pole order n+1-k, and the n-th has none to strike.
-    All N systems share one stacked evaluation, whose rows are labelled by
-    `samples` as in `wp_series_array`, and one batched SVD; no series is
-    evaluated at the origin.
+    At a point within EPS_PT of a half period, wp' is taken as 0, its
+    exact value; so at n = 2 the second copy of a point, which the sum
+    forces to a half period, gives a zero row, as every section of
+    O(2*[0]) is even.  All N systems share one stacked evaluation and one
+    batched SVD, and each row depends on its own divisor alone; no series
+    is evaluated at the origin.
     """
     count = len(points)
     n = basis.n
@@ -297,11 +277,12 @@ def divisors_to_coords(
     pts = pts[index, rep]
     origin = np.all(_wrap_dist_array(pts, 0.0) <= EPS_PT, axis=2)
     live = ~origin
-    labels = None if samples is None else np.broadcast_to(samples[:, None], live.shape)[live]
-    num, den, nump, denp = wp_series_array(basis.lattice, *pts[live].T, samples=labels)
+    num, den, nump, denp = wp_series_array(basis.lattice, *pts[live].T)
     w = np.zeros((count, n), dtype=complex)
     wprime = w.copy()
     w[live], wprime[live] = num / den, nump / denp
+    # the series leaves rounding noise for wp' at a half period, which row scaling would blow up
+    wprime[np.all(_wrap_dist_array(2.0 * pts, 0.0) <= EPS_PT, axis=2)] = 0.0
     # copy k of the origin strikes pole order n+1-k; no function has pole order 1
     strike = np.eye(n)[::-1]
     strike[-1] = 0.0

@@ -78,26 +78,21 @@ class CoverSpec:
             raise IllConditioned("the map has no computable image at this point")
         return ProjectivePoint(tuple(rows[0].tolist()))
 
-    def map_array(
-        self, coords: np.ndarray, samples: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def map_array(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The map on N point tuples given by coordinates, shape N x d x 2.
 
         Returns the N x (d+1) coordinates of the images, normalized as
         `ProjectivePoint.normalize` normalizes them, and a mask of the rows
         that have no image, such as a divisor whose section system is
-        degenerate (`batch.divisors_to_coords`).  `samples` labels the rows
-        with the samples they belong to: each sample's rows then get the
-        bits they would get mapped alone.  Raises InvalidOrder unless the
-        tuples have d points.
+        degenerate (`batch.divisors_to_coords`).  Each row depends on its
+        own tuple alone, bit for bit, whatever else the stack holds.
+        Raises InvalidOrder unless the tuples have d points.
         """
         if coords.shape[1] != self.d:
             raise InvalidOrder(f"point has {coords.shape[1]} components, expected {self.d}")
         from . import covers
 
-        return (covers.map_A_array if self.construction == "A" else covers.map_B_array)(
-            self, coords, samples
-        )
+        return (covers.map_A_array if self.construction == "A" else covers.map_B_array)(self, coords)
 
     def fiber(self, image: ProjectivePoint) -> list[PointTuple]:
         from . import covers

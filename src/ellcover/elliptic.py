@@ -10,7 +10,6 @@ overflowing.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -186,17 +185,20 @@ class LatticeTau:
         return cmath.exp(_TWO_PI_I * self.tau_reduced)
 
     @cached_property
-    def _nome_moduli(self) -> list[float]:
-        """|q^n| for n = _SERIES_MAX_TERMS - 1 down to 1, q^n formed as the series forms it.
+    def series_terms(self) -> int:
+        """Terms of the wp q-series: n = 1, 2, ... up to the first with |q^n| < 1e-14 |q|^(1/2).
 
-        Each power is |q| <= exp(-pi sqrt 3) times the one before, so the list ascends.
+        A point alpha + beta*tau_reduced, |beta| <= 1/2, has |u| >= |q|^(1/2),
+        so the tail stays below _SERIES_TAIL_REL * min(1, |u|) at every point;
+        q^n is formed as the series forms it.  At most _SERIES_MAX_TERMS - 1.
         """
-        moduli = []
+        bound = _SERIES_TAIL_REL * math.sqrt(abs(self._nome))
         qn = 1.0 + 0j
-        for _ in range(1, _SERIES_MAX_TERMS):
+        for n in range(1, _SERIES_MAX_TERMS):
             qn *= self._nome
-            moduli.append(abs(qn))
-        return moduli[::-1]
+            if abs(qn) < bound:
+                return n
+        return _SERIES_MAX_TERMS - 1
 
     @cached_property
     def g2g3(self) -> tuple[complex, complex]:
@@ -456,32 +458,20 @@ def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:
     return lattice.g2g3
 
 
-def _series_terms(lattice: LatticeTau, floor: float) -> int:
-    """Terms of the q-series for floor = min(1, |u|), or the least such value of a batch.
-
-    Terms n = 1, 2, ... are added up to the first with |q^n| < _SERIES_TAIL_REL * floor,
-    and at most _SERIES_MAX_TERMS - 1.
-    """
-    moduli = lattice._nome_moduli
-    # the powers not below the bound, then the first power below it
-    kept = len(moduli) - bisect.bisect_left(moduli, _SERIES_TAIL_REL * floor)
-    return min(kept + 1, len(moduli))
-
-
-def _wp_qseries(lattice: LatticeTau, u, terms: int, derivative: bool = True) -> tuple:
+def _wp_qseries(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
     """(num, den, num', den') of wp and wp' at u = exp(2*pi*i*z'), z' on the reduced basis.
 
     `u` is a complex or a numpy array, touched only by arithmetic, so one
     loop serves `_wp_series` and `batch.wp_series_array`.  It adds the
-    first `terms` terms (see `_series_terms`).  Without the derivative:
-    (num, den).  The pole u = 1 only zeroes the denominators; nothing is
-    divided by 1 - u.
+    lattice's `series_terms` terms at every point, so each value depends
+    on its own point alone.  Without the derivative: (num, den).  The pole
+    u = 1 only zeroes the denominators; nothing is divided by 1 - u.
     """
     q = lattice._nome
     tail = 1.0 / 12.0 + 0j
     dtail = 0j
     qn = 1.0 + 0j
-    for _ in range(terms):
+    for _ in range(lattice.series_terms):
         qn *= q
         qu = qn * u
         qiu = qn / u
@@ -511,7 +501,7 @@ def _wp_series(lattice: LatticeTau, a: float, b: float, derivative: bool = True)
     """
     alpha, beta = lattice._reduced_coords(a, b)
     u = cmath.exp(_TWO_PI_I * (alpha + beta * lattice.tau_reduced))
-    return _wp_qseries(lattice, u, _series_terms(lattice, min(1.0, abs(u))), derivative)
+    return _wp_qseries(lattice, u, derivative)
 
 
 def wp(p: TorusPoint) -> HomPair:

@@ -212,7 +212,9 @@ def sym_product(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarra
         coeffs[:, 1 : k + 2] = (
             coeffs[:, 1 : k + 2] * den[:, k, None] - coeffs[:, : k + 1] * num[:, k, None]
         )
-        coeffs[:, 0] *= den[:, k]
+        # not in place: numpy takes a scalar loop for an in-place product of
+        # one row, which rounds otherwise than its vector loop for many
+        coeffs[:, 0] = coeffs[:, 0] * den[:, k]
     return normalize_rows(coeffs[:, ::-1])
 
 

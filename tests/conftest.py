@@ -103,8 +103,9 @@ def scalar_divisor_to_coords(points, basis):
 
     The points are sorted, and each joins the first earlier representative
     within EPS_PT.  A group of m copies of a point off the origin gives the
-    rows of its z-derivatives of orders 0, ..., m-1; m copies of the origin
-    strike the basis elements of pole orders n, n-1, ..., n+1-m, down to 2.
+    rows of its z-derivatives of orders 0, ..., m-1, with wp' taken as 0 at
+    a half period; m copies of the origin strike the basis elements of pole
+    orders n, n-1, ..., n+1-m, down to 2.
     The kernel comes from the SVD of the row-scaled matrix; a collapsing
     second-smallest singular value raises IllConditioned.
     """
@@ -133,7 +134,10 @@ def scalar_divisor_to_coords(points, basis):
                     unit[n - 1 - k] = 1.0
                 rows.append(unit)
         else:
-            rows.extend(basis.jet(*wp_both_values(rep), len(members) - 1))
+            w, wprime = wp_both_values(rep)
+            if (rep + rep).is_zero(EPS_PT):
+                wprime = 0j
+            rows.extend(basis.jet(w, wprime, len(members) - 1))
     matrix = np.array(rows)
     norms = np.max(np.abs(matrix), axis=1, keepdims=True)
     matrix = matrix / np.where(norms == 0, 1.0, norms)

@@ -52,8 +52,7 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     """One sample of the protocol, alone: the oracle of `galois_verify`'s chunks.
 
     Stabilizer and orbit come from the sample's own |G| images, and its
-    orbit is mapped by itself, so that the q-series gets the terms of the
-    sample's own smallest |u|.
+    orbit is mapped by itself.
     """
     found = batch.images(spec.group, [point])
     here = coords_array([point])
@@ -85,9 +84,10 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     )
 
 
-#: tau whose quotient by <1/2, 0> has tau' = 0.4 + 1.4i: the orbits of
-#: different samples take 4 or 5 series terms, and at this height a fifth
-#: term moves some of the mapped rows by an ulp
+#: tau whose quotient by <1/2, 0> has tau' = 0.4 + 1.4i: a term count
+#: from min(1, |u|) would give 4 series terms near |u| = 1 and 5 near
+#: |q|^(1/2), and at this height a fifth term moves some of the mapped rows
+#: by an ulp, so a count that followed the other rows of a stack would show
 TERMS_VARY = (0.2, 0.7)
 
 def _bits(records):
@@ -326,8 +326,14 @@ class TestFiberA:
         spec = build_cover("A", 2, lattice, q2)
         # both slots on the same quotient class: double root downstairs
         x = _point(spec, [(0.2, 0.3), (0.7, 0.3)])
-        with pytest.raises(NonGenericTarget):
-            fiber_A(spec, spec.map(x))
+        # and two distinct roots 5e-7 apart, relative: inside EPS_GENERIC,
+        # so root clustering must have merged them into a double root
+        w = wp(spec.quotient.map(x[0])).value
+        v = w + 5e-7 * (1.0 + abs(w))
+        near = ProjectivePoint.normalize([w * v, -(w + v), 1.0])
+        for target in (spec.map(x), near):
+            with pytest.raises(NonGenericTarget, match="repeated roots"):
+                fiber_A(spec, target)
 
 
 GENERIC = [(0.137, 0.261), (0.389, 0.731), (0.613, 0.447)]
@@ -446,19 +452,9 @@ class TestGaloisVerify:
 
     def test_jobs_do_not_change_results(self, q2, monkeypatch):
         # whole records, spread bits included, in one chunk and split into
-        # chunks of 3 samples; the samples' orbits take different numbers of
-        # q-series terms, so a term count shared across a chunk shows
+        # chunks of 3 samples shared out to four threads
         spec = _build("B", 1, q2, LatticeTau.from_tau(complex(*TERMS_VARY)))
-        terms = []
-
-        def counted(lat, floor):
-            terms.append(batch._series_terms.__wrapped__(lat, floor))
-            return terms[-1]
-
-        counted.__wrapped__ = batch._series_terms
-        monkeypatch.setattr(batch, "_series_terms", counted)
         seq = galois_verify(spec, samples=10, seed=3, jobs=1)
-        assert len(set(terms)) > 1
         monkeypatch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.order)
         par = galois_verify(spec, samples=10, seed=3, jobs=4)
         assert _bits(seq.samples) == _bits(par.samples)
@@ -479,6 +475,31 @@ class TestGaloisVerify:
         spec = build_cover("A", 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
         assert calls == [rec.point for rec in report.samples]
+
+
+ALONE_SPECS = [
+    (construction, d, tau, q0)
+    # the second quotient sits at the corner of the fundamental domain,
+    # where the lattice takes the most series terms
+    for tau, q0 in ((TERMS_VARY, "1/2,0"), ((0.5, 0.8660254), "1/3,1/3"))
+    for d in (1, 2, 3)
+    for construction in ("A", "B")
+]
+
+
+@pytest.mark.parametrize("construction, d, tau, q0", ALONE_SPECS)
+def test_map_rows_do_not_depend_on_the_stack(construction, d, tau, q0):
+    # each row of a stack of seeded tuples, and its failure mark, equals
+    # the same tuple mapped alone, bit for bit
+    lattice = LatticeTau.from_tau(complex(*tau))
+    spec = _build(construction, d, FiniteSubgroupSpec.parse((q0,)), lattice)
+    rng = random.Random(5)
+    coords = np.array([[(rng.random(), rng.random()) for _ in range(d)] for _ in range(24)])
+    rows, failed = spec.map_array(coords)
+    for k in range(len(coords)):
+        row, fail = spec.map_array(coords[k : k + 1])
+        assert row[0].tobytes() == rows[k].tobytes()
+        assert fail[0] == failed[k]
 
 
 ORACLE_SPECS = [

@@ -125,8 +125,8 @@ def _failing(monkeypatch, where, marks=None):
     """
     original = CoverSpec.map_array
 
-    def marked(self, coords, samples=None):
-        rows, failed = original(self, coords, samples)
+    def marked(self, coords):
+        rows, failed = original(self, coords)
         if marks is not None:
             marks.append(where(coords))
         return rows, failed | where(coords)
@@ -192,9 +192,9 @@ def test_maps_in_at_most_two_calls(monkeypatch):
     calls = []
     original = CoverSpec.map_array
 
-    def counted(self, coords, samples=None):
+    def counted(self, coords):
         calls.append(len(coords))
-        return original(self, coords, samples)
+        return original(self, coords)
 
     monkeypatch.setattr(CoverSpec, "map_array", counted)
     assert criterion_check(spec).all_ok

@@ -4,6 +4,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 import pytest
@@ -353,7 +354,7 @@ def _reference_wp_series(lat: LatticeTau, a: float, b: float) -> tuple[complex, 
         dt = qu * (1.0 + qu) / (1.0 - qu) ** 3 - qiu * (1.0 + qiu) / (1.0 - qiu) ** 3
         tail += t
         dtail += dt
-        if abs(qn) < 1e-14 * min(1.0, abs(u)):
+        if abs(qn) < 1e-14 * abs(q) ** 0.5:
             break
     s = lat.scale
     one_minus_u = 1.0 - u
@@ -409,6 +410,49 @@ class TestWpSeriesArray:
         bare = wp_series_array(lat, a, b, derivative=False)
         assert len(bare) == 2
         assert _bits(bare[0]) == _bits(num) and _bits(bare[1]) == _bits(den)
+
+
+def _theta_wp(lat: LatticeTau, a: float, b: float) -> tuple[complex, complex]:
+    """(wp, wp') at a*omega1 + b*omega2 from Jacobi theta functions at 50 digits.
+
+    DLMF 23.6.2 with 2*omega_1 = lat.omega1, 2*omega_3 = lat.omega2 and
+    q = exp(i*pi*omega2/omega1): the lattice's own periods, not the reduced
+    basis that the q-series runs on.
+    """
+    pi = mpmath.pi
+    with mpmath.workdps(50):
+        w1, w2 = mpmath.mpc(lat.omega1), mpmath.mpc(lat.omega2)
+        q = mpmath.exp(1j * pi * w2 / w1)
+        zeta = pi * (a * w1 + b * w2) / w1
+        t1, t4 = (mpmath.jtheta(n, zeta, q) for n in (1, 4))
+        d1, d4 = (mpmath.jtheta(n, zeta, q, 1) for n in (1, 4))
+        t2, t3 = (mpmath.jtheta(n, 0, q) for n in (2, 3))
+        amp = (pi * t2 * t3 / w1) ** 2
+        ratio = t4 / t1
+        value = amp * ratio**2 - (pi / w1) ** 2 / 3 * (t2**4 + t3**4)
+        # d/dz = (pi / omega1) d/dzeta
+        slope = 2 * amp * ratio * (d4 * t1 - t4 * d1) / t1**2 * pi / w1
+        return complex(value), complex(slope)
+
+
+#: bound on the error of wp and wp' against `_theta_wp`, relative to
+#: 1 + |value|; the series cut one term short of `series_terms` misses it
+#: on five of the nine lattices
+THETA_REL = 4e-15
+
+
+class TestWpAccuracy:
+    @every
+    def test_matches_theta_functions(self, lat):
+        # points alpha + beta*tau_reduced on the edges |u| = |q|^(-1/2) and
+        # |q|^(1/2) of the reduced strip and on its centre line |u| = 1; no
+        # half period, where wp' is 0 and the series leaves rounding noise
+        for beta in (-0.5, 0.0, 0.5):
+            for alpha in (0.1, 0.2, 0.3, 0.4):
+                p = TorusPoint.from_coords(lat, *_from_reduced(lat, alpha, beta))
+                want, want_prime = _theta_wp(lat, p.a, p.b)
+                assert abs(wp(p).value - want) <= THETA_REL * (1 + abs(want))
+                assert abs(wp_prime(p).value - want_prime) <= THETA_REL * (1 + abs(want_prime))
 
 
 class TestTorusPoints:

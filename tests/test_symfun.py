@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ellcover import (
     DegenerateSection,
     HomPair,
+    IllConditioned,
     InvalidOrder,
     InvalidPoint,
     LatticeTau,
@@ -321,6 +322,22 @@ class TestDivisorToCoords:
         assert divisor_to_coords([zero] * n, basis).close_to(constant, tol=1e-15)
         shift = ProjectivePoint.normalize([-wp(y).value, 1.0] + [0.0] * (n - 2))
         assert divisor_to_coords([zero] * (n - 2) + [y, -y], basis).close_to(shift, tol=1e-9)
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 0.9j, 0.45 + 1.7j, 0.1 + 2.5j, 1j])
+    def test_double_half_period(self, tau):
+        # at n = 2, y + y sums to 0 only at a half period, where wp' vanishes:
+        # the section is wp - wp(y), whatever rounding noise the series
+        # leaves in wp'(y)
+        lattice = LatticeTau.from_tau(tau)
+        basis = SectionBasis(2, lattice)
+        for coords in ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
+            y = TorusPoint.from_coords(lattice, *coords)
+            expected = ProjectivePoint.normalize([-wp(y).value, 1.0])
+            try:
+                out = divisor_to_coords([y, y], basis)
+            except IllConditioned:
+                continue
+            assert out.chordal_dist(expected) <= 1e-13
 
     def test_double_point_divisor(self, lattice):
         basis = SectionBasis(4, lattice)
