@@ -1,30 +1,46 @@
 """Array forms of the per-point routines and the group action, for whole orbits at once.
 
 Each routine here evaluates one scalar routine of `elliptic`, `groups` or
-`symfun` on a stack of points in numpy passes, and the scalar routine stays
-its test oracle; `divisors_to_coords` is the only divisor-to-section
-solver, and its scalar oracle lives in the tests.  The covers' maps, the
-only maps, are built from them: verification and the criterion probes both
-run them.
+`symfun` on a stack of points in numpy passes.  `divisors_to_coords` is the
+only divisor-to-section solver, and `wp_inverse_array` and
+`section_zeros_array` are the only elliptic logarithm and zero finder: the
+scalar `divisor_to_coords`, `wp_inverse` and `section_zeros` are their
+one-row calls, and their scalar oracles live in the tests.  The covers'
+maps and fibers, the only ones, are built from them: verification and the
+criterion probes both run them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .elliptic import (
+    _AGM_MAX_STEPS,
+    _AGM_REL,
     _TWO_PI_I,
+    EPS_NUM,
     EPS_PT,
     IsogenyQuotient,
     LatticeTau,
+    TorusPoint,
+    _on_side,
     _wp_qseries,
 )
-from .errors import IllConditioned, InvalidOrder, InvalidPoint, SumNotZero
+from .errors import DegenerateSection, InvalidOrder, InvalidPoint, NoConvergence
 from .groups import FiniteActionGroup, PointTuple
-from .symfun import _COND_FLOOR, SectionBasis, first_copies, normalize_rows
+from .symfun import (
+    _COND_FLOOR,
+    SectionBasis,
+    _cluster_roots,
+    first_copies,
+    normalize_rows,
+    poly_roots,
+    row_blocks,
+)
 
 
 def _frac_array(x: np.ndarray) -> np.ndarray:
@@ -42,7 +58,7 @@ def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
 
 def map_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
     """`IsogenyQuotient.map` on an array of source coordinates (a, b), shape (..., 2)."""
-    z = coords[..., 0] * quotient.source.omega1 + coords[..., 1] * quotient.source.omega2
+    z = torus_z(quotient.source, coords)
     return np.stack([_frac_array(c) for c in quotient.target.coords(z)], axis=-1)
 
 
@@ -172,7 +188,7 @@ def close_pairs(
     its own on R/Z, found by binary search in the sorted right keys; at
     most every right row is compared once.  The candidates are compared in
     blocks of consecutive left rows, `_JOIN_BLOCK` candidates or one row
-    each, one coordinate at a time, so that memory beyond the pairs found
+    each (`row_blocks`), one coordinate at a time, so that memory beyond the pairs found
     stays bounded when many rows share a key.
     """
     m = math.prod(right.shape[1:])
@@ -187,23 +203,14 @@ def close_pairs(
     width = _key_window(m, tol)
     lo = np.searchsorted(wrapped, query - width, "left")
     hi = np.minimum(np.searchsorted(wrapped, query + width, "right"), lo + n)
-    counts = hi - lo
-    ends = np.cumsum(counts)
     found_i, found_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    first = 0
-    while first < len(left):
-        before = ends[first] - counts[first]
-        stop = max(first + 1, int(np.searchsorted(ends, before + _JOIN_BLOCK, "right")))
-        c = counts[first:stop]
-        starts = np.cumsum(c) - c
-        i = np.repeat(np.arange(first, stop), c)
-        j = order[(np.arange(c.sum()) - np.repeat(starts - lo[first:stop], c)) % n]
+    for i, rank in row_blocks(hi - lo, _JOIN_BLOCK):
+        j = order[(rank + lo[i]) % n]
         for k in range(m):
             close = _wrap_dist_array(left[i, k], right[j, k]) <= tol
             i, j = i[close], j[close]
         found_i.append(i)
         found_j.append(j)
-        first = stop
     return np.concatenate(found_i), np.concatenate(found_j)
 
 
@@ -223,6 +230,99 @@ def wp_series_array(
     return _wp_qseries(lattice, u, derivative)
 
 
+def _abs(z: np.ndarray) -> np.ndarray:
+    """Python's `abs` of complex entries, bit for bit; numpy's `abs` rounds otherwise."""
+    return np.hypot(z.real, z.imag)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _quot(num, den) -> np.ndarray:
+    """Python's complex `/` on arrays: Smith's method, dividing by the scaled denominator.
+
+    numpy's `/` multiplies by a reciprocal instead and rounds otherwise.
+    No denominator may be zero.
+    """
+    num, den = np.asarray(num), np.asarray(den)
+    big = np.abs(den.real) >= np.abs(den.imag)
+    p, q = np.where(big, den.real, den.imag), np.where(big, den.imag, den.real)
+    x, y = np.where(big, num.real, num.imag), np.where(big, num.imag, num.real)
+    ratio = q / p
+    scale = p + q * ratio
+    cross = x * ratio
+    return _complex((x + y * ratio) / scale, np.where(big, y - cross, cross - y) / scale)
+
+
+def wp_values(lattice: LatticeTau, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`elliptic.wp_both_values` on arrays of coordinates of non-pole points: (wp, wp')."""
+    num, den, nump, denp = wp_series_array(lattice, a, b)
+    return _quot(num, den), _quot(nump, denp)
+
+
+def torus_z(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
+    """`TorusPoint.z` on an array of coordinates (a, b), shape (..., 2)."""
+    return coords[..., 0] * lattice.omega1 + coords[..., 1] * lattice.omega2
+
+
+def reduce_coords(lattice: LatticeTau, z: np.ndarray) -> np.ndarray:
+    """`reduce_point` on an array of finite complex representatives: coordinates, shape (..., 2)."""
+    w = _quot(z, lattice.omega1)
+    b = w.imag / lattice.tau.imag
+    return np.stack([_frac_array(w.real - b * lattice.tau.real), _frac_array(b)], axis=-1)
+
+
+def lift_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
+    """`IsogenyQuotient.lifts` on an array of target coordinates (..., 2): shape (..., |Q0|, 2)."""
+    z = torus_z(quotient.target, coords)[..., None] + np.array(quotient._lift_offsets)
+    return reduce_coords(quotient.source, z)
+
+
+def wp_inverse_array(x, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
+    """`elliptic.wp_inverse` on an array of N values: the solutions z and -z as two N x 2 arrays.
+
+    The Landen steps on (a, b) do not depend on x, so every value takes
+    the same number of steps and only c is an array.  numpy's complex
+    square root gives cmath's bits; quotients are Python's (`_quot`).
+    Raises InvalidPoint for a non-finite value and NoConvergence if any
+    value misses the residual contract.
+    """
+    x = np.asarray(x, dtype=complex)
+    finite = np.isfinite(x.real) & np.isfinite(x.imag)
+    if not finite.all():
+        raise InvalidPoint(f"non-finite target value: {complex(x[~finite][0])!r}")
+    e1, e2, e3 = lattice.branch_values
+    c = np.sqrt(x - e3)
+    at_half = c == 0
+    c[at_half] = 1.0  # the half period (1 + tau)/2 solves these; c is not read
+    a = cmath.sqrt(e1 - e3)
+    b = _on_side(cmath.sqrt(e1 - e2), a)
+    for _ in range(_AGM_MAX_STEPS):
+        if abs(a - b) <= _AGM_REL * abs(a):
+            break
+        # c * c in Python's complex product, then its sums in Python's order
+        square = _complex(c.real * c.real - c.imag * c.imag, c.real * c.imag + c.imag * c.real)
+        root = np.sqrt(square + b * b - a * a)
+        c = (c + np.where(_abs(root - c) <= _abs(root + c), root, -root)) / 2
+        a, b = (a + b) / 2, _on_side(cmath.sqrt(a * b), (a + b) / 2)
+    p = reduce_coords(lattice, _quot(np.arcsin(_quot(a, c)), a))
+    half = lattice._half_period(1, 1)
+    p[at_half] = (half.a, half.b)
+    num, den = wp_series_array(lattice, p[:, 0], p[:, 1], derivative=False)
+    pole = den == 0
+    residual = _abs(_quot(num, np.where(pole, 1.0, den)) - x)
+    missed = pole | ~(residual <= EPS_NUM * (1.0 + _abs(x)))
+    if missed.any():
+        raise NoConvergence(f"wp_inverse missed its residual contract at x={complex(x[missed][0])!r}")
+    # the two solutions in the order of TorusPoint.sort_key
+    q = _frac_array(-p)
+    swap = ((q[:, 0] < p[:, 0]) | ((q[:, 0] == p[:, 0]) & (q[:, 1] < p[:, 1])))[:, None]
+    return np.where(swap, q, p), np.where(swap, p, q)
+
+
 def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`elliptic._norm_pair` on arrays.
 
@@ -234,11 +334,6 @@ def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
         np.divide(num, den, out=ones.copy(), where=~flip),
         np.divide(den, num, out=ones, where=flip),
     )
-
-
-#: what `divisor_to_coords` raises for a divisor that has no section it can
-#: compute; `divisors_to_coords` marks such a row as failed
-MAP_ERRORS = (IllConditioned, SumNotZero, InvalidPoint)
 
 
 def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -297,3 +392,163 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
     _, s, vh = np.linalg.svd(matrix)
     out, invalid = normalize_rows(np.conj(vh[:, -1]))
     return out, failed | invalid | (s[:, -2] <= _COND_FLOOR * s[:, 0])
+
+
+#: cap on the Newton steps that polish a simple zero of a section; from the
+#: 1e-4 error an inexact root of the norm polynomial can leave, two steps
+#: reach the accuracy of the coefficients
+_POLISH_STEPS = 6
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`np.dot` of each row of x with the same row of y, bit for bit, as one stacked `matmul`."""
+    return (np.ascontiguousarray(x)[:, None, :] @ np.ascontiguousarray(y)[:, :, None])[:, 0, 0]
+
+
+def _convolve_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`np.convolve` of each row of a with the same row of v, bit for bit.
+
+    numpy takes each coefficient as one dot product of a slice of the
+    longer row and a slice of the shorter one reversed; `_dot` takes the
+    same dot products.
+    """
+    if v.shape[1] > a.shape[1]:
+        a, v = v, a
+    la, lv = a.shape[1], v.shape[1]
+    rev = v[:, ::-1]
+    out = np.empty((len(a), la + lv - 1), dtype=complex)
+    for k in range(la + lv - 1):
+        lo, hi = max(0, k - lv + 1), min(k, la - 1) + 1
+        out[:, k] = _dot(a[:, lo:hi], rev[:, lv - 1 - k + lo : lv - 1 - k + hi])
+    return out
+
+
+def _norm_polynomials(c: np.ndarray, basis: SectionBasis, order: int) -> np.ndarray:
+    """N(x) = P(x)^2 - (4x^3 - g2 x - g3) Q(x)^2 for sections P(wp) + wp' Q(wp) of one pole order.
+
+    Rows of coefficients, highest degree first, of degree exactly `order`.
+    """
+    P = np.zeros((len(c), order // 2 + 1), dtype=complex)
+    Q = np.zeros((len(c), max((order - 3) // 2 + 1, 0)), dtype=complex)
+    for (pole, a, odd), cj in zip(basis.terms, c.T):
+        if pole <= order:
+            (Q if odd else P)[:, a] += cj
+    norm = _convolve_rows(P[:, ::-1], P[:, ::-1])
+    if Q.shape[1]:
+        g2, g3 = basis.lattice.g2g3
+        cubic = np.broadcast_to(np.array([4.0, 0.0, -g2, -g3]), (len(c), 4))
+        norm_q = _convolve_rows(_convolve_rows(Q[:, ::-1], Q[:, ::-1]), cubic)
+        # one of the two has degree `order`, the other one less
+        norm, norm_q = (np.pad(x, ((0, 0), (order + 1 - x.shape[1], 0))) for x in (norm, norm_q))
+        norm = norm - norm_q
+    return norm
+
+
+def _section_jets(basis: SectionBasis, points: np.ndarray, c: np.ndarray):
+    """Values and first z-derivatives of the sections with coefficient rows c at non-pole points."""
+    return [_dot(c, jet) for jet in basis.jet(*wp_values(basis.lattice, *points.T), 1)]
+
+
+def _newton_polish(points: np.ndarray, c: np.ndarray, basis: SectionBasis) -> np.ndarray:
+    """Newton steps on f = sum c_j f_j from approximate simple zeros, one per row of points and c.
+
+    A row keeps each step that lowers |f|; its first step that does not
+    ends its polish, as do a zero derivative, a non-finite step and a step
+    onto the pole at the origin.  Returns the polished points.
+    """
+    lattice = basis.lattice
+    points = points.copy()
+    f, df = _section_jets(basis, points, c)
+    live = np.arange(len(points))
+    for _ in range(_POLISH_STEPS):
+        moving = df != 0
+        live, f, df = live[moving], f[moving], df[moving]
+        # like Python's complex `/`, an overflowing step is inf, not an error
+        with np.errstate(over="ignore"):
+            step = _quot(f, df)
+        moving = np.isfinite(step.real) & np.isfinite(step.imag)
+        live, f, step = live[moving], f[moving], step[moving]
+        w = reduce_coords(lattice, torus_z(lattice, points[live]) - step)
+        moving = ~np.all(_wrap_dist_array(w, 0.0) <= EPS_PT, axis=1)
+        live, f, w = live[moving], f[moving], w[moving]
+        fw, dfw = _section_jets(basis, w, c[live])
+        moving = _abs(fw) < _abs(f)
+        live, f, df = live[moving], fw[moving], dfw[moving]
+        points[live] = w[moving]
+        if not len(live):
+            break
+    return points
+
+
+def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
+    """`symfun.section_zeros` of N sections: their zeros (N x n x 2) and multiplicities (N x n).
+
+    Row r lists its zeros in the order of `section_zeros`, then slots of
+    multiplicity 0.  The norm polynomials of all sections of one pole order
+    are solved as one stack, and all roots are lifted, tested on both sign
+    branches and polished in numpy passes; only the clustering of a row's
+    roots, the split of a cluster between z and -z and the 2-torsion test
+    run root by root.  Raises DegenerateSection on a zero or non-finite row.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    count, n = c.shape
+    lattice = basis.lattice
+    top = np.max(np.abs(c), axis=1)
+    if not np.all(np.isfinite(top) & (top > 0)):
+        raise DegenerateSection("zero or non-finite coefficient vector")
+    # pole order of a section = largest pole order with surviving coefficient
+    alive = _abs(c) > 1e-12 * top[:, None]
+    p_order = np.array(basis.pole_orders)[n - 1 - np.argmax(alive[:, ::-1], axis=1)]
+    clusters: list[list] = [[] for _ in range(count)]
+    for order in sorted(set(p_order.tolist()) - {0}):
+        rows = np.flatnonzero(p_order == order)
+        norm = _norm_polynomials(c[rows], basis, order)
+        scale = np.max(np.abs(norm), axis=1)
+        if not scale.all():
+            raise DegenerateSection("norm polynomial vanishes identically")
+        for r, roots in zip(rows.tolist(), poly_roots(norm / scale[:, None]).tolist()):
+            clusters[r] = [(r, x, m) for x, m in _cluster_roots(roots)]
+    roots = [root for row in clusters for root in row]
+    plus, minus = wp_inverse_array([x for _, x, _ in roots], lattice)
+    # wp is even and wp' odd: the basis at -z is read off the series at z with wp' negated
+    w, wprime = wp_values(lattice, *plus.T)
+    rows = c[[r for r, _, _ in roots]]
+    at_plus = basis.jet(w, wprime)[0]
+    f_plus = _abs(_dot(rows, at_plus)).tolist()
+    f_minus = _abs(_dot(rows, basis.jet(w, -wprime)[0])).tolist()
+    # scale of the two nearly-cancelling halves of the section at x
+    size = (np.max(np.abs(at_plus) * np.abs(rows), axis=1) + 1e-300).tolist()
+    zeros: list[list] = [[] for _ in range(count)]
+    for (r, _, mult), z_plus, z_minus, fp, fm, big in zip(
+        roots, plus.tolist(), minus.tolist(), f_plus, f_minus, size
+    ):
+        z = TorusPoint(lattice, *z_plus)
+        if z.close_to(-z, tol=1e-6):
+            # 2-torsion: both branches coincide, full multiplicity
+            zeros[r].append((z_plus, mult))
+        elif fp < 1e-4 * big and fm < 1e-4 * big:
+            # both branches vanish: split the cluster between them
+            low, high = mult // 2, mult - mult // 2
+            split = [(z_plus, high), (z_minus, low)] if fp <= fm else [(z_plus, low), (z_minus, high)]
+            zeros[r].extend((z, m) for z, m in split if m)
+        else:
+            zeros[r].append((z_plus if fp < fm else z_minus, mult))
+    # a root of the norm polynomial is off by its conditioning, and where wp'
+    # is small that moves z by far more than the matching tolerances
+    simple = [(r, j) for r, row in enumerate(zeros) for j, (_, m) in enumerate(row) if m == 1]
+    if simple:
+        start = np.array([zeros[r][j][0] for r, j in simple])
+        polished = _newton_polish(start, c[[r for r, _ in simple]], basis)
+        for (r, j), z in zip(simple, polished.tolist()):
+            zeros[r][j] = (z, 1)
+    # the origin absorbs the remaining degree
+    for row, order in zip(zeros, p_order.tolist()):
+        if order < n:
+            row.append(((0.0, 0.0), n - order))
+    slots = [(r, j, z, m) for r, row in enumerate(zeros) for j, (z, m) in enumerate(row)]
+    index = tuple(np.array([s[:2] for s in slots], dtype=int).reshape(-1, 2).T)
+    points = np.zeros((count, n, 2))
+    mults = np.zeros((count, n), dtype=int)
+    points[index] = [z for _, _, z, _ in slots]
+    mults[index] = [m for _, _, _, m in slots]
+    return points, mults

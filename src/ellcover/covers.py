@@ -12,24 +12,27 @@ identity, projective invariance, and base-point-freeness probes.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batch import (
-    MAP_ERRORS,
+    _abs,
     _frac_array,
     close_pairs,
     coords_array,
     divisors_to_coords,
     images,
+    lift_coords,
     map_coords,
     norm_pairs,
     orbit_indices,
+    section_zeros_array,
     stabilizer_mask,
+    wp_inverse_array,
     wp_series_array,
 )
 from .construction import (  # noqa: F401 - re-exported
@@ -39,16 +42,10 @@ from .construction import (  # noqa: F401 - re-exported
     degree_identity,
     very_ample_preconditions,
 )
-from .elliptic import EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint, wp_inverse
+from .elliptic import EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
 from .errors import ConfigError, NonGenericTarget
 from .groups import PointTuple
-from .symfun import (
-    ProjectivePoint,
-    projective_spread,
-    section_zeros,
-    sym_fiber,
-    sym_product,
-)
+from .symfun import ProjectivePoint, projective_spreads, sym_fibers, sym_product
 
 #: tolerance for declaring a fiber target non-generic (root collisions,
 #: branch values) and for matching recovered fibers against orbits; looser
@@ -82,60 +79,98 @@ def map_B_array(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.nda
     return divisors_to_coords(divisors, spec.basis)
 
 
-def _arrangements(lift_sets: list[list[TorusPoint]], d: int) -> list[PointTuple]:
-    """Every d-tuple that takes one point from each of d distinct lift sets, in order."""
-    return [
-        tuple(choice)
-        for arrangement in itertools.permutations(range(len(lift_sets)), d)
-        for choice in itertools.product(*(lift_sets[i] for i in arrangement))
-    ]
+@functools.cache
+def _arrangement(d: int, sets: int, per: int) -> np.ndarray:
+    """(set, lift) indices, T x 2 x d, of every d-tuple taking a lift from d of `sets` sets, in order.
+
+    Each set holds `per` lifts.
+    """
+    return np.array(
+        list(
+            itertools.product(
+                itertools.permutations(range(sets), d), itertools.product(range(per), repeat=d)
+            )
+        )
+    ).reshape(-1, 2, d)
 
 
-def fiber_A(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
-    """All d!(2|Q0|)^d preimages of a generic target of construction A.
+def _arrange(lifts: np.ndarray, d: int) -> np.ndarray:
+    """Every arrangement of each row's lift sets, N x sets x per x 2, as N x T x d x 2 coordinates."""
+    table = _arrangement(d, *lifts.shape[1:3])
+    return lifts[:, table[:, 0], table[:, 1]]
 
-    The binary form is factored into d distinct P^1 roots; each root pulls
+
+def _one_row(spec: CoverSpec, fibers: tuple[np.ndarray, list]) -> list[PointTuple]:
+    """The fiber of a one-row `fiber_array` result; NonGenericTarget with its reason."""
+    coords, (reason,) = fibers
+    if reason is not None:
+        raise NonGenericTarget(reason)
+    return [tuple(TorusPoint(spec.curve, a, b) for a, b in t) for t in coords[0].tolist()]
+
+
+def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
+    """`CoverSpec.fiber_array` for construction A: d!(2|Q0|)^d preimages per target.
+
+    Each binary form is factored into d distinct P^1 roots; each root pulls
     back through wp to a +-w pair on E/Q0 and through the isogeny to |Q0|
-    lifts each.  Raises NonGenericTarget on repeated roots, roots at
-    infinity, or roots at branch values e_i.
+    lifts each.  Repeated roots, a root at infinity or at a branch value
+    e_i make a target non-generic.
     """
     if spec.construction != "A":
         raise ConfigError("fiber_A needs a construction-A cover")
     lattice = spec.quotient.target
-    roots = sym_fiber(target)
-    if any(m > 1 for _, m in roots):
-        raise NonGenericTarget("repeated roots in the target binary form")
-    values = []
-    for pair, _ in roots:
-        if abs(pair.den) <= EPS_GENERIC:
-            raise NonGenericTarget("root at infinity is a branch value of wp")
-        values.append(pair.num / pair.den)
-    for x in values:
-        if any(abs(x - e) <= EPS_GENERIC * (1.0 + abs(e)) for e in lattice.branch_values):
-            raise NonGenericTarget(f"root {x:.6g} sits at a branch value")
-    lift_sets: list[list[TorusPoint]] = []
-    for x in values:
-        w_plus, w_minus = wp_inverse(x, lattice)
-        lifts = spec.quotient.lifts(w_plus) + spec.quotient.lifts(w_minus)
-        lift_sets.append(lifts)
-    return _arrangements(lift_sets, spec.d)
+    reasons, values = [], []
+    for roots in sym_fibers(targets):
+        if any(m > 1 for _, m in roots):
+            reasons.append("repeated roots in the target binary form")
+        elif any(abs(pair.den) <= EPS_GENERIC for pair, _ in roots):
+            reasons.append("root at infinity is a branch value of wp")
+        else:
+            reasons.append(None)
+            values.append([pair.num / pair.den for pair, _ in roots])
+    rows = np.flatnonzero([r is None for r in reasons])
+    x = np.array(values, dtype=complex).reshape(-1, spec.d)
+    e = np.array(lattice.branch_values)
+    near = np.any(_abs(x[..., None] - e) <= EPS_GENERIC * (1.0 + _abs(e)), axis=2)
+    first = np.argmax(near, axis=1).tolist()
+    for k in np.flatnonzero(near.any(axis=1)).tolist():
+        reasons[rows[k]] = f"root {values[k][first[k]]:.6g} sits at a branch value"
+    live = ~near.any(axis=1)
+    w_plus, w_minus = wp_inverse_array(x[live].ravel(), lattice)
+    lifts = np.concatenate([lift_coords(spec.quotient, w) for w in (w_plus, w_minus)], axis=1)
+    fibers = np.full((len(targets), spec.group.order, spec.d, 2), np.nan)
+    fibers[rows[live]] = _arrange(lifts.reshape(-1, spec.d, *lifts.shape[1:]), spec.d)
+    return fibers, reasons
 
 
-def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
-    """All (d+1)!|Q0|^d preimages of a generic target of construction B.
+def fiber_B_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
+    """`CoverSpec.fiber_array` for construction B: (d+1)!|Q0|^d preimages per target.
 
-    The target's section vanishes on a sum-zero divisor of d+1 points of
+    A target's section vanishes on a sum-zero divisor of d+1 points of
     E/Q0; a preimage arranges d of them in order and lifts each through the
-    isogeny to one of its |Q0| preimages.  Raises NonGenericTarget when the
-    divisor has a repeated point.
+    isogeny to one of its |Q0| preimages.  A repeated point makes a target
+    non-generic.
     """
     if spec.construction != "B":
         raise ConfigError("fiber_B needs a construction-B cover")
-    zeros = section_zeros(target, spec.basis)
-    if any(m > 1 for _, m in zeros):
-        raise NonGenericTarget("repeated point in the target divisor")
-    divisor = sorted((y for y, _ in zeros), key=TorusPoint.sort_key)
-    return _arrangements([spec.quotient.lifts(y) for y in divisor], spec.d)
+    points, mults = section_zeros_array(targets, spec.basis)
+    repeated = np.any(mults > 1, axis=1)
+    # each divisor's points in the order of TorusPoint.sort_key
+    order = np.lexsort((points[..., 1], points[..., 0]), axis=-1)
+    divisor = np.take_along_axis(points, order[..., None], axis=1)
+    fibers = _arrange(lift_coords(spec.quotient, divisor), spec.d)
+    fibers[repeated] = np.nan
+    return fibers, ["repeated point in the target divisor" if r else None for r in repeated.tolist()]
+
+
+def fiber_A(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
+    """All d!(2|Q0|)^d preimages of a generic target of construction A: one row of `fiber_A_array`."""
+    return _one_row(spec, fiber_A_array(spec, np.array([target.coords])))
+
+
+def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
+    """All (d+1)!|Q0|^d preimages of a generic target of construction B: one row of `fiber_B_array`."""
+    return _one_row(spec, fiber_B_array(spec, np.array([target.coords])))
 
 
 @dataclass(frozen=True)
@@ -240,17 +275,19 @@ def _verify_chunk(
 ) -> list[SampleRecord]:
     """Samples first, first + 1, ... of the protocol, in numpy passes over all their images.
 
-    Per sample: the stabilizer and the orbit come from one array of its
-    |G| images, the orbit is mapped as coordinates, and the spread is
-    taken over the mapped orbit.  A generic sample's fiber target is its
-    point's own row of the map, which stays the independent, one-sample
-    check; its fiber is then matched against its orbit.  Each mapped row
-    depends on its own tuple alone, and the orbit dedup, the spread and
-    the fiber matching keep the samples apart by `owner`, so a sample's
-    record does not depend on the samples it shares the chunk with.  A
-    sample with an orbit point that the map marks failed, or whose target
-    is not a generic value of the map, is recorded as non-generic rather
-    than failed.
+    The stabilizers and the orbits come from one array of the samples'
+    images, the orbits are mapped as one stack of coordinates, and their
+    spreads are taken in one `projective_spreads` call.  A generic
+    sample's fiber target is its point's own row of the map, which stays
+    the independent, one-sample check; the fibers of all generic samples
+    are recovered as one stack (`CoverSpec.fiber_array`) and matched
+    against their orbits.  Each mapped row and each fiber depends on its
+    own tuple alone, and the orbit dedup, the spreads and the fiber
+    matching keep the samples apart by `owner`, so a sample's record does
+    not depend on the samples it shares the chunk with.  A sample with an
+    orbit point that the map marks failed, or whose target is not a
+    generic value of the map, is recorded as non-generic rather than
+    failed.
     """
     count = len(points)
     here = coords_array(points)
@@ -259,43 +296,39 @@ def _verify_chunk(
     keep = orbit_indices(found, eps_pt)
     orbit = found.reshape(-1, spec.d, 2)[keep]
     owner = keep // spec.group.order
-    bounds = np.searchsorted(owner, np.arange(count + 1))
     mapped, failed = spec.map_array(orbit)
     failed = np.bincount(owner, weights=failed, minlength=count) > 0
+    spread = projective_spreads(mapped, owner, failed)
     generic = (stabilizer == 1) & ~failed
-    spread = [
-        math.inf if failed[s] else projective_spread(mapped[bounds[s] : bounds[s + 1]])
-        for s in range(count)
-    ]
-    # the identity's image is the point itself, bit for bit, and for a
-    # generic point no other image equals it
-    is_point = np.all(orbit == here[owner], axis=(1, 2))
-    fibers, fiber_owner = [], []
-    for s in np.flatnonzero(generic).tolist():
-        row = bounds[s] + np.argmax(is_point[bounds[s] : bounds[s + 1]])
-        try:
-            fiber = spec.fiber(ProjectivePoint(tuple(mapped[row].tolist())))
-        except (NonGenericTarget, *MAP_ERRORS):
-            generic[s] = False
-            continue
-        fibers.append(coords_array(fiber))
-        fiber_owner.append(np.full(len(fiber), s))
     matched = np.zeros(count, dtype=bool)
-    if fibers:
-        matched = _match_as_sets(
-            np.concatenate(fibers), np.concatenate(fiber_owner), orbit, owner, count, EPS_GENERIC
-        )
+    samples = np.flatnonzero(generic)
+    if len(samples):
+        # the identity's image is the point itself, bit for bit, and for a
+        # generic point no other image equals it
+        rows = np.flatnonzero(np.all(orbit == here[owner], axis=(1, 2)))
+        targets = mapped[rows[np.searchsorted(owner[rows], samples)]]
+        fibers, reasons = spec.fiber_array(targets)
+        recovered = np.array([r is None for r in reasons], dtype=bool)
+        generic[samples[~recovered]] = False
+        samples = samples[recovered]
+        if len(samples):
+            left = fibers[recovered].reshape(-1, spec.d, 2)
+            left_owner = np.repeat(samples, fibers.shape[1])
+            matched = _match_as_sets(left, left_owner, orbit, owner, count, EPS_GENERIC)
+    sizes = np.bincount(owner, minlength=count)
     return [
         SampleRecord(
             index=first + s,
             point=point,
-            generic=bool(generic[s]),
-            stabilizer_size=int(stabilizer[s]),
-            orbit_size=int(bounds[s + 1] - bounds[s]),
-            image_spread=spread[s],
-            fiber_match=bool(generic[s] and matched[s]),
+            generic=g,
+            stabilizer_size=stab,
+            orbit_size=size,
+            image_spread=worst,
+            fiber_match=g and m,
         )
-        for s, point in enumerate(points)
+        for s, (point, g, stab, size, worst, m) in enumerate(
+            zip(points, *(a.tolist() for a in (generic, stabilizer, sizes, spread, matched)))
+        )
     ]
 
 
@@ -402,7 +435,8 @@ def criterion_check(
     it, must map, since the bundle is base-point-free.  The points of (2)
     and the probes are mapped in one `map_array` call, and the
     perturbations of the probes that fail to map in a second, so that no
-    call holds every probe's perturbations.
+    call holds every probe's perturbations; the ten spreads of (2) are one
+    `projective_spreads` call.
     """
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
     order_ok = spec.group.order == expected
@@ -421,9 +455,11 @@ def criterion_check(
     rows, failed = spec.map_array(np.concatenate([moved, probes]))
     mapped = rows[: len(moved)].reshape(len(points), -1, spec.d + 1)
     checked = np.flatnonzero(~failed[: len(moved)].reshape(len(points), -1).any(axis=1))[:10]
-    invariance_ok = len(checked) == 10 and all(
-        projective_spread(mapped[k]) < eps_proj for k in checked.tolist()
+    owner = np.repeat(np.arange(len(checked)), mapped.shape[1])
+    spreads = projective_spreads(
+        mapped[checked].reshape(-1, spec.d + 1), owner, np.zeros(len(checked), dtype=bool)
     )
+    invariance_ok = len(checked) == 10 and bool(np.all(spreads < eps_proj))
 
     probe_rng = random.Random(seed + 1)
     # every probe's 3 perturbations are drawn, each point's (a, b) shifted in turn

@@ -21,7 +21,6 @@ from .errors import (
     InvalidOrder,
     InvalidPoint,
     InvalidSubgroup,
-    NoConvergence,
 )
 from .polarization import _hermite_2x2
 
@@ -535,25 +534,9 @@ def wp_inverse(x: complex, lattice: LatticeTau) -> tuple[TorusPoint, TorusPoint]
     integral fixed, and once a = b it equals asin(a/c)/a (Cremona and
     Thongjunthug, J. Number Theory 133, 2013).  Residual contract:
     |wp(z) - x| <= EPS_NUM * (1 + |x|); NoConvergence if it is missed.
+    The one row of `batch.wp_inverse_array`, sorted by `sort_key`.
     """
-    x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-        raise InvalidPoint(f"non-finite target value: {x!r}")
-    e1, e2, e3 = lattice.branch_values
-    c = cmath.sqrt(x - e3)
-    if c == 0:
-        p = lattice._half_period(1, 1)
-    else:
-        a = cmath.sqrt(e1 - e3)
-        b = _on_side(cmath.sqrt(e1 - e2), a)
-        for _ in range(_AGM_MAX_STEPS):
-            if abs(a - b) <= _AGM_REL * abs(a):
-                break
-            c = (c + _on_side(cmath.sqrt(c * c + b * b - a * a), c)) / 2
-            a, b = (a + b) / 2, _on_side(cmath.sqrt(a * b), (a + b) / 2)
-        p = reduce_point(cmath.asin(a / c) / a, lattice)
-    num, den = _wp_series(lattice, p.a, p.b, derivative=False)
-    if den == 0 or not abs(num / den - x) <= EPS_NUM * (1.0 + abs(x)):
-        raise NoConvergence(f"wp_inverse missed its residual contract at x={x!r}")
-    pair = sorted([p, -p], key=TorusPoint.sort_key)
-    return pair[0], pair[1]
+    from .batch import wp_inverse_array
+
+    plus, minus = wp_inverse_array([complex(x)], lattice)
+    return TorusPoint(lattice, *plus[0].tolist()), TorusPoint(lattice, *minus[0].tolist())

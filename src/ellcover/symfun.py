@@ -3,12 +3,13 @@
 Two coordinate engines live here.  `sym_product` turns rows of d-tuples of
 P^1 points into the coefficient vectors of the degree-d binary forms with
 those roots, which is the quotient map (P^1)^d -> P^d on a whole stack of
-tuples at once; `sym_fiber` inverts it for one point.
+tuples at once; `sym_fibers` inverts it on a stack, and `sym_fiber` is its
+one-row call.
 `SectionBasis` / `divisor_to_coords` / `section_zeros` realize the linear
 system L(n*[0]) on E concretely enough to map divisors to coordinate vectors
 and back: the basis gives values and z-derivatives of every order from wp
-and wp', and `divisor_to_coords` is the one-row call of the stacked solver
-`batch.divisors_to_coords`.
+and wp', and `divisor_to_coords` and `section_zeros` are the one-row calls
+of the stacked `batch.divisors_to_coords` and `batch.section_zeros_array`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .elliptic import (
     HomPair,
     LatticeTau,
     TorusPoint,
-    reduce_point,
     wp_both_values,
-    wp_inverse,
 )
 from .errors import (
     DegenerateSection,
@@ -42,11 +41,6 @@ _COND_FLOOR = 1e-10
 
 #: relative clustering radius for repeated polynomial roots
 _ROOT_CLUSTER = 1e-5
-
-#: cap on the Newton steps that polish a simple zero of a section; from the
-#: 1e-4 error an inexact root of the norm polynomial can leave, two steps
-#: reach the accuracy of the coefficients
-_POLISH_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -117,41 +111,56 @@ def first_copies(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-#: pairs per block of `projective_spread`: each of its temporaries is one
-#: float array of this many entries (32 KiB), about 0.3 MB for all of them
+def row_blocks(counts: np.ndarray, limit: int):
+    """Blocks of consecutive rows with at most `limit` pairs, or one row; row r has `counts[r]` pairs.
+
+    Yields, per block, the row `i` of every pair and its rank among the
+    pairs of its row, from 0.
+    """
+    ends = np.cumsum(counts)
+    first = 0
+    while first < len(counts):
+        stop = max(first + 1, int(np.searchsorted(ends, ends[first] - counts[first] + limit, "right")))
+        c = counts[first:stop]
+        i = np.repeat(np.arange(first, stop), c)
+        yield i, np.arange(len(i)) - np.repeat(np.cumsum(c) - c, c)
+        first = stop
+
+
+#: coordinates per block of `projective_spreads`: a block of pairs of rows
+#: of m coordinates holds _SPREAD_BLOCK // m pairs, and each of its four
+#: gathered arrays holds this many floats (32 KiB), about 0.2 MB in all
 _SPREAD_BLOCK = 1 << 12
 
 
-def projective_spread(coords: np.ndarray) -> float:
-    """Largest pairwise chordal distance between the rows of `coords`; 0 for fewer than two.
+def projective_spreads(coords: np.ndarray, owner: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """Per owner, the largest chordal distance between two of its rows of `coords`.
 
-    Each row holds the coordinates of a ProjectivePoint.  Equal to the
-    maximum of `chordal_dist` over all pairs, bit for bit.  Exact
-    duplicates are dropped first (their distance is exactly 0), then blocks
-    of rows are compared against all later points with the wedge form
-    written out in real arithmetic, in the order `chordal_dist` uses: the
-    products of Python's complex multiply, `np.hypot` for `abs`, and
-    `np.float_power` for `** 2`, which calls the same libm `pow`.
+    Row k holds a ProjectivePoint's coordinates and belongs to owner
+    `owner[k]` in range(len(failed)).  A `failed` owner gets inf; one with
+    fewer than two distinct rows gets 0.  Each entry is the maximum of
+    `chordal_dist` over the owner's pairs, bit for bit: exact duplicates
+    are dropped (their distance is 0), and the pairs of all owners are
+    compared in `row_blocks`, with the wedge form in real arithmetic in the
+    order `chordal_dist` uses: Python's complex products, `np.hypot` for
+    `abs` and `np.float_power` for `** 2`, which calls the same libm `pow`.
     """
-    if len(coords) < 2:
-        return 0.0
-    coords = coords[first_copies(np.ascontiguousarray(coords).view(np.float64))].T
-    n = coords.shape[1]
-    if n < 2:
-        return 0.0
+    spread = np.where(failed, np.inf, 0.0)
+    live = ~failed[owner]
+    coords, owner = coords[live], owner[live]
+    rows = first_copies(np.column_stack([owner, np.ascontiguousarray(coords).view(np.float64)]))
+    rows = rows[np.argsort(owner[rows], kind="stable")]
+    coords, owner = coords[rows].T, owner[rows]
     re, im = coords.real.copy(), coords.imag.copy()
     m = len(coords)
     norms = 0.0
     for k in range(m):
         norms = norms + np.float_power(np.hypot(re[k], im[k]), 2.0)
-    worst = 0.0
-    start = 0
-    while start < n - 1:
-        cols = slice(start + 1, n)
-        stop = min(n - 1, start + max(1, _SPREAD_BLOCK // (n - start - 1)))
-        rows = slice(start, stop)
-        pr, pi = re[:, rows, None], im[:, rows, None]
-        qr, qi = re[:, None, cols], im[:, None, cols]
+    # row i is paired with the later rows of its owner
+    later = np.searchsorted(owner, owner, "right") - np.arange(len(owner)) - 1
+    for i, rank in row_blocks(later, _SPREAD_BLOCK // m):
+        j = i + 1 + rank
+        pr, pi, qr, qi = re[:, i], im[:, i], re[:, j], im[:, j]
         wedge = 0.0
         for k in range(m):
             for l in range(k + 1, m):
@@ -160,12 +169,16 @@ def projective_spread(coords: np.ndarray) -> float:
                 yr = pr[l] * qr[k] - pi[l] * qi[k]
                 yi = pr[l] * qi[k] + pi[l] * qr[k]
                 wedge = wedge + np.float_power(np.hypot(xr - yr, xi - yi), 2.0)
-        dist = np.sqrt(wedge / (norms[rows, None] * norms[None, cols]))
-        # entries with column <= row repeat a pair of this block bit for bit
-        # (chordal_dist is exactly symmetric) or are 0, so the max keeps them
-        worst = max(worst, float(dist.max()))
-        start = stop
-    return worst
+        np.maximum.at(spread, owner[i], np.sqrt(wedge / (norms[i] * norms[j])))
+    return spread
+
+
+def projective_spread(coords: np.ndarray) -> float:
+    """Largest pairwise chordal distance between the rows of `coords`; one owner of `projective_spreads`."""
+    if len(coords) < 2:
+        return 0.0
+    owner = np.zeros(len(coords), dtype=int)
+    return float(projective_spreads(coords, owner, np.zeros(1, dtype=bool))[0])
 
 
 def normalize_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +245,56 @@ def _cluster_roots(roots: Sequence[complex], rel_tol: float = _ROOT_CLUSTER) -> 
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
+def poly_roots(coeffs: np.ndarray) -> np.ndarray:
+    """`np.roots` of every row of an N x (m+1) array, highest degree first: N x m roots.
+
+    Each row's leading coefficient must be nonzero.  As `np.roots` does, a
+    row's trailing exact zeros give roots at 0, after the eigenvalues of
+    the companion matrix of the rest; the rows with the same number of them
+    share one stacked `eigvals`, which gives `np.roots`' bits row by row.
+    """
+    m = coeffs.shape[1] - 1
+    out = np.zeros((len(coeffs), m), dtype=complex)
+    degree = m - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    for k in sorted(set(degree.tolist()) - {0}):
+        rows = degree == k
+        p = coeffs[rows, : k + 1]
+        companion = np.zeros((len(p), k, k), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(k - 1)
+        companion[:, 0] = -p[:, 1:] / p[:, :1]
+        out[rows, :k] = np.linalg.eigvals(companion)
+    return out
+
+
+def sym_fibers(rows: np.ndarray) -> list[list[tuple[HomPair, int]]]:
+    """`sym_fiber` of every row of an N x (d+1) array of binary-form coefficients.
+
+    The rows whose leading (top X-power) coefficients vanish to the same
+    count share one `poly_roots`; only the clustering of a row's roots
+    runs row by row.
+    """
+    coeffs = rows[:, ::-1]  # decreasing degree in t = X/Y
+    mags = np.hypot(coeffs.real, coeffs.imag)  # Python's abs, bit for bit
+    small = mags[:, :-1] <= EPS_NUM * mags.max(axis=1, keepdims=True)
+    leads = np.cumprod(small, axis=1).sum(axis=1)
+    out: list[list[tuple[HomPair, int]]] = [[] for _ in range(len(rows))]
+    for lead in sorted(set(leads.tolist())):
+        picked = np.flatnonzero(leads == lead).tolist()
+        finite = coeffs[picked, lead:]
+        roots = poly_roots(finite).tolist() if finite.shape[1] > 1 else [[]] * len(picked)
+        for r, row in zip(picked, roots):
+            if lead:
+                out[r].append((HomPair(1.0 + 0j, 0j), lead))
+            for center, mult in _cluster_roots(row):
+                if abs(center) <= 1.0:
+                    out[r].append((HomPair(complex(center), 1.0 + 0j), mult))
+                else:
+                    out[r].append((HomPair(1.0 + 0j, 1.0 / complex(center)), mult))
+    return out
+
+
 def sym_fiber(point: ProjectivePoint | Sequence[complex]) -> list[tuple[HomPair, int]]:
-    """Roots (with multiplicity) of the binary form with coefficients `point`.
+    """Roots (with multiplicity) of the binary form with coefficients `point`: one row of `sym_fibers`.
 
     Returns normalized (num, den) pairs; (1, 0) stands for the root at
     infinity, contributed by vanishing leading (top X-power) coefficients.
@@ -243,23 +304,7 @@ def sym_fiber(point: ProjectivePoint | Sequence[complex]) -> list[tuple[HomPair,
         if not vec or not any(abs(c) > 0 for c in vec):
             raise DegenerateSection("zero coefficient vector has no roots")
         point = ProjectivePoint.normalize(vec)
-    coeffs = list(point.coords)[::-1]  # decreasing degree in t = X/Y
-    top = max(abs(c) for c in coeffs)
-    lead = 0
-    while lead < len(coeffs) - 1 and abs(coeffs[lead]) <= EPS_NUM * top:
-        lead += 1
-    out: list[tuple[HomPair, int]] = []
-    if lead:
-        out.append((HomPair(1.0 + 0j, 0j), lead))
-    finite = coeffs[lead:]
-    if len(finite) > 1:
-        roots = np.roots(np.array(finite))
-        for center, mult in _cluster_roots(list(roots)):
-            if abs(center) <= 1.0:
-                out.append((HomPair(complex(center), 1.0 + 0j), mult))
-            else:
-                out.append((HomPair(1.0 + 0j, 1.0 / complex(center)), mult))
-    return out
+    return sym_fibers(np.array([point.coords], dtype=complex))[0]
 
 
 def _derive(even: list, odd: list, g2: complex, g3: complex) -> tuple[list, list]:
@@ -370,29 +415,6 @@ def divisor_to_coords(points: Sequence[TorusPoint], basis: SectionBasis) -> Proj
     return ProjectivePoint(tuple(rows[0].tolist()))
 
 
-def _newton_polish(z: TorusPoint, c: np.ndarray, basis: SectionBasis) -> TorusPoint:
-    """Newton steps on f = sum c_j f_j from an approximate simple zero.
-
-    Each step is kept only if it lowers |f|; the first that does not ends
-    the polish.
-    """
-    f, df = (complex(np.dot(c, row)) for row in basis.jet(*wp_both_values(z), 1))
-    for _ in range(_POLISH_STEPS):
-        if df == 0:
-            break
-        step = f / df
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        w = reduce_point(z.z - step, basis.lattice)
-        if w.is_zero():  # the pole of every basis function
-            break
-        fw, dfw = (complex(np.dot(c, row)) for row in basis.jet(*wp_both_values(w), 1))
-        if not abs(fw) < abs(f):
-            break
-        z, f, df = w, fw, dfw
-    return z
-
-
 def section_zeros(
     coeffs: Sequence[complex] | ProjectivePoint, basis: SectionBasis
 ) -> list[tuple[TorusPoint, int]]:
@@ -403,94 +425,17 @@ def section_zeros(
     of the finite zeros; each root is lifted by `wp_inverse` and assigned to
     the sign branch where the section actually vanishes, and each simple zero
     is then polished by Newton steps on the section itself.  The origin
-    absorbs the remaining degree.
+    absorbs the remaining degree.  The one row of `batch.section_zeros_array`.
     """
     if isinstance(coeffs, ProjectivePoint):
         coeffs = coeffs.coords
-    n = basis.n
-    lattice = basis.lattice
-    if len(coeffs) != n:
-        raise InvalidPoint(f"coefficient vector length {len(coeffs)} != n={n}")
-    c = np.asarray(coeffs, dtype=complex)
-    top = float(np.max(np.abs(c)))
-    if top == 0 or not math.isfinite(top):
-        raise DegenerateSection("zero or non-finite coefficient vector")
+    if len(coeffs) != basis.n:
+        raise InvalidPoint(f"coefficient vector length {len(coeffs)} != n={basis.n}")
+    from .batch import section_zeros_array
 
-    # pole order of the section = largest pole order with surviving coefficient
-    p_order = 0
-    for j in range(n - 1, -1, -1):
-        if abs(c[j]) > 1e-12 * top:
-            p_order = basis.pole_orders[j]
-            break
-
-    # split into even part P(x) and odd part x-polynomials: f = P(wp) + wp' Q(wp)
-    degP = p_order // 2
-    degQ = max((p_order - 3) // 2, -1)
-    P = np.zeros(degP + 1, dtype=complex)
-    Q = np.zeros(degQ + 1, dtype=complex) if degQ >= 0 else np.zeros(0, dtype=complex)
-    for (order, a, e), cj in zip(basis.terms, c):
-        if order > p_order:
-            continue
-        if e == 0:
-            P[a] += cj
-        else:
-            Q[a] += cj
-
-    divisor: list[tuple[TorusPoint, int]] = []
-    if p_order == 0:
-        divisor.append((TorusPoint(lattice, 0.0, 0.0), n))
-        return divisor
-
-    g2, g3 = lattice.g2g3
-    # N(x) = P^2 - (4x^3 - g2 x - g3) Q^2, degree exactly p_order
-    Pd = P[::-1]  # numpy poly convention: highest degree first
-    norm = np.convolve(Pd, Pd)
-    if len(Q):
-        Qd = Q[::-1]
-        cubic = np.array([4.0, 0.0, -g2, -g3])
-        norm_q = np.convolve(np.convolve(Qd, Qd), cubic)
-        width = max(len(norm), len(norm_q))
-        norm = np.pad(norm, (width - len(norm), 0)) - np.pad(
-            norm_q, (width - len(norm_q), 0)
-        )
-    # strip numerically void leading terms down to the true degree
-    norm = norm[len(norm) - (p_order + 1) :]
-
-    scale = float(np.max(np.abs(norm)))
-    if scale == 0:
-        raise DegenerateSection("norm polynomial vanishes identically")
-    roots = np.roots(norm / scale)
-    for x0, mult in _cluster_roots(list(roots)):
-        z_plus, z_minus = wp_inverse(x0, lattice)
-        if z_plus.close_to(-z_plus, tol=1e-6):
-            # 2-torsion: both branches coincide, full multiplicity
-            divisor.append((z_plus, mult))
-            continue
-        # wp is even and wp' odd: the basis at z_minus = -z_plus is read off
-        # the same series values with wp' negated
-        w, wprime = wp_both_values(z_plus)
-        at_plus = basis.jet(w, wprime)[0]
-        f_plus = abs(complex(np.dot(c, at_plus)))
-        f_minus = abs(complex(np.dot(c, basis.jet(w, -wprime)[0])))
-        # scale of the two nearly-cancelling halves of the section at x0
-        vals = np.abs(at_plus) * np.abs(c)
-        size = float(np.max(vals)) + 1e-300
-        if f_plus < 1e-4 * size and f_minus < 1e-4 * size:
-            # both branches vanish: split the cluster between them
-            low = mult // 2
-            high = mult - low
-            if f_plus <= f_minus:
-                split = [(z_plus, high), (z_minus, low)]
-            else:
-                split = [(z_plus, low), (z_minus, high)]
-            divisor.extend((z, m) for z, m in split if m)
-        elif f_plus < f_minus:
-            divisor.append((z_plus, mult))
-        else:
-            divisor.append((z_minus, mult))
-    # np.roots leaves each x0 off by the norm polynomial's conditioning, and
-    # where wp' is small that moves z by far more than the matching tolerances
-    divisor = [(_newton_polish(z, c, basis) if m == 1 else z, m) for z, m in divisor]
-    if n > p_order:
-        divisor.append((TorusPoint(lattice, 0.0, 0.0), n - p_order))
-    return divisor
+    points, mults = section_zeros_array(np.array([coeffs], dtype=complex), basis)
+    return [
+        (TorusPoint(basis.lattice, a, b), m)
+        for (a, b), m in zip(points[0].tolist(), mults[0].tolist())
+        if m
+    ]

@@ -1,19 +1,36 @@
+import cmath
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from ellcover import (
     FiniteSubgroupSpec,
+    HomPair,
     IllConditioned,
     InvalidPoint,
     LatticeTau,
+    NoConvergence,
+    NonGenericTarget,
     ProjectivePoint,
     SumNotZero,
     TorusPoint,
     reduce_point,
     wp,
 )
-from ellcover.elliptic import EPS_PT, wp_both_values
-from ellcover.symfun import _COND_FLOOR
+from ellcover.batch import _POLISH_STEPS
+from ellcover.covers import EPS_GENERIC
+from ellcover.elliptic import (
+    _AGM_MAX_STEPS,
+    _AGM_REL,
+    EPS_NUM,
+    EPS_PT,
+    _on_side,
+    _wp_series,
+    wp_both_values,
+)
+from ellcover.symfun import _COND_FLOOR, _cluster_roots, first_copies
 
 TAU = complex(0.3, 1.1)
 
@@ -163,3 +180,198 @@ def scalar_map_B(spec, point):
 def scalar_map(spec, point):
     """The scalar oracle of `spec.map_array` on one point tuple."""
     return (scalar_map_A if spec.construction == "A" else scalar_map_B)(spec, point)
+
+
+# Scalar oracles of the fiber recovery: one target, one root, one zero at a
+# time in Python's complex arithmetic, as the package recovered fibers
+# before its array forms.
+
+
+def scalar_wp_inverse(x, lattice):
+    """`wp_inverse` by the AGM elliptic logarithm in cmath, one value at a time."""
+    x = complex(x)
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise InvalidPoint(f"non-finite target value: {x!r}")
+    e1, e2, e3 = lattice.branch_values
+    c = cmath.sqrt(x - e3)
+    if c == 0:
+        p = lattice._half_period(1, 1)
+    else:
+        a = cmath.sqrt(e1 - e3)
+        b = _on_side(cmath.sqrt(e1 - e2), a)
+        for _ in range(_AGM_MAX_STEPS):
+            if abs(a - b) <= _AGM_REL * abs(a):
+                break
+            c = (c + _on_side(cmath.sqrt(c * c + b * b - a * a), c)) / 2
+            a, b = (a + b) / 2, _on_side(cmath.sqrt(a * b), (a + b) / 2)
+        p = reduce_point(cmath.asin(a / c) / a, lattice)
+    num, den = _wp_series(lattice, p.a, p.b, derivative=False)
+    if den == 0 or not abs(num / den - x) <= EPS_NUM * (1.0 + abs(x)):
+        raise NoConvergence(f"wp_inverse missed its residual contract at x={x!r}")
+    pair = sorted([p, -p], key=TorusPoint.sort_key)
+    return pair[0], pair[1]
+
+
+def scalar_sym_fiber(point):
+    """`sym_fiber` of one ProjectivePoint, through `np.roots`."""
+    coeffs = list(point.coords)[::-1]  # decreasing degree in t = X/Y
+    top = max(abs(c) for c in coeffs)
+    lead = 0
+    while lead < len(coeffs) - 1 and abs(coeffs[lead]) <= EPS_NUM * top:
+        lead += 1
+    out = []
+    if lead:
+        out.append((HomPair(1.0 + 0j, 0j), lead))
+    finite = coeffs[lead:]
+    if len(finite) > 1:
+        for center, mult in _cluster_roots(list(np.roots(np.array(finite)))):
+            if abs(center) <= 1.0:
+                out.append((HomPair(complex(center), 1.0 + 0j), mult))
+            else:
+                out.append((HomPair(1.0 + 0j, 1.0 / complex(center)), mult))
+    return out
+
+
+def scalar_newton_polish(z, c, basis):
+    """Newton steps on f = sum c_j f_j from an approximate simple zero, until one does not lower |f|."""
+    f, df = (complex(np.dot(c, row)) for row in basis.jet(*wp_both_values(z), 1))
+    for _ in range(_POLISH_STEPS):
+        if df == 0:
+            break
+        step = f / df
+        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+            break
+        w = reduce_point(z.z - step, basis.lattice)
+        if w.is_zero():
+            break
+        fw, dfw = (complex(np.dot(c, row)) for row in basis.jet(*wp_both_values(w), 1))
+        if not abs(fw) < abs(f):
+            break
+        z, f, df = w, fw, dfw
+    return z
+
+
+def scalar_section_zeros(coeffs, basis):
+    """`section_zeros` of one section: its norm polynomial through `np.convolve` and `np.roots`."""
+    n = basis.n
+    lattice = basis.lattice
+    c = np.asarray(coeffs, dtype=complex)
+    top = float(np.max(np.abs(c)))
+    p_order = 0
+    for j in range(n - 1, -1, -1):
+        if abs(c[j]) > 1e-12 * top:
+            p_order = basis.pole_orders[j]
+            break
+    if p_order == 0:
+        return [(TorusPoint(lattice, 0.0, 0.0), n)]
+    P = np.zeros(p_order // 2 + 1, dtype=complex)
+    Q = np.zeros(max((p_order - 3) // 2 + 1, 0), dtype=complex)
+    for (order, a, e), cj in zip(basis.terms, c):
+        if order <= p_order:
+            (Q if e else P)[a] += cj
+    g2, g3 = lattice.g2g3
+    norm = np.convolve(P[::-1], P[::-1])
+    if len(Q):
+        norm_q = np.convolve(np.convolve(Q[::-1], Q[::-1]), np.array([4.0, 0.0, -g2, -g3]))
+        width = max(len(norm), len(norm_q))
+        norm = np.pad(norm, (width - len(norm), 0)) - np.pad(norm_q, (width - len(norm_q), 0))
+    norm = norm[len(norm) - (p_order + 1) :]
+    divisor = []
+    for x0, mult in _cluster_roots(list(np.roots(norm / float(np.max(np.abs(norm)))))):
+        z_plus, z_minus = scalar_wp_inverse(x0, lattice)
+        if z_plus.close_to(-z_plus, tol=1e-6):
+            divisor.append((z_plus, mult))
+            continue
+        w, wprime = wp_both_values(z_plus)
+        at_plus = basis.jet(w, wprime)[0]
+        f_plus = abs(complex(np.dot(c, at_plus)))
+        f_minus = abs(complex(np.dot(c, basis.jet(w, -wprime)[0])))
+        size = float(np.max(np.abs(at_plus) * np.abs(c))) + 1e-300
+        if f_plus < 1e-4 * size and f_minus < 1e-4 * size:
+            low, high = mult // 2, mult - mult // 2
+            split = [(z_plus, high), (z_minus, low)]
+            if f_plus > f_minus:
+                split = [(z_plus, low), (z_minus, high)]
+            divisor.extend((z, m) for z, m in split if m)
+        else:
+            divisor.append((z_plus if f_plus < f_minus else z_minus, mult))
+    divisor = [(scalar_newton_polish(z, c, basis) if m == 1 else z, m) for z, m in divisor]
+    if n > p_order:
+        divisor.append((TorusPoint(lattice, 0.0, 0.0), n - p_order))
+    return divisor
+
+
+def _arrangements(lift_sets, d):
+    """Every d-tuple that takes one point from each of d distinct lift sets, in order."""
+    return [
+        tuple(choice)
+        for arrangement in itertools.permutations(range(len(lift_sets)), d)
+        for choice in itertools.product(*(lift_sets[i] for i in arrangement))
+    ]
+
+
+def scalar_fiber(spec, target):
+    """The fiber of one target, root by root: the scalar oracle of `spec.fiber_array`.
+
+    Raises NonGenericTarget where the target is not a generic value.
+    """
+    if spec.construction == "B":
+        zeros = scalar_section_zeros(target.coords, spec.basis)
+        if any(m > 1 for _, m in zeros):
+            raise NonGenericTarget("repeated point in the target divisor")
+        divisor = sorted((y for y, _ in zeros), key=TorusPoint.sort_key)
+        return _arrangements([spec.quotient.lifts(y) for y in divisor], spec.d)
+    lattice = spec.quotient.target
+    roots = scalar_sym_fiber(target)
+    if any(m > 1 for _, m in roots):
+        raise NonGenericTarget("repeated roots in the target binary form")
+    if any(abs(pair.den) <= EPS_GENERIC for pair, _ in roots):
+        raise NonGenericTarget("root at infinity is a branch value of wp")
+    values = [pair.num / pair.den for pair, _ in roots]
+    for x in values:
+        if any(abs(x - e) <= EPS_GENERIC * (1.0 + abs(e)) for e in lattice.branch_values):
+            raise NonGenericTarget(f"root {x:.6g} sits at a branch value")
+    lift_sets = []
+    for x in values:
+        w_plus, w_minus = scalar_wp_inverse(x, lattice)
+        lift_sets.append(spec.quotient.lifts(w_plus) + spec.quotient.lifts(w_minus))
+    return _arrangements(lift_sets, spec.d)
+
+
+def scalar_projective_spread(coords):
+    """`projective_spread` of one orbit's rows, block by block: its oracle.
+
+    Exact duplicates are dropped, then blocks of rows are compared with all
+    later rows in the wedge form of `chordal_dist`, in real arithmetic.
+    """
+    if len(coords) < 2:
+        return 0.0
+    coords = coords[first_copies(np.ascontiguousarray(coords).view(np.float64))].T
+    n = coords.shape[1]
+    if n < 2:
+        return 0.0
+    re, im = coords.real.copy(), coords.imag.copy()
+    m = len(coords)
+    norms = 0.0
+    for k in range(m):
+        norms = norms + np.float_power(np.hypot(re[k], im[k]), 2.0)
+    worst = 0.0
+    start = 0
+    while start < n - 1:
+        cols = slice(start + 1, n)
+        stop = min(n - 1, start + max(1, 4096 // (n - start - 1)))
+        rows = slice(start, stop)
+        pr, pi = re[:, rows, None], im[:, rows, None]
+        qr, qi = re[:, None, cols], im[:, None, cols]
+        wedge = 0.0
+        for k in range(m):
+            for l in range(k + 1, m):
+                xr = pr[k] * qr[l] - pi[k] * qi[l]
+                xi = pr[k] * qi[l] + pi[k] * qr[l]
+                yr = pr[l] * qr[k] - pi[l] * qi[k]
+                yi = pr[l] * qi[k] + pi[l] * qr[k]
+                wedge = wedge + np.float_power(np.hypot(xr - yr, xi - yi), 2.0)
+        dist = np.sqrt(wedge / (norms[rows, None] * norms[None, cols]))
+        worst = max(worst, float(dist.max()))
+        start = stop
+    return worst

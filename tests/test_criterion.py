@@ -25,6 +25,7 @@ from ellcover import (
     build_cover,
     criterion_check,
 )
+from ellcover import covers
 from ellcover.construction import degree_identity
 from ellcover.covers import CriterionReport, _probe_points
 from ellcover.elliptic import EPS_PROJ
@@ -199,6 +200,21 @@ def test_maps_in_at_most_two_calls(monkeypatch):
     monkeypatch.setattr(CoverSpec, "map_array", counted)
     assert criterion_check(spec).all_ok
     assert len(calls) == 2
+
+
+def test_invariance_spreads_in_one_call(monkeypatch):
+    # the ten checked points and their generator images: one owner each
+    spec = _cover("A", 2, ("1/2,0",))
+    calls = []
+    original = covers.projective_spreads
+
+    def counted(coords, owner, failed):
+        calls.append((len(coords), len(failed)))
+        return original(coords, owner, failed)
+
+    monkeypatch.setattr(covers, "projective_spreads", counted)
+    assert criterion_check(spec).invariance_ok
+    assert calls == [(10 * (1 + len(spec.group.generators)), 10)]
 
 
 @pytest.mark.parametrize("seed", [3, 42])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ellcover import (
     DegenerateSection,
+    FiniteSubgroupSpec,
     HomPair,
     IllConditioned,
     InvalidOrder,
@@ -17,6 +18,7 @@ from ellcover import (
     SectionBasis,
     SumNotZero,
     TorusPoint,
+    build_cover,
     divisor_to_coords,
     projective_spread,
     section_zeros,
@@ -26,8 +28,9 @@ from ellcover import (
     wp,
 )
 
+from ellcover.batch import coords_array
 from ellcover.elliptic import wp_both_values
-from ellcover.symfun import normalize_rows
+from ellcover.symfun import normalize_rows, projective_spreads
 
 from conftest import TAU, scalar_sym_product
 
@@ -122,6 +125,33 @@ class TestProjectivePoint:
             for j in range(i + 1, len(points)):
                 worst = max(worst, points[i].chordal_dist(points[j]))
         assert projective_spread(_coords(points)) == worst
+
+
+class TestProjectiveSpreads:
+    def test_owners_match_the_pairwise_loop(self, lattice):
+        # ragged owners: one row, two rows, a whole orbit's rows with exact
+        # duplicates, and a failed owner whose rows hold nan; rows shuffled
+        spec = build_cover("A", 2, lattice, FiniteSubgroupSpec.parse(("1/2,0",)))
+        x = (TorusPoint.from_coords(lattice, 0.137, 0.261), TorusPoint.from_coords(lattice, 0.389, 0.731))
+        orbit, _ = spec.map_array(coords_array(spec.group.orbit(x)))
+        rng = np.random.default_rng(4)
+        one = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
+        two = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        whole = np.concatenate([orbit, orbit[:5]])
+        bad = np.concatenate([orbit[:2], np.full((1, 3), np.nan)])
+        groups = [one, two, whole, bad]
+        coords = np.concatenate(groups)
+        owner = np.repeat(np.arange(4), [len(g) for g in groups])
+        failed = np.array([False, False, False, True])
+        shuffle = rng.permutation(len(coords))
+        got = projective_spreads(coords[shuffle], owner[shuffle], failed)
+        for k, rows in enumerate(groups[:3]):
+            points = [ProjectivePoint(tuple(r)) for r in rows.tolist()]
+            want = max((p.chordal_dist(q) for i, p in enumerate(points) for q in points[i + 1 :]), default=0.0)
+            assert got[k] == want
+            assert projective_spread(rows) == want
+        assert got[0] == 0.0 and got[2] > 0.0
+        assert got[3] == np.inf
 
 
 class TestSymProduct:
