@@ -1,13 +1,12 @@
 """Array forms of the per-point routines and the group action, for whole orbits at once.
 
-Each routine here evaluates one scalar routine of `elliptic`, `groups` or
-`symfun` on a stack of points in numpy passes.  `divisors_to_coords` is the
-only divisor-to-section solver, and `wp_inverse_array` and
+Each routine here evaluates one per-point routine of `elliptic`, `groups`
+or `symfun` on a stack of points in numpy passes.  `divisors_to_coords` is
+the only divisor-to-section solver, and `wp_inverse_array` and
 `section_zeros_array` are the only elliptic logarithm and zero finder: the
 scalar `divisor_to_coords`, `wp_inverse` and `section_zeros` are their
-one-row calls, and their scalar oracles live in the tests.  The covers'
-maps and fibers, the only ones, are built from them: verification and the
-criterion probes both run them.
+one-row calls.  The covers' maps and fibers, the only ones, are built from
+them: verification and the criterion probes both run them.
 """
 
 from __future__ import annotations
@@ -28,17 +27,16 @@ from .elliptic import (
     LatticeTau,
     TorusPoint,
     _on_side,
-    _wp_qseries,
+    _wp_kernel,
 )
 from .errors import DegenerateSection, InvalidOrder, InvalidPoint, NoConvergence
 from .groups import FiniteActionGroup, PointTuple
 from .symfun import (
     _COND_FLOOR,
     SectionBasis,
-    _cluster_roots,
     first_copies,
     normalize_rows,
-    poly_roots,
+    root_clusters,
     row_blocks,
 )
 
@@ -58,8 +56,7 @@ def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
 
 def map_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
     """`IsogenyQuotient.map` on an array of source coordinates (a, b), shape (..., 2)."""
-    z = torus_z(quotient.source, coords)
-    return np.stack([_frac_array(c) for c in quotient.target.coords(z)], axis=-1)
+    return reduce_coords(quotient.target, torus_z(quotient.source, coords))
 
 
 def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
@@ -214,53 +211,21 @@ def close_pairs(
     return np.concatenate(found_i), np.concatenate(found_j)
 
 
-def wp_series_array(
+def t_series_array(
     lattice: LatticeTau, a: np.ndarray, b: np.ndarray, derivative: bool = True
 ) -> tuple[np.ndarray, ...]:
-    """`elliptic._wp_series` on arrays of coordinates (a, b), through the same kernel.
-
-    Returns (num, den, num', den'), or (num, den) without the derivative.
-    Every entry gets the lattice's `series_terms`, so it depends on its
-    own coordinates alone.
-    """
+    """`elliptic._t_series` on arrays of coordinates (a, b), through the same kernel: (num, den[, num', den'])."""
     ma, mb, mc, md = lattice.basis_change
     alpha = ma * a - mb * b
     beta = -mc * a + md * b
     u = np.exp(_TWO_PI_I * (alpha - np.rint(alpha) + (beta - np.rint(beta)) * lattice.tau_reduced))
-    return _wp_qseries(lattice, u, derivative)
+    return _wp_kernel(lattice, u, derivative)
 
 
-def _abs(z: np.ndarray) -> np.ndarray:
-    """Python's `abs` of complex entries, bit for bit; numpy's `abs` rounds otherwise."""
-    return np.hypot(z.real, z.imag)
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _quot(num, den) -> np.ndarray:
-    """Python's complex `/` on arrays: Smith's method, dividing by the scaled denominator.
-
-    numpy's `/` multiplies by a reciprocal instead and rounds otherwise.
-    No denominator may be zero.
-    """
-    num, den = np.asarray(num), np.asarray(den)
-    big = np.abs(den.real) >= np.abs(den.imag)
-    p, q = np.where(big, den.real, den.imag), np.where(big, den.imag, den.real)
-    x, y = np.where(big, num.real, num.imag), np.where(big, num.imag, num.real)
-    ratio = q / p
-    scale = p + q * ratio
-    cross = x * ratio
-    return _complex((x + y * ratio) / scale, np.where(big, y - cross, cross - y) / scale)
-
-
-def wp_values(lattice: LatticeTau, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`elliptic.wp_both_values` on arrays of coordinates of non-pole points: (wp, wp')."""
-    num, den, nump, denp = wp_series_array(lattice, a, b)
-    return _quot(num, den), _quot(nump, denp)
+def t_values(lattice: LatticeTau, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`elliptic.centred_values` on arrays of coordinates of non-pole points: (t, wp')."""
+    num, den, nump, denp = t_series_array(lattice, a, b)
+    return num / den, nump / denp
 
 
 def torus_z(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
@@ -270,7 +235,7 @@ def torus_z(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
 
 def reduce_coords(lattice: LatticeTau, z: np.ndarray) -> np.ndarray:
     """`reduce_point` on an array of finite complex representatives: coordinates, shape (..., 2)."""
-    w = _quot(z, lattice.omega1)
+    w = z / lattice.omega1
     b = w.imag / lattice.tau.imag
     return np.stack([_frac_array(w.real - b * lattice.tau.real), _frac_array(b)], axis=-1)
 
@@ -281,46 +246,55 @@ def lift_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
     return reduce_coords(quotient.source, z)
 
 
-def wp_inverse_array(x, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
-    """`elliptic.wp_inverse` on an array of N values: the solutions z and -z as two N x 2 arrays.
+def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions z and -z of wp(z) - e2 = t for N values t, two N x 2 arrays, each pair in `sort_key` order.
 
-    The Landen steps on (a, b) do not depend on x, so every value takes
-    the same number of steps and only c is an array.  numpy's complex
-    square root gives cmath's bits; quotients are Python's (`_quot`).
-    Raises InvalidPoint for a non-finite value and NoConvergence if any
-    value misses the residual contract.
+    The AGM elliptic logarithm of Cremona and Thongjunthug (J. Number
+    Theory 133, 2013) from the branch differences: with a = sqrt(d1 - d3),
+    b = sqrt(d1), c = sqrt(t - d3), z = int_c^oo ds / sqrt((s^2 - a^2)(s^2 -
+    a^2 + b^2)).  Landen's step (a, b, c) -> ((a+b)/2, sqrt(ab), (c + sqrt(c^2
+    + b^2 - a^2))/2) keeps the integral, which is asin(a/c)/a once b^2 - a^2
+    vanishes; b^2 - a^2 is d3 at the first step and -(a - b)^2/4 after.
+    Only c is an array.  Raises InvalidPoint for a non-finite value and
+    NoConvergence unless every |t(z) - t| <= EPS_NUM * (1 + |t|).
     """
-    x = np.asarray(x, dtype=complex)
-    finite = np.isfinite(x.real) & np.isfinite(x.imag)
+    t = np.asarray(t, dtype=complex)
+    finite = np.isfinite(t.real) & np.isfinite(t.imag)
     if not finite.all():
-        raise InvalidPoint(f"non-finite target value: {complex(x[~finite][0])!r}")
-    e1, e2, e3 = lattice.branch_values
-    c = np.sqrt(x - e3)
+        raise InvalidPoint(f"non-finite target value: {complex(t[~finite][0])!r}")
+    d1, d3 = lattice.branch_differences
+    c = np.sqrt(t - d3)
     at_half = c == 0
-    c[at_half] = 1.0  # the half period (1 + tau)/2 solves these; c is not read
-    a = cmath.sqrt(e1 - e3)
-    b = _on_side(cmath.sqrt(e1 - e2), a)
+    c[at_half] = 1.0  # the half period (1 + tau')/2 solves these; c is not read
+    a = cmath.sqrt(d1 - d3)
+    b = _on_side(cmath.sqrt(d1), a)
+    gap = d3  # b^2 - a^2
     for _ in range(_AGM_MAX_STEPS):
-        if abs(a - b) <= _AGM_REL * abs(a):
+        # a tall quotient starts with a = b but delta3 ~ c^2, so the test is on the gap
+        if abs(gap) <= (_AGM_REL * abs(a)) ** 2:
             break
-        # c * c in Python's complex product, then its sums in Python's order
-        square = _complex(c.real * c.real - c.imag * c.imag, c.real * c.imag + c.imag * c.real)
-        root = np.sqrt(square + b * b - a * a)
-        c = (c + np.where(_abs(root - c) <= _abs(root + c), root, -root)) / 2
+        root = np.sqrt(c * c + gap)
+        c = (c + np.where(np.abs(root - c) <= np.abs(root + c), root, -root)) / 2
+        gap = -((a - b) / 2) ** 2
         a, b = (a + b) / 2, _on_side(cmath.sqrt(a * b), (a + b) / 2)
-    p = reduce_coords(lattice, _quot(np.arcsin(_quot(a, c)), a))
-    half = lattice._half_period(1, 1)
-    p[at_half] = (half.a, half.b)
-    num, den = wp_series_array(lattice, p[:, 0], p[:, 1], derivative=False)
+    p = reduce_coords(lattice, np.arcsin(a / c) / a)
+    p[at_half] = reduce_coords(lattice, np.array([lattice.scale * (1.0 + lattice.tau_reduced) / 2]))
+    num, den = t_series_array(lattice, p[:, 0], p[:, 1], derivative=False)
     pole = den == 0
-    residual = _abs(_quot(num, np.where(pole, 1.0, den)) - x)
-    missed = pole | ~(residual <= EPS_NUM * (1.0 + _abs(x)))
+    residual = np.abs(num / np.where(pole, 1.0, den) - t)
+    missed = pole | ~(residual <= EPS_NUM * (1.0 + np.abs(t)))
     if missed.any():
-        raise NoConvergence(f"wp_inverse missed its residual contract at x={complex(x[missed][0])!r}")
+        raise NoConvergence(f"wp_inverse missed its residual contract at t={complex(t[missed][0])!r}")
     # the two solutions in the order of TorusPoint.sort_key
     q = _frac_array(-p)
     swap = ((q[:, 0] < p[:, 0]) | ((q[:, 0] == p[:, 0]) & (q[:, 1] < p[:, 1])))[:, None]
     return np.where(swap, q, p), np.where(swap, p, q)
+
+
+def two_torsion(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
+    """Which of N points (coordinates) lie within 1e-6 of their negatives: both fibers' 2-torsion test."""
+    points = [TorusPoint(lattice, a, b) for a, b in coords.tolist()]
+    return np.array([p.close_to(-p, tol=1e-6) for p in points], dtype=bool)
 
 
 def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,6 +308,10 @@ def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
         np.divide(num, den, out=ones.copy(), where=~flip),
         np.divide(den, num, out=ones, where=flip),
     )
+
+
+#: least column scale, relative to the largest: a zero column is a spurious kernel
+_COLUMN_FLOOR = 1e-8
 
 
 def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +329,8 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
     At a point within EPS_PT of a half period, wp' is taken as 0, its
     exact value; so at n = 2 the second copy of a point, which the sum
     forces to a half period, gives a zero row, as every section of
-    O(2*[0]) is even.  All N systems share one stacked evaluation and one
-    batched SVD, and each row depends on its own divisor alone; no series
+    O(2*[0]) is even.  All N systems share one stacked evaluation and
+    batched SVDs, and each row depends on its own divisor alone; no series
     is evaluated at the origin.
     """
     count = len(points)
@@ -372,10 +350,9 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
     pts = pts[index, rep]
     origin = np.all(_wrap_dist_array(pts, 0.0) <= EPS_PT, axis=2)
     live = ~origin
-    num, den, nump, denp = wp_series_array(basis.lattice, *pts[live].T)
     w = np.zeros((count, n), dtype=complex)
     wprime = w.copy()
-    w[live], wprime[live] = num / den, nump / denp
+    w[live], wprime[live] = t_values(basis.lattice, *pts[live].T)
     # the series leaves rounding noise for wp' at a half period, which row scaling would blow up
     wprime[np.all(_wrap_dist_array(2.0 * pts, 0.0) <= EPS_PT, axis=2)] = 0.0
     # copy k of the origin strikes pole order n+1-k; no function has pole order 1
@@ -386,11 +363,17 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
     for k in set(copies[live].tolist()):
         slots = live & (copies == k)
         matrix[slots] = basis.jet(w[slots], wprime[slots], k)[k]
-    # row scaling does not change the kernel but tames wp-power growth
-    norms = np.max(np.abs(matrix), axis=2, keepdims=True)
-    matrix = matrix / np.where(norms == 0, 1.0, norms)
-    _, s, vh = np.linalg.svd(matrix)
-    out, invalid = normalize_rows(np.conj(vh[:, -1]))
+    # the coefficients span many decades where t is small: a second solve
+    # scales the columns by the moduli of the first kernel; scaling the rows
+    # or the columns does not change the kernel
+    kernel = np.ones((count, n))
+    for _ in range(2):
+        scale = np.maximum(np.abs(kernel), _COLUMN_FLOOR * np.max(np.abs(kernel), axis=1, keepdims=True))
+        scaled = matrix * scale[:, None, :]
+        norms = np.max(np.abs(scaled), axis=2, keepdims=True)
+        _, s, vh = np.linalg.svd(scaled / np.where(norms == 0, 1.0, norms))
+        kernel = np.conj(vh[:, -1]) * scale
+    out, invalid = normalize_rows(kernel)
     return out, failed | invalid | (s[:, -2] <= _COND_FLOOR * s[:, 0])
 
 
@@ -400,53 +383,38 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
 _POLISH_STEPS = 6
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`np.dot` of each row of x with the same row of y, bit for bit, as one stacked `matmul`."""
-    return (np.ascontiguousarray(x)[:, None, :] @ np.ascontiguousarray(y)[:, :, None])[:, 0, 0]
-
-
-def _convolve_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`np.convolve` of each row of a with the same row of v, bit for bit.
-
-    numpy takes each coefficient as one dot product of a slice of the
-    longer row and a slice of the shorter one reversed; `_dot` takes the
-    same dot products.
-    """
-    if v.shape[1] > a.shape[1]:
-        a, v = v, a
-    la, lv = a.shape[1], v.shape[1]
-    rev = v[:, ::-1]
-    out = np.empty((len(a), la + lv - 1), dtype=complex)
-    for k in range(la + lv - 1):
-        lo, hi = max(0, k - lv + 1), min(k, la - 1) + 1
-        out[:, k] = _dot(a[:, lo:hi], rev[:, lv - 1 - k + lo : lv - 1 - k + hi])
-    return out
-
-
 def _norm_polynomials(c: np.ndarray, basis: SectionBasis, order: int) -> np.ndarray:
-    """N(x) = P(x)^2 - (4x^3 - g2 x - g3) Q(x)^2 for sections P(wp) + wp' Q(wp) of one pole order.
+    """N(t) = P(t)^2 - 4t(t - d1)(t - d3) Q(t)^2 for sections P(t) + wp' Q(t) of one pole order.
 
     Rows of coefficients, highest degree first, of degree exactly `order`.
     """
+
+    def times(x, y):
+        out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1), dtype=complex)
+        for j in range(y.shape[1]):
+            out[:, j : j + x.shape[1]] += x * y[:, j, None]
+        return out
+
     P = np.zeros((len(c), order // 2 + 1), dtype=complex)
     Q = np.zeros((len(c), max((order - 3) // 2 + 1, 0)), dtype=complex)
     for (pole, a, odd), cj in zip(basis.terms, c.T):
         if pole <= order:
             (Q if odd else P)[:, a] += cj
-    norm = _convolve_rows(P[:, ::-1], P[:, ::-1])
+    norm = times(P, P)
     if Q.shape[1]:
-        g2, g3 = basis.lattice.g2g3
-        cubic = np.broadcast_to(np.array([4.0, 0.0, -g2, -g3]), (len(c), 4))
-        norm_q = _convolve_rows(_convolve_rows(Q[:, ::-1], Q[:, ::-1]), cubic)
+        d1, d3 = basis.lattice.branch_differences
+        cubic = np.broadcast_to(np.array([0.0, 4.0 * d1 * d3, -4.0 * (d1 + d3), 4.0]), (len(c), 4))
+        norm_q = times(times(Q, Q), cubic)
         # one of the two has degree `order`, the other one less
-        norm, norm_q = (np.pad(x, ((0, 0), (order + 1 - x.shape[1], 0))) for x in (norm, norm_q))
+        norm, norm_q = (np.pad(x, ((0, 0), (0, order + 1 - x.shape[1]))) for x in (norm, norm_q))
         norm = norm - norm_q
-    return norm
+    # a copy, not a reversed view: numpy's abs of a strided view rounds by the stack's size
+    return norm[:, ::-1].copy()
 
 
 def _section_jets(basis: SectionBasis, points: np.ndarray, c: np.ndarray):
     """Values and first z-derivatives of the sections with coefficient rows c at non-pole points."""
-    return [_dot(c, jet) for jet in basis.jet(*wp_values(basis.lattice, *points.T), 1)]
+    return [np.sum(c * jet, axis=1) for jet in basis.jet(*t_values(basis.lattice, *points.T), 1)]
 
 
 def _newton_polish(points: np.ndarray, c: np.ndarray, basis: SectionBasis) -> np.ndarray:
@@ -463,16 +431,16 @@ def _newton_polish(points: np.ndarray, c: np.ndarray, basis: SectionBasis) -> np
     for _ in range(_POLISH_STEPS):
         moving = df != 0
         live, f, df = live[moving], f[moving], df[moving]
-        # like Python's complex `/`, an overflowing step is inf, not an error
-        with np.errstate(over="ignore"):
-            step = _quot(f, df)
+        # an overflowing step is inf, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = f / df
         moving = np.isfinite(step.real) & np.isfinite(step.imag)
         live, f, step = live[moving], f[moving], step[moving]
         w = reduce_coords(lattice, torus_z(lattice, points[live]) - step)
         moving = ~np.all(_wrap_dist_array(w, 0.0) <= EPS_PT, axis=1)
         live, f, w = live[moving], f[moving], w[moving]
         fw, dfw = _section_jets(basis, w, c[live])
-        moving = _abs(fw) < _abs(f)
+        moving = np.abs(fw) < np.abs(f)
         live, f, df = live[moving], fw[moving], dfw[moving]
         points[live] = w[moving]
         if not len(live):
@@ -488,7 +456,8 @@ def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.nda
     are solved as one stack, and all roots are lifted, tested on both sign
     branches and polished in numpy passes; only the clustering of a row's
     roots, the split of a cluster between z and -z and the 2-torsion test
-    run root by root.  Raises DegenerateSection on a zero or non-finite row.
+    run root by root.  The roots are t-values (`root_clusters`).  Raises
+    DegenerateSection on a zero or non-finite row.
     """
     c = np.asarray(coeffs, dtype=complex)
     count, n = c.shape
@@ -497,7 +466,7 @@ def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.nda
     if not np.all(np.isfinite(top) & (top > 0)):
         raise DegenerateSection("zero or non-finite coefficient vector")
     # pole order of a section = largest pole order with surviving coefficient
-    alive = _abs(c) > 1e-12 * top[:, None]
+    alive = np.abs(c) > 1e-12 * top[:, None]
     p_order = np.array(basis.pole_orders)[n - 1 - np.argmax(alive[:, ::-1], axis=1)]
     clusters: list[list] = [[] for _ in range(count)]
     for order in sorted(set(p_order.tolist()) - {0}):
@@ -506,24 +475,24 @@ def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.nda
         scale = np.max(np.abs(norm), axis=1)
         if not scale.all():
             raise DegenerateSection("norm polynomial vanishes identically")
-        for r, roots in zip(rows.tolist(), poly_roots(norm / scale[:, None]).tolist()):
-            clusters[r] = [(r, x, m) for x, m in _cluster_roots(roots)]
+        for r, row in zip(rows.tolist(), root_clusters(norm / scale[:, None])):
+            clusters[r] = [(r, x, m) for x, m in row]
     roots = [root for row in clusters for root in row]
     plus, minus = wp_inverse_array([x for _, x, _ in roots], lattice)
-    # wp is even and wp' odd: the basis at -z is read off the series at z with wp' negated
-    w, wprime = wp_values(lattice, *plus.T)
+    torsion = two_torsion(lattice, plus).tolist()
+    # t is even and wp' odd: the basis at -z is read off the series at z with wp' negated
+    w, wprime = t_values(lattice, *plus.T)
     rows = c[[r for r, _, _ in roots]]
     at_plus = basis.jet(w, wprime)[0]
-    f_plus = _abs(_dot(rows, at_plus)).tolist()
-    f_minus = _abs(_dot(rows, basis.jet(w, -wprime)[0])).tolist()
+    f_plus = np.abs(np.sum(rows * at_plus, axis=1)).tolist()
+    f_minus = np.abs(np.sum(rows * basis.jet(w, -wprime)[0], axis=1)).tolist()
     # scale of the two nearly-cancelling halves of the section at x
     size = (np.max(np.abs(at_plus) * np.abs(rows), axis=1) + 1e-300).tolist()
     zeros: list[list] = [[] for _ in range(count)]
-    for (r, _, mult), z_plus, z_minus, fp, fm, big in zip(
-        roots, plus.tolist(), minus.tolist(), f_plus, f_minus, size
+    for (r, _, mult), z_plus, z_minus, fp, fm, big, at_torsion in zip(
+        roots, plus.tolist(), minus.tolist(), f_plus, f_minus, size, torsion
     ):
-        z = TorusPoint(lattice, *z_plus)
-        if z.close_to(-z, tol=1e-6):
+        if at_torsion:
             # 2-torsion: both branches coincide, full multiplicity
             zeros[r].append((z_plus, mult))
         elif fp < 1e-4 * big and fm < 1e-4 * big:

@@ -28,8 +28,7 @@ if TYPE_CHECKING:
     from .symfun import ProjectivePoint, SectionBasis
 
 #: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts;
-#: two branch values e_i differ by ~24 exp(-pi Im tau') relative to their
-#: size, about 5 ulps at 12, and merge in double precision soon after
+#: B at d = 3 misses a few fiber matches from about 10 on (README)
 MAX_QUOTIENT_IM_TAU = 12.0
 
 
@@ -136,7 +135,7 @@ def build_cover(
     Warns with NotVeryAmpleWarning when the configuration misses the
     very-ampleness preconditions; the cover is still built and verifiable.
     Raises IllConditioned when the quotient E/Q0 is taller than
-    MAX_QUOTIENT_IM_TAU, where its branch values cannot be told apart.
+    MAX_QUOTIENT_IM_TAU, beyond the heights at which the maps are verified.
     """
     if construction not in ("A", "B"):
         raise ConfigError(f"construction must be 'A' or 'B', got {construction!r}")
@@ -147,7 +146,7 @@ def build_cover(
     if height > MAX_QUOTIENT_IM_TAU:
         raise IllConditioned(
             f"quotient E/Q0 has reduced Im tau' = {height:.6g} > "
-            f"{MAX_QUOTIENT_IM_TAU:g}: its branch values agree to double precision"
+            f"{MAX_QUOTIENT_IM_TAU:g}, taller than the maps are verified for"
         )
     if construction == "A":
         group = build_group_A(d, q0, cap=order_cap)

@@ -1,7 +1,8 @@
 """The two covering maps E^d -> P^d and their verification protocol.
 
-Construction A composes the coordinatewise quotient E -> E/Q0 with wp and the
-symmetric-product identification Sym^d(P^1) = P^d.  Construction B sends a
+Construction A composes the coordinatewise quotient E -> E/Q0 with the
+centred coordinate t = wp - e2 and the symmetric-product identification
+Sym^d(P^1) = P^d.  Construction B sends a
 tuple to the degree-(d+1) sum-zero divisor it spans on E/Q0 and returns the
 coordinates of the matching section of O((d+1)[0]).  Both maps work on
 stacks of point tuples; `CoverSpec.map` maps one tuple as a stack of one.
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import (
-    _abs,
     _frac_array,
     close_pairs,
     coords_array,
@@ -32,8 +32,9 @@ from .batch import (
     orbit_indices,
     section_zeros_array,
     stabilizer_mask,
+    t_series_array,
+    two_torsion,
     wp_inverse_array,
-    wp_series_array,
 )
 from .construction import (  # noqa: F401 - re-exported
     MAX_QUOTIENT_IM_TAU,
@@ -54,14 +55,15 @@ EPS_GENERIC = 1e-6
 
 
 def map_A_array(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinatewise wp on E/Q0, then the symmetric product into P^d, for N point tuples.
+    """Coordinatewise t = wp - e2 on E/Q0, then the symmetric product into P^d, for N point tuples.
 
-    One series pass over all N*d coordinates.  Total on all of E^d: poles
+    One kernel pass over all N*d coordinates.  Total on all of E^d: poles
     enter as the P^1 point (1:0), and the symmetric product of homogeneous
-    pairs stays well-defined.
+    pairs stays well-defined.  t differs from wp by a translation of P^1,
+    which changes neither the deck group nor the fibers.
     """
     ys = map_coords(spec.quotient, coords)
-    num, den = wp_series_array(spec.quotient.target, ys[..., 0], ys[..., 1], derivative=False)
+    num, den = t_series_array(spec.quotient.target, ys[..., 0], ys[..., 1], derivative=False)
     return sym_product(*norm_pairs(num, den))
 
 
@@ -111,10 +113,10 @@ def _one_row(spec: CoverSpec, fibers: tuple[np.ndarray, list]) -> list[PointTupl
 def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
     """`CoverSpec.fiber_array` for construction A: d!(2|Q0|)^d preimages per target.
 
-    Each binary form is factored into d distinct P^1 roots; each root pulls
-    back through wp to a +-w pair on E/Q0 and through the isogeny to |Q0|
-    lifts each.  Repeated roots, a root at infinity or at a branch value
-    e_i make a target non-generic.
+    Each binary form is factored into d distinct P^1 roots t; each root
+    pulls back through t to a +-w pair on E/Q0 and through the isogeny to
+    |Q0| lifts each.  Repeated roots, a root at infinity or a root whose
+    w is 2-torsion make a target non-generic.
     """
     if spec.construction != "A":
         raise ConfigError("fiber_A needs a construction-A cover")
@@ -130,16 +132,15 @@ def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, lis
             values.append([pair.num / pair.den for pair, _ in roots])
     rows = np.flatnonzero([r is None for r in reasons])
     x = np.array(values, dtype=complex).reshape(-1, spec.d)
-    e = np.array(lattice.branch_values)
-    near = np.any(_abs(x[..., None] - e) <= EPS_GENERIC * (1.0 + _abs(e)), axis=2)
-    first = np.argmax(near, axis=1).tolist()
-    for k in np.flatnonzero(near.any(axis=1)).tolist():
-        reasons[rows[k]] = f"root {values[k][first[k]]:.6g} sits at a branch value"
-    live = ~near.any(axis=1)
-    w_plus, w_minus = wp_inverse_array(x[live].ravel(), lattice)
+    w_plus, w_minus = wp_inverse_array(x.ravel(), lattice)
+    branch = two_torsion(lattice, w_plus).reshape(x.shape)
+    for k, row in enumerate(branch.tolist()):
+        if any(row):
+            reasons[rows[k]] = f"root t = {values[k][row.index(True)]:.6g} sits at a branch value"
     lifts = np.concatenate([lift_coords(spec.quotient, w) for w in (w_plus, w_minus)], axis=1)
-    fibers = np.full((len(targets), spec.group.order, spec.d, 2), np.nan)
-    fibers[rows[live]] = _arrange(lifts.reshape(-1, spec.d, *lifts.shape[1:]), spec.d)
+    arranged = _arrange(lifts.reshape(-1, spec.d, *lifts.shape[1:]), spec.d)
+    fibers = np.full((len(targets), *arranged.shape[1:]), np.nan)
+    fibers[rows] = np.where(branch.any(axis=1)[:, None, None, None], np.nan, arranged)
     return fibers, reasons
 
 

@@ -35,7 +35,7 @@ EPS_PROJ = 1e-7
 _SERIES_TAIL_REL = 1e-14
 _SERIES_MAX_TERMS = 64
 
-# the AGM in wp_inverse stops once |a - b| falls below this relative size
+# the AGM in wp_inverse stops once |b^2 - a^2| falls below (this * |a|)^2
 _AGM_REL = 1e-15
 _AGM_MAX_STEPS = 32
 
@@ -180,62 +180,46 @@ class LatticeTau:
         return self._reduction[2]
 
     @cached_property
-    def _nome(self) -> complex:
-        return cmath.exp(_TWO_PI_I * self.tau_reduced)
+    def _half_nome(self) -> complex:
+        """Q = exp(i*pi*tau_reduced), the nome of the theta products."""
+        return cmath.exp(1j * math.pi * self.tau_reduced)
 
     @cached_property
     def series_terms(self) -> int:
-        """Terms of the wp q-series: n = 1, 2, ... up to the first with |q^n| < 1e-14 |q|^(1/2).
+        """Factors n = 1, 2, ... of the wp kernel, up to the first with |Q^(2n)| < 1e-14 |Q|.
 
-        A point alpha + beta*tau_reduced, |beta| <= 1/2, has |u| >= |q|^(1/2),
-        so the tail stays below _SERIES_TAIL_REL * min(1, |u|) at every point;
-        q^n is formed as the series forms it.  At most _SERIES_MAX_TERMS - 1.
+        A point alpha + beta*tau_reduced, |beta| <= 1/2, has |Q| <= |u| <=
+        1/|Q|, so no omitted factor 1 - Q^k u^(+-1) differs from 1 by more
+        than _SERIES_TAIL_REL * |Q|.  At most _SERIES_MAX_TERMS - 1.
         """
-        bound = _SERIES_TAIL_REL * math.sqrt(abs(self._nome))
+        bound = _SERIES_TAIL_REL * abs(self._half_nome)
+        q = self._half_nome * self._half_nome
         qn = 1.0 + 0j
         for n in range(1, _SERIES_MAX_TERMS):
-            qn *= self._nome
+            qn *= q
             if abs(qn) < bound:
                 return n
         return _SERIES_MAX_TERMS - 1
 
-    @cached_property
+    @property
     def g2g3(self) -> tuple[complex, complex]:
-        """Weierstrass invariants of this lattice (scale included)."""
-        q = self._nome
-        e4 = 1.0 + 0j
-        e6 = 1.0 + 0j
-        qn = 1.0 + 0j
-        for n in range(1, _SERIES_MAX_TERMS):
-            qn *= q
-            t4 = 240.0 * n**3 * qn / (1.0 - qn)
-            t6 = 504.0 * n**5 * qn / (1.0 - qn)
-            e4 += t4
-            e6 -= t6
-            if abs(t4) < _SERIES_TAIL_REL * abs(e4) and abs(t6) < _SERIES_TAIL_REL * abs(e6):
-                break
-        s = self.scale
-        g2 = (4.0 * math.pi**4 / 3.0) * e4 / s**4
-        g3 = (8.0 * math.pi**6 / 27.0) * e6 / s**6
-        return g2, g3
-
-    def _half_period(self, alpha: int, beta: int) -> "TorusPoint":
-        """The half period scale * (alpha + beta * tau_reduced) / 2 as a torus point."""
-        ma, mb, mc, md = self.basis_change
-        return TorusPoint.from_coords(
-            self, (md * alpha + mb * beta) / 2, (mc * alpha + ma * beta) / 2
-        )
+        """Weierstrass invariants (scale included): 4x^3 - g2 x - g3 = 4(x - e1)(x - e2)(x - e3)."""
+        d1, d3 = self.branch_differences
+        e2 = self.e2
+        return 12.0 * e2 * e2 - 4.0 * d1 * d3, 4.0 * e2 * (d1 * d3 - 2.0 * e2 * e2)
 
     @cached_property
-    def branch_values(self) -> tuple[complex, complex, complex]:
-        """e1, e2, e3: wp at the half periods 1/2, tau/2, (1+tau)/2 of the reduced basis.
+    def branch_differences(self) -> tuple[complex, complex]:
+        """delta1 = e1 - e2 and delta3 = e3 - e2: the kernel's t at 1/2 and (1 + tau)/2 of the reduced basis."""
+        num, den = _wp_kernel(self, -1.0 + 0j, derivative=False)
+        num3, den3 = _wp_kernel(self, -self._half_nome, derivative=False)
+        return num / den, num3 / den3
 
-        On a tall lattice e2 and e3 are the close pair.
-        """
-        return tuple(
-            wp_both_values(self._half_period(alpha, beta))[0]
-            for alpha, beta in ((1, 0), (0, 1), (1, 1))
-        )
+    @cached_property
+    def e2(self) -> complex:
+        """wp(tau/2) on the reduced basis, -(delta1 + delta3)/3 since e1 + e2 + e3 = 0."""
+        d1, d3 = self.branch_differences
+        return -(d1 + d3) / 3.0
 
     def coords(self, z: complex) -> tuple[float, float]:
         """Real (a, b) with z = a*omega1 + b*omega2 (not reduced)."""
@@ -457,33 +441,38 @@ def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:
     return lattice.g2g3
 
 
-def _wp_qseries(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
-    """(num, den, num', den') of wp and wp' at u = exp(2*pi*i*z'), z' on the reduced basis.
+def _wp_kernel(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
+    """(num, den, num', den') of t = wp - e2 and of wp' at u = exp(2*pi*i*z'), z' on the reduced basis.
 
-    `u` is a complex or a numpy array, touched only by arithmetic, so one
-    loop serves `_wp_series` and `batch.wp_series_array`.  It adds the
-    lattice's `series_terms` terms at every point, so each value depends
-    on its own point alone.  Without the derivative: (num, den).  The pole
-    u = 1 only zeroes the denominators; nothing is divided by 1 - u.
+    t = (pi theta2(0) theta3(0) theta4(pi z') / theta1(pi z'))^2 / scale^2
+    (DLMF 23.6.4) as products over Q = exp(i*pi*tau') (DLMF 20.5): each
+    factor 1 - Q^k u^(+-1) is formed directly, so t stays accurate relative
+    to its size where it is small, in the middle band of a tall quotient.
+    wp' is the q-series in q = Q^2.  `u`, a complex or a numpy array, is
+    touched only by arithmetic, so one loop serves `_t_series` and
+    `batch.t_series_array`.  The pole u = 1 only zeroes the denominators.
     """
-    q = lattice._nome
-    tail = 1.0 / 12.0 + 0j
+    Q = lattice._half_nome
+    # the theta products over odd and even powers of Q, and
+    # theta2(0) theta3(0) / (2 Q^(1/4)) = prod (1 + Q^(2n-1))^2 (1 - Q^(4n))^2, squared
+    odd = even = const = 1.0 + 0j
     dtail = 0j
-    qn = 1.0 + 0j
+    qk = 1.0 + 0j
     for _ in range(lattice.series_terms):
-        qn *= q
-        qu = qn * u
-        qiu = qn / u
-        # Python's complex ** 2 and ** 3 are these products, so shared factors keep the bits
+        qk = qk * Q
+        odd = odd * (1.0 - qk * u) * (1.0 - qk / u)
+        const = const * (1.0 + qk)
+        qk = qk * Q
+        const = const * (1.0 - qk) * (1.0 + qk)
+        qu, qiu = qk * u, qk / u
         r, ri = 1.0 - qu, 1.0 - qiu
-        r2, ri2 = r * r, ri * ri
-        tail += qu / r2 + qiu / ri2 - 2.0 * qn / (1.0 - qn) ** 2
+        even = even * r * ri
         if derivative:
-            dtail += qu * (1.0 + qu) / (r * r2) - qiu * (1.0 + qiu) / (ri * ri2)
+            dtail += qu * (1.0 + qu) / r**3 - qiu * (1.0 + qiu) / ri**3
     s = lattice.scale
     one_minus_u = 1.0 - u
-    num = _TWO_PI_I**2 * (u + one_minus_u**2 * tail)
-    den = s**2 * one_minus_u**2
+    num = -4.0 * math.pi**2 * const**4 * u * odd * odd
+    den = s**2 * (one_minus_u * even) ** 2
     if not derivative:
         return num, den
     nump = _TWO_PI_I**3 * (u * (1.0 + u) + one_minus_u**3 * dtail)
@@ -491,33 +480,40 @@ def _wp_qseries(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
     return num, den, nump, denp
 
 
-def _wp_series(lattice: LatticeTau, a: float, b: float, derivative: bool = True) -> tuple:
-    """Raw homogeneous pairs (num, den, num', den') for wp and wp' at a point.
+def _t_series(lattice: LatticeTau, a: float, b: float, derivative: bool = True) -> tuple:
+    """Raw homogeneous pairs (num, den, num', den') for t = wp - e2 and wp' at a point.
 
     Coordinates (a, b) are w.r.t. (omega1, omega2); evaluation runs on the
-    reduced basis where the Fourier series converges geometrically with ratio
-    |q| <= exp(-pi*sqrt(3)).
+    reduced basis, where the products converge geometrically with ratio
+    |Q| <= exp(-pi*sqrt(3)/2).
     """
     alpha, beta = lattice._reduced_coords(a, b)
     u = cmath.exp(_TWO_PI_I * (alpha + beta * lattice.tau_reduced))
-    return _wp_qseries(lattice, u, derivative)
+    return _wp_kernel(lattice, u, derivative)
 
 
 def wp(p: TorusPoint) -> HomPair:
-    """Weierstrass wp(z) as a normalized homogeneous pair; (1, 0) at poles."""
-    return _norm_pair(*_wp_series(p.lattice, p.a, p.b, derivative=False))
+    """Weierstrass wp(z) = t + e2 as a normalized homogeneous pair; (1, 0) at poles."""
+    num, den = _t_series(p.lattice, p.a, p.b, derivative=False)
+    return _norm_pair(num + p.lattice.e2 * den, den)
 
 
 def wp_prime(p: TorusPoint) -> HomPair:
     """Derivative wp'(z) as a normalized homogeneous pair; odd, pole order 3."""
-    _, _, nump, denp = _wp_series(p.lattice, p.a, p.b)
+    _, _, nump, denp = _t_series(p.lattice, p.a, p.b)
     return _norm_pair(nump, denp)
+
+
+def centred_values(p: TorusPoint) -> tuple[complex, complex]:
+    """(t, wp') at a non-pole point, t = wp - e2 the coordinate of the maps and fibers."""
+    num, den, nump, denp = _t_series(p.lattice, p.a, p.b)
+    return num / den, nump / denp
 
 
 def wp_both_values(p: TorusPoint) -> tuple[complex, complex]:
     """(wp(z), wp'(z)) as plain complex values; requires a non-pole point."""
-    num, den, nump, denp = _wp_series(p.lattice, p.a, p.b)
-    return num / den, nump / denp
+    t, wprime = centred_values(p)
+    return t + p.lattice.e2, wprime
 
 
 def _on_side(r: complex, ref: complex) -> complex:
@@ -526,17 +522,8 @@ def _on_side(r: complex, ref: complex) -> complex:
 
 
 def wp_inverse(x: complex, lattice: LatticeTau) -> tuple[TorusPoint, TorusPoint]:
-    """The two solutions {z, -z} of wp(z) = x, by the AGM elliptic logarithm.
-
-    With e_i the branch values, a = sqrt(e1-e3), b = sqrt(e1-e2) and
-    c = sqrt(x-e3), z = int_c^oo dt / sqrt((t^2-a^2)(t^2-a^2+b^2)).  Landen's
-    step (a, b, c) -> ((a+b)/2, sqrt(ab), (c + sqrt(c^2+b^2-a^2))/2) keeps the
-    integral fixed, and once a = b it equals asin(a/c)/a (Cremona and
-    Thongjunthug, J. Number Theory 133, 2013).  Residual contract:
-    |wp(z) - x| <= EPS_NUM * (1 + |x|); NoConvergence if it is missed.
-    The one row of `batch.wp_inverse_array`, sorted by `sort_key`.
-    """
+    """The two solutions {z, -z} of wp(z) = x, sorted: the one row of `batch.wp_inverse_array` at x - e2."""
     from .batch import wp_inverse_array
 
-    plus, minus = wp_inverse_array([complex(x)], lattice)
+    plus, minus = wp_inverse_array([complex(x) - lattice.e2], lattice)
     return TorusPoint(lattice, *plus[0].tolist()), TorusPoint(lattice, *minus[0].tolist())

@@ -7,9 +7,10 @@ tuples at once; `sym_fibers` inverts it on a stack, and `sym_fiber` is its
 one-row call.
 `SectionBasis` / `divisor_to_coords` / `section_zeros` realize the linear
 system L(n*[0]) on E concretely enough to map divisors to coordinate vectors
-and back: the basis gives values and z-derivatives of every order from wp
-and wp', and `divisor_to_coords` and `section_zeros` are the one-row calls
-of the stacked `batch.divisors_to_coords` and `batch.section_zeros_array`.
+and back: the basis gives values and z-derivatives of every order from
+t = wp - e2 and wp', and `divisor_to_coords` and `section_zeros` are the
+one-row calls of the stacked `batch.divisors_to_coords` and
+`batch.section_zeros_array`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .elliptic import (
     HomPair,
     LatticeTau,
     TorusPoint,
-    wp_both_values,
 )
 from .errors import (
     DegenerateSection,
@@ -41,6 +41,9 @@ _COND_FLOOR = 1e-10
 
 #: relative clustering radius for repeated polynomial roots
 _ROOT_CLUSTER = 1e-5
+
+#: Newton steps that `polish_roots` takes on each root of a polynomial
+_ROOT_POLISH_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,10 @@ class ProjectivePoint:
         wedge = 0.0
         for i in range(len(p)):
             for j in range(i + 1, len(p)):
-                wedge += abs(p[i] * q[j] - p[j] * q[i]) ** 2
-        norms = sum(abs(c) ** 2 for c in p) * sum(abs(c) ** 2 for c in q)
+                w = p[i] * q[j] - p[j] * q[i]
+                wedge += w.real * w.real + w.imag * w.imag
+        norms = sum(c.real * c.real + c.imag * c.imag for c in p)
+        norms *= sum(c.real * c.real + c.imag * c.imag for c in q)
         return math.sqrt(wedge / norms)
 
     def close_to(self, other: "ProjectivePoint", tol: float = EPS_PROJ) -> bool:
@@ -139,11 +144,10 @@ def projective_spreads(coords: np.ndarray, owner: np.ndarray, failed: np.ndarray
     Row k holds a ProjectivePoint's coordinates and belongs to owner
     `owner[k]` in range(len(failed)).  A `failed` owner gets inf; one with
     fewer than two distinct rows gets 0.  Each entry is the maximum of
-    `chordal_dist` over the owner's pairs, bit for bit: exact duplicates
-    are dropped (their distance is 0), and the pairs of all owners are
-    compared in `row_blocks`, with the wedge form in real arithmetic in the
-    order `chordal_dist` uses: Python's complex products, `np.hypot` for
-    `abs` and `np.float_power` for `** 2`, which calls the same libm `pow`.
+    `chordal_dist` over the owner's pairs: exact duplicates are dropped
+    (their distance is 0), and the pairs of all owners are compared in
+    `row_blocks`, with the wedge form in real arithmetic as `chordal_dist`
+    computes it.
     """
     spread = np.where(failed, np.inf, 0.0)
     live = ~failed[owner]
@@ -155,7 +159,7 @@ def projective_spreads(coords: np.ndarray, owner: np.ndarray, failed: np.ndarray
     m = len(coords)
     norms = 0.0
     for k in range(m):
-        norms = norms + np.float_power(np.hypot(re[k], im[k]), 2.0)
+        norms = norms + (re[k] * re[k] + im[k] * im[k])
     # row i is paired with the later rows of its owner
     later = np.searchsorted(owner, owner, "right") - np.arange(len(owner)) - 1
     for i, rank in row_blocks(later, _SPREAD_BLOCK // m):
@@ -164,11 +168,9 @@ def projective_spreads(coords: np.ndarray, owner: np.ndarray, failed: np.ndarray
         wedge = 0.0
         for k in range(m):
             for l in range(k + 1, m):
-                xr = pr[k] * qr[l] - pi[k] * qi[l]
-                xi = pr[k] * qi[l] + pi[k] * qr[l]
-                yr = pr[l] * qr[k] - pi[l] * qi[k]
-                yi = pr[l] * qi[k] + pi[l] * qr[k]
-                wedge = wedge + np.float_power(np.hypot(xr - yr, xi - yi), 2.0)
+                wr = (pr[k] * qr[l] - pi[k] * qi[l]) - (pr[l] * qr[k] - pi[l] * qi[k])
+                wi = (pr[k] * qi[l] + pi[k] * qr[l]) - (pr[l] * qi[k] + pi[l] * qr[k])
+                wedge = wedge + (wr * wr + wi * wi)
         np.maximum.at(spread, owner[i], np.sqrt(wedge / (norms[i] * norms[j])))
     return spread
 
@@ -231,20 +233,6 @@ def sym_product(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return normalize_rows(coeffs[:, ::-1])
 
 
-def _cluster_roots(roots: Sequence[complex], rel_tol: float = _ROOT_CLUSTER) -> list[tuple[complex, int]]:
-    """Greedy clustering of numerically split repeated roots."""
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda c: (c.real, c.imag)):
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(r - center) <= rel_tol * (1.0 + abs(center)):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
-
-
 def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     """`np.roots` of every row of an N x (m+1) array, highest degree first: N x m roots.
 
@@ -266,26 +254,71 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Newton steps on each row's polynomial (N x (m+1), highest degree first) from its m roots.
+
+    Companion eigenvalues are accurate only relative to the largest root;
+    a root takes each step that is finite and lowers |p|.
+    """
+    slope = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
+
+    def horner(c, x):
+        value = 0 * x
+        for k in range(c.shape[1]):
+            value = value * x + c[:, k : k + 1]
+        return value
+
+    value = horner(coeffs, roots)
+    with np.errstate(all="ignore"):
+        for _ in range(_ROOT_POLISH_STEPS):
+            moved = roots - value / horner(slope, roots)
+            moved_value = horner(coeffs, moved)
+            better = np.isfinite(moved) & (np.abs(moved_value) < np.abs(value))
+            roots, value = np.where(better, moved, roots), np.where(better, moved_value, value)
+    return roots
+
+
+def root_clusters(coeffs: np.ndarray) -> list[list[tuple[complex, int]]]:
+    """The roots of every row of `poly_roots`' input, with multiplicity: per row, (root, multiplicity) pairs.
+
+    Roots within _ROOT_CLUSTER of a cluster's centre, relative to its size,
+    join it greedily.  A repeated root is the mean of its cluster, which
+    Newton steps would move; a simple one is polished (`polish_roots`).
+    """
+    roots = poly_roots(coeffs)
+    out = []
+    for row, fine in zip(roots.tolist(), polish_roots(coeffs, roots).tolist()):
+        clusters: list[list[int]] = []
+        for k in sorted(range(len(row)), key=lambda k: (row[k].real, row[k].imag)):
+            for cl in clusters:
+                center = sum(row[i] for i in cl) / len(cl)
+                if abs(row[k] - center) <= _ROOT_CLUSTER * abs(center):
+                    cl.append(k)
+                    break
+            else:
+                clusters.append([k])
+        out.append([(fine[cl[0]] if len(cl) == 1 else sum(row[i] for i in cl) / len(cl), len(cl)) for cl in clusters])
+    return out
+
+
 def sym_fibers(rows: np.ndarray) -> list[list[tuple[HomPair, int]]]:
     """`sym_fiber` of every row of an N x (d+1) array of binary-form coefficients.
 
     The rows whose leading (top X-power) coefficients vanish to the same
-    count share one `poly_roots`; only the clustering of a row's roots
-    runs row by row.
+    count share one `root_clusters`.
     """
     coeffs = rows[:, ::-1]  # decreasing degree in t = X/Y
-    mags = np.hypot(coeffs.real, coeffs.imag)  # Python's abs, bit for bit
+    mags = np.abs(coeffs)
     small = mags[:, :-1] <= EPS_NUM * mags.max(axis=1, keepdims=True)
     leads = np.cumprod(small, axis=1).sum(axis=1)
     out: list[list[tuple[HomPair, int]]] = [[] for _ in range(len(rows))]
     for lead in sorted(set(leads.tolist())):
         picked = np.flatnonzero(leads == lead).tolist()
         finite = coeffs[picked, lead:]
-        roots = poly_roots(finite).tolist() if finite.shape[1] > 1 else [[]] * len(picked)
-        for r, row in zip(picked, roots):
+        for r, row in zip(picked, root_clusters(finite)):
             if lead:
                 out[r].append((HomPair(1.0 + 0j, 0j), lead))
-            for center, mult in _cluster_roots(row):
+            for center, mult in row:
                 if abs(center) <= 1.0:
                     out[r].append((HomPair(complex(center), 1.0 + 0j), mult))
                 else:
@@ -307,28 +340,29 @@ def sym_fiber(point: ProjectivePoint | Sequence[complex]) -> list[tuple[HomPair,
     return sym_fibers(np.array([point.coords], dtype=complex))[0]
 
 
-def _derive(even: list, odd: list, g2: complex, g3: complex) -> tuple[list, list]:
-    """The z-derivative of P(wp) + wp' Q(wp), as the coefficients of P and Q, lowest degree first.
+def _derive(even: list, odd: list, d1: complex, d3: complex) -> tuple[list, list]:
+    """The z-derivative of P(t) + wp' Q(t), as the coefficients of P and Q, lowest degree first.
 
-    d/dz P(wp) = wp' P'(wp) and d/dz wp' Q(wp) = wp'' Q(wp) + wp'^2 Q'(wp),
-    with wp'' = 6 wp^2 - g2/2 and wp'^2 = 4 wp^3 - g2 wp - g3.
+    d/dz P(t) = wp' P'(t) and d/dz wp' Q(t) = wp'' Q(t) + wp'^2 Q'(t), with
+    wp'^2 = 4t(t - d1)(t - d3) and wp'' = 2[t(t - d1) + t(t - d3) + (t - d1)(t - d3)],
+    d1 and d3 the branch differences.
     """
+    total, product = d1 + d3, d1 * d3
     new_even = [0] * (len(odd) + 2 if odd else 0)
     for i, q in enumerate(odd):
         new_even[i + 2] += (4 * i + 6) * q
-        new_even[i] -= (i + 0.5) * g2 * q
-        if i:
-            new_even[i - 1] -= i * g3 * q
+        new_even[i + 1] -= (4 * i + 4) * total * q
+        new_even[i] += (4 * i + 2) * product * q
     return new_even, [i * p for i, p in enumerate(even)][1:]
 
 
 class SectionBasis:
-    """Monomial basis of L(n*[0]): {1} u {wp^a : 2a <= n} u {wp^b wp' : 2b+3 <= n}.
+    """Monomial basis of L(n*[0]): {1} u {t^a : 2a <= n} u {t^b wp' : 2b+3 <= n}, t = wp - e2.
 
     The n basis functions have pairwise distinct pole orders at 0, namely
     {0, 2, 3, ..., n}, and are listed in increasing pole order.  Their
     z-derivatives of every order k < n are tabulated once, each written as
-    P(wp) + wp' Q(wp), so that `jet` needs only arithmetic on wp and wp'.
+    P(t) + wp' Q(t), so that `jet` needs only arithmetic on t and wp'.
     """
 
     def __init__(self, n: int, lattice: LatticeTau):
@@ -336,15 +370,15 @@ class SectionBasis:
             raise InvalidOrder(f"line bundle degree must be >= 2, got {n}")
         self.n = n
         self.lattice = lattice
-        terms: list[tuple[int, int, int]] = [(0, 0, 0)]  # (pole order, wp power, wp' power)
+        terms: list[tuple[int, int, int]] = [(0, 0, 0)]  # (pole order, t power, wp' power)
         terms.extend((2 * a, a, 0) for a in range(1, n // 2 + 1))
         terms.extend((2 * b + 3, b, 1) for b in range((n - 3) // 2 + 1) if 2 * b + 3 <= n)
         terms.sort()
         self.terms = tuple(terms)
         self.pole_orders = tuple(t[0] for t in terms)
-        g2, g3 = lattice.g2g3
+        d1, d3 = lattice.branch_differences
         # _jets[k][j]: the terms (i, c, odd) of the k-th derivative of
-        # function j, c wp^i (wp')^odd with c != 0
+        # function j, c t^i (wp')^odd with c != 0
         self._jets: list[list[tuple]] = [[] for _ in range(n)]
         for _, a, e in terms:
             pair = ([], [0] * a + [1]) if e else ([0] * a + [1], [])
@@ -352,7 +386,7 @@ class SectionBasis:
                 jets.append(
                     tuple((i, c, odd) for odd, p in enumerate(pair) for i, c in enumerate(p) if c != 0)
                 )
-                pair = _derive(*pair, g2, g3)
+                pair = _derive(*pair, d1, d3)
 
     def __len__(self) -> int:
         return self.n
@@ -360,14 +394,13 @@ class SectionBasis:
     def jet(self, w, wprime, k: int = 0) -> list[np.ndarray]:
         """The k-jet of the basis, k < n: its z-derivatives of orders 0, 1, ..., k.
 
-        `w` and `wprime` are the values of wp and wp' at non-pole points:
+        `w` and `wprime` are the values of t and wp' at non-pole points:
         complex numbers, or 1-d arrays of one length, touched only by
         arithmetic.  Entry m holds the m-th derivatives of all basis
-        functions along a new last axis.  A unit coefficient multiplies
-        nothing, so the values keep the bits of the powers of wp.
+        functions along a new last axis.
         """
         powers = [w**0]
-        # a k-th derivative has pole order at most n + k, and wp^i has 2i
+        # a k-th derivative has pole order at most n + k, and t^i has 2i
         for _ in range((self.n + k) // 2):
             powers.append(powers[-1] * w)
         out = []
@@ -376,17 +409,13 @@ class SectionBasis:
             for terms in jets:
                 value = None
                 for i, c, odd in terms:
-                    term = powers[i] if c == 1 else c * powers[i]
+                    term = c * powers[i]
                     if odd:
                         term = term * wprime
                     value = term if value is None else value + term
                 rows.append(0 * powers[0] if value is None else value)
             out.append(np.array(rows).T)
         return out
-
-    def evaluate(self, p: TorusPoint) -> np.ndarray:
-        """Values of all basis functions at a non-pole point."""
-        return self.jet(*wp_both_values(p))[0]
 
 
 def divisor_to_coords(points: Sequence[TorusPoint], basis: SectionBasis) -> ProjectivePoint:
@@ -420,8 +449,8 @@ def section_zeros(
 ) -> list[tuple[TorusPoint, int]]:
     """Zero divisor of the section sum(c_j f_j) of O(n*[0]), n = basis.n.
 
-    Writes the section as P(wp) + wp' Q(wp) and factors its norm
-    N(x) = P(x)^2 - (4x^3 - g2 x - g3) Q(x)^2, whose roots are the wp-values
+    Writes the section as P(t) + wp' Q(t) and factors its norm
+    N(t) = P(t)^2 - 4t(t - d1)(t - d3) Q(t)^2, whose roots are the t-values
     of the finite zeros; each root is lifted by `wp_inverse` and assigned to
     the sign branch where the section actually vanishes, and each simple zero
     is then polished by Newton steps on the section itself.  The origin

@@ -25,13 +25,16 @@ from ellcover import (
     wp,
 )
 
-from ellcover import batch, covers
+import dataclasses
+
+from ellcover import FiniteActionGroup, batch, covers
 from ellcover.covers import EPS_GENERIC, MAX_QUOTIENT_IM_TAU, SampleRecord, _match_as_sets
 from ellcover.batch import coords_array, divisors_to_coords, map_coords
-from ellcover.elliptic import EPS_PT
+from ellcover.elliptic import EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
+from ellcover.symfun import projective_spread
 
-from conftest import TAU, scalar_fiber, scalar_map, scalar_projective_spread
+from conftest import TAU, scalar_map
 
 
 def _build(construction, d, q0spec, lattice):
@@ -51,8 +54,8 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     """One sample of the protocol, alone: the oracle of `galois_verify`'s chunks.
 
     Stabilizer and orbit come from the sample's own |G| images, and its
-    orbit is mapped by itself; its spread and fiber come from the scalar
-    oracles, one target and one root at a time.
+    orbit is mapped by itself; its spread is its own `projective_spread`
+    and its fiber is recovered from its target alone (`CoverSpec.fiber`).
     """
     found = batch.images(spec.group, [point])
     here = coords_array([point])
@@ -65,11 +68,11 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     if failed.any():
         generic = False
     else:
-        spread = scalar_projective_spread(mapped)
+        spread = projective_spread(mapped)
     if generic:
         target = mapped[np.all(orbit == here[0], axis=(1, 2))][0]
         try:
-            fiber = scalar_fiber(spec, ProjectivePoint(tuple(target.tolist())))
+            fiber = spec.fiber(ProjectivePoint(tuple(target.tolist())))
             fiber_match = _match_one(coords_array(fiber), orbit, EPS_GENERIC)
         except NonGenericTarget:
             generic = False
@@ -163,11 +166,12 @@ class TestBuildCover:
 
 class TestCoverMaps:
     def test_map_a_dimension_one_is_wp(self, lattice, q2):
+        # the root of the form is t = wp - e2 on E/Q0
         spec = _build("A", 1, q2, lattice)
         x = _point(spec, [(0.23, 0.37)])
         image = spec.map(x)
         target = spec.quotient.target
-        w = wp(reduce_point(x[0].z, target)).value
+        w = wp(reduce_point(x[0].z, target)).value - target.e2
         assert abs(image.coords[0] + w * image.coords[1]) < 1e-9 * (1 + abs(w))
 
     def test_maps_agree_for_dimension_one(self, lattice, q3):
@@ -199,7 +203,7 @@ class TestCoverMaps:
 
 
 class TestMapArray:
-    """Batched maps over many tuples against the scalar oracle `scalar_map`."""
+    """Batched maps over many tuples against `scalar_map`, the map of one tuple at 40 digits."""
 
     @pytest.mark.parametrize("construction", ["A", "B"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -235,6 +239,7 @@ class TestMapArray:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("case", SPECIAL)
     def test_special_rows_follow_scalar_map(self, lattice, q2, construction, d, case):
+        # both maps are total: every special row maps, next to a generic one
         spec = _build(construction, d, q2, lattice)
         special = _point(spec, self.SPECIAL[case][:d])
         if case == "sum collision":
@@ -246,24 +251,13 @@ class TestMapArray:
             last = -(head + head + rest)
             special = special[:-1] + (last,)
         points = [_point(spec, GENERIC[:d]), special]
-        try:
-            want = scalar_map(spec, special)
-        except IllConditioned:
-            # the row where the scalar map raises is marked, and only that row
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _, failed = spec.map_array(coords_array(points))
-            assert failed.tolist() == [False, True]
-            with pytest.raises(IllConditioned):
-                spec.map(special)
-            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows, failed = spec.map_array(coords_array(points))
         assert not failed.any()
-        assert ProjectivePoint(tuple(rows[1])).chordal_dist(want) <= 1e-13
-        assert ProjectivePoint(tuple(rows[0])).chordal_dist(scalar_map(spec, points[0])) <= 1e-13
-        assert spec.map(special).chordal_dist(want) <= 1e-13
+        for row, point in zip(rows, points):
+            assert ProjectivePoint(tuple(row)).chordal_dist(scalar_map(spec, point)) <= 1e-13
+        assert spec.map(special).coords == tuple(rows[1].tolist())
 
     @pytest.mark.parametrize("construction", ["A", "B"])
     @pytest.mark.parametrize("length", [1, 3])
@@ -326,10 +320,10 @@ class TestFiberA:
         spec = build_cover("A", 2, lattice, q2)
         # both slots on the same quotient class: double root downstairs
         x = _point(spec, [(0.2, 0.3), (0.7, 0.3)])
-        # and two distinct roots 5e-7 apart, relative: inside EPS_GENERIC,
+        # and two distinct roots t 5e-7 apart, relative: inside EPS_GENERIC,
         # so root clustering must have merged them into a double root
-        w = wp(spec.quotient.map(x[0])).value
-        v = w + 5e-7 * (1.0 + abs(w))
+        w, _ = centred_values(spec.quotient.map(x[0]))
+        v = w + 5e-7 * abs(w)
         near = ProjectivePoint.normalize([w * v, -(w + v), 1.0])
         for target in (spec.map(x), near):
             with pytest.raises(NonGenericTarget, match="repeated roots"):
@@ -569,9 +563,10 @@ SPECIAL_REASONS = {
 @pytest.mark.parametrize("construction", ["A", "B"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stacked_fibers_match_the_scalar_oracle(lattice, q2, construction, d):
-    # B at d = 1 always splits a double root of its norm polynomial between
-    # y and -y; each row agrees with the oracle, is generic exactly where the
-    # oracle is, and equals the same target recovered alone, bit for bit
+    # each generic row is the orbit of its own point, the true fiber, within
+    # 1e-9; B at d = 1 always splits a double root of its norm polynomial
+    # between y and -y.  Each row equals the same target recovered alone,
+    # bit for bit, reason included
     spec = _build(construction, d, q2, lattice)
     rng = random.Random(d)
     points = [[(rng.random(), rng.random()) for _ in range(d)] for _ in range(6)]
@@ -582,17 +577,15 @@ def test_stacked_fibers_match_the_scalar_oracle(lattice, q2, construction, d):
         warnings.simplefilter("error")
         fibers, reasons = spec.fiber_array(targets)
     assert fibers.shape == (len(points), spec.group.order, d, 2)
-    for k, target in enumerate(targets):
-        try:
-            want = coords_array(scalar_fiber(spec, ProjectivePoint(tuple(target.tolist()))))
-        except NonGenericTarget as exc:
-            assert reasons[k] is not None and str(exc) == reasons[k]
+    assert reasons[:6] == [None] * 6
+    for k, point in enumerate(points):
+        alone, (reason,) = spec.fiber_array(targets[k : k + 1])
+        assert reason == reasons[k] and alone[0].tobytes() == fibers[k].tobytes()
+        if reason is not None:
             assert np.isnan(fibers[k]).all()
             continue
-        assert reasons[k] is None
-        assert _match_one(fibers[k], want, 1e-12)
-        alone, (reason,) = spec.fiber_array(targets[k : k + 1])
-        assert reason is None and alone[0].tobytes() == fibers[k].tobytes()
+        orbit = coords_array(spec.group.orbit(_point(spec, point)))
+        assert _match_one(fibers[k], orbit, 1e-9)
     special = reasons[6:]
     for name, reason in zip(SPECIAL_TARGETS, special):
         # at d = 1, y_1 = y_2 is no condition, and B's divisor {y, -y} repeats
@@ -615,9 +608,7 @@ def test_origin_and_two_torsion_enter_the_divisor(lattice, q2):
     assert np.any(np.all(np.minimum(doubled, 1.0 - doubled) <= 1e-9, axis=1))
 
 
-#: the <1/n, 0> family at the default tau, and a taller quotient; sample 5 of
-#: B d=1 <1/9, 0> and of B d=1 <1/5, 0> at 0.17+2i flip from matched to
-#: missed when wp, wp' and the Newton step take numpy's complex division
+#: the <1/n, 0> family at the default tau, and a taller quotient
 FAMILY = [
     (construction, d, TAU, n)
     for construction in ("A", "B")
@@ -628,12 +619,66 @@ FAMILY = [
 
 @pytest.mark.parametrize("construction, d, tau, n", FAMILY)
 def test_family_matches_the_scalar_oracle(construction, d, tau, n):
-    # whole records, flags and spread bits, against the one-sample oracle;
-    # not the count of misses, which a correct map would bring to zero
+    # whole records, flags and spread bits, against each sample verified
+    # alone, and every generic sample's fiber matches its orbit
     spec = _build(construction, d, FiniteSubgroupSpec.parse((f"1/{n},0",)), LatticeTau.from_tau(tau))
     report = galois_verify(spec, samples=6, seed=3)
     oracle = [_verify_sample(spec, r.point, r.index) for r in report.samples]
     assert _bits(report.samples) == _bits(oracle)
+    assert all(r.fiber_match for r in report.samples if r.generic)
+
+
+def _assert_every_fiber_recovered(report):
+    """At least 18 of 20 samples generic, and no generic sample misses its fiber match."""
+    generic = [r for r in report.samples if r.generic]
+    assert len(report.samples) == 20 and len(generic) >= 18
+    assert [r.index for r in generic if not r.fiber_match] == []
+    assert report.passed
+
+
+#: B at d = 3 and Im tau' = 12: sample 10's image leaves its divisor 1.6e-6
+#: from the recovered one; correctly rounded coefficients would leave 4.4e-7
+B3_AT_12 = pytest.mark.xfail(strict=True, reason="the image of a divisor deep in the middle band "
+                             "does not fix it to 1e-6 in double precision")
+
+
+@pytest.mark.parametrize(
+    "d, height",
+    [(d, h) for d in (2, 3) for h in (6, 8, 10, 12) if (d, h) != (3, 12)]
+    + [pytest.param(3, 12, marks=B3_AT_12)],
+)
+def test_tall_quotients_recover_every_fiber(q2, d, height):
+    # tau = 0.17 + i h/2, whose quotient by <1/2, 0> has Im tau' = h
+    spec = _build("B", d, q2, LatticeTau.from_tau(complex(0.17, height / 2)))
+    assert spec.quotient.target.tau_reduced.imag == pytest.approx(height)
+    _assert_every_fiber_recovered(galois_verify(spec, samples=20, seed=5))
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_paper_family_recovers_every_fiber(construction, n):
+    # <1/n, 0> at the default tau: Im tau' = 1.1 n, up to 11
+    spec = _build(construction, 2, FiniteSubgroupSpec.parse((f"1/{n},0",)), LatticeTau.from_tau(TAU))
+    _assert_every_fiber_recovered(galois_verify(spec, samples=20, seed=3))
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_index_two_subgroup_fails(lattice, q2, construction):
+    # a negative control: verified against the elements of determinant +1,
+    # an index-2 subgroup H, each recovered fiber has |G| tuples and each
+    # orbit |H|, so every generic sample misses its match
+    spec = build_cover(construction, 2, lattice, q2)
+    kept = tuple(
+        g for g in spec.group.elements
+        if g.matrix[0][0] * g.matrix[1][1] - g.matrix[0][1] * g.matrix[1][0] == 1
+    )
+    assert 2 * len(kept) == spec.group.order
+    half = dataclasses.replace(spec, group=FiniteActionGroup(2, (), kept))
+    report = galois_verify(half, samples=10, seed=1)
+    generic = [r for r in report.samples if r.generic]
+    assert len(generic) == 10
+    assert all(r.orbit_size == len(kept) and not r.fiber_match for r in generic)
+    assert not report.passed
 
 
 def _scalar_match(left, right, tol):

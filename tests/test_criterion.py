@@ -1,9 +1,10 @@
 """`criterion_check` against the scalar probe loop it replaced.
 
-`oracle_criterion` is `criterion_check` as it ran one scalar map per point:
-an invariance loop that maps each drawn point and its generator images in
-turn, and base-point probes that try each probe's candidates in turn.  The
-batched check must report the same four flags.
+`oracle_criterion` is `criterion_check` as it ran one map per point
+(`CoverSpec.map`, the one-row call): an invariance loop that maps each
+drawn point and its generator images in turn, and base-point probes that
+try each probe's candidates in turn.  The batched check must report the
+same four flags.
 """
 
 import functools
@@ -30,7 +31,7 @@ from ellcover.construction import degree_identity
 from ellcover.covers import CriterionReport, _probe_points
 from ellcover.elliptic import EPS_PROJ
 
-from conftest import TAU, scalar_map
+from conftest import TAU
 
 
 def _probe_valid(spec, point, rng, map_one):
@@ -61,7 +62,7 @@ def _probe_valid(spec, point, rng, map_one):
     return False
 
 
-def oracle_criterion(spec, seed=42, eps_proj=EPS_PROJ, map_one=scalar_map):
+def oracle_criterion(spec, seed=42, eps_proj=EPS_PROJ, map_one=CoverSpec.map):
     """`criterion_check` one scalar map at a time."""
     order_ok = spec.group.order == degree_identity(spec.construction, spec.polarization, spec.q0)
 
@@ -138,7 +139,7 @@ def _failing(monkeypatch, where, marks=None):
         coords = np.array([[(p.a, p.b) for p in point]])
         if where(coords)[0]:
             raise IllConditioned("marked")
-        return scalar_map(spec, point)
+        return spec.map(point)
 
     return map_one
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 import warnings
@@ -27,10 +26,10 @@ from ellcover import (
     wp_prime,
 )
 from ellcover.covers import MAX_QUOTIENT_IM_TAU
-from ellcover.batch import norm_pairs, wp_series_array
-from ellcover.elliptic import EPS_NUM, _norm_pair, _wp_series, wp_both_values
+from ellcover.batch import norm_pairs, t_series_array
+from ellcover.elliptic import EPS_NUM, _t_series, wp_both_values
 
-from conftest import TAU, lattice_sum_g2_g3, laurent_wp
+from conftest import TAU, lattice_sum_g2_g3, laurent_wp, point_z, theta_t
 
 # Frozen from the tail-corrected lattice sum at radius 200 (see conftest).
 FROZEN_G2_G3 = {
@@ -249,6 +248,12 @@ TALL_LATTICES = {
 ALL_LATTICES = {**LOW_LATTICES, **TALL_LATTICES}
 
 
+def _branch_values(lat: LatticeTau) -> tuple[complex, complex, complex]:
+    """e1, e2, e3: wp at the half periods 1/2, tau/2, (1+tau)/2 of the reduced basis."""
+    d1, d3 = lat.branch_differences
+    return lat.e2 + d1, lat.e2, lat.e2 + d3
+
+
 def _within_contract(z: TorusPoint, x: complex) -> bool:
     return abs(wp(z).value - x) <= EPS_NUM * (1 + abs(x))
 
@@ -277,7 +282,7 @@ class TestWpInverse:
 
     @low
     def test_branch_values_give_two_torsion(self, lat):
-        for e in lat.branch_values:
+        for e in _branch_values(lat):
             plus, minus = wp_inverse(e, lat)
             assert (plus + plus).is_zero(tol=1e-6)
             assert plus.close_to(minus, tol=1e-6)
@@ -292,7 +297,7 @@ class TestWpInverse:
         ]
         # x - e3 on the negative reals, where the principal square root of
         # the AGM's c-step leaves the side of c
-        e3 = lat.branch_values[2]
+        e3 = _branch_values(lat)[2]
         targets += [e3 - t for t in (0.01, 1, 100)]
         for x in targets:
             plus, minus = wp_inverse(x, lat)
@@ -314,9 +319,9 @@ class TestWpInverse:
     def test_branch_values_are_cubic_roots(self, lat):
         g2, g3 = lat.g2g3
         size = abs(g2) ** 1.5 + abs(g3)
-        for e in lat.branch_values:
+        for e in _branch_values(lat):
             assert abs(4 * e**3 - g2 * e - g3) <= 1e-10 * size
-        assert abs(sum(lat.branch_values)) <= 1e-10 * size ** (1 / 3)
+        assert abs(sum(_branch_values(lat))) <= 1e-10 * size ** (1 / 3)
 
 
 def _from_reduced(lat: LatticeTau, alpha: float, beta: float) -> tuple[float, float]:
@@ -337,32 +342,18 @@ def _series_coords(lat: LatticeTau) -> list[tuple[float, float]]:
     return coords
 
 
-def _reference_wp_series(lat: LatticeTau, a: float, b: float) -> tuple[complex, ...]:
-    """The scalar q-series written with Python's complex `**`: the bits `_wp_series` must keep."""
-    alpha, beta = lat._reduced_coords(a, b)
-    two_pi_i = 2j * math.pi
-    q = cmath.exp(two_pi_i * lat.tau_reduced)
-    u = cmath.exp(two_pi_i * (alpha + beta * lat.tau_reduced))
-    tail = 1.0 / 12.0 + 0j
-    dtail = 0j
-    qn = 1.0 + 0j
-    for _ in range(1, 64):
-        qn *= q
-        qu = qn * u
-        qiu = qn / u
-        t = qu / (1.0 - qu) ** 2 + qiu / (1.0 - qiu) ** 2 - 2.0 * qn / (1.0 - qn) ** 2
-        dt = qu * (1.0 + qu) / (1.0 - qu) ** 3 - qiu * (1.0 + qiu) / (1.0 - qiu) ** 3
-        tail += t
-        dtail += dt
-        if abs(qn) < 1e-14 * abs(q) ** 0.5:
-            break
-    s = lat.scale
-    one_minus_u = 1.0 - u
-    num = two_pi_i**2 * (u + one_minus_u**2 * tail)
-    den = s**2 * one_minus_u**2
-    nump = two_pi_i**3 * (u * (1.0 + u) + one_minus_u**3 * dtail)
-    denp = s**3 * one_minus_u**3
-    return num, den, nump, denp
+def _off_half_periods(lat: LatticeTau) -> list[tuple[float, float]]:
+    """The random points of `_series_coords` and strip-edge points away from the half periods."""
+    coords = _series_coords(lat)[:40]
+    for beta in (0.5 - 1e-12, -0.5 + 1e-12):
+        coords += [_from_reduced(lat, alpha, beta) for alpha in (0.1, 0.25, 0.4)]
+    return coords
+
+
+#: bound on the error of t and wp' from `_t_series`, relative to the value
+#: itself, at the points of `_off_half_periods`: t stays relatively accurate
+#: where it is small, in the middle band of a tall quotient
+SERIES_REL = 2e-14
 
 
 def _bits(values) -> list[str]:
@@ -372,14 +363,17 @@ def _bits(values) -> list[str]:
 class TestWpSeries:
     @every
     def test_bits_match_reference_loop(self, lat):
-        for a, b in _series_coords(lat):
-            want = _bits(_reference_wp_series(lat, a, b))
-            assert _bits(_wp_series(lat, a, b)) == want
-            assert _bits(_wp_series(lat, a, b, derivative=False)) == want[:2]
+        # t = wp - e2 and wp' against theta functions at 40 digits
+        for a, b in _off_half_periods(lat):
+            num, den, nump, denp = _t_series(lat, a, b)
+            want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, a, b)))
+            assert abs(num / den - want) <= SERIES_REL * abs(want)
+            assert abs(nump / denp - want_prime) <= SERIES_REL * abs(want_prime)
+            assert _bits(_t_series(lat, a, b, derivative=False)) == _bits((num, den))
 
 
 class TestWpSeriesArray:
-    """The numpy kernel against the scalar series it vectorizes."""
+    """The numpy kernel against theta functions at 40 digits."""
 
     @every
     def test_matches_scalar_series(self, lat):
@@ -387,27 +381,24 @@ class TestWpSeriesArray:
         a, b = np.array(coords).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            num, den, nump, denp = wp_series_array(lat, a, b)
+            num, den, nump, denp = t_series_array(lat, a, b)
             pairs = norm_pairs(num, den)
         for k, (x, y) in enumerate(coords):
-            want = _wp_series(lat, x, y)
-            got = (num[k], den[k], nump[k], denp[k])
-            # numpy and CPython round complex products differently; wp' at a
-            # 2-torsion point with |u| large cancels terms ~100x its pair
-            for pair, rel in ((slice(0, 2), 1e-13), (slice(2, 4), 1e-12)):
-                size = abs(want[pair][0]) + abs(want[pair][1])
-                assert all(abs(g - w) <= rel * size for g, w in zip(got[pair], want[pair]))
-            want_pair = _norm_pair(*want[:2])
-            assert abs(pairs[0][k] - want_pair.num) <= 1e-13
-            assert abs(pairs[1][k] - want_pair.den) <= 1e-13
+            if (x, y) not in _off_half_periods(lat):
+                continue
+            want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, x, y)))
+            assert abs(num[k] / den[k] - want) <= SERIES_REL * abs(want)
+            assert abs(nump[k] / denp[k] - want_prime) <= SERIES_REL * abs(want_prime)
+            pair = (want, 1.0) if abs(want) <= 1.0 else (1.0, 1.0 / want)
+            assert abs(pairs[0][k] - pair[0]) <= 1e-13 and abs(pairs[1][k] - pair[1]) <= 1e-13
         assert den[coords.index((0.0, 0.0))] == 0
         assert (pairs[0][coords.index((0.0, 0.0))], pairs[1][coords.index((0.0, 0.0))]) == (1, 0)
 
     @every
     def test_derivative_flag_leaves_wp_bits(self, lat):
         a, b = np.array(_series_coords(lat)).T
-        num, den, _, _ = wp_series_array(lat, a, b)
-        bare = wp_series_array(lat, a, b, derivative=False)
+        num, den, _, _ = t_series_array(lat, a, b)
+        bare = t_series_array(lat, a, b, derivative=False)
         assert len(bare) == 2
         assert _bits(bare[0]) == _bits(num) and _bits(bare[1]) == _bits(den)
 

@@ -29,10 +29,20 @@ from ellcover import (
 )
 
 from ellcover.batch import coords_array
-from ellcover.elliptic import wp_both_values
+from ellcover.elliptic import centred_values
 from ellcover.symfun import normalize_rows, projective_spreads
 
 from conftest import TAU, scalar_sym_product
+
+
+def _t(p):
+    """t = wp - e2 at a point, the coordinate of the section basis."""
+    return centred_values(p)[0]
+
+
+def _values(basis, p):
+    """The basis functions at a non-pole point."""
+    return basis.jet(*centred_values(p))[0]
 
 
 def _coords(points):
@@ -254,9 +264,9 @@ class TestSectionBasis:
     def test_evaluate_consistency(self, lattice):
         basis = SectionBasis(4, lattice)
         pt = TorusPoint.from_coords(lattice, 0.23, 0.37)
-        vals = basis.evaluate(pt)
+        vals = _values(basis, pt)
         assert vals[0] == 1.0
-        x = wp(pt).value
+        x = wp(pt).value - lattice.e2
         assert abs(vals[1] - x) < 1e-9 * (1 + abs(x))
         assert abs(vals[3] - x * x) < 1e-8 * (1 + abs(x) ** 2)
 
@@ -264,11 +274,11 @@ class TestSectionBasis:
         basis = SectionBasis(4, lattice)
         a, b = 0.31, 0.17
         h = 1e-5
-        up = basis.evaluate(TorusPoint.from_coords(lattice, a + h, b))
-        down = basis.evaluate(TorusPoint.from_coords(lattice, a - h, b))
+        up = _values(basis, TorusPoint.from_coords(lattice, a + h, b))
+        down = _values(basis, TorusPoint.from_coords(lattice, a - h, b))
         # d/dz = d/da when moving along the first period (scale 1 here)
         fd = (up - down) / (2 * h * abs(1.0))
-        dv = basis.jet(*wp_both_values(TorusPoint.from_coords(lattice, a, b)), 1)[1]
+        dv = basis.jet(*centred_values(TorusPoint.from_coords(lattice, a, b)), 1)[1]
         for got, want in zip(dv[1:], fd[1:]):
             assert abs(got - want) < 1e-4 * (1 + abs(want))
 
@@ -282,10 +292,10 @@ class TestSectionBasis:
         p = TorusPoint.from_coords(lattice, *center)
         r, m = 0.2, 64
         turns = np.exp(2j * np.pi * np.arange(m) / m)
-        values = np.array([basis.evaluate(reduce_point(p.z + r * t, lattice)) for t in turns])
+        values = np.array([_values(basis, reduce_point(p.z + r * t, lattice)) for t in turns])
         for k in range(n):
             want = math.factorial(k) / r**k * (turns[:, None] ** -k * values).mean(axis=0)
-            got = basis.jet(*wp_both_values(p), k)[k]
+            got = basis.jet(*centred_values(p), k)[k]
             scale = math.factorial(k) / r**k * np.abs(values).max(axis=0)
             assert np.all(np.abs(got - want) <= 1e-11 * scale), k
 
@@ -299,7 +309,7 @@ class TestDivisorToCoords:
         basis = SectionBasis(2, lattice)
         y = TorusPoint.from_coords(lattice, 0.28, 0.13)
         out = divisor_to_coords([y, -y], basis)
-        expected = ProjectivePoint.normalize([-wp(y).value, 1.0])
+        expected = ProjectivePoint.normalize([-_t(y), 1.0])
         assert out.close_to(expected, tol=1e-9)
 
     def test_section_vanishes_on_divisor(self, lattice):
@@ -309,7 +319,7 @@ class TestDivisorToCoords:
         divisor = pts + [last]
         coeffs = divisor_to_coords(divisor, basis)
         for p in divisor:
-            val = np.dot(np.asarray(coeffs.coords), basis.evaluate(p))
+            val = np.dot(np.asarray(coeffs.coords), _values(basis, p))
             assert abs(val) < 1e-7
 
     def test_sum_not_zero_rejected(self, lattice):
@@ -336,7 +346,7 @@ class TestDivisorToCoords:
         mult = n if rest.close_to(y) else n - 1
         divisor.append(rest)
         c = np.asarray(divisor_to_coords(divisor, basis).coords)
-        jets = np.array(basis.jet(*wp_both_values(y), n - 1))
+        jets = np.array(basis.jet(*centred_values(y), n - 1))
         sizes = np.abs(jets) @ np.abs(c)
         assert np.all(np.abs(jets[:mult] @ c) <= 1e-9 * sizes[:mult])
         if mult < n:
@@ -350,7 +360,7 @@ class TestDivisorToCoords:
         y = TorusPoint.from_coords(lattice, 0.25, 0.35)
         constant = ProjectivePoint.normalize([1.0] + [0.0] * (n - 1))
         assert divisor_to_coords([zero] * n, basis).close_to(constant, tol=1e-15)
-        shift = ProjectivePoint.normalize([-wp(y).value, 1.0] + [0.0] * (n - 2))
+        shift = ProjectivePoint.normalize([-_t(y), 1.0] + [0.0] * (n - 2))
         assert divisor_to_coords([zero] * (n - 2) + [y, -y], basis).close_to(shift, tol=1e-9)
 
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 0.9j, 0.45 + 1.7j, 0.1 + 2.5j, 1j])
@@ -362,7 +372,7 @@ class TestDivisorToCoords:
         basis = SectionBasis(2, lattice)
         for coords in ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
             y = TorusPoint.from_coords(lattice, *coords)
-            expected = ProjectivePoint.normalize([-wp(y).value, 1.0])
+            expected = ProjectivePoint.normalize([-_t(y), 1.0])
             try:
                 out = divisor_to_coords([y, y], basis)
             except IllConditioned:
@@ -380,8 +390,8 @@ class TestDivisorToCoords:
         coeffs = divisor_to_coords(divisor, basis)
         c = np.asarray(coeffs.coords)
         # double zero: value and derivative both vanish at y
-        assert abs(np.dot(c, basis.evaluate(y))) < 1e-7
-        assert abs(np.dot(c, basis.jet(*wp_both_values(y), 1)[1])) < 1e-5
+        assert abs(np.dot(c, _values(basis, y))) < 1e-7
+        assert abs(np.dot(c, basis.jet(*centred_values(y), 1)[1])) < 1e-5
 
 
 class TestSectionZeros:
@@ -429,7 +439,7 @@ class TestSectionZeros:
     def test_even_section_splits_branches(self, lattice):
         basis = SectionBasis(3, lattice)
         y = TorusPoint.from_coords(lattice, 0.22, 0.37)
-        zeros = section_zeros([-wp(y).value, 1.0 + 0j, 0j], basis)
+        zeros = section_zeros([-_t(y), 1.0 + 0j, 0j], basis)
         assert sum(m for _, m in zeros) == 3
         finite = [z for z, _ in zeros if not z.is_zero(tol=1e-9)]
         assert len(finite) == 2
