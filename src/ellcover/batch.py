@@ -317,21 +317,18 @@ _COLUMN_FLOOR = 1e-8
 def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
     """Sections of O(n*[0]) vanishing on N divisors given by coordinates, N x n x 2.
 
-    Returns the N x n coordinates of the sections, rows normalized as
-    `ProjectivePoint.normalize` does, and a mask of the rows that hold no
-    section: those whose points do not sum to 0, whose system is
-    degenerate (`_COND_FLOOR`) or whose kernel does not normalize.  Each
-    divisor's points are sorted and each is joined to the first earlier
-    representative within EPS_PT, so the order of the points does not
-    matter.  The k-th copy of a point contributes the (k-1)-th
-    z-derivative of the basis there; the k-th copy of the origin strikes
-    the basis element of pole order n+1-k, and the n-th has none to strike.
-    At a point within EPS_PT of a half period, wp' is taken as 0, its
-    exact value; so at n = 2 the second copy of a point, which the sum
-    forces to a half period, gives a zero row, as every section of
-    O(2*[0]) is even.  All N systems share one stacked evaluation and
-    batched SVDs, and each row depends on its own divisor alone; no series
-    is evaluated at the origin.
+    Returns the N x n section coordinates, rows normalized as
+    `ProjectivePoint.normalize` does, and a mask of the rows with no
+    section: points that do not sum to 0, a degenerate system
+    (`_COND_FLOOR`) or a kernel that does not normalize.  A divisor's
+    points are sorted and each is joined to the first earlier one within
+    EPS_PT, so their order does not matter.  The k-th copy of a point
+    gives the (k-1)-th z-derivative of the basis there; the k-th copy of
+    the origin strikes the basis element of pole order n+1-k, the n-th
+    none.  Within EPS_PT of a half period wp' is taken as 0, its exact
+    value, so at n = 2 a second copy, which the sum forces to a half
+    period, gives a zero row: every section of O(2*[0]) is even.  Each
+    row depends on its own divisor alone.
     """
     count = len(points)
     n = basis.n

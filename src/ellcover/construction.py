@@ -27,9 +27,10 @@ if TYPE_CHECKING:
 
     from .symfun import ProjectivePoint, SectionBasis
 
-#: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts;
-#: B at d = 3 misses a few fiber matches from about 10 on (README)
+#: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts,
+#: and the lower one for construction B at d >= 3 (README)
 MAX_QUOTIENT_IM_TAU = 12.0
+MAX_QUOTIENT_IM_TAU_B3 = 8.0
 
 
 def very_ample_preconditions(construction: str, d: int, q0: FiniteSubgroupSpec) -> bool:
@@ -134,8 +135,8 @@ def build_cover(
 
     Warns with NotVeryAmpleWarning when the configuration misses the
     very-ampleness preconditions; the cover is still built and verifiable.
-    Raises IllConditioned when the quotient E/Q0 is taller than
-    MAX_QUOTIENT_IM_TAU, beyond the heights at which the maps are verified.
+    Raises IllConditioned when E/Q0 is taller than its bound,
+    MAX_QUOTIENT_IM_TAU or MAX_QUOTIENT_IM_TAU_B3 for B at d >= 3.
     """
     if construction not in ("A", "B"):
         raise ConfigError(f"construction must be 'A' or 'B', got {construction!r}")
@@ -143,10 +144,11 @@ def build_cover(
         raise ConfigError(f"need d >= 1, got {d}")
     quotient = quotient_lattice(curve, q0)
     height = quotient.target.tau_reduced.imag
-    if height > MAX_QUOTIENT_IM_TAU:
+    bound = MAX_QUOTIENT_IM_TAU_B3 if construction == "B" and d >= 3 else MAX_QUOTIENT_IM_TAU
+    if height > bound:
         raise IllConditioned(
-            f"quotient E/Q0 has reduced Im tau' = {height:.6g} > "
-            f"{MAX_QUOTIENT_IM_TAU:g}, taller than the maps are verified for"
+            f"quotient E/Q0 has reduced Im tau' = {height:.6g} > {bound:g}, "
+            f"taller than {construction} at d={d} is verified for"
         )
     if construction == "A":
         group = build_group_A(d, q0, cap=order_cap)

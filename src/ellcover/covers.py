@@ -38,6 +38,7 @@ from .batch import (
 )
 from .construction import (  # noqa: F401 - re-exported
     MAX_QUOTIENT_IM_TAU,
+    MAX_QUOTIENT_IM_TAU_B3,
     CoverSpec,
     build_cover,
     degree_identity,
@@ -276,19 +277,16 @@ def _verify_chunk(
 ) -> list[SampleRecord]:
     """Samples first, first + 1, ... of the protocol, in numpy passes over all their images.
 
-    The stabilizers and the orbits come from one array of the samples'
-    images, the orbits are mapped as one stack of coordinates, and their
-    spreads are taken in one `projective_spreads` call.  A generic
-    sample's fiber target is its point's own row of the map, which stays
-    the independent, one-sample check; the fibers of all generic samples
-    are recovered as one stack (`CoverSpec.fiber_array`) and matched
-    against their orbits.  Each mapped row and each fiber depends on its
-    own tuple alone, and the orbit dedup, the spreads and the fiber
-    matching keep the samples apart by `owner`, so a sample's record does
-    not depend on the samples it shares the chunk with.  A sample with an
-    orbit point that the map marks failed, or whose target is not a
-    generic value of the map, is recorded as non-generic rather than
-    failed.
+    Stabilizers and orbits come from one array of the samples' images; the
+    orbits are mapped as one stack and their spreads taken in one
+    `projective_spreads` call.  A generic sample's fiber target is its
+    point's own row of the map, the independent one-sample check; all
+    those fibers are recovered as one stack (`CoverSpec.fiber_array`) and
+    matched against their orbits.  Each mapped row and fiber depends on
+    its own tuple alone, and the dedup, spreads and matching keep samples
+    apart by `owner`, so a record does not depend on its chunk.  A sample
+    with an orbit point that the map marks failed, or whose target is not
+    a generic value of the map, is non-generic, not failed.
     """
     count = len(points)
     here = coords_array(points)

@@ -255,7 +255,7 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton steps on each row's polynomial (N x (m+1), highest degree first) from its m roots.
+    """Newton steps on each row's polynomial (N x (m+1), highest degree first) from roots of it, N x k.
 
     Companion eigenvalues are accurate only relative to the largest root;
     a root takes each step that is finite and lowers |p|.
@@ -282,12 +282,10 @@ def root_clusters(coeffs: np.ndarray) -> list[list[tuple[complex, int]]]:
     """The roots of every row of `poly_roots`' input, with multiplicity: per row, (root, multiplicity) pairs.
 
     Roots within _ROOT_CLUSTER of a cluster's centre, relative to its size,
-    join it greedily.  A repeated root is the mean of its cluster, which
-    Newton steps would move; a simple one is polished (`polish_roots`).
+    join it greedily.  A repeated root is the mean of its cluster.
     """
-    roots = poly_roots(coeffs)
     out = []
-    for row, fine in zip(roots.tolist(), polish_roots(coeffs, roots).tolist()):
+    for row in poly_roots(coeffs).tolist():
         clusters: list[list[int]] = []
         for k in sorted(range(len(row)), key=lambda k: (row[k].real, row[k].imag)):
             for cl in clusters:
@@ -297,7 +295,7 @@ def root_clusters(coeffs: np.ndarray) -> list[list[tuple[complex, int]]]:
                     break
             else:
                 clusters.append([k])
-        out.append([(fine[cl[0]] if len(cl) == 1 else sum(row[i] for i in cl) / len(cl), len(cl)) for cl in clusters])
+        out.append([(sum(row[i] for i in cl) / len(cl), len(cl)) for cl in clusters])
     return out
 
 
@@ -305,7 +303,8 @@ def sym_fibers(rows: np.ndarray) -> list[list[tuple[HomPair, int]]]:
     """`sym_fiber` of every row of an N x (d+1) array of binary-form coefficients.
 
     The rows whose leading (top X-power) coefficients vanish to the same
-    count share one `root_clusters`.
+    count share one `root_clusters`; simple roots take Newton steps on
+    their polynomial (`polish_roots`).
     """
     coeffs = rows[:, ::-1]  # decreasing degree in t = X/Y
     mags = np.abs(coeffs)
@@ -315,7 +314,13 @@ def sym_fibers(rows: np.ndarray) -> list[list[tuple[HomPair, int]]]:
     for lead in sorted(set(leads.tolist())):
         picked = np.flatnonzero(leads == lead).tolist()
         finite = coeffs[picked, lead:]
-        for r, row in zip(picked, root_clusters(finite)):
+        clusters = root_clusters(finite)
+        simple = [(i, j) for i, row in enumerate(clusters) for j, (_, m) in enumerate(row) if m == 1]
+        if simple:
+            start = np.array([[clusters[i][j][0]] for i, j in simple])
+            for (i, j), x in zip(simple, polish_roots(finite[[i for i, _ in simple]], start)[:, 0].tolist()):
+                clusters[i][j] = (x, 1)
+        for r, row in zip(picked, clusters):
             if lead:
                 out[r].append((HomPair(1.0 + 0j, 0j), lead))
             for center, mult in row:

@@ -28,7 +28,13 @@ from ellcover import (
 import dataclasses
 
 from ellcover import FiniteActionGroup, batch, covers
-from ellcover.covers import EPS_GENERIC, MAX_QUOTIENT_IM_TAU, SampleRecord, _match_as_sets
+from ellcover.covers import (
+    EPS_GENERIC,
+    MAX_QUOTIENT_IM_TAU,
+    MAX_QUOTIENT_IM_TAU_B3,
+    SampleRecord,
+    _match_as_sets,
+)
 from ellcover.batch import coords_array, divisors_to_coords, map_coords
 from ellcover.elliptic import EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
@@ -636,19 +642,13 @@ def _assert_every_fiber_recovered(report):
     assert report.passed
 
 
-#: B at d = 3 and Im tau' = 12: sample 10's image leaves its divisor 1.6e-6
-#: from the recovered one; correctly rounded coefficients would leave 4.4e-7
-B3_AT_12 = pytest.mark.xfail(strict=True, reason="the image of a divisor deep in the middle band "
-                             "does not fix it to 1e-6 in double precision")
-
-
 @pytest.mark.parametrize(
     "d, height",
-    [(d, h) for d in (2, 3) for h in (6, 8, 10, 12) if (d, h) != (3, 12)]
-    + [pytest.param(3, 12, marks=B3_AT_12)],
+    [(2, h) for h in (6, 8, 10, MAX_QUOTIENT_IM_TAU)] + [(3, h) for h in (6, 7, MAX_QUOTIENT_IM_TAU_B3)],
 )
 def test_tall_quotients_recover_every_fiber(q2, d, height):
-    # tau = 0.17 + i h/2, whose quotient by <1/2, 0> has Im tau' = h
+    # tau = 0.17 + i h/2, whose quotient by <1/2, 0> has Im tau' = h, up to
+    # the bound of B at this d
     spec = _build("B", d, q2, LatticeTau.from_tau(complex(0.17, height / 2)))
     assert spec.quotient.target.tau_reduced.imag == pytest.approx(height)
     _assert_every_fiber_recovered(galois_verify(spec, samples=20, seed=5))
@@ -779,6 +779,17 @@ class TestQuotientHeightBound:
         assert spec.quotient.target.tau_reduced.imag == MAX_QUOTIENT_IM_TAU
         with pytest.raises(IllConditioned, match="Im tau'"):
             build_cover("A", 1, LatticeTau.from_tau(6.25j), q2)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_b_from_d3_has_its_own_bound(self, q2, d):
+        # B at d >= 3 misses fiber matches above Im tau' = 8; A, and B at d = 2, do not
+        spec = build_cover("B", d, LatticeTau.from_tau(4j), q2)
+        assert spec.quotient.target.tau_reduced.imag == MAX_QUOTIENT_IM_TAU_B3
+        taller = LatticeTau.from_tau(4.25j)
+        with pytest.raises(IllConditioned, match=f"Im tau' = 8.5 > 8, taller than B at d={d}"):
+            build_cover("B", d, taller, q2)
+        build_cover("A", d, taller, q2)
+        build_cover("B", 2, taller, q2)
 
     def test_tallest_benchmark_draw_builds(self):
         # Im tau <= 2 and |Q0| <= 5 reach at most Im tau' = 10
