@@ -1,12 +1,12 @@
 """Array forms of the per-point routines and the group action, for whole orbits at once.
 
 Each routine here evaluates one per-point routine of `elliptic`, `groups`
-or `symfun` on a stack of points in numpy passes.  `divisors_to_coords` is
-the only divisor-to-section solver, and `wp_inverse_array` and
-`section_zeros_array` are the only elliptic logarithm and zero finder: the
-scalar `divisor_to_coords`, `wp_inverse` and `section_zeros` are their
-one-row calls.  The covers' maps and fibers, the only ones, are built from
-them: verification and the criterion probes both run them.
+or `symfun` on a stack of points in numpy passes.  `t_series_array` (wp),
+`wp_inverse_array`, `divisors_to_coords` and `section_zeros_array` are the
+only ones of their kind: the scalar `wp`, `wp_prime`, `centred_values`,
+`wp_inverse`, `divisor_to_coords` and `section_zeros` are their one-row
+calls.  The covers' maps and fibers, the only ones, are built from them:
+verification and the criterion probes both run them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .elliptic import (
     _AGM_MAX_STEPS,
     _AGM_REL,
     _TWO_PI_I,
+    EPS_GENERIC,
     EPS_NUM,
     EPS_PT,
     IsogenyQuotient,
@@ -214,7 +215,7 @@ def close_pairs(
 def t_series_array(
     lattice: LatticeTau, a: np.ndarray, b: np.ndarray, derivative: bool = True
 ) -> tuple[np.ndarray, ...]:
-    """`elliptic._t_series` on arrays of coordinates (a, b), through the same kernel: (num, den[, num', den'])."""
+    """`elliptic._wp_kernel` (t = wp - e2 and wp') at arrays of coordinates (a, b), moved onto its strip: (num, den[, num', den'])."""
     ma, mb, mc, md = lattice.basis_change
     alpha = ma * a - mb * b
     beta = -mc * a + md * b
@@ -235,9 +236,7 @@ def torus_z(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
 
 def reduce_coords(lattice: LatticeTau, z: np.ndarray) -> np.ndarray:
     """`reduce_point` on an array of finite complex representatives: coordinates, shape (..., 2)."""
-    w = z / lattice.omega1
-    b = w.imag / lattice.tau.imag
-    return np.stack([_frac_array(w.real - b * lattice.tau.real), _frac_array(b)], axis=-1)
+    return np.stack([_frac_array(x) for x in lattice.coords(z)], axis=-1)
 
 
 def lift_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
@@ -292,22 +291,9 @@ def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
 
 
 def two_torsion(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
-    """Which of N points (coordinates) lie within 1e-6 of their negatives: both fibers' 2-torsion test."""
+    """Which of N points (coordinates) lie within EPS_GENERIC of their negatives: both fibers' 2-torsion test."""
     points = [TorusPoint(lattice, a, b) for a, b in coords.tolist()]
-    return np.array([p.close_to(-p, tol=1e-6) for p in points], dtype=bool)
-
-
-def norm_pairs(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`elliptic._norm_pair` on arrays.
-
-    Only the chosen quotient is taken, so a pole warns of nothing.
-    """
-    flip = np.abs(num) > np.abs(den)
-    ones = np.ones_like(num)
-    return (
-        np.divide(num, den, out=ones.copy(), where=~flip),
-        np.divide(den, num, out=ones, where=flip),
-    )
+    return np.array([p.close_to(-p, tol=EPS_GENERIC) for p in points], dtype=bool)
 
 
 #: least column scale, relative to the largest: a zero column is a spurious kernel
@@ -317,13 +303,13 @@ _COLUMN_FLOOR = 1e-8
 def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
     """Sections of O(n*[0]) vanishing on N divisors given by coordinates, N x n x 2.
 
+    Each divisor must sum to 0 (`symfun.divisor_to_coords` checks one).
     Returns the N x n section coordinates, rows normalized as
     `ProjectivePoint.normalize` does, and a mask of the rows with no
-    section: points that do not sum to 0, a degenerate system
-    (`_COND_FLOOR`) or a kernel that does not normalize.  A divisor's
-    points are sorted and each is joined to the first earlier one within
-    EPS_PT, so their order does not matter.  The k-th copy of a point
-    gives the (k-1)-th z-derivative of the basis there; the k-th copy of
+    section: a degenerate system (`_COND_FLOOR`) or a kernel that does not
+    normalize.  A divisor's points are sorted and each is joined to the
+    first earlier one within EPS_PT, so their order does not matter.  The
+    k-th copy of a point gives the (k-1)-th z-derivative of the basis there; the k-th copy of
     the origin strikes the basis element of pole order n+1-k, the n-th
     none.  Within EPS_PT of a half period wp' is taken as 0, its exact
     value, so at n = 2 a second copy, which the sum forces to a half
@@ -332,10 +318,6 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
     """
     count = len(points)
     n = basis.n
-    total = points[:, 0]
-    for k in range(1, n):
-        total = _frac_array(total + points[:, k])
-    failed = np.any(_wrap_dist_array(total, 0.0) > 1e-6 * n, axis=1)
     index = np.arange(count)[:, None]
     pts = points[index, np.lexsort((points[..., 1], points[..., 0]), axis=-1)]
     rep = np.tile(np.arange(n), (count, 1))
@@ -371,7 +353,7 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
         _, s, vh = np.linalg.svd(scaled / np.where(norms == 0, 1.0, norms))
         kernel = np.conj(vh[:, -1]) * scale
     out, invalid = normalize_rows(kernel)
-    return out, failed | invalid | (s[:, -2] <= _COND_FLOOR * s[:, 0])
+    return out, invalid | (s[:, -2] <= _COND_FLOOR * s[:, 0])
 
 
 #: cap on the Newton steps that polish a simple zero of a section; from the

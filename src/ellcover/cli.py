@@ -329,10 +329,11 @@ def galois_verify(*args, **kwargs) -> VerificationReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .covers import criterion_check
+    from .covers import check_probe_grid, criterion_check
 
     cfg = _resolve_config(args)
     spec = cfg.build_spec()
+    check_probe_grid(spec)  # before any sample is verified
     report = galois_verify(
         spec,
         samples=cfg.samples,

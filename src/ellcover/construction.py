@@ -133,6 +133,8 @@ def build_cover(
 ) -> CoverSpec:
     """Assemble the cover: quotient isogeny, deck group, and polarization.
 
+    The quotient is built on `LatticeTau.from_tau(curve.tau)`: the same
+    cover, in the same coordinates (a, b), at every scale of the lattice.
     Warns with NotVeryAmpleWarning when the configuration misses the
     very-ampleness preconditions; the cover is still built and verifiable.
     Raises IllConditioned when E/Q0 is taller than its bound,
@@ -142,7 +144,7 @@ def build_cover(
         raise ConfigError(f"construction must be 'A' or 'B', got {construction!r}")
     if d < 1:
         raise ConfigError(f"need d >= 1, got {d}")
-    quotient = quotient_lattice(curve, q0)
+    quotient = quotient_lattice(LatticeTau.from_tau(curve.tau), q0)
     height = quotient.target.tau_reduced.imag
     bound = MAX_QUOTIENT_IM_TAU_B3 if construction == "B" and d >= 3 else MAX_QUOTIENT_IM_TAU
     if height > bound:

@@ -28,7 +28,6 @@ from .batch import (
     images,
     lift_coords,
     map_coords,
-    norm_pairs,
     orbit_indices,
     section_zeros_array,
     stabilizer_mask,
@@ -44,15 +43,10 @@ from .construction import (  # noqa: F401 - re-exported
     degree_identity,
     very_ample_preconditions,
 )
-from .elliptic import EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
+from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
 from .errors import ConfigError, NonGenericTarget
 from .groups import PointTuple
-from .symfun import ProjectivePoint, projective_spreads, sym_fibers, sym_product
-
-#: tolerance for declaring a fiber target non-generic (root collisions,
-#: branch values) and for matching recovered fibers against orbits; looser
-#: than eps_pt because fibers pass through polynomial root-finding
-EPS_GENERIC = 1e-6
+from .symfun import ProjectivePoint, normalize_rows, projective_spreads, sym_fibers, sym_product
 
 
 def map_A_array(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +59,8 @@ def map_A_array(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     ys = map_coords(spec.quotient, coords)
     num, den = t_series_array(spec.quotient.target, ys[..., 0], ys[..., 1], derivative=False)
-    return sym_product(*norm_pairs(num, den))
+    pairs, _ = normalize_rows(np.stack([num.ravel(), den.ravel()], axis=1))
+    return sym_product(*pairs.T.reshape(2, *num.shape))
 
 
 def map_B_array(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,8 +111,8 @@ def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, lis
 
     Each binary form is factored into d distinct P^1 roots t; each root
     pulls back through t to a +-w pair on E/Q0 and through the isogeny to
-    |Q0| lifts each.  Repeated roots, a root at infinity or a root whose
-    w is 2-torsion make a target non-generic.
+    |Q0| lifts each.  Repeated roots, a root at infinity (|t| >=
+    1/EPS_GENERIC) or a root whose w is 2-torsion make a target non-generic.
     """
     if spec.construction != "A":
         raise ConfigError("fiber_A needs a construction-A cover")
@@ -126,11 +121,11 @@ def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, lis
     for roots in sym_fibers(targets):
         if any(m > 1 for _, m in roots):
             reasons.append("repeated roots in the target binary form")
-        elif any(abs(pair.den) <= EPS_GENERIC for pair, _ in roots):
+        elif any(abs(t) * EPS_GENERIC >= 1 for t, _ in roots):
             reasons.append("root at infinity is a branch value of wp")
         else:
             reasons.append(None)
-            values.append([pair.num / pair.den for pair, _ in roots])
+            values.append([t for t, _ in roots])
     rows = np.flatnonzero([r is None for r in reasons])
     x = np.array(values, dtype=complex).reshape(-1, spec.d)
     w_plus, w_minus = wp_inverse_array(x.ravel(), lattice)
@@ -385,6 +380,18 @@ def galois_verify(
     )
 
 
+#: most torsion-diagonal probes, (4|Q0|)^2, that `criterion_check` lists,
+#: so |Q0| <= 128 (README)
+MAX_PROBE_GRID = 1 << 18
+
+
+def check_probe_grid(spec: CoverSpec) -> None:
+    """Raise ConfigError when `criterion_check` would list more than MAX_PROBE_GRID probes."""
+    grid = (4 * spec.q0.order) ** 2
+    if grid > MAX_PROBE_GRID:
+        raise ConfigError(f"|Q0| = {spec.q0.order} needs {grid} criterion probes, more than {MAX_PROBE_GRID}")
+
+
 def _probe_points(
     spec: CoverSpec, seed: int = 42
 ) -> list[PointTuple]:
@@ -437,6 +444,7 @@ def criterion_check(
     call holds every probe's perturbations; the ten spreads of (2) are one
     `projective_spreads` call.
     """
+    check_probe_grid(spec)
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
     order_ok = spec.group.order == expected
 

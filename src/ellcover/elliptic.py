@@ -3,9 +3,10 @@
 Lattices are normalized internally: the period ratio tau is brought into the
 standard fundamental domain (|Re| <= 1/2, |tau| >= 1) by a unimodular change
 of basis, so every series below runs at nome |q| <= exp(-pi*sqrt(3)) and a
-single accuracy budget covers all inputs.  Weierstrass values are returned as
-homogeneous pairs (num, den) so that poles degrade to (1, 0) instead of
-overflowing.
+single accuracy budget covers all inputs.  `wp`, `wp_prime` and
+`centred_values` read one row of `batch.t_series_array`, imported when
+called.  Weierstrass values are returned as homogeneous pairs (num, den) so
+that poles degrade to (1, 0) instead of overflowing.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ EPS_PT = 1e-9
 EPS_NUM = 1e-10
 #: default tolerance for projective-point equality (Fubini-Study chordal)
 EPS_PROJ = 1e-7
+#: tolerance for declaring a fiber target non-generic (root collisions,
+#: branch values) and for matching recovered fibers against orbits; looser
+#: than EPS_PT because fibers pass through polynomial root-finding
+EPS_GENERIC = 1e-6
 
 # q-series terms are added until they fall below this relative size.
 _SERIES_TAIL_REL = 1e-14
@@ -90,13 +95,6 @@ class HomPair(NamedTuple):
     @property
     def is_pole(self) -> bool:
         return self.den == 0
-
-
-def _norm_pair(num: complex, den: complex) -> HomPair:
-    # ties pivot on the denominator so unit values stay in (x : 1) form
-    if abs(num) > abs(den):
-        return HomPair(1.0 + 0j, den / num)
-    return HomPair(num / den, 1.0 + 0j)
 
 
 class LatticeTau:
@@ -201,13 +199,6 @@ class LatticeTau:
                 return n
         return _SERIES_MAX_TERMS - 1
 
-    @property
-    def g2g3(self) -> tuple[complex, complex]:
-        """Weierstrass invariants (scale included): 4x^3 - g2 x - g3 = 4(x - e1)(x - e2)(x - e3)."""
-        d1, d3 = self.branch_differences
-        e2 = self.e2
-        return 12.0 * e2 * e2 - 4.0 * d1 * d3, 4.0 * e2 * (d1 * d3 - 2.0 * e2 * e2)
-
     @cached_property
     def branch_differences(self) -> tuple[complex, complex]:
         """delta1 = e1 - e2 and delta3 = e3 - e2: the kernel's t at 1/2 and (1 + tau)/2 of the reduced basis."""
@@ -221,21 +212,12 @@ class LatticeTau:
         d1, d3 = self.branch_differences
         return -(d1 + d3) / 3.0
 
-    def coords(self, z: complex) -> tuple[float, float]:
-        """Real (a, b) with z = a*omega1 + b*omega2 (not reduced)."""
+    def coords(self, z):
+        """Real (a, b) with z = a*omega1 + b*omega2 (not reduced); z may be a numpy array."""
         w = z / self.omega1
         b = w.imag / self.tau.imag
         a = w.real - b * self.tau.real
         return a, b
-
-    def _reduced_coords(self, a: float, b: float) -> tuple[float, float]:
-        """Coordinates w.r.t. the reduced basis, centered into [-1/2, 1/2]."""
-        ma, mb, mc, md = self.basis_change
-        alpha = ma * a - mb * b
-        beta = -mc * a + md * b
-        alpha -= round(alpha)
-        beta -= round(beta)
-        return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -245,6 +227,10 @@ class TorusPoint:
     lattice: LatticeTau
     a: float
     b: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidPoint(f"non-finite point coordinates: ({self.a!r}, {self.b!r})")
 
     @property
     def z(self) -> complex:
@@ -282,10 +268,7 @@ class TorusPoint:
 
 def reduce_point(z: complex, lattice: LatticeTau) -> TorusPoint:
     """Reduce a complex representative into the fundamental parallelogram."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidPoint(f"non-finite point: {z!r}")
-    a, b = lattice.coords(z)
+    a, b = lattice.coords(complex(z))
     return TorusPoint(lattice, _frac(a), _frac(b))
 
 
@@ -392,8 +375,8 @@ class IsogenyQuotient:
     subgroup: FiniteSubgroupSpec
 
     def map(self, p: TorusPoint) -> TorusPoint:
-        """Image of a source point: same representative, reduced mod Lambda'."""
-        return reduce_point(p.z, self.target)
+        """Image of the source point with p's coordinates, reduced mod Lambda'."""
+        return reduce_point(p.a * self.source.omega1 + p.b * self.source.omega2, self.target)
 
     @cached_property
     def _lift_offsets(self) -> tuple[complex, ...]:
@@ -437,8 +420,10 @@ def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuot
 
 
 def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:
-    """Invariants g2, g3; q-series on the reduced ratio, rescaled to the lattice."""
-    return lattice.g2g3
+    """Weierstrass invariants (scale included): 4x^3 - g2 x - g3 = 4(x - e1)(x - e2)(x - e3)."""
+    d1, d3 = lattice.branch_differences
+    e2 = lattice.e2
+    return 12.0 * e2 * e2 - 4.0 * d1 * d3, 4.0 * e2 * (d1 * d3 - 2.0 * e2 * e2)
 
 
 def _wp_kernel(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
@@ -449,7 +434,7 @@ def _wp_kernel(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
     factor 1 - Q^k u^(+-1) is formed directly, so t stays accurate relative
     to its size where it is small, in the middle band of a tall quotient.
     wp' is the q-series in q = Q^2.  `u`, a complex or a numpy array, is
-    touched only by arithmetic, so one loop serves `_t_series` and
+    touched only by arithmetic, so one loop serves `branch_differences` and
     `batch.t_series_array`.  The pole u = 1 only zeroes the denominators.
     """
     Q = lattice._half_nome
@@ -480,34 +465,37 @@ def _wp_kernel(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
     return num, den, nump, denp
 
 
-def _t_series(lattice: LatticeTau, a: float, b: float, derivative: bool = True) -> tuple:
-    """Raw homogeneous pairs (num, den, num', den') for t = wp - e2 and wp' at a point.
+def _batch_row(p: TorusPoint, form: str, *args) -> list[complex]:
+    """Row 0 of `batch.<form>` at the one point p."""
+    import numpy as np
 
-    Coordinates (a, b) are w.r.t. (omega1, omega2); evaluation runs on the
-    reduced basis, where the products converge geometrically with ratio
-    |Q| <= exp(-pi*sqrt(3)/2).
-    """
-    alpha, beta = lattice._reduced_coords(a, b)
-    u = cmath.exp(_TWO_PI_I * (alpha + beta * lattice.tau_reduced))
-    return _wp_kernel(lattice, u, derivative)
+    from . import batch
+
+    return [complex(x[0]) for x in getattr(batch, form)(p.lattice, np.array([p.a]), np.array([p.b]), *args)]
+
+
+def _pair(num: complex, den: complex) -> HomPair:
+    """(num : den) normalized by `ProjectivePoint.normalize`."""
+    from .symfun import ProjectivePoint
+
+    return HomPair(*ProjectivePoint.normalize((num, den)).coords)
 
 
 def wp(p: TorusPoint) -> HomPair:
-    """Weierstrass wp(z) = t + e2 as a normalized homogeneous pair; (1, 0) at poles."""
-    num, den = _t_series(p.lattice, p.a, p.b, derivative=False)
-    return _norm_pair(num + p.lattice.e2 * den, den)
+    """Weierstrass wp(z) = t + e2, t from `centred_values`, as a normalized homogeneous pair; (1, 0) at poles."""
+    if _batch_row(p, "t_series_array", False)[1] == 0:
+        return _pair(1.0, 0.0)
+    return _pair(centred_values(p)[0] + p.lattice.e2, 1.0)
 
 
 def wp_prime(p: TorusPoint) -> HomPair:
     """Derivative wp'(z) as a normalized homogeneous pair; odd, pole order 3."""
-    _, _, nump, denp = _t_series(p.lattice, p.a, p.b)
-    return _norm_pair(nump, denp)
+    return _pair(*_batch_row(p, "t_series_array")[2:])
 
 
 def centred_values(p: TorusPoint) -> tuple[complex, complex]:
     """(t, wp') at a non-pole point, t = wp - e2 the coordinate of the maps and fibers."""
-    num, den, nump, denp = _t_series(p.lattice, p.a, p.b)
-    return num / den, nump / denp
+    return tuple(_batch_row(p, "t_values"))
 
 
 def wp_both_values(p: TorusPoint) -> tuple[complex, complex]:

@@ -3,8 +3,8 @@
 Two coordinate engines live here.  `sym_product` turns rows of d-tuples of
 P^1 points into the coefficient vectors of the degree-d binary forms with
 those roots, which is the quotient map (P^1)^d -> P^d on a whole stack of
-tuples at once; `sym_fibers` inverts it on a stack, and `sym_fiber` is its
-one-row call.
+tuples at once; `sym_fibers` inverts it on a stack, as roots t = X/Y, and
+`sym_fiber` is its one-row call, as pairs (num, den).
 `SectionBasis` / `divisor_to_coords` / `section_zeros` realize the linear
 system L(n*[0]) on E concretely enough to map divisors to coordinate vectors
 and back: the basis gives values and z-derivatives of every order from
@@ -15,19 +15,14 @@ one-row calls of the stacked `batch.divisors_to_coords` and
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .elliptic import (
-    EPS_NUM,
-    EPS_PROJ,
-    HomPair,
-    LatticeTau,
-    TorusPoint,
-)
+from .elliptic import EPS_NUM, EPS_PROJ, HomPair, LatticeTau, TorusPoint, _pair
 from .errors import (
     DegenerateSection,
     IllConditioned,
@@ -299,18 +294,19 @@ def root_clusters(coeffs: np.ndarray) -> list[list[tuple[complex, int]]]:
     return out
 
 
-def sym_fibers(rows: np.ndarray) -> list[list[tuple[HomPair, int]]]:
-    """`sym_fiber` of every row of an N x (d+1) array of binary-form coefficients.
+def sym_fibers(rows: np.ndarray) -> list[list[tuple[complex, int]]]:
+    """The roots t = X/Y, with multiplicity, of every row of an N x (d+1) array of binary-form coefficients.
 
-    The rows whose leading (top X-power) coefficients vanish to the same
-    count share one `root_clusters`; simple roots take Newton steps on
-    their polynomial (`polish_roots`).
+    Vanishing leading (top X-power) coefficients give the root at infinity,
+    t = inf.  The rows whose leading coefficients vanish to the same count
+    share one `root_clusters`; simple roots take Newton steps on their
+    polynomial (`polish_roots`).
     """
     coeffs = rows[:, ::-1]  # decreasing degree in t = X/Y
     mags = np.abs(coeffs)
     small = mags[:, :-1] <= EPS_NUM * mags.max(axis=1, keepdims=True)
     leads = np.cumprod(small, axis=1).sum(axis=1)
-    out: list[list[tuple[HomPair, int]]] = [[] for _ in range(len(rows))]
+    out: list[list[tuple[complex, int]]] = [[] for _ in range(len(rows))]
     for lead in sorted(set(leads.tolist())):
         picked = np.flatnonzero(leads == lead).tolist()
         finite = coeffs[picked, lead:]
@@ -322,27 +318,24 @@ def sym_fibers(rows: np.ndarray) -> list[list[tuple[HomPair, int]]]:
                 clusters[i][j] = (x, 1)
         for r, row in zip(picked, clusters):
             if lead:
-                out[r].append((HomPair(1.0 + 0j, 0j), lead))
-            for center, mult in row:
-                if abs(center) <= 1.0:
-                    out[r].append((HomPair(complex(center), 1.0 + 0j), mult))
-                else:
-                    out[r].append((HomPair(1.0 + 0j, 1.0 / complex(center)), mult))
+                out[r].append((complex(math.inf), lead))
+            out[r].extend(row)
     return out
 
 
 def sym_fiber(point: ProjectivePoint | Sequence[complex]) -> list[tuple[HomPair, int]]:
     """Roots (with multiplicity) of the binary form with coefficients `point`: one row of `sym_fibers`.
 
-    Returns normalized (num, den) pairs; (1, 0) stands for the root at
-    infinity, contributed by vanishing leading (top X-power) coefficients.
+    Returns (num, den) pairs normalized by `ProjectivePoint.normalize`;
+    (1, 0) stands for the root at infinity.
     """
     if not isinstance(point, ProjectivePoint):
         vec = [complex(c) for c in point]
         if not vec or not any(abs(c) > 0 for c in vec):
             raise DegenerateSection("zero coefficient vector has no roots")
         point = ProjectivePoint.normalize(vec)
-    return sym_fibers(np.array([point.coords], dtype=complex))[0]
+    roots = sym_fibers(np.array([point.coords], dtype=complex))[0]
+    return [(_pair(1.0, 0.0) if cmath.isinf(t) else _pair(t, 1.0), m) for t, m in roots]
 
 
 def _derive(even: list, odd: list, d1: complex, d3: complex) -> tuple[list, list]:

@@ -177,6 +177,18 @@ class TestUnwritableOutput:
 
 
 class TestConfigResolution:
+    def test_probe_grid_is_refused_before_any_sample(self, capsys, monkeypatch):
+        from ellcover import cli, covers
+
+        def never(*args, **kwargs):
+            raise AssertionError("the run went past the probe-grid check")
+
+        monkeypatch.setattr(cli, "galois_verify", never)
+        monkeypatch.setattr(covers, "_probe_points", never)
+        # |Q0| = 1000: (4|Q0|)^2 = 1.6e7 probes
+        assert main(["verify", "--construction", "A", "--d", "1", "--q0", "1/1000,31/1000"]) == 2
+        assert "criterion probes" in capsys.readouterr().err
+
     def test_bad_tau_is_config_error(self, capsys):
         assert main(["verify", "--tau", "0.3-1.1i", "--samples", "2"]) == 2
         assert main(["verify", "--tau", "zebra", "--samples", "2"]) == 2

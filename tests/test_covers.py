@@ -38,7 +38,7 @@ from ellcover.covers import (
 from ellcover.batch import coords_array, divisors_to_coords, map_coords
 from ellcover.elliptic import EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
-from ellcover.symfun import projective_spread
+from ellcover.symfun import projective_spread, sym_product
 
 from conftest import TAU, scalar_map
 
@@ -334,6 +334,14 @@ class TestFiberA:
         for target in (spec.map(x), near):
             with pytest.raises(NonGenericTarget, match="repeated roots"):
                 fiber_A(spec, target)
+
+    def test_far_root_is_at_infinity(self, lattice, q2):
+        # a root with |t| >= 1/EPS_GENERIC counts as the root at infinity
+        spec = build_cover("A", 2, lattice, q2)
+        for t, generic in ((0.5 / EPS_GENERIC, True), (2 / EPS_GENERIC, False), (-2j / EPS_GENERIC, False)):
+            rows, _ = sym_product(np.array([[t, 0.3 + 0.1j]], dtype=complex), np.ones((1, 2), dtype=complex))
+            _, (reason,) = covers.fiber_A_array(spec, rows)
+            assert reason == (None if generic else "root at infinity is a branch value of wp")
 
 
 GENERIC = [(0.137, 0.261), (0.389, 0.731), (0.613, 0.447)]
@@ -770,6 +778,36 @@ class TestCriterionCheck:
         crit = criterion_check(spec)
         assert not crit.very_ample
         assert not crit.all_ok
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+@pytest.mark.parametrize("rotation", [1, 0.6 + 0.8j])
+@pytest.mark.parametrize("scale", [1e-300, 1e-10, 1e10, 1e300])
+def test_scaled_lattices_verify(q2, construction, rotation, scale):
+    # the cover is built on the unit model, so omega1 changes no sample
+    omega1 = scale * rotation
+    spec = build_cover(construction, 2, LatticeTau(omega1, omega1 * TAU), q2)
+    report = galois_verify(spec, samples=10, seed=3)
+    assert report.passed
+    assert all(r.generic for r in report.samples)
+
+
+class TestProbeGridBound:
+    def test_large_subgroups_are_refused_before_any_probe(self, lattice, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the probe grid was listed")
+
+        monkeypatch.setattr(covers, "_probe_points", never)
+        q0 = FiniteSubgroupSpec.parse(("1/1000,31/1000",))
+        assert (4 * q0.order) ** 2 > covers.MAX_PROBE_GRID
+        with pytest.raises(ConfigError, match="criterion probes"):
+            criterion_check(build_cover("A", 1, lattice, q0))
+
+    def test_bound_is_inclusive(self, lattice):
+        # |Q0| = 128 lists exactly MAX_PROBE_GRID probes
+        q0 = FiniteSubgroupSpec.parse(("1/16,0", "0,1/8"))
+        assert (4 * q0.order) ** 2 == covers.MAX_PROBE_GRID
+        assert criterion_check(build_cover("A", 1, lattice, q0)).all_ok
 
 
 class TestQuotientHeightBound:

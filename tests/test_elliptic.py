@@ -26,8 +26,9 @@ from ellcover import (
     wp_prime,
 )
 from ellcover.covers import MAX_QUOTIENT_IM_TAU
-from ellcover.batch import norm_pairs, t_series_array
-from ellcover.elliptic import EPS_NUM, _t_series, wp_both_values
+from ellcover.batch import t_series_array, t_values
+from ellcover.elliptic import EPS_NUM, centred_values, wp_both_values
+from ellcover.symfun import ProjectivePoint, normalize_rows
 
 from conftest import TAU, lattice_sum_g2_g3, laurent_wp, point_z, theta_t
 
@@ -317,7 +318,7 @@ class TestWpInverse:
 
     @every
     def test_branch_values_are_cubic_roots(self, lat):
-        g2, g3 = lat.g2g3
+        g2, g3 = eisenstein_g2_g3(lat)
         size = abs(g2) ** 1.5 + abs(g3)
         for e in _branch_values(lat):
             assert abs(4 * e**3 - g2 * e - g3) <= 1e-10 * size
@@ -350,7 +351,7 @@ def _off_half_periods(lat: LatticeTau) -> list[tuple[float, float]]:
     return coords
 
 
-#: bound on the error of t and wp' from `_t_series`, relative to the value
+#: bound on the error of t and wp' from the kernel, relative to the value
 #: itself, at the points of `_off_half_periods`: t stays relatively accurate
 #: where it is small, in the middle band of a tall quotient
 SERIES_REL = 2e-14
@@ -363,13 +364,30 @@ def _bits(values) -> list[str]:
 class TestWpSeries:
     @every
     def test_bits_match_reference_loop(self, lat):
-        # t = wp - e2 and wp' against theta functions at 40 digits
+        # the scalar t = wp - e2 and wp' against theta functions at 40 digits
         for a, b in _off_half_periods(lat):
-            num, den, nump, denp = _t_series(lat, a, b)
+            t, t_prime = centred_values(TorusPoint(lat, a, b))
             want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, a, b)))
-            assert abs(num / den - want) <= SERIES_REL * abs(want)
-            assert abs(nump / denp - want_prime) <= SERIES_REL * abs(want_prime)
-            assert _bits(_t_series(lat, a, b, derivative=False)) == _bits((num, den))
+            assert abs(t - want) <= SERIES_REL * abs(want)
+            assert abs(t_prime - want_prime) <= SERIES_REL * abs(want_prime)
+
+    @every
+    def test_scalar_values_are_row_zero(self, lat):
+        # wp, wp' and (t, wp') of one point are its row of the stacked kernel, bit for bit
+        coords = _series_coords(lat)
+        a, b = np.array(coords).T
+        num, den, nump, denp = t_series_array(lat, a, b)
+        for k, (x, y) in enumerate(coords):
+            p = TorusPoint(lat, x, y)
+            assert _bits(wp_prime(p)) == _bits(ProjectivePoint.normalize((nump[k], denp[k])).coords)
+            if den[k] == 0:
+                assert wp(p) == (1, 0)
+        off = _off_half_periods(lat)
+        t, t_prime = t_values(lat, *np.array(off).T)
+        for k, (x, y) in enumerate(off):
+            p = TorusPoint(lat, x, y)
+            assert _bits(centred_values(p)) == _bits((t[k], t_prime[k]))
+            assert _bits(wp(p)) == _bits(ProjectivePoint.normalize((complex(t[k]) + lat.e2, 1.0)).coords)
 
 
 class TestWpSeriesArray:
@@ -382,7 +400,7 @@ class TestWpSeriesArray:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             num, den, nump, denp = t_series_array(lat, a, b)
-            pairs = norm_pairs(num, den)
+            pairs = normalize_rows(np.stack([num, den], axis=1))[0].T
         for k, (x, y) in enumerate(coords):
             if (x, y) not in _off_half_periods(lat):
                 continue
@@ -447,6 +465,14 @@ class TestWpAccuracy:
 
 
 class TestTorusPoints:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_are_rejected(self, lattice, bad):
+        for a, b in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(InvalidPoint, match="non-finite"):
+                TorusPoint(lattice, a, b)
+            with pytest.raises(InvalidPoint, match="non-finite"):
+                TorusPoint.from_coords(lattice, a, b)
+
     def test_reduce_wraps_into_unit_cell(self, lattice):
         p = TorusPoint.from_coords(lattice, 1.75, -0.25)
         assert p.a == pytest.approx(0.75)
