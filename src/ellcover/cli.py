@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
     Optional,
@@ -34,72 +33,15 @@ from .polarization import (
 )
 
 if TYPE_CHECKING:
-    from .construction import CoverSpec
+    from .construction import CoverSpec, RunConfig
     from .covers import CriterionReport, VerificationReport
 
 # The cover layers are imported inside the commands that use them:
-# `intersection` and `report` load none of them, and `construct` loads
-# `construction` but not the numpy layers (covers, symfun, batch).
+# `intersection` and `report` load none of them, nor `dataclasses` or
+# `fractions`, and `construct` loads `construction` but not the numpy
+# layers (covers, symfun, batch).
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
-
-
-@dataclass
-class RunConfig:
-    """Resolved run configuration; field defaults are the documented defaults.
-
-    `eps_pt`, `eps_proj` and `order_cap` default to None, which
-    `_resolve_config` replaces by `elliptic.EPS_PT`, `elliptic.EPS_PROJ` and
-    `groups.DEFAULT_ORDER_CAP`, so that `intersection` and `report` load
-    neither module.
-    """
-
-    construction: str = "A"
-    d: int = 2
-    tau: str = "0.3+1.1i"
-    q0: tuple[str, ...] = ("1/2,0",)
-    samples: int = 20
-    seed: int = 42
-    eps_pt: Optional[float] = None
-    eps_proj: Optional[float] = None
-    order_cap: Optional[int] = None
-    output: Optional[str] = None
-    jobs: int = 1
-
-    def parse_tau(self) -> complex:
-        text = self.tau.strip().replace("i", "j").replace(" ", "")
-        try:
-            value = complex(text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse tau {self.tau!r}") from exc
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ConfigError(f"tau must be finite, got {self.tau!r}")
-        if value.imag <= 0:
-            raise ConfigError(f"tau must have positive imaginary part, got {self.tau!r}")
-        return value
-
-    def build_spec(self) -> CoverSpec:
-        from .construction import build_cover
-        from .elliptic import FiniteSubgroupSpec, LatticeTau
-
-        lattice = LatticeTau.from_tau(self.parse_tau())
-        subgroup = FiniteSubgroupSpec.parse(self.q0)
-        return build_cover(
-            self.construction, self.d, lattice, subgroup, order_cap=self.order_cap
-        )
-
-    def as_json_dict(self) -> dict:
-        """The `config` block of reports.
-
-        Every field but `output` and `jobs`, which cannot change a result.
-        """
-        out = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("output", "jobs")
-        }
-        out["q0"] = list(self.q0)
-        return out
 
 
 def _emit_json(value, indent: int = 0) -> str:
@@ -221,6 +163,12 @@ def _fits(value, hint) -> bool:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    from dataclasses import fields
+
+    from .construction import RunConfig
+    from .elliptic import EPS_PROJ, EPS_PT
+    from .groups import DEFAULT_ORDER_CAP
+
     cfg = RunConfig()
     if getattr(args, "config", None):
         import json
@@ -257,9 +205,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from exc
-    from .elliptic import EPS_PROJ, EPS_PT
-    from .groups import DEFAULT_ORDER_CAP
-
     defaults = {"eps_pt": EPS_PT, "eps_proj": EPS_PROJ, "order_cap": DEFAULT_ORDER_CAP}
     for name, value in defaults.items():
         if getattr(cfg, name) is None:
@@ -359,12 +304,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_intersection(args: argparse.Namespace) -> int:
-    modes = [m for m in ("self_", "mixed", "chi_") if getattr(args, m, None)]
+    modes = [m for m in ("self_", "mixed", "chi_") if getattr(args, m) is not None]
     if len(modes) != 1:
         raise ConfigError("pass exactly one of --self, --mixed, --chi")
-    if args.self_:
+    if args.self_ is not None:
         print(self_intersection(_parse_matrix(args.self_)))
-    elif args.chi_:
+    elif args.chi_ is not None:
         print(chi(_parse_matrix(args.chi_)))
     else:
         terms = [_parse_matrix_power(t) for t in args.mixed]

@@ -2,14 +2,17 @@
 
 `construct` needs only this, so it loads no numpy.  `covers` re-exports it
 and holds the maps, which the `CoverSpec` methods import when called.
+`RunConfig`, the resolved configuration of `construct` and `verify`, lives
+here too, so that `intersection` and `report` never load `dataclasses`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from .elliptic import FiniteSubgroupSpec, IsogenyQuotient, LatticeTau, quotient_lattice
 from .errors import ConfigError, IllConditioned, InvalidOrder, NotVeryAmpleWarning
@@ -182,3 +185,57 @@ def build_cover(
         theoretical_degree=degree,
         very_ample=flag,
     )
+
+
+@dataclass
+class RunConfig:
+    """Resolved run configuration; field defaults are the documented defaults.
+
+    `eps_pt`, `eps_proj` and `order_cap` default to None (a config file may
+    give null), which `cli._resolve_config` replaces by `elliptic.EPS_PT`,
+    `elliptic.EPS_PROJ` and `groups.DEFAULT_ORDER_CAP`.
+    """
+
+    construction: str = "A"
+    d: int = 2
+    tau: str = "0.3+1.1i"
+    q0: tuple[str, ...] = ("1/2,0",)
+    samples: int = 20
+    seed: int = 42
+    eps_pt: Optional[float] = None
+    eps_proj: Optional[float] = None
+    order_cap: Optional[int] = None
+    output: Optional[str] = None
+    jobs: int = 1
+
+    def parse_tau(self) -> complex:
+        text = self.tau.strip().replace("i", "j").replace(" ", "")
+        try:
+            value = complex(text)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse tau {self.tau!r}") from exc
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ConfigError(f"tau must be finite, got {self.tau!r}")
+        if value.imag <= 0:
+            raise ConfigError(f"tau must have positive imaginary part, got {self.tau!r}")
+        return value
+
+    def build_spec(self) -> CoverSpec:
+        lattice = LatticeTau.from_tau(self.parse_tau())
+        subgroup = FiniteSubgroupSpec.parse(self.q0)
+        return build_cover(
+            self.construction, self.d, lattice, subgroup, order_cap=self.order_cap
+        )
+
+    def as_json_dict(self) -> dict:
+        """The `config` block of reports.
+
+        Every field but `output` and `jobs`, which cannot change a result.
+        """
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("output", "jobs")
+        }
+        out["q0"] = list(self.q0)
+        return out

@@ -392,25 +392,26 @@ def check_probe_grid(spec: CoverSpec) -> None:
         raise ConfigError(f"|Q0| = {spec.q0.order} needs {grid} criterion probes, more than {MAX_PROBE_GRID}")
 
 
-def _probe_points(
-    spec: CoverSpec, seed: int = 42
-) -> list[PointTuple]:
+def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
     """Base-point probe grid: torsion diagonals, pole patterns, seeded tuples.
 
     Includes every 4|Q0|-torsion point of E on the diagonal (all of E[4|Q0|]^d
     would be exponential; the diagonal meets every coordinate degeneration),
     all pole configurations (tuples over Q0, where the construction-A factors
     hit poles), and seeded random tuples mixing pole and generic coordinates.
+    Returns the coordinates of the probes, N x d x 2, laid out as
+    `coords_array` lays them out; the (4|Q0|)^2 diagonal probes are built
+    as one array, since a `TorusPoint` tuple per probe costs 300-700 bytes.
     """
     curve = spec.curve
     d = spec.d
     rng = random.Random(seed)
-    probes: list[PointTuple] = []
     m = 4 * spec.q0.order
-    for i in range(m):
-        for j in range(m):
-            p = TorusPoint(curve, i / m, j / m)
-            probes.append(tuple(p for _ in range(d)))
+    grid = np.arange(m) / m
+    diagonal = np.empty((m, m, d, 2))
+    diagonal[..., 0] = grid[:, None, None]
+    diagonal[..., 1] = grid[None, :, None]
+    probes: list[PointTuple] = []
     pole_coords = spec.q0.points_on(curve)
     if len(pole_coords) ** d <= 512:
         for combo in itertools.product(pole_coords, repeat=d):
@@ -425,7 +426,7 @@ def _probe_points(
                     TorusPoint.from_coords(curve, rng.random(), rng.random())
                 )
         probes.append(tuple(tup))
-    return probes
+    return np.concatenate([diagonal.reshape(m * m, d, 2), coords_array(probes)])
 
 
 def criterion_check(
@@ -458,7 +459,7 @@ def criterion_check(
     ]
     generators = spec.group.generators
     moved = coords_array([q for p in points for q in (p, *(g.apply(p) for g in generators))])
-    probes = coords_array(_probe_points(spec, seed))
+    probes = _probe_points(spec, seed)
     rows, failed = spec.map_array(np.concatenate([moved, probes]))
     mapped = rows[: len(moved)].reshape(len(points), -1, spec.d + 1)
     checked = np.flatnonzero(~failed[: len(moved)].reshape(len(points), -1).any(axis=1))[:10]

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ExponentMismatch,
@@ -20,6 +18,9 @@ from .errors import (
     InvalidSubgroup,
     NonIntegralNorm,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -74,6 +75,8 @@ def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]):
 
 def _fraction_inverse(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan over Q; raises on singular input."""
+    from fractions import Fraction
+
     n = len(rows)
     aug = [
         [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -151,42 +154,54 @@ def _invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Each distinct ordering of the multiset once, in lexicographic order."""
-    perm = sorted(items)
-    n = len(perm)
-    while True:
-        yield tuple(perm)
-        i = n - 2
-        while i >= 0 and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        perm[i + 1 :] = reversed(perm[i + 1 :])
+class _Frozen:
+    """An immutable value with one field, `_field`, that sets its `==`, hash and repr.
+
+    Plain classes rather than frozen dataclasses: `intersection` and
+    `report` load this module, and `dataclasses` would add its import.
+    """
+
+    _field = ""
+
+    def _value(self):
+        return getattr(self, self._field)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash((self._value(),))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({self._field}={self._value()!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class PolarizationMatrix:
+class PolarizationMatrix(_Frozen):
     """A line bundle on E^d as a symmetric d x d integer matrix.
 
     Positive definite matrices are polarizations; semidefinite ones arise as
     pullbacks (e.g. along norm endomorphisms) and are accepted too.
     """
 
+    _field = "rows"
     rows: IntRows
 
-    def __post_init__(self):
-        rows = _freeze(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        rows = _freeze(rows)
         d = len(rows)
         if any(len(r) != d for r in rows):
             raise InvalidOrder("polarization matrix must be square")
         if rows != _transpose(rows):
             raise InvalidOrder("polarization matrix must be symmetric")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def identity(cls, d: int) -> "PolarizationMatrix":
@@ -219,8 +234,7 @@ class PolarizationMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SublatticeInclusion:
+class SublatticeInclusion(_Frozen):
     """An abelian subvariety Z of E^d as a saturated integer column span.
 
     The columns of the d x r matrix span the tangent sublattice; saturation
@@ -228,11 +242,21 @@ class SublatticeInclusion:
     the subgroup they generate is a subtorus and not a finite extension.
     """
 
+    _field = "columns"
     columns: IntRows  # stored row-major, shape d x r
 
-    def __post_init__(self):
-        cols = _freeze(self.columns)
-        object.__setattr__(self, "columns", cols)
+    def __init__(self, columns: Sequence[Sequence[int]]):
+        self._set_columns(columns, saturated=True)
+
+    @classmethod
+    def unchecked(cls, columns: Sequence[Sequence[int]]) -> "SublatticeInclusion":
+        """Construct without the saturation check (rank is still required)."""
+        obj = cls.__new__(cls)
+        obj._set_columns(columns, saturated=False)
+        return obj
+
+    def _set_columns(self, columns: Sequence[Sequence[int]], saturated: bool) -> None:
+        cols = _freeze(columns)
         d = len(cols)
         if d == 0 or len(cols[0]) == 0:
             raise InvalidSubgroup("empty sublattice inclusion")
@@ -244,21 +268,12 @@ class SublatticeInclusion:
         factors = _invariant_factors(cols)
         if len(factors) != r:
             raise InvalidSubgroup("inclusion matrix does not have full column rank")
-        if getattr(self, "_skip_saturation", False):
-            return
-        if any(f != 1 for f in factors):
+        if saturated and any(f != 1 for f in factors):
             raise InvalidSubgroup(
                 f"sublattice is not saturated (invariant factors {factors}); "
                 "use SublatticeInclusion.unchecked to model a finite-index sublattice"
             )
-
-    @classmethod
-    def unchecked(cls, columns: Sequence[Sequence[int]]) -> "SublatticeInclusion":
-        """Construct without the saturation check (rank is still required)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_skip_saturation", True)
-        obj.__init__(tuple(tuple(int(v) for v in row) for row in columns))
-        return obj
+        object.__setattr__(self, "columns", cols)
 
     @property
     def d(self) -> int:
@@ -285,8 +300,11 @@ def mixed_intersection(
     """Intersection number (S_1^a_1 ... S_k^a_k) with sum(a_i) = d.
 
     Equals (prod a_i!) times the coefficient of prod t_i^a_i in
-    det(sum t_i S_i), computed by exact multilinear expansion of the
-    determinant over column assignments.
+    det(sum t_i S_i), that is the mixed discriminant of the d matrices
+    with S_i listed a_i times.  Inclusion-exclusion over the sub-sums
+    gives it exactly from prod (a_i + 1) <= 2^d determinants:
+    sum over 0 <= b_i <= a_i of (-1)^(d - sum b_i) prod C(a_i, b_i)
+    det(sum b_i S_i).
     """
     if not terms:
         raise ExponentMismatch("no intersection terms")
@@ -303,15 +321,15 @@ def mixed_intersection(
         raise ExponentMismatch(
             f"exponents sum to {total}, need the dimension {d}"
         )
-    labels = [i for i, (_, a) in enumerate(terms) for _ in range(a)]
     acc = 0
-    for assign in _multiset_permutations(labels):
-        cols_matrix = [
-            [terms[assign[j]][0].rows[i][j] for j in range(d)] for i in range(d)
+    for counts in itertools.product(*(range(a + 1) for _, a in terms)):
+        weight = math.prod(math.comb(a, b) for (_, a), b in zip(terms, counts))
+        summed = [
+            [sum(b * s.rows[i][j] for (s, _), b in zip(terms, counts)) for j in range(d)]
+            for i in range(d)
         ]
-        acc += _det_bareiss(cols_matrix)
-    for _, a in terms:
-        acc *= math.factorial(a)
+        sign = -1 if (d - sum(counts)) % 2 else 1
+        acc += sign * weight * _det_bareiss(summed)
     return acc
 
 

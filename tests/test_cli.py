@@ -57,6 +57,13 @@ class TestIntersectionCommand:
         assert main(["intersection", "--self", "1 x;x 1"]) == 2
         assert main(["intersection", "--mixed", "1 0;0 1"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--self", "--chi"])
+    def test_empty_matrix_names_the_matrix(self, capsys, flag):
+        assert main(["intersection", flag, ""]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse matrix ''" in err
+        assert "exactly one" not in err
+
 
 class TestVerifyCommand:
     def test_passing_run_exits_zero(self, tmp_path, capsys):
@@ -154,13 +161,13 @@ class TestUnwritableOutput:
 
     @pytest.mark.parametrize("where", ["missing_dir", "a_directory", "read_only_dir"])
     def test_checked_before_any_group_is_built(self, tmp_path, capsys, monkeypatch, where):
-        from ellcover import cli
+        from ellcover import cli, construction
 
         def never(*args, **kwargs):
             raise AssertionError("the run started before --output was checked")
 
         monkeypatch.setattr(cli, "galois_verify", never)
-        monkeypatch.setattr(cli.RunConfig, "build_spec", never)
+        monkeypatch.setattr(construction.RunConfig, "build_spec", never)
         target = tmp_path / "r.json"
         if where == "missing_dir":
             target = tmp_path / "absent" / "r.json"

@@ -88,9 +88,11 @@ def oracle_criterion(spec, seed=42, eps_proj=EPS_PROJ, map_one=CoverSpec.map):
         invariance_ok = False
 
     probe_rng = random.Random(seed + 1)
-    basepoint_ok = all(
-        _probe_valid(spec, probe, probe_rng, map_one) for probe in _probe_points(spec, seed)
-    )
+    probes = [
+        tuple(TorusPoint(spec.curve, a, b) for a, b in row)
+        for row in _probe_points(spec, seed).tolist()
+    ]
+    basepoint_ok = all(_probe_valid(spec, probe, probe_rng, map_one) for probe in probes)
     return CriterionReport(order_ok, invariance_ok, basepoint_ok, spec.very_ample)
 
 

@@ -4,7 +4,8 @@ Only `covers`, `symfun` and `batch` import numpy.  `construct` builds a
 cover from the exact layers (`construction`, `groups`, `elliptic`,
 `polarization`), so it must run with numpy made unimportable and print the
 same bytes as with numpy.  `intersection` and `report` need only
-`polarization`, so they must leave every cover layer unloaded too.
+`polarization`, so they must leave every cover layer unloaded too, and run
+with `dataclasses` and `fractions` made unimportable as well.
 """
 
 import importlib
@@ -25,55 +26,66 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 NUMERIC_LAYERS = ("covers", "symfun", "batch")
 #: the numpy-free modules that build a cover, which only `construct` and `verify` need
 COVER_LAYERS = ("construction", "groups", "elliptic")
+#: one command of each intersection mode
+INTERSECTIONS = (
+    ["intersection", "--self", "4 0;0 4"],
+    ["intersection", "--chi", "2 1;1 2"],
+    ["intersection", "--mixed", "1 0;0 1:1", "1 1;1 1:1"],
+)
 
-NO_NUMPY_SCRIPT = """
+BLOCKING_SCRIPT = f"""
 import sys
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+for name in sys.argv[1].split(","):
+    sys.modules[name] = None  # any import of it now raises ImportError
 import ellcover
 loaded = sorted(m for m in sys.modules if m.startswith("ellcover."))
 assert not loaded, loaded
 from ellcover.cli import main
 
-if sys.argv[1] == "construct":
-    code = main(sys.argv[1:])
+if sys.argv[2] == "construct":
+    code = main(sys.argv[2:])
 else:
-    assert main(["intersection", "--self", "4 0;0 4"]) == 0
-    assert main(["intersection", "--chi", "2 1;1 2"]) == 0
-    assert main(["intersection", "--mixed", "1 0;0 1:1", "1 1;1 1:1"]) == 0
-    code = main(["report", sys.argv[1]])
+    for argv in {INTERSECTIONS!r}:
+        assert main(argv) == 0
+    code = main(["report", sys.argv[2]])
 loaded = sorted(m for m in sys.modules if m.startswith("ellcover."))
 print(" ".join(loaded), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def _run(argv, block_numpy):
+def _run(argv, blocked=()):
+    """Run the CLI in a fresh interpreter, through the blocking script when `blocked` names modules."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    entry = ["-c", NO_NUMPY_SCRIPT] if block_numpy else ["-m", "ellcover.cli"]
+    entry = ["-c", BLOCKING_SCRIPT, ",".join(blocked)] if blocked else ["-m", "ellcover.cli"]
     return subprocess.run(
         [sys.executable, *entry, *argv], env=env, capture_output=True, timeout=60
     )
 
 
 def _loaded(proc):
-    """The `ellcover` submodules the numpy-blocked script saw loaded at its end."""
+    """The `ellcover` submodules the blocking script saw loaded at its end."""
     return set(proc.stderr.decode().splitlines()[-1].split())
 
 
 def test_exact_commands_run_without_numpy(tmp_path):
+    """The intersection modes and `report` with numpy, `dataclasses` and `fractions` blocked."""
     report = tmp_path / "r.json"
     argv = ["verify", "--construction", "A", "--d", "1", "--samples", "2"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotVeryAmpleWarning)
         assert cli.main(argv + ["--output", str(report)]) == 0
-    proc = _run([str(report)], block_numpy=True)
+    proc = _run([str(report)], blocked=["numpy", "dataclasses", "fractions"])
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.decode().splitlines()
     assert lines[:4] == ["32", "3", "2", "construction A, group order 4"]
     assert lines[-1] == "pass: True"
     unloaded = {f"ellcover.{m}" for m in NUMERIC_LAYERS + COVER_LAYERS}
     assert not unloaded & _loaded(proc), _loaded(proc)
+    plain = [_run(argv) for argv in (*INTERSECTIONS, ["report", str(report)])]
+    assert all(p.returncode == 0 for p in plain), [p.stderr for p in plain]
+    assert proc.stdout == b"".join(p.stdout for p in plain)
 
 
 @pytest.mark.parametrize(
@@ -89,11 +101,11 @@ def test_exact_commands_run_without_numpy(tmp_path):
     ],
 )
 def test_construct_runs_without_numpy(shape):
-    blocked = _run(["construct", *shape], block_numpy=True)
+    blocked = _run(["construct", *shape], blocked=["numpy"])
     assert blocked.returncode == 0, blocked.stderr
     assert not {f"ellcover.{m}" for m in NUMERIC_LAYERS} & _loaded(blocked)
     assert {f"ellcover.{m}" for m in COVER_LAYERS} <= _loaded(blocked)
-    with_numpy = _run(["construct", *shape], block_numpy=False)
+    with_numpy = _run(["construct", *shape])
     assert with_numpy.returncode == 0, with_numpy.stderr
     assert blocked.stdout == with_numpy.stdout
 

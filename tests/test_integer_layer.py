@@ -1,8 +1,8 @@
 """The exact integer routines of `polarization`, checked against sympy as an oracle.
 
-sympy is a test dependency only: the package computes Hermite forms, Smith
-invariant factors and multiset permutations itself, and the last test proves
-that every command runs with sympy made unimportable.
+sympy is a test dependency only: the package computes Hermite forms and Smith
+invariant factors itself, and the last test proves that every command runs
+with sympy made unimportable.
 """
 
 import math
@@ -16,15 +16,10 @@ from pathlib import Path
 import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
-from sympy.utilities.iterables import multiset_permutations
 
 from ellcover import FiniteSubgroupSpec, InvalidSubgroup, LatticeTau
 from ellcover.elliptic import quotient_lattice
-from ellcover.polarization import (
-    _hermite_2x2,
-    _invariant_factors,
-    _multiset_permutations,
-)
+from ellcover.polarization import _hermite_2x2, _invariant_factors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -113,25 +108,6 @@ class TestInvariantFactors:
             assert factors == _sympy_invariant_factors(cols)
             if len(factors) == r:
                 assert math.prod(factors) % scale == 0
-
-
-class TestMultisetPermutations:
-    @pytest.mark.parametrize(
-        "items",
-        [[], [0], [0, 0, 0], [0, 1], [0, 0, 1, 1], [2, 0, 1, 0], [0, 1, 1, 2, 2, 2]],
-    )
-    def test_matches_sympy_as_sets(self, items):
-        perms = list(_multiset_permutations(items))
-        assert len(perms) == len(set(perms))
-        assert set(perms) == {tuple(p) for p in multiset_permutations(items)}
-
-    def test_random_multisets_match_sympy_as_sets(self):
-        rng = random.Random(10)
-        for _ in range(100):
-            items = [rng.randint(0, 3) for _ in range(rng.randint(1, 7))]
-            perms = list(_multiset_permutations(items))
-            assert len(perms) == len(set(perms))
-            assert set(perms) == {tuple(p) for p in multiset_permutations(items)}
 
 
 NO_SYMPY_SCRIPT = """

@@ -74,6 +74,20 @@ class TestPolarizationMatrix:
         with pytest.raises(InvalidOrder):
             PolarizationMatrix(((True, False), (False, True)))
 
+    def test_value_semantics(self):
+        s = PolarizationMatrix([[2, 1], [1, 2]])
+        assert s == PolarizationMatrix.identity_plus_ones(2)
+        assert hash(s) == hash(PolarizationMatrix.identity_plus_ones(2))
+        assert s != PolarizationMatrix.identity(2)
+        assert s != SublatticeInclusion(((1,), (1,)))
+        assert repr(s) == "PolarizationMatrix(rows=((2, 1), (1, 2)))"
+        with pytest.raises(AttributeError):
+            s.rows = ((1,),)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        with pytest.raises(AttributeError):
+            del s.rows
+
     def test_positive_definite(self):
         assert PolarizationMatrix.identity_plus_ones(3).is_positive_definite
         assert not PolarizationMatrix(((0, 0), (0, 1))).is_positive_definite
@@ -174,6 +188,21 @@ class TestMixedIntersection:
             [(s2, 1), (s1, 2)]
         )
 
+    def test_matches_symbolic_oracle_k_terms(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            d = rng.randint(1, 4)
+            k = rng.randint(1, 4)
+            exponents = [0] * k
+            for _ in range(d):
+                exponents[rng.randrange(k)] += 1
+            terms = [(_random_posdef(rng, d), a) for a in exponents]
+            assert mixed_intersection(terms) == _mixed_oracle(terms)
+
+    def test_nine_distinct_copies_give_factorial_times_det(self):
+        s = _random_posdef(random.Random(29), 9)
+        assert mixed_intersection([(s, 1)] * 9) == math.factorial(9) * chi(s)
+
 
 class TestSublatticeInclusion:
     def test_accepts_saturated_columns(self):
@@ -193,6 +222,9 @@ class TestSublatticeInclusion:
     def test_unchecked_bypasses_saturation(self):
         z = SublatticeInclusion.unchecked(((2,), (0,)))
         assert z.d == 2 and z.r == 1
+        assert z == SublatticeInclusion.unchecked([[2], [0]])
+        assert repr(z) == "SublatticeInclusion(columns=((2,), (0,)))"
+        assert vars(z) == {"columns": ((2,), (0,))}  # no flag left on the instance
 
     def test_saturation_agrees_with_column_gcd_for_rank_one(self):
         # rank-1 saturation is exactly gcd(entries) == 1
