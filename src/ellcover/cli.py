@@ -37,9 +37,11 @@ if TYPE_CHECKING:
     from .covers import CriterionReport, VerificationReport
 
 # The cover layers are imported inside the commands that use them:
-# `intersection` and `report` load none of them, nor `dataclasses` or
-# `fractions`, and `construct` loads `construction` but not the numpy
-# layers (covers, symfun, batch).
+# `intersection` and `report` load none of them, nor `fractions`, and
+# `construct` loads `construction` but not the numpy layers (covers,
+# symfun, batch).  No command loads `dataclasses`, and `construct` and
+# `verify` load `json` only to read a `--config` file or to quote a string
+# that is not printable ASCII.
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
 
@@ -74,6 +76,9 @@ def _emit_json(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     if isinstance(value, str):
+        # printable ASCII without quote or backslash is its own JSON body
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
         import json
 
         return json.dumps(value)
@@ -163,8 +168,6 @@ def _fits(value, hint) -> bool:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    from dataclasses import fields
-
     from .construction import RunConfig
     from .elliptic import EPS_PROJ, EPS_PT
     from .groups import DEFAULT_ORDER_CAP
@@ -181,20 +184,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config!r} must hold a JSON object")
         hints = get_type_hints(RunConfig)
-        declared = {f.name: f.type for f in fields(RunConfig)}
         for key, value in data.items():
             if key not in hints:
                 raise ConfigError(f"unknown config key {key!r} in {args.config!r}")
             if not _fits(value, hints[key]):
                 raise ConfigError(
                     f"config key {key!r} in {args.config!r} must be "
-                    f"{declared[key]}, got {value!r}"
+                    f"{RunConfig.__annotations__[key]}, got {value!r}"
                 )
             setattr(cfg, key, tuple(value) if key == "q0" else value)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if f.name != "q0" and flag is not None:
-            setattr(cfg, f.name, flag)
+    for name in RunConfig._fields:
+        flag = getattr(args, name, None)
+        if name != "q0" and flag is not None:
+            setattr(cfg, name, flag)
     if getattr(args, "q0", None):
         cfg.q0 = tuple(args.q0)
     env_seed = os.environ.get(SEED_ENV_VAR)

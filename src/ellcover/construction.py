@@ -3,14 +3,14 @@
 `construct` needs only this, so it loads no numpy.  `covers` re-exports it
 and holds the maps, which the `CoverSpec` methods import when called.
 `RunConfig`, the resolved configuration of `construct` and `verify`, lives
-here too, so that `intersection` and `report` never load `dataclasses`.
+here too.  Their records are plain classes on `polarization._Frozen`, so no
+command loads `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
@@ -23,7 +23,12 @@ from .groups import (
     build_group_A,
     build_group_B,
 )
-from .polarization import PolarizationMatrix, isogeny_degree_factor, self_intersection
+from .polarization import (
+    PolarizationMatrix,
+    _Frozen,
+    isogeny_degree_factor,
+    self_intersection,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,10 +52,20 @@ def very_ample_preconditions(construction: str, d: int, q0: FiniteSubgroupSpec) 
     return (d >= 2 and q0.order >= 2) or (d == 1 and q0.order >= 3)
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(_Frozen):
     """A configured covering map E^d -> P^d with its group and polarization."""
 
+    _fields = (
+        "construction",
+        "d",
+        "curve",
+        "q0",
+        "quotient",
+        "group",
+        "polarization",
+        "theoretical_degree",
+        "very_ample",
+    )
     construction: str
     d: int
     curve: LatticeTau
@@ -187,14 +202,28 @@ def build_cover(
     )
 
 
-@dataclass
 class RunConfig:
     """Resolved run configuration; field defaults are the documented defaults.
 
-    `eps_pt`, `eps_proj` and `order_cap` default to None (a config file may
-    give null), which `cli._resolve_config` replaces by `elliptic.EPS_PT`,
-    `elliptic.EPS_PROJ` and `groups.DEFAULT_ORDER_CAP`.
+    Mutable: `cli._resolve_config` sets fields in turn from a config file,
+    flags and the environment.  `eps_pt`, `eps_proj` and `order_cap`
+    default to None (a config file may give null), which it replaces by
+    `elliptic.EPS_PT`, `elliptic.EPS_PROJ` and `groups.DEFAULT_ORDER_CAP`.
     """
+
+    _fields = (
+        "construction",
+        "d",
+        "tau",
+        "q0",
+        "samples",
+        "seed",
+        "eps_pt",
+        "eps_proj",
+        "order_cap",
+        "output",
+        "jobs",
+    )
 
     construction: str = "A"
     d: int = 2
@@ -207,6 +236,16 @@ class RunConfig:
     order_cap: Optional[int] = None
     output: Optional[str] = None
     jobs: int = 1
+
+    def __init__(self, **values):
+        for name, value in values.items():
+            if name not in self._fields:
+                raise TypeError(f"RunConfig() has no field {name!r}")
+            setattr(self, name, value)
+
+    _key = _Frozen._key
+    __eq__ = _Frozen.__eq__
+    __repr__ = _Frozen.__repr__
 
     def parse_tau(self) -> complex:
         text = self.tau.strip().replace("i", "j").replace(" ", "")
@@ -233,9 +272,7 @@ class RunConfig:
         Every field but `output` and `jobs`, which cannot change a result.
         """
         out = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("output", "jobs")
+            name: getattr(self, name) for name in self._fields if name not in ("output", "jobs")
         }
         out["q0"] = list(self.q0)
         return out

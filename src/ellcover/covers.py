@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .construction import (  # noqa: F401 - re-exported
 from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
 from .errors import ConfigError, NonGenericTarget
 from .groups import PointTuple
+from .polarization import _Frozen
 from .symfun import ProjectivePoint, normalize_rows, projective_spreads, sym_fibers, sym_product
 
 
@@ -170,8 +170,10 @@ def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
     return _one_row(spec, fiber_B_array(spec, np.array([target.coords])))
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(_Frozen):
+    _fields = (
+        "index", "point", "generic", "stabilizer_size", "orbit_size", "image_spread", "fiber_match"
+    )
     index: int
     point: PointTuple
     generic: bool
@@ -179,6 +181,24 @@ class SampleRecord:
     orbit_size: int
     image_spread: float
     fiber_match: bool
+
+    def __init__(
+        self,
+        index: int,
+        point: PointTuple,
+        generic: bool,
+        stabilizer_size: int,
+        orbit_size: int,
+        image_spread: float,
+        fiber_match: bool,
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "generic", generic)
+        object.__setattr__(self, "stabilizer_size", stabilizer_size)
+        object.__setattr__(self, "orbit_size", orbit_size)
+        object.__setattr__(self, "image_spread", image_spread)
+        object.__setattr__(self, "fiber_match", fiber_match)
 
     def passes(self, group_order: int, eps_proj: float) -> bool:
         """Pass condition for a generic sample; non-generic records are excluded."""
@@ -189,8 +209,8 @@ class SampleRecord:
         )
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(_Frozen):
+    _fields = ("order_ok", "invariance_ok", "basepoint_ok", "very_ample")
     order_ok: bool
     invariance_ok: bool
     basepoint_ok: bool
@@ -206,8 +226,8 @@ class CriterionReport:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
+    _fields = ("construction", "group_order", "seed", "tolerances", "samples", "passed")
     construction: str
     group_order: int
     seed: int
@@ -429,6 +449,19 @@ def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
     return np.concatenate([diagonal.reshape(m * m, d, 2), coords_array(probes)])
 
 
+def _map_in_chunks(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`spec.map_array` of N point tuples, in calls of at most `_CHUNK_ROWS` rows.
+
+    A row depends on its own tuple alone, so the result is the single
+    call's, bit for bit; only the temporaries shrink.
+    """
+    parts = [
+        spec.map_array(coords[start : start + _CHUNK_ROWS])
+        for start in range(0, len(coords), _CHUNK_ROWS)
+    ]
+    return np.concatenate([rows for rows, _ in parts]), np.concatenate([failed for _, failed in parts])
+
+
 def criterion_check(
     spec: CoverSpec, seed: int = 42, eps_proj: float = EPS_PROJ
 ) -> CriterionReport:
@@ -440,10 +473,11 @@ def criterion_check(
     spread below eps_proj; (3) the map evaluates to a valid projective point
     across the probe grid: each probe, or one of 3 seeded perturbations of
     it, must map, since the bundle is base-point-free.  The points of (2)
-    and the probes are mapped in one `map_array` call, and the
-    perturbations of the probes that fail to map in a second, so that no
-    call holds every probe's perturbations; the ten spreads of (2) are one
-    `projective_spreads` call.
+    and the probes are mapped together, and the perturbations of the
+    probes that fail to map after them, each in `map_array` calls of at
+    most `_CHUNK_ROWS` rows, so that the maps' temporaries stay bounded
+    whatever the grid; the ten spreads of (2) are one `projective_spreads`
+    call.
     """
     check_probe_grid(spec)
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
@@ -460,7 +494,7 @@ def criterion_check(
     generators = spec.group.generators
     moved = coords_array([q for p in points for q in (p, *(g.apply(p) for g in generators))])
     probes = _probe_points(spec, seed)
-    rows, failed = spec.map_array(np.concatenate([moved, probes]))
+    rows, failed = _map_in_chunks(spec, np.concatenate([moved, probes]))
     mapped = rows[: len(moved)].reshape(len(points), -1, spec.d + 1)
     checked = np.flatnonzero(~failed[: len(moved)].reshape(len(points), -1).any(axis=1))[:10]
     owner = np.repeat(np.arange(len(checked)), mapped.shape[1])
@@ -477,7 +511,7 @@ def criterion_check(
     basepoint_ok = True
     if len(retry):
         perturbed = _frac_array(probes[retry, None] + 1e-3 * shifts[retry])
-        _, failed = spec.map_array(perturbed.reshape(-1, spec.d, 2))
+        _, failed = _map_in_chunks(spec, perturbed.reshape(-1, spec.d, 2))
         basepoint_ok = not failed.reshape(-1, 3).all(axis=1).any()
     return CriterionReport(
         order_ok=order_ok,

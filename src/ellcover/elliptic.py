@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
@@ -23,7 +22,7 @@ from .errors import (
     InvalidPoint,
     InvalidSubgroup,
 )
-from .polarization import _hermite_2x2
+from .polarization import _Frozen, _hermite_2x2
 
 #: default tolerance for torus-point equality (toroidal sup metric on (a, b))
 EPS_PT = 1e-9
@@ -220,17 +219,20 @@ class LatticeTau:
         return a, b
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(_Frozen):
     """A point of C/Lambda stored by reduced lattice coordinates in [0, 1)^2."""
 
+    _fields = ("lattice", "a", "b")
     lattice: LatticeTau
     a: float
     b: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidPoint(f"non-finite point coordinates: ({self.a!r}, {self.b!r})")
+    def __init__(self, lattice: LatticeTau, a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidPoint(f"non-finite point coordinates: ({a!r}, {b!r})")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def z(self) -> complex:
@@ -281,8 +283,7 @@ def torsion_points(lattice: LatticeTau, n: int) -> list[TorusPoint]:
     ]
 
 
-@dataclass(frozen=True)
-class FiniteSubgroupSpec:
+class FiniteSubgroupSpec(_Frozen):
     """A finite subgroup of E given by at most two rational generators.
 
     Coordinates are exact rationals (a, b) meaning a*omega1 + b*omega2; every
@@ -290,6 +291,7 @@ class FiniteSubgroupSpec:
     generators are always enough.
     """
 
+    _fields = ("generators",)
     generators: tuple[tuple[Fraction, Fraction], ...]
 
     MAX_DENOMINATOR = 1000
@@ -365,10 +367,10 @@ class FiniteSubgroupSpec:
         return f"<{gens}> of order {self.order}"
 
 
-@dataclass(frozen=True)
-class IsogenyQuotient:
+class IsogenyQuotient(_Frozen):
     """The quotient isogeny E = C/Lambda -> E/Q0 = C/Lambda' of degree |Q0|."""
 
+    _fields = ("source", "target", "index", "subgroup")
     source: LatticeTau
     target: LatticeTau
     index: int

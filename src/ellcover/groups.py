@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac
 from .errors import InvalidOrder, OrderCapExceeded
-from .polarization import _det_bareiss, _fraction_inverse, _matmul
+from .polarization import _det_bareiss, _fraction_inverse, _Frozen, _matmul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Translation = tuple[tuple[Fraction, Fraction], ...]
@@ -64,12 +63,16 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in _fraction_inverse(m))
 
 
-@dataclass(frozen=True)
-class AffineAutomorphism:
+class AffineAutomorphism(_Frozen):
     """z |-> M z + t on E^d, with M integral and t rational torsion."""
 
+    _fields = ("matrix", "translation")
     matrix: IntMatrix
     translation: Translation
+
+    def __init__(self, matrix: IntMatrix, translation: Translation):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "translation", translation)
 
     @classmethod
     def identity(cls, d: int) -> "AffineAutomorphism":

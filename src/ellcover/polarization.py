@@ -155,27 +155,40 @@ def _invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 class _Frozen:
-    """An immutable value with one field, `_field`, that sets its `==`, hash and repr.
+    """An immutable value whose fields, listed in `_fields`, set its `==`, hash and repr.
 
-    Plain classes rather than frozen dataclasses: `intersection` and
-    `report` load this module, and `dataclasses` would add its import.
+    The package's one value-class mechanism, in place of frozen
+    dataclasses: `dataclasses` loads `inspect`, `ast`, `dis` and
+    `tokenize`, and execs generated methods for each class, several ms of
+    every command's startup.  The repr keeps the dataclass form
+    `Name(field=value, ...)`.  The generic `__init__` takes the fields by
+    position or keyword; a class built thousands of times per command sets
+    them in its own `__init__` with `object.__setattr__`, which is faster.
     """
 
-    _field = ""
+    _fields: tuple[str, ...] = ()
 
-    def _value(self):
-        return getattr(self, self._field)
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or set(values) != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._value() == other._value()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self._value(),))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"{type(self).__qualname__}({self._field}={self._value()!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -191,7 +204,7 @@ class PolarizationMatrix(_Frozen):
     pullbacks (e.g. along norm endomorphisms) and are accepted too.
     """
 
-    _field = "rows"
+    _fields = ("rows",)
     rows: IntRows
 
     def __init__(self, rows: Sequence[Sequence[int]]):
@@ -242,7 +255,7 @@ class SublatticeInclusion(_Frozen):
     the subgroup they generate is a subtorus and not a finite extension.
     """
 
-    _field = "columns"
+    _fields = ("columns",)
     columns: IntRows  # stored row-major, shape d x r
 
     def __init__(self, columns: Sequence[Sequence[int]]):

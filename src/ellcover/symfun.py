@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
     InvalidPoint,
     SumNotZero,
 )
+from .polarization import _Frozen
 
 #: relative threshold below which the SVD kernel is considered ambiguous
 _COND_FLOOR = 1e-10
@@ -41,14 +41,14 @@ _ROOT_CLUSTER = 1e-5
 _ROOT_POLISH_STEPS = 3
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(_Frozen):
     """A point of P^m with a canonical representative.
 
     Coordinates are divided by the entry of largest modulus, which therefore
     becomes exactly 1+0j; equality is Fubini-Study chordal distance below tol.
     """
 
+    _fields = ("coords",)
     coords: tuple[complex, ...]
 
     @classmethod

@@ -6,9 +6,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellcover import NotVeryAmpleWarning
-from ellcover.cli import SEED_ENV_VAR, main
+from ellcover.cli import SEED_ENV_VAR, _emit_json, main
 
 
 def run(argv, capsys=None):
@@ -278,6 +280,26 @@ class TestConfigResolution:
         config = json.loads(out[out.index("{") :])["config"]
         assert config["eps_proj"] == 1 and config["eps_pt"] == 1e-9
         assert config["order_cap"] == 100_000
+
+
+class TestEmitJson:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            # printable ASCII and its neighbours: controls, DEL, Latin-1
+            st.text(st.characters(min_codepoint=0, max_codepoint=0xFF)),
+        )
+    )
+    @example("")
+    @example('say "hi"')
+    @example("back\\slash")
+    @example("tab\tnewline\n\x00\x1f")
+    @example("del\x7f")
+    @example("caf\u00e9 \u2028 \U0001f600")
+    @example("lone \ud800")
+    def test_strings_match_json_dumps(self, text):
+        assert _emit_json(text) == json.dumps(text)
 
 
 class TestConstructCommand:

@@ -25,8 +25,6 @@ from ellcover import (
     wp,
 )
 
-import dataclasses
-
 from ellcover import FiniteActionGroup, batch, covers
 from ellcover.covers import (
     EPS_GENERIC,
@@ -681,7 +679,17 @@ def test_index_two_subgroup_fails(lattice, q2, construction):
         if g.matrix[0][0] * g.matrix[1][1] - g.matrix[0][1] * g.matrix[1][0] == 1
     )
     assert 2 * len(kept) == spec.group.order
-    half = dataclasses.replace(spec, group=FiniteActionGroup(2, (), kept))
+    half = CoverSpec(
+        construction=spec.construction,
+        d=spec.d,
+        curve=spec.curve,
+        q0=spec.q0,
+        quotient=spec.quotient,
+        group=FiniteActionGroup(2, (), kept),
+        polarization=spec.polarization,
+        theoretical_degree=spec.theoretical_degree,
+        very_ample=spec.very_ample,
+    )
     report = galois_verify(half, samples=10, seed=1)
     generic = [r for r in report.samples if r.generic]
     assert len(generic) == 10

@@ -205,6 +205,28 @@ def test_maps_in_at_most_two_calls(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_maps_in_chunks_of_rows(monkeypatch, construction):
+    spec = _cover(construction, 2, ("1/3,0",))
+    probes = _probe_points(spec)
+    rows, failed = spec.map_array(probes)
+    whole = criterion_check(spec)
+    calls = []
+    original = CoverSpec.map_array
+
+    def counted(self, coords):
+        calls.append(len(coords))
+        return original(self, coords)
+
+    monkeypatch.setattr(CoverSpec, "map_array", counted)
+    monkeypatch.setattr(covers, "_CHUNK_ROWS", 7)
+    chunked, chunked_failed = covers._map_in_chunks(spec, probes)
+    assert chunked.tobytes() == rows.tobytes()
+    assert np.array_equal(chunked_failed, failed)
+    assert criterion_check(spec) == whole
+    assert max(calls) == 7 and sum(calls) > len(probes)
+
+
 def test_invariance_spreads_in_one_call(monkeypatch):
     # the ten checked points and their generator images: one owner each
     spec = _cover("A", 2, ("1/2,0",))

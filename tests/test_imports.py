@@ -2,10 +2,12 @@
 
 Only `covers`, `symfun` and `batch` import numpy.  `construct` builds a
 cover from the exact layers (`construction`, `groups`, `elliptic`,
-`polarization`), so it must run with numpy made unimportable and print the
-same bytes as with numpy.  `intersection` and `report` need only
-`polarization`, so they must leave every cover layer unloaded too, and run
-with `dataclasses` and `fractions` made unimportable as well.
+`polarization`), so it must run with numpy, `dataclasses` and `json` made
+unimportable and print the same bytes as a plain run.  `verify` loads numpy
+but must run with `dataclasses` and `json` made unimportable and write the
+same report.  `intersection` and `report` need only `polarization`, so
+they must leave every cover layer unloaded too, and run with numpy,
+`dataclasses` and `fractions` made unimportable.
 """
 
 import importlib
@@ -42,7 +44,7 @@ loaded = sorted(m for m in sys.modules if m.startswith("ellcover."))
 assert not loaded, loaded
 from ellcover.cli import main
 
-if sys.argv[2] == "construct":
+if sys.argv[2] in ("construct", "verify"):
     code = main(sys.argv[2:])
 else:
     for argv in {INTERSECTIONS!r}:
@@ -88,6 +90,11 @@ def test_exact_commands_run_without_numpy(tmp_path):
     assert proc.stdout == b"".join(p.stdout for p in plain)
 
 
+#: the blocked modules of `construct`, and of `verify`
+CONSTRUCT_BLOCKED = ["numpy", "dataclasses", "json"]
+VERIFY_BLOCKED = ["dataclasses", "json"]
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -101,13 +108,24 @@ def test_exact_commands_run_without_numpy(tmp_path):
     ],
 )
 def test_construct_runs_without_numpy(shape):
-    blocked = _run(["construct", *shape], blocked=["numpy"])
+    blocked = _run(["construct", *shape], blocked=CONSTRUCT_BLOCKED)
     assert blocked.returncode == 0, blocked.stderr
     assert not {f"ellcover.{m}" for m in NUMERIC_LAYERS} & _loaded(blocked)
     assert {f"ellcover.{m}" for m in COVER_LAYERS} <= _loaded(blocked)
-    with_numpy = _run(["construct", *shape])
-    assert with_numpy.returncode == 0, with_numpy.stderr
-    assert blocked.stdout == with_numpy.stdout
+    plain = _run(["construct", *shape])
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_verify_runs_without_dataclasses_or_json(tmp_path, construction):
+    argv = ["verify", "--construction", construction, "--d", "2", "--samples", "5"]
+    blocked = _run(argv + ["--output", str(tmp_path / "blocked.json")], blocked=VERIFY_BLOCKED)
+    assert blocked.returncode == 0, blocked.stderr
+    assert {f"ellcover.{m}" for m in NUMERIC_LAYERS} <= _loaded(blocked)
+    plain = _run(argv + ["--output", str(tmp_path / "plain.json")])
+    assert plain.returncode == 0, plain.stderr
+    assert (tmp_path / "blocked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 class TestLazyNamespace:
