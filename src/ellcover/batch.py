@@ -5,7 +5,8 @@ or `symfun` on a stack of points in numpy passes.  `t_series_array` (wp),
 `wp_inverse_array`, `divisors_to_coords` and `section_zeros_array` are the
 only ones of their kind: the scalar `wp`, `wp_prime`, `centred_values`,
 `wp_inverse`, `divisor_to_coords` and `section_zeros` are their one-row
-calls.  The covers' maps and fibers, the only ones, are built from them:
+calls.  `divisors_to_coords` solves each distinct sorted divisor once.
+The covers' maps and fibers, the only ones, are built from them:
 verification and the criterion probes both run them.
 """
 
@@ -307,19 +308,33 @@ def divisors_to_coords(points: np.ndarray, basis: SectionBasis) -> tuple[np.ndar
     Returns the N x n section coordinates, rows normalized as
     `ProjectivePoint.normalize` does, and a mask of the rows with no
     section: a degenerate system (`_COND_FLOOR`) or a kernel that does not
-    normalize.  A divisor's points are sorted and each is joined to the
-    first earlier one within EPS_PT, so their order does not matter.  The
+    normalize.  A divisor's points are sorted, so their order does not
+    matter, and each distinct sorted divisor, told apart by its bytes
+    (-0.0 is not 0.0), is solved once (`_solve_sorted`); its copies take
+    its row and mask.  Each row depends on its own divisor alone.
+    """
+    count, n = points.shape[:2]
+    pts = points[np.arange(count)[:, None], np.lexsort((points[..., 1], points[..., 0]), axis=-1)]
+    flat = pts.reshape(count, 2 * n)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * 2 * n)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    out, invalid = _solve_sorted(pts[first], basis)
+    return out[inverse], invalid[inverse]
+
+
+def _solve_sorted(pts: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
+    """`divisors_to_coords` of N divisors whose points are sorted by (a, b), one solve each.
+
+    Each point is joined to the first earlier one within EPS_PT.  The
     k-th copy of a point gives the (k-1)-th z-derivative of the basis there; the k-th copy of
     the origin strikes the basis element of pole order n+1-k, the n-th
     none.  Within EPS_PT of a half period wp' is taken as 0, its exact
     value, so at n = 2 a second copy, which the sum forces to a half
-    period, gives a zero row: every section of O(2*[0]) is even.  Each
-    row depends on its own divisor alone.
+    period, gives a zero row: every section of O(2*[0]) is even.
     """
-    count = len(points)
+    count = len(pts)
     n = basis.n
     index = np.arange(count)[:, None]
-    pts = points[index, np.lexsort((points[..., 1], points[..., 0]), axis=-1)]
     rep = np.tile(np.arange(n), (count, 1))
     for k in range(1, n):
         for j in range(k - 1, -1, -1):  # the earliest representative wins

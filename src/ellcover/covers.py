@@ -283,7 +283,7 @@ def _match_as_sets(
 #: images per chunk of `galois_verify`: consecutive samples are verified
 #: together, in numpy passes over at most this many rows or one sample's.
 #: Larger chunks save no more time per sample, and the passes' temporaries
-#: grow with them: 2,500 images of B d=1 in one chunk add ~0.5 MB of RSS.
+#: grow with them.
 _CHUNK_ROWS = 1 << 10
 
 
@@ -449,17 +449,23 @@ def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
     return np.concatenate([diagonal.reshape(m * m, d, 2), coords_array(probes)])
 
 
-def _map_in_chunks(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _map_in_chunks(
+    spec: CoverSpec, coords: np.ndarray, keep: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """`spec.map_array` of N point tuples, in calls of at most `_CHUNK_ROWS` rows.
 
-    A row depends on its own tuple alone, so the result is the single
-    call's, bit for bit; only the temporaries shrink.
+    Returns the rows of the first `keep` tuples (all N by default) and the
+    failure mask of all N.  A row depends on its own tuple alone, so the
+    result is the single call's, bit for bit; only the temporaries shrink.
     """
-    parts = [
-        spec.map_array(coords[start : start + _CHUNK_ROWS])
-        for start in range(0, len(coords), _CHUNK_ROWS)
-    ]
-    return np.concatenate([rows for rows, _ in parts]), np.concatenate([failed for _, failed in parts])
+    keep = len(coords) if keep is None else keep
+    rows, failed = [], []
+    for start in range(0, len(coords), _CHUNK_ROWS):
+        part, fail = spec.map_array(coords[start : start + _CHUNK_ROWS])
+        # a copy, so that the rows not kept are freed with their chunk
+        rows.append(part[: max(keep - start, 0)].copy())
+        failed.append(fail)
+    return np.concatenate(rows), np.concatenate(failed)
 
 
 def criterion_check(
@@ -476,8 +482,9 @@ def criterion_check(
     and the probes are mapped together, and the perturbations of the
     probes that fail to map after them, each in `map_array` calls of at
     most `_CHUNK_ROWS` rows, so that the maps' temporaries stay bounded
-    whatever the grid; the ten spreads of (2) are one `projective_spreads`
-    call.
+    whatever the grid; only the rows of (2) are kept, and of the probes
+    and their perturbations only the failure masks.  The ten spreads of (2) are one
+    `projective_spreads` call.
     """
     check_probe_grid(spec)
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
@@ -494,8 +501,8 @@ def criterion_check(
     generators = spec.group.generators
     moved = coords_array([q for p in points for q in (p, *(g.apply(p) for g in generators))])
     probes = _probe_points(spec, seed)
-    rows, failed = _map_in_chunks(spec, np.concatenate([moved, probes]))
-    mapped = rows[: len(moved)].reshape(len(points), -1, spec.d + 1)
+    rows, failed = _map_in_chunks(spec, np.concatenate([moved, probes]), keep=len(moved))
+    mapped = rows.reshape(len(points), -1, spec.d + 1)
     checked = np.flatnonzero(~failed[: len(moved)].reshape(len(points), -1).any(axis=1))[:10]
     owner = np.repeat(np.arange(len(checked)), mapped.shape[1])
     spreads = projective_spreads(
@@ -511,7 +518,7 @@ def criterion_check(
     basepoint_ok = True
     if len(retry):
         perturbed = _frac_array(probes[retry, None] + 1e-3 * shifts[retry])
-        _, failed = _map_in_chunks(spec, perturbed.reshape(-1, spec.d, 2))
+        _, failed = _map_in_chunks(spec, perturbed.reshape(-1, spec.d, 2), keep=0)
         basepoint_ok = not failed.reshape(-1, 3).all(axis=1).any()
     return CriterionReport(
         order_ok=order_ok,

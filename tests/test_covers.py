@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -455,15 +456,19 @@ class TestGaloisVerify:
         assert all(rec.generic and rec.fiber_match for rec in report.samples)
         assert report.passed
 
-    def test_jobs_do_not_change_results(self, q2, monkeypatch):
-        # whole records, spread bits included, in one chunk and split into
-        # chunks of 3 samples shared out to four threads
-        spec = _build("B", 1, q2, LatticeTau.from_tau(complex(*TERMS_VARY)))
-        seq = galois_verify(spec, samples=10, seed=3, jobs=1)
-        monkeypatch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.order)
-        par = galois_verify(spec, samples=10, seed=3, jobs=4)
-        assert _bits(seq.samples) == _bits(par.samples)
-        assert seq.passed == par.passed
+    def test_jobs_do_not_change_results(self, monkeypatch):
+        # whole records, spread bits included, in the default chunks and
+        # split into chunks of 3 samples shared out to four threads; at
+        # d = 3 each chunk solves its own distinct divisors
+        lattice = LatticeTau.from_tau(complex(*TERMS_VARY))
+        for d, q0 in ((1, "1/2,0"), (3, "1/3,0")):
+            spec = _build("B", d, FiniteSubgroupSpec.parse((q0,)), lattice)
+            seq = galois_verify(spec, samples=10, seed=3, jobs=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.order)
+                par = galois_verify(spec, samples=10, seed=3, jobs=4)
+            assert _bits(seq.samples) == _bits(par.samples)
+            assert seq.passed == par.passed
 
     def test_images_are_computed_once_per_sample(self, lattice, q2, monkeypatch):
         # the stabilizer and the orbit both come from one array of images,
@@ -505,6 +510,69 @@ def test_map_rows_do_not_depend_on_the_stack(construction, d, tau, q0):
         row, fail = spec.map_array(coords[k : k + 1])
         assert row[0].tobytes() == rows[k].tobytes()
         assert fail[0] == failed[k]
+
+
+def _divisor_stack(d, rng):
+    """Divisors of n = d+1 points on E/Q0 (coordinates, N x n x 2), most of them repeated.
+
+    Every order of one generic divisor, exact copies of it, and a divisor
+    with a repeated point, one with copies of the origin (also written with
+    -0.0) and one with a half period, each in two orders; from d = 3 on,
+    n points 1.01e-9 apart, one step more than EPS_PT, which leave the
+    system degenerate.
+    """
+
+    def closed(points):
+        points = np.array(points, dtype=float).reshape(-1, 2)
+        return np.concatenate([points, [-points.sum(axis=0) % 1.0]])
+
+    ys = [(rng.random(), rng.random()) for _ in range(d)]
+    generic = closed(ys)
+    special = [
+        closed([ys[0], *ys[: d - 1]]) if d > 1 else np.array([[0.5, 0.0], [0.5, 0.0]]),
+        closed([(0.0, 0.0), (0.0, 0.0), *ys[: d - 2]]) if d > 1 else np.zeros((2, 2)),
+        closed([(0.5, 0.5), *ys[: d - 1]]),
+    ]
+    special.append(np.where(special[1] == 0, -0.0, special[1]))
+    if d >= 3:
+        special.append(np.array(ys[0]) + np.array([1.01e-9, 0.0]) * np.arange(d + 1)[:, None])
+    stack = [generic[list(order)] for order in itertools.permutations(range(d + 1))]
+    stack += [generic, generic] + special + [s[::-1] for s in special]
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_repeated_divisors_are_solved_once(d, monkeypatch):
+    # each row and mask entry equals its divisor solved alone, bit for bit,
+    # and the solve sees each distinct sorted divisor once
+    spec = _build("B", d, FiniteSubgroupSpec.parse(("1/2,0",)), LatticeTau.from_tau(complex(*TERMS_VARY)))
+    stack = _divisor_stack(d, random.Random(7))
+    solved = []
+    original = batch._solve_sorted
+
+    def spy(pts, basis):
+        solved.extend(row.tobytes() for row in pts)
+        return original(pts, basis)
+
+    monkeypatch.setattr(batch, "_solve_sorted", spy)
+    rows, failed = divisors_to_coords(stack, spec.basis)
+    distinct = {np.array(sorted(map(tuple, div.tolist()))).tobytes() for div in stack}
+    assert len(solved) == len(set(solved)) and set(solved) == distinct
+    assert len(distinct) == (6 if d >= 3 else 5)
+    for k in range(len(stack)):
+        row, fail = divisors_to_coords(stack[k : k + 1], spec.basis)
+        assert row[0].tobytes() == rows[k].tobytes()
+        assert fail[0] == failed[k]
+    # the degenerate divisor, in both orders, is the last special one
+    assert np.flatnonzero(failed).tolist() == ([len(stack) - 6, len(stack) - 1] if d >= 3 else [])
+    # a stack of one distinct divisor: every order of the generic one
+    orders = stack[: math.factorial(d + 1)]
+    alone, alone_failed = divisors_to_coords(orders[:1], spec.basis)
+    rows, failed = divisors_to_coords(orders, spec.basis)
+    assert all(row.tobytes() == alone[0].tobytes() for row in rows)
+    assert failed.tolist() == alone_failed.tolist() * len(orders)
+    rows, failed = divisors_to_coords(np.empty((0, d + 1, 2)), spec.basis)
+    assert rows.shape == (0, d + 1) and failed.shape == (0,)
 
 
 ORACLE_SPECS = [
