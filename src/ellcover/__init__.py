@@ -37,9 +37,10 @@ _EXPORTS = {
     "groups": (
         "AffineAutomorphism", "FiniteActionGroup", "build_group_A", "build_group_B",
     ),
+    "isogeny": ("SublatticeInclusion", "norm_endomorphism", "pullback"),
     "polarization": (
-        "PolarizationMatrix", "SublatticeInclusion", "chi", "isogeny_degree_factor",
-        "mixed_intersection", "norm_endomorphism", "pullback", "self_intersection",
+        "PolarizationMatrix", "chi", "isogeny_degree_factor", "mixed_intersection",
+        "self_intersection",
     ),
     "symfun": (
         "ProjectivePoint", "SectionBasis", "divisor_to_coords", "projective_spread",

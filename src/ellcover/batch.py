@@ -32,7 +32,7 @@ from .elliptic import (
     _wp_kernel,
 )
 from .errors import DegenerateSection, InvalidOrder, InvalidPoint, NoConvergence
-from .groups import FiniteActionGroup, PointTuple
+from .groups import AffineAutomorphism, FiniteActionGroup, PointTuple
 from .symfun import (
     _COND_FLOOR,
     SectionBasis,
@@ -67,53 +67,59 @@ def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
     return flat.reshape(len(points), -1, 2)
 
 
-def pack(group: FiniteActionGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(matrices, translations) of all elements, shapes |G| x d x d and |G| x d x 2.
+def pack(elements: Sequence[AffineAutomorphism], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(matrices, translations) of automorphisms of E^dim, shapes K x dim x dim and K x dim x 2.
 
     Translations are integer numerators over one common denominator N,
     divided once: a single IEEE division of exact integers rounds like
     `float(Fraction)`, so the shifts equal those `AffineAutomorphism.apply`
-    starts from.  `FiniteActionGroup._packed` keeps the result.
+    starts from.  `FiniteActionGroup._packed` keeps a group's elements packed.
     """
-    d = group.dim
-    matrices = np.array([e.matrix for e in group.elements], dtype=np.int64)
-    matrices = matrices.reshape(group.order, d, d)
+    count = len(elements)
+    matrices = np.array([e.matrix for e in elements], dtype=np.int64)
+    matrices = matrices.reshape(count, dim, dim)
     den = math.lcm(
-        *(c.denominator for e in group.elements for pair in e.translation for c in pair)
+        *(c.denominator for e in elements for pair in e.translation for c in pair)
     )
     numerators = np.fromiter(
         (
             c.numerator * (den // c.denominator)
-            for e in group.elements
+            for e in elements
             for pair in e.translation
             for c in pair
         ),
         dtype=np.int64,
-        count=group.order * d * 2,
-    ).reshape(group.order, d, 2)
+        count=count * dim * 2,
+    ).reshape(count, dim, 2)
     return matrices, numerators / den
 
 
-def images(group: FiniteActionGroup, points: Sequence[PointTuple]) -> np.ndarray:
-    """Coordinates (a, b) of g(point) for every point and element g, shape P x |G| x d x 2.
+def move(packed: tuple[np.ndarray, np.ndarray], coords: np.ndarray) -> np.ndarray:
+    """Coordinates of g(point) for the P points `coords` and the K packed g, P x K x d x 2.
 
     Bit-identical to `g.apply(point)`: each coordinate starts from the
     translation, adds m_ij * point_j for j = 0..d-1 in order (adding a
     zero product leaves the sum unchanged), and is reduced by `_frac`.
     """
-    d = group.dim
-    for point in points:
-        if len(point) != d:
-            raise InvalidOrder(f"point has {len(point)} components, expected {d}")
-    matrices, shifts = group._packed
-    coords = coords_array(points)[:, None]
-    out = np.empty((len(points), group.order, d, 2))
+    matrices, shifts = packed
+    count, d = shifts.shape[:2]
+    coords = coords[:, None]
+    out = np.empty((len(coords), count, d, 2))
     for i in range(d):
-        acc = np.repeat(shifts[None, :, i], len(points), axis=0)
+        acc = np.repeat(shifts[None, :, i], len(coords), axis=0)
         for j in range(d):
             acc += matrices[:, i, j, None] * coords[:, :, j]
         out[:, :, i] = _frac_array(acc)
     return out
+
+
+def images(group: FiniteActionGroup, points: Sequence[PointTuple]) -> np.ndarray:
+    """Coordinates (a, b) of g(point) for every point and element g, shape P x |G| x d x 2."""
+    d = group.dim
+    for point in points:
+        if len(point) != d:
+            raise InvalidOrder(f"point has {len(point)} components, expected {d}")
+    return move(group._packed, coords_array(points))
 
 
 def orbit_indices(found: np.ndarray, tol: float = EPS_PT) -> np.ndarray:

@@ -11,18 +11,8 @@ digits, atomic write.  Exit codes: 0 success/pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
-from typing import (
-    TYPE_CHECKING,
-    Optional,
-    Sequence,
-    Union,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import EllcoverError, ConfigError
 from .polarization import (
@@ -33,105 +23,19 @@ from .polarization import (
 )
 
 if TYPE_CHECKING:
-    from .construction import CoverSpec, RunConfig
-    from .covers import CriterionReport, VerificationReport
+    from .covers import VerificationReport
 
-# The cover layers are imported inside the commands that use them:
-# `intersection` and `report` load none of them, nor `fractions`, and
-# `construct` loads `construction` but not the numpy layers (covers,
-# symfun, batch).  No command loads `dataclasses`, and `construct` and
-# `verify` load `json` only to read a `--config` file or to quote a string
-# that is not printable ASCII.
+# This module is the argparse front end and the `intersection` command, so
+# `intersection` compiles and loads only it, `errors` and `polarization`.
+# Everything else is imported inside the commands that use it: config
+# resolution, the JSON writer and the `report` renderer from `commands`
+# (for `construct`, `verify` and `report`), the cover layers from
+# `construction` on, and numpy only with `verify` (covers, symfun, batch).
+# No command loads `dataclasses` or `isogeny`, `intersection` and `report`
+# load no `fractions`, and `construct` and `verify` load `json` only to
+# read a `--config` file or to quote a string that is not printable ASCII.
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
-
-
-def _emit_json(value, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, %.17g floats, 2-space indent."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_emit_json(v, indent + 1)}' for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq)
-        if flat:
-            return "[" + ", ".join(_emit_json(v) for v in seq) + "]"
-        items = [f"{pad}  {_emit_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return "%.17g" % value
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        # printable ASCII without quote or backslash is its own JSON body
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
-            return f'"{value}"'
-        import json
-
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _write_atomic(path: str, text: str) -> None:
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path!r}: {exc.strerror}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _report_payload(
-    cfg: RunConfig,
-    spec: CoverSpec,
-    report: VerificationReport,
-    criterion: CriterionReport,
-) -> dict:
-    overall = report.passed and criterion.all_ok
-    return {
-        "config": cfg.as_json_dict(),
-        "construction": spec.construction,
-        "group_order": spec.group.order,
-        "samples": [
-            {
-                "index": r.index,
-                "point": [[p.a, p.b] for p in r.point],
-                "generic": r.generic,
-                "orbit_size": r.orbit_size,
-                "image_spread": r.image_spread,
-                "fiber_match": r.fiber_match,
-            }
-            for r in report.samples
-        ],
-        "criterion": {
-            "order_ok": criterion.order_ok,
-            "invariance_ok": criterion.invariance_ok,
-            "basepoint_ok": criterion.basepoint_ok,
-            "very_ample": criterion.very_ample,
-        },
-        "pass": overall,
-    }
 
 
 def _parse_matrix(text: str) -> PolarizationMatrix:
@@ -156,113 +60,10 @@ def _parse_matrix_power(text: str) -> tuple[PolarizationMatrix, int]:
     return _parse_matrix(head), a
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type `hint` of a RunConfig field."""
-    if get_origin(hint) is Union:
-        return any(_fits(value, h) for h in get_args(hint))
-    if get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    from .construction import RunConfig
-    from .elliptic import EPS_PROJ, EPS_PT
-    from .groups import DEFAULT_ORDER_CAP
-
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        import json
-
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {args.config!r} must hold a JSON object")
-        hints = get_type_hints(RunConfig)
-        for key, value in data.items():
-            if key not in hints:
-                raise ConfigError(f"unknown config key {key!r} in {args.config!r}")
-            if not _fits(value, hints[key]):
-                raise ConfigError(
-                    f"config key {key!r} in {args.config!r} must be "
-                    f"{RunConfig.__annotations__[key]}, got {value!r}"
-                )
-            setattr(cfg, key, tuple(value) if key == "q0" else value)
-    for name in RunConfig._fields:
-        flag = getattr(args, name, None)
-        if name != "q0" and flag is not None:
-            setattr(cfg, name, flag)
-    if getattr(args, "q0", None):
-        cfg.q0 = tuple(args.q0)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-            ) from exc
-    defaults = {"eps_pt": EPS_PT, "eps_proj": EPS_PROJ, "order_cap": DEFAULT_ORDER_CAP}
-    for name, value in defaults.items():
-        if getattr(cfg, name) is None:
-            setattr(cfg, name, value)
-    if cfg.construction not in ("A", "B"):
-        raise ConfigError(f"construction must be A or B, got {cfg.construction!r}")
-    if cfg.d < 1:
-        raise ConfigError(f"d must be >= 1, got {cfg.d}")
-    if cfg.samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
-    for name in ("eps_pt", "eps_proj"):
-        value = getattr(cfg, name)
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
-    if cfg.output:
-        _check_output(cfg.output)
-    return cfg
-
-
-def _check_output(path: str) -> None:
-    """Raise ConfigError now if `_write_atomic` could not write `path` after the run."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        problem = "it is a directory"
-    elif not os.path.isdir(directory):
-        problem = f"directory {directory!r} does not exist"
-    elif not os.access(directory, os.W_OK | os.X_OK):
-        problem = f"directory {directory!r} is not writable"
-    else:
-        return
-    raise ConfigError(f"cannot write output {path!r}: {problem}")
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    spec = cfg.build_spec()
-    summary = {
-        "config": cfg.as_json_dict(),
-        "construction": spec.construction,
-        "group_order": spec.group.order,
-        "polarization": [list(row) for row in spec.polarization.rows],
-        "theoretical_degree": spec.theoretical_degree,
-        "very_ample": spec.very_ample,
-    }
-    print(f"construction {spec.construction}: d={spec.d}, |Q0|={spec.q0.order}")
-    print(f"group order {spec.group.order}, theoretical degree {spec.theoretical_degree}")
-    print(f"polarization {spec.polarization.rows}")
-    print(f"very ample preconditions: {spec.very_ample}")
-    text = _emit_json(summary) + "\n"
-    if cfg.output:
-        _write_atomic(cfg.output, text)
-    else:
-        print(text, end="")
-    return 0
+    from .commands import _resolve_config, construct
+
+    return construct(_resolve_config(args, SEED_ENV_VAR))
 
 
 def galois_verify(*args, **kwargs) -> VerificationReport:
@@ -276,9 +77,10 @@ def galois_verify(*args, **kwargs) -> VerificationReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .commands import _emit_json, _report_payload, _resolve_config, _write_atomic
     from .covers import check_probe_grid, criterion_check
 
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, SEED_ENV_VAR)
     spec = cfg.build_spec()
     check_probe_grid(spec)  # before any sample is verified
     report = galois_verify(
@@ -320,48 +122,9 @@ def cmd_intersection(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    import json
+    from .commands import report
 
-    try:
-        with open(args.path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read report {args.path!r}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"report {args.path!r} must hold a JSON object")
-    samples = payload.get("samples", [])
-    criterion = payload.get("criterion", {})
-    if not (isinstance(samples, list) and all(isinstance(r, dict) for r in samples)):
-        raise ConfigError(f"'samples' of report {args.path!r} must be a list of objects")
-    if not all(_fits(r.get("image_spread"), Optional[float]) for r in samples):
-        raise ConfigError(f"an 'image_spread' of report {args.path!r} is not a number")
-    if not isinstance(criterion, dict):
-        raise ConfigError(f"'criterion' of report {args.path!r} must be an object")
-    passed = payload.get("pass")
-    if not isinstance(passed, bool):
-        raise ConfigError(f"'pass' of report {args.path!r} must be true or false, got {passed!r}")
-    construction = payload.get("construction", "?")
-    order = payload.get("group_order", "?")
-    print(f"construction {construction}, group order {order}")
-    for rec in samples:
-        status = "generic" if rec.get("generic") else "non-generic (excluded)"
-        spread = rec.get("image_spread")
-        spread_text = "n/a" if spread is None else f"{spread:.3e}"
-        print(
-            f"  sample {rec.get('index')}: {status}, orbit {rec.get('orbit_size')}, "
-            f"spread {spread_text}, fiber match {rec.get('fiber_match')}"
-        )
-    print(
-        "criterion: order_ok={order_ok} invariance_ok={invariance_ok} "
-        "basepoint_ok={basepoint_ok} very_ample={very_ample}".format(
-            **{
-                k: criterion.get(k)
-                for k in ("order_ok", "invariance_ok", "basepoint_ok", "very_ample")
-            }
-        )
-    )
-    print(f"pass: {passed}")
-    return 0 if passed else 1
+    return report(args.path)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

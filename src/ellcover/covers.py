@@ -27,7 +27,9 @@ from .batch import (
     images,
     lift_coords,
     map_coords,
+    move,
     orbit_indices,
+    pack,
     section_zeros_array,
     stabilizer_mask,
     t_series_array,
@@ -498,8 +500,10 @@ def criterion_check(
         )
         for _ in range(40)
     ]
-    generators = spec.group.generators
-    moved = coords_array([q for p in points for q in (p, *(g.apply(p) for g in generators))])
+    # each point, then its images under the generators, in one pass over them all
+    start = coords_array(points)
+    moved = move(pack(spec.group.generators, spec.d), start)
+    moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, spec.d, 2)
     probes = _probe_points(spec, seed)
     rows, failed = _map_in_chunks(spec, np.concatenate([moved, probes]), keep=len(moved))
     mapped = rows.reshape(len(points), -1, spec.d + 1)

@@ -12,17 +12,18 @@ that poles degrade to (1, 0) instead of overflowing.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     InvalidOrder,
     InvalidPoint,
     InvalidSubgroup,
 )
-from .polarization import _Frozen, _hermite_2x2
+from .polarization import _Frozen
 
 #: default tolerance for torus-point equality (toroidal sup metric on (a, b))
 EPS_PT = 1e-9
@@ -388,6 +389,38 @@ class IsogenyQuotient(_Frozen):
     def lifts(self, w: TorusPoint) -> list[TorusPoint]:
         """All |Q0| preimages on the source curve of a target point."""
         return [reduce_point(w.z + z, self.source) for z in self._lift_offsets]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _hermite_2x2(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Column Hermite normal form [[a, b], [0, c]] of the lattice the vectors span.
+
+    c is the gcd of the second coordinates, a*c the gcd of the 2x2 minors
+    (the covolume), and b the first coordinate of a lattice vector with
+    second coordinate c, reduced to 0 <= b < a.  The form is unique, so the
+    basis (a, 0), (b, c) does not depend on how the vectors are listed.
+    """
+    x, c = 0, 0  # a lattice vector whose second coordinate c is the gcd so far
+    for u, v in vectors:
+        c, s, t = _xgcd(c, v)
+        x = s * x + t * u
+    covolume = 0
+    for p, q in itertools.combinations(vectors, 2):
+        covolume = math.gcd(covolume, p[0] * q[1] - p[1] * q[0])
+    if covolume == 0:
+        raise InvalidSubgroup("vectors do not span a rank-2 lattice")
+    a = covolume // c
+    return ((a, x % a), (0, c))
 
 
 def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuotient:

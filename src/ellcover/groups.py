@@ -12,11 +12,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint, _frac
 from .errors import InvalidOrder, OrderCapExceeded
-from .polarization import _det_bareiss, _fraction_inverse, _Frozen, _matmul
+from .polarization import _det_bareiss, _Frozen, _matmul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Translation = tuple[tuple[Fraction, Fraction], ...]
@@ -57,6 +57,8 @@ def _mat_apply_translation(m: IntMatrix, t: Translation) -> Translation:
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with det +-1, which is integral."""
+    from .isogeny import _fraction_inverse  # no command inverts an element
+
     det = _det_bareiss(m)
     if det not in (1, -1):
         raise InvalidOrder(f"matrix with det {det} is not an automorphism of E^d")
@@ -131,26 +133,39 @@ class AffineAutomorphism(_Frozen):
 class FiniteActionGroup:
     """A finite group of affine automorphisms; element list sorted for reproducibility.
 
-    `orbit` and `stabilizer` act with every element at once through
-    `batch`, imported at call time so that building a group loads no numpy.
+    `elements` is the sorted tuple itself, or a function that lists it on
+    first use, in which case `order` gives its length: `construct` needs
+    only the order.  `orbit` and `stabilizer` act with every element at
+    once through `batch`, imported at call time so that building a group
+    loads no numpy.
     """
 
     def __init__(self, dim: int, generators: Sequence[AffineAutomorphism],
-                 elements: tuple[AffineAutomorphism, ...]):
+                 elements: tuple[AffineAutomorphism, ...] | Callable[[], tuple],
+                 order: int | None = None):
         self.dim = dim
         self.generators = tuple(generators)
-        self.elements = elements
+        if callable(elements):
+            self._list_elements = elements
+            self.order = order
+        else:
+            self.elements = elements
+            self.order = len(elements)
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def elements(self) -> tuple[AffineAutomorphism, ...]:
+        return self._list_elements()
+
+    def __reduce__(self):
+        # a copy holds the listed elements, not the function that lists them
+        return FiniteActionGroup, (self.dim, self.generators, self.elements)
 
     @cached_property
     def _packed(self):
         """`batch.pack` of the elements, kept for the next orbit."""
         from .batch import pack
 
-        return pack(self)
+        return pack(self.elements, self.dim)
 
     def orbit(self, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
         """Distinct images of a point, deduplicated in the toroidal metric.
@@ -201,24 +216,28 @@ def _transposition_generators(d: int) -> list[AffineAutomorphism]:
 def _semidirect_product(
     d: int,
     generators: Sequence[AffineAutomorphism],
-    matrices: Iterable[IntMatrix],
+    matrices: Callable[[], Iterable[IntMatrix]],
     count: int,
     q0: FiniteSubgroupSpec,
     cap: int,
 ) -> FiniteActionGroup:
     """All pairs (M, t) with M in a finite matrix group that preserves Q0^d, t in Q0^d.
 
-    The order count * |Q0|^d is checked against cap before the lazy
-    `matrices`, `count` of them, are listed.  Sorted matrices times the
+    The order count * |Q0|^d comes from the closed form and is checked
+    against cap; the `count` matrices that `matrices()` yields are listed
+    only when the elements are first used.  Sorted matrices times the
     translations in lexicographic order list the elements sorted by
     (matrix, translation).
     """
     order = count * q0.order**d
     if order > cap:
         raise OrderCapExceeded(f"group order {order} exceeds cap {cap}")
-    shifts = list(itertools.product(q0.elements, repeat=d))
-    elements = tuple(AffineAutomorphism(m, t) for m in sorted(matrices) for t in shifts)
-    return FiniteActionGroup(d, generators, elements)
+
+    def elements() -> tuple[AffineAutomorphism, ...]:
+        shifts = list(itertools.product(q0.elements, repeat=d))
+        return tuple(AffineAutomorphism(m, t) for m in sorted(matrices()) for t in shifts)
+
+    return FiniteActionGroup(d, generators, elements, order)
 
 
 def build_group_A(
@@ -241,13 +260,16 @@ def build_group_A(
         )
     gens.extend(_transposition_generators(d))
     gens.extend(_translation_generators(d, q0))
-    matrices = (
-        tuple(
-            tuple(sign[i] if j == perm[i] else 0 for j in range(d)) for i in range(d)
+
+    def matrices():
+        return (
+            tuple(
+                tuple(sign[i] if j == perm[i] else 0 for j in range(d)) for i in range(d)
+            )
+            for perm in itertools.permutations(range(d))
+            for sign in itertools.product((1, -1), repeat=d)
         )
-        for perm in itertools.permutations(range(d))
-        for sign in itertools.product((1, -1), repeat=d)
-    )
+
     return _semidirect_product(d, gens, matrices, 2**d * math.factorial(d), q0, cap)
 
 
@@ -277,11 +299,14 @@ def build_group_B(
         AffineAutomorphism(tuple(tuple(r) for r in cyc), _zero_translation(d))
     )
     gens.extend(_translation_generators(d, q0))
-    matrices = (
-        tuple(
-            (-1,) * d if sigma[i] == d else tuple(int(j == sigma[i]) for j in range(d))
-            for i in range(d)
+
+    def matrices():
+        return (
+            tuple(
+                (-1,) * d if sigma[i] == d else tuple(int(j == sigma[i]) for j in range(d))
+                for i in range(d)
+            )
+            for sigma in itertools.permutations(range(d + 1))
         )
-        for sigma in itertools.permutations(range(d + 1))
-    )
+
     return _semidirect_product(d, gens, matrices, math.factorial(d + 1), q0, cap)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellcover import NotVeryAmpleWarning
-from ellcover.cli import SEED_ENV_VAR, _emit_json, main
+from ellcover.cli import SEED_ENV_VAR, main
+from ellcover.commands import _emit_json
 
 
 def run(argv, capsys=None):
@@ -179,7 +180,7 @@ class TestUnwritableOutput:
             # a root user writes through any mode bits, so deny the access check itself
             access = os.access
             monkeypatch.setattr(
-                cli.os, "access", lambda path, mode: path != str(tmp_path) and access(path, mode)
+                os, "access", lambda path, mode: path != str(tmp_path) and access(path, mode)
             )
         assert run(VERIFY_FAST + ["--output", str(target)]) == 2
         assert str(target) in capsys.readouterr().err

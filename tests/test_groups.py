@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -350,6 +351,59 @@ def test_construct_does_not_pack():
     assert "_packed" not in vars(grp)
     grp.orbit(pt((0.137, 0.261), (0.389, 0.731)))
     assert "_packed" in vars(grp)
+
+
+# the Q0 shapes of the on-demand listing: trivial, cyclic of order 2 and 3, E[2]
+LISTING_Q0 = [(), ("1/2,0",), ("1/3,0",), ("1/2,0", "0,1/2")]
+
+
+@pytest.mark.parametrize("build", [build_group_A, build_group_B])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("q0", LISTING_Q0)
+def test_elements_are_listed_on_first_use(build, d, q0):
+    spec = FiniteSubgroupSpec.parse(q0) if q0 else FiniteSubgroupSpec.trivial()
+    grp = build(d, spec)
+    assert "elements" not in vars(grp)
+    # the eager listing: the matrix group, closed from the generators' matrices
+    # and sorted, times Q0^d in lexicographic order
+    zero = AffineAutomorphism.identity(d).translation
+    linear = _closure([AffineAutomorphism(g.matrix, zero) for g in grp.generators])
+    eager = tuple(
+        AffineAutomorphism(m, t)
+        for m in sorted(e.matrix for e in linear)
+        for t in itertools.product(spec.elements, repeat=d)
+    )
+    assert grp.order == len(grp.elements)
+    assert grp.elements == eager
+    assert grp.elements is grp.elements
+
+
+@pytest.mark.parametrize("construction, q0", [("A", "1/2,0"), ("B", "1/3,0")])
+def test_construct_lists_no_element(monkeypatch, construction, q0):
+    from ellcover import cli
+    from ellcover.groups import FiniteActionGroup
+
+    built = []
+    init = FiniteActionGroup.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteActionGroup, "__init__", spy)
+    assert cli.main(["construct", "--construction", construction, "--d", "4", "--q0", q0]) == 0
+    assert len(built) == 1
+    assert "elements" not in vars(built[0])
+
+
+@pytest.mark.parametrize("build", [build_group_A, build_group_B])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_packed_generators_move_points_as_apply_does(build, d):
+    gens = build(d, FiniteSubgroupSpec.parse(("1/3,0",))).generators
+    points = _action_points(d)
+    moved = batch.move(batch.pack(gens, d), batch.coords_array(points))
+    applied = batch.coords_array([g.apply(p) for p in points for g in gens])
+    assert moved.tobytes() == applied.reshape(moved.shape).tobytes()
 
 
 def test_torsion_orbit_runs_in_bounded_memory():

@@ -1,13 +1,17 @@
 """Which modules each command loads, and the lazy `ellcover` namespace.
 
-Only `covers`, `symfun` and `batch` import numpy.  `construct` builds a
-cover from the exact layers (`construction`, `groups`, `elliptic`,
-`polarization`), so it must run with numpy, `dataclasses` and `json` made
-unimportable and print the same bytes as a plain run.  `verify` loads numpy
-but must run with `dataclasses` and `json` made unimportable and write the
-same report.  `intersection` and `report` need only `polarization`, so
-they must leave every cover layer unloaded too, and run with numpy,
-`dataclasses` and `fractions` made unimportable.
+Only `covers`, `symfun` and `batch` import numpy, and no command loads
+`isogeny`.  `intersection` needs only `cli` and `polarization`, so it must
+run with `commands`, `isogeny`, numpy, `dataclasses`, `fractions` and `json`
+made unimportable and print the same bytes as a plain run.  `report` adds
+`commands` and must run with numpy, `dataclasses` and `fractions` made
+unimportable.  `construct` builds a cover from the exact layers
+(`construction`, `groups`, `elliptic`, `polarization`), so it must run with
+numpy, `dataclasses`, `json` and `isogeny` made unimportable and print the
+same bytes as a plain run.  `verify` loads numpy but must run with
+`dataclasses`, `json` and `isogeny` made unimportable and write the same
+report.  Each command leaves exactly the `ellcover` modules of the README's
+table loaded.
 """
 
 import importlib
@@ -24,10 +28,13 @@ from ellcover import NotVeryAmpleWarning, cli, covers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: the modules that import numpy
-NUMERIC_LAYERS = ("covers", "symfun", "batch")
-#: the numpy-free modules that build a cover, which only `construct` and `verify` need
-COVER_LAYERS = ("construction", "groups", "elliptic")
+#: the `ellcover` modules each command leaves loaded
+INTERSECTION_MODULES = {"ellcover.cli", "ellcover.errors", "ellcover.polarization"}
+REPORT_MODULES = INTERSECTION_MODULES | {"ellcover.commands"}
+CONSTRUCT_MODULES = REPORT_MODULES | {
+    "ellcover.construction", "ellcover.groups", "ellcover.elliptic",
+}
+VERIFY_MODULES = CONSTRUCT_MODULES | {"ellcover.covers", "ellcover.symfun", "ellcover.batch"}
 #: one command of each intersection mode
 INTERSECTIONS = (
     ["intersection", "--self", "4 0;0 4"],
@@ -39,19 +46,23 @@ BLOCKING_SCRIPT = f"""
 import sys
 for name in sys.argv[1].split(","):
     sys.modules[name] = None  # any import of it now raises ImportError
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("ellcover.") and sys.modules[m])
+
+
 import ellcover
-loaded = sorted(m for m in sys.modules if m.startswith("ellcover."))
-assert not loaded, loaded
+assert not loaded(), loaded()
 from ellcover.cli import main
 
-if sys.argv[2] in ("construct", "verify"):
-    code = main(sys.argv[2:])
-else:
+if sys.argv[2] == "intersection":
     for argv in {INTERSECTIONS!r}:
         assert main(argv) == 0
-    code = main(["report", sys.argv[2]])
-loaded = sorted(m for m in sys.modules if m.startswith("ellcover."))
-print(" ".join(loaded), file=sys.stderr)
+    code = 0
+else:
+    code = main(sys.argv[2:])
+print(" ".join(loaded()), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -71,28 +82,36 @@ def _loaded(proc):
     return set(proc.stderr.decode().splitlines()[-1].split())
 
 
+#: the blocked modules of each command
+INTERSECTION_BLOCKED = [
+    "numpy", "dataclasses", "fractions", "json", "ellcover.commands", "ellcover.isogeny",
+]
+REPORT_BLOCKED = ["numpy", "dataclasses", "fractions", "ellcover.isogeny"]
+CONSTRUCT_BLOCKED = ["numpy", "dataclasses", "json", "ellcover.isogeny"]
+VERIFY_BLOCKED = ["dataclasses", "json", "ellcover.isogeny"]
+
+
 def test_exact_commands_run_without_numpy(tmp_path):
-    """The intersection modes and `report` with numpy, `dataclasses` and `fractions` blocked."""
+    """The intersection modes with `commands`, `isogeny`, numpy, `dataclasses`,
+    `fractions` and `json` blocked, and `report` with numpy, `dataclasses`,
+    `fractions` and `isogeny` blocked."""
     report = tmp_path / "r.json"
     argv = ["verify", "--construction", "A", "--d", "1", "--samples", "2"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotVeryAmpleWarning)
         assert cli.main(argv + ["--output", str(report)]) == 0
-    proc = _run([str(report)], blocked=["numpy", "dataclasses", "fractions"])
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.decode().splitlines()
+    intersection = _run(["intersection"], blocked=INTERSECTION_BLOCKED)
+    rendered = _run(["report", str(report)], blocked=REPORT_BLOCKED)
+    for proc in (intersection, rendered):
+        assert proc.returncode == 0, proc.stderr
+    lines = (intersection.stdout + rendered.stdout).decode().splitlines()
     assert lines[:4] == ["32", "3", "2", "construction A, group order 4"]
     assert lines[-1] == "pass: True"
-    unloaded = {f"ellcover.{m}" for m in NUMERIC_LAYERS + COVER_LAYERS}
-    assert not unloaded & _loaded(proc), _loaded(proc)
+    assert _loaded(intersection) == INTERSECTION_MODULES
+    assert _loaded(rendered) == REPORT_MODULES
     plain = [_run(argv) for argv in (*INTERSECTIONS, ["report", str(report)])]
     assert all(p.returncode == 0 for p in plain), [p.stderr for p in plain]
-    assert proc.stdout == b"".join(p.stdout for p in plain)
-
-
-#: the blocked modules of `construct`, and of `verify`
-CONSTRUCT_BLOCKED = ["numpy", "dataclasses", "json"]
-VERIFY_BLOCKED = ["dataclasses", "json"]
+    assert intersection.stdout + rendered.stdout == b"".join(p.stdout for p in plain)
 
 
 @pytest.mark.parametrize(
@@ -110,8 +129,7 @@ VERIFY_BLOCKED = ["dataclasses", "json"]
 def test_construct_runs_without_numpy(shape):
     blocked = _run(["construct", *shape], blocked=CONSTRUCT_BLOCKED)
     assert blocked.returncode == 0, blocked.stderr
-    assert not {f"ellcover.{m}" for m in NUMERIC_LAYERS} & _loaded(blocked)
-    assert {f"ellcover.{m}" for m in COVER_LAYERS} <= _loaded(blocked)
+    assert _loaded(blocked) == CONSTRUCT_MODULES
     plain = _run(["construct", *shape])
     assert plain.returncode == 0, plain.stderr
     assert blocked.stdout == plain.stdout
@@ -122,7 +140,7 @@ def test_verify_runs_without_dataclasses_or_json(tmp_path, construction):
     argv = ["verify", "--construction", construction, "--d", "2", "--samples", "5"]
     blocked = _run(argv + ["--output", str(tmp_path / "blocked.json")], blocked=VERIFY_BLOCKED)
     assert blocked.returncode == 0, blocked.stderr
-    assert {f"ellcover.{m}" for m in NUMERIC_LAYERS} <= _loaded(blocked)
+    assert _loaded(blocked) == VERIFY_MODULES
     plain = _run(argv + ["--output", str(tmp_path / "plain.json")])
     assert plain.returncode == 0, plain.stderr
     assert (tmp_path / "blocked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

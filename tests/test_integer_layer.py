@@ -19,7 +19,8 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from ellcover import FiniteSubgroupSpec, InvalidSubgroup, LatticeTau
 from ellcover.elliptic import quotient_lattice
-from ellcover.polarization import _hermite_2x2, _invariant_factors
+from ellcover.elliptic import _hermite_2x2
+from ellcover.isogeny import _invariant_factors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
