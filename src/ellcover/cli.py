@@ -77,7 +77,7 @@ def galois_verify(*args, **kwargs) -> VerificationReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .commands import _emit_json, _report_payload, _resolve_config, _write_atomic
+    from .commands import _emit, _report_payload, _resolve_config
     from .covers import check_probe_grid, criterion_check
 
     cfg = _resolve_config(args, SEED_ENV_VAR)
@@ -93,17 +93,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     criterion = criterion_check(spec, seed=cfg.seed, eps_proj=cfg.eps_proj)
     payload = _report_payload(cfg, spec, report, criterion)
-    text = _emit_json(payload) + "\n"
+    _emit(cfg, payload)
     if cfg.output:
-        _write_atomic(cfg.output, text)
         generic = sum(1 for r in report.samples if r.generic)
         print(
             f"verify {spec.construction}: group order {spec.group.order}, "
             f"{generic}/{len(report.samples)} generic samples, "
             f"pass={payload['pass']} -> {cfg.output}"
         )
-    else:
-        print(text, end="")
     return 0 if payload["pass"] else 1
 
 

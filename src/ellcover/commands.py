@@ -78,6 +78,15 @@ def _write_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _emit(cfg: RunConfig, value) -> None:
+    """Write `value` as deterministic JSON to `cfg.output`, atomically, or print it."""
+    text = _emit_json(value) + "\n"
+    if cfg.output:
+        _write_atomic(cfg.output, text)
+    else:
+        print(text, end="")
+
+
 def _report_payload(
     cfg: RunConfig,
     spec: CoverSpec,
@@ -118,7 +127,12 @@ def _fits(value, hint) -> bool:
         return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float and isinstance(value, int):
+        try:
+            return math.isfinite(float(value))
+        except OverflowError:  # past the float range
+            return False
+    return isinstance(value, hint)
 
 
 def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
@@ -129,8 +143,6 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
     compile and run it a second time.
     """
     from .construction import RunConfig
-    from .elliptic import EPS_PROJ, EPS_PT
-    from .groups import DEFAULT_ORDER_CAP
 
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -152,7 +164,8 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
                     f"config key {key!r} in {args.config!r} must be "
                     f"{RunConfig.__annotations__[key]}, got {value!r}"
                 )
-            setattr(cfg, key, tuple(value) if key == "q0" else value)
+            if value is not None:
+                setattr(cfg, key, tuple(value) if key == "q0" else value)
     for name in RunConfig._fields:
         flag = getattr(args, name, None)
         if name != "q0" and flag is not None:
@@ -167,10 +180,6 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
             raise ConfigError(
                 f"{seed_var} must be an integer, got {env_seed!r}"
             ) from exc
-    defaults = {"eps_pt": EPS_PT, "eps_proj": EPS_PROJ, "order_cap": DEFAULT_ORDER_CAP}
-    for name, value in defaults.items():
-        if getattr(cfg, name) is None:
-            setattr(cfg, name, value)
     if cfg.construction not in ("A", "B"):
         raise ConfigError(f"construction must be A or B, got {cfg.construction!r}")
     if cfg.d < 1:
@@ -217,11 +226,7 @@ def construct(cfg: RunConfig) -> int:
     print(f"group order {spec.group.order}, theoretical degree {spec.theoretical_degree}")
     print(f"polarization {spec.polarization.rows}")
     print(f"very ample preconditions: {spec.very_ample}")
-    text = _emit_json(summary) + "\n"
-    if cfg.output:
-        _write_atomic(cfg.output, text)
-    else:
-        print(text, end="")
+    _emit(cfg, summary)
     return 0
 
 

@@ -14,7 +14,8 @@ import warnings
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
-from .elliptic import FiniteSubgroupSpec, IsogenyQuotient, LatticeTau, quotient_lattice
+from .elliptic import EPS_PROJ, EPS_PT, FiniteSubgroupSpec, IsogenyQuotient, LatticeTau
+from .elliptic import quotient_lattice
 from .errors import ConfigError, IllConditioned, InvalidOrder, NotVeryAmpleWarning
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -205,10 +206,9 @@ def build_cover(
 class RunConfig:
     """Resolved run configuration; field defaults are the documented defaults.
 
-    Mutable: `cli._resolve_config` sets fields in turn from a config file,
-    flags and the environment.  `eps_pt`, `eps_proj` and `order_cap`
-    default to None (a config file may give null), which it replaces by
-    `elliptic.EPS_PT`, `elliptic.EPS_PROJ` and `groups.DEFAULT_ORDER_CAP`.
+    Mutable: `commands._resolve_config` sets fields in turn from a config
+    file, flags and the environment.  A field typed Optional admits null in
+    a config file, which keeps the default.
     """
 
     _fields = (
@@ -231,9 +231,9 @@ class RunConfig:
     q0: tuple[str, ...] = ("1/2,0",)
     samples: int = 20
     seed: int = 42
-    eps_pt: Optional[float] = None
-    eps_proj: Optional[float] = None
-    order_cap: Optional[int] = None
+    eps_pt: Optional[float] = EPS_PT
+    eps_proj: Optional[float] = EPS_PROJ
+    order_cap: Optional[int] = DEFAULT_ORDER_CAP
     output: Optional[str] = None
     jobs: int = 1
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -22,9 +23,7 @@ import numpy as np
 from .batch import (
     _frac_array,
     close_pairs,
-    coords_array,
     divisors_to_coords,
-    images,
     lift_coords,
     map_coords,
     move,
@@ -289,26 +288,36 @@ def _match_as_sets(
 _CHUNK_ROWS = 1 << 10
 
 
+def _draw(rng: random.Random, *shape: int) -> np.ndarray:
+    """The next prod(shape) `rng.random()` values, in order, as an array of that shape.
+
+    The only place where a seeded generator becomes coordinates.  A draw
+    lies in [0, 1), where `_frac` is the identity, so a row (a, b) equals
+    `TorusPoint.from_coords(curve, rng.random(), rng.random())` bit for bit.
+    """
+    n = math.prod(shape)
+    return np.fromiter((rng.random() for _ in range(n)), float, count=n).reshape(shape)
+
+
 def _verify_chunk(
-    spec: CoverSpec, points: list[PointTuple], first: int, eps_pt: float
+    spec: CoverSpec, coords: np.ndarray, first: int, eps_pt: float
 ) -> list[SampleRecord]:
     """Samples first, first + 1, ... of the protocol, in numpy passes over all their images.
 
-    Stabilizers and orbits come from one array of the samples' images; the
-    orbits are mapped as one stack and their spreads taken in one
-    `projective_spreads` call.  A generic sample's fiber target is its
-    point's own row of the map, the independent one-sample check; all
-    those fibers are recovered as one stack (`CoverSpec.fiber_array`) and
-    matched against their orbits.  Each mapped row and fiber depends on
+    `coords` holds the samples' points, N x d x 2.  Stabilizers and orbits
+    come from one array of the samples' images; the orbits are mapped as
+    one stack and their spreads taken in one `projective_spreads` call.  A
+    generic sample's fiber target is its point's own row of the map, the
+    independent one-sample check; all those fibers are recovered as one
+    stack (`CoverSpec.fiber_array`) and matched against their orbits.  Each mapped row and fiber depends on
     its own tuple alone, and the dedup, spreads and matching keep samples
     apart by `owner`, so a record does not depend on its chunk.  A sample
     with an orbit point that the map marks failed, or whose target is not
     a generic value of the map, is non-generic, not failed.
     """
-    count = len(points)
-    here = coords_array(points)
-    found = images(spec.group, points)
-    stabilizer = np.count_nonzero(stabilizer_mask(found, here, eps_pt), axis=1)
+    count = len(coords)
+    found = move(spec.group._packed, coords)
+    stabilizer = np.count_nonzero(stabilizer_mask(found, coords, eps_pt), axis=1)
     keep = orbit_indices(found, eps_pt)
     orbit = found.reshape(-1, spec.d, 2)[keep]
     owner = keep // spec.group.order
@@ -321,7 +330,7 @@ def _verify_chunk(
     if len(samples):
         # the identity's image is the point itself, bit for bit, and for a
         # generic point no other image equals it
-        rows = np.flatnonzero(np.all(orbit == here[owner], axis=(1, 2)))
+        rows = np.flatnonzero(np.all(orbit == coords[owner], axis=(1, 2)))
         targets = mapped[rows[np.searchsorted(owner[rows], samples)]]
         fibers, reasons = spec.fiber_array(targets)
         recovered = np.array([r is None for r in reasons], dtype=bool)
@@ -335,15 +344,15 @@ def _verify_chunk(
     return [
         SampleRecord(
             index=first + s,
-            point=point,
+            point=tuple(TorusPoint(spec.curve, a, b) for a, b in row),
             generic=g,
             stabilizer_size=stab,
             orbit_size=size,
             image_spread=worst,
             fiber_match=g and m,
         )
-        for s, (point, g, stab, size, worst, m) in enumerate(
-            zip(points, *(a.tolist() for a in (generic, stabilizer, sizes, spread, matched)))
+        for s, (row, g, stab, size, worst, m) in enumerate(
+            zip(*(a.tolist() for a in (coords, generic, stabilizer, sizes, spread, matched)))
         )
     ]
 
@@ -365,19 +374,12 @@ def galois_verify(
     Samples are verified in chunks of `_CHUNK_ROWS` images (`_verify_chunk`),
     which `jobs` threads share out.
     """
-    rng = random.Random(seed)
-    points = [
-        tuple(
-            TorusPoint.from_coords(spec.curve, rng.random(), rng.random())
-            for _ in range(spec.d)
-        )
-        for _ in range(samples)
-    ]
+    coords = _draw(random.Random(seed), samples, spec.d, 2)
     size = max(1, _CHUNK_ROWS // spec.group.order)
     starts = range(0, samples, size)
 
     def verify(first: int) -> list[SampleRecord]:
-        return _verify_chunk(spec, points[first : first + size], first, eps_pt)
+        return _verify_chunk(spec, coords[first : first + size], first, eps_pt)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -421,11 +423,10 @@ def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
     would be exponential; the diagonal meets every coordinate degeneration),
     all pole configurations (tuples over Q0, where the construction-A factors
     hit poles), and seeded random tuples mixing pole and generic coordinates.
-    Returns the coordinates of the probes, N x d x 2, laid out as
-    `coords_array` lays them out; the (4|Q0|)^2 diagonal probes are built
-    as one array, since a `TorusPoint` tuple per probe costs 300-700 bytes.
+    Returns the coordinates of the probes, N x d x 2.  A seeded coordinate
+    is a pole (a point of Q0, which holds the origin) or two draws, each
+    with even odds.
     """
-    curve = spec.curve
     d = spec.d
     rng = random.Random(seed)
     m = 4 * spec.q0.order
@@ -433,22 +434,13 @@ def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
     diagonal = np.empty((m, m, d, 2))
     diagonal[..., 0] = grid[:, None, None]
     diagonal[..., 1] = grid[None, :, None]
-    probes: list[PointTuple] = []
-    pole_coords = spec.q0.points_on(curve)
-    if len(pole_coords) ** d <= 512:
-        for combo in itertools.product(pole_coords, repeat=d):
-            probes.append(tuple(combo))
-    for _ in range(16):
-        tup = []
-        for _ in range(d):
-            if rng.random() < 0.5 and pole_coords:
-                tup.append(rng.choice(pole_coords))
-            else:
-                tup.append(
-                    TorusPoint.from_coords(curve, rng.random(), rng.random())
-                )
-        probes.append(tuple(tup))
-    return np.concatenate([diagonal.reshape(m * m, d, 2), coords_array(probes)])
+    poles = [(float(a), float(b)) for a, b in spec.q0.elements]
+    probes = list(itertools.product(poles, repeat=d)) if len(poles) ** d <= 512 else []
+    probes += [
+        [rng.choice(poles) if rng.random() < 0.5 else (rng.random(), rng.random()) for _ in range(d)]
+        for _ in range(16)
+    ]
+    return np.concatenate([diagonal.reshape(m * m, d, 2), np.array(probes)])
 
 
 def _map_in_chunks(
@@ -486,41 +478,34 @@ def criterion_check(
     most `_CHUNK_ROWS` rows, so that the maps' temporaries stay bounded
     whatever the grid; only the rows of (2) are kept, and of the probes
     and their perturbations only the failure masks.  The ten spreads of (2) are one
-    `projective_spreads` call.
+    `projective_spreads` call.  Perturbations are drawn only up to the last
+    probe that fails to map, and none when every probe maps.
     """
     check_probe_grid(spec)
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
     order_ok = spec.group.order == expected
 
-    rng = random.Random(seed)
-    points = [
-        tuple(
-            TorusPoint.from_coords(spec.curve, rng.random(), rng.random())
-            for _ in range(spec.d)
-        )
-        for _ in range(40)
-    ]
+    start = _draw(random.Random(seed), 40, spec.d, 2)
     # each point, then its images under the generators, in one pass over them all
-    start = coords_array(points)
     moved = move(pack(spec.group.generators, spec.d), start)
     moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, spec.d, 2)
     probes = _probe_points(spec, seed)
     rows, failed = _map_in_chunks(spec, np.concatenate([moved, probes]), keep=len(moved))
-    mapped = rows.reshape(len(points), -1, spec.d + 1)
-    checked = np.flatnonzero(~failed[: len(moved)].reshape(len(points), -1).any(axis=1))[:10]
+    mapped = rows.reshape(len(start), -1, spec.d + 1)
+    checked = np.flatnonzero(~failed[: len(moved)].reshape(len(start), -1).any(axis=1))[:10]
     owner = np.repeat(np.arange(len(checked)), mapped.shape[1])
     spreads = projective_spreads(
         mapped[checked].reshape(-1, spec.d + 1), owner, np.zeros(len(checked), dtype=bool)
     )
     invariance_ok = len(checked) == 10 and bool(np.all(spreads < eps_proj))
 
-    probe_rng = random.Random(seed + 1)
-    # every probe's 3 perturbations are drawn, each point's (a, b) shifted in turn
-    shifts = np.fromiter((probe_rng.random() for _ in range(3 * probes.size)), float)
-    shifts = shifts.reshape(len(probes), 3, spec.d, 2)
     retry = np.flatnonzero(failed[len(moved) :])
     basepoint_ok = True
     if len(retry):
+        # probe k's 3 perturbations are draws 6dk ... 6d(k+1) - 1 of one
+        # stream, each point's (a, b) shifted in turn: drawn up to the last
+        # probe retried
+        shifts = _draw(random.Random(seed + 1), int(retry[-1]) + 1, 3, spec.d, 2)
         perturbed = _frac_array(probes[retry, None] + 1e-3 * shifts[retry])
         _, failed = _map_in_chunks(spec, perturbed.reshape(-1, spec.d, 2), keep=0)
         basepoint_ok = not failed.reshape(-1, 3).all(axis=1).any()

@@ -9,7 +9,6 @@ are certificates rather than floating-point artifacts.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -213,25 +212,34 @@ def _transposition_generators(d: int) -> list[AffineAutomorphism]:
     return gens
 
 
+def _capped_order(d: int, q0: FiniteSubgroupSpec, cap: int, factor: Callable[[int], int]) -> int:
+    """The closed-form order, the product of factor(k) * |Q0| over k = 1..d, if it is at most cap.
+
+    Raises OrderCapExceeded at the first partial product above cap: every
+    factor(k) is at least 2, so a huge d costs at most log2(cap) + 1 steps.
+    """
+    order = 1
+    for k in range(1, d + 1):
+        order *= factor(k) * q0.order
+        if order > cap:
+            raise OrderCapExceeded(f"group order exceeds cap {cap} (at least {order})")
+    return order
+
+
 def _semidirect_product(
     d: int,
     generators: Sequence[AffineAutomorphism],
     matrices: Callable[[], Iterable[IntMatrix]],
-    count: int,
+    order: int,
     q0: FiniteSubgroupSpec,
-    cap: int,
 ) -> FiniteActionGroup:
     """All pairs (M, t) with M in a finite matrix group that preserves Q0^d, t in Q0^d.
 
-    The order count * |Q0|^d comes from the closed form and is checked
-    against cap; the `count` matrices that `matrices()` yields are listed
-    only when the elements are first used.  Sorted matrices times the
-    translations in lexicographic order list the elements sorted by
-    (matrix, translation).
+    `order` comes from the closed form (`_capped_order`); the matrices that
+    `matrices()` yields are listed only when the elements are first used.
+    Sorted matrices times the translations in lexicographic order list the
+    elements sorted by (matrix, translation).
     """
-    order = count * q0.order**d
-    if order > cap:
-        raise OrderCapExceeded(f"group order {order} exceeds cap {cap}")
 
     def elements() -> tuple[AffineAutomorphism, ...]:
         shifts = list(itertools.product(q0.elements, repeat=d))
@@ -251,6 +259,7 @@ def build_group_A(
     """
     if d < 1:
         raise InvalidOrder(f"need d >= 1, got {d}")
+    order = _capped_order(d, q0, cap, lambda k: 2 * k)
     gens = []
     for slot in range(d):
         neg = [list(r) for r in _identity(d)]
@@ -270,7 +279,7 @@ def build_group_A(
             for sign in itertools.product((1, -1), repeat=d)
         )
 
-    return _semidirect_product(d, gens, matrices, 2**d * math.factorial(d), q0, cap)
+    return _semidirect_product(d, gens, matrices, order, q0)
 
 
 def build_group_B(
@@ -288,6 +297,7 @@ def build_group_B(
     """
     if d < 1:
         raise InvalidOrder(f"need d >= 1, got {d}")
+    order = _capped_order(d, q0, cap, lambda k: k + 1)
     gens = []
     if d >= 2:
         gens.extend(_transposition_generators(d)[:1])
@@ -309,4 +319,4 @@ def build_group_B(
             for sigma in itertools.permutations(range(d + 1))
         )
 
-    return _semidirect_product(d, gens, matrices, math.factorial(d + 1), q0, cap)
+    return _semidirect_product(d, gens, matrices, order, q0)

@@ -264,6 +264,8 @@ class TestConfigResolution:
             {"eps_pt": "1e-9"},
             {"jobs": None},
             {"tau": 0.5},
+            # an integer past the float range is no float
+            {"eps_proj": 10**400},
         ],
     )
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, data):
@@ -393,6 +395,13 @@ class TestReportCommand:
         assert captured.err.startswith("error: ") and str(path) in captured.err
         assert captured.out == ""
 
+    def test_spread_past_the_float_range_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"samples": [{"index": 0, "image_spread": 10**400}], "pass": True}))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "'image_spread'" in captured.err and captured.out == ""
+
     def test_report_without_spread_renders_na(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"samples": [{"index": 3, "image_spread": None}], "pass": True}))
@@ -401,19 +410,18 @@ class TestReportCommand:
 
 
 class TestOrderCap:
-    @pytest.mark.parametrize("construction", ["A", "B"])
-    def test_order_past_cap_is_refused_before_listing(self, construction):
-        # |G| = 2^8 8! 2^8 (A) or 9! 2^8 (B) is refused from its closed form;
+    @staticmethod
+    def _refused(argv):
         # the child gets a timeout and a 1 GiB address-space limit, so
-        # listing the elements fails this test instead of hanging it
+        # building the generators or listing the elements fails the test
+        # instead of hanging it
         resource = pytest.importorskip("resource")
         limit = 1 << 30
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-m", "ellcover.cli", "construct", "--construction", construction,
-             "--d", "8"],
+            [sys.executable, "-m", "ellcover.cli", "construct", *argv],
             env=env,
             capture_output=True,
             text=True,
@@ -422,6 +430,17 @@ class TestOrderCap:
         )
         assert proc.returncode == 2, proc.stderr
         assert "OrderCapExceeded" in proc.stderr
+
+    @pytest.mark.parametrize("d", [8, 400, 3000])
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    def test_order_past_cap_is_refused_before_listing(self, construction, d):
+        # |G| = 2^d d! 2^d (A) or (d+1)! 2^d (B) is refused from its closed form
+        self._refused(["--construction", construction, "--d", str(d)])
+
+    def test_huge_d_in_a_config_file_is_refused(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 10**400}))
+        self._refused(["--config", str(cfg)])
 
 
 class TestTallQuotient:

@@ -391,6 +391,20 @@ class TestGaloisVerify:
             assert rec.image_spread < 1e-7
             assert rec.fiber_match
 
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    def test_sample_points_are_the_seeded_tuples(self, lattice, q2, construction):
+        # sample k's d points, bit for bit, are TorusPoint.from_coords of
+        # draws 2dk ... 2d(k+1) - 1 of Random(seed), point by point
+        spec = _build(construction, 2, q2, lattice)
+        rng = random.Random(9)
+        drawn = [
+            tuple(TorusPoint.from_coords(spec.curve, rng.random(), rng.random()) for _ in range(2))
+            for _ in range(6)
+        ]
+        points = [rec.point for rec in galois_verify(spec, samples=6, seed=9).samples]
+        assert points == drawn
+        assert coords_array(points).tobytes() == coords_array(drawn).tobytes()
+
     def test_seed_determinism(self, lattice, q2):
         spec = build_cover("A", 1, lattice, q2)
         r1 = galois_verify(spec, samples=4, seed=7)
@@ -473,18 +487,18 @@ class TestGaloisVerify:
     def test_images_are_computed_once_per_sample(self, lattice, q2, monkeypatch):
         # the stabilizer and the orbit both come from one array of images,
         # computed for the sample points, each once, in order
-        original = batch.images
+        original = covers.move
         calls = []
 
-        def counted(group, points):
-            calls.extend(points)
-            return original(group, points)
+        def counted(packed, coords):
+            assert packed is spec.group._packed
+            calls.extend(coords.tolist())
+            return original(packed, coords)
 
-        for module in (batch, covers):
-            monkeypatch.setattr(module, "images", counted, raising=False)
+        monkeypatch.setattr(covers, "move", counted)
         spec = build_cover("A", 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
-        assert calls == [rec.point for rec in report.samples]
+        assert calls == [[[p.a, p.b] for p in rec.point] for rec in report.samples]
 
 
 ALONE_SPECS = [
@@ -610,7 +624,7 @@ def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
         _point(spec, [(1 / 6, 0.0), (1 / 6, 0.0)]),
         _point(spec, [(0.83, 0.09), (0.25, 0.64)]),
     ]
-    records = covers._verify_chunk(spec, points, 0, EPS_PT)
+    records = covers._verify_chunk(spec, coords_array(points), 0, EPS_PT)
     assert _bits(records) == _bits(_verify_sample(spec, p, k) for k, p in enumerate(points))
     assert [r.generic for r in records] == [True, False, True, False, True]
     assert records[1].stabilizer_size > 1

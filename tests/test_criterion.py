@@ -8,6 +8,7 @@ same four flags.
 """
 
 import functools
+import itertools
 import random
 import warnings
 
@@ -27,11 +28,30 @@ from ellcover import (
     criterion_check,
 )
 from ellcover import covers
+from ellcover.batch import coords_array
 from ellcover.construction import degree_identity
 from ellcover.covers import CriterionReport, _probe_points
 from ellcover.elliptic import EPS_PROJ
 
 from conftest import TAU
+
+
+def _perturbations(spec, point, rng):
+    """The 3 seeded perturbations of a probe, each point's (a, b) shifted in turn by less than 1e-3."""
+    delta = 1e-3
+    return [
+        tuple(
+            TorusPoint.from_coords(
+                spec.curve, p.a + delta * rng.random(), p.b + delta * rng.random()
+            )
+            for p in point
+        )
+        for _ in range(3)
+    ]
+
+
+def _tuple(spec, row):
+    return tuple(TorusPoint(spec.curve, a, b) for a, b in row)
 
 
 def _probe_valid(spec, point, rng, map_one):
@@ -40,18 +60,7 @@ def _probe_valid(spec, point, rng, map_one):
     The candidates are drawn up front; the first that maps decides, and an
     InvalidPoint ends the probe as invalid.
     """
-    candidates = [point]
-    for _ in range(3):
-        delta = 1e-3
-        candidates.append(
-            tuple(
-                TorusPoint.from_coords(
-                    spec.curve, p.a + delta * rng.random(), p.b + delta * rng.random()
-                )
-                for p in point
-            )
-        )
-    for cand in candidates:
+    for cand in [point, *_perturbations(spec, point, rng)]:
         try:
             image = map_one(spec, cand)
         except (IllConditioned, SumNotZero):
@@ -88,10 +97,7 @@ def oracle_criterion(spec, seed=42, eps_proj=EPS_PROJ, map_one=CoverSpec.map):
         invariance_ok = False
 
     probe_rng = random.Random(seed + 1)
-    probes = [
-        tuple(TorusPoint(spec.curve, a, b) for a, b in row)
-        for row in _probe_points(spec, seed).tolist()
-    ]
+    probes = [_tuple(spec, row) for row in _probe_points(spec, seed).tolist()]
     basepoint_ok = all(_probe_valid(spec, probe, probe_rng, map_one) for probe in probes)
     return CriterionReport(order_ok, invariance_ok, basepoint_ok, spec.very_ample)
 
@@ -248,3 +254,100 @@ def test_paper_family_passes_the_criterion(n, seed):
     # construction B at d = 3 on Q0 = <1/n, 0>: its torsion-diagonal probes
     # repeat one point up to 4 times, and the bundle is base-point-free
     assert criterion_check(_cover("B", 3, (f"1/{n},0",)), seed=seed).all_ok
+
+
+def _drawn_tuples(spec, rng, count):
+    """`count` tuples of d points, each `TorusPoint.from_coords` of two draws of `rng`."""
+    return [
+        tuple(TorusPoint.from_coords(spec.curve, rng.random(), rng.random()) for _ in range(spec.d))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_invariance_points_are_the_seeded_tuples(monkeypatch, construction):
+    # the 40 points of the invariance check, bit for bit, are the tuples
+    # drawn point by point from Random(seed)
+    spec = _cover(construction, 2, ("1/2,0",))
+    starts = []
+    original = covers.move
+
+    def spy(packed, coords):
+        starts.append(coords.tobytes())
+        return original(packed, coords)
+
+    monkeypatch.setattr(covers, "move", spy)
+    criterion_check(spec, seed=3)
+    assert starts == [coords_array(_drawn_tuples(spec, random.Random(3), 40)).tobytes()]
+
+
+def _torus_point_probes(spec, seed):
+    """The probe grid built one `TorusPoint` tuple per probe, then laid out by `coords_array`."""
+    rng = random.Random(seed)
+    m = 4 * spec.q0.order
+    probes = [(TorusPoint(spec.curve, i / m, j / m),) * spec.d for i in range(m) for j in range(m)]
+    poles = spec.q0.points_on(spec.curve)
+    if len(poles) ** spec.d <= 512:
+        probes.extend(itertools.product(poles, repeat=spec.d))
+    for _ in range(16):
+        probes.append(
+            tuple(
+                rng.choice(poles)
+                if rng.random() < 0.5
+                else TorusPoint.from_coords(spec.curve, rng.random(), rng.random())
+                for _ in range(spec.d)
+            )
+        )
+    return coords_array(probes)
+
+
+PROBE_COVERS = [
+    (d, q0) for d in (1, 2, 3) for q0 in (("1/2,0",), ("1/3,0",), ("1/2,0", "0,1/2"))
+] + [(3, ("1/3,0", "0,1/3"))]  # 9^3 > 512: no pole combinations
+
+
+@pytest.mark.parametrize("d,q0", PROBE_COVERS, ids=[f"d{d}-{'+'.join(q)}" for d, q in PROBE_COVERS])
+def test_probes_equal_the_torus_point_probes(d, q0):
+    spec = _cover("A", d, q0)
+    for seed in (3, 42):
+        probes = _probe_points(spec, seed)
+        assert probes.tobytes() == _torus_point_probes(spec, seed).tobytes()
+    if spec.q0.order ** d > 512:
+        assert len(probes) == (4 * spec.q0.order) ** 2 + 16
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+@pytest.mark.parametrize("marked", [None, 5, -1], ids=["none", "early-diagonal", "last-random"])
+def test_perturbations_are_drawn_up_to_the_last_retried_probe(monkeypatch, construction, marked):
+    # probe k's 3 perturbations are the oracle's, which draws every probe's
+    # in turn from Random(seed + 1): marking probe k and exactly those three
+    # fails the check only where the retry maps them.  Nothing is drawn past
+    # the last retried probe, and no perturbation when no probe is marked.
+    spec = _cover(construction, 2, ("1/3,0",))
+    seed = 42
+    probes = _probe_points(spec, seed)
+    rows = np.empty((0, spec.d, 2))
+    if marked is not None:
+        k = marked % len(probes)
+        rng = random.Random(seed + 1)
+        for row in probes[: k + 1].tolist():
+            point = _tuple(spec, row)
+            candidates = _perturbations(spec, point, rng)
+        rows = coords_array([point, *candidates])
+
+    def where(coords):
+        return (coords[:, None] == rows[None]).all(axis=(2, 3)).any(axis=1)
+
+    map_one = _failing(monkeypatch, where)
+    shapes = []
+    original = covers._draw
+
+    def spy(rng, *shape):
+        shapes.append(shape)
+        return original(rng, *shape)
+
+    monkeypatch.setattr(covers, "_draw", spy)
+    report = criterion_check(spec, seed=seed)
+    assert report == oracle_criterion(spec, seed=seed, map_one=map_one)
+    assert report.basepoint_ok == (marked is None)
+    assert shapes == [(40, spec.d, 2)] + ([] if marked is None else [(k + 1, 3, spec.d, 2)])

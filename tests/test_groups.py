@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,6 +149,16 @@ class TestGroupGeneration:
         q0 = FiniteSubgroupSpec.parse(("1/4,0",))
         with pytest.raises(OrderCapExceeded):
             build_group_A(3, q0, cap=100)
+
+    @pytest.mark.parametrize("build", [build_group_A, build_group_B])
+    def test_huge_d_is_refused_at_once(self, build):
+        # the closed-form order is multiplied one factor at a time and
+        # refused at the first partial product past the cap, before any of
+        # the d generators of d x d matrices is built
+        start = time.perf_counter()
+        with pytest.raises(OrderCapExceeded, match="exceeds cap 100000"):
+            build(10**6, FiniteSubgroupSpec.parse(("1/2,0",)))
+        assert time.perf_counter() - start < 1
 
 
 class TestConstructionA:
