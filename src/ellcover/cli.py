@@ -5,12 +5,14 @@ from flags, optionally layered over a JSON file (`--config`, flags win), with
 the environment variable GALOIS_EMBED_SEED overriding the seed last.  Reports
 are emitted as deterministic JSON: fixed key order, floats at 17 significant
 digits, atomic write.  Exit codes: 0 success/pass, 1 verification failure,
-2 configuration error.
+2 configuration error.  `run` is the console entry point of the `ellcover`
+script and of `python -m ellcover.cli`; `main` is the one to call in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -184,5 +186,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run `main()` on the command line and exit with its code.
+
+    Freezes the collector first, so that interpreter shutdown does not
+    search and tear down the cycles of every module, class and function
+    loaded (numpy's and the package's), a heap the OS frees anyway.  The
+    exit still runs atexit handlers and flushes stdout and stderr.  Only
+    here: `main()` never freezes, so the collector keeps working for
+    callers that run commands in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

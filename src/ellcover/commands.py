@@ -142,7 +142,7 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
     `python -m ellcover.cli` runs as `__main__`, so importing it would
     compile and run it a second time.
     """
-    from .construction import RunConfig
+    from .construction import RunConfig, check_samples
 
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -184,8 +184,7 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
         raise ConfigError(f"construction must be A or B, got {cfg.construction!r}")
     if cfg.d < 1:
         raise ConfigError(f"d must be >= 1, got {cfg.d}")
-    if cfg.samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
+    check_samples(cfg.samples)
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
     for name in ("eps_pt", "eps_proj"):

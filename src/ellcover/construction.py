@@ -203,6 +203,19 @@ def build_cover(
     )
 
 
+#: most samples that `galois_verify` draws and reports: at d=1 a sample
+#: costs about 1.6 KB of records and report, so about 190 MB at the bound (README)
+MAX_SAMPLES = 100_000
+
+
+def check_samples(samples: int) -> None:
+    """Raise ConfigError unless 1 <= samples <= MAX_SAMPLES, before anything is drawn."""
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+
+
 class RunConfig:
     """Resolved run configuration; field defaults are the documented defaults.
 

@@ -40,6 +40,7 @@ from .construction import (  # noqa: F401 - re-exported
     MAX_QUOTIENT_IM_TAU_B3,
     CoverSpec,
     build_cover,
+    check_samples,
     degree_identity,
     very_ample_preconditions,
 )
@@ -372,8 +373,10 @@ def galois_verify(
     within eps_proj, and the independent fiber computation must agree with
     the orbit.  Non-generic samples are recorded and excluded from pass/fail.
     Samples are verified in chunks of `_CHUNK_ROWS` images (`_verify_chunk`),
-    which `jobs` threads share out.
+    which `jobs` threads share out.  Raises ConfigError unless 1 <=
+    samples <= MAX_SAMPLES (`check_samples`).
     """
+    check_samples(samples)
     coords = _draw(random.Random(seed), samples, spec.d, 2)
     size = max(1, _CHUNK_ROWS // spec.group.order)
     starts = range(0, samples, size)
@@ -416,31 +419,36 @@ def check_probe_grid(spec: CoverSpec) -> None:
         raise ConfigError(f"|Q0| = {spec.q0.order} needs {grid} criterion probes, more than {MAX_PROBE_GRID}")
 
 
-def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
+def _probe_points(spec: CoverSpec, seed: int = 42, head: np.ndarray | None = None) -> np.ndarray:
     """Base-point probe grid: torsion diagonals, pole patterns, seeded tuples.
 
     Includes every 4|Q0|-torsion point of E on the diagonal (all of E[4|Q0|]^d
     would be exponential; the diagonal meets every coordinate degeneration),
     all pole configurations (tuples over Q0, where the construction-A factors
     hit poles), and seeded random tuples mixing pole and generic coordinates.
-    Returns the coordinates of the probes, N x d x 2.  A seeded coordinate
-    is a pole (a point of Q0, which holds the origin) or two draws, each
-    with even odds.
+    Returns the coordinates of the probes, N x d x 2, after the rows of
+    `head` when it is given: one array, filled in place, so that the probes
+    are held once.  A seeded coordinate is a pole (a point of Q0, which
+    holds the origin) or two draws, each with even odds.
     """
     d = spec.d
     rng = random.Random(seed)
     m = 4 * spec.q0.order
-    grid = np.arange(m) / m
-    diagonal = np.empty((m, m, d, 2))
-    diagonal[..., 0] = grid[:, None, None]
-    diagonal[..., 1] = grid[None, :, None]
     poles = [(float(a), float(b)) for a, b in spec.q0.elements]
     probes = list(itertools.product(poles, repeat=d)) if len(poles) ** d <= 512 else []
     probes += [
         [rng.choice(poles) if rng.random() < 0.5 else (rng.random(), rng.random()) for _ in range(d)]
         for _ in range(16)
     ]
-    return np.concatenate([diagonal.reshape(m * m, d, 2), np.array(probes)])
+    first = 0 if head is None else len(head)
+    points = np.empty((first + m * m + len(probes), d, 2))
+    points[:first] = head
+    grid = np.arange(m) / m
+    diagonal = points[first : first + m * m].reshape(m, m, d, 2)
+    diagonal[..., 0] = grid[:, None, None]
+    diagonal[..., 1] = grid[None, :, None]
+    points[first + m * m :] = probes
+    return points
 
 
 def _map_in_chunks(
@@ -489,8 +497,8 @@ def criterion_check(
     # each point, then its images under the generators, in one pass over them all
     moved = move(pack(spec.group.generators, spec.d), start)
     moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, spec.d, 2)
-    probes = _probe_points(spec, seed)
-    rows, failed = _map_in_chunks(spec, np.concatenate([moved, probes]), keep=len(moved))
+    points = _probe_points(spec, seed, head=moved)
+    rows, failed = _map_in_chunks(spec, points, keep=len(moved))
     mapped = rows.reshape(len(start), -1, spec.d + 1)
     checked = np.flatnonzero(~failed[: len(moved)].reshape(len(start), -1).any(axis=1))[:10]
     owner = np.repeat(np.arange(len(checked)), mapped.shape[1])
@@ -506,7 +514,7 @@ def criterion_check(
         # stream, each point's (a, b) shifted in turn: drawn up to the last
         # probe retried
         shifts = _draw(random.Random(seed + 1), int(retry[-1]) + 1, 3, spec.d, 2)
-        perturbed = _frac_array(probes[retry, None] + 1e-3 * shifts[retry])
+        perturbed = _frac_array(points[len(moved) + retry, None] + 1e-3 * shifts[retry])
         _, failed = _map_in_chunks(spec, perturbed.reshape(-1, spec.d, 2), keep=0)
         basepoint_ok = not failed.reshape(-1, 3).all(axis=1).any()
     return CriterionReport(

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -441,6 +442,115 @@ class TestOrderCap:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": 10**400}))
         self._refused(["--config", str(cfg)])
+
+
+class TestSampleBound:
+    @staticmethod
+    def _never(monkeypatch):
+        from ellcover import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the run went past the sample check")
+
+        monkeypatch.setattr(cli, "galois_verify", never)
+
+    def test_flag_past_the_bound_exits_two(self, monkeypatch, capsys):
+        from ellcover import construction
+
+        monkeypatch.setattr(construction, "MAX_SAMPLES", 5)
+        self._never(monkeypatch)
+        assert main(VERIFY_FAST[:-1] + ["6"]) == 2
+        assert capsys.readouterr().err == "error: samples must be <= 5, got 6\n"
+
+    def test_config_file_past_the_bound_exits_two(self, tmp_path, monkeypatch, capsys):
+        from ellcover import construction
+
+        self._never(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 10**20}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert f"samples must be <= {construction.MAX_SAMPLES}, got {10**20}" in capsys.readouterr().err
+        monkeypatch.setattr(construction, "MAX_SAMPLES", 5)
+        cfg.write_text(json.dumps({"samples": 6}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _child(argv, cwd, entry=("-m", "ellcover.cli")):
+    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *entry, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestConsoleEntryPoint:
+    """`python -m ellcover.cli` and the `ellcover` script run `cli.run`, which
+    exits with `main()`'s code after freezing the collector."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (VERIFY_FAST + ["--output", "report.json"], 0),
+            (VERIFY_FAST + ["--eps-proj", "1e-30", "--output", "report.json"], 1),
+            (["construct", "--construction", "B", "--d", "2"], 0),
+            (["verify", "--samples", "0"], 2),
+        ],
+        ids=["verify-pass", "verify-fail", "construct", "config-error"],
+    )
+    def test_child_matches_main_in_process(self, tmp_path, monkeypatch, capsys, argv, code):
+        here, there = tmp_path / "in-process", tmp_path / "child"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        proc = _child(argv, there)
+        assert proc.returncode == code, proc.stderr
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+        reports = [(d / "report.json").read_bytes() for d in (here, there) if (d / "report.json").exists()]
+        assert len(reports) == (2 if "--output" in argv else 0)
+        assert reports[:1] == reports[1:]
+
+    def test_main_never_freezes(self, capsys):
+        assert main(VERIFY_FAST) == 0
+        assert main(["construct", "--d", "1"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_run_freezes_after_main_returned(self, monkeypatch):
+        from ellcover import cli
+
+        calls = []
+
+        def spy_main():
+            calls.append("main")
+            return 1
+
+        monkeypatch.setattr(cli, "main", spy_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 1
+        assert calls == ["main", "freeze"]
+
+    def test_module_run_freezes_and_keeps_atexit(self, tmp_path):
+        # the __main__ block goes through run(); atexit handlers still run after the freeze
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['ellcover', 'intersection', '--chi', '2 1;1 2']\n"
+            "runpy.run_module('ellcover.cli', run_name='__main__')\n"
+        )
+        proc = _child([], tmp_path, entry=("-c", script))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\nfrozen True\n", "")
+
+    def test_console_script_names_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]["scripts"]
+        assert scripts == {"ellcover": "ellcover.cli:run"}
 
 
 class TestTallQuotient:

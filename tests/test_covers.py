@@ -900,6 +900,22 @@ class TestProbeGridBound:
         assert criterion_check(build_cover("A", 1, lattice, q0)).all_ok
 
 
+class TestSampleBound:
+    def test_count_past_the_bound_is_refused_before_any_draw(self, lattice, q2, monkeypatch):
+        from ellcover import construction
+
+        def never(*args, **kwargs):
+            raise AssertionError("samples were drawn")
+
+        spec = build_cover("A", 1, lattice, q2)
+        monkeypatch.setattr(construction, "MAX_SAMPLES", 5)
+        assert len(galois_verify(spec, samples=5).samples) == 5  # the bound is inclusive
+        monkeypatch.setattr(covers, "_draw", never)
+        for samples in (6, 10**20, 0):
+            with pytest.raises(ConfigError, match=f"samples must be .* got {samples}$"):
+                galois_verify(spec, samples=samples)
+
+
 class TestQuotientHeightBound:
     def test_bound_is_inclusive(self, q2):
         # Q0 = <1/2, 0> doubles the height: tau = 6i gives Im tau' = 12

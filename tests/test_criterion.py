@@ -351,3 +351,55 @@ def test_perturbations_are_drawn_up_to_the_last_retried_probe(monkeypatch, const
     assert report == oracle_criterion(spec, seed=seed, map_one=map_one)
     assert report.basepoint_ok == (marked is None)
     assert shapes == [(40, spec.d, 2)] + ([] if marked is None else [(k + 1, 3, spec.d, 2)])
+
+
+def _concatenated_points(spec, seed):
+    """The points `criterion_check` maps, laid out by two concatenations: the
+    diagonal and the other probes, then the invariance rows and the probes."""
+    d = spec.d
+    rng = random.Random(seed)
+    m = 4 * spec.q0.order
+    grid = np.arange(m) / m
+    diagonal = np.empty((m, m, d, 2))
+    diagonal[..., 0] = grid[:, None, None]
+    diagonal[..., 1] = grid[None, :, None]
+    poles = [(float(a), float(b)) for a, b in spec.q0.elements]
+    probes = list(itertools.product(poles, repeat=d)) if len(poles) ** d <= 512 else []
+    probes += [
+        [rng.choice(poles) if rng.random() < 0.5 else (rng.random(), rng.random()) for _ in range(d)]
+        for _ in range(16)
+    ]
+    probes = np.concatenate([diagonal.reshape(m * m, d, 2), np.array(probes)])
+    start = covers._draw(random.Random(seed), 40, d, 2)
+    moved = covers.move(covers.pack(spec.group.generators, d), start)
+    moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, d, 2)
+    return np.concatenate([moved, probes])
+
+
+POINT_COVERS = [
+    (construction, d, q0)
+    for construction in "AB"
+    for d in (1, 2, 3)
+    for q0 in (("1/2,0",), ("1/3,0",), ("1/2,0", "0,1/2"))
+]
+
+
+@pytest.mark.parametrize(
+    "construction,d,q0", POINT_COVERS, ids=[f"{c}-d{d}-{'+'.join(q)}" for c, d, q in POINT_COVERS]
+)
+def test_criterion_points_are_one_array_in_the_concatenated_layout(monkeypatch, construction, d, q0):
+    # the invariance rows and the probes are filled into one array, bit for
+    # bit the parent layout of two concatenations, and mapped from it
+    spec = _cover(construction, d, q0)
+    mapped = []
+    original = covers._map_in_chunks
+
+    def spy(spec, coords, keep=None):
+        mapped.append(coords)
+        return original(spec, coords, keep)
+
+    monkeypatch.setattr(covers, "_map_in_chunks", spy)
+    criterion_check(spec, seed=3)
+    expected = _concatenated_points(spec, 3)
+    assert mapped[0].shape == expected.shape
+    assert mapped[0].tobytes() == expected.tobytes()
