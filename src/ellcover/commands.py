@@ -109,12 +109,7 @@ def _report_payload(
             }
             for r in report.samples
         ],
-        "criterion": {
-            "order_ok": criterion.order_ok,
-            "invariance_ok": criterion.invariance_ok,
-            "basepoint_ok": criterion.basepoint_ok,
-            "very_ample": criterion.very_ample,
-        },
+        "criterion": dict(zip(criterion._fields, criterion._key())),
         "pass": overall,
     }
 
@@ -142,7 +137,7 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
     `python -m ellcover.cli` runs as `__main__`, so importing it would
     compile and run it a second time.
     """
-    from .construction import RunConfig, check_samples
+    from .construction import RunConfig, check_counts
 
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -184,9 +179,7 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
         raise ConfigError(f"construction must be A or B, got {cfg.construction!r}")
     if cfg.d < 1:
         raise ConfigError(f"d must be >= 1, got {cfg.d}")
-    check_samples(cfg.samples)
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    check_counts(cfg.samples, cfg.jobs)
     for name in ("eps_pt", "eps_proj"):
         value = getattr(cfg, name)
         if not 0 < value < math.inf:

@@ -40,6 +40,11 @@ if TYPE_CHECKING:
 #: and the lower one for construction B at d >= 3 (README)
 MAX_QUOTIENT_IM_TAU = 12.0
 MAX_QUOTIENT_IM_TAU_B3 = 8.0
+#: largest entry of the unimodular change that reduces the period ratio of E
+#: or of E/Q0 that build_cover accepts: the kernel reduces a point's
+#: coordinates through it and loses about log10(entry) digits of them; the
+#: first verify to fail in a sweep over Re tau had entry 1e5 (README)
+MAX_BASIS_CHANGE = 10_000
 
 
 def very_ample_preconditions(construction: str, d: int, q0: FiniteSubgroupSpec) -> bool:
@@ -56,17 +61,6 @@ def very_ample_preconditions(construction: str, d: int, q0: FiniteSubgroupSpec) 
 class CoverSpec(_Frozen):
     """A configured covering map E^d -> P^d with its group and polarization."""
 
-    _fields = (
-        "construction",
-        "d",
-        "curve",
-        "q0",
-        "quotient",
-        "group",
-        "polarization",
-        "theoretical_degree",
-        "very_ample",
-    )
     construction: str
     d: int
     curve: LatticeTau
@@ -157,7 +151,9 @@ def build_cover(
     Warns with NotVeryAmpleWarning when the configuration misses the
     very-ampleness preconditions; the cover is still built and verifiable.
     Raises IllConditioned when E/Q0 is taller than its bound,
-    MAX_QUOTIENT_IM_TAU or MAX_QUOTIENT_IM_TAU_B3 for B at d >= 3.
+    MAX_QUOTIENT_IM_TAU or MAX_QUOTIENT_IM_TAU_B3 for B at d >= 3, and when
+    reducing the period ratio of E or E/Q0 takes a basis change with an
+    entry above MAX_BASIS_CHANGE.
     """
     if construction not in ("A", "B"):
         raise ConfigError(f"construction must be 'A' or 'B', got {construction!r}")
@@ -170,6 +166,12 @@ def build_cover(
         raise IllConditioned(
             f"quotient E/Q0 has reduced Im tau' = {height:.6g} > {bound:g}, "
             f"taller than {construction} at d={d} is verified for"
+        )
+    entry = max(abs(v) for lat in (quotient.source, quotient.target) for v in lat.basis_change)
+    if entry > MAX_BASIS_CHANGE:
+        raise IllConditioned(
+            f"reducing the period ratio of E or E/Q0 takes a basis change with entry "
+            f"{entry} > {MAX_BASIS_CHANGE}, past what point coordinates resolve"
         )
     if construction == "A":
         group = build_group_A(d, q0, cap=order_cap)
@@ -206,14 +208,18 @@ def build_cover(
 #: most samples that `galois_verify` draws and reports: at d=1 a sample
 #: costs about 1.6 KB of records and report, so about 190 MB at the bound (README)
 MAX_SAMPLES = 100_000
+#: most threads that `galois_verify` shares chunks out to, which hold the
+#: interpreter lock for most of their time (README)
+MAX_JOBS = 32
 
 
-def check_samples(samples: int) -> None:
-    """Raise ConfigError unless 1 <= samples <= MAX_SAMPLES, before anything is drawn."""
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+def check_counts(samples: int, jobs: int) -> None:
+    """Raise ConfigError unless 1 <= samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS, before anything is drawn."""
+    for name, value, bound in (("samples", samples, MAX_SAMPLES), ("jobs", jobs, MAX_JOBS)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+        if value > bound:
+            raise ConfigError(f"{name} must be <= {bound}, got {value}")
 
 
 class RunConfig:
@@ -221,22 +227,9 @@ class RunConfig:
 
     Mutable: `commands._resolve_config` sets fields in turn from a config
     file, flags and the environment.  A field typed Optional admits null in
-    a config file, which keeps the default.
+    a config file, which keeps the default.  Its annotations are its
+    fields, as on `_Frozen`.
     """
-
-    _fields = (
-        "construction",
-        "d",
-        "tau",
-        "q0",
-        "samples",
-        "seed",
-        "eps_pt",
-        "eps_proj",
-        "order_cap",
-        "output",
-        "jobs",
-    )
 
     construction: str = "A"
     d: int = 2
@@ -289,3 +282,8 @@ class RunConfig:
         }
         out["q0"] = list(self.q0)
         return out
+
+
+# set once the class exists: under PEP 649 (Python 3.14) its body has no
+# `__annotations__` name to read
+RunConfig._fields = tuple(RunConfig.__annotations__)

@@ -40,7 +40,7 @@ from .construction import (  # noqa: F401 - re-exported
     MAX_QUOTIENT_IM_TAU_B3,
     CoverSpec,
     build_cover,
-    check_samples,
+    check_counts,
     degree_identity,
     very_ample_preconditions,
 )
@@ -173,9 +173,6 @@ def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
 
 
 class SampleRecord(_Frozen):
-    _fields = (
-        "index", "point", "generic", "stabilizer_size", "orbit_size", "image_spread", "fiber_match"
-    )
     index: int
     point: PointTuple
     generic: bool
@@ -212,7 +209,6 @@ class SampleRecord(_Frozen):
 
 
 class CriterionReport(_Frozen):
-    _fields = ("order_ok", "invariance_ok", "basepoint_ok", "very_ample")
     order_ok: bool
     invariance_ok: bool
     basepoint_ok: bool
@@ -220,16 +216,10 @@ class CriterionReport(_Frozen):
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.order_ok
-            and self.invariance_ok
-            and self.basepoint_ok
-            and self.very_ample
-        )
+        return all(self._key())
 
 
 class VerificationReport(_Frozen):
-    _fields = ("construction", "group_order", "seed", "tolerances", "samples", "passed")
     construction: str
     group_order: int
     seed: int
@@ -373,10 +363,10 @@ def galois_verify(
     within eps_proj, and the independent fiber computation must agree with
     the orbit.  Non-generic samples are recorded and excluded from pass/fail.
     Samples are verified in chunks of `_CHUNK_ROWS` images (`_verify_chunk`),
-    which `jobs` threads share out.  Raises ConfigError unless 1 <=
-    samples <= MAX_SAMPLES (`check_samples`).
+    which at most `jobs` threads share out.  Raises ConfigError unless 1 <=
+    samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS (`check_counts`).
     """
-    check_samples(samples)
+    check_counts(samples, jobs)
     coords = _draw(random.Random(seed), samples, spec.d, 2)
     size = max(1, _CHUNK_ROWS // spec.group.order)
     starts = range(0, samples, size)
@@ -384,10 +374,11 @@ def galois_verify(
     def verify(first: int) -> list[SampleRecord]:
         return _verify_chunk(spec, coords[first : first + size], first, eps_pt)
 
-    if jobs > 1:
+    workers = min(jobs, len(starts))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(verify, starts))
     else:
         chunks = [verify(first) for first in starts]

@@ -97,13 +97,17 @@ class HomPair(NamedTuple):
         return self.den == 0
 
 
-class LatticeTau:
+class LatticeTau(_Frozen):
     """Rank-2 lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0.
 
-    Generators are swapped at construction if needed so the period ratio lies
-    in the upper half plane.  The SL2(Z)-reduced ratio and the recorded basis
-    change drive all series evaluation.
+    Generators are swapped at construction if needed so the period ratio
+    `tau` lies in the upper half plane.  The SL2(Z)-reduced ratio and the
+    recorded basis change drive all series evaluation.  Raises InvalidPoint
+    on a zero or non-finite period and on a degenerate or non-finite ratio.
     """
+
+    omega1: complex
+    omega2: complex
 
     def __init__(self, omega1: complex, omega2: complex):
         omega1 = complex(omega1)
@@ -117,26 +121,15 @@ class LatticeTau:
         if tau.imag < 0:
             omega1, omega2 = omega2, omega1
             tau = omega2 / omega1
-        self.omega1 = omega1
-        self.omega2 = omega2
-        self.tau = tau
+        if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+            raise InvalidPoint(f"period ratio {tau!r} is not finite")
+        object.__setattr__(self, "omega1", omega1)
+        object.__setattr__(self, "omega2", omega2)
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def from_tau(cls, tau: complex) -> "LatticeTau":
         return cls(1.0, tau)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LatticeTau)
-            and self.omega1 == other.omega1
-            and self.omega2 == other.omega2
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.omega1, self.omega2))
-
-    def __repr__(self) -> str:
-        return f"LatticeTau(omega1={self.omega1!r}, omega2={self.omega2!r})"
 
     @cached_property
     def _reduction(self) -> tuple[complex, tuple[int, int, int, int], complex]:
@@ -223,7 +216,6 @@ class LatticeTau:
 class TorusPoint(_Frozen):
     """A point of C/Lambda stored by reduced lattice coordinates in [0, 1)^2."""
 
-    _fields = ("lattice", "a", "b")
     lattice: LatticeTau
     a: float
     b: float
@@ -289,10 +281,10 @@ class FiniteSubgroupSpec(_Frozen):
 
     Coordinates are exact rationals (a, b) meaning a*omega1 + b*omega2; every
     finite subgroup of E is a product of at most two cyclic groups, so two
-    generators are always enough.
+    generators are always enough.  Its order, its elements and the quotient
+    lattice are all read off one Hermite basis, `hermite_basis`.
     """
 
-    _fields = ("generators",)
     generators: tuple[tuple[Fraction, Fraction], ...]
 
     MAX_DENOMINATOR = 1000
@@ -318,7 +310,10 @@ class FiniteSubgroupSpec(_Frozen):
                 gens.append((a, b))
         if len(gens) > 2:
             raise InvalidSubgroup("a finite subgroup of E needs at most 2 generators")
-        return cls(tuple(gens))
+        spec = cls(tuple(gens))
+        if spec.order > cls.MAX_ORDER:
+            raise InvalidSubgroup(f"subgroup order {spec.order} exceeds bound {cls.MAX_ORDER}")
+        return spec
 
     @classmethod
     def trivial(cls) -> "FiniteSubgroupSpec":
@@ -336,27 +331,30 @@ class FiniteSubgroupSpec(_Frozen):
         return cls.from_generators(gens)
 
     @cached_property
-    def elements(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """All subgroup elements, sorted; closure of the generators under +."""
-        zero = (Fraction(0), Fraction(0))
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for a, b in frontier:
-                for ga, gb in self.generators:
-                    cand = ((a + ga) % 1, (b + gb) % 1)
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-                        if len(seen) > self.MAX_ORDER:
-                            raise InvalidSubgroup("subgroup closure exceeded cap")
-            frontier = nxt
-        return tuple(sorted(seen))
+    def hermite_basis(self) -> tuple[int, int, int, int]:
+        """(N, a, b, c): (a, 0), (b, c) span N*Z^2 + N*Q0 in Hermite form, N the generators' common denominator.
+
+        Q0 is that lattice modulo N*Z^2, so |Q0| = N^2 / (a*c).
+        """
+        n = math.lcm(*(f.denominator for g in self.generators for f in g))
+        vectors = [(n, 0), (0, n)] + [(int(x * n), int(y * n)) for x, y in self.generators]
+        (a, b), (_, c) = _hermite_2x2(vectors)
+        return n, a, b, c
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        n, a, _, c = self.hermite_basis
+        return n * n // (a * c)
+
+    @cached_property
+    def elements(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """All subgroup elements, sorted: i*(a, 0) + j*(b, c) over N, for i < N/a and j < N/c."""
+        n, a, b, c = self.hermite_basis
+        return tuple(sorted(
+            (Fraction((i * a + j * b) % n, n), Fraction(j * c, n))
+            for i in range(n // a)
+            for j in range(n // c)
+        ))
 
     def points_on(self, lattice: LatticeTau) -> list[TorusPoint]:
         return [
@@ -371,7 +369,6 @@ class FiniteSubgroupSpec(_Frozen):
 class IsogenyQuotient(_Frozen):
     """The quotient isogeny E = C/Lambda -> E/Q0 = C/Lambda' of degree |Q0|."""
 
-    _fields = ("source", "target", "index", "subgroup")
     source: LatticeTau
     target: LatticeTau
     index: int
@@ -424,33 +421,16 @@ def _hermite_2x2(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, int], tup
 
 
 def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuotient:
-    """Lambda' = Lambda + Z-span of the lifted Q0 generators.
+    """Lambda' = Lambda + the lifts of Q0, of index |Q0| over Lambda.
 
-    The index [Lambda' : Lambda] is computed by exact integer linear algebra
-    on the rational generator coordinates and always equals |Q0|.
+    Its basis is (a/N)*omega1 and (b/N)*omega1 + (c/N)*omega2, from Q0's
+    `hermite_basis` (N, a, b, c).
     """
-    rows: list[tuple[Fraction, Fraction]] = [
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    ]
-    rows.extend(q0.generators)
-    den = math.lcm(*(f.denominator for row in rows for f in row))
-    int_rows = [[int(f * den) for f in row] for row in rows]
-    # the columns of the Hermite normal form are a basis of the row lattice
-    hnf = _hermite_2x2(int_rows)
-    cols = [(Fraction(hnf[0][j], den), Fraction(hnf[1][j], den)) for j in (0, 1)]
-    det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-    index = Fraction(1) / abs(det)
-    if index.denominator != 1:  # pragma: no cover - HNF keeps this integral
-        raise InvalidSubgroup("quotient lattice index is not an integer")
-    index = int(index)
-    if index != q0.order:  # pragma: no cover - consistency guard
-        raise InvalidSubgroup(
-            f"index {index} disagrees with subgroup order {q0.order}"
-        )
-    w1 = cols[0][0] * lattice.omega1 + cols[0][1] * lattice.omega2
-    w2 = cols[1][0] * lattice.omega1 + cols[1][1] * lattice.omega2
-    target = lattice if index == 1 else LatticeTau(complex(w1), complex(w2))
+    n, a, b, c = q0.hermite_basis
+    index = q0.order
+    w1 = a / n * lattice.omega1
+    w2 = b / n * lattice.omega1 + c / n * lattice.omega2
+    target = lattice if index == 1 else LatticeTau(w1, w2)
     return IsogenyQuotient(source=lattice, target=target, index=index, subgroup=q0)
 
 

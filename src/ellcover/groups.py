@@ -67,7 +67,6 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
 class AffineAutomorphism(_Frozen):
     """z |-> M z + t on E^d, with M integral and t rational torsion."""
 
-    _fields = ("matrix", "translation")
     matrix: IntMatrix
     translation: Translation
 

@@ -85,7 +85,6 @@ class SublatticeInclusion(_Frozen):
     the subgroup they generate is a subtorus and not a finite extension.
     """
 
-    _fields = ("columns",)
     columns: IntRows  # stored row-major, shape d x r
 
     def __init__(self, columns: Sequence[Sequence[int]]):

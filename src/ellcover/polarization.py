@@ -68,18 +68,24 @@ def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]):
 
 
 class _Frozen:
-    """An immutable value whose fields, listed in `_fields`, set its `==`, hash and repr.
+    """An immutable value whose fields set its `==`, hash and repr.
 
-    The package's one value-class mechanism, in place of frozen
-    dataclasses: `dataclasses` loads `inspect`, `ast`, `dis` and
-    `tokenize`, and execs generated methods for each class, several ms of
-    every command's startup.  The repr keeps the dataclass form
-    `Name(field=value, ...)`.  The generic `__init__` takes the fields by
-    position or keyword; a class built thousands of times per command sets
-    them in its own `__init__` with `object.__setattr__`, which is faster.
+    Every annotation in a subclass body is a field, in order:
+    `__init_subclass__` reads them into `_fields`, so a class attribute
+    that is not a field carries no annotation.  The package's one
+    value-class mechanism, in place of frozen dataclasses: `dataclasses`
+    loads `inspect`, `ast`, `dis` and `tokenize`, and execs generated
+    methods for each class, several ms of every command's startup.  The
+    repr keeps the dataclass form `Name(field=value, ...)`.  The generic
+    `__init__` takes the fields by position or keyword; a class built
+    thousands of times per command sets them in its own `__init__` with
+    `object.__setattr__`, which is faster.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
         values = dict(zip(self._fields, args), **kwargs)
@@ -117,7 +123,6 @@ class PolarizationMatrix(_Frozen):
     pullbacks (e.g. along norm endomorphisms) and are accepted too.
     """
 
-    _fields = ("rows",)
     rows: IntRows
 
     def __init__(self, rows: Sequence[Sequence[int]]):

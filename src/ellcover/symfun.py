@@ -48,7 +48,6 @@ class ProjectivePoint(_Frozen):
     becomes exactly 1+0j; equality is Fubini-Study chordal distance below tol.
     """
 
-    _fields = ("coords",)
     coords: tuple[complex, ...]
 
     @classmethod

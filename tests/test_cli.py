@@ -209,6 +209,7 @@ class TestConfigResolution:
         assert main(["verify", "--samples", "0"]) == 2
         assert main(["verify", "--d", "0"]) == 2
         assert main(["verify", "--jobs", "0"]) == 2
+        assert main(["verify", "--jobs", "33"]) == 2  # MAX_JOBS = 32
 
     @pytest.mark.parametrize(
         "flags",
@@ -577,6 +578,28 @@ class TestTallQuotient:
         argv = ["construct", "--construction", "B", "--d", "2", "--q0", "1/2,0"]
         assert run(argv + ["--tau=12i"]) == 2
         assert "IllConditioned" in capsys.readouterr().err
+
+
+class TestUnresolvablePeriodRatio:
+    """Period ratios the numerics cannot resolve exit 2 with a typed error before any sample."""
+
+    def test_large_real_part_is_ill_conditioned(self, capsys):
+        # tau = 1e17 + i is the curve tau = i, which passes; this was a FAIL
+        # with 3 of 3 samples generic
+        argv = ["verify", "--construction", "A", "--d", "1", "--q0", "1/3,0", "--tau=1e17+1i"]
+        assert run(argv + ["--samples", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: IllConditioned: ")
+        assert "basis change" in captured.err and captured.out == ""
+
+    def test_overflowing_quotient_ratio_is_invalid(self, capsys):
+        # tau' = 2 tau overflows; this was a raw OverflowError
+        assert run(["construct", "--construction", "A", "--d", "1", "--q0", "1/2,0", "--tau=1e308+1i"]) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidPoint: period ratio (inf+2j) is not finite")
+
+    def test_oversized_subgroup_is_invalid(self, capsys):
+        assert run(["construct", "--q0", "1/1000,0", "--q0", "0,1/1000"]) == 2
+        assert "InvalidSubgroup: subgroup order 1000000 exceeds bound 100000" in capsys.readouterr().err
 
 
 class TestEpsNumRemoved:

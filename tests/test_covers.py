@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ellcover import (
     fiber_A,
     fiber_B,
     galois_verify,
+    quotient_lattice,
     reduce_point,
     very_ample_preconditions,
     wp,
@@ -35,6 +37,7 @@ from ellcover.covers import (
     _match_as_sets,
 )
 from ellcover.batch import coords_array, divisors_to_coords, map_coords
+from ellcover.construction import MAX_BASIS_CHANGE, MAX_JOBS
 from ellcover.elliptic import EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
 from ellcover.symfun import projective_spread, sym_product
@@ -472,7 +475,7 @@ class TestGaloisVerify:
 
     def test_jobs_do_not_change_results(self, monkeypatch):
         # whole records, spread bits included, in the default chunks and
-        # split into chunks of 3 samples shared out to four threads; at
+        # split into four chunks of 3 samples shared out to two threads; at
         # d = 3 each chunk solves its own distinct divisors
         lattice = LatticeTau.from_tau(complex(*TERMS_VARY))
         for d, q0 in ((1, "1/2,0"), (3, "1/3,0")):
@@ -480,7 +483,7 @@ class TestGaloisVerify:
             seq = galois_verify(spec, samples=10, seed=3, jobs=1)
             with monkeypatch.context() as patch:
                 patch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.order)
-                par = galois_verify(spec, samples=10, seed=3, jobs=4)
+                par = galois_verify(spec, samples=10, seed=3, jobs=2)
             assert _bits(seq.samples) == _bits(par.samples)
             assert seq.passed == par.passed
 
@@ -914,6 +917,75 @@ class TestSampleBound:
         for samples in (6, 10**20, 0):
             with pytest.raises(ConfigError, match=f"samples must be .* got {samples}$"):
                 galois_verify(spec, samples=samples)
+
+
+class TestJobsBound:
+    def test_pool_is_sized_by_the_chunks_and_jobs_are_bounded(self, lattice, q2, monkeypatch):
+        # a spy in place of the pool: no thread is started
+        import concurrent.futures
+
+        sizes = []
+
+        class Spy:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        spec = build_cover("A", 1, lattice, q2)
+        galois_verify(spec, samples=3, jobs=MAX_JOBS)  # one chunk, so no pool
+        monkeypatch.setattr(covers, "_CHUNK_ROWS", spec.group.order)  # one sample a chunk
+        galois_verify(spec, samples=3, jobs=MAX_JOBS)
+        galois_verify(spec, samples=3, jobs=2)
+        assert sizes == [3, 2]
+
+        def never(*args, **kwargs):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(covers, "_draw", never)
+        for jobs in (0, MAX_JOBS + 1, 10**5):
+            with pytest.raises(ConfigError, match=f"jobs must be .* got {jobs}$"):
+                galois_verify(spec, samples=10**5, jobs=jobs)
+        assert sizes == [3, 2]
+
+
+class TestBasisChangeBound:
+    def test_bound_is_inclusive(self, q2):
+        # tau = n + 1.1i reduces by subtracting n, and Q0 = <1/2, 0> doubles
+        # tau, so the quotient's largest entry is 2n
+        n = MAX_BASIS_CHANGE // 2
+        spec = build_cover("A", 1, LatticeTau.from_tau(complex(n, 1.1)), q2)
+        assert max(map(abs, spec.quotient.target.basis_change)) == MAX_BASIS_CHANGE
+        with pytest.raises(IllConditioned, match=f"basis change with entry {2 * n + 2} > {MAX_BASIS_CHANGE}"):
+            build_cover("A", 1, LatticeTau.from_tau(complex(n + 1, 1.1)), q2)
+
+    def test_source_entry_counts_too(self):
+        # Q0 = <0, 1/2> halves tau: the quotient's entry stays below the bound
+        q = FiniteSubgroupSpec.parse(("0,1/2",))
+        lattice = LatticeTau.from_tau(complex(MAX_BASIS_CHANGE + 2, 1.1))
+        with pytest.raises(IllConditioned, match=f"entry {MAX_BASIS_CHANGE + 2} >"):
+            build_cover("A", 1, lattice, q)
+        assert max(map(abs, quotient_lattice(lattice, q).target.basis_change)) < MAX_BASIS_CHANGE
+
+    def test_benchmark_draws_are_far_below_the_bound(self):
+        # |Re tau| <= 1/2, 0.9 <= Im tau <= 2 and |Q0| <= 5 stay far below the bound
+        rng = random.Random(1)
+        for _ in range(200):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0))
+            n = rng.choice((2, 3, 4, 5))
+            a, b = rng.choice([(a, b) for a in range(n) for b in range(n) if math.gcd(a, b, n) == 1])
+            q = FiniteSubgroupSpec.from_generators([(Fraction(a, n), Fraction(b, n))])
+            quotient = quotient_lattice(LatticeTau.from_tau(tau), q)
+            for lat in (quotient.source, quotient.target):
+                assert max(map(abs, lat.basis_change)) <= 10
 
 
 class TestQuotientHeightBound:

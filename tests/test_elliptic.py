@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from ellcover import (
     InvalidSubgroup,
     LatticeTau,
     TorusPoint,
+    build_cover,
     eisenstein_g2_g3,
     quotient_lattice,
     reduce_point,
@@ -140,6 +143,12 @@ class TestLatticeReduction:
             LatticeTau(1.0, 2.0)
         with pytest.raises(InvalidPoint):
             LatticeTau(0.0, 1j)
+
+    def test_non_finite_ratio_rejected(self):
+        # finite periods whose ratio overflows: reducing it used to raise OverflowError
+        for omega1, omega2 in [(0.5, 1e308 + 1j), (1e-300, 1e300j), (1.0, -1e-320j)]:
+            with pytest.raises(InvalidPoint, match="not finite"):
+                LatticeTau(omega1, omega2)
 
 
 class TestWeierstrass:
@@ -361,6 +370,14 @@ def _bits(values) -> list[str]:
     return [float.hex(v.real) + float.hex(v.imag) for v in values]
 
 
+#: bound on the error of the kernel's t at seeded random points, in units of
+#: eps * (|t| + reach * |wp'|), reach = |scale| * (1 + |tau_reduced|): relative
+#: to t, plus how far rounding the point itself on the reduced basis moves t.
+#: The worst over seeds 11-20, 60 points on each lattice, was 5.7; relative
+#: to |t| alone it was up to 385, at points near t's double zero at tau'/2
+T_ULPS = 12
+
+
 class TestWpSeries:
     @every
     def test_bits_match_reference_loop(self, lat):
@@ -370,6 +387,17 @@ class TestWpSeries:
             want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, a, b)))
             assert abs(t - want) <= SERIES_REL * abs(want)
             assert abs(t_prime - want_prime) <= SERIES_REL * abs(want_prime)
+
+    @every
+    def test_t_at_random_points(self, lat):
+        rng = random.Random(11)
+        coords = [(rng.random(), rng.random()) for _ in range(60)]
+        t, _ = t_values(lat, *np.array(coords).T)
+        reach = abs(lat.scale) * (1 + abs(lat.tau_reduced))
+        for k, (a, b) in enumerate(coords):
+            want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, a, b)))
+            bound = T_ULPS * sys.float_info.epsilon * (abs(want) + reach * abs(want_prime))
+            assert abs(t[k] - want) <= bound, (a, b)
 
     @every
     def test_scalar_values_are_row_zero(self, lat):
@@ -515,7 +543,52 @@ class TestTorusPoints:
             torsion_points(lattice, True)
 
 
+def _closure(generators) -> tuple:
+    """The subgroup the generators span, sorted: breadth-first closure under +."""
+    zero = (Fraction(0), Fraction(0))
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for a, b in frontier:
+            for ga, gb in generators:
+                cand = ((a + ga) % 1, (b + gb) % 1)
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def _random_generators(rng: random.Random) -> list[tuple[Fraction, Fraction]]:
+    """One generator with denominators up to 100, or two over one denominator up to 100: order <= 10^4."""
+    if rng.random() < 0.5:
+        return [tuple(Fraction(rng.randrange(n), n) for n in (rng.randint(1, 100), rng.randint(1, 100)))]
+    n = rng.randint(1, 100)
+    return [(Fraction(rng.randrange(n), n), Fraction(rng.randrange(n), n)) for _ in range(2)]
+
+
 class TestFiniteSubgroup:
+    def test_elements_and_order_match_closure(self):
+        rng = random.Random(5)
+        for _ in range(24):
+            gens = _random_generators(rng)
+            spec = FiniteSubgroupSpec.from_generators(gens)
+            assert spec.elements == _closure(spec.generators), gens
+            assert spec.order == len(spec.elements)
+
+    def test_oversized_subgroup_is_refused_from_its_basis(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidSubgroup, match="order 1000000 exceeds bound 100000"):
+            FiniteSubgroupSpec.parse(("1/1000,0", "0,1/1000"))
+        assert time.perf_counter() - start < 0.1
+
+    def test_cover_never_lists_its_subgroup(self, lattice):
+        q0 = FiniteSubgroupSpec.parse(("1/100,0", "0,1/100"))
+        spec = build_cover("A", 1, lattice, q0)
+        assert spec.q0.order == 10**4 and spec.quotient.index == 10**4
+        assert "elements" not in vars(q0)
+
     def test_parse_and_order(self):
         assert FiniteSubgroupSpec.parse(("1/2,0",)).order == 2
         assert FiniteSubgroupSpec.parse(("1/3,0",)).order == 3

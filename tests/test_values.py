@@ -15,6 +15,7 @@ from ellcover import (
     CoverSpec,
     FiniteSubgroupSpec,
     IsogenyQuotient,
+    LatticeTau,
     ProjectivePoint,
     TorusPoint,
     build_cover,
@@ -26,6 +27,7 @@ from ellcover.covers import CriterionReport, SampleRecord, VerificationReport
 from ellcover.errors import InvalidPoint
 
 RECORDS = [
+    LatticeTau,
     TorusPoint,
     FiniteSubgroupSpec,
     IsogenyQuotient,
@@ -45,6 +47,7 @@ def records(lattice, q2):
     spec = build_cover("B", 2, lattice, q3)
     report = galois_verify(spec, samples=2, seed=1)
     return {
+        LatticeTau: (lattice, LatticeTau.from_tau(0.1 + 1.3j)),
         TorusPoint: (TorusPoint(lattice, 0.25, 0.5), TorusPoint(lattice, 0.5, 0.25)),
         FiniteSubgroupSpec: (q2, q3),
         IsogenyQuotient: (spec.quotient, quotient_lattice(lattice, q2)),
@@ -93,6 +96,7 @@ def test_repr_names_every_field(pair):
 
 
 def test_repr_is_the_dataclass_form(lattice, q2):
+    assert repr(lattice) == "LatticeTau(omega1=(1+0j), omega2=(0.3+1.1j))"
     assert repr(TorusPoint(lattice, 0.25, 0.5)) == (
         "TorusPoint(lattice=LatticeTau(omega1=(1+0j), omega2=(0.3+1.1j)), a=0.25, b=0.5)"
     )
