@@ -22,16 +22,17 @@ import numpy as np
 
 from .batch import (
     _frac_array,
-    close_pairs,
+    _wrap_dist_array,
     divisors_to_coords,
     lift_coords,
     map_coords,
     move,
-    orbit_indices,
     pack,
+    reduce_coords,
     section_zeros_array,
     stabilizer_mask,
     t_series_array,
+    torus_z,
     two_torsion,
     wp_inverse_array,
 )
@@ -94,9 +95,11 @@ def _arrangement(d: int, sets: int, per: int) -> np.ndarray:
     ).reshape(-1, 2, d)
 
 
-def _arrange(lifts: np.ndarray, d: int) -> np.ndarray:
-    """Every arrangement of each row's lift sets, N x sets x per x 2, as N x T x d x 2 coordinates."""
-    table = _arrangement(d, *lifts.shape[1:3])
+def _arrange(spec: CoverSpec, points: np.ndarray) -> np.ndarray:
+    """The fibers on E, N x T x d x 2, of the point sets on E/Q0, N x sets x per x 2: every arrangement of their lifts."""
+    lifts = lift_coords(spec.quotient, points)
+    lifts = lifts.reshape(*lifts.shape[:2], -1, 2)
+    table = _arrangement(spec.d, *lifts.shape[1:3])
     return lifts[:, table[:, 0], table[:, 1]]
 
 
@@ -108,16 +111,14 @@ def _one_row(spec: CoverSpec, fibers: tuple[np.ndarray, list]) -> list[PointTupl
     return [tuple(TorusPoint(spec.curve, a, b) for a, b in t) for t in coords[0].tolist()]
 
 
-def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
-    """`CoverSpec.fiber_array` for construction A: d!(2|Q0|)^d preimages per target.
+def _quotient_points_A(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
+    """Construction A's fibers on E/Q0: per target, its d roots' +-w pairs, N x d x 2 x 2, and its reason.
 
     Each binary form is factored into d distinct P^1 roots t; each root
-    pulls back through t to a +-w pair on E/Q0 and through the isogeny to
-    |Q0| lifts each.  Repeated roots, a root at infinity (|t| >=
-    1/EPS_GENERIC) or a root whose w is 2-torsion make a target non-generic.
+    pulls back through t to the pair w, -w in `sort_key` order.  Repeated
+    roots, a root at infinity (|t| >= 1/EPS_GENERIC) or a root whose w is
+    2-torsion make a target non-generic; its row holds nan.
     """
-    if spec.construction != "A":
-        raise ConfigError("fiber_A needs a construction-A cover")
     lattice = spec.quotient.target
     reasons, values = [], []
     for roots in sym_fibers(targets):
@@ -135,31 +136,50 @@ def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, lis
     for k, row in enumerate(branch.tolist()):
         if any(row):
             reasons[rows[k]] = f"root t = {values[k][row.index(True)]:.6g} sits at a branch value"
-    lifts = np.concatenate([lift_coords(spec.quotient, w) for w in (w_plus, w_minus)], axis=1)
-    arranged = _arrange(lifts.reshape(-1, spec.d, *lifts.shape[1:]), spec.d)
-    fibers = np.full((len(targets), *arranged.shape[1:]), np.nan)
-    fibers[rows] = np.where(branch.any(axis=1)[:, None, None, None], np.nan, arranged)
-    return fibers, reasons
+    pairs = np.stack([w_plus, w_minus], axis=1).reshape(-1, spec.d, 2, 2)
+    points = np.full((len(targets), spec.d, 2, 2), np.nan)
+    points[rows] = np.where(branch.any(axis=1)[:, None, None, None], np.nan, pairs)
+    return points, reasons
+
+
+def _quotient_points_B(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
+    """Construction B's fibers on E/Q0: per target, its section's zero divisor, N x (d+1) x 1 x 2, and its reason.
+
+    The d+1 points come in the order of `TorusPoint.sort_key`.  A repeated
+    point makes a target non-generic; its row holds nan.
+    """
+    points, mults = section_zeros_array(targets, spec.basis)
+    repeated = np.any(mults > 1, axis=1)
+    order = np.lexsort((points[..., 1], points[..., 0]), axis=-1)
+    divisor = np.take_along_axis(points, order[..., None], axis=1)
+    divisor[repeated] = np.nan
+    reasons = ["repeated point in the target divisor" if r else None for r in repeated.tolist()]
+    return divisor[:, :, None], reasons
+
+
+def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
+    """`CoverSpec.fiber_array` for construction A: d!(2|Q0|)^d preimages per target.
+
+    Each root's +-w pair on E/Q0 (`_quotient_points_A`) lifts through the
+    isogeny to 2|Q0| points, and the d roots are arranged in every order.
+    """
+    if spec.construction != "A":
+        raise ConfigError("fiber_A needs a construction-A cover")
+    points, reasons = _quotient_points_A(spec, targets)
+    return _arrange(spec, points), reasons
 
 
 def fiber_B_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
     """`CoverSpec.fiber_array` for construction B: (d+1)!|Q0|^d preimages per target.
 
     A target's section vanishes on a sum-zero divisor of d+1 points of
-    E/Q0; a preimage arranges d of them in order and lifts each through the
-    isogeny to one of its |Q0| preimages.  A repeated point makes a target
-    non-generic.
+    E/Q0 (`_quotient_points_B`); a preimage arranges d of them in order and
+    lifts each through the isogeny to one of its |Q0| preimages.
     """
     if spec.construction != "B":
         raise ConfigError("fiber_B needs a construction-B cover")
-    points, mults = section_zeros_array(targets, spec.basis)
-    repeated = np.any(mults > 1, axis=1)
-    # each divisor's points in the order of TorusPoint.sort_key
-    order = np.lexsort((points[..., 1], points[..., 0]), axis=-1)
-    divisor = np.take_along_axis(points, order[..., None], axis=1)
-    fibers = _arrange(lift_coords(spec.quotient, divisor), spec.d)
-    fibers[repeated] = np.nan
-    return fibers, ["repeated point in the target divisor" if r else None for r in repeated.tolist()]
+    points, reasons = _quotient_points_B(spec, targets)
+    return _arrange(spec, points), reasons
 
 
 def fiber_A(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
@@ -199,13 +219,9 @@ class SampleRecord(_Frozen):
         object.__setattr__(self, "image_spread", image_spread)
         object.__setattr__(self, "fiber_match", fiber_match)
 
-    def passes(self, group_order: int, eps_proj: float) -> bool:
-        """Pass condition for a generic sample; non-generic records are excluded."""
-        return (
-            self.orbit_size == group_order
-            and self.image_spread < eps_proj
-            and self.fiber_match
-        )
+    def passes(self, eps_proj: float) -> bool:
+        """Pass condition for a generic sample, whose orbit has |G| points; non-generic records are excluded."""
+        return self.image_spread < eps_proj and self.fiber_match
 
 
 class CriterionReport(_Frozen):
@@ -228,48 +244,21 @@ class VerificationReport(_Frozen):
     passed: bool
 
 
-def _match_as_sets(
-    left: np.ndarray,
-    left_owner: np.ndarray,
-    right: np.ndarray,
-    right_owner: np.ndarray,
-    count: int,
-    tol: float,
-) -> np.ndarray:
-    """Multiset equality of point tuples given by coordinates, shape N x d x 2, per sample.
+def _fiber_match(spec: CoverSpec, images: np.ndarray, preimages: np.ndarray) -> np.ndarray:
+    """Whether each of N samples' recovered preimages, N x d x 2, lies within EPS_GENERIC of one of its images.
 
-    Entry s compares the left tuples owned by sample s with the right ones
-    it owns.  Compared in the toroidal sup metric, greedily: each left
-    tuple in turn takes the earliest unmatched right tuple within tol.
-    When every tuple of a sample has exactly one partner within tol on the
-    other side, the greedy match pairs them all; when some tuple has none,
-    it fails.  Only other samples, where the greedy order decides, walk
-    their left tuples through the pairs one `close_pairs` found.
+    `images` holds each sample's |G| images, N x |G| x d x 2; distances are
+    toroidal sup distances on E.  A generic sample's images are |G|
+    distinct points of its fiber, so when |G| is the fiber's size, d!(2|Q0|)^d
+    for A and (d+1)!|Q0|^d for B, they are the whole fiber, and one
+    preimage recovered from the target alone lies among them exactly when
+    the group acts simply transitively on it.  Otherwise no sample matches.
     """
-    i, j = close_pairs(left, right, tol)
-    same = left_owner[i] == right_owner[j]
-    i, j = i[same], j[same]
-    left_hits = np.bincount(i, minlength=len(left))
-    right_hits = np.bincount(j, minlength=len(right))
-
-    def per_sample(owner, flags):
-        return np.bincount(owner, weights=flags, minlength=count) > 0
-
-    sized = np.bincount(left_owner, minlength=count) == np.bincount(right_owner, minlength=count)
-    unmatched = per_sample(left_owner, left_hits == 0) | per_sample(right_owner, right_hits == 0)
-    shared = per_sample(left_owner, left_hits > 1) | per_sample(right_owner, right_hits > 1)
-    matched = sized & ~unmatched
-    starts = np.cumsum(left_hits) - left_hits
-    free = np.ones(len(right), dtype=bool)
-    for sample in np.flatnonzero(matched & shared).tolist():
-        for k in np.flatnonzero(left_owner == sample).tolist():
-            partners = j[starts[k] : starts[k] + left_hits[k]]
-            partners = partners[free[partners]]
-            if not len(partners):
-                matched[sample] = False
-                break
-            free[partners.min()] = False
-    return matched
+    sets, per = (spec.d, 2 * spec.q0.order) if spec.construction == "A" else (spec.d + 1, spec.q0.order)
+    if spec.group.order != math.perm(sets, spec.d) * per**spec.d:
+        return np.zeros(len(preimages), dtype=bool)
+    close = _wrap_dist_array(images, preimages[:, None]) <= EPS_GENERIC
+    return np.any(np.all(close, axis=(2, 3)), axis=1)
 
 
 #: images per chunk of `galois_verify`: consecutive samples are verified
@@ -295,24 +284,22 @@ def _verify_chunk(
 ) -> list[SampleRecord]:
     """Samples first, first + 1, ... of the protocol, in numpy passes over all their images.
 
-    `coords` holds the samples' points, N x d x 2.  Stabilizers and orbits
-    come from one array of the samples' images; the orbits are mapped as
-    one stack and their spreads taken in one `projective_spreads` call.  A
-    generic sample's fiber target is its point's own row of the map, the
-    independent one-sample check; all those fibers are recovered as one
-    stack (`CoverSpec.fiber_array`) and matched against their orbits.  Each mapped row and fiber depends on
-    its own tuple alone, and the dedup, spreads and matching keep samples
-    apart by `owner`, so a record does not depend on its chunk.  A sample
-    with an orbit point that the map marks failed, or whose target is not
-    a generic value of the map, is non-generic, not failed.
+    `coords` holds the samples' points, N x d x 2.  Stabilizers come from
+    one array of the samples' |G| images each, and an orbit's size is |G|
+    over its stabilizer's.  All images are mapped as one stack and their
+    spreads taken in one `projective_spreads` call.  A generic sample's
+    fiber target is its point's own row of the map; one preimage is
+    recovered from each target alone, all as one stack, and compared with
+    the sample's images (`_fiber_match`).  Each mapped row and preimage
+    depends on its own tuple alone, so a record does not depend on its
+    chunk.  A sample with an image that the map marks failed, or whose
+    target is not a generic value of the map, is non-generic, not failed.
     """
-    count = len(coords)
+    count, order = len(coords), spec.group.order
     found = move(spec.group._packed, coords)
     stabilizer = np.count_nonzero(stabilizer_mask(found, coords, eps_pt), axis=1)
-    keep = orbit_indices(found, eps_pt)
-    orbit = found.reshape(-1, spec.d, 2)[keep]
-    owner = keep // spec.group.order
-    mapped, failed = spec.map_array(orbit)
+    owner = np.repeat(np.arange(count), order)
+    mapped, failed = spec.map_array(found.reshape(-1, spec.d, 2))
     failed = np.bincount(owner, weights=failed, minlength=count) > 0
     spread = projective_spreads(mapped, owner, failed)
     generic = (stabilizer == 1) & ~failed
@@ -321,29 +308,28 @@ def _verify_chunk(
     if len(samples):
         # the identity's image is the point itself, bit for bit, and for a
         # generic point no other image equals it
-        rows = np.flatnonzero(np.all(orbit == coords[owner], axis=(1, 2)))
-        targets = mapped[rows[np.searchsorted(owner[rows], samples)]]
-        fibers, reasons = spec.fiber_array(targets)
+        own = np.argmax(np.all(found[samples] == coords[samples, None], axis=(2, 3)), axis=1)
+        targets = mapped.reshape(count, order, -1)[samples, own]
+        points, reasons = (_quotient_points_A if spec.construction == "A" else _quotient_points_B)(spec, targets)
         recovered = np.array([r is None for r in reasons], dtype=bool)
         generic[samples[~recovered]] = False
         samples = samples[recovered]
-        if len(samples):
-            left = fibers[recovered].reshape(-1, spec.d, 2)
-            left_owner = np.repeat(samples, fibers.shape[1])
-            matched = _match_as_sets(left, left_owner, orbit, owner, count, EPS_GENERIC)
-    sizes = np.bincount(owner, minlength=count)
+        # the recovered tuple on E/Q0, each set's first point, lifted by the origin of Q0
+        quotient = spec.quotient
+        preimages = reduce_coords(quotient.source, torus_z(quotient.target, points[recovered, : spec.d, 0]))
+        matched[samples] = _fiber_match(spec, found[samples], preimages)
     return [
         SampleRecord(
             index=first + s,
             point=tuple(TorusPoint(spec.curve, a, b) for a, b in row),
             generic=g,
             stabilizer_size=stab,
-            orbit_size=size,
+            orbit_size=order // stab,
             image_spread=worst,
             fiber_match=g and m,
         )
-        for s, (row, g, stab, size, worst, m) in enumerate(
-            zip(*(a.tolist() for a in (coords, generic, stabilizer, sizes, spread, matched)))
+        for s, (row, g, stab, worst, m) in enumerate(
+            zip(*(a.tolist() for a in (coords, generic, stabilizer, spread, matched)))
         )
     ]
 
@@ -358,10 +344,12 @@ def galois_verify(
 ) -> VerificationReport:
     """Simple-transitivity protocol on seeded random samples.
 
-    Per sample: the stabilizer must be trivial (genericity certificate), the
-    orbit must have exactly |G| points, the map must be constant on the orbit
-    within eps_proj, and the independent fiber computation must agree with
-    the orbit.  Non-generic samples are recorded and excluded from pass/fail.
+    Per sample: the stabilizer must be trivial (genericity certificate), so
+    that the orbit has |G| points; the map must be constant on the orbit
+    within eps_proj; and one preimage recovered from the sample's image
+    alone must lie in the orbit, with |G| the fiber's exact size
+    (`_fiber_match`).  Non-generic samples are recorded and excluded from
+    pass/fail.
     Samples are verified in chunks of `_CHUNK_ROWS` images (`_verify_chunk`),
     which at most `jobs` threads share out.  Raises ConfigError unless 1 <=
     samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS (`check_counts`).
@@ -386,7 +374,7 @@ def galois_verify(
 
     generic_records = [r for r in records if r.generic]
     passed = bool(generic_records) and all(
-        r.passes(spec.group.order, eps_proj) for r in generic_records
+        r.passes(eps_proj) for r in generic_records
     )
     return VerificationReport(
         construction=spec.construction,

@@ -371,7 +371,6 @@ class IsogenyQuotient(_Frozen):
 
     source: LatticeTau
     target: LatticeTau
-    index: int
     subgroup: FiniteSubgroupSpec
 
     def map(self, p: TorusPoint) -> TorusPoint:
@@ -427,11 +426,10 @@ def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuot
     `hermite_basis` (N, a, b, c).
     """
     n, a, b, c = q0.hermite_basis
-    index = q0.order
     w1 = a / n * lattice.omega1
     w2 = b / n * lattice.omega1 + c / n * lattice.omega2
-    target = lattice if index == 1 else LatticeTau(w1, w2)
-    return IsogenyQuotient(source=lattice, target=target, index=index, subgroup=q0)
+    target = lattice if q0.order == 1 else LatticeTau(w1, w2)
+    return IsogenyQuotient(source=lattice, target=target, subgroup=q0)
 
 
 def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:

@@ -28,17 +28,16 @@ from ellcover import (
     wp,
 )
 
-from ellcover import FiniteActionGroup, batch, covers
+from ellcover import FiniteActionGroup, batch, covers, groups
 from ellcover.covers import (
     EPS_GENERIC,
     MAX_QUOTIENT_IM_TAU,
     MAX_QUOTIENT_IM_TAU_B3,
     SampleRecord,
-    _match_as_sets,
 )
-from ellcover.batch import coords_array, divisors_to_coords, map_coords
+from ellcover.batch import _wrap_dist_array, coords_array, divisors_to_coords, map_coords
 from ellcover.construction import MAX_BASIS_CHANGE, MAX_JOBS
-from ellcover.elliptic import EPS_PT, centred_values
+from ellcover.elliptic import EPS_PROJ, EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
 from ellcover.symfun import projective_spread, sym_product
 
@@ -52,35 +51,48 @@ def _build(construction, d, q0spec, lattice):
 
 
 def _match_one(left, right, tol):
-    """`_match_as_sets` on one sample's tuples."""
-    own_left, own_right = np.zeros(len(left), dtype=int), np.zeros(len(right), dtype=int)
-    (matched,) = _match_as_sets(left, own_left, right, own_right, 1, tol)
-    return matched
+    """Whether two lists of point tuples, N x d x 2 coordinates, are equal as multisets within tol.
+
+    Greedily, in the toroidal sup metric: each left tuple in turn takes the
+    earliest right tuple within tol that no earlier one took.
+    """
+    if len(left) != len(right):
+        return False
+    close = np.all(_wrap_dist_array(left[:, None], right[None]) <= tol, axis=(2, 3))
+    free = np.ones(len(right), dtype=bool)
+    for row in close:
+        partners = np.flatnonzero(row & free)
+        if not len(partners):
+            return False
+        free[partners[0]] = False
+    return True
 
 
 def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     """One sample of the protocol, alone: the oracle of `galois_verify`'s chunks.
 
-    Stabilizer and orbit come from the sample's own |G| images, and its
-    orbit is mapped by itself; its spread is its own `projective_spread`
-    and its fiber is recovered from its target alone (`CoverSpec.fiber`).
+    The stabilizer comes from the sample's own |G| images, and the orbit
+    size is |G| over the stabilizer's size.  The images are mapped by
+    themselves, and their spread is their own `projective_spread`.  The
+    whole fiber is recovered from the target alone (`CoverSpec.fiber`) and
+    must equal the orbit (`FiniteActionGroup.orbit`) as a set.
     """
     found = batch.images(spec.group, [point])
     here = coords_array([point])
     stab = np.flatnonzero(batch.stabilizer_mask(found, here, eps_pt)[0])
     generic = len(stab) == 1
-    orbit = found[0, batch.orbit_indices(found, eps_pt)]
     fiber_match = False
     spread = math.inf
-    mapped, failed = spec.map_array(orbit)
+    mapped, failed = spec.map_array(found[0])
     if failed.any():
         generic = False
     else:
         spread = projective_spread(mapped)
     if generic:
-        target = mapped[np.all(orbit == here[0], axis=(1, 2))][0]
+        target = mapped[np.all(found[0] == here[0], axis=(1, 2))][0]
         try:
             fiber = spec.fiber(ProjectivePoint(tuple(target.tolist())))
+            orbit = coords_array(spec.group.orbit(point))
             fiber_match = _match_one(coords_array(fiber), orbit, EPS_GENERIC)
         except NonGenericTarget:
             generic = False
@@ -89,7 +101,7 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
         point=point,
         generic=generic,
         stabilizer_size=len(stab),
-        orbit_size=len(orbit),
+        orbit_size=spec.group.order // len(stab),
         image_spread=spread,
         fiber_match=fiber_match,
     )
@@ -104,6 +116,11 @@ TERMS_VARY = (0.2, 0.7)
 def _bits(records):
     """Records with their spreads as exact bit patterns."""
     return [(r, r.image_spread.hex()) for r in records]
+
+
+def _with_group(spec, group):
+    """The cover `spec` with its deck group replaced by `group`: a negative control."""
+    return CoverSpec(**{**{name: getattr(spec, name) for name in CoverSpec._fields}, "group": group})
 
 
 def _point(spec, coords):
@@ -136,7 +153,7 @@ class TestBuildCover:
         assert spec.polarization.rows == ((4, 0), (0, 4))
         assert spec.theoretical_degree == 32
         assert spec.very_ample
-        assert spec.quotient.index == 2
+        assert spec.quotient.subgroup.order == 2
 
     def test_construction_b_assembly(self, lattice, q2):
         spec = build_cover("B", 2, lattice, q2)
@@ -444,14 +461,14 @@ class TestGaloisVerify:
 
     @pytest.mark.parametrize("construction", ["A", "B"])
     def test_moved_preimage_fails(self, lattice, q2, monkeypatch, construction):
-        # one recovered tuple of every fiber moved by 1e-3
-        name = f"fiber_{construction}_array"
+        # the recovered preimage of every target moved by 1e-3 on E/Q0
+        name = f"_quotient_points_{construction}"
         recover = getattr(covers, name)
 
         def moved(spec, targets):
-            fibers, reasons = recover(spec, targets)
-            fibers[:, 0, 0, 0] = (fibers[:, 0, 0, 0] + 1e-3) % 1.0
-            return fibers, reasons
+            points, reasons = recover(spec, targets)
+            points[:, 0, 0, 0] = (points[:, 0, 0, 0] + 1e-3) % 1.0
+            return points, reasons
 
         monkeypatch.setattr(covers, name, moved)
         spec = build_cover(construction, 2, lattice, q2)
@@ -488,8 +505,8 @@ class TestGaloisVerify:
             assert seq.passed == par.passed
 
     def test_images_are_computed_once_per_sample(self, lattice, q2, monkeypatch):
-        # the stabilizer and the orbit both come from one array of images,
-        # computed for the sample points, each once, in order
+        # the stabilizer, the map and the fiber compare all read one array
+        # of images, computed for the sample points, each once, in order
         original = covers.move
         calls = []
 
@@ -756,97 +773,57 @@ def test_paper_family_recovers_every_fiber(construction, n):
 @pytest.mark.parametrize("construction", ["A", "B"])
 def test_index_two_subgroup_fails(lattice, q2, construction):
     # a negative control: verified against the elements of determinant +1,
-    # an index-2 subgroup H, each recovered fiber has |G| tuples and each
-    # orbit |H|, so every generic sample misses its match
+    # an index-2 subgroup H, each orbit has |H| points, half the fiber, so
+    # every generic sample misses its match
     spec = build_cover(construction, 2, lattice, q2)
     kept = tuple(
         g for g in spec.group.elements
         if g.matrix[0][0] * g.matrix[1][1] - g.matrix[0][1] * g.matrix[1][0] == 1
     )
     assert 2 * len(kept) == spec.group.order
-    half = CoverSpec(
-        construction=spec.construction,
-        d=spec.d,
-        curve=spec.curve,
-        q0=spec.q0,
-        quotient=spec.quotient,
-        group=FiniteActionGroup(2, (), kept),
-        polarization=spec.polarization,
-        theoretical_degree=spec.theoretical_degree,
-        very_ample=spec.very_ample,
-    )
-    report = galois_verify(half, samples=10, seed=1)
+    report = galois_verify(_with_group(spec, FiniteActionGroup(2, (), kept)), samples=10, seed=1)
     generic = [r for r in report.samples if r.generic]
     assert len(generic) == 10
     assert all(r.orbit_size == len(kept) and not r.fiber_match for r in generic)
     assert not report.passed
 
 
-def _scalar_match(left, right, tol):
-    if len(left) != len(right):
-        return False
-    remaining = list(right)
-    for p in left:
-        for k, q in enumerate(remaining):
-            if all(a.close_to(b, tol) for a, b in zip(p, q)):
-                remaining.pop(k)
-                break
-        else:
-            return False
-    return True
+@pytest.mark.parametrize("construction, orders", [("A", (128, 32)), ("B", (96, 24))])
+def test_translations_of_a_proper_subgroup_fail(construction, orders):
+    # a negative control: the cover quotients by Q0 = <1/4, 0> but carries
+    # L x| T' with T' = <1/2, 0>^d, a proper subgroup of Q0^d.  Each image
+    # is a preimage of its target, so the spreads pass, but L x| T' has a
+    # quarter of the fiber's points
+    spec = _build(construction, 2, FiniteSubgroupSpec.parse(("1/4,0",)), LatticeTau.from_tau(TAU))
+    build = groups.build_group_A if construction == "A" else groups.build_group_B
+    group = build(2, FiniteSubgroupSpec.parse(("1/2,0",)))
+    assert (spec.group.order, group.order) == orders
+    report = galois_verify(_with_group(spec, group), samples=10, seed=1)
+    generic = [r for r in report.samples if r.generic]
+    assert len(generic) == 10
+    assert all(r.orbit_size == group.order and r.image_spread < EPS_PROJ for r in generic)
+    assert not any(r.fiber_match for r in generic)
+    assert not report.passed
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_match_as_sets_keeps_greedy_semantics(lattice, seed):
-    # coordinates on a coarse grid, offset by about tol: chains of close
-    # pairs in which a greedy pick can strand a later point.  The offsets
-    # are uniform, or whole multiples of tol/4 with a dyadic tol, so that
-    # pairs sit exactly at the tolerance edge; grid points at 0 put pairs
-    # across the wrap
-    rng = random.Random(seed)
-
-    def tup(tol, offset):
-        return tuple(
-            TorusPoint.from_coords(
-                lattice,
-                rng.choice((0.0, 0.5)) + offset(tol),
-                rng.choice((0.25, 0.75)) + offset(tol),
-            )
-            for _ in range(2)
-        )
-
-    def uniform(tol):
-        return rng.uniform(-1.5, 1.5) * tol
-
-    def edge(tol):
-        return rng.randint(-6, 6) * tol / 4
-
-    outcomes = set()
-    for tol, offset in ((0.02, uniform), (2.0**-6, edge)):
-        for _ in range(40):
-            right = [tup(tol, offset) for _ in range(12)]
-            if rng.random() < 0.5:
-                left = [tup(tol, offset) for _ in range(12)]
-            else:
-                left = rng.sample(right, 12)
-            expected = _scalar_match(left, right, tol)
-            assert _match_one(coords_array(left), coords_array(right), tol) == expected
-            outcomes.add((offset, expected))
-    assert len(outcomes) == 4
-
-    # q lies within tol of right 1, 2 and 3, whose keys sort as 3, 1, 2;
-    # each left point after the q's has a single partner, so both inputs
-    # match only if every q takes the earliest free partner: 1, then 2
-    def tuples(coords):
-        return [(TorusPoint.from_coords(lattice, a, b),) for a, b in coords]
-
-    tol = 1e-3
-    right = tuples([(0.6, 0.1), (0.2, 0.3), (0.2 + 5e-4, 0.3), (0.2 - 5e-4, 0.3)])
-    q = (0.2 + 2e-4, 0.3)
-    for left in (tuples([q, (0.2 + 1.2e-3, 0.3), (0.2 - 1.2e-3, 0.3), (0.6, 0.1)]),
-                 tuples([q, q, (0.2 - 1.2e-3, 0.3), (0.6, 0.1)])):
-        assert _scalar_match(left, right, tol)
-        assert _match_one(coords_array(left), coords_array(right), tol)
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_fiber_match_at_its_tolerance_edge(lattice, q2, construction):
+    # one sample's images, the last with coordinates at 1 - 1e-12 and at 0,
+    # and preimages that move one coordinate of an image by 0.5 EPS_GENERIC
+    # (a match) or by 2 EPS_GENERIC (none); the last two cases cross 0/1
+    spec = _build(construction, 2, q2, lattice)
+    images = np.array([[[0.2, 0.3], [0.6, 0.1]], [[0.7, 0.4], [0.1, 0.9]], [[1 - 1e-12, 0.5], [0.0, 0.25]]])
+    for k, slot, axis, sign in ((0, 0, 0, 1), (1, 1, 1, -1), (2, 0, 0, 1), (2, 1, 0, -1)):
+        for scale, expected in ((0.5, True), (2.0, False)):
+            preimage = images[k].copy()
+            preimage[slot, axis] = (preimage[slot, axis] + sign * scale * EPS_GENERIC) % 1.0
+            (matched,) = covers._fiber_match(spec, images[None], preimage[None])
+            assert matched == expected, (k, slot, axis, scale)
+    # each image itself matches, unless the group is one element short of
+    # the fiber's size
+    for group, expected in ((spec.group, True), (FiniteActionGroup(2, (), spec.group.elements[:-1]), False)):
+        matched = covers._fiber_match(_with_group(spec, group), images[None].repeat(3, 0), images)
+        assert matched.tolist() == [expected] * 3
 
 
 class TestCriterionCheck:

@@ -586,7 +586,7 @@ class TestFiniteSubgroup:
     def test_cover_never_lists_its_subgroup(self, lattice):
         q0 = FiniteSubgroupSpec.parse(("1/100,0", "0,1/100"))
         spec = build_cover("A", 1, lattice, q0)
-        assert spec.q0.order == 10**4 and spec.quotient.index == 10**4
+        assert spec.q0.order == 10**4 and spec.quotient.subgroup.order == 10**4
         assert "elements" not in vars(q0)
 
     def test_parse_and_order(self):
@@ -618,7 +618,7 @@ class TestFiniteSubgroup:
 class TestQuotientLattice:
     def test_index_two_quotient(self, lattice, q2):
         quo = quotient_lattice(lattice, q2)
-        assert quo.index == 2
+        assert quo.subgroup.order == 2
         # the generator becomes a period of the target
         img = quo.map(TorusPoint.from_coords(lattice, 0.5, 0.0))
         assert img.is_zero()
@@ -626,19 +626,19 @@ class TestQuotientLattice:
     def test_klein_four_quotient(self, lattice):
         q0 = FiniteSubgroupSpec.parse(("1/2,0", "0,1/2"))
         quo = quotient_lattice(lattice, q0)
-        assert quo.index == 4
+        assert quo.subgroup.order == 4
         for p in q0.points_on(lattice):
             assert quo.map(p).is_zero()
 
     def test_cyclic_three_diagonal(self, lattice):
         q0 = FiniteSubgroupSpec.parse(("1/3,1/3",))
         quo = quotient_lattice(lattice, q0)
-        assert quo.index == 3
+        assert quo.subgroup.order == 3
         assert quo.map(TorusPoint.from_coords(lattice, 1 / 3, 1 / 3)).is_zero()
 
     def test_trivial_quotient_is_identity(self, lattice):
         quo = quotient_lattice(lattice, FiniteSubgroupSpec.trivial())
-        assert quo.index == 1
+        assert quo.subgroup.order == 1
         p = TorusPoint.from_coords(lattice, 0.3, 0.7)
         assert quo.map(p).close_to(p)
 

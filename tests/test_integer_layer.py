@@ -49,7 +49,7 @@ class TestHermite:
         den = math.lcm(*(f.denominator for row in rows for f in row))
         hnf = _sympy_hnf([[int(f * den) for f in row] for row in rows])
         quo = quotient_lattice(lattice, spec)
-        assert quo.index == spec.order
+        assert quo.subgroup.order == spec.order
         if spec.order == 1:
             assert quo.target is lattice
             return
