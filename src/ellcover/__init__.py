@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "elliptic": (
         "FiniteSubgroupSpec", "HomPair", "IsogenyQuotient", "LatticeTau",
-        "TorusPoint", "eisenstein_g2_g3", "quotient_lattice", "reduce_point",
-        "torsion_points", "wp", "wp_inverse", "wp_prime",
+        "TorusPoint", "eisenstein_g2_g3", "quotient_lattice", "reduce_point", "wp",
+        "wp_inverse", "wp_prime",
     ),
     "errors": (
         "ConfigError", "DegenerateSection", "EllcoverError", "ExponentMismatch",

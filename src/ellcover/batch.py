@@ -57,7 +57,7 @@ def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
 
 
 def map_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
-    """`IsogenyQuotient.map` on an array of source coordinates (a, b), shape (..., 2)."""
+    """The isogeny E -> E/Q0 on an array of source coordinates (a, b), shape (..., 2): target coordinates."""
     return reduce_coords(quotient.target, torus_z(quotient.source, coords))
 
 
@@ -237,7 +237,7 @@ def t_values(lattice: LatticeTau, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
 
 
 def torus_z(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
-    """`TorusPoint.z` on an array of coordinates (a, b), shape (..., 2)."""
+    """The complex representatives a*omega1 + b*omega2 of an array of coordinates (a, b), shape (..., 2)."""
     return coords[..., 0] * lattice.omega1 + coords[..., 1] * lattice.omega2
 
 
@@ -247,13 +247,13 @@ def reduce_coords(lattice: LatticeTau, z: np.ndarray) -> np.ndarray:
 
 
 def lift_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
-    """`IsogenyQuotient.lifts` on an array of target coordinates (..., 2): shape (..., |Q0|, 2)."""
+    """The |Q0| preimages on the source of an array of target coordinates (..., 2): shape (..., |Q0|, 2)."""
     z = torus_z(quotient.target, coords)[..., None] + np.array(quotient._lift_offsets)
     return reduce_coords(quotient.source, z)
 
 
 def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
-    """The solutions z and -z of wp(z) - e2 = t for N values t, two N x 2 arrays, each pair in `sort_key` order.
+    """The solutions z and -z of wp(z) - e2 = t for N values t, two N x 2 arrays, each pair in (a, b) order.
 
     The AGM elliptic logarithm of Cremona and Thongjunthug (J. Number
     Theory 133, 2013) from the branch differences: with a = sqrt(d1 - d3),
@@ -291,7 +291,7 @@ def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
     missed = pole | ~(residual <= EPS_NUM * (1.0 + np.abs(t)))
     if missed.any():
         raise NoConvergence(f"wp_inverse missed its residual contract at t={complex(t[missed][0])!r}")
-    # the two solutions in the order of TorusPoint.sort_key
+    # the two solutions in (a, b) order
     q = _frac_array(-p)
     swap = ((q[:, 0] < p[:, 0]) | ((q[:, 0] == p[:, 0]) & (q[:, 1] < p[:, 1])))[:, None]
     return np.where(swap, q, p), np.where(swap, p, q)

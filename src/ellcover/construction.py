@@ -107,24 +107,18 @@ class CoverSpec(_Frozen):
 
         return (covers.map_A_array if self.construction == "A" else covers.map_B_array)(self, coords)
 
-    def fiber(self, image: ProjectivePoint) -> list[PointTuple]:
-        """The preimages of one generic target: one row of `fiber_array`."""
-        from . import covers
-
-        return (covers.fiber_A if self.construction == "A" else covers.fiber_B)(self, image)
-
     def fiber_array(self, targets: np.ndarray) -> tuple[np.ndarray, list]:
         """The preimages of N targets given by normalized coordinates, N x (d+1).
 
         Returns the N x |G| x d x 2 coordinates of the fibers and, per
         target, None or why it is not a generic value of the map (its row
-        then holds nan).  Each row depends on its own target alone.
+        then holds nan): every arrangement of the lifts of the target's
+        points on E/Q0.  Each row depends on its own target alone.
         """
         from . import covers
 
-        return (covers.fiber_A_array if self.construction == "A" else covers.fiber_B_array)(
-            self, targets
-        )
+        points, reasons = covers._quotient_points(self, targets)
+        return covers._arrange(self, points), reasons
 
 
 def degree_identity(

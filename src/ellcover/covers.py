@@ -103,19 +103,11 @@ def _arrange(spec: CoverSpec, points: np.ndarray) -> np.ndarray:
     return lifts[:, table[:, 0], table[:, 1]]
 
 
-def _one_row(spec: CoverSpec, fibers: tuple[np.ndarray, list]) -> list[PointTuple]:
-    """The fiber of a one-row `fiber_array` result; NonGenericTarget with its reason."""
-    coords, (reason,) = fibers
-    if reason is not None:
-        raise NonGenericTarget(reason)
-    return [tuple(TorusPoint(spec.curve, a, b) for a, b in t) for t in coords[0].tolist()]
-
-
 def _quotient_points_A(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
     """Construction A's fibers on E/Q0: per target, its d roots' +-w pairs, N x d x 2 x 2, and its reason.
 
     Each binary form is factored into d distinct P^1 roots t; each root
-    pulls back through t to the pair w, -w in `sort_key` order.  Repeated
+    pulls back through t to the pair w, -w in (a, b) order.  Repeated
     roots, a root at infinity (|t| >= 1/EPS_GENERIC) or a root whose w is
     2-torsion make a target non-generic; its row holds nan.
     """
@@ -145,8 +137,8 @@ def _quotient_points_A(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray
 def _quotient_points_B(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
     """Construction B's fibers on E/Q0: per target, its section's zero divisor, N x (d+1) x 1 x 2, and its reason.
 
-    The d+1 points come in the order of `TorusPoint.sort_key`.  A repeated
-    point makes a target non-generic; its row holds nan.
+    The d+1 points come in (a, b) order.  A repeated point makes a target
+    non-generic; its row holds nan.
     """
     points, mults = section_zeros_array(targets, spec.basis)
     repeated = np.any(mults > 1, axis=1)
@@ -157,39 +149,41 @@ def _quotient_points_B(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray
     return divisor[:, :, None], reasons
 
 
-def fiber_A_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
-    """`CoverSpec.fiber_array` for construction A: d!(2|Q0|)^d preimages per target.
+def _quotient_points(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
+    """The fibers on E/Q0 of N targets, with their reasons: `_quotient_points_A` or `_quotient_points_B`."""
+    return (_quotient_points_A if spec.construction == "A" else _quotient_points_B)(spec, targets)
+
+
+def _one_row(spec: CoverSpec, target: ProjectivePoint, construction: str) -> list[PointTuple]:
+    """The fiber of one generic target, one row of `CoverSpec.fiber_array`; NonGenericTarget with its reason.
+
+    Raises ConfigError unless the cover is of the given construction.
+    """
+    if spec.construction != construction:
+        raise ConfigError(f"fiber_{construction} needs a construction-{construction} cover")
+    coords, (reason,) = spec.fiber_array(np.array([target.coords]))
+    if reason is not None:
+        raise NonGenericTarget(reason)
+    return [tuple(TorusPoint(spec.curve, a, b) for a, b in t) for t in coords[0].tolist()]
+
+
+def fiber_A(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
+    """All d!(2|Q0|)^d preimages of a generic target of construction A.
 
     Each root's +-w pair on E/Q0 (`_quotient_points_A`) lifts through the
     isogeny to 2|Q0| points, and the d roots are arranged in every order.
     """
-    if spec.construction != "A":
-        raise ConfigError("fiber_A needs a construction-A cover")
-    points, reasons = _quotient_points_A(spec, targets)
-    return _arrange(spec, points), reasons
+    return _one_row(spec, target, "A")
 
 
-def fiber_B_array(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, list]:
-    """`CoverSpec.fiber_array` for construction B: (d+1)!|Q0|^d preimages per target.
+def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
+    """All (d+1)!|Q0|^d preimages of a generic target of construction B.
 
     A target's section vanishes on a sum-zero divisor of d+1 points of
     E/Q0 (`_quotient_points_B`); a preimage arranges d of them in order and
     lifts each through the isogeny to one of its |Q0| preimages.
     """
-    if spec.construction != "B":
-        raise ConfigError("fiber_B needs a construction-B cover")
-    points, reasons = _quotient_points_B(spec, targets)
-    return _arrange(spec, points), reasons
-
-
-def fiber_A(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
-    """All d!(2|Q0|)^d preimages of a generic target of construction A: one row of `fiber_A_array`."""
-    return _one_row(spec, fiber_A_array(spec, np.array([target.coords])))
-
-
-def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
-    """All (d+1)!|Q0|^d preimages of a generic target of construction B: one row of `fiber_B_array`."""
-    return _one_row(spec, fiber_B_array(spec, np.array([target.coords])))
+    return _one_row(spec, target, "B")
 
 
 class SampleRecord(_Frozen):
@@ -310,7 +304,7 @@ def _verify_chunk(
         # generic point no other image equals it
         own = np.argmax(np.all(found[samples] == coords[samples, None], axis=(2, 3)), axis=1)
         targets = mapped.reshape(count, order, -1)[samples, own]
-        points, reasons = (_quotient_points_A if spec.construction == "A" else _quotient_points_B)(spec, targets)
+        points, reasons = _quotient_points(spec, targets)
         recovered = np.array([r is None for r in reasons], dtype=bool)
         generic[samples[~recovered]] = False
         samples = samples[recovered]

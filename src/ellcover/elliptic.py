@@ -18,11 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import (
-    InvalidOrder,
-    InvalidPoint,
-    InvalidSubgroup,
-)
+from .errors import InvalidPoint, InvalidSubgroup
 from .polarization import _Frozen
 
 #: default tolerance for torus-point equality (toroidal sup metric on (a, b))
@@ -91,10 +87,6 @@ class HomPair(NamedTuple):
     def value(self) -> complex:
         """Plain complex value; raises ZeroDivisionError at a pole."""
         return self.num / self.den
-
-    @property
-    def is_pole(self) -> bool:
-        return self.den == 0
 
 
 class LatticeTau(_Frozen):
@@ -227,10 +219,6 @@ class TorusPoint(_Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def z(self) -> complex:
-        return self.a * self.lattice.omega1 + self.b * self.lattice.omega2
-
     @classmethod
     def from_coords(cls, lattice: LatticeTau, a: float, b: float) -> "TorusPoint":
         return cls(lattice, _frac(float(a)), _frac(float(b)))
@@ -251,29 +239,14 @@ class TorusPoint(_Frozen):
             and _wrap_dist(self.b, other.b) <= tol
         )
 
-    def toroidal_dist(self, other: "TorusPoint") -> float:
-        return max(_wrap_dist(self.a, other.a), _wrap_dist(self.b, other.b))
-
     def is_zero(self, tol: float = EPS_PT) -> bool:
         return _wrap_dist(self.a, 0.0) <= tol and _wrap_dist(self.b, 0.0) <= tol
-
-    def sort_key(self) -> tuple[float, float]:
-        return (self.a, self.b)
 
 
 def reduce_point(z: complex, lattice: LatticeTau) -> TorusPoint:
     """Reduce a complex representative into the fundamental parallelogram."""
     a, b = lattice.coords(complex(z))
     return TorusPoint(lattice, _frac(a), _frac(b))
-
-
-def torsion_points(lattice: LatticeTau, n: int) -> list[TorusPoint]:
-    """The n^2 points of the n-torsion subgroup, sorted by coordinates."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidOrder(f"torsion order must be a positive integer, got {n!r}")
-    return [
-        TorusPoint(lattice, i / n, j / n) for i in range(n) for j in range(n)
-    ]
 
 
 class FiniteSubgroupSpec(_Frozen):
@@ -356,15 +329,6 @@ class FiniteSubgroupSpec(_Frozen):
             for j in range(n // c)
         ))
 
-    def points_on(self, lattice: LatticeTau) -> list[TorusPoint]:
-        return [
-            TorusPoint(lattice, float(a), float(b)) for a, b in self.elements
-        ]
-
-    def __str__(self) -> str:
-        gens = "; ".join(f"({a},{b})" for a, b in self.generators) or "trivial"
-        return f"<{gens}> of order {self.order}"
-
 
 class IsogenyQuotient(_Frozen):
     """The quotient isogeny E = C/Lambda -> E/Q0 = C/Lambda' of degree |Q0|."""
@@ -373,18 +337,11 @@ class IsogenyQuotient(_Frozen):
     target: LatticeTau
     subgroup: FiniteSubgroupSpec
 
-    def map(self, p: TorusPoint) -> TorusPoint:
-        """Image of the source point with p's coordinates, reduced mod Lambda'."""
-        return reduce_point(p.a * self.source.omega1 + p.b * self.source.omega2, self.target)
-
     @cached_property
     def _lift_offsets(self) -> tuple[complex, ...]:
-        """The |Q0| source points that `lifts` adds, as complex representatives."""
-        return tuple(q.z for q in self.subgroup.points_on(self.source))
-
-    def lifts(self, w: TorusPoint) -> list[TorusPoint]:
-        """All |Q0| preimages on the source curve of a target point."""
-        return [reduce_point(w.z + z, self.source) for z in self._lift_offsets]
+        """The |Q0| points of Q0 as complex representatives on the source, which `batch.lift_coords` adds."""
+        w1, w2 = self.source.omega1, self.source.omega2
+        return tuple(float(a) * w1 + float(b) * w2 for a, b in self.subgroup.elements)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -82,10 +82,6 @@ class AffineAutomorphism(_Frozen):
     def dim(self) -> int:
         return len(self.matrix)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == AffineAutomorphism.identity(self.dim)
-
     def compose(self, other: "AffineAutomorphism") -> "AffineAutomorphism":
         """self after other: (M1, t1) * (M2, t2) = (M1 M2, M1 t2 + t1)."""
         m = _matmul(self.matrix, other.matrix)

@@ -121,10 +121,6 @@ class SublatticeInclusion(_Frozen):
     def d(self) -> int:
         return len(self.columns)
 
-    @property
-    def r(self) -> int:
-        return len(self.columns[0])
-
 
 def norm_endomorphism(
     l: PolarizationMatrix, z: SublatticeInclusion

@@ -139,10 +139,6 @@ class PolarizationMatrix(_Frozen):
         return cls(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
 
     @classmethod
-    def ones(cls, d: int) -> "PolarizationMatrix":
-        return cls(tuple(tuple(1 for _ in range(d)) for _ in range(d)))
-
-    @classmethod
     def scaled_identity(cls, d: int, c: int) -> "PolarizationMatrix":
         return cls(tuple(tuple(c * int(i == j) for j in range(d)) for i in range(d)))
 
@@ -155,14 +151,6 @@ class PolarizationMatrix(_Frozen):
     @property
     def d(self) -> int:
         return len(self.rows)
-
-    @property
-    def is_positive_definite(self) -> bool:
-        """Sylvester test: all leading principal minors positive."""
-        return all(
-            _det_bareiss([row[: k + 1] for row in self.rows[: k + 1]]) > 0
-            for k in range(self.d)
-        )
 
 
 def chi(s: PolarizationMatrix) -> int:

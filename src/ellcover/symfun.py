@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EPS_NUM, EPS_PROJ, HomPair, LatticeTau, TorusPoint, _pair
+from .elliptic import EPS_NUM, HomPair, LatticeTau, TorusPoint, _pair
 from .errors import (
     DegenerateSection,
     IllConditioned,
@@ -45,7 +45,8 @@ class ProjectivePoint(_Frozen):
     """A point of P^m with a canonical representative.
 
     Coordinates are divided by the entry of largest modulus, which therefore
-    becomes exactly 1+0j; equality is Fubini-Study chordal distance below tol.
+    becomes exactly 1+0j.  Points are compared by their Fubini-Study chordal
+    distance, `chordal_dist`.
     """
 
     coords: tuple[complex, ...]
@@ -68,10 +69,6 @@ class ProjectivePoint(_Frozen):
         out = out[:k] + (1.0 + 0j,) + out[k + 1 :]
         return cls(out)
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
     def chordal_dist(self, other: "ProjectivePoint") -> float:
         """Chordal metric |p ^ q| / (|p| |q|) on P^m.
 
@@ -91,9 +88,6 @@ class ProjectivePoint(_Frozen):
         norms = sum(c.real * c.real + c.imag * c.imag for c in p)
         norms *= sum(c.real * c.real + c.imag * c.imag for c in q)
         return math.sqrt(wedge / norms)
-
-    def close_to(self, other: "ProjectivePoint", tol: float = EPS_PROJ) -> bool:
-        return self.chordal_dist(other) <= tol
 
 
 def first_copies(rows: np.ndarray) -> np.ndarray:

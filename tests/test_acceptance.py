@@ -38,7 +38,8 @@ from conftest import TAU, lattice_sum_g2_g3
 DS = (1, 2, 3)
 QS = (2, 3, 4)
 
-# group orders measured by fresh closure enumeration; shared with check 2
+# group orders counted from the listed elements, not read off the closed
+# form that `.order` holds; shared with check 2
 _GRID_ORDERS: dict[tuple[str, int, int], int] = {}
 
 
@@ -47,8 +48,8 @@ def _enumerate_grid() -> dict[tuple[str, int, int], int]:
         for d in DS:
             for q in QS:
                 q0 = FiniteSubgroupSpec.parse((f"1/{q},0",))
-                _GRID_ORDERS[("A", d, q)] = build_group_A(d, q0).order
-                _GRID_ORDERS[("B", d, q)] = build_group_B(d, q0).order
+                _GRID_ORDERS[("A", d, q)] = len(build_group_A(d, q0).elements)
+                _GRID_ORDERS[("B", d, q)] = len(build_group_B(d, q0).elements)
     return _GRID_ORDERS
 
 
@@ -123,8 +124,9 @@ def test_criterion_4_galois_verification_construction_b():
             continue
         ok = ok and rec.orbit_size == 24
         ok = ok and rec.image_spread < 1e-7
-        # fiber_match certifies that the (d+1)! * |Q0|^2 = 24 preimages lifted
-        # from the target's divisor match the orbit as sets at 1e-6
+        # fiber_match certifies that the fiber's size (d+1)! * |Q0|^2 = 24 is
+        # |G| and that one preimage recovered from the target's divisor lies
+        # within 1e-6 of one of the sample's 24 images
         ok = ok and rec.fiber_match
     ok = ok and any(rec.generic for rec in report.samples)
     elapsed = time.perf_counter() - t0

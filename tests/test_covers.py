@@ -35,7 +35,7 @@ from ellcover.covers import (
     MAX_QUOTIENT_IM_TAU_B3,
     SampleRecord,
 )
-from ellcover.batch import _wrap_dist_array, coords_array, divisors_to_coords, map_coords
+from ellcover.batch import _wrap_dist_array, coords_array, divisors_to_coords, map_coords, torus_z
 from ellcover.construction import MAX_BASIS_CHANGE, MAX_JOBS
 from ellcover.elliptic import EPS_PROJ, EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
@@ -74,8 +74,8 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     The stabilizer comes from the sample's own |G| images, and the orbit
     size is |G| over the stabilizer's size.  The images are mapped by
     themselves, and their spread is their own `projective_spread`.  The
-    whole fiber is recovered from the target alone (`CoverSpec.fiber`) and
-    must equal the orbit (`FiniteActionGroup.orbit`) as a set.
+    whole fiber is recovered from the target alone (`CoverSpec.fiber_array`)
+    and must equal the orbit (`FiniteActionGroup.orbit`) as a set.
     """
     found = batch.images(spec.group, [point])
     here = coords_array([point])
@@ -89,12 +89,12 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     else:
         spread = projective_spread(mapped)
     if generic:
-        target = mapped[np.all(found[0] == here[0], axis=(1, 2))][0]
-        try:
-            fiber = spec.fiber(ProjectivePoint(tuple(target.tolist())))
+        target = mapped[np.all(found[0] == here[0], axis=(1, 2))]
+        fiber, (reason,) = spec.fiber_array(target)
+        if reason is None:
             orbit = coords_array(spec.group.orbit(point))
-            fiber_match = _match_one(coords_array(fiber), orbit, EPS_GENERIC)
-        except NonGenericTarget:
+            fiber_match = _match_one(fiber[0], orbit, EPS_GENERIC)
+        else:
             generic = False
     return SampleRecord(
         index=index,
@@ -196,7 +196,8 @@ class TestCoverMaps:
         x = _point(spec, [(0.23, 0.37)])
         image = spec.map(x)
         target = spec.quotient.target
-        w = wp(reduce_point(x[0].z, target)).value - target.e2
+        z = complex(torus_z(spec.curve, np.array([x[0].a, x[0].b])))
+        w = wp(reduce_point(z, target)).value - target.e2
         assert abs(image.coords[0] + w * image.coords[1]) < 1e-9 * (1 + abs(w))
 
     def test_maps_agree_for_dimension_one(self, lattice, q3):
@@ -204,27 +205,27 @@ class TestCoverMaps:
         b = _build("B", 1, q3, lattice)
         for coords in ((0.23, 0.37), (0.61, 0.18)):
             x = _point(a, [coords])
-            assert a.map(x).close_to(b.map(x), tol=1e-7)
+            assert a.map(x).chordal_dist(b.map(x)) <= 1e-7
 
     def test_map_a_invariant_under_group(self, lattice, q2):
         spec = build_cover("A", 2, lattice, q2)
         x = _point(spec, [(0.137, 0.261), (0.389, 0.731)])
         base = spec.map(x)
         for g in spec.group.elements[::5]:
-            assert spec.map(g.apply(x)).close_to(base, tol=1e-7)
+            assert spec.map(g.apply(x)).chordal_dist(base) <= 1e-7
 
     def test_map_b_invariant_under_group(self, lattice, q2):
         spec = build_cover("B", 2, lattice, q2)
         x = _point(spec, [(0.137, 0.261), (0.389, 0.731)])
         base = spec.map(x)
         for g in spec.group.elements[::5]:
-            assert spec.map(g.apply(x)).close_to(base, tol=1e-7)
+            assert spec.map(g.apply(x)).chordal_dist(base) <= 1e-7
 
     def test_map_separates_orbits(self, lattice, q2):
         spec = build_cover("A", 2, lattice, q2)
         x = _point(spec, [(0.137, 0.261), (0.389, 0.731)])
         y = _point(spec, [(0.211, 0.653), (0.449, 0.118)])
-        assert not spec.map(x).close_to(spec.map(y), tol=1e-3)
+        assert spec.map(x).chordal_dist(spec.map(y)) > 1e-3
 
 
 class TestMapArray:
@@ -347,7 +348,8 @@ class TestFiberA:
         x = _point(spec, [(0.2, 0.3), (0.7, 0.3)])
         # and two distinct roots t 5e-7 apart, relative: inside EPS_GENERIC,
         # so root clustering must have merged them into a double root
-        w, _ = centred_values(spec.quotient.map(x[0]))
+        (y,) = map_coords(spec.quotient, coords_array([x[:1]]))[0].tolist()
+        w, _ = centred_values(TorusPoint(spec.quotient.target, *y))
         v = w + 5e-7 * abs(w)
         near = ProjectivePoint.normalize([w * v, -(w + v), 1.0])
         for target in (spec.map(x), near):
@@ -359,8 +361,14 @@ class TestFiberA:
         spec = build_cover("A", 2, lattice, q2)
         for t, generic in ((0.5 / EPS_GENERIC, True), (2 / EPS_GENERIC, False), (-2j / EPS_GENERIC, False)):
             rows, _ = sym_product(np.array([[t, 0.3 + 0.1j]], dtype=complex), np.ones((1, 2), dtype=complex))
-            _, (reason,) = covers.fiber_A_array(spec, rows)
+            _, (reason,) = spec.fiber_array(rows)
             assert reason == (None if generic else "root at infinity is a branch value of wp")
+
+    def test_needs_construction_a(self, lattice, q2):
+        spec = build_cover("B", 2, lattice, q2)
+        x = _point(spec, GENERIC[:2])
+        with pytest.raises(ConfigError, match="fiber_A needs a construction-A cover"):
+            fiber_A(spec, spec.map(x))
 
 
 GENERIC = [(0.137, 0.261), (0.389, 0.731), (0.613, 0.447)]
@@ -385,7 +393,7 @@ class TestFiberB:
     def test_needs_construction_b(self, lattice, q2):
         spec = build_cover("A", 2, lattice, q2)
         x = _point(spec, GENERIC[:2])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="fiber_B needs a construction-B cover"):
             fiber_B(spec, spec.map(x))
 
 
@@ -762,11 +770,24 @@ def test_tall_quotients_recover_every_fiber(q2, d, height):
     _assert_every_fiber_recovered(galois_verify(spec, samples=20, seed=5))
 
 
+#: the paper's family at the default tau, as (d, generator, largest reduced
+#: Im tau'): <1/n, 0> at d = 2, whose quotient has Im tau' = 1.1 n, up to 11,
+#: and balanced subgroups <k/n, 1/n> up to |Q0| = 127, whose quotients stay
+#: at Im tau' <= 1.1
+PAPER_FAMILY = [pytest.param(2, f"1/{n},0", 1.1 * n, id=str(n)) for n in range(2, 11)] + [
+    pytest.param(d, generator, 1.1, id=f"d{d}-{generator}")
+    for d, generator in [
+        (1, "2/5,1/5"), (1, "4/17,1/17"), (1, "24/31,1/31"), (1, "27/32,1/64"), (1, "57/127,1/127"),
+        (2, "2/5,1/5"), (2, "4/17,1/17"),
+    ]
+]
+
+
 @pytest.mark.parametrize("construction", ["A", "B"])
-@pytest.mark.parametrize("n", range(2, 11))
-def test_paper_family_recovers_every_fiber(construction, n):
-    # <1/n, 0> at the default tau: Im tau' = 1.1 n, up to 11
-    spec = _build(construction, 2, FiniteSubgroupSpec.parse((f"1/{n},0",)), LatticeTau.from_tau(TAU))
+@pytest.mark.parametrize("d, generator, height", PAPER_FAMILY)
+def test_paper_family_recovers_every_fiber(construction, d, generator, height):
+    spec = _build(construction, d, FiniteSubgroupSpec.parse((generator,)), LatticeTau.from_tau(TAU))
+    assert spec.quotient.target.tau_reduced.imag <= height * (1 + 1e-12)
     _assert_every_fiber_recovered(galois_verify(spec, samples=20, seed=3))
 
 

@@ -286,7 +286,7 @@ def _torus_point_probes(spec, seed):
     rng = random.Random(seed)
     m = 4 * spec.q0.order
     probes = [(TorusPoint(spec.curve, i / m, j / m),) * spec.d for i in range(m) for j in range(m)]
-    poles = spec.q0.points_on(spec.curve)
+    poles = [TorusPoint(spec.curve, float(a), float(b)) for a, b in spec.q0.elements]
     if len(poles) ** spec.d <= 512:
         probes.extend(itertools.product(poles, repeat=spec.d))
     for _ in range(16):

@@ -75,7 +75,6 @@ def _coords(point):
 class TestAffineAutomorphism:
     def test_identity(self):
         e = AffineAutomorphism.identity(3)
-        assert e.is_identity
         assert e.dim == 3
         x = pt((0.3, 0.4), (0.1, 0.9), (0.5, 0.5))
         assert _coords(e.apply(x)) == _coords(x)
@@ -93,8 +92,8 @@ class TestAffineAutomorphism:
         swap = AffineAutomorphism(
             ((0, 1), (1, 0)), ((HALF, Fraction(0)), (THIRD, THIRD))
         )
-        assert (swap * swap.inverse()).is_identity
-        assert (swap.inverse() * swap).is_identity
+        assert swap * swap.inverse() == AffineAutomorphism.identity(2)
+        assert swap.inverse() * swap == AffineAutomorphism.identity(2)
 
     def test_inverse_requires_unimodular(self):
         doubling = AffineAutomorphism(
@@ -129,7 +128,7 @@ class TestGroupGeneration:
 
     def test_identity_in_elements(self):
         grp = build_group_A(1, FiniteSubgroupSpec.parse(("1/2,0",)))
-        assert any(e.is_identity for e in grp.elements)
+        assert AffineAutomorphism.identity(1) in grp.elements
 
     def test_elements_closed_and_invertible(self):
         grp = build_group_A(2, FiniteSubgroupSpec.parse(("1/2,0",)))
@@ -236,7 +235,7 @@ class TestConstructionB:
         )
         acc = cyc
         steps = 1
-        while not acc.is_identity:
+        while acc != AffineAutomorphism.identity(3):
             acc = acc * cyc
             steps += 1
         assert steps == 4
@@ -302,7 +301,7 @@ def _scalar_orbit(grp, point, tol):
         q = g.apply(point)
         if not any(all(a.close_to(b, tol) for a, b in zip(q, r)) for r in reps):
             reps.append(q)
-    reps.sort(key=lambda t: tuple(p.sort_key() for p in t))
+    reps.sort(key=lambda t: tuple((p.a, p.b) for p in t))
     return reps
 
 

@@ -128,7 +128,7 @@ assert main(["intersection", "--mixed", "1 0;0 1:1", "1 1;1 1:1"]) == 0
 z = SublatticeInclusion(((1,), (1,), (0,)))
 n, e = norm_endomorphism(PolarizationMatrix.identity_plus_ones(3), z)
 assert e == 6, e
-assert SublatticeInclusion.unchecked(((2,), (0,))).r == 1
+assert SublatticeInclusion.unchecked(((2,), (0,))).columns == ((2,), (0,))
 print("no sympy needed")
 """
 

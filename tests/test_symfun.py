@@ -28,7 +28,7 @@ from ellcover import (
     wp,
 )
 
-from ellcover.batch import coords_array
+from ellcover.batch import coords_array, torus_z
 from ellcover.elliptic import centred_values
 from ellcover.symfun import normalize_rows, projective_spreads
 
@@ -72,7 +72,6 @@ class TestProjectivePoint:
     def test_scale_invariance(self):
         p = ProjectivePoint.normalize([1.0, 2.0, 3.0])
         q = ProjectivePoint.normalize([2.5j, 5.0j, 7.5j])
-        assert p.close_to(q)
         assert p.chordal_dist(q) < 1e-15
 
     def test_rejects_zero_and_nonfinite(self):
@@ -176,18 +175,18 @@ class TestSymProduct:
 
     def test_single_point(self):
         out = _sym(_finite([2.5]))
-        assert out.close_to(ProjectivePoint.normalize([-2.5, 1.0]))
+        assert out.chordal_dist(ProjectivePoint.normalize([-2.5, 1.0])) <= 1e-7
 
     def test_pole_factor(self):
         # (1:0) and (2:1): (X - 2Y) * (-Y) has coefficients (2, -1, 0)
         pairs = [HomPair(1.0 + 0j, 0j), HomPair(2.0 + 0j, 1.0 + 0j)]
         out = _sym(pairs)
-        assert out.close_to(ProjectivePoint.normalize([2.0, -1.0, 0.0]))
+        assert out.chordal_dist(ProjectivePoint.normalize([2.0, -1.0, 0.0])) <= 1e-7
         assert out.chordal_dist(scalar_sym_product(pairs)) <= 1e-13
 
     def test_all_poles(self):
         out = _sym([HomPair(1.0 + 0j, 0j)] * 3)
-        assert out.close_to(ProjectivePoint.normalize([-1.0, 0.0, 0.0, 0.0]))
+        assert out.chordal_dist(ProjectivePoint.normalize([-1.0, 0.0, 0.0, 0.0])) <= 1e-7
         assert out.chordal_dist(scalar_sym_product([HomPair(1.0 + 0j, 0j)] * 3)) <= 1e-13
 
     @settings(max_examples=50, deadline=None)
@@ -235,9 +234,9 @@ class TestSymFiber:
         # one pole factor: top coefficient vanishes
         pairs = [HomPair(1.0 + 0j, 0j)] + _finite([1.0, 2.0])
         fiber = sym_fiber(_sym(pairs))
-        poles = [m for pair, m in fiber if pair.is_pole]
+        poles = [m for pair, m in fiber if pair.den == 0]
         assert poles == [1]
-        finite = sorted(pair.value.real for pair, m in fiber if not pair.is_pole)
+        finite = sorted(pair.value.real for pair, m in fiber if pair.den != 0)
         assert np.allclose(finite, [1.0, 2.0], atol=1e-9)
 
     def test_zero_point_rejected(self):
@@ -292,7 +291,8 @@ class TestSectionBasis:
         p = TorusPoint.from_coords(lattice, *center)
         r, m = 0.2, 64
         turns = np.exp(2j * np.pi * np.arange(m) / m)
-        values = np.array([_values(basis, reduce_point(p.z + r * t, lattice)) for t in turns])
+        z = complex(torus_z(lattice, np.array([p.a, p.b])))
+        values = np.array([_values(basis, reduce_point(z + r * t, lattice)) for t in turns])
         for k in range(n):
             want = math.factorial(k) / r**k * (turns[:, None] ** -k * values).mean(axis=0)
             got = basis.jet(*centred_values(p), k)[k]
@@ -310,7 +310,7 @@ class TestDivisorToCoords:
         y = TorusPoint.from_coords(lattice, 0.28, 0.13)
         out = divisor_to_coords([y, -y], basis)
         expected = ProjectivePoint.normalize([-_t(y), 1.0])
-        assert out.close_to(expected, tol=1e-9)
+        assert out.chordal_dist(expected) <= 1e-9
 
     def test_section_vanishes_on_divisor(self, lattice):
         basis = SectionBasis(3, lattice)
@@ -359,9 +359,9 @@ class TestDivisorToCoords:
         zero = TorusPoint.from_coords(lattice, 0.0, 0.0)
         y = TorusPoint.from_coords(lattice, 0.25, 0.35)
         constant = ProjectivePoint.normalize([1.0] + [0.0] * (n - 1))
-        assert divisor_to_coords([zero] * n, basis).close_to(constant, tol=1e-15)
+        assert divisor_to_coords([zero] * n, basis).chordal_dist(constant) <= 1e-15
         shift = ProjectivePoint.normalize([-_t(y), 1.0] + [0.0] * (n - 2))
-        assert divisor_to_coords([zero] * (n - 2) + [y, -y], basis).close_to(shift, tol=1e-9)
+        assert divisor_to_coords([zero] * (n - 2) + [y, -y], basis).chordal_dist(shift) <= 1e-9
 
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 0.9j, 0.45 + 1.7j, 0.1 + 2.5j, 1j])
     def test_double_half_period(self, tau):

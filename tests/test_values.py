@@ -8,6 +8,7 @@ properties, and survives `copy.deepcopy` and pickle.
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from ellcover import (
@@ -22,6 +23,7 @@ from ellcover import (
     galois_verify,
     quotient_lattice,
 )
+from ellcover.batch import lift_coords
 from ellcover.construction import RunConfig
 from ellcover.covers import CriterionReport, SampleRecord, VerificationReport
 from ellcover.errors import InvalidPoint
@@ -137,7 +139,7 @@ def test_cached_properties_still_cache(lattice, q2):
     assert "basis" in vars(spec)
     quotient = quotient_lattice(lattice, q2)
     assert quotient._lift_offsets is quotient._lift_offsets
-    assert len(quotient.lifts(TorusPoint(quotient.target, 0.1, 0.2))) == 2
+    assert lift_coords(quotient, np.array([[0.1, 0.2]])).shape == (1, 2, 2)
     assert q2.elements is q2.elements
 
 
