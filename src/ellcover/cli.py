@@ -11,10 +11,9 @@ script and of `python -m ellcover.cli`; `main` is the one to call in-process.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .errors import EllcoverError, ConfigError
 from .polarization import (
@@ -25,19 +24,29 @@ from .polarization import (
 )
 
 if TYPE_CHECKING:
+    from .construction import RunConfig
     from .covers import VerificationReport
 
-# This module is the argparse front end and the `intersection` command, so
+# This module is the flag parser and the `intersection` command, so
 # `intersection` compiles and loads only it, `errors` and `polarization`.
 # Everything else is imported inside the commands that use it: config
 # resolution, the JSON writer and the `report` renderer from `commands`
 # (for `construct`, `verify` and `report`), the cover layers from
 # `construction` on, and numpy only with `verify` (covers, symfun, batch).
-# No command loads `dataclasses` or `isogeny`, `intersection` and `report`
-# load no `fractions`, and `construct` and `verify` load `json` only to
-# read a `--config` file or to quote a string that is not printable ASCII.
+# No command loads `argparse`, `dataclasses` or `isogeny`, `intersection`
+# and `report` load no `fractions`, and `construct` and `verify` load `json`
+# only to read a `--config` file or to quote a string that is not printable ASCII.
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
+
+_COMMANDS = ("construct", "verify", "intersection", "report")
+_HELP = """\
+construct builds a cover and prints its summary; verify runs the Galois verification
+suite; intersection prints an exact intersection number; report renders a saved report.
+A matrix is "a b;c d"; a --mixed term is MATRIX:exponent, the exponents summing to d.
+--tau is the period ratio, such as 0.3+1.1i; each --q0 is a generator p/q,r/s of Q0.
+--config reads a JSON object of the same fields; flags win, and GALOIS_EMBED_SEED last.
+Exit codes: 0 pass, 1 verification failure, 2 configuration or usage error."""
 
 
 def _parse_matrix(text: str) -> PolarizationMatrix:
@@ -62,12 +71,6 @@ def _parse_matrix_power(text: str) -> tuple[PolarizationMatrix, int]:
     return _parse_matrix(head), a
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    from .commands import _resolve_config, construct
-
-    return construct(_resolve_config(args, SEED_ENV_VAR))
-
-
 def galois_verify(*args, **kwargs) -> VerificationReport:
     """`covers.galois_verify`, imported at call time to keep numpy off the
     exact commands.  `cmd_verify` calls it through this module-level name,
@@ -78,11 +81,10 @@ def galois_verify(*args, **kwargs) -> VerificationReport:
     return verify(*args, **kwargs)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    from .commands import _emit, _report_payload, _resolve_config
+def cmd_verify(cfg: RunConfig) -> int:
+    from .commands import _emit, _report_payload
     from .covers import check_probe_grid, criterion_check
 
-    cfg = _resolve_config(args, SEED_ENV_VAR)
     spec = cfg.build_spec()
     check_probe_grid(spec)  # before any sample is verified
     report = galois_verify(
@@ -106,80 +108,103 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if payload["pass"] else 1
 
 
-def cmd_intersection(args: argparse.Namespace) -> int:
-    modes = [m for m in ("self_", "mixed", "chi_") if getattr(args, m) is not None]
-    if len(modes) != 1:
+def cmd_intersection(**flags) -> int:
+    if len(flags) != 1:
         raise ConfigError("pass exactly one of --self, --mixed, --chi")
-    if args.self_ is not None:
-        print(self_intersection(_parse_matrix(args.self_)))
-    elif args.chi_ is not None:
-        print(chi(_parse_matrix(args.chi_)))
+    ((mode, value),) = flags.items()
+    if mode == "mixed":
+        print(mixed_intersection([_parse_matrix_power(t) for t in value]))
     else:
-        terms = [_parse_matrix_power(t) for t in args.mixed]
-        print(mixed_intersection(terms))
+        print((self_intersection if mode == "self" else chi)(_parse_matrix(value)))
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    from .commands import report
+def _flag_types(command: str) -> dict:
+    """`command`'s flags, `_` for `-`, and their values' types: for `construct` and
+    `verify`, `--config` and RunConfig's fields, `Optional[X]` read as X."""
+    if command not in ("construct", "verify"):
+        return {"self": str, "chi": str, "mixed": tuple} if command == "intersection" else {}
+    from .construction import RunConfig
 
-    return report(args.path)
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; explicit flags win")
-    p.add_argument("--construction", choices=("A", "B"))
-    p.add_argument("--d", type=int)
-    p.add_argument("--tau", help='period ratio, e.g. "0.3+1.1i"')
-    p.add_argument(
-        "--q0",
-        action="append",
-        help='rational generator "p/q,r/s"; repeat for a second generator',
-    )
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eps-pt", dest="eps_pt", type=float)
-    p.add_argument("--eps-proj", dest="eps_proj", type=float)
-    p.add_argument("--order-cap", dest="order_cap", type=int)
-    p.add_argument("--output", help="write the JSON report to this path")
-    p.add_argument("--jobs", type=int, help="threads that verify chunks of samples")
+    types = {"config": str}
+    for name, hint in get_type_hints(RunConfig).items():
+        hint = get_args(hint)[0] if get_origin(hint) is Union else hint
+        types[name] = get_origin(hint) or hint
+    return types
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ellcover",
-        description="Galois covers of P^d from self-products of an elliptic curve",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage() -> str:
+    """Every command's usage line, its flags read off `_flag_types`."""
+    lines = []
+    for command in _COMMANDS:
+        words = ["ellcover", command, *["PATH"] * (command == "report")]
+        for name, kind in _flag_types(command).items():
+            words.append(f"[--{name.replace('_', '-')} {name.upper()}{' ...' * (kind is tuple)}]")
+        lines.append(" ".join(words))
+    return "usage: " + "\n       ".join(lines)
 
-    p_construct = sub.add_parser("construct", help="build a cover and print its summary")
-    _add_config_flags(p_construct)
-    p_construct.set_defaults(func=cmd_construct)
 
-    p_verify = sub.add_parser("verify", help="run the Galois verification suite")
-    _add_config_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+def _usage_error(message: str) -> NoReturn:
+    print(f"{_usage()}\nellcover: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p_inter = sub.add_parser("intersection", help="exact intersection numbers")
-    p_inter.add_argument("--self", dest="self_", help='matrix "a b;c d"')
-    p_inter.add_argument("--chi", dest="chi_", help='matrix "a b;c d"')
-    p_inter.add_argument(
-        "--mixed", nargs="+", help='terms "a b;c d":exponent with exponents summing to d'
-    )
-    p_inter.set_defaults(func=cmd_intersection)
 
-    p_report = sub.add_parser("report", help="render a saved verification report")
-    p_report.add_argument("path")
-    p_report.set_defaults(func=cmd_report)
+def _parse(command: str, argv: Sequence[str]) -> tuple[list[str], dict]:
+    """`command`'s tokens before its first flag, and its flags' typed values.
 
-    return parser
+    A flag's values run up to the next token that starts with `--`, so a
+    value may start with `-` (`--seed -3`, `--tau -0.4+1.1i`); `--flag=value`
+    gives its first value.  A tuple flag takes one or more values and
+    collects them over repeats; any other takes one value, once.
+    """
+    if command not in _COMMANDS:
+        _usage_error(f"expected one of {', '.join(_COMMANDS)}, got {command!r}")
+    types, paths, given, flags = _flag_types(command), [], [], {}
+    for token in argv:
+        if token.startswith("--"):
+            flag, eq, value = token.partition("=")
+            given.append((flag, [value] if eq else []))
+        elif given:
+            given[-1][1].append(token)
+        else:
+            paths.append(token)
+    for flag, texts in given:
+        name = flag[2:].replace("-", "_")
+        kind = None if "_" in flag else types.get(name)
+        if kind is None:
+            _usage_error(f"{command}: unrecognized flag {flag}")
+        if kind is tuple and texts:
+            flags[name] = flags.get(name, ()) + tuple(texts)
+        elif len(texts) != 1 or name in flags:
+            wanted = "one or more values" if kind is tuple else "one value, once"
+            _usage_error(f"{command}: {flag} takes {wanted}; got {texts}{' again' * (name in flags)}")
+        else:
+            try:
+                flags[name] = kind(texts[0])
+            except ValueError:
+                _usage_error(f"{command}: {flag}: invalid {kind.__name__} value {texts[0]!r}")
+    if len(paths) != (command == "report"):
+        wanted = "one PATH" if command == "report" else "no PATH"
+        _usage_error(f"{command} takes {wanted}, got {paths}")
+    return paths, flags
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(f"{_usage()}\n\n{_HELP}")
+        raise SystemExit(0)
+    command = argv[0] if argv else ""
+    paths, flags = _parse(command, argv[1:])
     try:
-        return args.func(args)
+        if command == "intersection":
+            return cmd_intersection(**flags)
+        from .commands import _resolve_config, construct, report
+
+        if command == "report":
+            return report(*paths)
+        cfg = _resolve_config(flags, SEED_ENV_VAR)
+        return construct(cfg) if command == "construct" else cmd_verify(cfg)
     except EllcoverError as exc:
         kind = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
         print(f"error: {kind}{exc}", file=sys.stderr)

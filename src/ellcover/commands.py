@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING, Optional, Union, get_args, get_origin, get_typ
 from .errors import ConfigError
 
 if TYPE_CHECKING:
-    import argparse
-
     from .construction import CoverSpec, RunConfig
     from .covers import CriterionReport, VerificationReport
 
@@ -130,7 +128,7 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
+def _resolve_config(flags: dict, seed_var: str) -> RunConfig:
     """The run's config: a `--config` file, then the flags, then the seed in `seed_var`.
 
     `cli` passes its `SEED_ENV_VAR`: this module never imports `cli`, which
@@ -140,33 +138,30 @@ def _resolve_config(args: argparse.Namespace, seed_var: str) -> RunConfig:
     from .construction import RunConfig, check_counts
 
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    path = flags.pop("config", None)
+    if path:
         import json
 
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError(f"config file {args.config!r} must hold a JSON object")
+            raise ConfigError(f"config file {path!r} must hold a JSON object")
         hints = get_type_hints(RunConfig)
         for key, value in data.items():
             if key not in hints:
-                raise ConfigError(f"unknown config key {key!r} in {args.config!r}")
+                raise ConfigError(f"unknown config key {key!r} in {path!r}")
             if not _fits(value, hints[key]):
                 raise ConfigError(
-                    f"config key {key!r} in {args.config!r} must be "
+                    f"config key {key!r} in {path!r} must be "
                     f"{RunConfig.__annotations__[key]}, got {value!r}"
                 )
             if value is not None:
                 setattr(cfg, key, tuple(value) if key == "q0" else value)
-    for name in RunConfig._fields:
-        flag = getattr(args, name, None)
-        if name != "q0" and flag is not None:
-            setattr(cfg, name, flag)
-    if getattr(args, "q0", None):
-        cfg.q0 = tuple(args.q0)
+    for name, value in flags.items():
+        setattr(cfg, name, value)
     env_seed = os.environ.get(seed_var)
     if env_seed is not None:
         try:

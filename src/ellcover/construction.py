@@ -221,9 +221,9 @@ class RunConfig:
 
     Mutable: `commands._resolve_config` sets fields in turn from a config
     file, flags and the environment.  A field typed Optional admits null in
-    a config file, which keeps the default.  Its annotations are its
-    fields, as on `_Frozen`.
-    """
+    a config file, which keeps the default.  Its annotations are its fields,
+    as on `_Frozen`, and `cli` reads the flags of `construct` and `verify`
+    off them."""
 
     construction: str = "A"
     d: int = 2

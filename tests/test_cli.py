@@ -61,12 +61,129 @@ class TestIntersectionCommand:
         assert main(["intersection", "--self", "1 x;x 1"]) == 2
         assert main(["intersection", "--mixed", "1 0;0 1"]) == 2
 
+    def test_repeated_mixed_adds_its_terms(self, capsys):
+        assert main(["intersection", "--mixed", "2 1;1 2:1", "--mixed", "1 0;0 1:1"]) == 0
+        assert main(["intersection", "--mixed", "2 1;1 2:1", "1 0;0 1:1"]) == 0
+        assert capsys.readouterr().out == "4\n4\n"
+        # both terms count, so the exponents sum to 4 for d = 2
+        assert main(["intersection", "--mixed", "2 1;1 2:2", "--mixed", "1 0;0 1:2"]) == 2
+        assert "exponents sum to 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--self", "--chi"])
+    def test_repeated_matrix_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["intersection", flag, "2 1;1 2", flag, "1 0;0 1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{flag} takes one value, once" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--self", "--chi"])
     def test_empty_matrix_names_the_matrix(self, capsys, flag):
         assert main(["intersection", flag, ""]) == 2
         err = capsys.readouterr().err
         assert "cannot parse matrix ''" in err
         assert "exactly one" not in err
+
+
+def _config(argv):
+    """The RunConfig that `construct` resolves from `argv`."""
+    from ellcover.cli import _parse
+    from ellcover.commands import _resolve_config
+
+    return _resolve_config(_parse("construct", argv)[1], SEED_ENV_VAR)
+
+
+def _exit_code(argv):
+    """`main(argv)`'s code, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlags:
+    """The flag contract: each `construct` and `verify` flag is a RunConfig field."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_seed(self, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def test_equals_sign_and_space_agree(self):
+        spaced = ["--construction", "B", "--d", "3", "--tau", "0.2+1.3i", "--eps-pt", "1e-8"]
+        joined = ["--construction=B", "--d=3", "--tau=0.2+1.3i", "--eps-pt=1e-8"]
+        assert _config(spaced) == _config(joined)
+        assert _config(joined).d == 3 and _config(joined).eps_pt == 1e-8
+
+    def test_q0_repeats_append(self):
+        assert _config(["--q0", "1/2,0", "--q0=0,1/3"]).q0 == ("1/2,0", "0,1/3")
+
+    def test_values_may_start_with_a_dash(self, capsys):
+        cfg = _config(["--seed", "-3", "--tau", "-0.4+1.1i"])
+        assert (cfg.seed, cfg.tau) == (-3, "-0.4+1.1i")
+        assert main(["construct", "--d", "1", "--tau", "-0.4+1.1i"]) == 0
+        assert '"tau": "-0.4+1.1i"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--no-such-flag", "1"], "unrecognized flag --no-such-flag"),
+            (["verify", "--eps_pt", "1e-8"], "unrecognized flag --eps_pt"),
+            (["verify", "--samples"], "--samples takes one value"),
+            (["verify", "--samples", "--seed", "3"], "--samples takes one value"),
+            (["construct", "--d", "x"], "--d: invalid int value 'x'"),
+            (["construct", "--construction", "C"], "construction must be A or B, got 'C'"),
+            (["construct", "--d", "1", "--d", "2"], "--d takes one value, once"),
+            (["construct", "stray"], "construct takes no PATH"),
+            (["report"], "report takes one PATH"),
+            (["intersection", "--mixed"], "--mixed takes one or more values"),
+            (["bogus"], "expected one of construct, verify, intersection, report"),
+            ([], "expected one of"),
+        ],
+    )
+    def test_bad_usage_exits_two(self, capsys, argv, message):
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", [[], ["construct"], ["verify"], ["intersection"], ["report"]])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_zero_naming_every_field(self, capsys, command, flag):
+        from ellcover.construction import RunConfig
+
+        assert _exit_code([*command, flag]) == 0
+        out = capsys.readouterr().out
+        for name in ("config", *RunConfig._fields):
+            assert f"[--{name.replace('_', '-')} " in out, name
+        assert "--mixed" in out and "ellcover report PATH" in out
+
+    @pytest.mark.parametrize(
+        "key,value,flags,other",
+        [
+            ("construction", "B", ["--construction", "B"], "A"),
+            ("d", 3, ["--d", "3"], 1),
+            ("tau", "0.2+1.3i", ["--tau", "0.2+1.3i"], "0.1+1.2i"),
+            ("q0", ["1/2,0", "0,1/3"], ["--q0", "1/2,0", "--q0", "0,1/3"], ["1/5,0"]),
+            ("samples", 7, ["--samples", "7"], 9),
+            ("seed", -3, ["--seed", "-3"], 5),
+            ("eps_pt", 1e-8, ["--eps-pt", "1e-8"], 1e-10),
+            ("eps_proj", 1e-6, ["--eps-proj", "1e-6"], 1e-5),
+            ("order_cap", 500, ["--order-cap", "500"], 600),
+            ("output", "a.json", ["--output", "a.json"], "b.json"),
+            ("jobs", 2, ["--jobs", "2"], 3),
+        ],
+    )
+    def test_flag_and_config_key_agree_and_the_flag_wins(
+        self, tmp_path, monkeypatch, key, value, flags, other
+    ):
+        from ellcover.construction import RunConfig
+
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert _config(["--config", str(cfg)]) == _config(flags) != RunConfig()
+        cfg.write_text(json.dumps({key: other}))
+        assert _config(["--config", str(cfg), *flags]) == _config(flags)
+        assert _config(["--config", str(cfg)]) != _config(flags)
 
 
 class TestVerifyCommand:

@@ -1,17 +1,18 @@
 """Which modules each command loads, and the lazy `ellcover` namespace.
 
 Only `covers`, `symfun` and `batch` import numpy, and no command loads
-`isogeny`.  `intersection` needs only `cli` and `polarization`, so it must
-run with `commands`, `isogeny`, numpy, `dataclasses`, `fractions` and `json`
-made unimportable and print the same bytes as a plain run.  `report` adds
-`commands` and must run with numpy, `dataclasses` and `fractions` made
-unimportable.  `construct` builds a cover from the exact layers
-(`construction`, `groups`, `elliptic`, `polarization`), so it must run with
-numpy, `dataclasses`, `json` and `isogeny` made unimportable and print the
-same bytes as a plain run.  `verify` loads numpy but must run with
-`dataclasses`, `json` and `isogeny` made unimportable and write the same
-report.  Each command leaves exactly the `ellcover` modules of the README's
-table loaded.
+`isogeny`, `argparse`, `gettext` or `locale`: each command below runs with
+those made unimportable too.  `intersection` needs only `cli` and
+`polarization`, so it must run with `commands`, `isogeny`, numpy,
+`dataclasses`, `fractions` and `json` made unimportable and print the same
+bytes as a plain run.  `report` adds `commands` and must run with numpy,
+`dataclasses` and `fractions` made unimportable.  `construct` builds a
+cover from the exact layers (`construction`, `groups`, `elliptic`,
+`polarization`), so it must run with numpy, `dataclasses`, `json` and
+`isogeny` made unimportable and print the same bytes as a plain run.
+`verify` loads numpy but must run with `dataclasses`, `json` and `isogeny`
+made unimportable and write the same report.  Each command leaves exactly
+the `ellcover` modules of the README's table loaded.
 """
 
 import importlib
@@ -82,13 +83,15 @@ def _loaded(proc):
     return set(proc.stderr.decode().splitlines()[-1].split())
 
 
+#: no command loads argparse, nor the gettext and locale it brings
+NO_COMMAND = ["argparse", "gettext", "locale"]
 #: the blocked modules of each command
-INTERSECTION_BLOCKED = [
+INTERSECTION_BLOCKED = NO_COMMAND + [
     "numpy", "dataclasses", "fractions", "json", "ellcover.commands", "ellcover.isogeny",
 ]
-REPORT_BLOCKED = ["numpy", "dataclasses", "fractions", "ellcover.isogeny"]
-CONSTRUCT_BLOCKED = ["numpy", "dataclasses", "json", "ellcover.isogeny"]
-VERIFY_BLOCKED = ["dataclasses", "json", "ellcover.isogeny"]
+REPORT_BLOCKED = NO_COMMAND + ["numpy", "dataclasses", "fractions", "ellcover.isogeny"]
+CONSTRUCT_BLOCKED = NO_COMMAND + ["numpy", "dataclasses", "json", "ellcover.isogeny"]
+VERIFY_BLOCKED = NO_COMMAND + ["dataclasses", "json", "ellcover.isogeny"]
 
 
 def test_exact_commands_run_without_numpy(tmp_path):
