@@ -12,8 +12,9 @@ script and of `python -m ellcover.cli`; `main` is the one to call in-process.
 from __future__ import annotations
 
 import gc
+import os
 import sys
-from typing import TYPE_CHECKING, NoReturn, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence, Union, get_args, get_origin
 
 from .errors import EllcoverError, ConfigError
 from .polarization import (
@@ -127,7 +128,7 @@ def _flag_types(command: str) -> dict:
     from .construction import RunConfig
 
     types = {"config": str}
-    for name, hint in get_type_hints(RunConfig).items():
+    for name, hint in RunConfig._types.items():
         hint = get_args(hint)[0] if get_origin(hint) is Union else hint
         types[name] = get_origin(hint) or hint
     return types
@@ -219,9 +220,17 @@ def run() -> None:
     loaded (numpy's and the package's), a heap the OS frees anyway.  The
     exit still runs atexit handlers and flushes stdout and stderr.  Only
     here: `main()` never freezes, so the collector keeps working for
-    callers that run commands in-process.
+    callers that run commands in-process.  When stdout's reader is gone
+    (`ellcover construct | head -1`), the command exits 141, as a shell
+    reports a writer ended by SIGPIPE, with no traceback.
     """
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit's flush
+    except BrokenPipeError:
+        # stdout is the closed pipe: the exit's own flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     gc.freeze()
     sys.exit(code)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, Optional, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Optional, Union, get_args, get_origin
 
 from .errors import ConfigError
 
@@ -139,7 +139,7 @@ def _resolve_config(flags: dict, seed_var: str) -> RunConfig:
 
     cfg = RunConfig()
     path = flags.pop("config", None)
-    if path:
+    if path is not None:
         import json
 
         try:
@@ -149,7 +149,7 @@ def _resolve_config(flags: dict, seed_var: str) -> RunConfig:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object")
-        hints = get_type_hints(RunConfig)
+        hints = RunConfig._types
         for key, value in data.items():
             if key not in hints:
                 raise ConfigError(f"unknown config key {key!r} in {path!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, get_type_hints
 
 from .elliptic import EPS_PROJ, EPS_PT, FiniteSubgroupSpec, IsogenyQuotient, LatticeTau
 from .elliptic import quotient_lattice
@@ -78,6 +78,18 @@ class CoverSpec(_Frozen):
 
         return SectionBasis(self.d + 1, self.quotient.target)
 
+    @cached_property
+    def decomposed(self) -> bool:
+        """Whether the deck group is L x| Q0^d, exactly, so that it acts through L on (E/Q0)^d.
+
+        Every translation lies in Q0^d, and |G| = |L| |Q0|^d: the elements
+        are distinct, so then those with matrix 1 are all of Q0^d.
+        """
+        shifts, group = set(self.q0.elements), self.group
+        return group.order == group.linear.order * self.q0.order**self.d and all(
+            t in shifts for g in group.elements for t in g.translation
+        )
+
     def map(self, point: PointTuple) -> ProjectivePoint:
         """The image of one point tuple in P^d: the single row of `map_array`.
 
@@ -92,8 +104,9 @@ class CoverSpec(_Frozen):
         return ProjectivePoint(tuple(rows[0].tolist()))
 
     def map_array(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The map on N point tuples given by coordinates, shape N x d x 2.
+        """The map f = g o phi on N point tuples given by coordinates, shape N x d x 2.
 
+        phi is the isogeny E^d -> (E/Q0)^d and g is `map_quotient`.
         Returns the N x (d+1) coordinates of the images, normalized as
         `ProjectivePoint.normalize` normalizes them, and a mask of the rows
         that have no image, such as a divisor whose section system is
@@ -103,6 +116,12 @@ class CoverSpec(_Frozen):
         """
         if coords.shape[1] != self.d:
             raise InvalidOrder(f"point has {coords.shape[1]} components, expected {self.d}")
+        from .batch import map_coords
+
+        return self.map_quotient(map_coords(self.quotient, coords))
+
+    def map_quotient(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g, the map that `map_array` applies after the isogeny, on N point tuples of (E/Q0)^d."""
         from . import covers
 
         return (covers.map_A_array if self.construction == "A" else covers.map_B_array)(self, coords)
@@ -279,5 +298,7 @@ class RunConfig:
 
 
 # set once the class exists: under PEP 649 (Python 3.14) its body has no
-# `__annotations__` name to read
-RunConfig._fields = tuple(RunConfig.__annotations__)
+# `__annotations__` name to read.  `_types` holds each field's type,
+# evaluated once, for `cli`'s flags and `commands`' config files
+RunConfig._types = get_type_hints(RunConfig)
+RunConfig._fields = tuple(RunConfig._types)

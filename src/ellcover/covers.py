@@ -28,11 +28,9 @@ from .batch import (
     map_coords,
     move,
     pack,
-    reduce_coords,
     section_zeros_array,
     stabilizer_mask,
     t_series_array,
-    torus_z,
     two_torsion,
     wp_inverse_array,
 )
@@ -47,32 +45,30 @@ from .construction import (  # noqa: F401 - re-exported
 )
 from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
 from .errors import ConfigError, NonGenericTarget
-from .groups import PointTuple
+from .groups import AffineAutomorphism, PointTuple
 from .polarization import _Frozen
 from .symfun import ProjectivePoint, normalize_rows, projective_spreads, sym_fibers, sym_product
 
 
-def map_A_array(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinatewise t = wp - e2 on E/Q0, then the symmetric product into P^d, for N point tuples.
+def map_A_array(spec: CoverSpec, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinatewise t = wp - e2, then the symmetric product into P^d, for N point tuples of (E/Q0)^d.
 
-    One kernel pass over all N*d coordinates.  Total on all of E^d: poles
-    enter as the P^1 point (1:0), and the symmetric product of homogeneous
-    pairs stays well-defined.  t differs from wp by a translation of P^1,
-    which changes neither the deck group nor the fibers.
+    One kernel pass over all N*d coordinates.  Total on all of (E/Q0)^d:
+    poles enter as the P^1 point (1:0), and the symmetric product of
+    homogeneous pairs stays well-defined.  t differs from wp by a
+    translation of P^1, which changes neither the deck group nor the fibers.
     """
-    ys = map_coords(spec.quotient, coords)
     num, den = t_series_array(spec.quotient.target, ys[..., 0], ys[..., 1], derivative=False)
     pairs, _ = normalize_rows(np.stack([num.ravel(), den.ravel()], axis=1))
     return sym_product(*pairs.T.reshape(2, *num.shape))
 
 
-def map_B_array(spec: CoverSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divisor-of-sections map on N point tuples, through `divisors_to_coords`.
+def map_B_array(spec: CoverSpec, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divisor-of-sections map on N point tuples of (E/Q0)^d, through `divisors_to_coords`.
 
-    A tuple's divisor is y_1, ..., y_d, -sum y_i, its images in E/Q0.  Rows
-    whose section system is degenerate are marked failed.
+    A tuple's divisor is y_1, ..., y_d, -sum y_i.  Rows whose section
+    system is degenerate are marked failed.
     """
-    ys = map_coords(spec.quotient, coords)
     total = ys[:, 0]
     for k in range(1, spec.d):
         total = _frac_array(total + ys[:, k])
@@ -238,20 +234,22 @@ class VerificationReport(_Frozen):
     passed: bool
 
 
-def _fiber_match(spec: CoverSpec, images: np.ndarray, preimages: np.ndarray) -> np.ndarray:
-    """Whether each of N samples' recovered preimages, N x d x 2, lies within EPS_GENERIC of one of its images.
+def _fiber_match(spec: CoverSpec, images: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether each of N samples' recovered points on (E/Q0)^d, N x d x 2, lies within EPS_GENERIC of one of its images.
 
-    `images` holds each sample's |G| images, N x |G| x d x 2; distances are
-    toroidal sup distances on E.  A generic sample's images are |G|
-    distinct points of its fiber, so when |G| is the fiber's size, d!(2|Q0|)^d
-    for A and (d+1)!|Q0|^d for B, they are the whole fiber, and one
-    preimage recovered from the target alone lies among them exactly when
-    the group acts simply transitively on it.  Otherwise no sample matches.
+    `images` holds each sample's |L| images, N x |L| x d x 2, and distances
+    are toroidal sup distances on E/Q0.  A generic sample's images are |L|
+    distinct points of its fiber of g, so when |L| is that fiber's size,
+    d! 2^d for A and (d+1)! for B, they are the whole fiber, and a point
+    recovered from the target alone lies among them exactly when L acts
+    simply transitively on it.  G then acts so on the fibers of f, their
+    phi-preimages, when it is L x| Q0^d (`CoverSpec.decomposed`).
+    Otherwise no sample matches.
     """
-    sets, per = (spec.d, 2 * spec.q0.order) if spec.construction == "A" else (spec.d + 1, spec.q0.order)
-    if spec.group.order != math.perm(sets, spec.d) * per**spec.d:
-        return np.zeros(len(preimages), dtype=bool)
-    close = _wrap_dist_array(images, preimages[:, None]) <= EPS_GENERIC
+    sets, per = (spec.d, 2) if spec.construction == "A" else (spec.d + 1, 1)
+    if spec.group.linear.order != math.perm(sets, spec.d) * per**spec.d or not spec.decomposed:
+        return np.zeros(len(points), dtype=bool)
+    close = _wrap_dist_array(images, points[:, None]) <= EPS_GENERIC
     return np.any(np.all(close, axis=(2, 3)), axis=1)
 
 
@@ -276,49 +274,49 @@ def _draw(rng: random.Random, *shape: int) -> np.ndarray:
 def _verify_chunk(
     spec: CoverSpec, coords: np.ndarray, first: int, eps_pt: float
 ) -> list[SampleRecord]:
-    """Samples first, first + 1, ... of the protocol, in numpy passes over all their images.
+    """Samples first, first + 1, ... of the protocol, in numpy passes over all their images on (E/Q0)^d.
 
-    `coords` holds the samples' points, N x d x 2.  Stabilizers come from
-    one array of the samples' |G| images each, and an orbit's size is |G|
-    over its stabilizer's.  All images are mapped as one stack and their
-    spreads taken in one `projective_spreads` call.  A generic sample's
-    fiber target is its point's own row of the map; one preimage is
-    recovered from each target alone, all as one stack, and compared with
-    the sample's images (`_fiber_match`).  Each mapped row and preimage
-    depends on its own tuple alone, so a record does not depend on its
-    chunk.  A sample with an image that the map marks failed, or whose
-    target is not a generic value of the map, is non-generic, not failed.
+    `coords` holds the samples' points x, N x d x 2, each mapped once to
+    y = phi(x).  (M, t) fixes x exactly when M fixes y (t = x - Mx then
+    lies in ker phi), so stabilizers come from one array of the |L| images
+    My of each y, and an orbit's size is |G| over its stabilizer's.  All
+    images are mapped by g as one stack and their spreads taken in one
+    `projective_spreads` call.  A generic sample's target is its identity
+    row, g(y) = f(x); one point is recovered from each target alone, all
+    as one stack, and compared with the sample's images (`_fiber_match`).
+    Each mapped row and recovered point depends on its own tuple alone, so
+    a record does not depend on its chunk.  A sample with an image that the
+    map marks failed, or whose target is not a generic value of the map,
+    is non-generic, not failed.
     """
-    count, order = len(coords), spec.group.order
-    found = move(spec.group._packed, coords)
-    stabilizer = np.count_nonzero(stabilizer_mask(found, coords, eps_pt), axis=1)
-    owner = np.repeat(np.arange(count), order)
-    mapped, failed = spec.map_array(found.reshape(-1, spec.d, 2))
+    count, linear = len(coords), spec.group.linear
+    ys = map_coords(spec.quotient, coords)
+    found = move(linear._packed, ys)
+    stabilizer = np.count_nonzero(stabilizer_mask(found, ys, eps_pt), axis=1)
+    owner = np.repeat(np.arange(count), linear.order)
+    mapped, failed = spec.map_quotient(found.reshape(-1, spec.d, 2))
     failed = np.bincount(owner, weights=failed, minlength=count) > 0
     spread = projective_spreads(mapped, owner, failed)
     generic = (stabilizer == 1) & ~failed
     matched = np.zeros(count, dtype=bool)
     samples = np.flatnonzero(generic)
     if len(samples):
-        # the identity's image is the point itself, bit for bit, and for a
-        # generic point no other image equals it
-        own = np.argmax(np.all(found[samples] == coords[samples, None], axis=(2, 3)), axis=1)
-        targets = mapped.reshape(count, order, -1)[samples, own]
+        # the identity's image is y itself, bit for bit
+        own = linear.elements.index(AffineAutomorphism.identity(spec.d))
+        targets = mapped.reshape(count, linear.order, -1)[samples, own]
         points, reasons = _quotient_points(spec, targets)
         recovered = np.array([r is None for r in reasons], dtype=bool)
         generic[samples[~recovered]] = False
         samples = samples[recovered]
-        # the recovered tuple on E/Q0, each set's first point, lifted by the origin of Q0
-        quotient = spec.quotient
-        preimages = reduce_coords(quotient.source, torus_z(quotient.target, points[recovered, : spec.d, 0]))
-        matched[samples] = _fiber_match(spec, found[samples], preimages)
+        # the recovered tuple: each set's first point
+        matched[samples] = _fiber_match(spec, found[samples], points[recovered, : spec.d, 0])
     return [
         SampleRecord(
             index=first + s,
             point=tuple(TorusPoint(spec.curve, a, b) for a, b in row),
             generic=g,
             stabilizer_size=stab,
-            orbit_size=order // stab,
+            orbit_size=spec.group.order // stab,
             image_spread=worst,
             fiber_match=g and m,
         )
@@ -338,19 +336,20 @@ def galois_verify(
 ) -> VerificationReport:
     """Simple-transitivity protocol on seeded random samples.
 
-    Per sample: the stabilizer must be trivial (genericity certificate), so
-    that the orbit has |G| points; the map must be constant on the orbit
-    within eps_proj; and one preimage recovered from the sample's image
-    alone must lie in the orbit, with |G| the fiber's exact size
-    (`_fiber_match`).  Non-generic samples are recorded and excluded from
-    pass/fail.
+    Per sample x, on y = phi(x) in (E/Q0)^d and its images under the linear
+    part L of the deck group: the stabilizer must be trivial (genericity
+    certificate), so that the orbit has |G| points; g must be constant on
+    the images within eps_proj; and one point recovered from the sample's
+    image alone must lie among them, with |L| the exact size of g's fibers
+    and the group L x| Q0^d, exactly (`_fiber_match`).  Non-generic samples
+    are recorded and excluded from pass/fail.
     Samples are verified in chunks of `_CHUNK_ROWS` images (`_verify_chunk`),
     which at most `jobs` threads share out.  Raises ConfigError unless 1 <=
     samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS (`check_counts`).
     """
     check_counts(samples, jobs)
     coords = _draw(random.Random(seed), samples, spec.d, 2)
-    size = max(1, _CHUNK_ROWS // spec.group.order)
+    size = max(1, _CHUNK_ROWS // spec.group.linear.order)
     starts = range(0, samples, size)
 
     def verify(first: int) -> list[SampleRecord]:

@@ -156,10 +156,17 @@ class FiniteActionGroup:
 
     @cached_property
     def _packed(self):
-        """`batch.pack` of the elements, kept for the next orbit."""
+        """`batch.pack` of the elements, kept for the next orbit or verify chunk."""
         from .batch import pack
 
         return pack(self.elements, self.dim)
+
+    @cached_property
+    def linear(self) -> FiniteActionGroup:
+        """L: the distinct matrices of the elements, sorted, with zero translations."""
+        zero = _zero_translation(self.dim)
+        matrices = sorted({g.matrix for g in self.elements})
+        return FiniteActionGroup(self.dim, (), tuple(AffineAutomorphism(m, zero) for m in matrices))
 
     def orbit(self, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
         """Distinct images of a point, deduplicated in the toroidal metric.

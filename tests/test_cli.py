@@ -362,6 +362,10 @@ class TestConfigResolution:
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_empty_config_path_is_not_ignored(self, capsys):
+        assert main(["construct", "--config", "", "--d", "1"]) == 2
+        assert "cannot read config file ''" in capsys.readouterr().err
+
     def test_env_seed_has_highest_precedence(self, tmp_path, monkeypatch):
         out = tmp_path / "r.json"
         monkeypatch.setenv(SEED_ENV_VAR, "123")
@@ -632,6 +636,23 @@ class TestConsoleEntryPoint:
         reports = [(d / "report.json").read_bytes() for d in (here, there) if (d / "report.json").exists()]
         assert len(reports) == (2 if "--output" in argv else 0)
         assert reports[:1] == reports[1:]
+
+    @pytest.mark.parametrize("argv", [["construct", "--d", "1"], VERIFY_FAST, ["intersection", "--self", "4 0;0 4"]])
+    def test_closed_stdout_exits_quietly(self, tmp_path, argv):
+        # stdout is a pipe whose read end is already closed, so the first
+        # write fails with EPIPE, whenever the output is flushed
+        read, write = os.pipe()
+        os.close(read)
+        env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ellcover.cli", *argv],
+                cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     def test_main_never_freezes(self, capsys):
         assert main(VERIFY_FAST) == 0

@@ -118,6 +118,20 @@ def _bits(records):
     return [(r, r.image_spread.hex()) for r in records]
 
 
+def _verdicts(records):
+    """Records with each spread read as its verdict: below EPS_PROJ, and finite.
+
+    `galois_verify` spreads the |L| images of a sample on E/Q0, and the
+    oracle `_verify_sample` its |G| images on E, each mapped through the
+    isogeny, so their spreads differ in their last bits.
+    """
+    return [
+        (r.index, r.point, r.generic, r.stabilizer_size, r.orbit_size, r.fiber_match)
+        + (r.image_spread < EPS_PROJ, math.isfinite(r.image_spread))
+        for r in records
+    ]
+
+
 def _with_group(spec, group):
     """The cover `spec` with its deck group replaced by `group`: a negative control."""
     return CoverSpec(**{**{name: getattr(spec, name) for name in CoverSpec._fields}, "group": group})
@@ -507,26 +521,29 @@ class TestGaloisVerify:
             spec = _build("B", d, FiniteSubgroupSpec.parse((q0,)), lattice)
             seq = galois_verify(spec, samples=10, seed=3, jobs=1)
             with monkeypatch.context() as patch:
-                patch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.order)
+                patch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.linear.order)
                 par = galois_verify(spec, samples=10, seed=3, jobs=2)
             assert _bits(seq.samples) == _bits(par.samples)
             assert seq.passed == par.passed
 
     def test_images_are_computed_once_per_sample(self, lattice, q2, monkeypatch):
         # the stabilizer, the map and the fiber compare all read one array
-        # of images, computed for the sample points, each once, in order
+        # of images under L, computed for the samples' images on E/Q0, each
+        # once, in order
         original = covers.move
         calls = []
 
         def counted(packed, coords):
-            assert packed is spec.group._packed
+            assert packed is spec.group.linear._packed
             calls.extend(coords.tolist())
             return original(packed, coords)
 
         monkeypatch.setattr(covers, "move", counted)
         spec = build_cover("A", 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
-        assert calls == [[[p.a, p.b] for p in rec.point] for rec in report.samples]
+        points = coords_array([rec.point for rec in report.samples])
+        assert calls == map_coords(spec.quotient, points).tolist()
+        assert spec.group.linear.order == 8 and spec.decomposed
 
 
 ALONE_SPECS = [
@@ -633,10 +650,10 @@ def test_chunks_match_the_one_sample_oracle(monkeypatch, construction, d, tau, q
     # chunks of four samples, the last one partial, against each sample alone
     lattice = LatticeTau.from_tau(complex(*tau))
     spec = _build(construction, d, FiniteSubgroupSpec.parse(q0), lattice)
-    monkeypatch.setattr(covers, "_CHUNK_ROWS", 4 * spec.group.order)
+    monkeypatch.setattr(covers, "_CHUNK_ROWS", 4 * spec.group.linear.order)
     report = galois_verify(spec, samples=samples, seed=11)
     oracle = [_verify_sample(spec, r.point, r.index) for r in report.samples]
-    assert _bits(report.samples) == _bits(oracle)
+    assert _verdicts(report.samples) == _verdicts(oracle)
 
 
 @pytest.mark.parametrize("construction", ["A", "B"])
@@ -653,7 +670,7 @@ def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
         _point(spec, [(0.83, 0.09), (0.25, 0.64)]),
     ]
     records = covers._verify_chunk(spec, coords_array(points), 0, EPS_PT)
-    assert _bits(records) == _bits(_verify_sample(spec, p, k) for k, p in enumerate(points))
+    assert _verdicts(records) == _verdicts(_verify_sample(spec, p, k) for k, p in enumerate(points))
     assert [r.generic for r in records] == [True, False, True, False, True]
     assert records[1].stabilizer_size > 1
     assert math.isfinite(records[3].image_spread)
@@ -741,12 +758,12 @@ FAMILY = [
 
 @pytest.mark.parametrize("construction, d, tau, n", FAMILY)
 def test_family_matches_the_scalar_oracle(construction, d, tau, n):
-    # whole records, flags and spread bits, against each sample verified
-    # alone, and every generic sample's fiber matches its orbit
+    # flags, sizes and spread verdicts against each sample verified alone
+    # by the full protocol, and every generic sample's fiber matches its orbit
     spec = _build(construction, d, FiniteSubgroupSpec.parse((f"1/{n},0",)), LatticeTau.from_tau(tau))
     report = galois_verify(spec, samples=6, seed=3)
     oracle = [_verify_sample(spec, r.point, r.index) for r in report.samples]
-    assert _bits(report.samples) == _bits(oracle)
+    assert _verdicts(report.samples) == _verdicts(oracle)
     assert all(r.fiber_match for r in report.samples if r.generic)
 
 
@@ -814,16 +831,44 @@ def test_translations_of_a_proper_subgroup_fail(construction, orders):
     # a negative control: the cover quotients by Q0 = <1/4, 0> but carries
     # L x| T' with T' = <1/2, 0>^d, a proper subgroup of Q0^d.  Each image
     # is a preimage of its target, so the spreads pass, but L x| T' has a
-    # quarter of the fiber's points
+    # quarter of the fiber's points, and it is not L x| Q0^d
     spec = _build(construction, 2, FiniteSubgroupSpec.parse(("1/4,0",)), LatticeTau.from_tau(TAU))
     build = groups.build_group_A if construction == "A" else groups.build_group_B
     group = build(2, FiniteSubgroupSpec.parse(("1/2,0",)))
     assert (spec.group.order, group.order) == orders
-    report = galois_verify(_with_group(spec, group), samples=10, seed=1)
+    control = _with_group(spec, group)
+    assert spec.decomposed and not control.decomposed
+    report = galois_verify(control, samples=10, seed=1)
     generic = [r for r in report.samples if r.generic]
     assert len(generic) == 10
     assert all(r.orbit_size == group.order and r.image_spread < EPS_PROJ for r in generic)
     assert not any(r.fiber_match for r in generic)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_group_that_does_not_act_through_its_linear_part_fails(lattice, q2, construction):
+    # a negative control: G conjugated by the translation s = (1/8, 0) in
+    # each coordinate, s not in Q0^d, has the elements (M, t + s - Ms) and
+    # order |G|.  A's -1 in one coordinate then carries 2s = (1/4, 0), and
+    # B's row of -1s (d+1)s, neither of them in Q0, so the group is not
+    # L x| Q0^d and does not act on E/Q0 through L: its orbits are not fibers
+    spec = build_cover(construction, 2, lattice, q2)
+
+    def conjugated(g):
+        # (Ms)_i is the row sum of M_i times 1/8, in a
+        shift = tuple(
+            ((a + (1 - sum(row)) * Fraction(1, 8)) % 1, b) for (a, b), row in zip(g.translation, g.matrix)
+        )
+        return groups.AffineAutomorphism(g.matrix, shift)
+
+    group = FiniteActionGroup(2, (), tuple(map(conjugated, spec.group.elements)))
+    control = _with_group(spec, group)
+    assert group.order == spec.group.order and group.linear.elements == spec.group.linear.elements
+    assert spec.decomposed and not control.decomposed
+    report = galois_verify(control, samples=10, seed=1)
+    assert any(r.generic for r in report.samples)
+    assert not any(r.fiber_match for r in report.samples)
     assert not report.passed
 
 
@@ -841,7 +886,7 @@ def test_fiber_match_at_its_tolerance_edge(lattice, q2, construction):
             (matched,) = covers._fiber_match(spec, images[None], preimage[None])
             assert matched == expected, (k, slot, axis, scale)
     # each image itself matches, unless the group is one element short of
-    # the fiber's size
+    # L x| Q0^d
     for group, expected in ((spec.group, True), (FiniteActionGroup(2, (), spec.group.elements[:-1]), False)):
         matched = covers._fiber_match(_with_group(spec, group), images[None].repeat(3, 0), images)
         assert matched.tolist() == [expected] * 3
@@ -940,7 +985,7 @@ class TestJobsBound:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
         spec = build_cover("A", 1, lattice, q2)
         galois_verify(spec, samples=3, jobs=MAX_JOBS)  # one chunk, so no pool
-        monkeypatch.setattr(covers, "_CHUNK_ROWS", spec.group.order)  # one sample a chunk
+        monkeypatch.setattr(covers, "_CHUNK_ROWS", spec.group.linear.order)  # one sample a chunk
         galois_verify(spec, samples=3, jobs=MAX_JOBS)
         galois_verify(spec, samples=3, jobs=2)
         assert sizes == [3, 2]
