@@ -34,9 +34,8 @@ _EXPORTS = {
         "NoConvergence", "NonGenericTarget", "NonIntegralNorm", "NotVeryAmpleWarning",
         "OrderCapExceeded", "SumNotZero",
     ),
-    "groups": (
-        "AffineAutomorphism", "FiniteActionGroup", "build_group_A", "build_group_B",
-    ),
+    "affine": ("AffineAutomorphism",),
+    "groups": ("FiniteActionGroup", "build_group_A", "build_group_B"),
     "isogeny": ("SublatticeInclusion", "norm_endomorphism", "pullback"),
     "polarization": (
         "PolarizationMatrix", "chi", "isogeny_degree_factor", "mixed_intersection",

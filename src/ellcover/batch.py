@@ -32,7 +32,7 @@ from .elliptic import (
     _wp_kernel,
 )
 from .errors import DegenerateSection, InvalidOrder, InvalidPoint, NoConvergence
-from .groups import AffineAutomorphism, FiniteActionGroup, PointTuple
+from .groups import FiniteActionGroup, IntMatrix, PointTuple
 from .symfun import (
     _COND_FLOOR,
     SectionBasis,
@@ -67,31 +67,16 @@ def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
     return flat.reshape(len(points), -1, 2)
 
 
-def pack(elements: Sequence[AffineAutomorphism], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(matrices, translations) of automorphisms of E^dim, shapes K x dim x dim and K x dim x 2.
+def pack(matrices: Sequence[IntMatrix], numerators: Sequence, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """(matrices, translations) of K automorphisms of E^d, shapes K x d x d and K x d x 2.
 
-    Translations are integer numerators over one common denominator N,
-    divided once: a single IEEE division of exact integers rounds like
-    `float(Fraction)`, so the shifts equal those `AffineAutomorphism.apply`
-    starts from.  `FiniteActionGroup._packed` keeps a group's elements packed.
+    From integers: the K matrices, and the translations' numerators over
+    one common denominator, divided once: a single IEEE division of exact
+    integers rounds like `float(Fraction)`, so the shifts equal those
+    `AffineAutomorphism.apply` starts from.  `FiniteActionGroup._packed`
+    keeps a group's elements packed.
     """
-    count = len(elements)
-    matrices = np.array([e.matrix for e in elements], dtype=np.int64)
-    matrices = matrices.reshape(count, dim, dim)
-    den = math.lcm(
-        *(c.denominator for e in elements for pair in e.translation for c in pair)
-    )
-    numerators = np.fromiter(
-        (
-            c.numerator * (den // c.denominator)
-            for e in elements
-            for pair in e.translation
-            for c in pair
-        ),
-        dtype=np.int64,
-        count=count * dim * 2,
-    ).reshape(count, dim, 2)
-    return matrices, numerators / den
+    return np.array(matrices, dtype=np.int64), np.array(numerators, dtype=np.int64) / den
 
 
 def move(packed: tuple[np.ndarray, np.ndarray], coords: np.ndarray) -> np.ndarray:

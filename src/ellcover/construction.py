@@ -82,13 +82,13 @@ class CoverSpec(_Frozen):
     def decomposed(self) -> bool:
         """Whether the deck group is L x| Q0^d, exactly, so that it acts through L on (E/Q0)^d.
 
-        Every translation lies in Q0^d, and |G| = |L| |Q0|^d: the elements
-        are distinct, so then those with matrix 1 are all of Q0^d.
+        |G| = |L| |Q0|^d, and the group splits over Q0 (`splits_over`): a
+        deck group by its generators; a listed group's translations all lie
+        in Q0^d, so, the elements being distinct, those with matrix 1 are
+        all of Q0^d.
         """
-        shifts, group = set(self.q0.elements), self.group
-        return group.order == group.linear.order * self.q0.order**self.d and all(
-            t in shifts for g in group.elements for t in g.translation
-        )
+        group = self.group
+        return group.order == group.linear.order * self.q0.order**self.d and group.splits_over(self.q0)
 
     def map(self, point: PointTuple) -> ProjectivePoint:
         """The image of one point tuple in P^d: the single row of `map_array`.

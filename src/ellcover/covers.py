@@ -45,7 +45,7 @@ from .construction import (  # noqa: F401 - re-exported
 )
 from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
 from .errors import ConfigError, NonGenericTarget
-from .groups import AffineAutomorphism, PointTuple
+from .groups import PointTuple, _identity
 from .polarization import _Frozen
 from .symfun import ProjectivePoint, normalize_rows, projective_spreads, sym_fibers, sym_product
 
@@ -272,7 +272,7 @@ def _draw(rng: random.Random, *shape: int) -> np.ndarray:
 
 
 def _verify_chunk(
-    spec: CoverSpec, coords: np.ndarray, first: int, eps_pt: float
+    spec: CoverSpec, coords: np.ndarray, first: int, eps_pt: float, own: int
 ) -> list[SampleRecord]:
     """Samples first, first + 1, ... of the protocol, in numpy passes over all their images on (E/Q0)^d.
 
@@ -282,8 +282,9 @@ def _verify_chunk(
     My of each y, and an orbit's size is |G| over its stabilizer's.  All
     images are mapped by g as one stack and their spreads taken in one
     `projective_spreads` call.  A generic sample's target is its identity
-    row, g(y) = f(x); one point is recovered from each target alone, all
-    as one stack, and compared with the sample's images (`_fiber_match`).
+    row, g(y) = f(x), at `own`, the identity's index in sorted L; one point
+    is recovered from each target alone, all as one stack, and compared
+    with the sample's images (`_fiber_match`).
     Each mapped row and recovered point depends on its own tuple alone, so
     a record does not depend on its chunk.  A sample with an image that the
     map marks failed, or whose target is not a generic value of the map,
@@ -302,7 +303,6 @@ def _verify_chunk(
     samples = np.flatnonzero(generic)
     if len(samples):
         # the identity's image is y itself, bit for bit
-        own = linear.elements.index(AffineAutomorphism.identity(spec.d))
         targets = mapped.reshape(count, linear.order, -1)[samples, own]
         points, reasons = _quotient_points(spec, targets)
         recovered = np.array([r is None for r in reasons], dtype=bool)
@@ -351,9 +351,10 @@ def galois_verify(
     coords = _draw(random.Random(seed), samples, spec.d, 2)
     size = max(1, _CHUNK_ROWS // spec.group.linear.order)
     starts = range(0, samples, size)
+    own = spec.group.linear.matrices.index(_identity(spec.d))
 
     def verify(first: int) -> list[SampleRecord]:
-        return _verify_chunk(spec, coords[first : first + size], first, eps_pt)
+        return _verify_chunk(spec, coords[first : first + size], first, eps_pt, own)
 
     workers = min(jobs, len(starts))
     if workers > 1:
@@ -406,7 +407,7 @@ def _probe_points(spec: CoverSpec, seed: int = 42, head: np.ndarray | None = Non
     d = spec.d
     rng = random.Random(seed)
     m = 4 * spec.q0.order
-    poles = [(float(a), float(b)) for a, b in spec.q0.elements]
+    poles = [(a / spec.q0.denominator, b / spec.q0.denominator) for a, b in spec.q0.points]
     probes = list(itertools.product(poles, repeat=d)) if len(poles) ** d <= 512 else []
     probes += [
         [rng.choice(poles) if rng.random() < 0.5 else (rng.random(), rng.random()) for _ in range(d)]
@@ -467,7 +468,7 @@ def criterion_check(
 
     start = _draw(random.Random(seed), 40, spec.d, 2)
     # each point, then its images under the generators, in one pass over them all
-    moved = move(pack(spec.group.generators, spec.d), start)
+    moved = move(pack(*spec.group.integer_generators), start)
     moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, spec.d, 2)
     points = _probe_points(spec, seed, head=moved)
     rows, failed = _map_in_chunks(spec, points, keep=len(moved))

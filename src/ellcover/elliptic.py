@@ -14,12 +14,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidPoint, InvalidSubgroup
 from .polarization import _Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: default tolerance for torus-point equality (toroidal sup metric on (a, b))
 EPS_PT = 1e-9
@@ -42,7 +44,7 @@ _AGM_MAX_STEPS = 32
 
 _TWO_PI_I = 2j * math.pi
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = Union[int, str, "Fraction"]
 
 
 def _frac(x: float) -> float:
@@ -59,18 +61,49 @@ def _wrap_dist(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise InvalidSubgroup(
-                f"generator coordinate {value!r} is a non-integral float; "
-                "pass an exact rational (int, Fraction, or 'p/q' string)"
-            )
-        value = int(value)
+def _digits(text: str) -> bool:
+    """Whether text is decimal digits with single underscores between them."""
+    return all(part.isdecimal() for part in text.split("_"))
+
+
+def _as_ratio(value: RationalLike) -> tuple[int, int]:
+    """(p, q) with q > 0 and p/q the value that `Fraction(value)` gives.
+
+    A text is read by the grammar of `Fraction`, in integer arithmetic, so
+    that `--q0` loads no `fractions`: whitespace, a sign, then p/q, or a
+    decimal with an optional exponent.  Any other value goes through
+    `Fraction`.
+    """
+    if isinstance(value, str):
+        text = value.strip()
+        sign = text[:1] if text[:1] in ("+", "-") else ""
+        head, slash, den = text[len(sign) :].partition("/")
+        head, e, exp = head.replace("E", "e").partition("e")
+        whole, dot, decimal = head.partition(".")
+        if (
+            (_digits(whole) or not whole and _digits(decimal))
+            and (not decimal or _digits(decimal))
+            and (not e or _digits(exp[1:] if exp[:1] in ("+", "-") else exp))
+            and (not slash or not (dot or e) and _digits(den))
+        ):
+            decimal = decimal.replace("_", "")
+            shift = (int(exp) if e else 0) - len(decimal)
+            p, q = int(whole + decimal) * 10 ** max(shift, 0), int(den or 1) * 10 ** max(-shift, 0)
+            if q:
+                return (-p if sign == "-" else p), q
+        raise InvalidSubgroup(f"not a rational coordinate: {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidSubgroup(
+            f"generator coordinate {value!r} is a non-integral float; "
+            "pass an exact rational (int, Fraction, or 'p/q' string)"
+        )
+    from fractions import Fraction
+
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        value = Fraction(value)
+    except (ValueError, TypeError) as exc:
         raise InvalidSubgroup(f"not a rational coordinate: {value!r}") from exc
+    return value.numerator, value.denominator
 
 
 class HomPair(NamedTuple):
@@ -254,11 +287,14 @@ class FiniteSubgroupSpec(_Frozen):
 
     Coordinates are exact rationals (a, b) meaning a*omega1 + b*omega2; every
     finite subgroup of E is a product of at most two cyclic groups, so two
-    generators are always enough.  Its order, its elements and the quotient
-    lattice are all read off one Hermite basis, `hermite_basis`.
+    generators are always enough.  Held in integers, as numerators over N,
+    the common denominator of the generators reduced mod 1; `generators`
+    and `elements` are `Fraction`s.  Its order, its elements and the
+    quotient lattice are all read off one Hermite basis, `hermite_basis`.
     """
 
-    generators: tuple[tuple[Fraction, Fraction], ...]
+    denominator: int
+    numerators: tuple[tuple[int, int], ...]
 
     MAX_DENOMINATOR = 1000
     MAX_ORDER = 100_000
@@ -271,26 +307,28 @@ class FiniteSubgroupSpec(_Frozen):
         for pair in generators:
             if len(pair) != 2:
                 raise InvalidSubgroup(f"generator must be a coordinate pair, got {pair!r}")
-            a = _as_fraction(pair[0]) % 1
-            b = _as_fraction(pair[1]) % 1
-            for c in (a, b):
-                if c.denominator > cls.MAX_DENOMINATOR:
+            coords = []
+            for p, q in (_as_ratio(pair[0]), _as_ratio(pair[1])):
+                g = math.gcd(p, q)  # which divides p % q too
+                if q // g > cls.MAX_DENOMINATOR:
                     raise InvalidSubgroup(
-                        f"generator denominator {c.denominator} exceeds bound "
+                        f"generator denominator {q // g} exceeds bound "
                         f"{cls.MAX_DENOMINATOR}"
                     )
-            if (a, b) != (Fraction(0), Fraction(0)):
-                gens.append((a, b))
+                coords.append((p % q // g, q // g))
+            if coords[0][0] or coords[1][0]:
+                gens.append(coords)
         if len(gens) > 2:
             raise InvalidSubgroup("a finite subgroup of E needs at most 2 generators")
-        spec = cls(tuple(gens))
+        n = math.lcm(*(q for g in gens for _, q in g))
+        spec = cls(n, tuple(tuple(p * (n // q) for p, q in g) for g in gens))
         if spec.order > cls.MAX_ORDER:
             raise InvalidSubgroup(f"subgroup order {spec.order} exceeds bound {cls.MAX_ORDER}")
         return spec
 
     @classmethod
     def trivial(cls) -> "FiniteSubgroupSpec":
-        return cls(())
+        return cls(1, ())
 
     @classmethod
     def parse(cls, specs: Iterable[str]) -> "FiniteSubgroupSpec":
@@ -303,15 +341,18 @@ class FiniteSubgroupSpec(_Frozen):
             gens.append((parts[0].strip(), parts[1].strip()))
         return cls.from_generators(gens)
 
+    @property
+    def generators(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return self._fractions(self.numerators)
+
     @cached_property
     def hermite_basis(self) -> tuple[int, int, int, int]:
         """(N, a, b, c): (a, 0), (b, c) span N*Z^2 + N*Q0 in Hermite form, N the generators' common denominator.
 
         Q0 is that lattice modulo N*Z^2, so |Q0| = N^2 / (a*c).
         """
-        n = math.lcm(*(f.denominator for g in self.generators for f in g))
-        vectors = [(n, 0), (0, n)] + [(int(x * n), int(y * n)) for x, y in self.generators]
-        (a, b), (_, c) = _hermite_2x2(vectors)
+        n = self.denominator
+        (a, b), (_, c) = _hermite_2x2([(n, 0), (0, n), *self.numerators])
         return n, a, b, c
 
     @property
@@ -319,15 +360,34 @@ class FiniteSubgroupSpec(_Frozen):
         n, a, _, c = self.hermite_basis
         return n * n // (a * c)
 
+    def contains(self, x: int, y: int, n: int) -> bool:
+        """Whether the point (x/n, y/n) of E lies in Q0: (x, y) N/n is then an integer point of the Hermite lattice."""
+        m, a, b, c = self.hermite_basis
+        if x * m % n or y * m % n:
+            return False
+        x, y = x * m // n, y * m // n
+        return y % c == 0 and (x - y // c * b) % a == 0
+
     @cached_property
-    def elements(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """All subgroup elements, sorted: i*(a, 0) + j*(b, c) over N, for i < N/a and j < N/c."""
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """All subgroup elements as numerators over N, sorted: i*(a, 0) + j*(b, c) mod N, for i < N/a and j < N/c."""
         n, a, b, c = self.hermite_basis
         return tuple(sorted(
-            (Fraction((i * a + j * b) % n, n), Fraction(j * c, n))
+            ((i * a + j * b) % n, j * c)
             for i in range(n // a)
             for j in range(n // c)
         ))
+
+    @cached_property
+    def elements(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """`points` as pairs of `Fraction`s."""
+        return self._fractions(self.points)
+
+    def _fractions(self, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Pairs of numerators over N as pairs of `Fraction`s."""
+        from fractions import Fraction
+
+        return tuple((Fraction(x, self.denominator), Fraction(y, self.denominator)) for x, y in pairs)
 
 
 class IsogenyQuotient(_Frozen):
@@ -340,8 +400,8 @@ class IsogenyQuotient(_Frozen):
     @cached_property
     def _lift_offsets(self) -> tuple[complex, ...]:
         """The |Q0| points of Q0 as complex representatives on the source, which `batch.lift_coords` adds."""
-        w1, w2 = self.source.omega1, self.source.omega2
-        return tuple(float(a) * w1 + float(b) * w2 for a, b in self.subgroup.elements)
+        w1, w2, n = self.source.omega1, self.source.omega2, self.subgroup.denominator
+        return tuple(x / n * w1 + y / n * w2 for x, y in self.subgroup.points)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -669,7 +669,8 @@ def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
         _point(spec, [(1 / 6, 0.0), (1 / 6, 0.0)]),
         _point(spec, [(0.83, 0.09), (0.25, 0.64)]),
     ]
-    records = covers._verify_chunk(spec, coords_array(points), 0, EPS_PT)
+    own = spec.group.linear.matrices.index(groups.AffineAutomorphism.identity(2).matrix)
+    records = covers._verify_chunk(spec, coords_array(points), 0, EPS_PT, own)
     assert _verdicts(records) == _verdicts(_verify_sample(spec, p, k) for k, p in enumerate(points))
     assert [r.generic for r in records] == [True, False, True, False, True]
     assert records[1].stabilizer_size > 1

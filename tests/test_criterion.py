@@ -371,7 +371,7 @@ def _concatenated_points(spec, seed):
     ]
     probes = np.concatenate([diagonal.reshape(m * m, d, 2), np.array(probes)])
     start = covers._draw(random.Random(seed), 40, d, 2)
-    moved = covers.move(covers.pack(spec.group.generators, d), start)
+    moved = covers.move(covers.pack(*spec.group.integer_generators), start)
     moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, d, 2)
     return np.concatenate([moved, probes])
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import time
 import warnings
@@ -587,6 +588,74 @@ class TestFiniteSubgroup:
     def test_denominator_cap(self):
         with pytest.raises(InvalidSubgroup):
             FiniteSubgroupSpec.from_generators([(Fraction(1, 5000), Fraction(0))])
+
+    def test_contains_matches_the_elements(self):
+        # every point with denominator n <= 8, against the listed elements
+        for gens in (("1/2,0",), ("0,1/2",), ("1/4,1/2",), ("1/4,1/4",), ("1/6,1/6",), ("1/2,0", "0,1/4")):
+            spec = FiniteSubgroupSpec.parse(gens)
+            elements = set(spec.elements)
+            for n in range(1, 9):
+                for x in range(-n, 2 * n):
+                    for y in range(n):
+                        point = (Fraction(x, n) % 1, Fraction(y, n))
+                        assert spec.contains(x, y, n) == (point in elements), (gens, x, y, n)
+
+    def test_texts_read_as_fraction_reads_them(self):
+        # the integer parser against the one it replaced, Fraction(text) % 1
+        # and the denominator bound, on a seeded sample of texts and on
+        # fixed ones: the values and the errors, messages included.  No
+        # sample text has an underscore between digits, which Python 3.10
+        # rejects, or whitespace next to '/', which 3.12 accepts
+        def reference(text):
+            try:
+                value = Fraction(text) % 1
+            except (ValueError, ZeroDivisionError):
+                return f"not a rational coordinate: {text!r}"
+            bound = FiniteSubgroupSpec.MAX_DENOMINATOR
+            if value.denominator > bound:
+                return f"generator denominator {value.denominator} exceeds bound {bound}"
+            return value
+
+        def parsed(text):
+            try:
+                spec = FiniteSubgroupSpec.from_generators([(text, "1/7")])
+            except InvalidSubgroup as exc:
+                return str(exc)
+            return spec.generators[0][0]
+
+        rng = random.Random(31)
+
+        def digits(low, high):
+            return "".join(rng.choice("0123456789") for _ in range(rng.randint(low, high)))
+
+        texts = []
+        while len(texts) < 3000:
+            body = rng.choice([
+                digits(1, 4),
+                f"{digits(1, 4)}/{digits(1, 4)}",
+                f"{digits(0, 3)}.{digits(0, 3)}",
+                f"{digits(1, 3)}{rng.choice(['', '.', '.' + digits(1, 2)])}{rng.choice('eE')}"
+                f"{rng.choice(['', '-', '+'])}{digits(1, 2)}",
+            ])
+            text = rng.choice(["", " ", "\t"]) + rng.choice(["", "-", "+"]) + body + rng.choice(["", " ", "\n"])
+            if rng.random() < 0.3:
+                k = rng.randrange(len(text) + 1)
+                text = text[:k] + rng.choice("0123456789+-./eE _") + text[k + rng.randint(0, 1):]
+            if not re.search(r"\s/|/\s|\d_\d", text):
+                texts.append(text)
+        fixed = [
+            "1/0", "0/0", " -3/000 ",  # zero denominators
+            "", " ", "1/2/3", "--1", "+-1", "1e", "e5", ".", ".e1", "1.2.3", "1/-2",
+            "1/+2", "0x10", "inf", "nan", "1.d", "1.5/2", "1e5/2", "_1", "1_", "1__0",
+            "1_/2", "\u00bd", "1 1",  # rejected
+            "\u0663/\u0664", "-.5", "5.", "1.e3", "+0001/0002", " 2/2000 ", "0.001", "1E+2",
+            "-0/5", "-7/3",  # accepted
+            "1/1001", "2/2002", "7/2000", "1e-4", "1.5e-3", "999/1009",  # past the bound
+        ]
+        outcomes = [reference(text) for text in texts + fixed]
+        assert [parsed(text) for text in texts + fixed] == outcomes
+        rejected = sum(isinstance(v, str) for v in outcomes)
+        assert 500 < rejected < len(outcomes) - 500
 
 
 class TestQuotientLattice:

@@ -23,9 +23,10 @@ from ellcover import (
     build_group_A,
     build_group_B,
 )
-from ellcover import batch
+from ellcover import FiniteActionGroup, batch
 from ellcover.batch import close_pairs
 from ellcover.elliptic import _wrap_dist
+from ellcover.groups import SemidirectProduct
 
 from conftest import TAU
 
@@ -145,9 +146,11 @@ class TestGroupGeneration:
         assert keyed == sorted(keyed)
 
     def test_order_cap(self):
+        # the cap bounds |L| = 48, not |G| = 3,072
         q0 = FiniteSubgroupSpec.parse(("1/4,0",))
+        assert build_group_A(3, q0, cap=48).order == 3072
         with pytest.raises(OrderCapExceeded):
-            build_group_A(3, q0, cap=100)
+            build_group_A(3, q0, cap=47)
 
     @pytest.mark.parametrize("build", [build_group_A, build_group_B])
     def test_huge_d_is_refused_at_once(self, build):
@@ -391,27 +394,102 @@ def test_elements_are_listed_on_first_use(build, d, q0):
 @pytest.mark.parametrize("construction, q0", [("A", "1/2,0"), ("B", "1/3,0")])
 def test_construct_lists_no_element(monkeypatch, construction, q0):
     from ellcover import cli
-    from ellcover.groups import FiniteActionGroup
 
     built = []
-    init = FiniteActionGroup.__init__
+    init = SemidirectProduct.__init__
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(FiniteActionGroup, "__init__", spy)
+    monkeypatch.setattr(SemidirectProduct, "__init__", spy)
     assert cli.main(["construct", "--construction", construction, "--d", "4", "--q0", q0]) == 0
     assert len(built) == 1
-    assert "elements" not in vars(built[0])
+    assert not {"elements", "matrices", "generators"} & set(vars(built[0]))
+
+
+def _never_list(monkeypatch):
+    """Make listing or packing the elements of any G but a matrix group L fail."""
+    packed = SemidirectProduct._packed.func
+
+    def never(self):
+        raise AssertionError("G was listed")
+
+    monkeypatch.setattr(SemidirectProduct, "elements", property(never))
+    monkeypatch.setattr(
+        SemidirectProduct, "_packed", property(lambda g: never(g) if g.q0.order > 1 else packed(g))
+    )
+
+
+@pytest.mark.parametrize("construction, d, samples", [("A", 5, 3), ("B", 6, 2)])
+def test_no_command_lists_the_group(monkeypatch, tmp_path, construction, d, samples):
+    # |G| = 122,880 and 322,560, past the default cap, which bounds |L| =
+    # 3,840 and 5,040: construct and verify read the group as L x| Q0^d
+    from ellcover import cli
+
+    _never_list(monkeypatch)
+    argv = ["--construction", construction, "--d", str(d), "--q0", "1/2,0"]
+    assert cli.main(["construct", *argv]) == 0
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", *argv, "--samples", str(samples), "--output", str(report)]) == 0
+    assert '"pass": true' in report.read_text()
+
+
+def test_copies_are_structural(monkeypatch):
+    # a copy of a cover holds L's matrices, Q0 and the generators
+    import copy
+    import pickle
+
+    from ellcover import build_cover
+
+    spec = build_cover("A", 5, LAT, FiniteSubgroupSpec.parse(("1/2,0",)))
+    _never_list(monkeypatch)
+    for other in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert (other.group.order, other.group.linear.order) == (122_880, 3_840)
+        assert other.group.matrices == spec.group.matrices and other.q0 == spec.q0
+        assert other.group.integer_generators == spec.group.integer_generators
+        assert other.decomposed
+
+
+#: subgroups of order at most 4, one of them twice with other generators;
+#: <0,1/4> and <1/4,1/4> share N = 4 and c = 1 and differ in a and b only
+SPLIT_Q0 = [
+    (), ("1/2,0",), ("0,1/2",), ("1/3,0",), ("1/4,0",), ("3/4,0",), ("1/4,1/2",), ("0,1/4",),
+    ("1/4,1/4",), ("1/2,0", "0,1/2"),
+]
+
+
+@pytest.mark.parametrize("build", [build_group_A, build_group_B])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generator_split_check_matches_the_element_check(build, d):
+    # for each builder group and each Q0, the split check on the generators
+    # and on the listed copy of the group, element by element, agree
+    from types import SimpleNamespace
+
+    from ellcover.construction import CoverSpec
+
+    def decomposed(group, q0):
+        return CoverSpec.decomposed.func(SimpleNamespace(group=group, q0=q0, d=d))
+
+    specs = [FiniteSubgroupSpec.parse(q) for q in SPLIT_Q0]
+    verdicts = []
+    for own in specs:
+        grp = build(d, own)
+        listed = FiniteActionGroup(d, grp.generators, grp.elements)
+        for q0 in specs:
+            verdicts.append(decomposed(grp, q0))
+            assert verdicts[-1] == decomposed(listed, q0), (own, q0)
+            assert verdicts[-1] == (set(own.elements) == set(q0.elements)), (own, q0)
+    assert verdicts.count(True) == len(specs) + 2
 
 
 @pytest.mark.parametrize("build", [build_group_A, build_group_B])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_packed_generators_move_points_as_apply_does(build, d):
-    gens = build(d, FiniteSubgroupSpec.parse(("1/3,0",))).generators
+    grp = build(d, FiniteSubgroupSpec.parse(("1/3,0",)))
+    gens = grp.generators
     points = _action_points(d)
-    moved = batch.move(batch.pack(gens, d), batch.coords_array(points))
+    moved = batch.move(batch.pack(*grp.integer_generators), batch.coords_array(points))
     applied = batch.coords_array([g.apply(p) for p in points for g in gens])
     assert moved.tobytes() == applied.reshape(moved.shape).tobytes()
 

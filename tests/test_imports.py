@@ -8,10 +8,11 @@ those made unimportable too.  `intersection` needs only `cli` and
 bytes as a plain run.  `report` adds `commands` and must run with numpy,
 `dataclasses` and `fractions` made unimportable.  `construct` builds a
 cover from the exact layers (`construction`, `groups`, `elliptic`,
-`polarization`), so it must run with numpy, `dataclasses`, `json` and
-`isogeny` made unimportable and print the same bytes as a plain run.
-`verify` loads numpy but must run with `dataclasses`, `json` and `isogeny`
-made unimportable and write the same report.  Each command leaves exactly
+`polarization`), in integers, so it must run with numpy, `dataclasses`,
+`json`, `fractions`, `decimal`, `affine` and `isogeny` made unimportable
+and print the same bytes as a plain run.  `verify` loads numpy but must
+run with `dataclasses`, `json`, `fractions`, `decimal`, `affine` and
+`isogeny` made unimportable and write the same report.  Each command leaves exactly
 the `ellcover` modules of the README's table loaded.
 """
 
@@ -90,8 +91,11 @@ INTERSECTION_BLOCKED = NO_COMMAND + [
     "numpy", "dataclasses", "fractions", "json", "ellcover.commands", "ellcover.isogeny",
 ]
 REPORT_BLOCKED = NO_COMMAND + ["numpy", "dataclasses", "fractions", "ellcover.isogeny"]
-CONSTRUCT_BLOCKED = NO_COMMAND + ["numpy", "dataclasses", "json", "ellcover.isogeny"]
-VERIFY_BLOCKED = NO_COMMAND + ["dataclasses", "json", "ellcover.isogeny"]
+#: no construct or verify loads `fractions`, nor the `decimal` it brings,
+#: nor `affine`, the reference type of listed group elements
+EXACT_IN_INTEGERS = ["fractions", "decimal", "ellcover.affine"]
+CONSTRUCT_BLOCKED = NO_COMMAND + EXACT_IN_INTEGERS + ["numpy", "dataclasses", "json", "ellcover.isogeny"]
+VERIFY_BLOCKED = NO_COMMAND + EXACT_IN_INTEGERS + ["dataclasses", "json", "ellcover.isogeny"]
 
 
 def test_exact_commands_run_without_numpy(tmp_path):

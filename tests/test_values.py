@@ -102,7 +102,7 @@ def test_repr_is_the_dataclass_form(lattice, q2):
     assert repr(TorusPoint(lattice, 0.25, 0.5)) == (
         "TorusPoint(lattice=LatticeTau(omega1=(1+0j), omega2=(0.3+1.1j)), a=0.25, b=0.5)"
     )
-    assert repr(q2) == "FiniteSubgroupSpec(generators=((Fraction(1, 2), Fraction(0, 1)),))"
+    assert repr(q2) == "FiniteSubgroupSpec(denominator=2, numerators=((1, 0),))"
     assert repr(AffineAutomorphism.identity(1)) == (
         "AffineAutomorphism(matrix=((1,),), translation=((Fraction(0, 1), Fraction(0, 1)),))"
     )
