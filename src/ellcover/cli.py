@@ -84,10 +84,9 @@ def galois_verify(*args, **kwargs) -> VerificationReport:
 
 def cmd_verify(cfg: RunConfig) -> int:
     from .commands import _emit, _report_payload
-    from .covers import check_probe_grid, criterion_check
+    from .covers import criterion_check
 
     spec = cfg.build_spec()
-    check_probe_grid(spec)  # before any sample is verified
     report = galois_verify(
         spec,
         samples=cfg.samples,

@@ -380,89 +380,62 @@ def galois_verify(
     )
 
 
-#: most torsion-diagonal probes, (4|Q0|)^2, that `criterion_check` lists,
-#: so |Q0| <= 128 (README)
-MAX_PROBE_GRID = 1 << 18
+def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
+    """Base-point probes of g on (E/Q0)^d, (16|Q0| + 17) x d x 2.
 
-
-def check_probe_grid(spec: CoverSpec) -> None:
-    """Raise ConfigError when `criterion_check` would list more than MAX_PROBE_GRID probes."""
-    grid = (4 * spec.q0.order) ** 2
-    if grid > MAX_PROBE_GRID:
-        raise ConfigError(f"|Q0| = {spec.q0.order} needs {grid} criterion probes, more than {MAX_PROBE_GRID}")
-
-
-def _probe_points(spec: CoverSpec, seed: int = 42, head: np.ndarray | None = None) -> np.ndarray:
-    """Base-point probe grid: torsion diagonals, pole patterns, seeded tuples.
-
-    Includes every 4|Q0|-torsion point of E on the diagonal (all of E[4|Q0|]^d
-    would be exponential; the diagonal meets every coordinate degeneration),
-    all pole configurations (tuples over Q0, where the construction-A factors
-    hit poles), and seeded random tuples mixing pole and generic coordinates.
-    Returns the coordinates of the probes, N x d x 2, after the rows of
-    `head` when it is given: one array, filled in place, so that the probes
-    are held once.  A seeded coordinate is a pole (a point of Q0, which
-    holds the origin) or two draws, each with even odds.
+    f = g o phi has a base point at x exactly when g has one at phi(x).
+    The tuples (y, ..., y), y in phi(E[m]) and m = 4|Q0|, stand for E[m]'s
+    diagonal in E^d, which meets every coordinate degeneration; the origin
+    for the pole tuples over Q0; 16 seeded tuples mix the origin and two
+    draws, with even odds per coordinate.  phi(s, t) = (N(cs - bt)/(ac),
+    Nt/c) for Q0's `hermite_basis` (N, a, b, c), so phi(E[m]) is the 16|Q0|
+    points (-jNb mod Nc + iNc, jNa) / 4N^2, j < 4N/a and i < 4N/c, sorted
+    by (b, a) and listed in integers.
     """
-    d = spec.d
+    n, a, b, c = spec.q0.hermite_basis
+    j = np.arange(4 * n // a)[:, None]
+    x = j * -n * b % (n * c) + np.arange(4 * n // c) * (n * c)
+    points = np.zeros((x.size + 17, spec.d, 2))
+    points[: x.size, :, 0] = (x / (4 * n * n)).reshape(-1, 1)
+    points[: x.size, :, 1] = np.repeat(j * (n * a) / (4 * n * n), x.shape[1])[:, None]
     rng = random.Random(seed)
-    m = 4 * spec.q0.order
-    poles = [(a / spec.q0.denominator, b / spec.q0.denominator) for a, b in spec.q0.points]
-    probes = list(itertools.product(poles, repeat=d)) if len(poles) ** d <= 512 else []
-    probes += [
-        [rng.choice(poles) if rng.random() < 0.5 else (rng.random(), rng.random()) for _ in range(d)]
+    points[x.size + 1 :] = [
+        [(0.0, 0.0) if rng.random() < 0.5 else (rng.random(), rng.random()) for _ in range(spec.d)]
         for _ in range(16)
     ]
-    first = 0 if head is None else len(head)
-    points = np.empty((first + m * m + len(probes), d, 2))
-    points[:first] = head
-    grid = np.arange(m) / m
-    diagonal = points[first : first + m * m].reshape(m, m, d, 2)
-    diagonal[..., 0] = grid[:, None, None]
-    diagonal[..., 1] = grid[None, :, None]
-    points[first + m * m :] = probes
     return points
 
 
-def _map_in_chunks(
-    spec: CoverSpec, coords: np.ndarray, keep: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """`spec.map_array` of N point tuples, in calls of at most `_CHUNK_ROWS` rows.
+def _map_in_chunks(spec: CoverSpec, coords: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """`spec.map_quotient` of N point tuples of (E/Q0)^d, in calls of at most `_CHUNK_ROWS` rows.
 
-    Returns the rows of the first `keep` tuples (all N by default) and the
-    failure mask of all N.  A row depends on its own tuple alone, so the
-    result is the single call's, bit for bit; only the temporaries shrink.
+    Returns the rows of the first `keep` tuples and the failure mask of all
+    N.  A row depends on its own tuple alone, so the result is the single
+    call's, bit for bit; only the temporaries shrink.
     """
-    keep = len(coords) if keep is None else keep
     rows, failed = [], []
     for start in range(0, len(coords), _CHUNK_ROWS):
-        part, fail = spec.map_array(coords[start : start + _CHUNK_ROWS])
+        part, fail = spec.map_quotient(coords[start : start + _CHUNK_ROWS])
         # a copy, so that the rows not kept are freed with their chunk
         rows.append(part[: max(keep - start, 0)].copy())
         failed.append(fail)
     return np.concatenate(rows), np.concatenate(failed)
 
 
-def criterion_check(
-    spec: CoverSpec, seed: int = 42, eps_proj: float = EPS_PROJ
-) -> CriterionReport:
-    """The three cover-criterion checks plus the very-ampleness flag.
+def criterion_check(spec: CoverSpec, seed: int = 42, eps_proj: float = EPS_PROJ) -> CriterionReport:
+    """The three cover-criterion checks plus the very-ampleness flag, every map on (E/Q0)^d.
 
     (1) |G| = d! chi(L) times the isogeny factor, exactly; (2) the map is
     projectively invariant under every generator: of 40 seeded points, the
     first 10 that map with all their generator images must each have a
-    spread below eps_proj; (3) the map evaluates to a valid projective point
-    across the probe grid: each probe, or one of 3 seeded perturbations of
-    it, must map, since the bundle is base-point-free.  The points of (2)
-    and the probes are mapped together, and the perturbations of the
-    probes that fail to map after them, each in `map_array` calls of at
-    most `_CHUNK_ROWS` rows, so that the maps' temporaries stay bounded
-    whatever the grid; only the rows of (2) are kept, and of the probes
-    and their perturbations only the failure masks.  The ten spreads of (2) are one
-    `projective_spreads` call.  Perturbations are drawn only up to the last
-    probe that fails to map, and none when every probe maps.
+    spread below eps_proj; (3) g maps each probe (`_probe_points`) or one
+    of 3 seeded perturbations of it, drawn only up to the last probe that
+    fails, since the bundle is base-point-free.  The points of (2) go
+    through the isogeny, so that g gives f's rows bit for bit; with the
+    probes, and then the perturbations, they are mapped in chunks
+    (`_map_in_chunks`), keeping only the rows of (2), whose ten spreads are
+    one `projective_spreads` call.
     """
-    check_probe_grid(spec)
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
     order_ok = spec.group.order == expected
 
@@ -470,7 +443,7 @@ def criterion_check(
     # each point, then its images under the generators, in one pass over them all
     moved = move(pack(*spec.group.integer_generators), start)
     moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, spec.d, 2)
-    points = _probe_points(spec, seed, head=moved)
+    points = np.concatenate([map_coords(spec.quotient, moved), _probe_points(spec, seed)])
     rows, failed = _map_in_chunks(spec, points, keep=len(moved))
     mapped = rows.reshape(len(start), -1, spec.d + 1)
     checked = np.flatnonzero(~failed[: len(moved)].reshape(len(start), -1).any(axis=1))[:10]

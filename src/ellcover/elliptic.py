@@ -66,13 +66,21 @@ def _digits(text: str) -> bool:
     return all(part.isdecimal() for part in text.split("_"))
 
 
+#: digits of the largest denominator that an error message spells out:
+#: Python's default limit on integer texts, past which str() raises
+_SHOWN_DIGITS = 4300
+
+
 def _as_ratio(value: RationalLike) -> tuple[int, int]:
-    """(p, q) with q > 0 and p/q the value that `Fraction(value)` gives.
+    """(p, q) with q > 0 and p/q the value that `Fraction(value)` gives, mod 1.
 
     A text is read by the grammar of `Fraction`, in integer arithmetic, so
     that `--q0` loads no `fractions`: whitespace, a sign, then p/q, or a
-    decimal with an optional exponent.  Any other value goes through
-    `Fraction`.
+    decimal with an optional exponent.  Its powers of ten stay small: a
+    positive exponent e scales p by pow(10, e, q), and a negative one more
+    than `_SHOWN_DIGITS` past the text's digits is refused, as the reduced
+    denominator then exceeds 10 to that power.  Any other value goes
+    through `Fraction`.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -87,9 +95,16 @@ def _as_ratio(value: RationalLike) -> tuple[int, int]:
             and (not slash or not (dot or e) and _digits(den))
         ):
             decimal = decimal.replace("_", "")
-            shift = (int(exp) if e else 0) - len(decimal)
-            p, q = int(whole + decimal) * 10 ** max(shift, 0), int(den or 1) * 10 ** max(-shift, 0)
+            try:
+                p, q, shift = int(whole + decimal), int(den or 1), (int(exp) if e else 0) - len(decimal)
+            except ValueError:  # a part past Python's limit on integer texts
+                p = q = 0
+            if p and -shift > len(whole + decimal) + _SHOWN_DIGITS:
+                bound = FiniteSubgroupSpec.MAX_DENOMINATOR
+                raise InvalidSubgroup(f"generator denominator past 10^{_SHOWN_DIGITS} exceeds bound {bound}")
             if q:
+                q = q * 10 ** max(-shift, 0) if p else 1  # zero at any exponent is 0/1
+                p *= pow(10, max(shift, 0), q)
                 return (-p if sign == "-" else p), q
         raise InvalidSubgroup(f"not a rational coordinate: {value!r}")
     if isinstance(value, float) and not value.is_integer():
@@ -310,12 +325,11 @@ class FiniteSubgroupSpec(_Frozen):
             coords = []
             for p, q in (_as_ratio(pair[0]), _as_ratio(pair[1])):
                 g = math.gcd(p, q)  # which divides p % q too
-                if q // g > cls.MAX_DENOMINATOR:
-                    raise InvalidSubgroup(
-                        f"generator denominator {q // g} exceeds bound "
-                        f"{cls.MAX_DENOMINATOR}"
-                    )
-                coords.append((p % q // g, q // g))
+                p, q = p % q // g, q // g
+                if q > cls.MAX_DENOMINATOR:
+                    shown = q if q < 10**_SHOWN_DIGITS else f"past 10^{_SHOWN_DIGITS}"
+                    raise InvalidSubgroup(f"generator denominator {shown} exceeds bound {cls.MAX_DENOMINATOR}")
+                coords.append((p, q))
             if coords[0][0] or coords[1][0]:
                 gens.append(coords)
         if len(gens) > 2:

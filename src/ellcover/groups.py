@@ -41,30 +41,41 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _integer_form(automorphisms: Sequence[AffineAutomorphism]) -> tuple[list, list, int]:
+    """`batch.pack`'s arguments for affine automorphisms: matrices, translation numerators, their denominator."""
+    den = math.lcm(*(c.denominator for g in automorphisms for t in g.translation for c in t))
+    shifts = [[(int(a * den), int(b * den)) for a, b in g.translation] for g in automorphisms]
+    return [g.matrix for g in automorphisms], shifts, den
+
+
 class FiniteActionGroup:
     """A finite group of affine automorphisms, listed: its elements, sorted for reproducibility.
 
     The reference form, which the tests build their controls in; the deck
-    groups are `SemidirectProduct`s.  `orbit` and `stabilizer` act with
-    every element at once through `batch`, imported at call time so that
-    building a group loads no numpy.
+    groups are `SemidirectProduct`s.  Given no generators, the elements
+    generate it.  `orbit` and `stabilizer` act with every element at once
+    through `batch`, imported at call time so that building a group loads
+    no numpy.
     """
 
     def __init__(self, dim: int, generators: Sequence[AffineAutomorphism],
                  elements: Sequence[AffineAutomorphism]):
         self.dim = dim
-        self.generators = tuple(generators)
         self.elements = tuple(elements)
+        self.generators = tuple(generators) or self.elements
         self.order = len(self.elements)
+
+    @property
+    def integer_generators(self) -> tuple[list, list, int]:
+        """The generators' matrices, their translations' numerators, and their common denominator."""
+        return _integer_form(self.generators)
 
     @cached_property
     def _packed(self):
         """`batch.pack` of the elements, kept for the next orbit or stabilizer."""
         from .batch import pack
 
-        den = math.lcm(*(c.denominator for g in self.elements for t in g.translation for c in t))
-        shifts = [[(int(a * den), int(b * den)) for a, b in g.translation] for g in self.elements]
-        return pack([g.matrix for g in self.elements], shifts, den)
+        return pack(*_integer_form(self.elements))
 
     @cached_property
     def linear(self) -> SemidirectProduct:

@@ -305,17 +305,15 @@ class TestUnwritableOutput:
 
 
 class TestConfigResolution:
-    def test_probe_grid_is_refused_before_any_sample(self, capsys, monkeypatch):
-        from ellcover import cli, covers
-
-        def never(*args, **kwargs):
-            raise AssertionError("the run went past the probe-grid check")
-
-        monkeypatch.setattr(cli, "galois_verify", never)
-        monkeypatch.setattr(covers, "_probe_points", never)
-        # |Q0| = 1000: (4|Q0|)^2 = 1.6e7 probes
-        assert main(["verify", "--construction", "A", "--d", "1", "--q0", "1/1000,31/1000"]) == 2
-        assert "criterion probes" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "construction, d, generator",
+        [(c, d, g) for c in "AB" for d, g in (("1", "239/257,1/257"), ("2", "58/129,1/129"))],
+    )
+    def test_paper_family_past_the_old_probe_bound_verifies(self, construction, d, generator):
+        # |Q0| = 257 and 129, past the (4|Q0|)^2 <= 2^18 probes that the
+        # criterion once listed on E^d
+        args = ["verify", "--construction", construction, "--d", d, "--q0", generator, "--samples", "4"]
+        assert main(args) == 0
 
     def test_bad_tau_is_config_error(self, capsys):
         assert main(["verify", "--tau", "0.3-1.1i", "--samples", "2"]) == 2
@@ -738,6 +736,34 @@ class TestUnresolvablePeriodRatio:
     def test_oversized_subgroup_is_invalid(self, capsys):
         assert run(["construct", "--q0", "1/1000,0", "--q0", "0,1/1000"]) == 2
         assert "InvalidSubgroup: subgroup order 1000000 exceeds bound 100000" in capsys.readouterr().err
+
+
+class TestHugeExponents:
+    """`--q0` texts whose powers of ten the parser does not build."""
+
+    def test_tiny_generator_is_refused_in_one_line(self, capsys):
+        # 1e-5000 is 1/10^5000, whose denominator no message spells out
+        assert run(["construct", "--q0", "1e-5000,0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: InvalidSubgroup: generator denominator past 10^4300 exceeds bound 1000\n"
+
+    @pytest.mark.parametrize("text, code", [("1e-999999999,0", 2), ("1e999999999,0", 0)])
+    def test_huge_exponents_exit_at_once(self, text, code):
+        # 10**999999999 has 10^9 digits: the child is stopped after 5 s and
+        # held to 1 GiB of address space, so building it fails the test
+        resource = pytest.importorskip("resource")
+        limit = 1 << 30
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellcover.cli", "construct", "--q0", text],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=5,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == code, proc.stderr
 
 
 class TestEpsNumRemoved:

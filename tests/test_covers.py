@@ -790,13 +790,13 @@ def test_tall_quotients_recover_every_fiber(q2, d, height):
 
 #: the paper's family at the default tau, as (d, generator, largest reduced
 #: Im tau'): <1/n, 0> at d = 2, whose quotient has Im tau' = 1.1 n, up to 11,
-#: and balanced subgroups <k/n, 1/n> up to |Q0| = 127, whose quotients stay
+#: and balanced subgroups <k/n, 1/n> up to |Q0| = 257, whose quotients stay
 #: at Im tau' <= 1.1
 PAPER_FAMILY = [pytest.param(2, f"1/{n},0", 1.1 * n, id=str(n)) for n in range(2, 11)] + [
     pytest.param(d, generator, 1.1, id=f"d{d}-{generator}")
     for d, generator in [
         (1, "2/5,1/5"), (1, "4/17,1/17"), (1, "24/31,1/31"), (1, "27/32,1/64"), (1, "57/127,1/127"),
-        (2, "2/5,1/5"), (2, "4/17,1/17"),
+        (1, "239/257,1/257"), (2, "2/5,1/5"), (2, "4/17,1/17"), (2, "58/129,1/129"),
     ]
 ]
 
@@ -847,6 +847,15 @@ def test_translations_of_a_proper_subgroup_fail(construction, orders):
     assert not report.passed
 
 
+def _conjugated(g):
+    """g conjugated by the translation s = (1/8, 0) in each coordinate: (M, t + s - Ms).
+
+    (Ms)_i is the row sum of M_i times 1/8, in a.
+    """
+    shift = tuple(((a + (1 - sum(row)) * Fraction(1, 8)) % 1, b) for (a, b), row in zip(g.translation, g.matrix))
+    return groups.AffineAutomorphism(g.matrix, shift)
+
+
 @pytest.mark.parametrize("construction", ["A", "B"])
 def test_group_that_does_not_act_through_its_linear_part_fails(lattice, q2, construction):
     # a negative control: G conjugated by the translation s = (1/8, 0) in
@@ -855,15 +864,7 @@ def test_group_that_does_not_act_through_its_linear_part_fails(lattice, q2, cons
     # B's row of -1s (d+1)s, neither of them in Q0, so the group is not
     # L x| Q0^d and does not act on E/Q0 through L: its orbits are not fibers
     spec = build_cover(construction, 2, lattice, q2)
-
-    def conjugated(g):
-        # (Ms)_i is the row sum of M_i times 1/8, in a
-        shift = tuple(
-            ((a + (1 - sum(row)) * Fraction(1, 8)) % 1, b) for (a, b), row in zip(g.translation, g.matrix)
-        )
-        return groups.AffineAutomorphism(g.matrix, shift)
-
-    group = FiniteActionGroup(2, (), tuple(map(conjugated, spec.group.elements)))
+    group = FiniteActionGroup(2, (), tuple(map(_conjugated, spec.group.elements)))
     control = _with_group(spec, group)
     assert group.order == spec.group.order and group.linear.elements == spec.group.linear.elements
     assert spec.decomposed and not control.decomposed
@@ -871,6 +872,30 @@ def test_group_that_does_not_act_through_its_linear_part_fails(lattice, q2, cons
     assert any(r.generic for r in report.samples)
     assert not any(r.fiber_match for r in report.samples)
     assert not report.passed
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_criterion_on_a_listed_copy_equals_the_builder_group(lattice, q2, construction):
+    # a listed group takes its generators' integer form from their
+    # fractions, or, given none, its elements as generators
+    spec = build_cover(construction, 2, lattice, q2)
+    expected = criterion_check(spec)
+    assert expected.all_ok
+    for generators in (spec.group.generators, ()):
+        listed = FiniteActionGroup(2, generators, spec.group.elements)
+        assert criterion_check(_with_group(spec, listed)) == expected
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+def test_criterion_flags_the_conjugated_control(lattice, q2, construction):
+    # its generators do not leave the map invariant: A's negation of one
+    # coordinate and B's cycle carry a translation outside Q0
+    spec = build_cover(construction, 2, lattice, q2)
+    group = FiniteActionGroup(
+        2, tuple(map(_conjugated, spec.group.generators)), tuple(map(_conjugated, spec.group.elements))
+    )
+    report = criterion_check(_with_group(spec, group))
+    assert report.order_ok and not report.invariance_ok
 
 
 @pytest.mark.parametrize("construction", ["A", "B"])
@@ -929,22 +954,23 @@ def test_scaled_lattices_verify(q2, construction, rotation, scale):
     assert all(r.generic for r in report.samples)
 
 
-class TestProbeGridBound:
-    def test_large_subgroups_are_refused_before_any_probe(self, lattice, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("the probe grid was listed")
+class TestPastTheOldProbeBound:
+    # the criterion once listed (4|Q0|)^2 probes on E^d and refused |Q0| > 128
 
-        monkeypatch.setattr(covers, "_probe_points", never)
-        q0 = FiniteSubgroupSpec.parse(("1/1000,31/1000",))
-        assert (4 * q0.order) ** 2 > covers.MAX_PROBE_GRID
-        with pytest.raises(ConfigError, match="criterion probes"):
-            criterion_check(build_cover("A", 1, lattice, q0))
+    @pytest.mark.parametrize("generators", [("1/16,0", "0,1/8"), ("1/1000,31/1000",)], ids=["128", "1000"])
+    def test_criterion_maps_16_q0_probes(self, lattice, monkeypatch, generators):
+        q0 = FiniteSubgroupSpec.parse(generators)
+        spec = build_cover("A", 1, lattice, q0)
+        sizes = []
+        original = covers._map_in_chunks
 
-    def test_bound_is_inclusive(self, lattice):
-        # |Q0| = 128 lists exactly MAX_PROBE_GRID probes
-        q0 = FiniteSubgroupSpec.parse(("1/16,0", "0,1/8"))
-        assert (4 * q0.order) ** 2 == covers.MAX_PROBE_GRID
-        assert criterion_check(build_cover("A", 1, lattice, q0)).all_ok
+        def spy(spec, coords, keep):
+            sizes.append(len(coords) - keep)
+            return original(spec, coords, keep)
+
+        monkeypatch.setattr(covers, "_map_in_chunks", spy)
+        assert criterion_check(spec).all_ok
+        assert sizes == [16 * q0.order + 17]
 
 
 class TestSampleBound:

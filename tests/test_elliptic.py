@@ -588,6 +588,16 @@ class TestFiniteSubgroup:
     def test_denominator_cap(self):
         with pytest.raises(InvalidSubgroup):
             FiniteSubgroupSpec.from_generators([(Fraction(1, 5000), Fraction(0))])
+        # a denominator of 5001 digits is past what str() spells out
+        with pytest.raises(InvalidSubgroup, match="denominator past 10\\^4300 exceeds bound 1000"):
+            FiniteSubgroupSpec.from_generators([(Fraction(1, 10**5000), Fraction(0))])
+
+    def test_exponents_change_no_value(self):
+        # the value mod 1 that Fraction reads, with no power of ten past the
+        # text's size: 1e5000 is an integer, and zero at any exponent is zero
+        for text, value in (("1e5000", 0), ("0e-999999999", 0), ("25e-2", Fraction(1, 4)), ("-3.5e1", 0)):
+            spec = FiniteSubgroupSpec.from_generators([(text, "1/7")])
+            assert spec.generators[0][0] == value
 
     def test_contains_matches_the_elements(self):
         # every point with denominator n <= 8, against the listed elements
