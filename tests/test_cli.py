@@ -657,21 +657,52 @@ class TestConsoleEntryPoint:
         assert main(["construct", "--d", "1"]) == 0
         assert gc.get_freeze_count() == 0
 
+    def test_main_leaves_the_collector_on(self, capsys):
+        seen = []
+        gc.callbacks.append(lambda phase, info: seen.append(phase))
+        try:
+            assert main(VERIFY_FAST) == 0
+            assert gc.isenabled() and gc.get_freeze_count() == 0
+            gc.collect()
+        finally:
+            gc.callbacks.pop()
+        assert seen
+
     def test_run_freezes_after_main_returned(self, monkeypatch):
         from ellcover import cli
 
         calls = []
 
         def spy_main():
-            calls.append("main")
+            calls.append(("main", gc.isenabled()))
             return 1
 
         monkeypatch.setattr(cli, "main", spy_main)
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-        with pytest.raises(SystemExit) as exc:
-            cli.run()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+        finally:
+            gc.enable()  # the test process keeps collecting
         assert exc.value.code == 1
-        assert calls == ["main", "freeze"]
+        # main runs with the collector off, and the freeze comes after it
+        assert calls == [("main", False), "freeze"]
+
+    def test_run_keeps_the_collector_off(self, tmp_path):
+        # as the ellcover script calls it: no collection from run()'s start
+        # to the atexit handlers, numpy's import included
+        script = (
+            "import atexit, gc, sys\n"
+            "from ellcover.cli import run\n"
+            "seen = []\n"
+            "atexit.register(lambda: print('collections', len(seen), gc.isenabled()))\n"
+            "gc.callbacks.append(lambda phase, info: seen.append(phase) if phase == 'start' else None)\n"
+            "sys.argv = ['ellcover'] + sys.argv[1:]\n"
+            "run()\n"
+        )
+        proc = _child(VERIFY_FAST + ["--output", "r.json"], tmp_path, entry=("-c", script))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "collections 0 False"
 
     def test_module_run_freezes_and_keeps_atexit(self, tmp_path):
         # the __main__ block goes through run(); atexit handlers still run after the freeze

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellcover import (
     ConfigError,
     CoverSpec,
+    EllcoverError,
     FiniteSubgroupSpec,
     IllConditioned,
     LatticeTau,
@@ -39,7 +42,7 @@ from ellcover.batch import _wrap_dist_array, coords_array, divisors_to_coords, m
 from ellcover.construction import MAX_BASIS_CHANGE, MAX_JOBS
 from ellcover.elliptic import EPS_PROJ, EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
-from ellcover.symfun import projective_spread, sym_product
+from ellcover.symfun import projective_spread, sym_fibers, sym_product
 
 from conftest import TAU, scalar_map
 
@@ -371,9 +374,12 @@ class TestFiberA:
                 fiber_A(spec, target)
 
     def test_far_root_is_at_infinity(self, lattice, q2):
-        # a root with |t| >= 1/EPS_GENERIC counts as the root at infinity
+        # a root with |t| |s|^2 >= 1/EPS_GENERIC, s the quotient's scale,
+        # counts as the root at infinity
         spec = build_cover("A", 2, lattice, q2)
-        for t, generic in ((0.5 / EPS_GENERIC, True), (2 / EPS_GENERIC, False), (-2j / EPS_GENERIC, False)):
+        unit = EPS_GENERIC * abs(spec.quotient.target.scale) ** 2
+        assert unit < EPS_GENERIC / 3  # s = 1/2 up to the basis change: 2/EPS_GENERIC alone is finite
+        for t, generic in ((0.5 / unit, True), (2 / unit, False), (-2j / unit, False), (2 / EPS_GENERIC, True)):
             rows, _ = sym_product(np.array([[t, 0.3 + 0.1j]], dtype=complex), np.ones((1, 2), dtype=complex))
             _, (reason,) = spec.fiber_array(rows)
             assert reason == (None if generic else "root at infinity is a branch value of wp")
@@ -383,6 +389,21 @@ class TestFiberA:
         x = _point(spec, GENERIC[:2])
         with pytest.raises(ConfigError, match="fiber_A needs a construction-A cover"):
             fiber_A(spec, spec.map(x))
+
+
+def test_root_at_infinity_is_relative_to_the_quotient_scale():
+    # E/E[316] has scale 1/316, so t grows as 316^2 / z'^2: an absolute bound
+    # |t| >= 1/EPS_GENERIC called the roots of 5 of these 20 samples infinite
+    q0 = FiniteSubgroupSpec.parse(("1/316,0", "0,1/316"))
+    spec = _build("A", 1, q0, LatticeTau.from_tau(TAU))
+    report = galois_verify(spec, samples=20, seed=42)
+    assert all(r.generic and r.fiber_match for r in report.samples) and report.passed
+    targets, failed = spec.map_array(coords_array([r.point for r in report.samples]))
+    assert not failed.any()
+    _, reasons = covers._quotient_points_A(spec, targets)
+    assert reasons == [None] * 20
+    roots = [t for row in sym_fibers(targets) for t, _ in row]
+    assert sum(abs(t) * EPS_GENERIC >= 1 for t in roots) == 5
 
 
 GENERIC = [(0.137, 0.261), (0.389, 0.731), (0.613, 0.447)]
@@ -788,25 +809,61 @@ def test_tall_quotients_recover_every_fiber(q2, d, height):
     _assert_every_fiber_recovered(galois_verify(spec, samples=20, seed=5))
 
 
-#: the paper's family at the default tau, as (d, generator, largest reduced
-#: Im tau'): <1/n, 0> at d = 2, whose quotient has Im tau' = 1.1 n, up to 11,
-#: and balanced subgroups <k/n, 1/n> up to |Q0| = 257, whose quotients stay
-#: at Im tau' <= 1.1
-PAPER_FAMILY = [pytest.param(2, f"1/{n},0", 1.1 * n, id=str(n)) for n in range(2, 11)] + [
-    pytest.param(d, generator, 1.1, id=f"d{d}-{generator}")
-    for d, generator in [
-        (1, "2/5,1/5"), (1, "4/17,1/17"), (1, "24/31,1/31"), (1, "27/32,1/64"), (1, "57/127,1/127"),
-        (1, "239/257,1/257"), (2, "2/5,1/5"), (2, "4/17,1/17"), (2, "58/129,1/129"),
+#: the paper's family at the default tau, as (d, generators, largest reduced
+#: Im tau'): <1/n, 0> at d = 2, whose quotient has Im tau' = 1.1 n, up to 11;
+#: balanced subgroups <k/n, 1/n> up to |Q0| = 257, whose quotients stay at
+#: Im tau' <= 1.1; and at d = 1 and 2, E[2] (Im tau' = 1.1), <0, 1/2> (1.69)
+#: and the oblique <1/3, 1/3> (1.14), which take 2-7 ms each to build and
+#: verify
+PAPER_FAMILY = (
+    [pytest.param(2, f"1/{n},0", 1.1 * n, id=str(n)) for n in range(2, 11)]
+    + [
+        pytest.param(d, generator, 1.1, id=f"d{d}-{generator}")
+        for d, generator in [
+            (1, "2/5,1/5"), (1, "4/17,1/17"), (1, "24/31,1/31"), (1, "27/32,1/64"), (1, "57/127,1/127"),
+            (1, "239/257,1/257"), (2, "2/5,1/5"), (2, "4/17,1/17"), (2, "58/129,1/129"),
+        ]
     ]
-]
+    + [
+        pytest.param(d, generators, height, id=f"d{d}-{generators.replace(' ', '+')}")
+        for d in (1, 2)
+        for generators, height in [("1/2,0 0,1/2", 1.1), ("0,1/2", 1.7), ("1/3,1/3", 1.14)]
+    ]
+)
 
 
 @pytest.mark.parametrize("construction", ["A", "B"])
-@pytest.mark.parametrize("d, generator, height", PAPER_FAMILY)
-def test_paper_family_recovers_every_fiber(construction, d, generator, height):
-    spec = _build(construction, d, FiniteSubgroupSpec.parse((generator,)), LatticeTau.from_tau(TAU))
+@pytest.mark.parametrize("d, generators, height", PAPER_FAMILY)
+def test_paper_family_recovers_every_fiber(construction, d, generators, height):
+    spec = _build(construction, d, FiniteSubgroupSpec.parse(generators.split()), LatticeTau.from_tau(TAU))
     assert spec.quotient.target.tau_reduced.imag <= height * (1 + 1e-12)
     _assert_every_fiber_recovered(galois_verify(spec, samples=20, seed=3))
+
+
+@st.composite
+def _covers(draw):
+    """(construction, d, tau, generators): tau in the fundamental domain, Q0 cyclic of order <= 10 or E[2]."""
+    x = draw(st.floats(-0.5, 0.5))
+    y = draw(st.floats(math.sqrt(1 - x * x), 3.0))
+    n = draw(st.integers(1, 10))
+    a, b = draw(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ab: math.gcd(*ab, n) == 1)
+    )
+    generators = draw(st.sampled_from([(f"{a}/{n},{b}/{n}",), ("1/2,0", "0,1/2")]))
+    return draw(st.sampled_from("AB")), draw(st.integers(1, 2)), complex(x, y), generators
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_covers())
+def test_every_drawn_cover_verifies_or_is_refused(case):
+    # a cover either passes with a generic sample, or build_cover refuses it with a typed error
+    construction, d, tau, generators = case
+    try:
+        spec = _build(construction, d, FiniteSubgroupSpec.parse(generators), LatticeTau.from_tau(tau))
+    except EllcoverError:
+        return
+    report = galois_verify(spec, samples=8, seed=1)
+    assert any(r.generic for r in report.samples) and report.passed
 
 
 @pytest.mark.parametrize("construction", ["A", "B"])

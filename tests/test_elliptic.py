@@ -359,44 +359,64 @@ def _off_half_periods(lat: LatticeTau) -> list[tuple[float, float]]:
     return coords
 
 
-#: bound on the error of t and wp' from the kernel, relative to the value
-#: itself, at the points of `_off_half_periods`: t stays relatively accurate
-#: where it is small, in the middle band of a tall quotient
-SERIES_REL = 2e-14
+def _random_coords(seed: int, count: int = 40) -> list[tuple[float, float]]:
+    rng = random.Random(seed)
+    return [(rng.random(), rng.random()) for _ in range(count)]
+
+
+def _rounding_bound(lat: LatticeTau, ulps: float, size: float, slope: float) -> float:
+    """ulps * eps * (size + reach * slope), reach = |scale| * (1 + |tau_reduced|).
+
+    The error of a kernel value of modulus `size`, relative to it, plus how
+    far rounding the point itself on the reduced basis moves a value whose
+    z-derivative has modulus `slope`.  Near t's double zero at tau'/2 the
+    second term is all of it.
+    """
+    reach = abs(lat.scale) * (1 + abs(lat.tau_reduced))
+    return ulps * sys.float_info.epsilon * (size + reach * slope)
+
+
+def _wp_second(lat: LatticeTau, wp_value: complex) -> float:
+    """|wp''| = |6 wp^2 - g2/2|, the slope of wp' in `_rounding_bound`."""
+    g2, _ = eisenstein_g2_g3(lat)
+    return abs(6 * wp_value**2 - g2 / 2)
 
 
 def _bits(values) -> list[str]:
     return [float.hex(v.real) + float.hex(v.imag) for v in values]
 
 
-#: bound on the error of the kernel's t at seeded random points, in units of
-#: eps * (|t| + reach * |wp'|), reach = |scale| * (1 + |tau_reduced|): relative
-#: to t, plus how far rounding the point itself on the reduced basis moves t.
-#: The worst over seeds 11-20, 60 points on each lattice, was 5.7; relative
-#: to |t| alone it was up to 385, at points near t's double zero at tau'/2
+#: bound on the error of the kernel's t, and of wp = t + e2 with |t| + |e2|
+#: for its size, in `_rounding_bound`'s units, with wp' the slope.  The worst
+#: over seeds 11-20, 60 points on each lattice, was 5.7 for t and 4.8 for wp;
+#: relative to |t| alone t was off by up to 385, at points near t's double
+#: zero at tau'/2
 T_ULPS = 12
+#: the same for wp', with wp'' the slope: 1.2 at those points, and 12.2 at a
+#: strip-edge point of `_off_half_periods` on quotient-9
+WP_PRIME_ULPS = 24
 
 
 class TestWpSeries:
     @every
     def test_bits_match_reference_loop(self, lat):
-        # the scalar t = wp - e2 and wp' against theta functions at 40 digits
-        for a, b in _off_half_periods(lat):
+        # the scalar t = wp - e2 and wp' against theta functions at 40 digits,
+        # off the half periods, at seeded random points and on the strip edges
+        for a, b in _off_half_periods(lat) + _random_coords(13):
             t, t_prime = centred_values(TorusPoint(lat, a, b))
             want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, a, b)))
-            assert abs(t - want) <= SERIES_REL * abs(want)
-            assert abs(t_prime - want_prime) <= SERIES_REL * abs(want_prime)
+            assert abs(t - want) <= _rounding_bound(lat, T_ULPS, abs(want), abs(want_prime)), (a, b)
+            slope = _wp_second(lat, want + lat.e2)
+            assert abs(t_prime - want_prime) <= _rounding_bound(lat, WP_PRIME_ULPS, abs(want_prime), slope), (a, b)
 
     @every
     def test_t_at_random_points(self, lat):
         rng = random.Random(11)
         coords = [(rng.random(), rng.random()) for _ in range(60)]
         t, _ = t_values(lat, *np.array(coords).T)
-        reach = abs(lat.scale) * (1 + abs(lat.tau_reduced))
         for k, (a, b) in enumerate(coords):
             want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, a, b)))
-            bound = T_ULPS * sys.float_info.epsilon * (abs(want) + reach * abs(want_prime))
-            assert abs(t[k] - want) <= bound, (a, b)
+            assert abs(t[k] - want) <= _rounding_bound(lat, T_ULPS, abs(want), abs(want_prime)), (a, b)
 
     @every
     def test_scalar_values_are_row_zero(self, lat):
@@ -422,18 +442,23 @@ class TestWpSeriesArray:
 
     @every
     def test_matches_scalar_series(self, lat):
-        coords = _series_coords(lat)
+        # in `_rounding_bound`'s units off the half periods, at seeded random points
+        # and on the strip edges; at the pole and the half periods as pairs
+        extra = _random_coords(17)
+        coords = _series_coords(lat) + extra
+        checked = set(_off_half_periods(lat) + extra)
         a, b = np.array(coords).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             num, den, nump, denp = t_series_array(lat, a, b)
             pairs = normalize_rows(np.stack([num, den], axis=1))[0].T
         for k, (x, y) in enumerate(coords):
-            if (x, y) not in _off_half_periods(lat):
+            if (x, y) not in checked:
                 continue
             want, want_prime = (complex(v) for v in theta_t(lat, point_z(lat, x, y)))
-            assert abs(num[k] / den[k] - want) <= SERIES_REL * abs(want)
-            assert abs(nump[k] / denp[k] - want_prime) <= SERIES_REL * abs(want_prime)
+            assert abs(num[k] / den[k] - want) <= _rounding_bound(lat, T_ULPS, abs(want), abs(want_prime))
+            slope = _wp_second(lat, want + lat.e2)
+            assert abs(nump[k] / denp[k] - want_prime) <= _rounding_bound(lat, WP_PRIME_ULPS, abs(want_prime), slope)
             pair = (want, 1.0) if abs(want) <= 1.0 else (1.0, 1.0 / want)
             assert abs(pairs[0][k] - pair[0]) <= 1e-13 and abs(pairs[1][k] - pair[1]) <= 1e-13
         assert den[coords.index((0.0, 0.0))] == 0
@@ -471,24 +496,21 @@ def _theta_wp(lat: LatticeTau, a: float, b: float) -> tuple[complex, complex]:
         return complex(value), complex(slope)
 
 
-#: bound on the error of wp and wp' against `_theta_wp`, relative to
-#: 1 + |value|; the series cut one term short of `series_terms` misses it
-#: on five of the nine lattices
-THETA_REL = 4e-15
-
-
 class TestWpAccuracy:
     @every
     def test_matches_theta_functions(self, lat):
         # points alpha + beta*tau_reduced on the edges |u| = |q|^(-1/2) and
-        # |q|^(1/2) of the reduced strip and on its centre line |u| = 1; no
-        # half period, where wp' is 0 and the series leaves rounding noise
-        for beta in (-0.5, 0.0, 0.5):
-            for alpha in (0.1, 0.2, 0.3, 0.4):
-                p = TorusPoint.from_coords(lat, *_from_reduced(lat, alpha, beta))
-                want, want_prime = _theta_wp(lat, p.a, p.b)
-                assert abs(wp(p).value - want) <= THETA_REL * (1 + abs(want))
-                assert abs(wp_prime(p).value - want_prime) <= THETA_REL * (1 + abs(want_prime))
+        # |q|^(1/2) of the reduced strip and on its centre line |u| = 1, and
+        # seeded random points, in `_rounding_bound`'s units; no half period,
+        # where wp' is 0 and the series leaves rounding noise
+        coords = [_from_reduced(lat, alpha, beta) for beta in (-0.5, 0.0, 0.5) for alpha in (0.1, 0.2, 0.3, 0.4)]
+        for a, b in coords + _random_coords(12):
+            p = TorusPoint.from_coords(lat, a, b)
+            want, want_prime = _theta_wp(lat, p.a, p.b)
+            size = abs(want - lat.e2) + abs(lat.e2)
+            assert abs(wp(p).value - want) <= _rounding_bound(lat, T_ULPS, size, abs(want_prime)), (a, b)
+            slope = _wp_second(lat, want)
+            assert abs(wp_prime(p).value - want_prime) <= _rounding_bound(lat, WP_PRIME_ULPS, abs(want_prime), slope)
 
 
 class TestTorusPoints:
