@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 # collecting.  Such a verify, about 150 ms of wall time on a 2-core VM with no
 # bytecode cached, spends about 40 ms in the interpreter and `site`, 55-60 ms
 # importing numpy, 26-31 ms compiling the package, 16-18 ms verifying and 6 ms
-# exiting; the collector's passes cost about 5 ms of it (README).
+# exiting; the collector's passes cost about 3-5 ms of it (README).
 
 SEED_ENV_VAR = "GALOIS_EMBED_SEED"
 

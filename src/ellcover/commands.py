@@ -20,59 +20,42 @@ if TYPE_CHECKING:
     from .covers import CriterionReport, VerificationReport
 
 
-#: the types a report holds, in the order a subclass of one (a numpy float, an IntEnum) is tried
-_KINDS = (dict, list, tuple, bool, int, float, str)
-
-
-def _float(value: float) -> str:
-    return "%.17g" % value if math.isfinite(value) else "null"
-
-
-#: the writers of the scalars, by exact type
-_SCALARS = {
-    int: str,
-    float: _float,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
 def _emit_json(value, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, %.17g floats, 2-space indent.
-
-    Dispatches on exact types, and writes a scalar inside a container and a
-    flat number list without a call of its own per entry.
-    """
-    kind = type(value)
-    if kind not in _KINDS:
-        kind = next((k for k in _KINDS if isinstance(value, k)), kind)
-    if kind in _SCALARS:
-        return _SCALARS[kind](value)
-    if kind is str:
+    """Deterministic JSON: insertion-ordered keys, %.17g floats, 2-space indent."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f'{pad}  "{k}": {_emit_json(v, indent + 1)}' for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq)
+        if flat:
+            return "[" + ", ".join(_emit_json(v) for v in seq) + "]"
+        items = [f"{pad}  {_emit_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return "null"
+        return "%.17g" % value
+    if value is None:
+        return "null"
+    if isinstance(value, str):
         # printable ASCII without quote or backslash is its own JSON body
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'
         import json
 
         return json.dumps(value)
-    pad, inner = "  " * indent, indent + 1
-    if kind is dict:
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_SCALARS[type(v)](v) if type(v) in _SCALARS else _emit_json(v, inner)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        if {type(v) for v in value} <= {int, float}:
-            return "[" + ", ".join([_SCALARS[type(v)](v) for v in value]) + "]"
-        if all(isinstance(v, (int, float)) and type(v) is not bool for v in value):
-            return "[" + ", ".join([_emit_json(v) for v in value]) + "]"
-        items = [f"{pad}  {_emit_json(v, inner)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

@@ -269,22 +269,11 @@ def polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def root_clusters(coeffs: np.ndarray) -> list[list[tuple[complex, int]]]:
     """The roots of every row of `poly_roots`' input, with multiplicity: per row, (root, multiplicity) pairs.
 
-    Taken in (real, imag) order, roots within _ROOT_CLUSTER of a cluster's
-    centre, relative to its size, join it greedily.  A repeated root is the
-    mean of its cluster.  A row with no root that close to an earlier one,
-    the common case, is a list of simple roots, read off in one array pass;
-    only the other rows run the greedy loop.
+    Roots within _ROOT_CLUSTER of a cluster's centre, relative to its size,
+    join it greedily.  A repeated root is the mean of its cluster.
     """
-    roots = poly_roots(coeffs)
-    # in the loop's order, each root as its one-root cluster's mean, (0 + x) / 1, gives it
-    ranked = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real)), axis=1) + 0.0
-    earlier, later = np.triu_indices(roots.shape[1], 1)
-    gap = np.abs(ranked[:, later] - ranked[:, earlier])
-    apart = np.all(gap > _ROOT_CLUSTER * np.abs(ranked[:, earlier]), axis=1)
-    apart &= np.all(np.isfinite(roots), axis=1)
-    out = [[(x, 1) for x in row] for row in ranked.tolist()]
-    for r in np.flatnonzero(~apart).tolist():
-        row = roots[r].tolist()
+    out = []
+    for row in poly_roots(coeffs).tolist():
         clusters: list[list[int]] = []
         for k in sorted(range(len(row)), key=lambda k: (row[k].real, row[k].imag)):
             for cl in clusters:
@@ -294,7 +283,7 @@ def root_clusters(coeffs: np.ndarray) -> list[list[tuple[complex, int]]]:
                     break
             else:
                 clusters.append([k])
-        out[r] = [(sum(row[i] for i in cl) / len(cl), len(cl)) for cl in clusters]
+        out.append([(sum(row[i] for i in cl) / len(cl), len(cl)) for cl in clusters])
     return out
 
 

