@@ -135,7 +135,7 @@ def _resolve_config(flags: dict, seed_var: str) -> RunConfig:
     `python -m ellcover.cli` runs as `__main__`, so importing it would
     compile and run it a second time.
     """
-    from .construction import RunConfig, check_counts
+    from .construction import RunConfig, check_run_bounds
 
     cfg = RunConfig()
     path = flags.pop("config", None)
@@ -170,15 +170,7 @@ def _resolve_config(flags: dict, seed_var: str) -> RunConfig:
             raise ConfigError(
                 f"{seed_var} must be an integer, got {env_seed!r}"
             ) from exc
-    if cfg.construction not in ("A", "B"):
-        raise ConfigError(f"construction must be A or B, got {cfg.construction!r}")
-    if cfg.d < 1:
-        raise ConfigError(f"d must be >= 1, got {cfg.d}")
-    check_counts(cfg.samples, cfg.jobs)
-    for name in ("eps_pt", "eps_proj"):
-        value = getattr(cfg, name)
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    check_run_bounds(cfg.samples, cfg.jobs, cfg.eps_pt, cfg.eps_proj)
     if cfg.output:
         _check_output(cfg.output)
     return cfg

@@ -10,6 +10,7 @@ command loads `dataclasses`.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, get_type_hints
@@ -83,9 +84,9 @@ class CoverSpec(_Frozen):
         """Whether the deck group is L x| Q0^d, exactly, so that it acts through L on (E/Q0)^d.
 
         |G| = |L| |Q0|^d, and the group splits over Q0 (`splits_over`): a
-        deck group by its generators; a listed group's translations all lie
-        in Q0^d, so, the elements being distinct, those with matrix 1 are
-        all of Q0^d.
+        deck group when its own Q0 is Q0; a listed group's translations all
+        lie in Q0^d, so, the elements being distinct, those with matrix 1
+        are all of Q0^d.
         """
         group = self.group
         return group.order == group.linear.order * self.q0.order**self.d and group.splits_over(self.q0)
@@ -166,12 +167,13 @@ def build_cover(
     Raises IllConditioned when E/Q0 is taller than its bound,
     MAX_QUOTIENT_IM_TAU or MAX_QUOTIENT_IM_TAU_B3 for B at d >= 3, and when
     reducing the period ratio of E or E/Q0 takes a basis change with an
-    entry above MAX_BASIS_CHANGE.
+    entry above MAX_BASIS_CHANGE, and ConfigError unless construction is
+    A or B and d and order_cap are integers >= 1.
     """
     if construction not in ("A", "B"):
-        raise ConfigError(f"construction must be 'A' or 'B', got {construction!r}")
-    if d < 1:
-        raise ConfigError(f"need d >= 1, got {d}")
+        raise ConfigError(f"construction must be A or B, got {construction!r}")
+    _check_integer("d", d)
+    _check_integer("order_cap", order_cap)
     quotient = quotient_lattice(LatticeTau.from_tau(curve.tau), q0)
     height = quotient.target.tau_reduced.imag
     bound = MAX_QUOTIENT_IM_TAU_B3 if construction == "B" and d >= 3 else MAX_QUOTIENT_IM_TAU
@@ -193,10 +195,6 @@ def build_cover(
         group = build_group_B(d, q0, cap=order_cap)
         polarization = PolarizationMatrix.identity_plus_ones(d)
     degree = degree_identity(construction, polarization, q0)
-    if degree != group.order:  # pragma: no cover - exact identity
-        raise ConfigError(
-            f"degree bookkeeping mismatch: {degree} != group order {group.order}"
-        )
     flag = very_ample_preconditions(construction, d, q0)
     if not flag:
         warnings.warn(
@@ -226,13 +224,32 @@ MAX_SAMPLES = 100_000
 MAX_JOBS = 32
 
 
-def check_counts(samples: int, jobs: int) -> None:
-    """Raise ConfigError unless 1 <= samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS, before anything is drawn."""
-    for name, value, bound in (("samples", samples, MAX_SAMPLES), ("jobs", jobs, MAX_JOBS)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-        if value > bound:
-            raise ConfigError(f"{name} must be <= {bound}, got {value}")
+def _check_integer(name: str, value, bound: float = math.inf) -> None:
+    """Raise ConfigError unless `value` is an integer with 1 <= value <= bound."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    if value > bound:
+        raise ConfigError(f"{name} must be <= {bound}, got {value}")
+
+
+def check_run_bounds(
+    samples: int = 1, jobs: int = 1, eps_pt: float = EPS_PT, eps_proj: float = EPS_PROJ
+) -> None:
+    """Raise ConfigError, before anything is drawn, unless every value lies in its bound.
+
+    Integers 1 <= samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS, and
+    numbers 0 < eps_pt, eps_proj < inf.  The CLI, `galois_verify` and
+    `criterion_check` all check here; a value not given is its default.
+    """
+    _check_integer("samples", samples, MAX_SAMPLES)
+    _check_integer("jobs", jobs, MAX_JOBS)
+    for name, value in (("eps_pt", eps_pt), ("eps_proj", eps_proj)):
+        if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 class RunConfig:

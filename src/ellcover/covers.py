@@ -22,7 +22,6 @@ import numpy as np
 
 from .batch import (
     _frac_array,
-    _wrap_dist_array,
     divisors_to_coords,
     lift_coords,
     map_coords,
@@ -39,12 +38,12 @@ from .construction import (  # noqa: F401 - re-exported
     MAX_QUOTIENT_IM_TAU_B3,
     CoverSpec,
     build_cover,
-    check_counts,
+    check_run_bounds,
     degree_identity,
     very_ample_preconditions,
 )
 from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
-from .errors import ConfigError, NonGenericTarget
+from .errors import ConfigError, InvalidPoint, NonGenericTarget
 from .groups import PointTuple, _identity
 from .polarization import _Frozen
 from .symfun import ProjectivePoint, normalize_rows, projective_spreads, sym_fibers, sym_product
@@ -155,11 +154,16 @@ def _quotient_points(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray, 
 def _one_row(spec: CoverSpec, target: ProjectivePoint, construction: str) -> list[PointTuple]:
     """The fiber of one generic target, one row of `CoverSpec.fiber_array`; NonGenericTarget with its reason.
 
-    Raises ConfigError unless the cover is of the given construction.
+    Raises ConfigError unless the cover is of the given construction, and
+    InvalidPoint unless the target has d+1 coordinates that `normalize_rows`
+    accepts: finite and not all zero.
     """
     if spec.construction != construction:
         raise ConfigError(f"fiber_{construction} needs a construction-{construction} cover")
-    coords, (reason,) = spec.fiber_array(np.array([target.coords]))
+    row = np.array([target.coords], dtype=complex)
+    if row.shape[1] != spec.d + 1 or normalize_rows(row)[1][0]:
+        raise InvalidPoint(f"fiber_{construction} needs a point of P^{spec.d}, got {target.coords!r}")
+    coords, (reason,) = spec.fiber_array(row)
     if reason is not None:
         raise NonGenericTarget(reason)
     return [tuple(TorusPoint(spec.curve, a, b) for a, b in t) for t in coords[0].tolist()]
@@ -239,9 +243,9 @@ class VerificationReport(_Frozen):
 def _fiber_match(spec: CoverSpec, images: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Whether each of N samples' recovered points on (E/Q0)^d, N x d x 2, lies within EPS_GENERIC of one of its images.
 
-    `images` holds each sample's |L| images, N x |L| x d x 2, and distances
-    are toroidal sup distances on E/Q0.  A generic sample's images are |L|
-    distinct points of its fiber of g, so when |L| is that fiber's size,
+    `images` holds each sample's |L| images, N x |L| x d x 2, compared by
+    `stabilizer_mask` on E/Q0.  A generic sample's images are |L| distinct
+    points of its fiber of g, so when |L| is that fiber's size,
     d! 2^d for A and (d+1)! for B, they are the whole fiber, and a point
     recovered from the target alone lies among them exactly when L acts
     simply transitively on it.  G then acts so on the fibers of f, their
@@ -251,8 +255,7 @@ def _fiber_match(spec: CoverSpec, images: np.ndarray, points: np.ndarray) -> np.
     sets, per = (spec.d, 2) if spec.construction == "A" else (spec.d + 1, 1)
     if spec.group.linear.order != math.perm(sets, spec.d) * per**spec.d or not spec.decomposed:
         return np.zeros(len(points), dtype=bool)
-    close = _wrap_dist_array(images, points[:, None]) <= EPS_GENERIC
-    return np.any(np.all(close, axis=(2, 3)), axis=1)
+    return stabilizer_mask(images, points, EPS_GENERIC).any(axis=1)
 
 
 #: images per chunk of `galois_verify`: consecutive samples are verified
@@ -265,7 +268,8 @@ _CHUNK_ROWS = 1 << 10
 def _draw(rng: random.Random, *shape: int) -> np.ndarray:
     """The next prod(shape) `rng.random()` values, in order, as an array of that shape.
 
-    The only place where a seeded generator becomes coordinates.  A draw
+    Every seeded coordinate comes from here but the 16 seeded tuples of
+    `_probe_points`, which draw from their own `random.Random(seed)`.  A draw
     lies in [0, 1), where `_frac` is the identity, so a row (a, b) equals
     `TorusPoint.from_coords(curve, rng.random(), rng.random())` bit for bit.
     """
@@ -346,10 +350,10 @@ def galois_verify(
     and the group L x| Q0^d, exactly (`_fiber_match`).  Non-generic samples
     are recorded and excluded from pass/fail.
     Samples are verified in chunks of `_CHUNK_ROWS` images (`_verify_chunk`),
-    which at most `jobs` threads share out.  Raises ConfigError unless 1 <=
-    samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS (`check_counts`).
+    which at most `jobs` threads share out.  Raises ConfigError, before any
+    draw, unless all four values lie in their bounds (`check_run_bounds`).
     """
-    check_counts(samples, jobs)
+    check_run_bounds(samples, jobs, eps_pt, eps_proj)
     coords = _draw(random.Random(seed), samples, spec.d, 2)
     size = max(1, _CHUNK_ROWS // spec.group.linear.order)
     starts = range(0, samples, size)
@@ -436,8 +440,10 @@ def criterion_check(spec: CoverSpec, seed: int = 42, eps_proj: float = EPS_PROJ)
     through the isogeny, so that g gives f's rows bit for bit; with the
     probes, and then the perturbations, they are mapped in chunks
     (`_map_in_chunks`), keeping only the rows of (2), whose ten spreads are
-    one `projective_spreads` call.
+    one `projective_spreads` call.  Raises ConfigError unless eps_proj is
+    a finite number > 0 (`check_run_bounds`).
     """
+    check_run_bounds(eps_proj=eps_proj)
     expected = degree_identity(spec.construction, spec.polarization, spec.q0)
     order_ok = spec.group.order == expected
 

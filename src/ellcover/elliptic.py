@@ -363,7 +363,9 @@ class FiniteSubgroupSpec(_Frozen):
     def hermite_basis(self) -> tuple[int, int, int, int]:
         """(N, a, b, c): (a, 0), (b, c) span N*Z^2 + N*Q0 in Hermite form, N the generators' common denominator.
 
-        Q0 is that lattice modulo N*Z^2, so |Q0| = N^2 / (a*c).
+        Q0 is that lattice modulo N*Z^2, so |Q0| = N^2 / (a*c).  N, the lcm
+        of the generators' orders, is Q0's exponent and the form is unique,
+        so two specs of one subgroup have one basis (`splits_over`).
         """
         n = self.denominator
         (a, b), (_, c) = _hermite_2x2([(n, 0), (0, n), *self.numerators])
@@ -373,14 +375,6 @@ class FiniteSubgroupSpec(_Frozen):
     def order(self) -> int:
         n, a, _, c = self.hermite_basis
         return n * n // (a * c)
-
-    def contains(self, x: int, y: int, n: int) -> bool:
-        """Whether the point (x/n, y/n) of E lies in Q0: (x, y) N/n is then an integer point of the Hermite lattice."""
-        m, a, b, c = self.hermite_basis
-        if x * m % n or y * m % n:
-            return False
-        x, y = x * m // n, y * m // n
-        return y % c == 0 and (x - y // c * b) % a == 0
 
     @cached_property
     def points(self) -> tuple[tuple[int, int], ...]:

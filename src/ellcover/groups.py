@@ -176,17 +176,8 @@ class SemidirectProduct(FiniteActionGroup):
         return pack([m for m in self.matrices for _ in shifts], shifts * len(self.matrices), self.q0.denominator)
 
     def splits_over(self, q0: FiniteSubgroupSpec) -> bool:
-        """Whether G, which its generators span, is L x| q0^d, in O(#generators d^2) integer steps.
-
-        Every generator's translation lies in q0^d; every matrix maps q0^d
-        into itself, as an integer matrix does; and the d #gens(q0) slot
-        translations by q0's generators lie in G, each when its generator
-        lies in this group's own Q0.
-        """
-        _, numerators, n = self.integer_generators
-        return all(q0.contains(x, y, n) for t in numerators for x, y in t) and all(
-            self.q0.contains(x, y, q0.denominator) for x, y in q0.numerators
-        )
+        """Whether G is L x| q0^d: whether q0 is this group's own Q0, read off their canonical `hermite_basis`."""
+        return self.q0.hermite_basis == q0.hermite_basis
 
 
 def _transpositions(d: int) -> list[IntMatrix]:
@@ -197,9 +188,12 @@ def _transpositions(d: int) -> list[IntMatrix]:
 def _capped_order(d: int, cap: int, factor: Callable[[int], int]) -> int:
     """|L| in closed form, the product of factor(k) over k = 1..d, if it is at most cap.
 
-    Raises OrderCapExceeded at the first partial product above cap: every
-    factor(k) is at least 2, so a huge d costs at most log2(cap) + 1 steps.
+    Raises InvalidOrder unless d >= 1, and OrderCapExceeded at the first
+    partial product above cap: every factor(k) is at least 2, so a huge d
+    costs at most log2(cap) + 1 steps.
     """
+    if d < 1:
+        raise InvalidOrder(f"need d >= 1, got {d}")
     order = 1
     for k in range(1, d + 1):
         order *= factor(k)
@@ -218,8 +212,6 @@ def build_group_A(
     signed permutation matrices, generated by the negations of one
     coordinate and the adjacent transpositions.
     """
-    if d < 1:
-        raise InvalidOrder(f"need d >= 1, got {d}")
     order = _capped_order(d, cap, lambda k: 2 * k)
     ident = _identity(d)
     negations = [ident[:i] + (tuple(-v for v in ident[i]),) + ident[i + 1 :] for i in range(d)]
@@ -249,8 +241,6 @@ def build_group_B(
     permutation sigma sends y_i to y_sigma(i), whose matrix row i is a unit
     row, or all -1 where sigma(i) = d+1.
     """
-    if d < 1:
-        raise InvalidOrder(f"need d >= 1, got {d}")
     order = _capped_order(d, cap, lambda k: k + 1)
 
     def matrices():

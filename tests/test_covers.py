@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from ellcover import (
     EllcoverError,
     FiniteSubgroupSpec,
     IllConditioned,
+    InvalidPoint,
     LatticeTau,
     NonGenericTarget,
     NotVeryAmpleWarning,
@@ -1044,6 +1046,96 @@ class TestSampleBound:
         for samples in (6, 10**20, 0):
             with pytest.raises(ConfigError, match=f"samples must be .* got {samples}$"):
                 galois_verify(spec, samples=samples)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("samples were drawn")
+
+
+class TestMalformedInputs:
+    """Every public entry point refuses each malformed input with an
+    EllcoverError subclass: no raw exception, and no RuntimeWarning, which
+    the suite makes an error."""
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, None, "1e-9"])
+    @pytest.mark.parametrize(
+        "entry, name",
+        [(galois_verify, "eps_pt"), (galois_verify, "eps_proj"), (criterion_check, "eps_proj")],
+    )
+    def test_tolerance_is_refused_before_any_draw(self, lattice, q2, monkeypatch, entry, name, value):
+        spec = build_cover("A", 1, lattice, q2)
+        monkeypatch.setattr(covers, "_draw", _never)
+        with pytest.raises(ConfigError, match=f"^{name} must be positive and finite, got {value}$"):
+            entry(spec, **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("samples", None), ("samples", 2.5), ("jobs", "2")])
+    def test_count_that_is_not_an_integer_is_refused_before_any_draw(self, lattice, q2, monkeypatch, name, value):
+        spec = build_cover("A", 1, lattice, q2)
+        monkeypatch.setattr(covers, "_draw", _never)
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            galois_verify(spec, **{name: value})
+
+    @pytest.mark.parametrize(
+        "coords",
+        [(1, 2), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (), (math.nan, 1, 2), (1, 2, -math.inf), (0, 0, 0)],
+    )
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    def test_target_off_projective_space_is_invalid(self, lattice, q2, construction, coords):
+        # a wrong length once raised ValueError or IndexError, a nan
+        # LinAlgError or a RuntimeWarning, and an inf NonGenericTarget
+        spec = build_cover(construction, 2, lattice, q2)
+        fiber = fiber_A if construction == "A" else fiber_B
+        with pytest.raises(InvalidPoint, match=rf"^fiber_{construction} needs a point of P\^2, got "):
+            fiber(spec, ProjectivePoint(tuple(complex(c) for c in coords)))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("construction", "C", "construction must be A or B, got 'C'"),
+            ("d", 0, "d must be >= 1, got 0"),
+            ("d", 2.5, "d must be an integer, got 2.5"),
+            ("d", None, "d must be an integer, got None"),
+            ("order_cap", None, "order_cap must be an integer, got None"),
+            ("order_cap", 0, "order_cap must be >= 1, got 0"),
+            ("order_cap", 1e5, "order_cap must be an integer, got 100000.0"),
+        ],
+    )
+    def test_bad_cover_config_is_refused(self, lattice, q2, field, value, message):
+        from ellcover.construction import RunConfig
+
+        args = {"construction": "A", "d": 2, "order_cap": 100_000, field: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_cover(args["construction"], args["d"], lattice, q2, order_cap=args["order_cap"])
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**args).build_spec()
+
+    @pytest.mark.parametrize(
+        "name, text, value",
+        [
+            ("eps_pt", "-1", -1.0),
+            ("eps_pt", "nan", math.nan),
+            ("eps_proj", "0", 0.0),
+            ("eps_proj", "inf", math.inf),
+            ("samples", "0", 0),
+            ("jobs", "33", 33),
+            ("construction", "C", "C"),
+            ("d", "0", 0),
+            ("order_cap", "0", 0),
+        ],
+    )
+    def test_cli_and_library_refuse_with_one_text(self, lattice, q2, capsys, name, text, value):
+        from ellcover.cli import main
+
+        cover = {"construction": "A", "d": 1, "order_cap": 100_000}
+        with pytest.raises(ConfigError) as refused:
+            if name in cover:
+                cover[name] = value
+                build_cover(cover["construction"], cover["d"], lattice, q2, order_cap=cover["order_cap"])
+            else:
+                galois_verify(build_cover("A", 1, lattice, q2), **{name: value})
+        flags = {"construction": "A", "d": "1", name: text}
+        assert main(["verify", *(w for k, v in flags.items() for w in (f"--{k.replace('_', '-')}", v))]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 class TestJobsBound:

@@ -634,17 +634,6 @@ class TestFiniteSubgroup:
             spec = FiniteSubgroupSpec.from_generators([(text, "1/7")])
             assert spec.generators[0][0] == value
 
-    def test_contains_matches_the_elements(self):
-        # every point with denominator n <= 8, against the listed elements
-        for gens in (("1/2,0",), ("0,1/2",), ("1/4,1/2",), ("1/4,1/4",), ("1/6,1/6",), ("1/2,0", "0,1/4")):
-            spec = FiniteSubgroupSpec.parse(gens)
-            elements = set(spec.elements)
-            for n in range(1, 9):
-                for x in range(-n, 2 * n):
-                    for y in range(n):
-                        point = (Fraction(x, n) % 1, Fraction(y, n))
-                        assert spec.contains(x, y, n) == (point in elements), (gens, x, y, n)
-
     def test_texts_read_as_fraction_reads_them(self):
         # the integer parser against the one it replaced, Fraction(text) % 1
         # and the denominator bound, on a seeded sample of texts and on

@@ -483,6 +483,32 @@ def test_generator_split_check_matches_the_element_check(build, d):
     assert verdicts.count(True) == len(specs) + 2
 
 
+#: every subgroup of order at most 4, and four of them again with other generators
+SUBGROUPS_TO_4 = [
+    (), ("1/2,0",), ("0,1/2",), ("1/2,1/2",), ("1/3,0",), ("0,1/3",), ("1/3,1/3",), ("1/3,2/3",),
+    ("1/4,0",), ("0,1/4",), ("1/4,1/4",), ("1/4,1/2",), ("1/2,1/4",), ("1/4,3/4",), ("1/2,0", "0,1/2"),
+    ("3/4,0",), ("2/3,1/3",), ("1/4,1/2", "1/2,0"), ("1/2,1/2", "0,1/2"),
+]
+
+
+@pytest.mark.parametrize("build", [build_group_A, build_group_B])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_split_check_is_subgroup_equality(build, d):
+    # the Hermite-basis comparison, against the listed copy's element scan
+    # at equal orders and against containment both ways of the subgroups
+    specs = [FiniteSubgroupSpec.parse(q) for q in SUBGROUPS_TO_4]
+    verdicts = []
+    for own in specs:
+        grp = build(d, own)
+        listed = FiniteActionGroup(d, grp.generators, grp.elements)
+        for q0 in specs:
+            verdicts.append(grp.splits_over(q0))
+            scanned = listed.order == grp.linear_order * q0.order**d and listed.splits_over(q0)
+            assert verdicts[-1] == scanned, (own, q0)
+            assert verdicts[-1] == (set(own.elements) <= set(q0.elements) <= set(own.elements)), (own, q0)
+    assert verdicts.count(True) == len(specs) + 2 * 4
+
+
 @pytest.mark.parametrize("build", [build_group_A, build_group_B])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_packed_generators_move_points_as_apply_does(build, d):
