@@ -57,8 +57,10 @@ def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
 
 
 def map_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
-    """The isogeny E -> E/Q0 on an array of source coordinates (a, b), shape (..., 2): target coordinates."""
-    return reduce_coords(quotient.target, torus_z(quotient.source, coords))
+    """The isogeny on coordinates (x, y) on E, (..., 2): ((N/a) x - (bN/(ac)) y, (N/c) y) mod 1, Q0's `hermite_basis` (N, a, b, c)."""
+    n, a, b, c = quotient.subgroup.hermite_basis
+    x, y = coords[..., 0], coords[..., 1]
+    return _frac_array(np.stack([n // a * x - b * n // (a * c) * y, n // c * y], axis=-1))
 
 
 def coords_array(points: Sequence[PointTuple]) -> np.ndarray:
@@ -232,9 +234,11 @@ def reduce_coords(lattice: LatticeTau, z: np.ndarray) -> np.ndarray:
 
 
 def lift_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
-    """The |Q0| preimages on the source of an array of target coordinates (..., 2): shape (..., |Q0|, 2)."""
-    z = torus_z(quotient.target, coords)[..., None] + np.array(quotient._lift_offsets)
-    return reduce_coords(quotient.source, z)
+    """The |Q0| preimages on E of coordinates (x, y) on E/Q0, (..., 2) -> (..., |Q0|, 2): ((a x + b y)/N, c y/N) plus Q0's `points` over N."""
+    n, a, b, c = quotient.subgroup.hermite_basis
+    x, y = coords[..., 0, None], coords[..., 1, None]
+    px, py = np.array(quotient.subgroup.points, dtype=float).T
+    return _frac_array(np.stack([(a * x + b * y + px) / n, (c * y + py) / n], axis=-1))
 
 
 def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:

@@ -41,10 +41,10 @@ if TYPE_CHECKING:
 #: and the lower one for construction B at d >= 3 (README)
 MAX_QUOTIENT_IM_TAU = 12.0
 MAX_QUOTIENT_IM_TAU_B3 = 8.0
-#: largest entry of the unimodular change that reduces the period ratio of E
-#: or of E/Q0 that build_cover accepts: the kernel reduces a point's
-#: coordinates through it and loses about log10(entry) digits of them; the
-#: first verify to fail in a sweep over Re tau had entry 1e5 (README)
+#: largest entry of the unimodular change that reduces the period ratio of
+#: E/Q0 that build_cover accepts: the kernel reduces a point's coordinates
+#: through it and loses about log10(entry) digits of them; the first verify
+#: to fail in a sweep over Re tau had entry 1e5 (README)
 MAX_BASIS_CHANGE = 10_000
 
 
@@ -160,21 +160,20 @@ def build_cover(
 ) -> CoverSpec:
     """Assemble the cover: quotient isogeny, deck group, and polarization.
 
-    The quotient is built on `LatticeTau.from_tau(curve.tau)`: the same
-    cover, in the same coordinates (a, b), at every scale of the lattice.
-    Warns with NotVeryAmpleWarning when the configuration misses the
-    very-ampleness preconditions; the cover is still built and verifiable.
+    The quotient reads only the period ratio of `curve`: every scale of it
+    gives one cover.  Warns with NotVeryAmpleWarning when the configuration
+    misses the very-ampleness preconditions; the cover is still built and verifiable.
     Raises IllConditioned when E/Q0 is taller than its bound,
     MAX_QUOTIENT_IM_TAU or MAX_QUOTIENT_IM_TAU_B3 for B at d >= 3, and when
-    reducing the period ratio of E or E/Q0 takes a basis change with an
-    entry above MAX_BASIS_CHANGE, and ConfigError unless construction is
+    reducing the period ratio of E/Q0 takes a basis change with an entry
+    above MAX_BASIS_CHANGE, and ConfigError unless construction is
     A or B and d and order_cap are integers >= 1.
     """
     if construction not in ("A", "B"):
         raise ConfigError(f"construction must be A or B, got {construction!r}")
     _check_integer("d", d)
     _check_integer("order_cap", order_cap)
-    quotient = quotient_lattice(LatticeTau.from_tau(curve.tau), q0)
+    quotient = quotient_lattice(curve, q0)
     height = quotient.target.tau_reduced.imag
     bound = MAX_QUOTIENT_IM_TAU_B3 if construction == "B" and d >= 3 else MAX_QUOTIENT_IM_TAU
     if height > bound:
@@ -182,10 +181,10 @@ def build_cover(
             f"quotient E/Q0 has reduced Im tau' = {height:.6g} > {bound:g}, "
             f"taller than {construction} at d={d} is verified for"
         )
-    entry = max(abs(v) for lat in (quotient.source, quotient.target) for v in lat.basis_change)
+    entry = max(map(abs, quotient.target.basis_change))
     if entry > MAX_BASIS_CHANGE:
         raise IllConditioned(
-            f"reducing the period ratio of E or E/Q0 takes a basis change with entry "
+            f"reducing the period ratio of E/Q0 takes a basis change with entry "
             f"{entry} > {MAX_BASIS_CHANGE}, past what point coordinates resolve"
         )
     if construction == "A":

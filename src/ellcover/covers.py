@@ -104,16 +104,15 @@ def _quotient_points_A(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray
     Each binary form is factored into d distinct P^1 roots t; each root
     pulls back through t to the pair w, -w in (a, b) order.  Repeated
     roots, a root at infinity or a root whose w is 2-torsion make a target
-    non-generic; its row holds nan.  t scales as s^-2 with the quotient's
-    scale s, so a root is at infinity where |t| |s|^2 >= 1/EPS_GENERIC.
+    non-generic; its row holds nan.  A root is at infinity where
+    |t| >= 1/EPS_GENERIC.
     """
     lattice = spec.quotient.target
-    unit = EPS_GENERIC * abs(lattice.scale) ** 2
     reasons, values = [], []
     for roots in sym_fibers(targets):
         if any(m > 1 for _, m in roots):
             reasons.append("repeated roots in the target binary form")
-        elif any(abs(t) * unit >= 1 for t, _ in roots):
+        elif any(abs(t) * EPS_GENERIC >= 1 for t, _ in roots):
             reasons.append("root at infinity is a branch value of wp")
         else:
             reasons.append(None)

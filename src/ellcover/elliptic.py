@@ -100,7 +100,7 @@ def _as_ratio(value: RationalLike) -> tuple[int, int]:
             except ValueError:  # a part past Python's limit on integer texts
                 p = q = 0
             if p and -shift > len(whole + decimal) + _SHOWN_DIGITS:
-                bound = FiniteSubgroupSpec.MAX_DENOMINATOR
+                bound = FiniteSubgroupSpec.MAX_ORDER
                 raise InvalidSubgroup(f"generator denominator past 10^{_SHOWN_DIGITS} exceeds bound {bound}")
             if q:
                 q = q * 10 ** max(-shift, 0) if p else 1  # zero at any exponent is 0/1
@@ -311,7 +311,8 @@ class FiniteSubgroupSpec(_Frozen):
     denominator: int
     numerators: tuple[tuple[int, int], ...]
 
-    MAX_DENOMINATOR = 1000
+    #: largest |Q0|; a coordinate's reduced denominator divides its
+    #: generator's order, which divides |Q0|, so it bounds each one too
     MAX_ORDER = 100_000
 
     @classmethod
@@ -326,9 +327,9 @@ class FiniteSubgroupSpec(_Frozen):
             for p, q in (_as_ratio(pair[0]), _as_ratio(pair[1])):
                 g = math.gcd(p, q)  # which divides p % q too
                 p, q = p % q // g, q // g
-                if q > cls.MAX_DENOMINATOR:
+                if q > cls.MAX_ORDER:
                     shown = q if q < 10**_SHOWN_DIGITS else f"past 10^{_SHOWN_DIGITS}"
-                    raise InvalidSubgroup(f"generator denominator {shown} exceeds bound {cls.MAX_DENOMINATOR}")
+                    raise InvalidSubgroup(f"generator denominator {shown} exceeds bound {cls.MAX_ORDER}")
                 coords.append((p, q))
             if coords[0][0] or coords[1][0]:
                 gens.append(coords)
@@ -405,12 +406,6 @@ class IsogenyQuotient(_Frozen):
     target: LatticeTau
     subgroup: FiniteSubgroupSpec
 
-    @cached_property
-    def _lift_offsets(self) -> tuple[complex, ...]:
-        """The |Q0| points of Q0 as complex representatives on the source, which `batch.lift_coords` adds."""
-        w1, w2, n = self.source.omega1, self.source.omega2, self.subgroup.denominator
-        return tuple(x / n * w1 + y / n * w2 for x, y in self.subgroup.points)
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
@@ -445,16 +440,17 @@ def _hermite_2x2(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, int], tup
 
 
 def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuotient:
-    """Lambda' = Lambda + the lifts of Q0, of index |Q0| over Lambda.
+    """E/Q0 at unit scale, from E's period ratio tau and Q0's `hermite_basis` (N, a, b, c).
 
-    Its basis is (a/N)*omega1 and (b/N)*omega1 + (c/N)*omega2, from Q0's
-    `hermite_basis` (N, a, b, c).
+    Z + Z*tau and the lifts of Q0 span a/N and b/N + (c/N)*tau, divided
+    here by their reduction scale, so that t = wp - e2 has one size on
+    every quotient.  Scaling moves no coordinates: the isogeny is the
+    integer matrix [[N/a, -bN/(ac)], [0, N/c]] on them (`batch.map_coords`).
     """
     n, a, b, c = q0.hermite_basis
-    w1 = a / n * lattice.omega1
-    w2 = b / n * lattice.omega1 + c / n * lattice.omega2
-    target = lattice if q0.order == 1 else LatticeTau(w1, w2)
-    return IsogenyQuotient(source=lattice, target=target, subgroup=q0)
+    w1, w2 = a / n, b / n + c / n * lattice.tau
+    s = LatticeTau(w1, w2).scale
+    return IsogenyQuotient(source=lattice, target=LatticeTau(w1 / s, w2 / s), subgroup=q0)
 
 
 def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:

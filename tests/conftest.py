@@ -154,16 +154,29 @@ def _section(basis, zeros):
         return _normalized([c[k] for k in range(basis.n)])
 
 
+def isogeny_z(spec, p):
+    """The image on E/Q0 of the point p of E, a complex number at the working precision.
+
+    The isogeny is z -> lam*z: it sends (a/N)*omega1, the first period of
+    E/Q0 before `quotient_lattice` scales it, to E/Q0's period omega1', so
+    lam = N*omega1' / (a*omega1), for Q0's `hermite_basis` (N, a, b, c).
+    """
+    n, a, _, _ = spec.q0.hermite_basis
+    lam = n * mpmath.mpc(spec.quotient.target.omega1) / (a * mpmath.mpc(spec.curve.omega1))
+    return lam * point_z(spec.curve, p.a, p.b)
+
+
 def scalar_map(spec, point):
     """The image of one point tuple at 40 digits: the oracle of `spec.map_array`.
 
-    A: the binary form whose roots are the t-values of the points on E/Q0.
-    B: the section vanishing on y_1, ..., y_d, -sum y_i, each y_i taken
-    at the point's own representative.  Exact in both, so it has an image
+    Each point goes through the isogeny (`isogeny_z`).  A: the binary form
+    whose roots are the t-values of the images on E/Q0.  B: the section
+    vanishing on y_1, ..., y_d, -sum y_i, each y_i taken at the image of
+    the point's own representative.  Exact in both, so it has an image
     wherever the map is defined, at poles, the origin and repeated points.
     """
-    zs = [point_z(spec.curve, p.a, p.b) for p in point]
-    if spec.construction == "B":
-        return _section(spec.basis, zs + [-sum(zs)])
     with mpmath.workdps(DIGITS):
+        zs = [isogeny_z(spec, p) for p in point]
+        if spec.construction == "B":
+            return _section(spec.basis, zs + [-sum(zs)])
         return scalar_sym_product([_t_pair(spec.quotient.target, z) for z in zs])

@@ -776,7 +776,7 @@ class TestHugeExponents:
         # 1e-5000 is 1/10^5000, whose denominator no message spells out
         assert run(["construct", "--q0", "1e-5000,0"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: InvalidSubgroup: generator denominator past 10^4300 exceeds bound 1000\n"
+        assert err == "error: InvalidSubgroup: generator denominator past 10^4300 exceeds bound 100000\n"
 
     @pytest.mark.parametrize("text, code", [("1e-999999999,0", 2), ("1e999999999,0", 0)])
     def test_huge_exponents_exit_at_once(self, text, code):

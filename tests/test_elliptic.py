@@ -28,7 +28,7 @@ from ellcover import (
     wp_prime,
 )
 from ellcover.covers import MAX_QUOTIENT_IM_TAU
-from ellcover.batch import lift_coords, map_coords, t_series_array, t_values, torus_z
+from ellcover.batch import _wrap_dist_array, lift_coords, map_coords, t_series_array, t_values, torus_z
 from ellcover.elliptic import EPS_NUM, centred_values, wp_both_values
 from ellcover.symfun import ProjectivePoint, normalize_rows
 
@@ -621,10 +621,14 @@ class TestFiniteSubgroup:
                 FiniteSubgroupSpec.parse((bad,))
 
     def test_denominator_cap(self):
-        with pytest.raises(InvalidSubgroup):
-            FiniteSubgroupSpec.from_generators([(Fraction(1, 5000), Fraction(0))])
+        # a coordinate's reduced denominator divides |Q0|, so the order bound
+        # refuses it early, before any Hermite basis
+        bound = FiniteSubgroupSpec.MAX_ORDER
+        assert FiniteSubgroupSpec.from_generators([(Fraction(1, bound), Fraction(0))]).order == bound
+        with pytest.raises(InvalidSubgroup, match=f"generator denominator {bound + 1} exceeds bound {bound}$"):
+            FiniteSubgroupSpec.from_generators([(Fraction(1, bound + 1), Fraction(0))])
         # a denominator of 5001 digits is past what str() spells out
-        with pytest.raises(InvalidSubgroup, match="denominator past 10\\^4300 exceeds bound 1000"):
+        with pytest.raises(InvalidSubgroup, match=f"denominator past 10\\^4300 exceeds bound {bound}$"):
             FiniteSubgroupSpec.from_generators([(Fraction(1, 10**5000), Fraction(0))])
 
     def test_exponents_change_no_value(self):
@@ -636,8 +640,9 @@ class TestFiniteSubgroup:
 
     def test_texts_read_as_fraction_reads_them(self):
         # the integer parser against the one it replaced, Fraction(text) % 1
-        # and the denominator bound, on a seeded sample of texts and on
-        # fixed ones: the values and the errors, messages included.  No
+        # and the order bound, on each coordinate's denominator and then on
+        # the order lcm(q, 7) of <(p/q, 1/7)>, on a seeded sample of texts and
+        # on fixed ones: the values and the errors, messages included.  No
         # sample text has an underscore between digits, which Python 3.10
         # rejects, or whitespace next to '/', which 3.12 accepts
         def reference(text):
@@ -645,9 +650,11 @@ class TestFiniteSubgroup:
                 value = Fraction(text) % 1
             except (ValueError, ZeroDivisionError):
                 return f"not a rational coordinate: {text!r}"
-            bound = FiniteSubgroupSpec.MAX_DENOMINATOR
+            bound = FiniteSubgroupSpec.MAX_ORDER
             if value.denominator > bound:
                 return f"generator denominator {value.denominator} exceeds bound {bound}"
+            if math.lcm(value.denominator, 7) > bound:
+                return f"subgroup order {math.lcm(value.denominator, 7)} exceeds bound {bound}"
             return value
 
         def parsed(text):
@@ -684,7 +691,9 @@ class TestFiniteSubgroup:
             "1_/2", "\u00bd", "1 1",  # rejected
             "\u0663/\u0664", "-.5", "5.", "1.e3", "+0001/0002", " 2/2000 ", "0.001", "1E+2",
             "-0/5", "-7/3",  # accepted
-            "1/1001", "2/2002", "7/2000", "1e-4", "1.5e-3", "999/1009",  # past the bound
+            "1/1001", "7/2000", "1e-5", "1/14285",  # accepted, past the old denominator bound
+            "1/100001", "2/200002", "7/200000", "1e-6", "1.5e-5", "99999/100003",  # past the bound
+            "1/14286", "1/99991",  # an order past the bound
         ]
         outcomes = [reference(text) for text in texts + fixed]
         assert [parsed(text) for text in texts + fixed] == outcomes
@@ -721,15 +730,22 @@ class TestQuotientLattice:
         (img,) = map_coords(quo, np.array([[p.a, p.b]])).tolist()
         assert TorusPoint(quo.target, *img).close_to(p)
 
-    def test_lifts_invert_map(self, lattice, q2):
-        quo = quotient_lattice(lattice, q2)
-        w = TorusPoint.from_coords(quo.target, 0.37, 0.61)
-        (lifts,) = lift_coords(quo, np.array([[w.a, w.b]]))
-        assert lifts.shape == (2, 2)
-        for img in map_coords(quo, lifts).tolist():
-            assert TorusPoint(quo.target, *img).close_to(w, tol=1e-9)
-        first, second = (TorusPoint(lattice, *z) for z in lifts.tolist())
-        assert not first.close_to(second, tol=1e-6)
+    @pytest.mark.parametrize(
+        "generators", [("1/2,0",), ("1/3,0",), ("1/2,0", "0,1/2"), ("1/9,1/3",), ("4/17,1/17",), ("377/997,1/997",)]
+    )
+    def test_lifts_invert_map(self, lattice, generators):
+        # phi maps the |Q0| lifts of phi(x) back to phi(x), x is one of
+        # them, and they are distinct, at least 1/N apart
+        q0 = FiniteSubgroupSpec.parse(generators)
+        quo = quotient_lattice(lattice, q0)
+        x = np.array(_random_coords(17, 5))
+        w = map_coords(quo, x)
+        lifts = lift_coords(quo, w)
+        assert lifts.shape == (5, q0.order, 2)
+        assert _wrap_dist_array(map_coords(quo, lifts), w[:, None]).max() <= 1e-9
+        assert _wrap_dist_array(lifts, x[:, None]).max(axis=2).min(axis=1).max() < 1e-12
+        apart = _wrap_dist_array(lifts[:, :, None], lifts[:, None]).max(axis=3)
+        assert (apart + np.eye(q0.order) >= 1 / q0.denominator - 1e-12).all()
 
     def test_quotient_g2_differs(self, lattice, q2):
         # E and E/Q0 are non-isomorphic curves for |Q0| = 2

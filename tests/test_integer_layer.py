@@ -50,14 +50,15 @@ class TestHermite:
         hnf = _sympy_hnf([[int(f * den) for f in row] for row in rows])
         quo = quotient_lattice(lattice, spec)
         assert quo.subgroup.order == spec.order
-        if spec.order == 1:
-            assert quo.target is lattice
-            return
+        # the Hermite basis, divided by its reduction scale: E/Q0 at unit scale
         (a, b), (_, c) = hnf
-        assert quo.target.omega1 == complex(Fraction(a, den) * lattice.omega1)
-        assert quo.target.omega2 == complex(
-            Fraction(b, den) * lattice.omega1 + Fraction(c, den) * lattice.omega2
+        unscaled = LatticeTau(
+            complex(Fraction(a, den) * lattice.omega1),
+            complex(Fraction(b, den) * lattice.omega1 + Fraction(c, den) * lattice.omega2),
         )
+        assert quo.target.omega1 == unscaled.omega1 / unscaled.scale
+        assert quo.target.omega2 == unscaled.omega2 / unscaled.scale
+        assert abs(quo.target.scale - 1) < 1e-15
 
     def test_random_generator_sets_match_sympy(self):
         rng = random.Random(11)
