@@ -15,6 +15,11 @@ from typing import TYPE_CHECKING, Optional, Union, get_args, get_origin
 
 from .errors import ConfigError
 
+#: version of the report layout, its first key: 1 since `image_spread` is
+#: taken over L's generators and `orbit_size` is null for a nontrivial
+#: stabilizer; a report without the key predates both (README)
+REPORT_SCHEMA = 1
+
 if TYPE_CHECKING:
     from .construction import CoverSpec, RunConfig
     from .covers import CriterionReport, VerificationReport
@@ -93,6 +98,7 @@ def _report_payload(
 ) -> dict:
     overall = report.passed and criterion.all_ok
     return {
+        "schema": REPORT_SCHEMA,
         "config": cfg.as_json_dict(),
         "construction": spec.construction,
         "group_order": spec.group.order,
@@ -233,6 +239,7 @@ def report(path: str) -> int:
         raise ConfigError(f"'pass' of report {path!r} must be true or false, got {passed!r}")
     construction = payload.get("construction", "?")
     order = payload.get("group_order", "?")
+    print(f"report schema {payload.get('schema', 'none')}")
     print(f"construction {construction}, group order {order}")
     for rec in samples:
         status = "generic" if rec.get("generic") else "non-generic (excluded)"

@@ -18,13 +18,7 @@ from typing import TYPE_CHECKING, Optional, get_type_hints
 from .elliptic import EPS_PROJ, EPS_PT, FiniteSubgroupSpec, IsogenyQuotient, LatticeTau
 from .elliptic import quotient_lattice
 from .errors import ConfigError, IllConditioned, InvalidOrder, NotVeryAmpleWarning
-from .groups import (
-    DEFAULT_ORDER_CAP,
-    FiniteActionGroup,
-    PointTuple,
-    build_group_A,
-    build_group_B,
-)
+from .groups import MAX_D, FiniteActionGroup, PointTuple, build_group_A, build_group_B
 from .polarization import (
     PolarizationMatrix,
     _Frozen,
@@ -151,13 +145,7 @@ def degree_identity(
     return degree
 
 
-def build_cover(
-    construction: str,
-    d: int,
-    curve: LatticeTau,
-    q0: FiniteSubgroupSpec,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> CoverSpec:
+def build_cover(construction: str, d: int, curve: LatticeTau, q0: FiniteSubgroupSpec) -> CoverSpec:
     """Assemble the cover: quotient isogeny, deck group, and polarization.
 
     The quotient reads only the period ratio of `curve`: every scale of it
@@ -166,13 +154,12 @@ def build_cover(
     Raises IllConditioned when E/Q0 is taller than its bound,
     MAX_QUOTIENT_IM_TAU or MAX_QUOTIENT_IM_TAU_B3 for B at d >= 3, and when
     reducing the period ratio of E/Q0 takes a basis change with an entry
-    above MAX_BASIS_CHANGE, and ConfigError unless construction is
-    A or B and d and order_cap are integers >= 1.
+    above MAX_BASIS_CHANGE, and ConfigError, before anything is built,
+    unless construction is A or B and d is an integer with 1 <= d <= MAX_D.
     """
     if construction not in ("A", "B"):
         raise ConfigError(f"construction must be A or B, got {construction!r}")
-    _check_integer("d", d)
-    _check_integer("order_cap", order_cap)
+    _check_integer("d", d, MAX_D)
     quotient = quotient_lattice(curve, q0)
     height = quotient.target.tau_reduced.imag
     bound = MAX_QUOTIENT_IM_TAU_B3 if construction == "B" and d >= 3 else MAX_QUOTIENT_IM_TAU
@@ -188,10 +175,10 @@ def build_cover(
             f"{entry} > {MAX_BASIS_CHANGE}, past what point coordinates resolve"
         )
     if construction == "A":
-        group = build_group_A(d, q0, cap=order_cap)
+        group = build_group_A(d, q0)
         polarization = PolarizationMatrix.scaled_identity(d, 2 * q0.order)
     else:
-        group = build_group_B(d, q0, cap=order_cap)
+        group = build_group_B(d, q0)
         polarization = PolarizationMatrix.identity_plus_ones(d)
     degree = degree_identity(construction, polarization, q0)
     flag = very_ample_preconditions(construction, d, q0)
@@ -268,7 +255,6 @@ class RunConfig:
     seed: int = 42
     eps_pt: Optional[float] = EPS_PT
     eps_proj: Optional[float] = EPS_PROJ
-    order_cap: Optional[int] = DEFAULT_ORDER_CAP
     output: Optional[str] = None
     jobs: int = 1
 
@@ -297,9 +283,7 @@ class RunConfig:
     def build_spec(self) -> CoverSpec:
         lattice = LatticeTau.from_tau(self.parse_tau())
         subgroup = FiniteSubgroupSpec.parse(self.q0)
-        return build_cover(
-            self.construction, self.d, lattice, subgroup, order_cap=self.order_cap
-        )
+        return build_cover(self.construction, self.d, lattice, subgroup)
 
     def as_json_dict(self) -> dict:
         """The `config` block of reports.

@@ -17,18 +17,19 @@ import functools
 import itertools
 import math
 import random
+from typing import Optional
 
 import numpy as np
 
 from .batch import (
     _frac_array,
+    _wrap_dist_array,
     divisors_to_coords,
     lift_coords,
     map_coords,
     move,
     pack,
     section_zeros_array,
-    stabilizer_mask,
     t_series_array,
     two_torsion,
     wp_inverse_array,
@@ -44,7 +45,7 @@ from .construction import (  # noqa: F401 - re-exported
 )
 from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
 from .errors import ConfigError, InvalidPoint, NonGenericTarget
-from .groups import PointTuple, _identity
+from .groups import PointTuple
 from .polarization import _Frozen
 from .symfun import ProjectivePoint, normalize_rows, projective_spreads, sym_fibers, sym_product
 
@@ -191,8 +192,7 @@ class SampleRecord(_Frozen):
     index: int
     point: PointTuple
     generic: bool
-    stabilizer_size: int
-    orbit_size: int
+    orbit_size: Optional[int]
     image_spread: float
     fiber_match: bool
 
@@ -201,15 +201,13 @@ class SampleRecord(_Frozen):
         index: int,
         point: PointTuple,
         generic: bool,
-        stabilizer_size: int,
-        orbit_size: int,
+        orbit_size: Optional[int],
         image_spread: float,
         fiber_match: bool,
     ):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "generic", generic)
-        object.__setattr__(self, "stabilizer_size", stabilizer_size)
         object.__setattr__(self, "orbit_size", orbit_size)
         object.__setattr__(self, "image_spread", image_spread)
         object.__setattr__(self, "fiber_match", fiber_match)
@@ -239,28 +237,29 @@ class VerificationReport(_Frozen):
     passed: bool
 
 
-def _fiber_match(spec: CoverSpec, images: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Whether each of N samples' recovered points on (E/Q0)^d, N x d x 2, lies within EPS_GENERIC of one of its images.
+def _assigned(close: np.ndarray) -> np.ndarray:
+    """Whether each of N boolean d x m matrices gives its d rows distinct columns: a matching, by augmenting paths."""
+    out = []
+    for rows in close.tolist():
+        owner = [None] * len(rows[0])
 
-    `images` holds each sample's |L| images, N x |L| x d x 2, compared by
-    `stabilizer_mask` on E/Q0.  A generic sample's images are |L| distinct
-    points of its fiber of g, so when |L| is that fiber's size,
-    d! 2^d for A and (d+1)! for B, they are the whole fiber, and a point
-    recovered from the target alone lies among them exactly when L acts
-    simply transitively on it.  G then acts so on the fibers of f, their
-    phi-preimages, when it is L x| Q0^d (`CoverSpec.decomposed`).
-    Otherwise no sample matches.
-    """
-    sets, per = (spec.d, 2) if spec.construction == "A" else (spec.d + 1, 1)
-    if spec.group.linear.order != math.perm(sets, spec.d) * per**spec.d or not spec.decomposed:
-        return np.zeros(len(points), dtype=bool)
-    return stabilizer_mask(images, points, EPS_GENERIC).any(axis=1)
+        def claim(k: int, seen: set) -> bool:
+            for j in range(len(owner)):
+                if rows[k][j] and j not in seen:
+                    seen.add(j)
+                    if owner[j] is None or claim(owner[j], seen):
+                        owner[j] = k
+                        return True
+            return False
+
+        out.append(all(claim(k, set()) for k in range(len(rows))))
+    return np.array(out, dtype=bool)
 
 
-#: images per chunk of `galois_verify`: consecutive samples are verified
-#: together, in numpy passes over at most this many rows or one sample's.
-#: Larger chunks save no more time per sample, and the passes' temporaries
-#: grow with them.
+#: rows per chunk of `galois_verify`: consecutive samples are verified
+#: together, in numpy passes over at most this many mapped rows or one
+#: sample's.  Larger chunks save no more time per sample, and the passes'
+#: temporaries grow with them.
 _CHUNK_ROWS = 1 << 10
 
 
@@ -277,56 +276,68 @@ def _draw(rng: random.Random, *shape: int) -> np.ndarray:
 
 
 def _verify_chunk(
-    spec: CoverSpec, coords: np.ndarray, first: int, eps_pt: float, own: int
+    spec: CoverSpec, generators: tuple[np.ndarray, np.ndarray], coords: np.ndarray, first: int, eps_pt: float
 ) -> list[SampleRecord]:
-    """Samples first, first + 1, ... of the protocol, in numpy passes over all their images on (E/Q0)^d.
+    """Samples first, first + 1, ... of the protocol, in numpy passes over them all, on (E/Q0)^d.
 
     `coords` holds the samples' points x, N x d x 2, each mapped once to
-    y = phi(x).  (M, t) fixes x exactly when M fixes y (t = x - Mx then
-    lies in ker phi), so stabilizers come from one array of the |L| images
-    My of each y, and an orbit's size is |G| over its stabilizer's.  All
-    images are mapped by g as one stack and their spreads taken in one
-    `projective_spreads` call.  A generic sample's target is its identity
-    row, g(y) = f(x), at `own`, the identity's index in sorted L; one point
-    is recovered from each target alone, all as one stack, and compared
-    with the sample's images (`_fiber_match`).
-    Each mapped row and recovered point depends on its own tuple alone, so
-    a record does not depend on its chunk.  A sample with an image that the
-    map marks failed, or whose target is not a generic value of the map,
-    is non-generic, not failed.
+    y = phi(x); (M, t) fixes x exactly when M fixes y.  L permutes y's
+    points, the pairs y_i, -y_i for A and the divisor y_1, ..., y_d,
+    -sum y_i for B, laid out as `_quotient_points` lays out a fiber, and
+    fixes y exactly when two of them lie within eps_pt: otherwise the orbit
+    has |G| points.  Each y and its images under L's packed `generators`
+    are mapped by g as one stack, and their spreads taken in one
+    `projective_spreads` call.  A point recovered from y's own row, g(y) =
+    f(x), lies in the orbit L y exactly when its points lie within
+    EPS_GENERIC of distinct sets of y's points (`_assigned`).  That orbit
+    is all of g's fiber when |L| is its size, d! 2^d for A and (d+1)! for
+    B, and then G acts simply transitively on the fibers of f if it is
+    L x| Q0^d (`CoverSpec.decomposed`); otherwise no sample matches.  A
+    record depends on its own tuple alone, not on its chunk.  A sample
+    with a row that the map marks failed, or whose target is not a generic
+    value of the map, is non-generic, not failed.
     """
-    count, linear = len(coords), spec.group.linear
+    count, d = coords.shape[:2]
     ys = map_coords(spec.quotient, coords)
-    found = move(linear._packed, ys)
-    stabilizer = np.count_nonzero(stabilizer_mask(found, ys, eps_pt), axis=1)
-    owner = np.repeat(np.arange(count), linear.order)
-    mapped, failed = spec.map_quotient(found.reshape(-1, spec.d, 2))
+    stack = np.concatenate([ys[:, None], move(generators, ys)], axis=1)
+    owner = np.repeat(np.arange(count), stack.shape[1])
+    mapped, failed = spec.map_quotient(stack.reshape(-1, d, 2))
     failed = np.bincount(owner, weights=failed, minlength=count) > 0
     spread = projective_spreads(mapped, owner, failed)
-    generic = (stabilizer == 1) & ~failed
+    if spec.construction == "A":
+        orbit = np.stack([ys, _frac_array(-ys)], axis=2)
+    else:
+        orbit = np.concatenate([ys, _frac_array(-ys.sum(axis=1))[:, None]], axis=1)[:, :, None]
+    sets, per = orbit.shape[1:3]
+    flat = orbit.reshape(count, -1, 1, 2)
+    # each point is within eps_pt of itself only
+    close = np.all(_wrap_dist_array(flat, flat.transpose(0, 2, 1, 3)) <= eps_pt, axis=3)
+    trivial = np.count_nonzero(close, axis=(1, 2)) == sets * per
+    generic = trivial & ~failed
     matched = np.zeros(count, dtype=bool)
     samples = np.flatnonzero(generic)
     if len(samples):
-        # the identity's image is y itself, bit for bit
-        targets = mapped.reshape(count, linear.order, -1)[samples, own]
-        points, reasons = _quotient_points(spec, targets)
+        # y's own row, g(y) = f(x)
+        points, reasons = _quotient_points(spec, mapped.reshape(count, stack.shape[1], -1)[samples, 0])
         recovered = np.array([r is None for r in reasons], dtype=bool)
         generic[samples[~recovered]] = False
-        samples = samples[recovered]
-        # the recovered tuple: each set's first point
-        matched[samples] = _fiber_match(spec, found[samples], points[recovered, : spec.d, 0])
+        samples, points = samples[recovered], points[recovered]
+    if len(samples) and spec.group.linear.order == math.perm(sets, d) * per**d and spec.decomposed:
+        # the recovered tuple, each set's first point, against every point of each of y's sets
+        found = points[:, :d, 0, None, None]
+        near = np.all(_wrap_dist_array(found, orbit[samples, None]) <= EPS_GENERIC, axis=4).any(axis=3)
+        matched[samples] = _assigned(near)
     return [
         SampleRecord(
             index=first + s,
             point=tuple(TorusPoint(spec.curve, a, b) for a, b in row),
             generic=g,
-            stabilizer_size=stab,
-            orbit_size=spec.group.order // stab,
+            orbit_size=spec.group.order if t else None,
             image_spread=worst,
             fiber_match=g and m,
         )
-        for s, (row, g, stab, worst, m) in enumerate(
-            zip(*(a.tolist() for a in (coords, generic, stabilizer, spread, matched)))
+        for s, (row, g, t, worst, m) in enumerate(
+            zip(*(a.tolist() for a in (coords, generic, trivial, spread, matched)))
         )
     ]
 
@@ -341,25 +352,25 @@ def galois_verify(
 ) -> VerificationReport:
     """Simple-transitivity protocol on seeded random samples.
 
-    Per sample x, on y = phi(x) in (E/Q0)^d and its images under the linear
-    part L of the deck group: the stabilizer must be trivial (genericity
-    certificate), so that the orbit has |G| points; g must be constant on
-    the images within eps_proj; and one point recovered from the sample's
-    image alone must lie among them, with |L| the exact size of g's fibers
-    and the group L x| Q0^d, exactly (`_fiber_match`).  Non-generic samples
-    are recorded and excluded from pass/fail.
-    Samples are verified in chunks of `_CHUNK_ROWS` images (`_verify_chunk`),
-    which at most `jobs` threads share out.  Raises ConfigError, before any
-    draw, unless all four values lie in their bounds (`check_run_bounds`).
+    Per sample x, on y = phi(x) in (E/Q0)^d: the stabilizer of y in the
+    linear part L of the deck group must be trivial (genericity
+    certificate); g must be constant within eps_proj on y and its images
+    under L's generators, so under L; and a point recovered from g(y) alone
+    must lie in the orbit L y, with |L| the exact size of g's fibers and
+    the group L x| Q0^d (`_verify_chunk`).  Nothing lists L.  Non-generic
+    samples are recorded and excluded from pass/fail.
+    Samples are verified in chunks of `_CHUNK_ROWS` mapped rows, which at
+    most `jobs` threads share out.  Raises ConfigError, before any draw,
+    unless all four values lie in their bounds (`check_run_bounds`).
     """
     check_run_bounds(samples, jobs, eps_pt, eps_proj)
     coords = _draw(random.Random(seed), samples, spec.d, 2)
-    size = max(1, _CHUNK_ROWS // spec.group.linear.order)
+    generators = pack(*spec.group.linear.integer_generators)
+    size = max(1, _CHUNK_ROWS // (1 + len(generators[0])))
     starts = range(0, samples, size)
-    own = spec.group.linear.matrices.index(_identity(spec.d))
 
     def verify(first: int) -> list[SampleRecord]:
-        return _verify_chunk(spec, coords[first : first + size], first, eps_pt, own)
+        return _verify_chunk(spec, generators, coords[first : first + size], first, eps_pt)
 
     workers = min(jobs, len(starts))
     if workers > 1:
@@ -385,8 +396,8 @@ def galois_verify(
     )
 
 
-def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
-    """Base-point probes of g on (E/Q0)^d, (16|Q0| + 17) x d x 2.
+def _probe_points(spec: CoverSpec, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
+    """Base-point probes of g on (E/Q0)^d: the points y of the diagonal probes (y, ..., y), 16|Q0| x 2, then 17 tuples, 17 x d x 2.
 
     f = g o phi has a base point at x exactly when g has one at phi(x).
     The tuples (y, ..., y), y in phi(E[m]) and m = 4|Q0|, stand for E[m]'s
@@ -395,32 +406,37 @@ def _probe_points(spec: CoverSpec, seed: int = 42) -> np.ndarray:
     draws, with even odds per coordinate.  phi(s, t) = (N(cs - bt)/(ac),
     Nt/c) for Q0's `hermite_basis` (N, a, b, c), so phi(E[m]) is the 16|Q0|
     points (-jNb mod Nc + iNc, jNa) / 4N^2, j < 4N/a and i < 4N/c, sorted
-    by (b, a) and listed in integers.
+    by (b, a) and listed in integers.  `_map_in_chunks` builds the diagonal
+    tuples a chunk at a time.
     """
     n, a, b, c = spec.q0.hermite_basis
     j = np.arange(4 * n // a)[:, None]
     x = j * -n * b % (n * c) + np.arange(4 * n // c) * (n * c)
-    points = np.zeros((x.size + 17, spec.d, 2))
-    points[: x.size, :, 0] = (x / (4 * n * n)).reshape(-1, 1)
-    points[: x.size, :, 1] = np.repeat(j * (n * a) / (4 * n * n), x.shape[1])[:, None]
+    diagonal = np.stack([x.ravel() / (4 * n * n), np.repeat(j * (n * a) / (4 * n * n), x.shape[1])], axis=1)
     rng = random.Random(seed)
-    points[x.size + 1 :] = [
+    tuples = np.zeros((17, spec.d, 2))
+    tuples[1:] = [
         [(0.0, 0.0) if rng.random() < 0.5 else (rng.random(), rng.random()) for _ in range(spec.d)]
         for _ in range(16)
     ]
-    return points
+    return diagonal, tuples
 
 
-def _map_in_chunks(spec: CoverSpec, coords: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
-    """`spec.map_quotient` of N point tuples of (E/Q0)^d, in calls of at most `_CHUNK_ROWS` rows.
+def _map_in_chunks(spec: CoverSpec, pieces: list, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """`spec.map_quotient` of the point tuples of (E/Q0)^d that `pieces` hold in turn, in calls of at most `_CHUNK_ROWS` rows.
 
-    Returns the rows of the first `keep` tuples and the failure mask of all
-    N.  A row depends on its own tuple alone, so the result is the single
+    A piece holds N tuples, N x d x 2, or the N points y, N x 2, of the
+    diagonal tuples (y, ..., y), which each call builds for its own rows.
+    Returns the rows of the first `keep` tuples and the failure mask of all.
+    A row depends on its own tuple alone, so the result is the single
     call's, bit for bit; only the temporaries shrink.
     """
+    offsets = np.cumsum([0] + [len(piece) for piece in pieces]).tolist()
     rows, failed = [], []
-    for start in range(0, len(coords), _CHUNK_ROWS):
-        part, fail = spec.map_quotient(coords[start : start + _CHUNK_ROWS])
+    for start in range(0, offsets[-1], _CHUNK_ROWS):
+        parts = [piece[max(start - at, 0) : max(start + _CHUNK_ROWS - at, 0)] for at, piece in zip(offsets, pieces)]
+        chunk = [np.repeat(part[:, None], spec.d, axis=1) if part.ndim == 2 else part for part in parts]
+        part, fail = spec.map_quotient(np.concatenate(chunk))
         # a copy, so that the rows not kept are freed with their chunk
         rows.append(part[: max(keep - start, 0)].copy())
         failed.append(fail)
@@ -450,8 +466,8 @@ def criterion_check(spec: CoverSpec, seed: int = 42, eps_proj: float = EPS_PROJ)
     # each point, then its images under the generators, in one pass over them all
     moved = move(pack(*spec.group.integer_generators), start)
     moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, spec.d, 2)
-    points = np.concatenate([map_coords(spec.quotient, moved), _probe_points(spec, seed)])
-    rows, failed = _map_in_chunks(spec, points, keep=len(moved))
+    diagonal, tuples = _probe_points(spec, seed)
+    rows, failed = _map_in_chunks(spec, [map_coords(spec.quotient, moved), diagonal, tuples], keep=len(moved))
     mapped = rows.reshape(len(start), -1, spec.d + 1)
     checked = np.flatnonzero(~failed[: len(moved)].reshape(len(start), -1).any(axis=1))[:10]
     owner = np.repeat(np.arange(len(checked)), mapped.shape[1])
@@ -467,8 +483,10 @@ def criterion_check(spec: CoverSpec, seed: int = 42, eps_proj: float = EPS_PROJ)
         # stream, each point's (a, b) shifted in turn: drawn up to the last
         # probe retried
         shifts = _draw(random.Random(seed + 1), int(retry[-1]) + 1, 3, spec.d, 2)
-        perturbed = _frac_array(points[len(moved) + retry, None] + 1e-3 * shifts[retry])
-        _, failed = _map_in_chunks(spec, perturbed.reshape(-1, spec.d, 2), keep=0)
+        at = retry < len(diagonal)
+        probes = np.concatenate([np.repeat(diagonal[retry[at], None], spec.d, axis=1), tuples[retry[~at] - len(diagonal)]])
+        perturbed = _frac_array(probes[:, None] + 1e-3 * shifts[retry])
+        _, failed = _map_in_chunks(spec, [perturbed.reshape(-1, spec.d, 2)], keep=0)
         basepoint_ok = not failed.reshape(-1, 3).all(axis=1).any()
     return CriterionReport(
         order_ok=order_ok,

@@ -34,7 +34,7 @@ class DegenerateSection(EllcoverError):
 
 
 class OrderCapExceeded(EllcoverError):
-    """Group closure grew past the configured element cap."""
+    """A listing of L was asked for past DEFAULT_ORDER_CAP matrices."""
 
 
 class ExponentMismatch(EllcoverError):

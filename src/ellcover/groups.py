@@ -5,14 +5,15 @@ matrices acting coordinatewise on C/Lambda tuples, and translations by
 rational torsion points, as numerators over Q0's denominator.  Orders come
 from closed forms and enumeration is exact, so group orders are
 certificates rather than floating-point artifacts.  Listed elements are
-`affine.AffineAutomorphism`s, and no command lists them.
+`affine.AffineAutomorphism`s, and no command lists them: L is listed only
+on a caller's request, up to DEFAULT_ORDER_CAP matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .elliptic import EPS_PT, FiniteSubgroupSpec, TorusPoint
@@ -24,7 +25,11 @@ if TYPE_CHECKING:
 IntMatrix = tuple[tuple[int, ...], ...]
 PointTuple = tuple[TorusPoint, ...]
 
+#: most matrices that `SemidirectProduct.matrices` lists
 DEFAULT_ORDER_CAP = 100_000
+#: largest d that the deck-group builders accept: on a measured grid every A
+#: verify and every B verify on <1/2,0> passes to it, B to d = 12 (README)
+MAX_D = 10
 
 
 def _identity(d: int) -> IntMatrix:
@@ -79,9 +84,10 @@ class FiniteActionGroup:
 
     @cached_property
     def linear(self) -> SemidirectProduct:
-        """L: the distinct matrices of the elements, sorted, with zero translations."""
+        """L: the distinct matrices of the elements, sorted, with zero translations, generated by the generators' matrices."""
         matrices = sorted({g.matrix for g in self.elements})
-        return SemidirectProduct(self.dim, FiniteSubgroupSpec.trivial(), len(matrices), matrices, ())
+        generators = sorted({g.matrix for g in self.generators})
+        return SemidirectProduct(self.dim, FiniteSubgroupSpec.trivial(), len(matrices), matrices, generators)
 
     def splits_over(self, q0: FiniteSubgroupSpec) -> bool:
         """Whether every element's translation lies in Q0^d, checked element by element."""
@@ -115,15 +121,15 @@ class FiniteActionGroup:
 class SemidirectProduct(FiniteActionGroup):
     """L x| Q0^d as data, in integers: L's matrices and generators, and Q0.
 
-    `matrices` lists L, or is a function that lists it on first use;
+    `matrices` is L's sequence, or a function that lists it on first use;
     `linear_order` = |L| in closed form gives |G| = |L| |Q0|^d unlisted.
     The generators are L's, with zero translations, then the translations
     by Q0's generators in each slot.  `elements` lists G sorted by
-    (matrix, translation) on first use; no command asks for it.
+    (matrix, translation) on first use; no command asks for it, nor for L.
     """
 
     def __init__(self, dim: int, q0: FiniteSubgroupSpec, linear_order: int,
-                 matrices: Iterable[IntMatrix] | Callable[[], Iterable[IntMatrix]],
+                 matrices: Sequence[IntMatrix] | Callable[[], Iterable[IntMatrix]],
                  linear_generators: Sequence[IntMatrix]):
         self.dim, self.q0, self.linear_order, self._matrices = dim, q0, linear_order, matrices
         self.linear_generators = tuple(linear_generators)
@@ -131,19 +137,20 @@ class SemidirectProduct(FiniteActionGroup):
 
     @cached_property
     def matrices(self) -> tuple[IntMatrix, ...]:
-        """L's matrices, sorted."""
+        """L's matrices, sorted; OrderCapExceeded past DEFAULT_ORDER_CAP of them."""
+        if self.linear_order > DEFAULT_ORDER_CAP:
+            raise OrderCapExceeded(f"listing {self.linear_order} matrices of L exceeds cap {DEFAULT_ORDER_CAP}")
         return tuple(sorted(self._matrices() if callable(self._matrices) else self._matrices))
 
     def __reduce__(self):
-        # a copy holds L's matrices, not the function that lists them, and
-        # never G's elements
-        return SemidirectProduct, (self.dim, self.q0, self.linear_order, self.matrices, self.linear_generators)
+        # a copy holds what lists L, never G's elements
+        return SemidirectProduct, (self.dim, self.q0, self.linear_order, self._matrices, self.linear_generators)
 
     @cached_property
     def linear(self) -> SemidirectProduct:
-        """L, with zero translations."""
+        """L, with zero translations, unlisted."""
         trivial = FiniteSubgroupSpec.trivial()
-        return SemidirectProduct(self.dim, trivial, self.linear_order, self.matrices, self.linear_generators)
+        return SemidirectProduct(self.dim, trivial, self.linear_order, self._matrices, self.linear_generators)
 
     @property
     def integer_generators(self) -> tuple[list, list, int]:
@@ -185,26 +192,30 @@ def _transpositions(d: int) -> list[IntMatrix]:
     return [ident[:i] + (ident[i + 1], ident[i]) + ident[i + 2 :] for i in range(d - 1)]
 
 
-def _capped_order(d: int, cap: int, factor: Callable[[int], int]) -> int:
-    """|L| in closed form, the product of factor(k) over k = 1..d, if it is at most cap.
-
-    Raises InvalidOrder unless d >= 1, and OrderCapExceeded at the first
-    partial product above cap: every factor(k) is at least 2, so a huge d
-    costs at most log2(cap) + 1 steps.
-    """
-    if d < 1:
-        raise InvalidOrder(f"need d >= 1, got {d}")
-    order = 1
-    for k in range(1, d + 1):
-        order *= factor(k)
-        if order > cap:
-            raise OrderCapExceeded(f"order of the linear part exceeds cap {cap} (at least {order})")
-    return order
+def _check_dimension(d: int) -> None:
+    """Raise InvalidOrder unless 1 <= d <= MAX_D, before any O(d) work."""
+    if not 1 <= d <= MAX_D:
+        raise InvalidOrder(f"need 1 <= d <= {MAX_D}, got {d}")
 
 
-def build_group_A(
-    d: int, q0: FiniteSubgroupSpec, cap: int = DEFAULT_ORDER_CAP
-) -> SemidirectProduct:
+def _signed_permutations(d: int) -> Iterable[IntMatrix]:
+    """The 2^d d! signed permutation matrices."""
+    return (
+        tuple(tuple(sign[i] if j == perm[i] else 0 for j in range(d)) for i in range(d))
+        for perm in itertools.permutations(range(d))
+        for sign in itertools.product((1, -1), repeat=d)
+    )
+
+
+def _divisor_permutations(d: int) -> Iterable[IntMatrix]:
+    """The (d+1)! matrices of S_(d+1) on (y_1, ..., y_d, -sum y_i): row i is a unit row, or all -1 where sigma(i) = d+1."""
+    return (
+        tuple((-1,) * d if sigma[i] == d else tuple(int(j == sigma[i]) for j in range(d)) for i in range(d))
+        for sigma in itertools.permutations(range(d + 1))
+    )
+
+
+def build_group_A(d: int, q0: FiniteSubgroupSpec) -> SemidirectProduct:
     """Deck group of the wp-quotient cover: order 2^d * d! * |Q0|^d.
 
     Per coordinate: negation (wp is even) and translation by Q0 (the fibers
@@ -212,45 +223,23 @@ def build_group_A(
     signed permutation matrices, generated by the negations of one
     coordinate and the adjacent transpositions.
     """
-    order = _capped_order(d, cap, lambda k: 2 * k)
+    _check_dimension(d)
     ident = _identity(d)
     negations = [ident[:i] + (tuple(-v for v in ident[i]),) + ident[i + 1 :] for i in range(d)]
-
-    def matrices():
-        return (
-            tuple(
-                tuple(sign[i] if j == perm[i] else 0 for j in range(d)) for i in range(d)
-            )
-            for perm in itertools.permutations(range(d))
-            for sign in itertools.product((1, -1), repeat=d)
-        )
-
-    return SemidirectProduct(d, q0, order, matrices, negations + _transpositions(d))
+    order = 2**d * math.factorial(d)
+    return SemidirectProduct(d, q0, order, partial(_signed_permutations, d), negations + _transpositions(d))
 
 
-def build_group_B(
-    d: int, q0: FiniteSubgroupSpec, cap: int = DEFAULT_ORDER_CAP
-) -> SemidirectProduct:
+def build_group_B(d: int, q0: FiniteSubgroupSpec) -> SemidirectProduct:
     """Deck group of the sum-zero divisor cover: order (d+1)! * |Q0|^d.
 
     S_(d+1) permutes the divisor points (y_1, ..., y_d, y_(d+1) = -sum y_i).
     Generators: sigma_1 swaps the first two coordinates; sigma_2 cycles,
     sending (y_1, ..., y_d) to (-(y_1+...+y_d), y_1, ..., y_(d-1)), so its
     matrix has first row all -1 over a subdiagonal identity.  Coordinatewise
-    Q0 translations account for the isogeny factor.  L in closed form: the
-    permutation sigma sends y_i to y_sigma(i), whose matrix row i is a unit
-    row, or all -1 where sigma(i) = d+1.
+    Q0 translations account for the isogeny factor.
     """
-    order = _capped_order(d, cap, lambda k: k + 1)
-
-    def matrices():
-        return (
-            tuple(
-                (-1,) * d if sigma[i] == d else tuple(int(j == sigma[i]) for j in range(d))
-                for i in range(d)
-            )
-            for sigma in itertools.permutations(range(d + 1))
-        )
-
+    _check_dimension(d)
     cycle = ((-1,) * d,) + _identity(d)[:-1]
-    return SemidirectProduct(d, q0, order, matrices, _transpositions(d)[:1] + [cycle])
+    order = math.factorial(d + 1)
+    return SemidirectProduct(d, q0, order, partial(_divisor_permutations, d), _transpositions(d)[:1] + [cycle])

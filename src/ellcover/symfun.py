@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EPS_NUM, HomPair, LatticeTau, TorusPoint, _pair
+from .elliptic import EPS_GENERIC, HomPair, LatticeTau, TorusPoint, _pair
 from .errors import (
     DegenerateSection,
     IllConditioned,
@@ -290,14 +290,17 @@ def root_clusters(coeffs: np.ndarray) -> list[list[tuple[complex, int]]]:
 def sym_fibers(rows: np.ndarray) -> list[list[tuple[complex, int]]]:
     """The roots t = X/Y, with multiplicity, of every row of an N x (d+1) array of binary-form coefficients.
 
-    Vanishing leading (top X-power) coefficients give the root at infinity,
-    t = inf.  The rows whose leading coefficients vanish to the same count
-    share one `root_clusters`; simple roots take Newton steps on their
-    polynomial (`polish_roots`).
+    Callers judge a root by its size, |t| >= 1/EPS_GENERIC as infinite.
+    Leading (top X-power) coefficients within (EPS_GENERIC/2)^d of the
+    largest give the root at infinity, t = inf, only where some root has
+    |t| >= 1/EPS_GENERIC anyway: the largest coefficient is the top one
+    times a sum of at most 2^d products of roots.  The rows whose leading
+    coefficients vanish to the same count share one `root_clusters`;
+    simple roots take Newton steps on their polynomial (`polish_roots`).
     """
     coeffs = rows[:, ::-1]  # decreasing degree in t = X/Y
     mags = np.abs(coeffs)
-    small = mags[:, :-1] <= EPS_NUM * mags.max(axis=1, keepdims=True)
+    small = mags[:, :-1] <= (EPS_GENERIC / 2) ** (coeffs.shape[1] - 1) * mags.max(axis=1, keepdims=True)
     leads = np.cumprod(small, axis=1).sum(axis=1)
     out: list[list[tuple[complex, int]]] = [[] for _ in range(len(rows))]
     for lead in sorted(set(leads.tolist())):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ellcover import NotVeryAmpleWarning
 from ellcover.cli import SEED_ENV_VAR, main
 from ellcover.commands import _emit_json
+from ellcover.groups import MAX_D
 
 
 def run(argv, capsys=None):
@@ -167,7 +168,7 @@ class TestFlags:
             ("seed", -3, ["--seed", "-3"], 5),
             ("eps_pt", 1e-8, ["--eps-pt", "1e-8"], 1e-10),
             ("eps_proj", 1e-6, ["--eps-proj", "1e-6"], 1e-5),
-            ("order_cap", 500, ["--order-cap", "500"], 600),
+            ("d", 4, ["--d=4"], 2),
             ("output", "a.json", ["--output", "a.json"], "b.json"),
             ("jobs", 2, ["--jobs", "2"], 3),
         ],
@@ -193,7 +194,9 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["pass"] is True
         assert payload["group_order"] == 4
+        assert next(iter(payload)) == "schema" and payload["schema"] == 1
         assert set(payload) == {
+            "schema",
             "config",
             "construction",
             "group_order",
@@ -403,7 +406,16 @@ class TestConfigResolution:
         out = capsys.readouterr().out
         config = json.loads(out[out.index("{") :])["config"]
         assert config["eps_proj"] == 1 and config["eps_pt"] == 1e-9
-        assert config["order_cap"] == 100_000
+        assert list(config) == ["construction", "d", "tau", "q0", "samples", "seed", "eps_pt", "eps_proj"]
+
+    def test_order_cap_is_no_longer_a_key_or_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order_cap": 100_000}))
+        assert main(["construct", "--config", str(cfg)]) == 2
+        assert "unknown config key 'order_cap'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--order-cap", "100000"])
+        assert exc.value.code == 2 and "unrecognized flag --order-cap" in capsys.readouterr().err
 
 
 class TestEmitJson:
@@ -467,7 +479,7 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         rendered = capsys.readouterr().out
-        assert "group order 4" in rendered
+        assert rendered.startswith("report schema 1\nconstruction A, group order 4\n")
         assert "pass: True" in rendered
 
     def test_failing_report_exits_one(self, tmp_path, capsys):
@@ -531,6 +543,9 @@ class TestReportCommand:
 
 
 class TestOrderCap:
+    """No command lists L, whose order passes the listing cap from A d=8 and
+    B d=8 on; a d past MAX_D is refused before any O(d) work."""
+
     @staticmethod
     def _refused(argv):
         # the child gets a timeout and a 1 GiB address-space limit, so
@@ -550,12 +565,12 @@ class TestOrderCap:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert proc.returncode == 2, proc.stderr
-        assert "OrderCapExceeded" in proc.stderr
+        assert proc.stderr.startswith(f"error: d must be <= {MAX_D}, got ")
 
-    @pytest.mark.parametrize("d", [8, 400, 3000])
+    @pytest.mark.parametrize("d", [MAX_D + 1, 400, 3000])
     @pytest.mark.parametrize("construction", ["A", "B"])
     def test_order_past_cap_is_refused_before_listing(self, construction, d):
-        # |G| = 2^d d! 2^d (A) or (d+1)! 2^d (B) is refused from its closed form
+        # |L| = 2^d d! (A) or (d+1)! (B), past the listing cap, and d past MAX_D
         self._refused(["--construction", construction, "--d", str(d)])
 
     def test_huge_d_in_a_config_file_is_refused(self, tmp_path):

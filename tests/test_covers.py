@@ -4,6 +4,7 @@ import random
 import re
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from ellcover.covers import (
     SampleRecord,
 )
 from ellcover.batch import _wrap_dist_array, coords_array, divisors_to_coords, map_coords
-from ellcover.construction import MAX_BASIS_CHANGE, MAX_JOBS
+from ellcover.construction import MAX_BASIS_CHANGE, MAX_D, MAX_JOBS
 from ellcover.elliptic import EPS_PROJ, EPS_PT, centred_values
 from ellcover.errors import InvalidOrder
 from ellcover.symfun import projective_spread, sym_fibers, sym_product
@@ -74,13 +75,13 @@ def _match_one(left, right, tol):
 
 
 def _verify_sample(spec, point, index, eps_pt=EPS_PT):
-    """One sample of the protocol, alone: the oracle of `galois_verify`'s chunks.
+    """One sample of the protocol, alone, over the listed G: the oracle of `galois_verify`'s chunks.
 
     The stabilizer comes from the sample's own |G| images, and the orbit
-    size is |G| over the stabilizer's size.  The images are mapped by
-    themselves, and their spread is their own `projective_spread`.  The
-    whole fiber is recovered from the target alone (`CoverSpec.fiber_array`)
-    and must equal the orbit (`FiniteActionGroup.orbit`) as a set.
+    size is |G| where it is trivial.  The images are mapped by themselves,
+    and their spread is their own `projective_spread`.  The whole fiber is
+    recovered from the target alone (`CoverSpec.fiber_array`) and must
+    equal the orbit (`FiniteActionGroup.orbit`) as a set.
     """
     found = batch.images(spec.group, [point])
     here = coords_array([point])
@@ -105,8 +106,7 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
         index=index,
         point=point,
         generic=generic,
-        stabilizer_size=len(stab),
-        orbit_size=spec.group.order // len(stab),
+        orbit_size=spec.group.order if len(stab) == 1 else None,
         image_spread=spread,
         fiber_match=fiber_match,
     )
@@ -126,15 +126,25 @@ def _bits(records):
 def _verdicts(records):
     """Records with each spread read as its verdict: below EPS_PROJ, and finite.
 
-    `galois_verify` spreads the |L| images of a sample on E/Q0, and the
-    oracle `_verify_sample` its |G| images on E, each mapped through the
-    isogeny, so their spreads differ in their last bits.
+    `galois_verify` spreads a sample and its images under L's generators
+    on E/Q0, and the oracle `_verify_sample` its |G| images on E, each
+    mapped through the isogeny, so their spreads differ.
     """
     return [
-        (r.index, r.point, r.generic, r.stabilizer_size, r.orbit_size, r.fiber_match)
+        (r.index, r.point, r.generic, r.orbit_size, r.fiber_match)
         + (r.image_spread < EPS_PROJ, math.isfinite(r.image_spread))
         for r in records
     ]
+
+
+def _rows_per_sample(spec):
+    """How many rows `galois_verify` maps per sample: y and its images under L's generators."""
+    return 1 + len(spec.group.linear.linear_generators)
+
+
+def _linear_generators(spec):
+    """L's generators, packed as `galois_verify` packs them for `_verify_chunk`."""
+    return batch.pack(*spec.group.linear.integer_generators)
 
 
 def _with_group(spec, group):
@@ -407,6 +417,29 @@ def test_large_quotient_roots_are_finite_at_unit_scale():
     assert max(abs(t) for t in roots) * EPS_GENERIC < 1e-3
 
 
+@pytest.mark.parametrize("d, sample, top", [(8, 5, 7.2e-11), (10, 4, 7.1e-11), (12, 3, 1.1e-13), (16, 2, 5.3e-17)])
+def test_large_finite_roots_are_not_at_infinity(lattice, q2, d, sample, top):
+    # sample `sample` of the draws of Random(3) has |t| up to 9.1e3, and its
+    # form's top coefficient is `top` of the largest: a cut at EPS_NUM of the
+    # largest called a root infinite at d = 8-12, and two or three roots one
+    # repeated root at infinity at d = 16.  The roots are judged by |t|, so
+    # every target is generic and its roots are the t(y_i).  The map and
+    # the recovery read only d and E/Q0, so d may pass MAX_D here
+    quotient = build_cover("A", 1, lattice, q2).quotient
+    cover = SimpleNamespace(d=d, quotient=quotient)
+    ys = map_coords(quotient, covers._draw(random.Random(3), 20, d, 2))
+    targets, _ = covers.map_A_array(cover, ys)
+    assert abs(targets[sample, -1]) / np.abs(targets[sample]).max() == pytest.approx(top, rel=0.05)
+    _, reasons = covers._quotient_points_A(cover, targets)
+    assert reasons == [None] * 20
+    t, _ = batch.t_values(quotient.target, ys[sample, :, 0], ys[sample, :, 1])
+    assert np.abs(t).max() == pytest.approx(9.1e3, rel=0.01)
+    roots = sym_fibers(targets[sample : sample + 1])[0]
+    assert [m for _, m in roots] == [1] * d
+    for root, value in zip(*(sorted(z, key=lambda z: (z.real, z.imag)) for z in ([r for r, _ in roots], t.tolist()))):
+        assert abs(root - value) <= 1e-9 * abs(value)
+
+
 #: subgroups that FiniteSubgroupSpec admits with |Q0| in the thousands: at
 #: the isogeny's scale, t grew as |Q0| and 11 of these 30 cases (A at d = 2
 #: and 3, B at d = 3 on E[200] and E[316]) missed generic samples or matches
@@ -558,20 +591,21 @@ class TestGaloisVerify:
             spec = _build("B", d, FiniteSubgroupSpec.parse((q0,)), lattice)
             seq = galois_verify(spec, samples=10, seed=3, jobs=1)
             with monkeypatch.context() as patch:
-                patch.setattr(covers, "_CHUNK_ROWS", 3 * spec.group.linear.order)
+                patch.setattr(covers, "_CHUNK_ROWS", 3 * _rows_per_sample(spec))
                 par = galois_verify(spec, samples=10, seed=3, jobs=2)
             assert _bits(seq.samples) == _bits(par.samples)
             assert seq.passed == par.passed
 
     def test_images_are_computed_once_per_sample(self, lattice, q2, monkeypatch):
-        # the stabilizer, the map and the fiber compare all read one array
-        # of images under L, computed for the samples' images on E/Q0, each
-        # once, in order
+        # the map reads one array of images under L's 3 generators, two
+        # negations and a transposition, computed for the samples' images
+        # on E/Q0, each once, in order; nothing lists L
         original = covers.move
         calls = []
 
         def counted(packed, coords):
-            assert packed is spec.group.linear._packed
+            assert packed[0].tolist() == [list(map(list, m)) for m in spec.group.linear.linear_generators]
+            assert not packed[1].any()
             calls.extend(coords.tolist())
             return original(packed, coords)
 
@@ -580,7 +614,8 @@ class TestGaloisVerify:
         report = galois_verify(spec, samples=3, seed=42)
         points = coords_array([rec.point for rec in report.samples])
         assert calls == map_coords(spec.quotient, points).tolist()
-        assert spec.group.linear.order == 8 and spec.decomposed
+        assert len(spec.group.linear.linear_generators) == 3 and spec.decomposed
+        assert "matrices" not in vars(spec.group) and "matrices" not in vars(spec.group.linear)
 
 
 ALONE_SPECS = [
@@ -687,7 +722,7 @@ def test_chunks_match_the_one_sample_oracle(monkeypatch, construction, d, tau, q
     # chunks of four samples, the last one partial, against each sample alone
     lattice = LatticeTau.from_tau(complex(*tau))
     spec = _build(construction, d, FiniteSubgroupSpec.parse(q0), lattice)
-    monkeypatch.setattr(covers, "_CHUNK_ROWS", 4 * spec.group.linear.order)
+    monkeypatch.setattr(covers, "_CHUNK_ROWS", 4 * _rows_per_sample(spec))
     report = galois_verify(spec, samples=samples, seed=11)
     oracle = [_verify_sample(spec, r.point, r.index) for r in report.samples]
     assert _verdicts(report.samples) == _verdicts(oracle)
@@ -706,12 +741,55 @@ def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
         _point(spec, [(1 / 6, 0.0), (1 / 6, 0.0)]),
         _point(spec, [(0.83, 0.09), (0.25, 0.64)]),
     ]
-    own = spec.group.linear.matrices.index(groups.AffineAutomorphism.identity(2).matrix)
-    records = covers._verify_chunk(spec, coords_array(points), 0, EPS_PT, own)
+    records = covers._verify_chunk(spec, _linear_generators(spec), coords_array(points), 0, EPS_PT)
     assert _verdicts(records) == _verdicts(_verify_sample(spec, p, k) for k, p in enumerate(points))
     assert [r.generic for r in records] == [True, False, True, False, True]
-    assert records[1].stabilizer_size > 1
+    assert records[1].orbit_size is None and records[0].orbit_size == spec.group.order
     assert math.isfinite(records[3].image_spread)
+
+
+def _near_coincidences(construction, d, rng, count):
+    """Tuples y on E/Q0, count x d x 2, most of them within 0-3e-9 of a coincidence of their points.
+
+    For each tuple one of: y_j = y_i, y_j = -y_i, a 2-torsion y_i, for B
+    y_i = -sum y (a point of its divisor twice), or none; then the point
+    set moves by up to 3e-9 in the sup norm, either way.
+    """
+    ys = np.array([[[rng.random(), rng.random()] for _ in range(d)] for _ in range(count)])
+    for y in ys:
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        kind = rng.choice(["equal", "negative", "torsion", "divisor", "none"])
+        if kind == "equal" and d > 1:
+            y[j] = y[i]
+        elif kind == "negative" and d > 1:
+            y[j] = -y[i] % 1.0
+        elif kind == "torsion":
+            y[j] = rng.choice([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
+        elif kind == "divisor" and construction == "B":
+            # 2 y_j = -sum of the others, up to a half period
+            y[j] = (-(y.sum(axis=0) - y[j]) / 2 + rng.choice([(0.0, 0.0), (0.5, 0.5)])) % 1.0
+        size = rng.uniform(0.0, 3e-9)
+        y[j] += rng.sample([rng.choice([-size, size]), rng.uniform(-size, size)], 2)
+    return ys % 1.0
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_closed_form_stabilizer_agrees_with_the_listed_one(lattice, q2, monkeypatch, construction, d):
+    # the protocol's trivial stabilizer, its points pairwise more than
+    # EPS_PT apart, against the stabilizer over the listed L: the orbit
+    # size is |G| exactly where only the identity fixes y.  No point is
+    # recovered, which a divisor point 1e-9 from the origin stops (ROADMAP)
+    spec = _build(construction, d, q2, lattice)
+    monkeypatch.setattr(covers, "_quotient_points", lambda spec, targets: (np.zeros(len(targets)), ["skipped"] * len(targets)))
+    ys = _near_coincidences(construction, d, random.Random(d), 400)
+    coords = ys * [0.5, 1.0]  # phi(s, t) = (2s, t) for Q0 = <1/2, 0>
+    assert map_coords(spec.quotient, coords).tobytes() == ys.tobytes()
+    records = covers._verify_chunk(spec, _linear_generators(spec), coords, 0, EPS_PT)
+    listed = batch.stabilizer_mask(batch.move(spec.group.linear._packed, ys), ys, EPS_PT).sum(axis=1) == 1
+    assert [r.orbit_size is not None for r in records] == listed.tolist()
+    assert min(listed.sum(), (~listed).sum()) > (20 if d > 1 else 10)
+    assert all(r.orbit_size == spec.group.order for r in records if r.orbit_size is not None)
 
 
 #: point tuples (first d points) whose targets are special under Q0 = <1/2, 0>
@@ -973,23 +1051,57 @@ def test_criterion_flags_the_conjugated_control(lattice, q2, construction):
 
 
 @pytest.mark.parametrize("construction", ["A", "B"])
-def test_fiber_match_at_its_tolerance_edge(lattice, q2, construction):
-    # one sample's images, the last with coordinates at 1 - 1e-12 and at 0,
-    # and preimages that move one coordinate of an image by 0.5 EPS_GENERIC
-    # (a match) or by 2 EPS_GENERIC (none); the last two cases cross 0/1
+def test_fiber_match_at_its_tolerance_edge(lattice, q2, monkeypatch, construction):
+    # three samples whose images y on E/Q0 are known, the last with
+    # coordinates at 1 - 1e-12 and at 0, and recovered points with one
+    # coordinate moved by 0.5 EPS_GENERIC (a match) or by 2 EPS_GENERIC
+    # (none); the last two cases cross 0/1
     spec = _build(construction, 2, q2, lattice)
-    images = np.array([[[0.2, 0.3], [0.6, 0.1]], [[0.7, 0.4], [0.1, 0.9]], [[1 - 1e-12, 0.5], [0.0, 0.25]]])
+    ys = np.array([[[0.2, 0.3], [0.6, 0.1]], [[0.7, 0.4], [0.1, 0.9]], [[1 - 1e-12, 0.3], [0.0, 0.25]]])
+    coords = ys * [0.5, 1.0]  # phi(s, t) = (2s, t) for Q0 = <1/2, 0>
+    assert map_coords(spec.quotient, coords).tobytes() == ys.tobytes()
+    recover = covers._quotient_points
     for k, slot, axis, sign in ((0, 0, 0, 1), (1, 1, 1, -1), (2, 0, 0, 1), (2, 1, 0, -1)):
         for scale, expected in ((0.5, True), (2.0, False)):
-            preimage = images[k].copy()
-            preimage[slot, axis] = (preimage[slot, axis] + sign * scale * EPS_GENERIC) % 1.0
-            (matched,) = covers._fiber_match(spec, images[None], preimage[None])
-            assert matched == expected, (k, slot, axis, scale)
-    # each image itself matches, unless the group is one element short of
-    # L x| Q0^d
+
+            def moved(spec, targets):
+                points, reasons = recover(spec, targets)
+                points[k, slot, 0, axis] = (points[k, slot, 0, axis] + sign * scale * EPS_GENERIC) % 1.0
+                return points, reasons
+
+            monkeypatch.setattr(covers, "_quotient_points", moved)
+            records = covers._verify_chunk(spec, _linear_generators(spec), coords, 0, EPS_PT)
+            assert all(r.generic for r in records)
+            assert [r.fiber_match for r in records] == [j != k or expected for j in range(3)], (k, slot, axis, scale)
+    # each recovered point matches, unless the group is one element short
+    # of L x| Q0^d
+    monkeypatch.setattr(covers, "_quotient_points", recover)
     for group, expected in ((spec.group, True), (FiniteActionGroup(2, (), spec.group.elements[:-1]), False)):
-        matched = covers._fiber_match(_with_group(spec, group), images[None].repeat(3, 0), images)
-        assert matched.tolist() == [expected] * 3
+        control = _with_group(spec, group)
+        records = covers._verify_chunk(control, _linear_generators(control), coords, 0, EPS_PT)
+        assert [r.fiber_match for r in records] == [expected] * 3
+
+
+def test_assignment_is_a_matching():
+    # each row must take its own column: row 0 near columns 0 and 1 and row
+    # 1 near column 0 alone match only as (1, 0), which a greedy pass in row
+    # order misses; two rows near one column alone do not match
+    near = np.array(
+        [
+            [[True, True, False], [True, False, False]],
+            [[True, False, False], [True, False, False]],
+            [[False, True, False], [False, False, True]],
+            [[False, False, False], [True, True, True]],
+        ]
+    )
+    assert covers._assigned(near).tolist() == [True, False, True, False]
+    # rows 0-8 near columns k and k + 1, row 9 near column 0 alone: the
+    # matching shifts all ten rows along one augmenting path
+    near = np.zeros((1, 10, 10), dtype=bool)
+    near[0, np.arange(9), np.arange(9)] = near[0, np.arange(9), np.arange(1, 10)] = near[0, 9, 0] = True
+    assert covers._assigned(near).tolist() == [True]
+    near[0, 8, 9] = False
+    assert covers._assigned(near).tolist() == [False]
 
 
 class TestCriterionCheck:
@@ -1038,9 +1150,9 @@ class TestPastTheOldProbeBound:
         sizes = []
         original = covers._map_in_chunks
 
-        def spy(spec, coords, keep):
-            sizes.append(len(coords) - keep)
-            return original(spec, coords, keep)
+        def spy(spec, pieces, keep):
+            sizes.append(sum(map(len, pieces)) - keep)
+            return original(spec, pieces, keep)
 
         monkeypatch.setattr(covers, "_map_in_chunks", spy)
         assert criterion_check(spec).all_ok
@@ -1110,17 +1222,17 @@ class TestMalformedInputs:
             ("d", 0, "d must be >= 1, got 0"),
             ("d", 2.5, "d must be an integer, got 2.5"),
             ("d", None, "d must be an integer, got None"),
-            ("order_cap", None, "order_cap must be an integer, got None"),
-            ("order_cap", 0, "order_cap must be >= 1, got 0"),
-            ("order_cap", 1e5, "order_cap must be an integer, got 100000.0"),
+            ("d", MAX_D + 1, f"d must be <= {MAX_D}, got {MAX_D + 1}"),
+            ("d", "3", "d must be an integer, got '3'"),
+            ("d", 1e5, "d must be an integer, got 100000.0"),
         ],
     )
     def test_bad_cover_config_is_refused(self, lattice, q2, field, value, message):
         from ellcover.construction import RunConfig
 
-        args = {"construction": "A", "d": 2, "order_cap": 100_000, field: value}
+        args = {"construction": "A", "d": 2, field: value}
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            build_cover(args["construction"], args["d"], lattice, q2, order_cap=args["order_cap"])
+            build_cover(args["construction"], args["d"], lattice, q2)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             RunConfig(**args).build_spec()
 
@@ -1135,17 +1247,17 @@ class TestMalformedInputs:
             ("jobs", "33", 33),
             ("construction", "C", "C"),
             ("d", "0", 0),
-            ("order_cap", "0", 0),
+            ("d", str(MAX_D + 1), MAX_D + 1),
         ],
     )
     def test_cli_and_library_refuse_with_one_text(self, lattice, q2, capsys, name, text, value):
         from ellcover.cli import main
 
-        cover = {"construction": "A", "d": 1, "order_cap": 100_000}
+        cover = {"construction": "A", "d": 1}
         with pytest.raises(ConfigError) as refused:
             if name in cover:
                 cover[name] = value
-                build_cover(cover["construction"], cover["d"], lattice, q2, order_cap=cover["order_cap"])
+                build_cover(cover["construction"], cover["d"], lattice, q2)
             else:
                 galois_verify(build_cover("A", 1, lattice, q2), **{name: value})
         flags = {"construction": "A", "d": "1", name: text}
@@ -1176,7 +1288,7 @@ class TestJobsBound:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
         spec = build_cover("A", 1, lattice, q2)
         galois_verify(spec, samples=3, jobs=MAX_JOBS)  # one chunk, so no pool
-        monkeypatch.setattr(covers, "_CHUNK_ROWS", spec.group.linear.order)  # one sample a chunk
+        monkeypatch.setattr(covers, "_CHUNK_ROWS", _rows_per_sample(spec))  # one sample a chunk
         galois_verify(spec, samples=3, jobs=MAX_JOBS)
         galois_verify(spec, samples=3, jobs=2)
         assert sizes == [3, 2]

@@ -51,6 +51,12 @@ def _perturbations(point, rng):
     ]
 
 
+def _probes(spec, seed=42):
+    """`_probe_points` as the tuples that g maps: each diagonal point y as (y, ..., y), then the other 17."""
+    diagonal, tuples = _probe_points(spec, seed)
+    return np.concatenate([np.repeat(diagonal[:, None], spec.d, axis=1), tuples])
+
+
 def _tuple(lattice, row):
     return tuple(TorusPoint(lattice, a, b) for a, b in row)
 
@@ -253,7 +259,7 @@ def test_maps_in_at_most_two_calls(monkeypatch):
 @pytest.mark.parametrize("construction", ["A", "B"])
 def test_maps_in_chunks_of_rows(monkeypatch, construction):
     spec = _cover(construction, 2, ("1/3,0",))
-    probes = _probe_points(spec)
+    probes = _probes(spec)
     rows, failed = spec.map_quotient(probes)
     whole = criterion_check(spec)
     calls = []
@@ -265,7 +271,8 @@ def test_maps_in_chunks_of_rows(monkeypatch, construction):
 
     monkeypatch.setattr(CoverSpec, "map_quotient", counted)
     monkeypatch.setattr(covers, "_CHUNK_ROWS", 7)
-    chunked, chunked_failed = covers._map_in_chunks(spec, probes, len(probes))
+    # the diagonal probes as their points, which the chunks expand
+    chunked, chunked_failed = covers._map_in_chunks(spec, list(_probe_points(spec)), len(probes))
     assert chunked.tobytes() == rows.tobytes()
     assert np.array_equal(chunked_failed, failed)
     assert criterion_check(spec) == whole
@@ -382,9 +389,11 @@ PROBE_COVERS = [
 def test_probes_equal_the_torus_point_probes(d, q0):
     spec = _cover("A", d, q0)
     for seed in (3, 42):
-        probes = _probe_points(spec, seed)
+        probes = _probes(spec, seed)
         assert probes.tobytes() == _torus_point_probes(spec, seed).tobytes()
     assert len(probes) == 16 * spec.q0.order + 17
+    # the diagonal probes are held as their points, whatever d is
+    assert _probe_points(spec)[0].shape == (16 * spec.q0.order, 2)
 
 
 @pytest.mark.parametrize("construction", ["A", "B"])
@@ -396,7 +405,7 @@ def test_perturbations_are_drawn_up_to_the_last_retried_probe(monkeypatch, const
     # retried probe, and no perturbation when no probe is marked.
     spec = _cover(construction, 2, ("1/3,0",))
     seed = 42
-    probes = _probe_points(spec, seed)
+    probes = _probes(spec, seed)
     rows = np.empty((0, spec.d, 2))
     if marked is not None:
         k = marked % len(probes)
@@ -444,15 +453,16 @@ POINT_COVERS = [
     "construction,d,q0", POINT_COVERS, ids=[f"{c}-d{d}-{'+'.join(q)}" for c, d, q in POINT_COVERS]
 )
 def test_criterion_points_are_one_array_in_the_concatenated_layout(monkeypatch, construction, d, q0):
-    # the invariance rows, mapped to (E/Q0)^d, and the probes are one array,
-    # bit for bit the rows that g maps
+    # the invariance rows, mapped to (E/Q0)^d, and the probes are the
+    # pieces of one array, the diagonal probes given by their points: put
+    # together, bit for bit the rows that g maps
     spec = _cover(construction, d, q0)
     mapped = []
     original = covers._map_in_chunks
 
-    def spy(spec, coords, keep):
-        mapped.append(coords)
-        return original(spec, coords, keep)
+    def spy(spec, pieces, keep):
+        mapped.append(np.concatenate([np.repeat(p[:, None], spec.d, axis=1) if p.ndim == 2 else p for p in pieces]))
+        return original(spec, pieces, keep)
 
     monkeypatch.setattr(covers, "_map_in_chunks", spy)
     criterion_check(spec, seed=3)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -26,7 +27,7 @@ from ellcover import (
 from ellcover import FiniteActionGroup, batch
 from ellcover.batch import close_pairs
 from ellcover.elliptic import _wrap_dist
-from ellcover.groups import SemidirectProduct
+from ellcover.groups import MAX_D, SemidirectProduct
 
 from conftest import TAU
 
@@ -146,21 +147,28 @@ class TestGroupGeneration:
         assert keyed == sorted(keyed)
 
     def test_order_cap(self):
-        # the cap bounds |L| = 48, not |G| = 3,072
+        # the cap bounds the listing of L, not its order: A d=8 has |L| =
+        # 10,321,920 and |G| = |L| 4^8 in closed form, but L is not listed,
+        # nor G, which lists L
         q0 = FiniteSubgroupSpec.parse(("1/4,0",))
-        assert build_group_A(3, q0, cap=48).order == 3072
-        with pytest.raises(OrderCapExceeded):
-            build_group_A(3, q0, cap=47)
+        assert len(build_group_A(3, q0).matrices) == 48 and build_group_A(3, q0).order == 3072
+        grp = build_group_A(8, q0)
+        assert grp.linear_order == 2**8 * math.factorial(8) and grp.order == grp.linear_order * 4**8
+        for listing in (lambda: grp.matrices, lambda: grp.linear.matrices, lambda: grp.elements):
+            with pytest.raises(OrderCapExceeded, match="exceeds cap 100000"):
+                listing()
 
     @pytest.mark.parametrize("build", [build_group_A, build_group_B])
     def test_huge_d_is_refused_at_once(self, build):
-        # the closed-form order is multiplied one factor at a time and
-        # refused at the first partial product past the cap, before any of
-        # the d generators of d x d matrices is built
+        # d is checked against MAX_D before any of the d generators of d x d
+        # matrices is built
+        q0 = FiniteSubgroupSpec.parse(("1/2,0",))
         start = time.perf_counter()
-        with pytest.raises(OrderCapExceeded, match="exceeds cap 100000"):
-            build(10**6, FiniteSubgroupSpec.parse(("1/2,0",)))
+        for d in (MAX_D + 1, 10**6, 0):
+            with pytest.raises(InvalidOrder, match=f"^need 1 <= d <= {MAX_D}, got {d}$"):
+                build(d, q0)
         assert time.perf_counter() - start < 1
+        assert build(MAX_D, q0).dim == MAX_D
 
 
 class TestConstructionA:
@@ -409,22 +417,19 @@ def test_construct_lists_no_element(monkeypatch, construction, q0):
 
 
 def _never_list(monkeypatch):
-    """Make listing or packing the elements of any G but a matrix group L fail."""
-    packed = SemidirectProduct._packed.func
+    """Make listing L, or listing or packing the elements of any G, fail."""
 
     def never(self):
-        raise AssertionError("G was listed")
+        raise AssertionError("L or G was listed")
 
-    monkeypatch.setattr(SemidirectProduct, "elements", property(never))
-    monkeypatch.setattr(
-        SemidirectProduct, "_packed", property(lambda g: never(g) if g.q0.order > 1 else packed(g))
-    )
+    for name in ("matrices", "elements", "_packed"):
+        monkeypatch.setattr(SemidirectProduct, name, property(never))
 
 
-@pytest.mark.parametrize("construction, d, samples", [("A", 5, 3), ("B", 6, 2)])
+@pytest.mark.parametrize("construction, d, samples", [("A", 5, 3), ("B", 6, 2), ("A", 10, 20), ("B", 10, 20)])
 def test_no_command_lists_the_group(monkeypatch, tmp_path, construction, d, samples):
-    # |G| = 122,880 and 322,560, past the default cap, which bounds |L| =
-    # 3,840 and 5,040: construct and verify read the group as L x| Q0^d
+    # construct and verify read the group as L x| Q0^d from L's generators,
+    # up to |L| = 2^10 10! and 11!, past the listing cap, and |G| = |L| 2^10
     from ellcover import cli
 
     _never_list(monkeypatch)
@@ -432,23 +437,27 @@ def test_no_command_lists_the_group(monkeypatch, tmp_path, construction, d, samp
     assert cli.main(["construct", *argv]) == 0
     report = tmp_path / "r.json"
     assert cli.main(["verify", *argv, "--samples", str(samples), "--output", str(report)]) == 0
-    assert '"pass": true' in report.read_text()
+    payload = json.loads(report.read_text())
+    assert payload["pass"] and all(s["generic"] and s["fiber_match"] for s in payload["samples"])
 
 
 def test_copies_are_structural(monkeypatch):
-    # a copy of a cover holds L's matrices, Q0 and the generators
+    # a copy of a cover holds what lists L, Q0 and the generators; making it lists nothing
     import copy
     import pickle
 
     from ellcover import build_cover
 
     spec = build_cover("A", 5, LAT, FiniteSubgroupSpec.parse(("1/2,0",)))
-    _never_list(monkeypatch)
-    for other in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
-        assert (other.group.order, other.group.linear.order) == (122_880, 3_840)
-        assert other.group.matrices == spec.group.matrices and other.q0 == spec.q0
-        assert other.group.integer_generators == spec.group.integer_generators
-        assert other.decomposed
+    with monkeypatch.context() as patch:
+        _never_list(patch)
+        copies = (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec)))
+        for other in copies:
+            assert (other.group.order, other.group.linear.order) == (122_880, 3_840)
+            assert other.q0 == spec.q0 and other.group.integer_generators == spec.group.integer_generators
+            assert other.decomposed
+    for other in copies:
+        assert other.group.matrices == spec.group.matrices
 
 
 #: subgroups of order at most 4, one of them twice with other generators;

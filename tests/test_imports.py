@@ -112,7 +112,7 @@ def test_exact_commands_run_without_numpy(tmp_path):
     for proc in (intersection, rendered):
         assert proc.returncode == 0, proc.stderr
     lines = (intersection.stdout + rendered.stdout).decode().splitlines()
-    assert lines[:4] == ["32", "3", "2", "construction A, group order 4"]
+    assert lines[:5] == ["32", "3", "2", "report schema 1", "construction A, group order 4"]
     assert lines[-1] == "pass: True"
     assert _loaded(intersection) == INTERSECTION_MODULES
     assert _loaded(rendered) == REPORT_MODULES
