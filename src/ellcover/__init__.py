@@ -7,7 +7,7 @@ by translations.  Both come with numerical verification of the Galois property
 calculus for the associated polarizations and intersection numbers.
 
 The exports below are resolved lazily (PEP 562): `import ellcover` loads no
-submodule, and `ellcover.wp` imports `ellcover.elliptic` only when first
+submodule, and `ellcover.wp` imports `ellcover.weierstrass` only when first
 asked for.  Only `covers`, `symfun` and `batch` load numpy; building a cover
 (`construction`, `groups`, `elliptic`, `polarization`) never does.
 """
@@ -23,19 +23,15 @@ _EXPORTS = {
         "CriterionReport", "SampleRecord", "VerificationReport", "criterion_check",
         "fiber_A", "fiber_B", "galois_verify",
     ),
-    "elliptic": (
-        "FiniteSubgroupSpec", "HomPair", "IsogenyQuotient", "LatticeTau",
-        "TorusPoint", "eisenstein_g2_g3", "quotient_lattice", "reduce_point", "wp",
-        "wp_inverse", "wp_prime",
-    ),
+    "elliptic": ("FiniteSubgroupSpec", "IsogenyQuotient", "LatticeTau", "quotient_lattice"),
     "errors": (
         "ConfigError", "DegenerateSection", "EllcoverError", "ExponentMismatch",
         "IllConditioned", "InvalidOrder", "InvalidPoint", "InvalidSubgroup",
         "NoConvergence", "NonGenericTarget", "NonIntegralNorm", "NotVeryAmpleWarning",
         "OrderCapExceeded", "SumNotZero",
     ),
-    "affine": ("AffineAutomorphism",),
-    "groups": ("FiniteActionGroup", "build_group_A", "build_group_B"),
+    "affine": ("AffineAutomorphism", "FiniteActionGroup"),
+    "groups": ("build_group_A", "build_group_B"),
     "isogeny": ("SublatticeInclusion", "norm_endomorphism", "pullback"),
     "polarization": (
         "PolarizationMatrix", "chi", "isogeny_degree_factor", "mixed_intersection",
@@ -44,6 +40,9 @@ _EXPORTS = {
     "symfun": (
         "ProjectivePoint", "SectionBasis", "divisor_to_coords", "projective_spread",
         "section_zeros", "sym_fiber", "sym_product",
+    ),
+    "weierstrass": (
+        "HomPair", "TorusPoint", "eisenstein_g2_g3", "reduce_point", "wp", "wp_inverse", "wp_prime",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,21 +1,34 @@
-"""Affine automorphisms of E^d, with exact rational translations.
+"""Listed groups of affine automorphisms of E^d, with exact rational translations: the reference half of `groups`.
 
 An automorphism is a pair (M, t): an integer matrix M acting coordinatewise
 on C/Lambda tuples and a translation t whose components are rational torsion
 points, as `Fraction`s.  Products and inverses are exact.  The reference
-type of a group's listed elements and generators (`groups`): no command
-lists them, so no command loads this module, `fractions` or `isogeny`.
+type of a group's listed elements and generators: a group given by them
+(`FiniteActionGroup`), with orbits and stabilizers, and the listing of the
+deck groups of `groups` (`SemidirectListing`).  No command lists a group,
+so no command loads this module, `fractions` or `isogeny`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
-from .elliptic import TorusPoint, _frac
-from .errors import InvalidOrder
-from .groups import IntMatrix, PointTuple, _identity
+from .elliptic import EPS_PT, FiniteSubgroupSpec
+from .errors import InvalidOrder, OrderCapExceeded
+from .groups import IntMatrix, SemidirectProduct, _identity
 from .isogeny import _fraction_inverse
 from .polarization import _det_bareiss, _Frozen, _matmul
+from .weierstrass import TorusPoint, _frac
+
+if TYPE_CHECKING:
+    from .weierstrass import PointTuple
+
+#: most matrices that `SemidirectProduct.matrices` lists
+DEFAULT_ORDER_CAP = 100_000
 
 Translation = tuple[tuple[Fraction, Fraction], ...]
 
@@ -114,3 +127,109 @@ class AffineAutomorphism(_Frozen):
         return tuple(out)
 
 
+def _integer_form(automorphisms: Sequence[AffineAutomorphism]) -> tuple[list, list, int]:
+    """`batch.pack`'s arguments for affine automorphisms: matrices, translation numerators, their denominator."""
+    den = math.lcm(*(c.denominator for g in automorphisms for t in g.translation for c in t))
+    shifts = [[(int(a * den), int(b * den)) for a, b in g.translation] for g in automorphisms]
+    return [g.matrix for g in automorphisms], shifts, den
+
+
+class FiniteActionGroup:
+    """A finite group of affine automorphisms, listed: its elements, sorted for reproducibility.
+
+    The reference form, which the tests build their controls in; the deck
+    groups are `SemidirectProduct`s.  Given no generators, the elements
+    generate it.  `orbit` and `stabilizer` act with every element at once
+    through `batch`, imported at call time.
+    """
+
+    def __init__(self, dim: int, generators: Sequence[AffineAutomorphism],
+                 elements: Sequence[AffineAutomorphism]):
+        self.dim = dim
+        self.elements = tuple(elements)
+        self.generators = tuple(generators) or self.elements
+        self.order = len(self.elements)
+
+    @property
+    def integer_generators(self) -> tuple[list, list, int]:
+        """The generators' matrices, their translations' numerators, and their common denominator."""
+        return _integer_form(self.generators)
+
+    @cached_property
+    def _packed(self):
+        """`batch.pack` of the elements, kept for the next orbit or stabilizer."""
+        from .batch import pack
+
+        return pack(*_integer_form(self.elements))
+
+    @cached_property
+    def linear(self) -> SemidirectProduct:
+        """L: the distinct matrices of the elements, sorted, with zero translations, generated by the generators' matrices."""
+        matrices = sorted({g.matrix for g in self.elements})
+        generators = sorted({g.matrix for g in self.generators})
+        return SemidirectProduct(self.dim, FiniteSubgroupSpec.trivial(), len(matrices), matrices, generators)
+
+    def splits_over(self, q0: FiniteSubgroupSpec) -> bool:
+        """Whether every element's translation lies in Q0^d, checked element by element."""
+        shifts = set(q0.elements)
+        return all(t in shifts for g in self.elements for t in g.translation)
+
+    def orbit(self, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
+        """Distinct images of a point, deduplicated in the toroidal metric.
+
+        An image is kept unless it lies within tol of an image kept before it
+        in element order.  Canonically sorted, so the result is independent
+        of element order.
+        """
+        from .batch import images, orbit_indices
+
+        found = images(self, [point])
+        lattice = point[0].lattice
+        return [
+            tuple(TorusPoint(lattice, a, b) for a, b in row)
+            for row in found[0, orbit_indices(found, tol)].tolist()
+        ]
+
+    def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
+        from .batch import coords_array, images, stabilizer_mask
+
+        found = images(self, [point])
+        fixes = stabilizer_mask(found, coords_array([point]), tol)[0].tolist()
+        return [g for g, fixed in zip(self.elements, fixes) if fixed]
+
+
+class SemidirectListing(FiniteActionGroup):
+    """The listing half of `groups.SemidirectProduct`, whose instances read these attributes here on first use.
+
+    L's matrices are listed sorted on first use, and G's elements sorted by
+    (matrix, translation); orbits and stabilizers are `FiniteActionGroup`'s.
+    """
+
+    @cached_property
+    def matrices(self) -> tuple[IntMatrix, ...]:
+        """L's matrices, sorted; OrderCapExceeded past DEFAULT_ORDER_CAP of them."""
+        if self.linear_order > DEFAULT_ORDER_CAP:
+            raise OrderCapExceeded(f"listing {self.linear_order} matrices of L exceeds cap {DEFAULT_ORDER_CAP}")
+        return tuple(sorted(self._matrices() if callable(self._matrices) else self._matrices))
+
+    def __reduce__(self):
+        # a copy holds what lists L, never G's elements
+        return SemidirectProduct, (self.dim, self.q0, self.linear_order, self._matrices, self.linear_generators)
+
+    @cached_property
+    def generators(self) -> tuple[AffineAutomorphism, ...]:
+        matrices, numerators, _ = self.integer_generators
+        return tuple(AffineAutomorphism(m, self.q0._fractions(t)) for m, t in zip(matrices, numerators))
+
+    @cached_property
+    def elements(self) -> tuple[AffineAutomorphism, ...]:
+        shifts = list(itertools.product(self.q0.elements, repeat=self.dim))
+        return tuple(AffineAutomorphism(m, t) for m in self.matrices for t in shifts)
+
+    @cached_property
+    def _packed(self):
+        """`batch.pack` of G in the order of `elements`, from the integers."""
+        from .batch import pack
+
+        shifts = list(itertools.product(self.q0.points, repeat=self.dim))
+        return pack([m for m in self.matrices for _ in shifts], shifts * len(self.matrices), self.q0.denominator)

@@ -1,6 +1,6 @@
 """Array forms of the per-point routines and the group action, for whole orbits at once.
 
-Each routine here evaluates one per-point routine of `elliptic`, `groups`
+Each routine here evaluates one per-point routine of `weierstrass`, `affine`
 or `symfun` on a stack of points in numpy passes.  `t_series_array` (wp),
 `wp_inverse_array`, `divisors_to_coords` and `section_zeros_array` are the
 only ones of their kind: the scalar `wp`, `wp_prime`, `centred_values`,
@@ -14,25 +14,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .elliptic import (
-    _AGM_MAX_STEPS,
-    _AGM_REL,
-    _TWO_PI_I,
-    EPS_GENERIC,
-    EPS_NUM,
-    EPS_PT,
-    IsogenyQuotient,
-    LatticeTau,
-    TorusPoint,
-    _on_side,
-    _wp_kernel,
-)
+from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PT, IsogenyQuotient, LatticeTau
 from .errors import DegenerateSection, InvalidOrder, InvalidPoint, NoConvergence
-from .groups import FiniteActionGroup, IntMatrix, PointTuple
+from .groups import IntMatrix
 from .symfun import (
     _COND_FLOOR,
     SectionBasis,
@@ -41,17 +29,21 @@ from .symfun import (
     root_clusters,
     row_blocks,
 )
+from .weierstrass import _AGM_MAX_STEPS, _AGM_REL, _TWO_PI_I, PointTuple, TorusPoint, _on_side, _wp_kernel
+
+if TYPE_CHECKING:
+    from .affine import FiniteActionGroup
 
 
 def _frac_array(x: np.ndarray) -> np.ndarray:
-    """`elliptic._frac` on every entry: numpy's float mod rounds like Python's `%`."""
+    """`weierstrass._frac` on every entry: numpy's float mod rounds like Python's `%`."""
     r = np.mod(x, 1.0)
     r[r >= 1.0] = 0.0
     return r + 0.0
 
 
 def _wrap_dist_array(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
-    """`elliptic._wrap_dist` on every entry, computed the same way."""
+    """`weierstrass._wrap_dist` on every entry, computed the same way."""
     d = np.abs(x - y) % 1.0
     return np.minimum(d, 1.0 - d)
 
@@ -209,7 +201,7 @@ def close_pairs(
 def t_series_array(
     lattice: LatticeTau, a: np.ndarray, b: np.ndarray, derivative: bool = True
 ) -> tuple[np.ndarray, ...]:
-    """`elliptic._wp_kernel` (t = wp - e2 and wp') at arrays of coordinates (a, b), moved onto its strip: (num, den[, num', den'])."""
+    """`weierstrass._wp_kernel` (t = wp - e2 and wp') at arrays of coordinates (a, b), moved onto its strip: (num, den[, num', den'])."""
     ma, mb, mc, md = lattice.basis_change
     alpha = ma * a - mb * b
     beta = -mc * a + md * b
@@ -218,7 +210,7 @@ def t_series_array(
 
 
 def t_values(lattice: LatticeTau, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`elliptic.centred_values` on arrays of coordinates of non-pole points: (t, wp')."""
+    """`weierstrass.centred_values` on arrays of coordinates of non-pole points: (t, wp')."""
     num, den, nump, denp = t_series_array(lattice, a, b)
     return num / den, nump / denp
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, get_type_hints
 from .elliptic import EPS_PROJ, EPS_PT, FiniteSubgroupSpec, IsogenyQuotient, LatticeTau
 from .elliptic import quotient_lattice
 from .errors import ConfigError, IllConditioned, InvalidOrder, NotVeryAmpleWarning
-from .groups import MAX_D, FiniteActionGroup, PointTuple, build_group_A, build_group_B
+from .groups import MAX_D, build_group_A, build_group_B
 from .polarization import (
     PolarizationMatrix,
     _Frozen,
@@ -29,7 +29,10 @@ from .polarization import (
 if TYPE_CHECKING:
     import numpy as np
 
+    from .affine import FiniteActionGroup
+    from .groups import SemidirectProduct
     from .symfun import ProjectivePoint, SectionBasis
+    from .weierstrass import PointTuple
 
 #: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts,
 #: and the lower one for construction B at d >= 3 (README)
@@ -61,7 +64,7 @@ class CoverSpec(_Frozen):
     curve: LatticeTau
     q0: FiniteSubgroupSpec
     quotient: IsogenyQuotient
-    group: FiniteActionGroup
+    group: SemidirectProduct | FiniteActionGroup
     polarization: PolarizationMatrix
     theoretical_degree: int
     very_ample: bool

@@ -13,6 +13,7 @@ identity, projective invariance, and base-point-freeness probes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -43,11 +44,11 @@ from .construction import (  # noqa: F401 - re-exported
     degree_identity,
     very_ample_preconditions,
 )
-from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT, TorusPoint
-from .errors import ConfigError, InvalidPoint, NonGenericTarget
-from .groups import PointTuple
+from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PROJ, EPS_PT
+from .errors import ConfigError, InvalidPoint, NoConvergence, NonGenericTarget
 from .polarization import _Frozen
 from .symfun import ProjectivePoint, normalize_rows, projective_spreads, sym_fibers, sym_product
+from .weierstrass import PointTuple, TorusPoint
 
 
 def map_A_array(spec: CoverSpec, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,14 +136,31 @@ def _quotient_points_B(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray
     """Construction B's fibers on E/Q0: per target, its section's zero divisor, N x (d+1) x 1 x 2, and its reason.
 
     The d+1 points come in (a, b) order.  A repeated point makes a target
-    non-generic; its row holds nan.
+    non-generic, and so does a point whose t `wp_inverse_array` cannot
+    invert (NoConvergence), such as one 3e-9 to 3e-7 from the origin at
+    d = 2, where |t| is 1e13 to 1e17; its row holds nan.
     """
-    points, mults = section_zeros_array(targets, spec.basis)
+    try:
+        points, mults = section_zeros_array(targets, spec.basis)
+        lost = np.zeros(len(targets), dtype=bool)
+    except NoConvergence:
+        # each row depends on its own target alone: solve them one by one
+        points = np.zeros((len(targets), spec.d + 1, 2))
+        mults = np.ones((len(targets), spec.d + 1), dtype=int)
+        lost = np.ones(len(targets), dtype=bool)
+        for k in range(len(targets)):
+            with contextlib.suppress(NoConvergence):
+                (points[k],), (mults[k],) = section_zeros_array(targets[k : k + 1], spec.basis)
+                lost[k] = False
     repeated = np.any(mults > 1, axis=1)
     order = np.lexsort((points[..., 1], points[..., 0]), axis=-1)
     divisor = np.take_along_axis(points, order[..., None], axis=1)
-    divisor[repeated] = np.nan
-    reasons = ["repeated point in the target divisor" if r else None for r in repeated.tolist()]
+    divisor[repeated | lost] = np.nan
+    reasons = [
+        "divisor point too near the origin to invert t" if gone
+        else "repeated point in the target divisor" if r else None
+        for r, gone in zip(repeated.tolist(), lost.tolist())
+    ]
     return divisor[:, :, None], reasons
 
 

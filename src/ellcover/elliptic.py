@@ -1,27 +1,31 @@
-"""Complex-torus arithmetic for an elliptic curve E = C/(Z*omega1 + Z*omega2).
+"""Exact lattices, finite subgroups and quotient isogenies of an elliptic curve E = C/(Z*omega1 + Z*omega2).
 
 Lattices are normalized internally: the period ratio tau is brought into the
 standard fundamental domain (|Re| <= 1/2, |tau| >= 1) by a unimodular change
-of basis, so every series below runs at nome |q| <= exp(-pi*sqrt(3)) and a
-single accuracy budget covers all inputs.  `wp`, `wp_prime` and
-`centred_values` read one row of `batch.t_series_array`, imported when
-called.  Weierstrass values are returned as homogeneous pairs (num, den) so
-that poles degrade to (1, 0) instead of overflowing.
+of basis, so every series runs at nome |q| <= exp(-pi*sqrt(3)) and a single
+accuracy budget covers all inputs.  Q0 and the quotient E/Q0 are read off
+integers.  This is all that `construct` needs of E: points of C/Lambda, wp
+and its inverse live in `weierstrass`, which `verify` loads.  `elliptic.wp`,
+`elliptic.TorusPoint` and the other names that moved there still resolve,
+imported on first use, and so do `FiniteSubgroupSpec`'s listings of Q0
+(`_DefinedIn`).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from importlib import import_module
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import InvalidPoint, InvalidSubgroup
 from .polarization import _Frozen
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    RationalLike = Union[int, str, Fraction]
 
 #: default tolerance for torus-point equality (toroidal sup metric on (a, b))
 EPS_PT = 1e-9
@@ -38,27 +42,38 @@ EPS_GENERIC = 1e-6
 _SERIES_TAIL_REL = 1e-14
 _SERIES_MAX_TERMS = 64
 
-# the AGM in wp_inverse stops once |b^2 - a^2| falls below (this * |a|)^2
-_AGM_REL = 1e-15
-_AGM_MAX_STEPS = 32
-
-_TWO_PI_I = 2j * math.pi
-
-RationalLike = Union[int, str, "Fraction"]
-
-
-def _frac(x: float) -> float:
-    """Fractional part in [0, 1), safe against the `(-eps) % 1.0 == 1.0` edge."""
-    r = x % 1.0
-    if r >= 1.0:
-        r = 0.0
-    return r + 0.0  # normalize -0.0
+#: the names of `weierstrass` that `elliptic.<name>` resolves, for callers
+#: that name them here, such as perfbench/tracing.py
+_IN_WEIERSTRASS = (
+    "HomPair", "TorusPoint", "centred_values", "eisenstein_g2_g3", "reduce_point", "wp",
+    "wp_both_values", "wp_inverse", "wp_prime",
+)
 
 
-def _wrap_dist(x: float, y: float) -> float:
-    """Distance between x and y on R/Z."""
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
+def __getattr__(name: str):
+    if name in _IN_WEIERSTRASS:
+        return getattr(import_module(".weierstrass", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _DefinedIn:
+    """A class attribute defined on `source`, a class of another module, which is imported on first use.
+
+    A command that never reads the attribute never compiles its code.  Each
+    read binds the attribute as it stands on `source` now: a cached
+    property still caches in the instance, and a method that a tracer
+    wraps on `source` is wrapped here too.
+    """
+
+    def __init__(self, module: str, source: str):
+        self.module, self.source = module, source
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        source = getattr(import_module(self.module, __package__), self.source)
+        return getattr(source, self.name).__get__(instance, owner)
 
 
 def _digits(text: str) -> bool:
@@ -119,22 +134,6 @@ def _as_ratio(value: RationalLike) -> tuple[int, int]:
     except (ValueError, TypeError) as exc:
         raise InvalidSubgroup(f"not a rational coordinate: {value!r}") from exc
     return value.numerator, value.denominator
-
-
-class HomPair(NamedTuple):
-    """A function value as a ratio num/den of holomorphic quantities.
-
-    Pairs are stored normalized so the larger component has modulus 1; a pole
-    is exactly (1, 0).
-    """
-
-    num: complex
-    den: complex
-
-    @property
-    def value(self) -> complex:
-        """Plain complex value; raises ZeroDivisionError at a pole."""
-        return self.num / self.den
 
 
 class LatticeTau(_Frozen):
@@ -213,7 +212,9 @@ class LatticeTau(_Frozen):
     @cached_property
     def _half_nome(self) -> complex:
         """Q = exp(i*pi*tau_reduced), the nome of the theta products."""
-        return cmath.exp(1j * math.pi * self.tau_reduced)
+        from cmath import exp
+
+        return exp(1j * math.pi * self.tau_reduced)
 
     @cached_property
     def series_terms(self) -> int:
@@ -235,6 +236,8 @@ class LatticeTau(_Frozen):
     @cached_property
     def branch_differences(self) -> tuple[complex, complex]:
         """delta1 = e1 - e2 and delta3 = e3 - e2: the kernel's t at 1/2 and (1 + tau)/2 of the reduced basis."""
+        from .weierstrass import _wp_kernel
+
         num, den = _wp_kernel(self, -1.0 + 0j, derivative=False)
         num3, den3 = _wp_kernel(self, -self._half_nome, derivative=False)
         return num / den, num3 / den3
@@ -251,50 +254,6 @@ class LatticeTau(_Frozen):
         b = w.imag / self.tau.imag
         a = w.real - b * self.tau.real
         return a, b
-
-
-class TorusPoint(_Frozen):
-    """A point of C/Lambda stored by reduced lattice coordinates in [0, 1)^2."""
-
-    lattice: LatticeTau
-    a: float
-    b: float
-
-    def __init__(self, lattice: LatticeTau, a: float, b: float):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise InvalidPoint(f"non-finite point coordinates: ({a!r}, {b!r})")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_coords(cls, lattice: LatticeTau, a: float, b: float) -> "TorusPoint":
-        return cls(lattice, _frac(float(a)), _frac(float(b)))
-
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint(self.lattice, _frac(-self.a), _frac(-self.b))
-
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint(self.lattice, _frac(self.a + other.a), _frac(self.b + other.b))
-
-    def __sub__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint(self.lattice, _frac(self.a - other.a), _frac(self.b - other.b))
-
-    def close_to(self, other: "TorusPoint", tol: float = EPS_PT) -> bool:
-        """Toroidal sup-metric equality within tol."""
-        return (
-            _wrap_dist(self.a, other.a) <= tol
-            and _wrap_dist(self.b, other.b) <= tol
-        )
-
-    def is_zero(self, tol: float = EPS_PT) -> bool:
-        return _wrap_dist(self.a, 0.0) <= tol and _wrap_dist(self.b, 0.0) <= tol
-
-
-def reduce_point(z: complex, lattice: LatticeTau) -> TorusPoint:
-    """Reduce a complex representative into the fundamental parallelogram."""
-    a, b = lattice.coords(complex(z))
-    return TorusPoint(lattice, _frac(a), _frac(b))
 
 
 class FiniteSubgroupSpec(_Frozen):
@@ -356,9 +315,11 @@ class FiniteSubgroupSpec(_Frozen):
             gens.append((parts[0].strip(), parts[1].strip()))
         return cls.from_generators(gens)
 
-    @property
-    def generators(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._fractions(self.numerators)
+    # Q0 listed, read off `weierstrass.SubgroupListing`
+    generators = _DefinedIn(".weierstrass", "SubgroupListing")
+    points = _DefinedIn(".weierstrass", "SubgroupListing")
+    elements = _DefinedIn(".weierstrass", "SubgroupListing")
+    _fractions = _DefinedIn(".weierstrass", "SubgroupListing")
 
     @cached_property
     def hermite_basis(self) -> tuple[int, int, int, int]:
@@ -376,28 +337,6 @@ class FiniteSubgroupSpec(_Frozen):
     def order(self) -> int:
         n, a, _, c = self.hermite_basis
         return n * n // (a * c)
-
-    @cached_property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        """All subgroup elements as numerators over N, sorted: i*(a, 0) + j*(b, c) mod N, for i < N/a and j < N/c."""
-        n, a, b, c = self.hermite_basis
-        return tuple(sorted(
-            ((i * a + j * b) % n, j * c)
-            for i in range(n // a)
-            for j in range(n // c)
-        ))
-
-    @cached_property
-    def elements(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """`points` as pairs of `Fraction`s."""
-        return self._fractions(self.points)
-
-    def _fractions(self, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Pairs of numerators over N as pairs of `Fraction`s."""
-        from fractions import Fraction
-
-        return tuple((Fraction(x, self.denominator), Fraction(y, self.denominator)) for x, y in pairs)
-
 
 class IsogenyQuotient(_Frozen):
     """The quotient isogeny E = C/Lambda -> E/Q0 = C/Lambda' of degree |Q0|."""
@@ -451,101 +390,3 @@ def quotient_lattice(lattice: LatticeTau, q0: FiniteSubgroupSpec) -> IsogenyQuot
     w1, w2 = a / n, b / n + c / n * lattice.tau
     s = LatticeTau(w1, w2).scale
     return IsogenyQuotient(source=lattice, target=LatticeTau(w1 / s, w2 / s), subgroup=q0)
-
-
-def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:
-    """Weierstrass invariants (scale included): 4x^3 - g2 x - g3 = 4(x - e1)(x - e2)(x - e3)."""
-    d1, d3 = lattice.branch_differences
-    e2 = lattice.e2
-    return 12.0 * e2 * e2 - 4.0 * d1 * d3, 4.0 * e2 * (d1 * d3 - 2.0 * e2 * e2)
-
-
-def _wp_kernel(lattice: LatticeTau, u, derivative: bool = True) -> tuple:
-    """(num, den, num', den') of t = wp - e2 and of wp' at u = exp(2*pi*i*z'), z' on the reduced basis.
-
-    t = (pi theta2(0) theta3(0) theta4(pi z') / theta1(pi z'))^2 / scale^2
-    (DLMF 23.6.4) as products over Q = exp(i*pi*tau') (DLMF 20.5): each
-    factor 1 - Q^k u^(+-1) is formed directly, so t stays accurate relative
-    to its size where it is small, in the middle band of a tall quotient.
-    wp' is the q-series in q = Q^2.  `u`, a complex or a numpy array, is
-    touched only by arithmetic, so one loop serves `branch_differences` and
-    `batch.t_series_array`.  The pole u = 1 only zeroes the denominators.
-    """
-    Q = lattice._half_nome
-    # the theta products over odd and even powers of Q, and
-    # theta2(0) theta3(0) / (2 Q^(1/4)) = prod (1 + Q^(2n-1))^2 (1 - Q^(4n))^2, squared
-    odd = even = const = 1.0 + 0j
-    dtail = 0j
-    qk = 1.0 + 0j
-    for _ in range(lattice.series_terms):
-        qk = qk * Q
-        odd = odd * (1.0 - qk * u) * (1.0 - qk / u)
-        const = const * (1.0 + qk)
-        qk = qk * Q
-        const = const * (1.0 - qk) * (1.0 + qk)
-        qu, qiu = qk * u, qk / u
-        r, ri = 1.0 - qu, 1.0 - qiu
-        even = even * r * ri
-        if derivative:
-            dtail += qu * (1.0 + qu) / r**3 - qiu * (1.0 + qiu) / ri**3
-    s = lattice.scale
-    one_minus_u = 1.0 - u
-    num = -4.0 * math.pi**2 * const**4 * u * odd * odd
-    den = s**2 * (one_minus_u * even) ** 2
-    if not derivative:
-        return num, den
-    nump = _TWO_PI_I**3 * (u * (1.0 + u) + one_minus_u**3 * dtail)
-    denp = s**3 * one_minus_u**3
-    return num, den, nump, denp
-
-
-def _batch_row(p: TorusPoint, form: str, *args) -> list[complex]:
-    """Row 0 of `batch.<form>` at the one point p."""
-    import numpy as np
-
-    from . import batch
-
-    return [complex(x[0]) for x in getattr(batch, form)(p.lattice, np.array([p.a]), np.array([p.b]), *args)]
-
-
-def _pair(num: complex, den: complex) -> HomPair:
-    """(num : den) normalized by `ProjectivePoint.normalize`."""
-    from .symfun import ProjectivePoint
-
-    return HomPair(*ProjectivePoint.normalize((num, den)).coords)
-
-
-def wp(p: TorusPoint) -> HomPair:
-    """Weierstrass wp(z) = t + e2, t from `centred_values`, as a normalized homogeneous pair; (1, 0) at poles."""
-    if _batch_row(p, "t_series_array", False)[1] == 0:
-        return _pair(1.0, 0.0)
-    return _pair(centred_values(p)[0] + p.lattice.e2, 1.0)
-
-
-def wp_prime(p: TorusPoint) -> HomPair:
-    """Derivative wp'(z) as a normalized homogeneous pair; odd, pole order 3."""
-    return _pair(*_batch_row(p, "t_series_array")[2:])
-
-
-def centred_values(p: TorusPoint) -> tuple[complex, complex]:
-    """(t, wp') at a non-pole point, t = wp - e2 the coordinate of the maps and fibers."""
-    return tuple(_batch_row(p, "t_values"))
-
-
-def wp_both_values(p: TorusPoint) -> tuple[complex, complex]:
-    """(wp(z), wp'(z)) as plain complex values; requires a non-pole point."""
-    t, wprime = centred_values(p)
-    return t + p.lattice.e2, wprime
-
-
-def _on_side(r: complex, ref: complex) -> complex:
-    """The square root r or -r, whichever lies on the side of ref."""
-    return r if abs(r - ref) <= abs(r + ref) else -r
-
-
-def wp_inverse(x: complex, lattice: LatticeTau) -> tuple[TorusPoint, TorusPoint]:
-    """The two solutions {z, -z} of wp(z) = x, sorted: the one row of `batch.wp_inverse_array` at x - e2."""
-    from .batch import wp_inverse_array
-
-    plus, minus = wp_inverse_array([complex(x) - lattice.e2], lattice)
-    return TorusPoint(lattice, *plus[0].tolist()), TorusPoint(lattice, *minus[0].tolist())

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EPS_GENERIC, HomPair, LatticeTau, TorusPoint, _pair
+from .elliptic import EPS_GENERIC, LatticeTau
 from .errors import (
     DegenerateSection,
     IllConditioned,
@@ -30,6 +30,7 @@ from .errors import (
     SumNotZero,
 )
 from .polarization import _Frozen
+from .weierstrass import HomPair, TorusPoint, _pair
 
 #: relative threshold below which the SVD kernel is considered ambiguous
 _COND_FLOOR = 1e-10

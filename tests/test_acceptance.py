@@ -31,7 +31,7 @@ from ellcover import (
     very_ample_preconditions,
 )
 from ellcover.cli import main
-from ellcover.elliptic import TorusPoint, wp_both_values
+from ellcover.weierstrass import TorusPoint, wp_both_values
 
 from conftest import TAU, lattice_sum_g2_g3
 

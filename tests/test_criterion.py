@@ -31,10 +31,11 @@ from ellcover import (
     criterion_check,
 )
 from ellcover import covers
-from ellcover.batch import coords_array, map_coords
+from ellcover.batch import coords_array, map_coords, t_series_array
 from ellcover.construction import degree_identity
 from ellcover.covers import CriterionReport, _probe_points
 from ellcover.elliptic import EPS_PROJ
+from ellcover.symfun import normalize_rows
 
 from conftest import TAU
 
@@ -469,3 +470,54 @@ def test_criterion_points_are_one_array_in_the_concatenated_layout(monkeypatch, 
     expected = _concatenated_points(spec, 3)
     assert mapped[0].shape == expected.shape
     assert mapped[0].tobytes() == expected.tobytes()
+
+
+def _with_base_points(monkeypatch, p0):
+    """Make `map_quotient` at d = 1 the map g' = h g, h = t - t(p0), whose base points are +-p0 on E/Q0.
+
+    h is taken in homogeneous form, num * den(p0) - num(p0) * den, so it is
+    finite at the pole and exactly zero at p0 itself; each row, multiplied
+    by it, is normalized again, and a zero row fails to map.
+    """
+    original = CoverSpec.map_quotient
+
+    def map_quotient(self, coords):
+        rows, failed = original(self, coords)
+        lattice = self.quotient.target
+        num, den = t_series_array(lattice, coords[:, 0, 0], coords[:, 0, 1], derivative=False)
+        num0, den0 = t_series_array(lattice, np.array([p0[0]]), np.array([p0[1]]), derivative=False)
+        rows, zero = normalize_rows(rows * (num * den0 - num0 * den)[:, None])
+        return rows, failed | zero
+
+    monkeypatch.setattr(CoverSpec, "map_quotient", map_quotient)
+
+
+#: (1/4, 0) is a probe, in (E/Q0)[4]; (0.3, 0.1) is not
+BASE_POINTS = [(0.25, 0.0), (0.3, 0.1)]
+
+
+@pytest.mark.parametrize("construction", ["A", "B"])
+@pytest.mark.parametrize("p0", BASE_POINTS, ids=["probe", "off-probe"])
+def test_base_point_controls_fail_only_at_their_base_points(monkeypatch, construction, p0):
+    spec = _cover(construction, 1, ("1/3,0",))
+    # p0 itself, the pole, a generic point and a point 1e-3 from p0; -p0
+    # zeroes h only up to rounding, as t(-p0) = t(p0) holds only so
+    ys = np.array([[p0], [(0.0, 0.0)], [(0.37, 0.61)], [(p0[0], p0[1] + 1e-3)]])
+    plain, _ = spec.map_quotient(ys)
+    _with_base_points(monkeypatch, p0)
+    rows, failed = spec.map_quotient(ys)
+    assert failed.tolist() == [True, False, False, False]
+    assert np.abs(rows[1:] - plain[1:]).max() < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="basepoint_ok fails only where a probe and its 3 perturbations all fail (ROADMAP)",
+)
+@pytest.mark.parametrize("construction", ["A", "B"])
+@pytest.mark.parametrize("p0", BASE_POINTS, ids=["probe", "off-probe"])
+def test_an_isolated_base_point_fails_the_check(monkeypatch, construction, p0):
+    # negative controls: g' has base points at +-p0 and is g elsewhere, as a
+    # point of P^d; a check that measures base points must flag both
+    _with_base_points(monkeypatch, p0)
+    assert criterion_check(_cover(construction, 1, ("1/3,0",))).basepoint_ok is False

@@ -29,7 +29,8 @@ from ellcover import (
 )
 from ellcover.covers import MAX_QUOTIENT_IM_TAU
 from ellcover.batch import _wrap_dist_array, lift_coords, map_coords, t_series_array, t_values, torus_z
-from ellcover.elliptic import EPS_NUM, centred_values, wp_both_values
+from ellcover.elliptic import EPS_NUM
+from ellcover.weierstrass import centred_values, wp_both_values
 from ellcover.symfun import ProjectivePoint, normalize_rows
 
 from conftest import TAU, lattice_sum_g2_g3, laurent_wp, point_z, theta_t

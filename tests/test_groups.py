@@ -26,7 +26,7 @@ from ellcover import (
 )
 from ellcover import FiniteActionGroup, batch
 from ellcover.batch import close_pairs
-from ellcover.elliptic import _wrap_dist
+from ellcover.weierstrass import _wrap_dist
 from ellcover.groups import MAX_D, SemidirectProduct
 
 from conftest import TAU

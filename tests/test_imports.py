@@ -9,14 +9,17 @@ bytes as a plain run.  `report` adds `commands` and must run with numpy,
 `dataclasses` and `fractions` made unimportable.  `construct` builds a
 cover from the exact layers (`construction`, `groups`, `elliptic`,
 `polarization`), in integers, so it must run with numpy, `dataclasses`,
+`json`, `fractions`, `decimal`, `affine`, `isogeny` and `weierstrass` (the
+wp numerics) made unimportable and print the same bytes as a plain run.
+`verify` loads numpy and `weierstrass` but must run with `dataclasses`,
 `json`, `fractions`, `decimal`, `affine` and `isogeny` made unimportable
-and print the same bytes as a plain run.  `verify` loads numpy but must
-run with `dataclasses`, `json`, `fractions`, `decimal`, `affine` and
-`isogeny` made unimportable and write the same report.  Each command leaves exactly
-the `ellcover` modules of the README's table loaded.
+and write the same report.  Each command leaves exactly the `ellcover`
+modules of the README's table loaded.  Every name that perfbench/tracing.py
+wraps must resolve where it names it.
 """
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,6 +32,7 @@ import ellcover
 from ellcover import NotVeryAmpleWarning, cli, covers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TRACING = SRC.parent / "perfbench" / "tracing.py"
 
 #: the `ellcover` modules each command leaves loaded
 INTERSECTION_MODULES = {"ellcover.cli", "ellcover.errors", "ellcover.polarization"}
@@ -36,7 +40,9 @@ REPORT_MODULES = INTERSECTION_MODULES | {"ellcover.commands"}
 CONSTRUCT_MODULES = REPORT_MODULES | {
     "ellcover.construction", "ellcover.groups", "ellcover.elliptic",
 }
-VERIFY_MODULES = CONSTRUCT_MODULES | {"ellcover.covers", "ellcover.symfun", "ellcover.batch"}
+VERIFY_MODULES = CONSTRUCT_MODULES | {
+    "ellcover.covers", "ellcover.symfun", "ellcover.batch", "ellcover.weierstrass",
+}
 #: one command of each intersection mode
 INTERSECTIONS = (
     ["intersection", "--self", "4 0;0 4"],
@@ -94,7 +100,9 @@ REPORT_BLOCKED = NO_COMMAND + ["numpy", "dataclasses", "fractions", "ellcover.is
 #: no construct or verify loads `fractions`, nor the `decimal` it brings,
 #: nor `affine`, the reference type of listed group elements
 EXACT_IN_INTEGERS = ["fractions", "decimal", "ellcover.affine"]
-CONSTRUCT_BLOCKED = NO_COMMAND + EXACT_IN_INTEGERS + ["numpy", "dataclasses", "json", "ellcover.isogeny"]
+CONSTRUCT_BLOCKED = NO_COMMAND + EXACT_IN_INTEGERS + [
+    "numpy", "dataclasses", "json", "ellcover.isogeny", "ellcover.weierstrass",
+]
 VERIFY_BLOCKED = NO_COMMAND + EXACT_IN_INTEGERS + ["dataclasses", "json", "ellcover.isogeny"]
 
 
@@ -188,3 +196,26 @@ def test_cmd_verify_calls_the_rebindable_galois_verify(monkeypatch, capsys):
     monkeypatch.setattr(cli, "galois_verify", spy)
     assert cli.main(["verify", "--construction", "A", "--d", "1", "--samples", "2"]) == 0
     assert len(calls) == 1 and calls[0]["samples"] == 2
+
+
+def test_traced_names_resolve():
+    """Each (module, path) that perfbench/tracing.py wraps resolves from its `ellcover` module.
+
+    An owner's method must sit in the owner's own `__dict__`, where the
+    tracer swaps it, so a move or a rename fails here and not only in the
+    benchmark's smoke test.
+    """
+    spec = importlib.util.spec_from_file_location("_traced_names", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    entries = [(module, path) for _, module, path, *_ in tracing.SPANS + tracing.COUNTERS]
+    assert len(entries) == 21
+    for module, path in entries:
+        assert module is importlib.import_module(module.__name__), module
+        assert module.__name__.startswith("ellcover."), module
+        owner_name, _, attr = path.rpartition(".")
+        if owner_name:
+            assert callable(vars(getattr(module, owner_name)).get(attr)), (module.__name__, path)
+        else:
+            assert callable(getattr(module, attr)), (module.__name__, path)
+

@@ -29,7 +29,7 @@ from ellcover import (
 )
 
 from ellcover.batch import coords_array, torus_z
-from ellcover.elliptic import centred_values
+from ellcover.weierstrass import centred_values
 from ellcover.symfun import normalize_rows, projective_spreads
 from ellcover import symfun
 
