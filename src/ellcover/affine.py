@@ -4,21 +4,22 @@ An automorphism is a pair (M, t): an integer matrix M acting coordinatewise
 on C/Lambda tuples and a translation t whose components are rational torsion
 points, as `Fraction`s.  Products and inverses are exact.  The reference
 type of a group's listed elements and generators: a group given by them
-(`FiniteActionGroup`), with orbits and stabilizers, and the listing of the
-deck groups of `groups` (`SemidirectListing`).  No command lists a group,
-so no command loads this module, `fractions` or `isogeny`.
+(`FiniteActionGroup`), with orbits and stabilizers.  `SemidirectProduct`
+lists its elements as `AffineAutomorphism`s and takes its orbits and
+stabilizers from `FiniteActionGroup`, importing this module when asked.  No
+command lists a group, so no command loads this module, `fractions` or
+`isogeny`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .elliptic import EPS_PT, FiniteSubgroupSpec
-from .errors import InvalidOrder, OrderCapExceeded
+from .errors import InvalidOrder
 from .groups import IntMatrix, SemidirectProduct, _identity
 from .isogeny import _fraction_inverse
 from .polarization import _det_bareiss, _Frozen, _matmul
@@ -26,9 +27,6 @@ from .weierstrass import TorusPoint, _frac
 
 if TYPE_CHECKING:
     from .weierstrass import PointTuple
-
-#: most matrices that `SemidirectProduct.matrices` lists
-DEFAULT_ORDER_CAP = 100_000
 
 Translation = tuple[tuple[Fraction, Fraction], ...]
 
@@ -197,39 +195,3 @@ class FiniteActionGroup:
         fixes = stabilizer_mask(found, coords_array([point]), tol)[0].tolist()
         return [g for g, fixed in zip(self.elements, fixes) if fixed]
 
-
-class SemidirectListing(FiniteActionGroup):
-    """The listing half of `groups.SemidirectProduct`, whose instances read these attributes here on first use.
-
-    L's matrices are listed sorted on first use, and G's elements sorted by
-    (matrix, translation); orbits and stabilizers are `FiniteActionGroup`'s.
-    """
-
-    @cached_property
-    def matrices(self) -> tuple[IntMatrix, ...]:
-        """L's matrices, sorted; OrderCapExceeded past DEFAULT_ORDER_CAP of them."""
-        if self.linear_order > DEFAULT_ORDER_CAP:
-            raise OrderCapExceeded(f"listing {self.linear_order} matrices of L exceeds cap {DEFAULT_ORDER_CAP}")
-        return tuple(sorted(self._matrices() if callable(self._matrices) else self._matrices))
-
-    def __reduce__(self):
-        # a copy holds what lists L, never G's elements
-        return SemidirectProduct, (self.dim, self.q0, self.linear_order, self._matrices, self.linear_generators)
-
-    @cached_property
-    def generators(self) -> tuple[AffineAutomorphism, ...]:
-        matrices, numerators, _ = self.integer_generators
-        return tuple(AffineAutomorphism(m, self.q0._fractions(t)) for m, t in zip(matrices, numerators))
-
-    @cached_property
-    def elements(self) -> tuple[AffineAutomorphism, ...]:
-        shifts = list(itertools.product(self.q0.elements, repeat=self.dim))
-        return tuple(AffineAutomorphism(m, t) for m in self.matrices for t in shifts)
-
-    @cached_property
-    def _packed(self):
-        """`batch.pack` of G in the order of `elements`, from the integers."""
-        from .batch import pack
-
-        shifts = list(itertools.product(self.q0.points, repeat=self.dim))
-        return pack([m for m in self.matrices for _ in shifts], shifts * len(self.matrices), self.q0.denominator)

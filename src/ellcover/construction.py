@@ -214,8 +214,10 @@ MAX_JOBS = 32
 
 
 def _check_integer(name: str, value, bound: float = math.inf) -> None:
-    """Raise ConfigError unless `value` is an integer with 1 <= value <= bound."""
+    """Raise ConfigError unless `value` is an integer, not a bool, with 1 <= value <= bound."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
@@ -231,13 +233,13 @@ def check_run_bounds(
     """Raise ConfigError, before anything is drawn, unless every value lies in its bound.
 
     Integers 1 <= samples <= MAX_SAMPLES and 1 <= jobs <= MAX_JOBS, and
-    numbers 0 < eps_pt, eps_proj < inf.  The CLI, `galois_verify` and
+    numbers 0 < eps_pt, eps_proj < inf; a bool is neither.  The CLI, `galois_verify` and
     `criterion_check` all check here; a value not given is its default.
     """
     _check_integer("samples", samples, MAX_SAMPLES)
     _check_integer("jobs", jobs, MAX_JOBS)
     for name, value in (("eps_pt", eps_pt), ("eps_proj", eps_proj)):
-        if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
             raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 

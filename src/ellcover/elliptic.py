@@ -5,10 +5,9 @@ standard fundamental domain (|Re| <= 1/2, |tau| >= 1) by a unimodular change
 of basis, so every series runs at nome |q| <= exp(-pi*sqrt(3)) and a single
 accuracy budget covers all inputs.  Q0 and the quotient E/Q0 are read off
 integers.  This is all that `construct` needs of E: points of C/Lambda, wp
-and its inverse live in `weierstrass`, which `verify` loads.  `elliptic.wp`,
-`elliptic.TorusPoint` and the other names that moved there still resolve,
-imported on first use, and so do `FiniteSubgroupSpec`'s listings of Q0
-(`_DefinedIn`).
+and its inverse live in `weierstrass`, which `verify` loads.
+`elliptic.TorusPoint`, `elliptic.wp` and `elliptic.wp_inverse` resolve to
+it too, imported on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from importlib import import_module
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import InvalidPoint, InvalidSubgroup
@@ -42,38 +40,14 @@ EPS_GENERIC = 1e-6
 _SERIES_TAIL_REL = 1e-14
 _SERIES_MAX_TERMS = 64
 
-#: the names of `weierstrass` that `elliptic.<name>` resolves, for callers
-#: that name them here, such as perfbench/tracing.py
-_IN_WEIERSTRASS = (
-    "HomPair", "TorusPoint", "centred_values", "eisenstein_g2_g3", "reduce_point", "wp",
-    "wp_both_values", "wp_inverse", "wp_prime",
-)
-
 
 def __getattr__(name: str):
-    if name in _IN_WEIERSTRASS:
-        return getattr(import_module(".weierstrass", __package__), name)
+    # the names of `weierstrass` that perfbench/tracing.py wraps here
+    if name in ("TorusPoint", "wp", "wp_inverse"):
+        from . import weierstrass
+
+        return getattr(weierstrass, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class _DefinedIn:
-    """A class attribute defined on `source`, a class of another module, which is imported on first use.
-
-    A command that never reads the attribute never compiles its code.  Each
-    read binds the attribute as it stands on `source` now: a cached
-    property still caches in the instance, and a method that a tracer
-    wraps on `source` is wrapped here too.
-    """
-
-    def __init__(self, module: str, source: str):
-        self.module, self.source = module, source
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        source = getattr(import_module(self.module, __package__), self.source)
-        return getattr(source, self.name).__get__(instance, owner)
 
 
 def _digits(text: str) -> bool:
@@ -315,11 +289,30 @@ class FiniteSubgroupSpec(_Frozen):
             gens.append((parts[0].strip(), parts[1].strip()))
         return cls.from_generators(gens)
 
-    # Q0 listed, read off `weierstrass.SubgroupListing`
-    generators = _DefinedIn(".weierstrass", "SubgroupListing")
-    points = _DefinedIn(".weierstrass", "SubgroupListing")
-    elements = _DefinedIn(".weierstrass", "SubgroupListing")
-    _fractions = _DefinedIn(".weierstrass", "SubgroupListing")
+    @property
+    def generators(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return self._fractions(self.numerators)
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """All subgroup elements as numerators over N, sorted: i*(a, 0) + j*(b, c) mod N, for i < N/a and j < N/c."""
+        n, a, b, c = self.hermite_basis
+        return tuple(sorted(
+            ((i * a + j * b) % n, j * c)
+            for i in range(n // a)
+            for j in range(n // c)
+        ))
+
+    @cached_property
+    def elements(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """`points` as pairs of `Fraction`s."""
+        return self._fractions(self.points)
+
+    def _fractions(self, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Pairs of numerators over N as pairs of `Fraction`s."""
+        from fractions import Fraction
+
+        return tuple((Fraction(x, self.denominator), Fraction(y, self.denominator)) for x, y in pairs)
 
     @cached_property
     def hermite_basis(self) -> tuple[int, int, int, int]:

@@ -3,11 +3,10 @@
 Integer matrices act coordinatewise on C/Lambda tuples, and translations by
 rational torsion points are numerators over Q0's denominator.  Orders come
 from closed forms, so group orders are certificates rather than
-floating-point artifacts, and no command lists an element.  The listing and
-reference half lives in `affine`, which no command loads: a group given by
-its listed elements (`FiniteActionGroup`), with orbits and stabilizers, and
-`SemidirectProduct`'s listings of L and G (`matrices`, `elements`,
-`generators`), which it reads there on first use.
+floating-point artifacts, and no command lists an element.  Listing L or G,
+orbits and stabilizers are `SemidirectProduct`'s own methods, which import
+the reference half, `affine` (`AffineAutomorphism`, `FiniteActionGroup`),
+and `batch` when called.
 """
 
 from __future__ import annotations
@@ -15,17 +14,22 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, partial
-from importlib import import_module
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .elliptic import FiniteSubgroupSpec, _DefinedIn
-from .errors import InvalidOrder
+from .elliptic import EPS_PT, FiniteSubgroupSpec
+from .errors import InvalidOrder, OrderCapExceeded
+
+if TYPE_CHECKING:
+    from .affine import AffineAutomorphism
+    from .weierstrass import PointTuple
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 #: largest d that the deck-group builders accept: on a measured grid every A
 #: verify and every B verify on <1/2,0> passes to it, B to d = 12 (README)
 MAX_D = 10
+#: most matrices that `SemidirectProduct.matrices` lists
+DEFAULT_ORDER_CAP = 100_000
 
 
 def _identity(d: int) -> IntMatrix:
@@ -33,10 +37,11 @@ def _identity(d: int) -> IntMatrix:
 
 
 def __getattr__(name: str):
-    # the names that moved to `affine` still resolve here, imported on first
-    # use, for callers that name them here, such as perfbench/tracing.py
-    if name in ("AffineAutomorphism", "DEFAULT_ORDER_CAP", "FiniteActionGroup"):
-        return getattr(import_module(".affine", __package__), name)
+    # the names of `affine` that perfbench/tracing.py wraps here
+    if name in ("AffineAutomorphism", "FiniteActionGroup"):
+        from . import affine
+
+        return getattr(affine, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -46,9 +51,8 @@ class SemidirectProduct:
     `matrices` is L's sequence, or a function that lists it on first use;
     `linear_order` = |L| in closed form gives |G| = |L| |Q0|^d unlisted.
     The generators are L's, with zero translations, then the translations
-    by Q0's generators in each slot.  Listing L or G, orbits, stabilizers
-    and copies are `FiniteActionGroup`'s, read off `affine.SemidirectListing`;
-    no command asks for them.
+    by Q0's generators in each slot.  No command lists L or G, nor asks
+    for an orbit or a stabilizer.
     """
 
     def __init__(self, dim: int, q0: FiniteSubgroupSpec, linear_order: int,
@@ -58,14 +62,51 @@ class SemidirectProduct:
         self.linear_generators = tuple(linear_generators)
         self.order = linear_order * q0.order**dim
 
-    # the listing half, read off `affine.SemidirectListing`
-    matrices = _DefinedIn(".affine", "SemidirectListing")
-    elements = _DefinedIn(".affine", "SemidirectListing")
-    generators = _DefinedIn(".affine", "SemidirectListing")
-    _packed = _DefinedIn(".affine", "SemidirectListing")
-    orbit = _DefinedIn(".affine", "SemidirectListing")
-    stabilizer = _DefinedIn(".affine", "SemidirectListing")
-    __reduce__ = _DefinedIn(".affine", "SemidirectListing")
+    def __reduce__(self):
+        # a copy holds what lists L, never G's elements
+        return SemidirectProduct, (self.dim, self.q0, self.linear_order, self._matrices, self.linear_generators)
+
+    @cached_property
+    def matrices(self) -> tuple[IntMatrix, ...]:
+        """L's matrices, sorted; OrderCapExceeded past DEFAULT_ORDER_CAP of them."""
+        if self.linear_order > DEFAULT_ORDER_CAP:
+            raise OrderCapExceeded(f"listing {self.linear_order} matrices of L exceeds cap {DEFAULT_ORDER_CAP}")
+        return tuple(sorted(self._matrices() if callable(self._matrices) else self._matrices))
+
+    @cached_property
+    def generators(self) -> tuple[AffineAutomorphism, ...]:
+        from .affine import AffineAutomorphism
+
+        matrices, numerators, _ = self.integer_generators
+        return tuple(AffineAutomorphism(m, self.q0._fractions(t)) for m, t in zip(matrices, numerators))
+
+    @cached_property
+    def elements(self) -> tuple[AffineAutomorphism, ...]:
+        """G listed, sorted by (matrix, translation)."""
+        from .affine import AffineAutomorphism
+
+        shifts = list(itertools.product(self.q0.elements, repeat=self.dim))
+        return tuple(AffineAutomorphism(m, t) for m in self.matrices for t in shifts)
+
+    @cached_property
+    def _packed(self):
+        """`batch.pack` of G in the order of `elements`, from the integers."""
+        from .batch import pack
+
+        shifts = list(itertools.product(self.q0.points, repeat=self.dim))
+        return pack([m for m in self.matrices for _ in shifts], shifts * len(self.matrices), self.q0.denominator)
+
+    def orbit(self, point: PointTuple, tol: float = EPS_PT) -> list[PointTuple]:
+        """`FiniteActionGroup.orbit` over G's elements."""
+        from .affine import FiniteActionGroup
+
+        return FiniteActionGroup.orbit(self, point, tol)
+
+    def stabilizer(self, point: PointTuple, tol: float = EPS_PT) -> list[AffineAutomorphism]:
+        """`FiniteActionGroup.stabilizer` over G's elements."""
+        from .affine import FiniteActionGroup
+
+        return FiniteActionGroup.stabilizer(self, point, tol)
 
     @cached_property
     def linear(self) -> SemidirectProduct:

@@ -6,22 +6,17 @@ wp' (`_wp_kernel`) serves `LatticeTau.branch_differences` and the array
 path through `batch.t_series_array`; `wp`, `wp_prime` and `centred_values`
 read one row of it, imported when called.  Weierstrass values are returned
 as homogeneous pairs (num, den) so that poles degrade to (1, 0) instead of
-overflowing.  `SubgroupListing` holds the listing half of
-`FiniteSubgroupSpec`, which reads it here on first use.
+overflowing.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import NamedTuple
 
 from .elliptic import EPS_PT, LatticeTau
 from .errors import InvalidPoint
 from .polarization import _Frozen
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # the AGM in wp_inverse stops once |b^2 - a^2| falls below (this * |a|)^2
 _AGM_REL = 1e-15
@@ -106,35 +101,6 @@ def reduce_point(z: complex, lattice: LatticeTau) -> TorusPoint:
     """Reduce a complex representative into the fundamental parallelogram."""
     a, b = lattice.coords(complex(z))
     return TorusPoint(lattice, _frac(a), _frac(b))
-
-
-class SubgroupListing:
-    """The listing half of `FiniteSubgroupSpec`, whose instances read these attributes here on first use."""
-
-    @property
-    def generators(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._fractions(self.numerators)
-
-    @cached_property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        """All subgroup elements as numerators over N, sorted: i*(a, 0) + j*(b, c) mod N, for i < N/a and j < N/c."""
-        n, a, b, c = self.hermite_basis
-        return tuple(sorted(
-            ((i * a + j * b) % n, j * c)
-            for i in range(n // a)
-            for j in range(n // c)
-        ))
-
-    @cached_property
-    def elements(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """`points` as pairs of `Fraction`s."""
-        return self._fractions(self.points)
-
-    def _fractions(self, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Pairs of numerators over N as pairs of `Fraction`s."""
-        from fractions import Fraction
-
-        return tuple((Fraction(x, self.denominator), Fraction(y, self.denominator)) for x, y in pairs)
 
 
 def eisenstein_g2_g3(lattice: LatticeTau) -> tuple[complex, complex]:

@@ -1223,7 +1223,7 @@ class TestMalformedInputs:
     EllcoverError subclass: no raw exception, and no RuntimeWarning, which
     the suite makes an error."""
 
-    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, None, "1e-9"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, None, "1e-9", True])
     @pytest.mark.parametrize(
         "entry, name",
         [(galois_verify, "eps_pt"), (galois_verify, "eps_proj"), (criterion_check, "eps_proj")],
@@ -1234,7 +1234,9 @@ class TestMalformedInputs:
         with pytest.raises(ConfigError, match=f"^{name} must be positive and finite, got {value}$"):
             entry(spec, **{name: value})
 
-    @pytest.mark.parametrize("name, value", [("samples", None), ("samples", 2.5), ("jobs", "2")])
+    @pytest.mark.parametrize(
+        "name, value", [("samples", None), ("samples", 2.5), ("jobs", "2"), ("samples", True), ("jobs", True)]
+    )
     def test_count_that_is_not_an_integer_is_refused_before_any_draw(self, lattice, q2, monkeypatch, name, value):
         spec = build_cover("A", 1, lattice, q2)
         monkeypatch.setattr(covers, "_draw", _never)
@@ -1264,6 +1266,7 @@ class TestMalformedInputs:
             ("d", MAX_D + 1, f"d must be <= {MAX_D}, got {MAX_D + 1}"),
             ("d", "3", "d must be an integer, got '3'"),
             ("d", 1e5, "d must be an integer, got 100000.0"),
+            ("d", True, "d must be an integer, got True"),
         ],
     )
     def test_bad_cover_config_is_refused(self, lattice, q2, field, value, message):

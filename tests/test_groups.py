@@ -460,6 +460,25 @@ def test_copies_are_structural(monkeypatch):
         assert other.group.matrices == spec.group.matrices
 
 
+@pytest.mark.parametrize("build", [build_group_A, build_group_B])
+def test_copies_after_listing_hold_no_listing(build):
+    # a copy of a group that has listed L and G keeps none of what it listed,
+    # and lists the same elements again when asked
+    import copy
+    import pickle
+
+    listed = ("matrices", "elements", "generators", "_packed")
+    group = build(2, FiniteSubgroupSpec.parse(("1/2,0",)))
+    for name in listed:
+        getattr(group, name)
+    assert set(listed) <= set(vars(group))
+    for other in (copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
+        assert not set(listed) & set(vars(other))
+        assert other.elements == group.elements and other.generators == group.generators
+        assert other.matrices == group.matrices
+        assert all(np.array_equal(a, b) for a, b in zip(other._packed, group._packed))
+
+
 #: subgroups of order at most 4, one of them twice with other generators;
 #: <0,1/4> and <1/4,1/4> share N = 4 and c = 1 and differ in a and b only
 SPLIT_Q0 = [
