@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "construction": ("CoverSpec", "build_cover", "very_ample_preconditions"),
     "covers": (
-        "CriterionReport", "SampleRecord", "VerificationReport", "criterion_check",
+        "CriterionReport", "VerificationReport", "criterion_check",
         "fiber_A", "fiber_B", "galois_verify",
     ),
     "elliptic": ("FiniteSubgroupSpec", "IsogenyQuotient", "LatticeTau", "quotient_lattice"),

@@ -110,7 +110,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = _report_payload(cfg, spec, report, criterion)
     _emit(cfg, payload)
     if cfg.output:
-        generic = sum(1 for r in report.samples if r.generic)
+        generic = sum(1 for row in report.samples if row["generic"])
         print(
             f"verify {spec.construction}: group order {spec.group.order}, "
             f"{generic}/{len(report.samples)} generic samples, "

@@ -102,17 +102,7 @@ def _report_payload(
         "config": cfg.as_json_dict(),
         "construction": spec.construction,
         "group_order": spec.group.order,
-        "samples": [
-            {
-                "index": r.index,
-                "point": [[p.a, p.b] for p in r.point],
-                "generic": r.generic,
-                "orbit_size": r.orbit_size,
-                "image_spread": r.image_spread,
-                "fiber_match": r.fiber_match,
-            }
-            for r in report.samples
-        ],
+        "samples": list(report.samples),
         "criterion": dict(zip(criterion._fields, criterion._key())),
         "pass": overall,
     }

@@ -10,14 +10,13 @@ command loads `dataclasses`.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, get_type_hints
 
 from .elliptic import EPS_PROJ, EPS_PT, FiniteSubgroupSpec, IsogenyQuotient, LatticeTau
 from .elliptic import quotient_lattice
-from .errors import ConfigError, IllConditioned, InvalidOrder, NotVeryAmpleWarning
+from .errors import ConfigError, IllConditioned, InvalidOrder, NotVeryAmpleWarning, check_integer
 from .groups import MAX_D, build_group_A, build_group_B
 from .polarization import (
     PolarizationMatrix,
@@ -35,9 +34,11 @@ if TYPE_CHECKING:
     from .weierstrass import PointTuple
 
 #: tallest quotient E/Q0 (largest reduced Im tau') that build_cover accepts,
-#: and the lower one for construction B at d >= 3 (README)
+#: and the largest d Im tau' for construction B: past it, B's section system
+#: degenerates at d points close together in the middle band of E/Q0, and
+#: its base-point probes and fiber matches fail (README)
 MAX_QUOTIENT_IM_TAU = 12.0
-MAX_QUOTIENT_IM_TAU_B3 = 8.0
+MAX_QUOTIENT_D_IM_TAU_B = 24.0
 #: largest entry of the unimodular change that reduces the period ratio of
 #: E/Q0 that build_cover accepts: the kernel reduces a point's coordinates
 #: through it and loses about log10(entry) digits of them; the first verify
@@ -155,17 +156,19 @@ def build_cover(construction: str, d: int, curve: LatticeTau, q0: FiniteSubgroup
     gives one cover.  Warns with NotVeryAmpleWarning when the configuration
     misses the very-ampleness preconditions; the cover is still built and verifiable.
     Raises IllConditioned when E/Q0 is taller than its bound,
-    MAX_QUOTIENT_IM_TAU or MAX_QUOTIENT_IM_TAU_B3 for B at d >= 3, and when
+    MAX_QUOTIENT_IM_TAU, or MAX_QUOTIENT_D_IM_TAU_B / d for B if lower, and when
     reducing the period ratio of E/Q0 takes a basis change with an entry
     above MAX_BASIS_CHANGE, and ConfigError, before anything is built,
     unless construction is A or B and d is an integer with 1 <= d <= MAX_D.
     """
     if construction not in ("A", "B"):
         raise ConfigError(f"construction must be A or B, got {construction!r}")
-    _check_integer("d", d, MAX_D)
+    check_integer("d", d, MAX_D)
     quotient = quotient_lattice(curve, q0)
     height = quotient.target.tau_reduced.imag
-    bound = MAX_QUOTIENT_IM_TAU_B3 if construction == "B" and d >= 3 else MAX_QUOTIENT_IM_TAU
+    bound = MAX_QUOTIENT_IM_TAU
+    if construction == "B":
+        bound = min(bound, MAX_QUOTIENT_D_IM_TAU_B / d)
     if height > bound:
         raise IllConditioned(
             f"quotient E/Q0 has reduced Im tau' = {height:.6g} > {bound:g}, "
@@ -206,25 +209,11 @@ def build_cover(construction: str, d: int, curve: LatticeTau, q0: FiniteSubgroup
 
 
 #: most samples that `galois_verify` draws and reports: at d=1 a sample
-#: costs about 1.6 KB of records and report, so about 190 MB at the bound (README)
+#: costs about 1.3 KB of rows and report, so about 160 MB at the bound (README)
 MAX_SAMPLES = 100_000
 #: most threads that `galois_verify` shares chunks out to, which hold the
 #: interpreter lock for most of their time (README)
 MAX_JOBS = 32
-
-
-def _check_integer(name: str, value, bound: float = math.inf) -> None:
-    """Raise ConfigError unless `value` is an integer, not a bool, with 1 <= value <= bound."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    if value > bound:
-        raise ConfigError(f"{name} must be <= {bound}, got {value}")
 
 
 def check_run_bounds(
@@ -236,8 +225,8 @@ def check_run_bounds(
     numbers 0 < eps_pt, eps_proj < inf; a bool is neither.  The CLI, `galois_verify` and
     `criterion_check` all check here; a value not given is its default.
     """
-    _check_integer("samples", samples, MAX_SAMPLES)
-    _check_integer("jobs", jobs, MAX_JOBS)
+    check_integer("samples", samples, MAX_SAMPLES)
+    check_integer("jobs", jobs, MAX_JOBS)
     for name, value in (("eps_pt", eps_pt), ("eps_proj", eps_proj)):
         if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
             raise ConfigError(f"{name} must be positive and finite, got {value}")

@@ -18,7 +18,6 @@ import functools
 import itertools
 import math
 import random
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +35,8 @@ from .batch import (
     wp_inverse_array,
 )
 from .construction import (  # noqa: F401 - re-exported
+    MAX_QUOTIENT_D_IM_TAU_B,
     MAX_QUOTIENT_IM_TAU,
-    MAX_QUOTIENT_IM_TAU_B3,
     CoverSpec,
     build_cover,
     check_run_bounds,
@@ -206,35 +205,6 @@ def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
     return _one_row(spec, target, "B")
 
 
-class SampleRecord(_Frozen):
-    index: int
-    point: PointTuple
-    generic: bool
-    orbit_size: Optional[int]
-    image_spread: float
-    fiber_match: bool
-
-    def __init__(
-        self,
-        index: int,
-        point: PointTuple,
-        generic: bool,
-        orbit_size: Optional[int],
-        image_spread: float,
-        fiber_match: bool,
-    ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "generic", generic)
-        object.__setattr__(self, "orbit_size", orbit_size)
-        object.__setattr__(self, "image_spread", image_spread)
-        object.__setattr__(self, "fiber_match", fiber_match)
-
-    def passes(self, eps_proj: float) -> bool:
-        """Pass condition for a generic sample, whose orbit has |G| points; non-generic records are excluded."""
-        return self.image_spread < eps_proj and self.fiber_match
-
-
 class CriterionReport(_Frozen):
     order_ok: bool
     invariance_ok: bool
@@ -247,11 +217,20 @@ class CriterionReport(_Frozen):
 
 
 class VerificationReport(_Frozen):
+    """The result of `galois_verify`: one row per sample, in the JSON report's layout.
+
+    A row is a dict with the keys `index`, `point` (the sample's d
+    coordinate pairs (a, b) on E), `generic`, `orbit_size` (|G|, or None
+    for a nontrivial stabilizer), `image_spread` and `fiber_match`, in
+    that order.  `passed` holds when some sample is generic and every
+    generic one has a spread below eps_proj and its fiber match.
+    """
+
     construction: str
     group_order: int
     seed: int
     tolerances: dict
-    samples: tuple[SampleRecord, ...]
+    samples: tuple[dict, ...]
     passed: bool
 
 
@@ -295,7 +274,7 @@ def _draw(rng: random.Random, *shape: int) -> np.ndarray:
 
 def _verify_chunk(
     spec: CoverSpec, generators: tuple[np.ndarray, np.ndarray], coords: np.ndarray, first: int, eps_pt: float
-) -> list[SampleRecord]:
+) -> list[dict]:
     """Samples first, first + 1, ... of the protocol, in numpy passes over them all, on (E/Q0)^d.
 
     `coords` holds the samples' points x, N x d x 2, each mapped once to
@@ -311,9 +290,10 @@ def _verify_chunk(
     is all of g's fiber when |L| is its size, d! 2^d for A and (d+1)! for
     B, and then G acts simply transitively on the fibers of f if it is
     L x| Q0^d (`CoverSpec.decomposed`); otherwise no sample matches.  A
-    record depends on its own tuple alone, not on its chunk.  A sample
-    with a row that the map marks failed, or whose target is not a generic
-    value of the map, is non-generic, not failed.
+    sample's row, in `VerificationReport`'s layout, depends on its own
+    tuple alone, not on its chunk.  A sample with a row that the map marks
+    failed, or whose target is not a generic value of the map, is
+    non-generic, not failed.
     """
     count, d = coords.shape[:2]
     ys = map_coords(spec.quotient, coords)
@@ -346,14 +326,14 @@ def _verify_chunk(
         near = np.all(_wrap_dist_array(found, orbit[samples, None]) <= EPS_GENERIC, axis=4).any(axis=3)
         matched[samples] = _assigned(near)
     return [
-        SampleRecord(
-            index=first + s,
-            point=tuple(TorusPoint(spec.curve, a, b) for a, b in row),
-            generic=g,
-            orbit_size=spec.group.order if t else None,
-            image_spread=worst,
-            fiber_match=g and m,
-        )
+        {
+            "index": first + s,
+            "point": row,
+            "generic": g,
+            "orbit_size": spec.group.order if t else None,
+            "image_spread": worst,
+            "fiber_match": g and m,
+        }
         for s, (row, g, t, worst, m) in enumerate(
             zip(*(a.tolist() for a in (coords, generic, trivial, spread, matched)))
         )
@@ -387,7 +367,7 @@ def galois_verify(
     size = max(1, _CHUNK_ROWS // (1 + len(generators[0])))
     starts = range(0, samples, size)
 
-    def verify(first: int) -> list[SampleRecord]:
+    def verify(first: int) -> list[dict]:
         return _verify_chunk(spec, generators, coords[first : first + size], first, eps_pt)
 
     workers = min(jobs, len(starts))
@@ -398,18 +378,15 @@ def galois_verify(
             chunks = list(pool.map(verify, starts))
     else:
         chunks = [verify(first) for first in starts]
-    records = [record for chunk in chunks for record in chunk]
-
-    generic_records = [r for r in records if r.generic]
-    passed = bool(generic_records) and all(
-        r.passes(eps_proj) for r in generic_records
-    )
+    rows = [row for chunk in chunks for row in chunk]
+    generic = [row for row in rows if row["generic"]]
+    passed = bool(generic) and all(row["image_spread"] < eps_proj and row["fiber_match"] for row in generic)
     return VerificationReport(
         construction=spec.construction,
         group_order=spec.group.order,
         seed=seed,
         tolerances={"eps_pt": eps_pt, "eps_proj": eps_proj, "eps_num": EPS_NUM},
-        samples=tuple(records),
+        samples=tuple(rows),
         passed=passed,
     )
 

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and its one integer check."""
+
+import operator
 
 
 class EllcoverError(Exception):
@@ -59,3 +61,17 @@ class NotVeryAmpleWarning(UserWarning):
     The construction still produces a group and a cover of the right degree,
     but the line bundle backing it is only ample, not certified very ample.
     """
+
+
+def check_integer(name: str, value, bound: float = float("inf"), error: type = ConfigError) -> None:
+    """Raise `error` unless `value` is an integer, not a bool, with 1 <= value <= bound."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
+    if value > bound:
+        raise error(f"{name} must be <= {bound}, got {value}")

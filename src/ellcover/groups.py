@@ -17,7 +17,7 @@ from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .elliptic import EPS_PT, FiniteSubgroupSpec
-from .errors import InvalidOrder, OrderCapExceeded
+from .errors import InvalidOrder, OrderCapExceeded, check_integer
 
 if TYPE_CHECKING:
     from .affine import AffineAutomorphism
@@ -132,12 +132,6 @@ def _transpositions(d: int) -> list[IntMatrix]:
     return [ident[:i] + (ident[i + 1], ident[i]) + ident[i + 2 :] for i in range(d - 1)]
 
 
-def _check_dimension(d: int) -> None:
-    """Raise InvalidOrder unless 1 <= d <= MAX_D, before any O(d) work."""
-    if not 1 <= d <= MAX_D:
-        raise InvalidOrder(f"need 1 <= d <= {MAX_D}, got {d}")
-
-
 def _signed_permutations(d: int) -> Iterable[IntMatrix]:
     """The 2^d d! signed permutation matrices."""
     return (
@@ -161,9 +155,10 @@ def build_group_A(d: int, q0: FiniteSubgroupSpec) -> SemidirectProduct:
     Per coordinate: negation (wp is even) and translation by Q0 (the fibers
     of E -> E/Q0); across coordinates: the symmetric group S_d.  L is the
     signed permutation matrices, generated by the negations of one
-    coordinate and the adjacent transpositions.
+    coordinate and the adjacent transpositions.  Raises InvalidOrder, before
+    any O(d) work, unless d is an integer, not a bool, with 1 <= d <= MAX_D.
     """
-    _check_dimension(d)
+    check_integer("d", d, MAX_D, InvalidOrder)
     ident = _identity(d)
     negations = [ident[:i] + (tuple(-v for v in ident[i]),) + ident[i + 1 :] for i in range(d)]
     order = 2**d * math.factorial(d)
@@ -177,9 +172,10 @@ def build_group_B(d: int, q0: FiniteSubgroupSpec) -> SemidirectProduct:
     Generators: sigma_1 swaps the first two coordinates; sigma_2 cycles,
     sending (y_1, ..., y_d) to (-(y_1+...+y_d), y_1, ..., y_(d-1)), so its
     matrix has first row all -1 over a subdiagonal identity.  Coordinatewise
-    Q0 translations account for the isogeny factor.
+    Q0 translations account for the isogeny factor.  d is checked as in
+    `build_group_A`.
     """
-    _check_dimension(d)
+    check_integer("d", d, MAX_D, InvalidOrder)
     cycle = ((-1,) * d,) + _identity(d)[:-1]
     order = math.factorial(d + 1)
     return SemidirectProduct(d, q0, order, partial(_divisor_permutations, d), _transpositions(d)[:1] + [cycle])

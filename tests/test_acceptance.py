@@ -96,12 +96,12 @@ def test_criterion_3_galois_verification_construction_a():
     report = galois_verify(spec, samples=20, seed=42, eps_pt=1e-9)
     ok = report.passed and len(report.samples) == 20
     for rec in report.samples:
-        if not rec.generic:
+        if not rec["generic"]:
             continue
-        ok = ok and rec.orbit_size == 32
-        ok = ok and rec.image_spread < 1e-7
-        ok = ok and rec.fiber_match
-    ok = ok and any(rec.generic for rec in report.samples)
+        ok = ok and rec["orbit_size"] == 32
+        ok = ok and rec["image_spread"] < 1e-7
+        ok = ok and rec["fiber_match"]
+    ok = ok and any(rec["generic"] for rec in report.samples)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     _report(
@@ -120,15 +120,15 @@ def test_criterion_4_galois_verification_construction_b():
     report = galois_verify(spec, samples=20, seed=42)
     ok = report.passed and len(report.samples) == 20
     for rec in report.samples:
-        if not rec.generic:
+        if not rec["generic"]:
             continue
-        ok = ok and rec.orbit_size == 24
-        ok = ok and rec.image_spread < 1e-7
+        ok = ok and rec["orbit_size"] == 24
+        ok = ok and rec["image_spread"] < 1e-7
         # fiber_match certifies that the fiber's size (d+1)! * |Q0|^2 = 24 is
         # |G| and that one preimage recovered from the target's divisor lies
         # within 1e-6 of one of the sample's 24 images
-        ok = ok and rec.fiber_match
-    ok = ok and any(rec.generic for rec in report.samples)
+        ok = ok and rec["fiber_match"]
+    ok = ok and any(rec["generic"] for rec in report.samples)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     _report(

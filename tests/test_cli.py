@@ -255,6 +255,33 @@ class TestVerifyCommand:
         assert payload["criterion"]["very_ample"] is False
         assert payload["criterion"]["order_ok"] is True
 
+    @pytest.mark.parametrize("construction", ["A", "B"])
+    def test_report_samples_are_galois_verify_rows(self, tmp_path, monkeypatch, construction):
+        # one sample layout, owned by covers: the report writes the rows of
+        # galois_verify at the same seed as they are, a non-finite spread
+        # (here sample 1's, made infinite) as null
+        from ellcover import covers
+        from ellcover.construction import RunConfig
+
+        spreads = covers.projective_spreads
+
+        def one_infinite(*args):
+            out = spreads(*args)
+            out[1] = float("inf")
+            return out
+
+        monkeypatch.setattr(covers, "projective_spreads", one_infinite)
+        out = tmp_path / "r.json"
+        argv = ["verify", "--construction", construction, "--d", "2", "--samples", "5", "--seed", "7"]
+        assert run(argv + ["--output", str(out)]) == 1
+        spec = RunConfig(construction=construction, d=2).build_spec()
+        rows = [dict(row) for row in covers.galois_verify(spec, samples=5, seed=7).samples]
+        assert rows[1]["image_spread"] == float("inf")
+        rows[1]["image_spread"] = None
+        samples = json.loads(out.read_text())["samples"]
+        assert samples == rows
+        assert [list(sample) for sample in samples] == [list(row) for row in rows]
+
     def test_stdout_mode_prints_json(self, capsys):
         assert run(VERIFY_FAST) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -37,9 +37,8 @@ from ellcover import (
 from ellcover import FiniteActionGroup, batch, covers, groups
 from ellcover.covers import (
     EPS_GENERIC,
+    MAX_QUOTIENT_D_IM_TAU_B,
     MAX_QUOTIENT_IM_TAU,
-    MAX_QUOTIENT_IM_TAU_B3,
-    SampleRecord,
 )
 from ellcover.batch import _wrap_dist_array, coords_array, divisors_to_coords, map_coords
 from ellcover.construction import MAX_BASIS_CHANGE, MAX_D, MAX_JOBS
@@ -75,8 +74,11 @@ def _match_one(left, right, tol):
     return True
 
 
-def _verify_sample(spec, point, index, eps_pt=EPS_PT):
+def _verify_sample(spec, coords, index, eps_pt=EPS_PT):
     """One sample of the protocol, alone, over the listed G: the oracle of `galois_verify`'s chunks.
+
+    The sample is its d coordinate pairs on E, and its row is laid out as
+    `galois_verify`'s rows are.
 
     The stabilizer comes from the sample's own |G| images, and the orbit
     size is |G| where it is trivial.  The images are mapped by themselves,
@@ -84,6 +86,7 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
     recovered from the target alone (`CoverSpec.fiber_array`) and must
     equal the orbit (`FiniteActionGroup.orbit`) as a set.
     """
+    point = tuple(TorusPoint(spec.curve, a, b) for a, b in coords)
     found = batch.images(spec.group, [point])
     here = coords_array([point])
     stab = np.flatnonzero(batch.stabilizer_mask(found, here, eps_pt)[0])
@@ -103,14 +106,14 @@ def _verify_sample(spec, point, index, eps_pt=EPS_PT):
             fiber_match = _match_one(fiber[0], orbit, EPS_GENERIC)
         else:
             generic = False
-    return SampleRecord(
-        index=index,
-        point=point,
-        generic=generic,
-        orbit_size=spec.group.order if len(stab) == 1 else None,
-        image_spread=spread,
-        fiber_match=fiber_match,
-    )
+    return {
+        "index": index,
+        "point": [list(pair) for pair in coords],
+        "generic": generic,
+        "orbit_size": spec.group.order if len(stab) == 1 else None,
+        "image_spread": spread,
+        "fiber_match": fiber_match,
+    }
 
 
 #: tau whose quotient by <1/2, 0> has tau' = 0.4 + 1.4i: a term count
@@ -121,7 +124,7 @@ TERMS_VARY = (0.2, 0.7)
 
 def _bits(records):
     """Records with their spreads as exact bit patterns."""
-    return [(r, r.image_spread.hex()) for r in records]
+    return [(r, r["image_spread"].hex()) for r in records]
 
 
 def _verdicts(records):
@@ -132,8 +135,8 @@ def _verdicts(records):
     mapped through the isogeny, so their spreads differ.
     """
     return [
-        (r.index, r.point, r.generic, r.orbit_size, r.fiber_match)
-        + (r.image_spread < EPS_PROJ, math.isfinite(r.image_spread))
+        (r["index"], r["point"], r["generic"], r["orbit_size"], r["fiber_match"])
+        + (r["image_spread"] < EPS_PROJ, math.isfinite(r["image_spread"]))
         for r in records
     ]
 
@@ -409,8 +412,8 @@ def test_large_quotient_roots_are_finite_at_unit_scale():
     q0 = FiniteSubgroupSpec.parse(("1/316,0", "0,1/316"))
     spec = _build("A", 1, q0, LatticeTau.from_tau(TAU))
     report = galois_verify(spec, samples=20, seed=42)
-    assert all(r.generic and r.fiber_match for r in report.samples) and report.passed
-    targets, failed = spec.map_array(coords_array([r.point for r in report.samples]))
+    assert all(r["generic"] and r["fiber_match"] for r in report.samples) and report.passed
+    targets, failed = spec.map_array(np.array([r["point"] for r in report.samples]))
     assert not failed.any()
     _, reasons = covers._quotient_points_A(spec, targets)
     assert reasons == [None] * 20
@@ -453,7 +456,7 @@ LARGE_Q0 = [("1/64,0", "0,1/64"), ("1/100,0", "0,1/100"), ("1/200,0", "0,1/200")
 def test_large_quotients_verify_with_every_sample_generic(construction, d, generators):
     spec = _build(construction, d, FiniteSubgroupSpec.parse(generators), LatticeTau.from_tau(TAU))
     report = galois_verify(spec, samples=20, seed=42)
-    assert all(r.generic and r.fiber_match for r in report.samples) and report.passed
+    assert all(r["generic"] and r["fiber_match"] for r in report.samples) and report.passed
 
 
 GENERIC = [(0.137, 0.261), (0.389, 0.731), (0.613, 0.447)]
@@ -489,49 +492,50 @@ class TestGaloisVerify:
         assert report.passed
         assert len(report.samples) == 5
         for rec in report.samples:
-            assert rec.generic
-            assert rec.orbit_size == 32
-            assert rec.image_spread < 1e-7
-            assert rec.fiber_match
+            assert rec["generic"]
+            assert rec["orbit_size"] == 32
+            assert rec["image_spread"] < 1e-7
+            assert rec["fiber_match"]
 
     def test_construction_b_passes(self, lattice, q2):
         spec = build_cover("B", 2, lattice, q2)
         report = galois_verify(spec, samples=5, seed=42)
         assert report.passed
         for rec in report.samples:
-            assert rec.generic
-            assert rec.orbit_size == 24
-            assert rec.image_spread < 1e-7
-            assert rec.fiber_match
+            assert rec["generic"]
+            assert rec["orbit_size"] == 24
+            assert rec["image_spread"] < 1e-7
+            assert rec["fiber_match"]
 
     @pytest.mark.parametrize("construction", ["A", "B"])
     def test_sample_points_are_the_seeded_tuples(self, lattice, q2, construction):
-        # sample k's d points, bit for bit, are TorusPoint.from_coords of
-        # draws 2dk ... 2d(k+1) - 1 of Random(seed), point by point
+        # sample k's d points, bit for bit, are the coordinates of
+        # TorusPoint.from_coords of draws 2dk ... 2d(k+1) - 1 of
+        # Random(seed), point by point
         spec = _build(construction, 2, q2, lattice)
         rng = random.Random(9)
         drawn = [
             tuple(TorusPoint.from_coords(spec.curve, rng.random(), rng.random()) for _ in range(2))
             for _ in range(6)
         ]
-        points = [rec.point for rec in galois_verify(spec, samples=6, seed=9).samples]
-        assert points == drawn
-        assert coords_array(points).tobytes() == coords_array(drawn).tobytes()
+        points = [rec["point"] for rec in galois_verify(spec, samples=6, seed=9).samples]
+        assert points == [[[p.a, p.b] for p in t] for t in drawn]
+        assert np.array(points).tobytes() == coords_array(drawn).tobytes()
 
     def test_seed_determinism(self, lattice, q2):
         spec = build_cover("A", 1, lattice, q2)
         r1 = galois_verify(spec, samples=4, seed=7)
         r2 = galois_verify(spec, samples=4, seed=7)
-        assert [rec.point for rec in r1.samples] == [rec.point for rec in r2.samples]
-        assert [rec.image_spread for rec in r1.samples] == [
-            rec.image_spread for rec in r2.samples
+        assert [rec["point"] for rec in r1.samples] == [rec["point"] for rec in r2.samples]
+        assert [rec["image_spread"] for rec in r1.samples] == [
+            rec["image_spread"] for rec in r2.samples
         ]
 
     def test_different_seeds_draw_different_points(self, lattice, q2):
         spec = build_cover("A", 1, lattice, q2)
         r1 = galois_verify(spec, samples=2, seed=1)
         r2 = galois_verify(spec, samples=2, seed=2)
-        assert r1.samples[0].point != r2.samples[0].point
+        assert r1.samples[0]["point"] != r2.samples[0]["point"]
 
     def test_recovered_divisor_is_polished(self, lattice, q3):
         # the lifted roots of the norm polynomial leave this sample's divisor
@@ -540,8 +544,8 @@ class TestGaloisVerify:
         spec = build_cover("B", 3, lattice, q3)
         report = galois_verify(spec, samples=1, seed=906133)
         (rec,) = report.samples
-        assert rec.generic and rec.orbit_size == 648
-        assert rec.fiber_match
+        assert rec["generic"] and rec["orbit_size"] == 648
+        assert rec["fiber_match"]
         assert report.passed
 
     @pytest.mark.parametrize("construction, order", [("A", 6144), ("B", 1920)])
@@ -549,7 +553,7 @@ class TestGaloisVerify:
         spec = build_cover(construction, 4, lattice, q2)
         report = galois_verify(spec, samples=1, seed=42)
         (rec,) = report.samples
-        assert rec.generic and rec.orbit_size == order
+        assert rec["generic"] and rec["orbit_size"] == order
         assert report.passed
 
     @pytest.mark.parametrize("construction", ["A", "B"])
@@ -567,7 +571,7 @@ class TestGaloisVerify:
         spec = build_cover(construction, 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
         for rec in report.samples:
-            assert rec.generic and not rec.fiber_match
+            assert rec["generic"] and not rec["fiber_match"]
         assert not report.passed
 
     @pytest.mark.parametrize("construction", ["A", "B"])
@@ -580,7 +584,7 @@ class TestGaloisVerify:
         monkeypatch.setattr(CoverSpec, "map", one_point)
         spec = build_cover(construction, 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
-        assert all(rec.generic and rec.fiber_match for rec in report.samples)
+        assert all(rec["generic"] and rec["fiber_match"] for rec in report.samples)
         assert report.passed
 
     def test_jobs_do_not_change_results(self, monkeypatch):
@@ -613,7 +617,7 @@ class TestGaloisVerify:
         monkeypatch.setattr(covers, "move", counted)
         spec = build_cover("A", 2, lattice, q2)
         report = galois_verify(spec, samples=3, seed=42)
-        points = coords_array([rec.point for rec in report.samples])
+        points = np.array([rec["point"] for rec in report.samples])
         assert calls == map_coords(spec.quotient, points).tolist()
         assert len(spec.group.linear.linear_generators) == 3 and spec.decomposed
         assert "matrices" not in vars(spec.group) and "matrices" not in vars(spec.group.linear)
@@ -725,7 +729,7 @@ def test_chunks_match_the_one_sample_oracle(monkeypatch, construction, d, tau, q
     spec = _build(construction, d, FiniteSubgroupSpec.parse(q0), lattice)
     monkeypatch.setattr(covers, "_CHUNK_ROWS", 4 * _rows_per_sample(spec))
     report = galois_verify(spec, samples=samples, seed=11)
-    oracle = [_verify_sample(spec, r.point, r.index) for r in report.samples]
+    oracle = [_verify_sample(spec, r["point"], r["index"]) for r in report.samples]
     assert _verdicts(report.samples) == _verdicts(oracle)
 
 
@@ -742,11 +746,12 @@ def test_mixed_chunk_matches_the_one_sample_oracle(lattice, q2, construction):
         _point(spec, [(1 / 6, 0.0), (1 / 6, 0.0)]),
         _point(spec, [(0.83, 0.09), (0.25, 0.64)]),
     ]
-    records = covers._verify_chunk(spec, _linear_generators(spec), coords_array(points), 0, EPS_PT)
-    assert _verdicts(records) == _verdicts(_verify_sample(spec, p, k) for k, p in enumerate(points))
-    assert [r.generic for r in records] == [True, False, True, False, True]
-    assert records[1].orbit_size is None and records[0].orbit_size == spec.group.order
-    assert math.isfinite(records[3].image_spread)
+    coords = coords_array(points)
+    records = covers._verify_chunk(spec, _linear_generators(spec), coords, 0, EPS_PT)
+    assert _verdicts(records) == _verdicts(_verify_sample(spec, p, k) for k, p in enumerate(coords.tolist()))
+    assert [r["generic"] for r in records] == [True, False, True, False, True]
+    assert records[1]["orbit_size"] is None and records[0]["orbit_size"] == spec.group.order
+    assert math.isfinite(records[3]["image_spread"])
 
 
 def _near_coincidences(construction, d, rng, count):
@@ -787,9 +792,9 @@ def test_closed_form_stabilizer_agrees_with_the_listed_one(lattice, q2, construc
     assert map_coords(spec.quotient, coords).tobytes() == ys.tobytes()
     records = covers._verify_chunk(spec, _linear_generators(spec), coords, 0, EPS_PT)
     listed = batch.stabilizer_mask(batch.move(spec.group.linear._packed, ys), ys, EPS_PT).sum(axis=1) == 1
-    assert [r.orbit_size is not None for r in records] == listed.tolist()
+    assert [r["orbit_size"] is not None for r in records] == listed.tolist()
     assert min(listed.sum(), (~listed).sum()) > (20 if d > 1 else 10)
-    assert all(r.orbit_size == spec.group.order for r in records if r.orbit_size is not None)
+    assert all(r["orbit_size"] == spec.group.order for r in records if r["orbit_size"] is not None)
 
 
 #: y_2 = -y_1 + (eps, -eps/2) on E/Q0 for B d=2: the divisor's third point,
@@ -828,7 +833,7 @@ def test_divisor_point_near_the_origin_is_non_generic_not_an_error(lattice, q2):
     # a verification sample there is excluded, and the run goes on
     coords = ys[len(NEAR_ORIGIN_RECOVERED) - 2 :] * [0.5, 1.0]  # phi(s, t) = (2s, t) for Q0 = <1/2, 0>
     records = covers._verify_chunk(spec, _linear_generators(spec), coords, 0, EPS_PT)
-    assert [r.generic for r in records][:7] == [True, True] + [False] * len(NEAR_ORIGIN_LOST)
+    assert [r["generic"] for r in records][:7] == [True, True] + [False] * len(NEAR_ORIGIN_LOST)
 
 
 #: point tuples (first d points) whose targets are special under Q0 = <1/2, 0>
@@ -917,22 +922,22 @@ def test_family_matches_the_scalar_oracle(construction, d, tau, n):
     # by the full protocol, and every generic sample's fiber matches its orbit
     spec = _build(construction, d, FiniteSubgroupSpec.parse((f"1/{n},0",)), LatticeTau.from_tau(tau))
     report = galois_verify(spec, samples=6, seed=3)
-    oracle = [_verify_sample(spec, r.point, r.index) for r in report.samples]
+    oracle = [_verify_sample(spec, r["point"], r["index"]) for r in report.samples]
     assert _verdicts(report.samples) == _verdicts(oracle)
-    assert all(r.fiber_match for r in report.samples if r.generic)
+    assert all(r["fiber_match"] for r in report.samples if r["generic"])
 
 
 def _assert_every_fiber_recovered(report):
     """At least 18 of 20 samples generic, and no generic sample misses its fiber match."""
-    generic = [r for r in report.samples if r.generic]
+    generic = [r for r in report.samples if r["generic"]]
     assert len(report.samples) == 20 and len(generic) >= 18
-    assert [r.index for r in generic if not r.fiber_match] == []
+    assert [r["index"] for r in generic if not r["fiber_match"]] == []
     assert report.passed
 
 
 @pytest.mark.parametrize(
     "d, height",
-    [(2, h) for h in (6, 8, 10, MAX_QUOTIENT_IM_TAU)] + [(3, h) for h in (6, 7, MAX_QUOTIENT_IM_TAU_B3)],
+    [(2, h) for h in (6, 8, 10, MAX_QUOTIENT_IM_TAU)] + [(3, h) for h in (6, 7, MAX_QUOTIENT_D_IM_TAU_B / 3)],
 )
 def test_tall_quotients_recover_every_fiber(q2, d, height):
     # tau = 0.17 + i h/2, whose quotient by <1/2, 0> has Im tau' = h, up to
@@ -976,7 +981,7 @@ def test_paper_family_recovers_every_fiber(construction, d, generators, height):
 
 @st.composite
 def _covers(draw):
-    """(construction, d, tau, generators): tau in the fundamental domain, Q0 cyclic of order <= 10 or E[2]."""
+    """(construction, d, tau, generators): d up to MAX_D, tau in the fundamental domain, Q0 cyclic of order <= 10 or E[2]."""
     x = draw(st.floats(-0.5, 0.5))
     y = draw(st.floats(math.sqrt(1 - x * x), 3.0))
     n = draw(st.integers(1, 10))
@@ -984,20 +989,24 @@ def _covers(draw):
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ab: math.gcd(*ab, n) == 1)
     )
     generators = draw(st.sampled_from([(f"{a}/{n},{b}/{n}",), ("1/2,0", "0,1/2")]))
-    return draw(st.sampled_from("AB")), draw(st.integers(1, 2)), complex(x, y), generators
+    return draw(st.sampled_from("AB")), draw(st.integers(1, MAX_D)), complex(x, y), generators
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_covers())
 def test_every_drawn_cover_verifies_or_is_refused(case):
-    # a cover either passes with a generic sample, or build_cover refuses it with a typed error
+    # a cover either passes with a generic sample and the criterion's three
+    # checks, or build_cover refuses it with a typed error; the domain is all
+    # that build_cover admits, and only the number of draws is kept small
     construction, d, tau, generators = case
     try:
         spec = _build(construction, d, FiniteSubgroupSpec.parse(generators), LatticeTau.from_tau(tau))
     except EllcoverError:
         return
     report = galois_verify(spec, samples=8, seed=1)
-    assert any(r.generic for r in report.samples) and report.passed
+    assert any(r["generic"] for r in report.samples) and report.passed
+    criterion = criterion_check(spec, seed=1)
+    assert criterion.order_ok and criterion.invariance_ok and criterion.basepoint_ok
 
 
 @pytest.mark.parametrize("construction", ["A", "B"])
@@ -1012,9 +1021,9 @@ def test_index_two_subgroup_fails(lattice, q2, construction):
     )
     assert 2 * len(kept) == spec.group.order
     report = galois_verify(_with_group(spec, FiniteActionGroup(2, (), kept)), samples=10, seed=1)
-    generic = [r for r in report.samples if r.generic]
+    generic = [r for r in report.samples if r["generic"]]
     assert len(generic) == 10
-    assert all(r.orbit_size == len(kept) and not r.fiber_match for r in generic)
+    assert all(r["orbit_size"] == len(kept) and not r["fiber_match"] for r in generic)
     assert not report.passed
 
 
@@ -1031,10 +1040,10 @@ def test_translations_of_a_proper_subgroup_fail(construction, orders):
     control = _with_group(spec, group)
     assert spec.decomposed and not control.decomposed
     report = galois_verify(control, samples=10, seed=1)
-    generic = [r for r in report.samples if r.generic]
+    generic = [r for r in report.samples if r["generic"]]
     assert len(generic) == 10
-    assert all(r.orbit_size == group.order and r.image_spread < EPS_PROJ for r in generic)
-    assert not any(r.fiber_match for r in generic)
+    assert all(r["orbit_size"] == group.order and r["image_spread"] < EPS_PROJ for r in generic)
+    assert not any(r["fiber_match"] for r in generic)
     assert not report.passed
 
 
@@ -1060,8 +1069,8 @@ def test_group_that_does_not_act_through_its_linear_part_fails(lattice, q2, cons
     assert group.order == spec.group.order and group.linear.elements == spec.group.linear.elements
     assert spec.decomposed and not control.decomposed
     report = galois_verify(control, samples=10, seed=1)
-    assert any(r.generic for r in report.samples)
-    assert not any(r.fiber_match for r in report.samples)
+    assert any(r["generic"] for r in report.samples)
+    assert not any(r["fiber_match"] for r in report.samples)
     assert not report.passed
 
 
@@ -1110,15 +1119,15 @@ def test_fiber_match_at_its_tolerance_edge(lattice, q2, monkeypatch, constructio
 
             monkeypatch.setattr(covers, "_quotient_points", moved)
             records = covers._verify_chunk(spec, _linear_generators(spec), coords, 0, EPS_PT)
-            assert all(r.generic for r in records)
-            assert [r.fiber_match for r in records] == [j != k or expected for j in range(3)], (k, slot, axis, scale)
+            assert all(r["generic"] for r in records)
+            assert [r["fiber_match"] for r in records] == [j != k or expected for j in range(3)], (k, slot, axis, scale)
     # each recovered point matches, unless the group is one element short
     # of L x| Q0^d
     monkeypatch.setattr(covers, "_quotient_points", recover)
     for group, expected in ((spec.group, True), (FiniteActionGroup(2, (), spec.group.elements[:-1]), False)):
         control = _with_group(spec, group)
         records = covers._verify_chunk(control, _linear_generators(control), coords, 0, EPS_PT)
-        assert [r.fiber_match for r in records] == [expected] * 3
+        assert [r["fiber_match"] for r in records] == [expected] * 3
 
 
 def test_assignment_is_a_matching():
@@ -1176,7 +1185,7 @@ def test_scaled_lattices_verify(q2, construction, rotation, scale):
     spec = build_cover(construction, 2, LatticeTau(omega1, omega1 * TAU), q2)
     report = galois_verify(spec, samples=10, seed=3)
     assert report.passed
-    assert all(r.generic for r in report.samples)
+    assert all(r["generic"] for r in report.samples)
 
 
 class TestPastTheOldProbeBound:
@@ -1386,13 +1395,16 @@ class TestQuotientHeightBound:
         with pytest.raises(IllConditioned, match="Im tau'"):
             build_cover("A", 1, LatticeTau.from_tau(6.25j), q2)
 
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_b_from_d3_has_its_own_bound(self, q2, d):
-        # B at d >= 3 misses fiber matches above Im tau' = 8; A, and B at d = 2, do not
-        spec = build_cover("B", d, LatticeTau.from_tau(4j), q2)
-        assert spec.quotient.target.tau_reduced.imag == MAX_QUOTIENT_IM_TAU_B3
-        taller = LatticeTau.from_tau(4.25j)
-        with pytest.raises(IllConditioned, match=f"Im tau' = 8.5 > 8, taller than B at d={d}"):
+    @pytest.mark.parametrize("d, height", [(3, 8), (4, 6), (6, 4), (8, 3), (10, 2.4)])
+    def test_b_has_a_bound_on_d_times_the_height(self, q2, d, height):
+        # B misses fiber matches, or fails base-point probes, past d Im tau' =
+        # 24: at d = 3 above Im tau' = 8, and at d = 8-10 from d Im tau' = 29;
+        # A, and B at d = 2, do not.  The bound is inclusive
+        assert d * height == MAX_QUOTIENT_D_IM_TAU_B
+        spec = build_cover("B", d, LatticeTau.from_tau(0.5j * height), q2)
+        assert spec.quotient.target.tau_reduced.imag == height
+        taller = LatticeTau.from_tau(0.53125j * height)
+        with pytest.raises(IllConditioned, match=f"Im tau' = {1.0625 * height:g} > {height:g}, taller than B at d={d}"):
             build_cover("B", d, taller, q2)
         build_cover("A", d, taller, q2)
         build_cover("B", 2, taller, q2)

@@ -164,11 +164,18 @@ class TestGroupGeneration:
         # matrices is built
         q0 = FiniteSubgroupSpec.parse(("1/2,0",))
         start = time.perf_counter()
-        for d in (MAX_D + 1, 10**6, 0):
-            with pytest.raises(InvalidOrder, match=f"^need 1 <= d <= {MAX_D}, got {d}$"):
+        for d, message in ((MAX_D + 1, f"<= {MAX_D}"), (10**6, f"<= {MAX_D}"), (0, ">= 1")):
+            with pytest.raises(InvalidOrder, match=f"^d must be {message}, got {d}$"):
                 build(d, q0)
         assert time.perf_counter() - start < 1
         assert build(MAX_D, q0).dim == MAX_D
+
+    @pytest.mark.parametrize("build", [build_group_A, build_group_B])
+    @pytest.mark.parametrize("d", [True, 2.0, None, "2"])
+    def test_d_that_is_not_an_integer_is_refused(self, build, d):
+        # True built a group of dim True, and 2.0 raised a raw TypeError
+        with pytest.raises(InvalidOrder, match=f"^d must be an integer, got {d!r}$"):
+            build(d, FiniteSubgroupSpec.parse(("1/2,0",)))
 
 
 class TestConstructionA:

@@ -25,7 +25,7 @@ from ellcover import (
 )
 from ellcover.batch import lift_coords
 from ellcover.construction import RunConfig
-from ellcover.covers import CriterionReport, SampleRecord, VerificationReport
+from ellcover.covers import CriterionReport, VerificationReport
 from ellcover.errors import InvalidPoint
 
 RECORDS = [
@@ -36,7 +36,6 @@ RECORDS = [
     AffineAutomorphism,
     ProjectivePoint,
     CoverSpec,
-    SampleRecord,
     CriterionReport,
     VerificationReport,
 ]
@@ -59,7 +58,6 @@ def records(lattice, q2):
             ProjectivePoint.normalize([3, 2, 1]),
         ),
         CoverSpec: (spec, build_cover("A", 2, lattice, q2)),
-        SampleRecord: report.samples,
         CriterionReport: (
             CriterionReport(order_ok=True, invariance_ok=True, basepoint_ok=True, very_ample=True),
             CriterionReport(order_ok=True, invariance_ok=True, basepoint_ok=False, very_ample=True),
