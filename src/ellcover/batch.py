@@ -6,8 +6,10 @@ or `symfun` on a stack of points in numpy passes.  `t_series_array` (wp),
 only ones of their kind: the scalar `wp`, `wp_prime`, `centred_values`,
 `wp_inverse`, `divisor_to_coords` and `section_zeros` are their one-row
 calls.  `divisors_to_coords` solves each distinct sorted divisor once.
-The covers' maps and fibers, the only ones, are built from them:
-verification and the criterion probes both run them.
+A row that one of them cannot compute is marked in a mask that it returns,
+never raised; the one-row calls raise.  The covers' maps and fibers, the
+only ones, are built from them: verification and the criterion probes
+both run them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PT, IsogenyQuotient, LatticeTau
-from .errors import DegenerateSection, InvalidOrder, InvalidPoint, NoConvergence
+from .errors import DegenerateSection, InvalidOrder, InvalidPoint
 from .groups import IntMatrix
 from .symfun import (
     _COND_FLOOR,
@@ -233,8 +235,8 @@ def lift_coords(quotient: IsogenyQuotient, coords: np.ndarray) -> np.ndarray:
     return _frac_array(np.stack([(a * x + b * y + px) / n, (c * y + py) / n], axis=-1))
 
 
-def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
-    """The solutions z and -z of wp(z) - e2 = t for N values t, two N x 2 arrays, each pair in (a, b) order.
+def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solutions z and -z of wp(z) - e2 = t for N values t, two N x 2 arrays, each pair in (a, b) order, and a mask.
 
     The AGM elliptic logarithm of Cremona and Thongjunthug (J. Number
     Theory 133, 2013) from the branch differences: with a = sqrt(d1 - d3),
@@ -242,8 +244,8 @@ def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
     a^2 + b^2)).  Landen's step (a, b, c) -> ((a+b)/2, sqrt(ab), (c + sqrt(c^2
     + b^2 - a^2))/2) keeps the integral, which is asin(a/c)/a once b^2 - a^2
     vanishes; b^2 - a^2 is d3 at the first step and -(a - b)^2/4 after.
-    Only c is an array.  Raises InvalidPoint for a non-finite value and
-    NoConvergence unless every |t(z) - t| <= EPS_NUM * (1 + |t|).
+    Only c is an array.  Raises InvalidPoint for a non-finite value; the
+    mask marks each value missed, where |t(z) - t| > EPS_NUM * (1 + |t|).
     """
     t = np.asarray(t, dtype=complex)
     finite = np.isfinite(t.real) & np.isfinite(t.imag)
@@ -270,12 +272,10 @@ def wp_inverse_array(t, lattice: LatticeTau) -> tuple[np.ndarray, np.ndarray]:
     pole = den == 0
     residual = np.abs(num / np.where(pole, 1.0, den) - t)
     missed = pole | ~(residual <= EPS_NUM * (1.0 + np.abs(t)))
-    if missed.any():
-        raise NoConvergence(f"wp_inverse missed its residual contract at t={complex(t[missed][0])!r}")
     # the two solutions in (a, b) order
     q = _frac_array(-p)
     swap = ((q[:, 0] < p[:, 0]) | ((q[:, 0] == p[:, 0]) & (q[:, 1] < p[:, 1])))[:, None]
-    return np.where(swap, q, p), np.where(swap, p, q)
+    return np.where(swap, q, p), np.where(swap, p, q), missed
 
 
 def two_torsion(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
@@ -429,16 +429,17 @@ def _newton_polish(points: np.ndarray, c: np.ndarray, basis: SectionBasis) -> np
     return points
 
 
-def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray]:
-    """`symfun.section_zeros` of N sections: their zeros (N x n x 2) and multiplicities (N x n).
+def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`symfun.section_zeros` of N sections: their zeros (N x n x 2), multiplicities (N x n) and a lost-row mask (N).
 
     Row r lists its zeros in the order of `section_zeros`, then slots of
     multiplicity 0.  The norm polynomials of all sections of one pole order
     are solved as one stack, and all roots are lifted, tested on both sign
     branches and polished in numpy passes; only the clustering of a row's
     roots, the split of a cluster between z and -z and the 2-torsion test
-    run root by root.  The roots are t-values (`root_clusters`).  Raises
-    DegenerateSection on a zero or non-finite row.
+    run root by root.  The roots are t-values (`root_clusters`).  A row with
+    a root that `wp_inverse_array` misses is lost, and holds no zeros.
+    Raises DegenerateSection on a zero or non-finite row.
     """
     c = np.asarray(coeffs, dtype=complex)
     count, n = c.shape
@@ -459,7 +460,11 @@ def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.nda
         for r, row in zip(rows.tolist(), root_clusters(norm / scale[:, None])):
             clusters[r] = [(r, x, m) for x, m in row]
     roots = [root for row in clusters for root in row]
-    plus, minus = wp_inverse_array([x for _, x, _ in roots], lattice)
+    owner = [r for r, _, _ in roots]
+    plus, minus, missed = wp_inverse_array([x for _, x, _ in roots], lattice)
+    lost = np.bincount(owner, weights=missed, minlength=count) > 0
+    kept = ~lost[owner]
+    roots, plus, minus = [root for root, k in zip(roots, kept.tolist()) if k], plus[kept], minus[kept]
     torsion = two_torsion(lattice, plus).tolist()
     # t is even and wp' odd: the basis at -z is read off the series at z with wp' negated
     w, wprime = t_values(lattice, *plus.T)
@@ -492,13 +497,13 @@ def section_zeros_array(coeffs: np.ndarray, basis: SectionBasis) -> tuple[np.nda
         for (r, j), z in zip(simple, polished.tolist()):
             zeros[r][j] = (z, 1)
     # the origin absorbs the remaining degree
-    for row, order in zip(zeros, p_order.tolist()):
-        if order < n:
+    for row, order, gone in zip(zeros, p_order.tolist(), lost.tolist()):
+        if order < n and not gone:
             row.append(((0.0, 0.0), n - order))
     slots = [(r, j, z, m) for r, row in enumerate(zeros) for j, (z, m) in enumerate(row)]
     index = tuple(np.array([s[:2] for s in slots], dtype=int).reshape(-1, 2).T)
     points = np.zeros((count, n, 2))
     mults = np.zeros((count, n), dtype=int)
-    points[index] = [z for _, _, z, _ in slots]
+    points[index] = np.array([z for _, _, z, _ in slots]).reshape(-1, 2)
     mults[index] = [m for _, _, _, m in slots]
-    return points, mults
+    return points, mults, lost

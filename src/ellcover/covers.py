@@ -13,7 +13,6 @@ identity, projective invariance, and base-point-freeness probes.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -120,7 +119,9 @@ def _quotient_points_A(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray
             values.append([t for t, _ in roots])
     rows = np.flatnonzero([r is None for r in reasons])
     x = np.array(values, dtype=complex).reshape(-1, spec.d)
-    w_plus, w_minus = wp_inverse_array(x.ravel(), lattice)
+    w_plus, w_minus, missed = wp_inverse_array(x.ravel(), lattice)
+    if missed.any():
+        raise NoConvergence(f"wp_inverse missed its residual contract at t={complex(x.ravel()[missed][0])!r}")
     branch = two_torsion(lattice, w_plus).reshape(x.shape)
     for k, row in enumerate(branch.tolist()):
         if any(row):
@@ -135,22 +136,11 @@ def _quotient_points_B(spec: CoverSpec, targets: np.ndarray) -> tuple[np.ndarray
     """Construction B's fibers on E/Q0: per target, its section's zero divisor, N x (d+1) x 1 x 2, and its reason.
 
     The d+1 points come in (a, b) order.  A repeated point makes a target
-    non-generic, and so does a point whose t `wp_inverse_array` cannot
-    invert (NoConvergence), such as one 3e-9 to 3e-7 from the origin at
-    d = 2, where |t| is 1e13 to 1e17; its row holds nan.
+    non-generic, and so does a row that `section_zeros_array` marks lost,
+    where `wp_inverse_array` misses a root t, such as a point 3e-9 to 3e-7
+    from the origin at d = 2, where |t| is 1e13 to 1e17; its row holds nan.
     """
-    try:
-        points, mults = section_zeros_array(targets, spec.basis)
-        lost = np.zeros(len(targets), dtype=bool)
-    except NoConvergence:
-        # each row depends on its own target alone: solve them one by one
-        points = np.zeros((len(targets), spec.d + 1, 2))
-        mults = np.ones((len(targets), spec.d + 1), dtype=int)
-        lost = np.ones(len(targets), dtype=bool)
-        for k in range(len(targets)):
-            with contextlib.suppress(NoConvergence):
-                (points[k],), (mults[k],) = section_zeros_array(targets[k : k + 1], spec.basis)
-                lost[k] = False
+    points, mults, lost = section_zeros_array(targets, spec.basis)
     repeated = np.any(mults > 1, axis=1)
     order = np.lexsort((points[..., 1], points[..., 0]), axis=-1)
     divisor = np.take_along_axis(points, order[..., None], axis=1)

@@ -27,6 +27,7 @@ from .errors import (
     IllConditioned,
     InvalidOrder,
     InvalidPoint,
+    NoConvergence,
     SumNotZero,
 )
 from .polarization import _Frozen
@@ -449,7 +450,7 @@ def section_zeros(
     of the finite zeros; each root is lifted by `wp_inverse` and assigned to
     the sign branch where the section actually vanishes, and each simple zero
     is then polished by Newton steps on the section itself.  The origin
-    absorbs the remaining degree.  The one row of `batch.section_zeros_array`.
+    absorbs the remaining degree.  The one row of `batch.section_zeros_array`; a lost row raises NoConvergence.
     """
     if isinstance(coeffs, ProjectivePoint):
         coeffs = coeffs.coords
@@ -457,7 +458,9 @@ def section_zeros(
         raise InvalidPoint(f"coefficient vector length {len(coeffs)} != n={basis.n}")
     from .batch import section_zeros_array
 
-    points, mults = section_zeros_array(np.array([coeffs], dtype=complex), basis)
+    points, mults, lost = section_zeros_array(np.array([coeffs], dtype=complex), basis)
+    if lost[0]:
+        raise NoConvergence("a zero of the section is past what wp_inverse inverts")
     return [
         (TorusPoint(basis.lattice, a, b), m)
         for (a, b), m in zip(points[0].tolist(), mults[0].tolist())

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import EPS_PT, LatticeTau
-from .errors import InvalidPoint
+from .errors import InvalidPoint, NoConvergence
 from .polarization import _Frozen
 
 # the AGM in wp_inverse stops once |b^2 - a^2| falls below (this * |a|)^2
@@ -194,8 +194,10 @@ def _on_side(r: complex, ref: complex) -> complex:
 
 
 def wp_inverse(x: complex, lattice: LatticeTau) -> tuple[TorusPoint, TorusPoint]:
-    """The two solutions {z, -z} of wp(z) = x, sorted: the one row of `batch.wp_inverse_array` at x - e2."""
+    """The two solutions {z, -z} of wp(z) = x, sorted: the one row of `batch.wp_inverse_array` at x - e2; a missed row raises NoConvergence."""
     from .batch import wp_inverse_array
 
-    plus, minus = wp_inverse_array([complex(x) - lattice.e2], lattice)
+    plus, minus, missed = wp_inverse_array([complex(x) - lattice.e2], lattice)
+    if missed[0]:
+        raise NoConvergence(f"wp_inverse missed its residual contract at x={complex(x)!r}")
     return TorusPoint(lattice, *plus[0].tolist()), TorusPoint(lattice, *minus[0].tolist())

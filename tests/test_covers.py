@@ -19,6 +19,7 @@ from ellcover import (
     IllConditioned,
     InvalidPoint,
     LatticeTau,
+    NoConvergence,
     NonGenericTarget,
     NotVeryAmpleWarning,
     ProjectivePoint,
@@ -30,6 +31,7 @@ from ellcover import (
     galois_verify,
     quotient_lattice,
     reduce_point,
+    section_zeros,
     very_ample_preconditions,
     wp,
 )
@@ -799,8 +801,8 @@ def test_closed_form_stabilizer_agrees_with_the_listed_one(lattice, q2, construc
 
 #: y_2 = -y_1 + (eps, -eps/2) on E/Q0 for B d=2: the divisor's third point,
 #: -(y_1 + y_2), lies about eps from the origin.  t there is past what
-#: `wp_inverse_array` inverts from eps = 3e-7 to 3e-9, where the recovery
-#: raised NoConvergence and ended the run; at the other eps it recovers
+#: `wp_inverse_array` inverts from eps = 3e-7 to 3e-9, where
+#: `section_zeros_array` marks the row lost; at the other eps it recovers
 NEAR_ORIGIN_RECOVERED = (1e-3, 1e-5, 3e-6, 1e-9, 3e-10, 1e-12, 0.0)
 NEAR_ORIGIN_LOST = (3e-7, 1e-7, 3e-8, 1e-8, 3e-9)
 
@@ -810,13 +812,23 @@ def _near_origin(eps):
     return np.array([y1, (-y1 + [eps, -eps / 2]) % 1.0])
 
 
-def test_divisor_point_near_the_origin_is_non_generic_not_an_error(lattice, q2):
+def test_divisor_point_near_the_origin_is_non_generic_not_an_error(monkeypatch, lattice, q2):
     spec = _build("B", 2, q2, lattice)
     epsilons = NEAR_ORIGIN_RECOVERED + NEAR_ORIGIN_LOST + (1e-6,)
     ys = np.array([_near_origin(eps) for eps in epsilons])
     targets, failed = spec.map_quotient(ys)
     assert not failed.any()
-    points, reasons = covers._quotient_points(spec, targets)
+    calls = []
+
+    def spy(coeffs, basis):
+        calls.append(len(coeffs))
+        return batch.section_zeros_array(coeffs, basis)
+
+    # the stack holding lost rows is recovered in one call, not row by row
+    with monkeypatch.context() as patch:
+        patch.setattr(covers, "section_zeros_array", spy)
+        points, reasons = covers._quotient_points(spec, targets)
+    assert calls == [len(targets)]
     lost = "divisor point too near the origin to invert t"
     assert reasons[len(NEAR_ORIGIN_RECOVERED) : -1] == [lost] * len(NEAR_ORIGIN_LOST)
     assert np.isnan(points[[r is not None for r in reasons]]).all()
@@ -826,10 +838,19 @@ def test_divisor_point_near_the_origin_is_non_generic_not_an_error(lattice, q2):
             divisor = np.concatenate([y, [-y.sum(axis=0) % 1.0]])
             assert np.all(_wrap_dist_array(got[:, 0, None], divisor[None]) <= EPS_GENERIC, axis=2).any(axis=1).all()
     assert reasons[: len(NEAR_ORIGIN_RECOVERED)] == [None] * len(NEAR_ORIGIN_RECOVERED)
-    # each row is its own target's, bit for bit, when the stack holds a lost one
+    # each stacked row is its own target's recovered alone, bit for bit:
+    # zeros, multiplicities and lost mask, then points and reason; the
+    # one-row call raises where its row is lost
+    stacked = batch.section_zeros_array(targets, spec.basis)
+    assert stacked[2].tolist() == [r is not None for r in reasons]
     for k, target in enumerate(targets):
+        solo = batch.section_zeros_array(target[None], spec.basis)
+        assert all(a.tobytes() == s[k : k + 1].tobytes() for a, s in zip(solo, stacked))
         alone, (reason,) = covers._quotient_points(spec, target[None])
         assert reason == reasons[k] and alone.tobytes() == points[k : k + 1].tobytes()
+        if reason is not None:
+            with pytest.raises(NoConvergence):
+                section_zeros(target, spec.basis)
     # a verification sample there is excluded, and the run goes on
     coords = ys[len(NEAR_ORIGIN_RECOVERED) - 2 :] * [0.5, 1.0]  # phi(s, t) = (2s, t) for Q0 = <1/2, 0>
     records = covers._verify_chunk(spec, _linear_generators(spec), coords, 0, EPS_PT)
@@ -900,8 +921,8 @@ def test_origin_and_two_torsion_enter_the_divisor(lattice, q2):
     # the B d=2 special targets above: the origin once, then a half period
     spec = _build("B", 2, q2, lattice)
     targets, _ = spec.map_array(np.array([c[:2] for c in list(SPECIAL_TARGETS.values())[:2]]))
-    points, mults = batch.section_zeros_array(targets, spec.basis)
-    assert mults.tolist() == [[1, 1, 1], [1, 1, 1]]
+    points, mults, lost = batch.section_zeros_array(targets, spec.basis)
+    assert mults.tolist() == [[1, 1, 1], [1, 1, 1]] and not lost.any()
     assert points[0, -1].tolist() == [0.0, 0.0]
     doubled = (2.0 * points[1]) % 1.0
     assert np.any(np.all(np.minimum(doubled, 1.0 - doubled) <= 1e-9, axis=1))

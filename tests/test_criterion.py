@@ -29,6 +29,7 @@ from ellcover import (
     TorusPoint,
     build_cover,
     criterion_check,
+    galois_verify,
 )
 from ellcover import covers
 from ellcover.batch import coords_array, map_coords, t_series_array
@@ -521,3 +522,32 @@ def test_an_isolated_base_point_fails_the_check(monkeypatch, construction, p0):
     # point of P^d; a check that measures base points must flag both
     _with_base_points(monkeypatch, p0)
     assert criterion_check(_cover(construction, 1, ("1/3,0",))).basepoint_ok is False
+
+
+def _order_nine_b10():
+    """B d=10 on <4/9,6/9> at tau = -0.425+1.5758i: d Im tau' = 15.8, which `build_cover` admits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotVeryAmpleWarning)
+        q0 = FiniteSubgroupSpec.parse(("4/9,6/9",))
+        return build_cover("B", 10, LatticeTau.from_tau(complex(-0.425, 1.5758)), q0)
+
+
+#: seeds at which the order-9 B d=10 cover's criterion was run
+ORDER_NINE_SEEDS = (1, 2, 3, 7, 42)
+
+
+def test_order_nine_b10_verifies():
+    # the samples of the false FAIL below are all generic and matched
+    report = galois_verify(_order_nine_b10(), samples=10, seed=1)
+    assert report.passed and all(row["generic"] and row["fiber_match"] for row in report.samples)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="false FAIL: basepoint_ok fails on a base-point-free B d=10 cover of order-9 Q0 (ROADMAP 2a, item 4)",
+)
+def test_order_nine_b10_is_base_point_free():
+    # a positive control beside the negative ones: the bundle is base-point
+    # free, yet a probe and its 3 perturbations all fail at every seed tried
+    spec = _order_nine_b10()
+    assert all(criterion_check(spec, seed=seed).basepoint_ok for seed in ORDER_NINE_SEEDS)

@@ -18,6 +18,7 @@ from ellcover import (
     InvalidPoint,
     InvalidSubgroup,
     LatticeTau,
+    NoConvergence,
     TorusPoint,
     build_cover,
     eisenstein_g2_g3,
@@ -28,7 +29,7 @@ from ellcover import (
     wp_prime,
 )
 from ellcover.covers import MAX_QUOTIENT_IM_TAU
-from ellcover.batch import _wrap_dist_array, lift_coords, map_coords, t_series_array, t_values, torus_z
+from ellcover.batch import _wrap_dist_array, lift_coords, map_coords, t_series_array, t_values, torus_z, wp_inverse_array
 from ellcover.elliptic import EPS_NUM
 from ellcover.weierstrass import centred_values, wp_both_values
 from ellcover.symfun import ProjectivePoint, normalize_rows
@@ -324,6 +325,21 @@ class TestWpInverse:
         x = complex(re, im)
         plus, _ = wp_inverse(x, lat)
         assert _within_contract(plus, x)
+
+    def test_a_missed_value_is_marked_and_the_one_row_call_raises(self):
+        # |t| = 1e16 is past the residual contract at this lattice, 1e14 is
+        # not: the array marks the row it misses and solves each other row as
+        # it would alone, bit for bit
+        lat = LatticeTau.from_tau(0.3 + 1.1j)
+        t = np.array([2.3 - 1.1j, 1e16, 1e14])
+        stacked = wp_inverse_array(t, lat)
+        assert stacked[2].tolist() == [False, True, False]
+        for k in range(len(t)):
+            alone = wp_inverse_array(t[k : k + 1], lat)
+            assert all(a.tobytes() == s[k : k + 1].tobytes() for a, s in zip(alone, stacked))
+        with pytest.raises(NoConvergence):
+            wp_inverse(1e16, lat)
+        wp_inverse(1e14, lat)
 
     @every
     def test_branch_values_are_cubic_roots(self, lat):
