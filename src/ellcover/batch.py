@@ -24,7 +24,6 @@ from .elliptic import EPS_GENERIC, EPS_NUM, EPS_PT, IsogenyQuotient, LatticeTau
 from .errors import DegenerateSection, InvalidOrder, InvalidPoint
 from .groups import IntMatrix
 from .symfun import (
-    _COND_FLOOR,
     SectionBasis,
     first_copies,
     normalize_rows,
@@ -283,6 +282,9 @@ def two_torsion(lattice: LatticeTau, coords: np.ndarray) -> np.ndarray:
     points = [TorusPoint(lattice, a, b) for a, b in coords.tolist()]
     return np.array([p.close_to(-p, tol=EPS_GENERIC) for p in points], dtype=bool)
 
+
+#: relative threshold below which the SVD kernel is considered ambiguous
+_COND_FLOOR = 1e-10
 
 #: least column scale, relative to the largest: a zero column is a spurious kernel
 _COLUMN_FLOOR = 1e-8

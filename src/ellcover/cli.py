@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence, Union, get_args, get_origin
 
 from .errors import EllcoverError, ConfigError
@@ -200,6 +201,11 @@ def _parse(command: str, argv: Sequence[str]) -> tuple[list[str], dict]:
     return paths, flags
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """`warnings.showwarning` while a command runs: one line on stderr, as an error, with no source location."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if "-h" in argv or "--help" in argv:
@@ -215,7 +221,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if command == "report":
             return report(*paths)
         cfg = _resolve_config(flags, SEED_ENV_VAR)
-        return construct(cfg) if command == "construct" else cmd_verify(cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return construct(cfg) if command == "construct" else cmd_verify(cfg)
     except EllcoverError as exc:
         kind = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
         print(f"error: {kind}{exc}", file=sys.stderr)

@@ -196,6 +196,15 @@ def fiber_B(spec: CoverSpec, target: ProjectivePoint) -> list[PointTuple]:
 
 
 class CriterionReport(_Frozen):
+    """The flags of `criterion_check`, each a claim about the cover; `all_ok` holds when all four do.
+
+    `order_ok`: |G| is d! chi(L) times the isogeny factor, exactly.
+    `invariance_ok`: 10 seeded points of E^d map with their images under G's
+    generators, and each lies within eps_proj of its images.  `basepoint_ok`:
+    g maps every probe (`_probe_points`), so none is a base point.
+    `very_ample`: the configuration meets `very_ample_preconditions`.
+    """
+
     order_ok: bool
     invariance_ok: bool
     basepoint_ok: bool
@@ -253,7 +262,8 @@ _CHUNK_ROWS = 1 << 10
 def _draw(rng: random.Random, *shape: int) -> np.ndarray:
     """The next prod(shape) `rng.random()` values, in order, as an array of that shape.
 
-    Every seeded coordinate comes from here but the 16 seeded tuples of
+    Every seeded coordinate comes from here, the verified samples and the
+    criterion's 10 invariance points, but the 16 seeded tuples of
     `_probe_points`, which draw from their own `random.Random(seed)`.  A draw
     lies in [0, 1), where `_frac` is the identity, so a row (a, b) equals
     `TorusPoint.from_coords(curve, rng.random(), rng.random())` bit for bit.
@@ -432,50 +442,29 @@ def criterion_check(spec: CoverSpec, seed: int = 42, eps_proj: float = EPS_PROJ)
     """The three cover-criterion checks plus the very-ampleness flag, every map on (E/Q0)^d.
 
     (1) |G| = d! chi(L) times the isogeny factor, exactly; (2) the map is
-    projectively invariant under every generator: of 40 seeded points, the
-    first 10 that map with all their generator images must each have a
-    spread below eps_proj; (3) g maps each probe (`_probe_points`) or one
-    of 3 seeded perturbations of it, drawn only up to the last probe that
-    fails, since the bundle is base-point-free.  The points of (2) go
-    through the isogeny, so that g gives f's rows bit for bit; with the
-    probes, and then the perturbations, they are mapped in chunks
-    (`_map_in_chunks`), keeping only the rows of (2), whose ten spreads are
-    one `projective_spreads` call.  Raises ConfigError unless eps_proj is
-    a finite number > 0 (`check_run_bounds`).
+    projectively invariant under every generator: each of 10 seeded points
+    must map with all its generator images and have a spread below
+    eps_proj; (3) g maps every probe (`_probe_points`), since the bundle is
+    base-point-free.  Every point drawn must map, so a row that fails to
+    map fails its check: a point of (2) gets spread inf.  The points of (2)
+    go through the isogeny, so that g gives f's rows bit for bit; with the
+    probes, they are mapped in chunks (`_map_in_chunks`), keeping only the
+    rows of (2), whose ten spreads are one `projective_spreads` call.
+    Raises ConfigError unless eps_proj is a finite number > 0
+    (`check_run_bounds`).
     """
     check_run_bounds(eps_proj=eps_proj)
-    expected = degree_identity(spec.construction, spec.polarization, spec.q0)
-    order_ok = spec.group.order == expected
-
-    start = _draw(random.Random(seed), 40, spec.d, 2)
+    start = _draw(random.Random(seed), 10, spec.d, 2)
     # each point, then its images under the generators, in one pass over them all
     moved = move(pack(*spec.group.integer_generators), start)
     moved = np.concatenate([start[:, None], moved], axis=1).reshape(-1, spec.d, 2)
     diagonal, tuples = _probe_points(spec, seed)
     rows, failed = _map_in_chunks(spec, [map_coords(spec.quotient, moved), diagonal, tuples], keep=len(moved))
-    mapped = rows.reshape(len(start), -1, spec.d + 1)
-    checked = np.flatnonzero(~failed[: len(moved)].reshape(len(start), -1).any(axis=1))[:10]
-    owner = np.repeat(np.arange(len(checked)), mapped.shape[1])
-    spreads = projective_spreads(
-        mapped[checked].reshape(-1, spec.d + 1), owner, np.zeros(len(checked), dtype=bool)
-    )
-    invariance_ok = len(checked) == 10 and bool(np.all(spreads < eps_proj))
-
-    retry = np.flatnonzero(failed[len(moved) :])
-    basepoint_ok = True
-    if len(retry):
-        # probe k's 3 perturbations are draws 6dk ... 6d(k+1) - 1 of one
-        # stream, each point's (a, b) shifted in turn: drawn up to the last
-        # probe retried
-        shifts = _draw(random.Random(seed + 1), int(retry[-1]) + 1, 3, spec.d, 2)
-        at = retry < len(diagonal)
-        probes = np.concatenate([np.repeat(diagonal[retry[at], None], spec.d, axis=1), tuples[retry[~at] - len(diagonal)]])
-        perturbed = _frac_array(probes[:, None] + 1e-3 * shifts[retry])
-        _, failed = _map_in_chunks(spec, [perturbed.reshape(-1, spec.d, 2)], keep=0)
-        basepoint_ok = not failed.reshape(-1, 3).all(axis=1).any()
+    owner = np.repeat(np.arange(len(start)), len(moved) // len(start))
+    spreads = projective_spreads(rows, owner, failed[: len(moved)].reshape(len(start), -1).any(axis=1))
     return CriterionReport(
-        order_ok=order_ok,
-        invariance_ok=invariance_ok,
-        basepoint_ok=basepoint_ok,
+        order_ok=spec.group.order == degree_identity(spec.construction, spec.polarization, spec.q0),
+        invariance_ok=bool(np.all(spreads < eps_proj)),
+        basepoint_ok=not failed[len(moved) :].any(),
         very_ample=spec.very_ample,
     )

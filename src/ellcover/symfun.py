@@ -33,9 +33,6 @@ from .errors import (
 from .polarization import _Frozen
 from .weierstrass import HomPair, TorusPoint, _pair
 
-#: relative threshold below which the SVD kernel is considered ambiguous
-_COND_FLOOR = 1e-10
-
 #: relative clustering radius for repeated polynomial roots
 _ROOT_CLUSTER = 1e-5
 

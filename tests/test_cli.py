@@ -255,6 +255,17 @@ class TestVerifyCommand:
         assert payload["criterion"]["very_ample"] is False
         assert payload["criterion"]["order_ok"] is True
 
+    @pytest.mark.parametrize("command,code", [("construct", 0), ("verify", 1)])
+    def test_not_very_ample_config_warns_in_one_line(self, capsys, command, code):
+        # the library's NotVeryAmpleWarning reads as one line, as an error
+        # does: no source path and no source line
+        argv = [command, "--construction", "B", "--d", "1", "--q0", "1/2,0"]
+        assert main(argv + ["--samples", "2"] * (command == "verify")) == code
+        assert capsys.readouterr().err == (
+            "warning: NotVeryAmpleWarning: construction B with d=1, |Q0|=2 misses "
+            "the very-ampleness preconditions; criterion will flag it\n"
+        )
+
     @pytest.mark.parametrize("construction", ["A", "B"])
     def test_report_samples_are_galois_verify_rows(self, tmp_path, monkeypatch, construction):
         # one sample layout, owned by covers: the report writes the rows of
