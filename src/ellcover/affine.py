@@ -58,11 +58,11 @@ def _mat_apply_translation(m: IntMatrix, t: Translation) -> Translation:
 
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with det +-1, which is integral."""
-    det = _det_bareiss(m)
-    if det not in (1, -1):
-        raise InvalidOrder(f"matrix with det {det} is not an automorphism of E^d")
-    return tuple(tuple(int(v) for v in row) for row in _fraction_inverse(m))
+    """Exact inverse of an integer matrix, which is integral exactly when det = +-1."""
+    inv = _fraction_inverse(m)
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise InvalidOrder(f"matrix with det {_det_bareiss(m)} is not an automorphism of E^d")
+    return tuple(tuple(int(v) for v in row) for row in inv)
 
 
 class AffineAutomorphism(_Frozen):

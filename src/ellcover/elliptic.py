@@ -12,13 +12,12 @@ it too, imported on first use.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import InvalidPoint, InvalidSubgroup
-from .polarization import _Frozen
+from .polarization import _Frozen, _maximal_minor_gcd
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -362,9 +361,7 @@ def _hermite_2x2(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, int], tup
     for u, v in vectors:
         c, s, t = _xgcd(c, v)
         x = s * x + t * u
-    covolume = 0
-    for p, q in itertools.combinations(vectors, 2):
-        covolume = math.gcd(covolume, p[0] * q[1] - p[1] * q[0])
+    covolume = _maximal_minor_gcd(vectors)
     if covolume == 0:
         raise InvalidSubgroup("vectors do not span a rank-2 lattice")
     a = covolume // c

@@ -2,14 +2,15 @@
 
 An abelian subvariety is a saturated integer sublattice inclusion; its norm
 endomorphism with respect to a polarization is an exact rational projector
-scaled to be integral.  No command runs this calculus, so it lives apart
-from `polarization`, whose determinants the `intersection` command needs.
-Every operation is exact integer or rational arithmetic; no tolerances.
+scaled to be integral.  Saturation is the gcd of the inclusion's maximal
+minors (`polarization._maximal_minor_gcd`), and the scale the lcm of the
+denominators of the restricted form's exact inverse.  No command runs this
+calculus, so it lives apart from `polarization`, whose determinants the
+`intersection` command needs.  All of it is exact; no tolerances.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -21,6 +22,7 @@ from .polarization import (
     _freeze,
     _Frozen,
     _matmul,
+    _maximal_minor_gcd,
     _transpose,
 )
 
@@ -51,38 +53,12 @@ def _fraction_inverse(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero Smith invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    The k-th determinantal divisor D_k (gcd of all k x k minors) equals
-    d_1 * ... * d_k.  D_(k-1) divides D_k, so a scan stops as soon as its
-    running gcd reaches D_(k-1); the scan ends at the rank, where D_k = 0.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    out: list[int] = []
-    prev = 1
-    for k in range(1, min(m, n) + 1):
-        dk = 0
-        for ri, ci in itertools.product(
-            itertools.combinations(range(m), k), itertools.combinations(range(n), k)
-        ):
-            dk = math.gcd(dk, _det_bareiss([[rows[i][j] for j in ci] for i in ri]))
-            if dk == prev:
-                break
-        if dk == 0:
-            break
-        out.append(dk // prev)
-        prev = dk
-    return out
-
-
 class SublatticeInclusion(_Frozen):
     """An abelian subvariety Z of E^d as a saturated integer column span.
 
-    The columns of the d x r matrix span the tangent sublattice; saturation
-    (all Smith invariant factors equal to 1) is exactly the condition that
-    the subgroup they generate is a subtorus and not a finite extension.
+    The columns of the d x r matrix span the tangent sublattice; it is
+    saturated, a subtorus and not a finite extension, exactly when the gcd
+    of its r x r minors, its index in its saturation, is 1.
     """
 
     columns: IntRows  # stored row-major, shape d x r
@@ -99,20 +75,16 @@ class SublatticeInclusion(_Frozen):
 
     def _set_columns(self, columns: Sequence[Sequence[int]], saturated: bool) -> None:
         cols = _freeze(columns)
-        d = len(cols)
-        if d == 0 or len(cols[0]) == 0:
+        if not cols or not cols[0]:
             raise InvalidSubgroup("empty sublattice inclusion")
-        r = len(cols[0])
-        if any(len(row) != r for row in cols):
+        if any(len(row) != len(cols[0]) for row in cols):
             raise InvalidSubgroup("ragged inclusion matrix")
-        if r > d:
-            raise InvalidSubgroup(f"more columns ({r}) than ambient dimension ({d})")
-        factors = _invariant_factors(cols)
-        if len(factors) != r:
+        index = _maximal_minor_gcd(cols)
+        if index == 0:
             raise InvalidSubgroup("inclusion matrix does not have full column rank")
-        if saturated and any(f != 1 for f in factors):
+        if saturated and index != 1:
             raise InvalidSubgroup(
-                f"sublattice is not saturated (invariant factors {factors}); "
+                f"sublattice is not saturated (index {index} in its saturation); "
                 "use SublatticeInclusion.unchecked to model a finite-index sublattice"
             )
         object.__setattr__(self, "columns", cols)
@@ -127,9 +99,8 @@ def norm_endomorphism(
 ) -> tuple[IntRows, int]:
     """(N, e) with N = e * I * (I^T L I)^(-1) * I^T L on the subvariety Z.
 
-    e is the exponent of coker(I^T L I), i.e. the largest Smith invariant
-    factor of the restricted polarization.  N is asserted integral; a
-    failure indicates a violated saturation precondition.
+    e, the exponent of coker(I^T L I), is the lcm of the denominators of
+    (I^T L I)^(-1).  Each entry of N is checked to be integral.
     """
     if z.d != l.d:
         raise InvalidOrder(
@@ -142,8 +113,8 @@ def norm_endomorphism(
         raise InvalidOrder(
             "restricted form I^T L I is singular; L must be definite on Z"
         )
-    e = _invariant_factors(phi)[-1]
     phi_inv = _fraction_inverse(phi)
+    e = math.lcm(*(v.denominator for row in phi_inv for v in row))
     n_frac = _matmul(i_mat, _matmul(phi_inv, _matmul(i_t, l.rows)))
     n_rows = []
     for row in n_frac:

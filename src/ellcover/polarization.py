@@ -54,6 +54,20 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
+def _maximal_minor_gcd(rows: Sequence[Sequence[int]]) -> int:
+    """gcd of the r x r minors of an n x r integer matrix, stopping at 1.
+
+    0 exactly when the columns are dependent; else the product of their
+    Smith invariant factors, the index of their span in its saturation.
+    """
+    g = 0
+    for minor in itertools.combinations(rows, len(rows[0])):
+        g = math.gcd(g, _det_bareiss(minor))
+        if g == 1:
+            break
+    return g
+
+
 def _transpose(rows: IntRows) -> IntRows:
     return tuple(zip(*rows)) if rows else ()
 

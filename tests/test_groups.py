@@ -98,11 +98,11 @@ class TestAffineAutomorphism:
         assert swap.inverse() * swap == AffineAutomorphism.identity(2)
 
     def test_inverse_requires_unimodular(self):
-        doubling = AffineAutomorphism(
-            ((2, 0), (0, 1)), ((Fraction(0), Fraction(0)),) * 2
-        )
-        with pytest.raises(InvalidOrder):
-            doubling.inverse()
+        # a doubling, whose inverse is not integral, and a singular matrix
+        for matrix in (((2, 0), (0, 1)), ((1, 2), (2, 4))):
+            g = AffineAutomorphism(matrix, ((Fraction(0), Fraction(0)),) * 2)
+            with pytest.raises(InvalidOrder):
+                g.inverse()
 
     def test_apply_wraps_mod_one(self):
         g = _shift(1, (Fraction(3, 4), Fraction(1, 2)))

@@ -1,8 +1,12 @@
-"""The exact integer routines of `polarization`, checked against sympy as an oracle.
+"""The exact integer routines of `elliptic` and `isogeny`, checked against sympy as an oracle.
 
-sympy is a test dependency only: the package computes Hermite forms and Smith
-invariant factors itself, and the last test proves that every command runs
-with sympy made unimportable.
+sympy is a test dependency only.  The package computes the 2x2 Hermite form
+of `elliptic`, and the two invariants of `isogeny` from closed forms: the gcd
+of an inclusion's maximal minors (`polarization._maximal_minor_gcd`, which
+the Hermite form's covolume uses too) and the lcm of the denominators of the
+restricted form's inverse.  The tests compare them with sympy's Hermite and
+Smith forms, and the last test proves that every command runs with sympy
+made unimportable.
 """
 
 import math
@@ -17,10 +21,17 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from ellcover import FiniteSubgroupSpec, InvalidSubgroup, LatticeTau
+from ellcover import (
+    FiniteSubgroupSpec,
+    InvalidOrder,
+    InvalidSubgroup,
+    LatticeTau,
+    PolarizationMatrix,
+    SublatticeInclusion,
+    norm_endomorphism,
+)
 from ellcover.elliptic import quotient_lattice
 from ellcover.elliptic import _hermite_2x2
-from ellcover.isogeny import _invariant_factors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,41 +86,70 @@ class TestHermite:
             _hermite_2x2([[1, 2], [2, 4]])
 
 
-class TestInvariantFactors:
-    def test_random_matrices_match_sympy(self):
+def _random_columns(rng, d, r, trial):
+    """d x r integer columns; every third has a scaled first column, and every third after it dependent columns."""
+    cols = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(d)]
+    if trial % 3 == 1:
+        # a scaled column scales every r x r minor
+        scale = rng.randint(2, 4)
+        for row in cols:
+            row[0] *= scale
+    elif trial % 3 == 2 and r > 1:
+        k = rng.randint(-3, 3)
+        for row in cols:
+            row[-1] = k * row[0] + row[-2]
+    return cols
+
+
+class TestClosedFormInvariants:
+    def test_saturation_matches_sympy(self):
         rng = random.Random(7)
-        for _ in range(400):
-            m, n = rng.randint(1, 6), rng.randint(1, 6)
-            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-            assert _invariant_factors(rows) == _sympy_invariant_factors(rows)
-
-    def test_singular_matrices_match_sympy(self):
-        rng = random.Random(8)
-        for _ in range(200):
-            d = rng.randint(2, 6)
-            rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
-            # a dependent last row drops the rank below d
-            k = rng.randint(-3, 3)
-            rows[-1] = [k * u + v for u, v in zip(rows[0], rows[-2])]
-            factors = _invariant_factors(rows)
-            assert factors == _sympy_invariant_factors(rows)
-            assert len(factors) < d
-
-    def test_non_saturated_matrices_match_sympy(self):
-        rng = random.Random(9)
-        for _ in range(200):
+        for trial in range(600):
             d = rng.randint(1, 6)
             r = rng.randint(1, d)
-            cols = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(d)]
-            scale = rng.randint(2, 4)
-            # a scaled column scales every r x r minor, so a full-rank
-            # result is not saturated
-            for row in cols:
-                row[0] *= scale
-            factors = _invariant_factors(cols)
-            assert factors == _sympy_invariant_factors(cols)
+            cols = _random_columns(rng, d, r, trial)
+            factors = _sympy_invariant_factors(cols)
+            if len(factors) < r:
+                with pytest.raises(InvalidSubgroup, match="full column rank"):
+                    SublatticeInclusion.unchecked(cols)
+            else:
+                assert SublatticeInclusion.unchecked(cols).columns == tuple(map(tuple, cols))
+            if factors == [1] * r:
+                assert SublatticeInclusion(cols).columns == tuple(map(tuple, cols))
+                continue
+            with pytest.raises(InvalidSubgroup) as refused:
+                SublatticeInclusion(cols)
             if len(factors) == r:
-                assert math.prod(factors) % scale == 0
+                assert f"(index {math.prod(factors)} in its saturation)" in str(refused.value)
+
+    def test_norm_exponent_matches_sympy(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 500:
+            d = rng.randint(1, 5)
+            r = rng.randint(1, d)
+            a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            # A^T A + D with D >= 0 on the diagonal: positive semidefinite,
+            # and definite where D is
+            l = PolarizationMatrix([
+                [sum(a[k][i] * a[k][j] for k in range(d)) + (i == j) * rng.randint(0, 2)
+                 for j in range(d)]
+                for i in range(d)
+            ])
+            cols = _random_columns(rng, d, r, checked)
+            factors = _sympy_invariant_factors(cols)
+            if len(factors) < r:
+                continue
+            # the saturated inclusions through the checked constructor
+            z = SublatticeInclusion(cols) if factors == [1] * r else SublatticeInclusion.unchecked(cols)
+            phi = sympy.Matrix(cols).T * sympy.Matrix(l.rows) * sympy.Matrix(cols)
+            if phi.det() == 0:
+                with pytest.raises(InvalidOrder, match="singular"):
+                    norm_endomorphism(l, z)
+                continue
+            _, e = norm_endomorphism(l, z)
+            assert e == _sympy_invariant_factors(phi.tolist())[-1]
+            checked += 1
 
 
 NO_SYMPY_SCRIPT = """
@@ -130,6 +170,15 @@ z = SublatticeInclusion(((1,), (1,), (0,)))
 n, e = norm_endomorphism(PolarizationMatrix.identity_plus_ones(3), z)
 assert e == 6, e
 assert SublatticeInclusion.unchecked(((2,), (0,))).columns == ((2,), (0,))
+from ellcover import InvalidSubgroup
+for columns in (((2,), (0,)), ((1, 2), (1, 2))):  # not saturated; not of full rank
+    try:
+        SublatticeInclusion(columns)
+    except InvalidSubgroup:
+        continue
+    raise AssertionError(f"{columns} was accepted")
+z = SublatticeInclusion.unchecked(((2,), (0,)))
+assert norm_endomorphism(PolarizationMatrix.identity(2), z) == (((4, 0), (0, 0)), 4)
 print("no sympy needed")
 """
 

@@ -206,6 +206,9 @@ class TestSublatticeInclusion:
     def test_rejects_rank_deficient(self):
         with pytest.raises(InvalidSubgroup):
             SublatticeInclusion(((1, 2), (1, 2)))
+        # more columns than the ambient dimension: no r x r minor at all
+        with pytest.raises(InvalidSubgroup, match="full column rank"):
+            SublatticeInclusion.unchecked(((1, 0),))
 
     def test_rejects_non_saturated(self):
         with pytest.raises(InvalidSubgroup):
