@@ -86,41 +86,68 @@ class TestHermite:
             _hermite_2x2([[1, 2], [2, 4]])
 
 
-def _random_columns(rng, d, r, trial):
-    """d x r integer columns; every third has a scaled first column, and every third after it dependent columns."""
+COLUMN_KINDS = ("random", "scaled", "dependent")
+
+
+def _random_columns(rng, d, r, kind):
+    """d x r integer columns: random, with a scaled first column, or with a dependent last column."""
     cols = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(d)]
-    if trial % 3 == 1:
+    if kind == "scaled":
         # a scaled column scales every r x r minor
         scale = rng.randint(2, 4)
         for row in cols:
             row[0] *= scale
-    elif trial % 3 == 2 and r > 1:
+    elif kind == "dependent" and r > 1:
         k = rng.randint(-3, 3)
         for row in cols:
             row[-1] = k * row[0] + row[-2]
     return cols
 
 
+def _check_saturation(cols):
+    """Both constructors on `cols` against sympy's Smith form; returns its invariant factors."""
+    r = len(cols[0])
+    factors = _sympy_invariant_factors(cols)
+    if len(factors) < r:
+        with pytest.raises(InvalidSubgroup, match="full column rank"):
+            SublatticeInclusion.unchecked(cols)
+    else:
+        assert SublatticeInclusion.unchecked(cols).columns == tuple(map(tuple, cols))
+    if factors == [1] * r:
+        assert SublatticeInclusion(cols).columns == tuple(map(tuple, cols))
+        return factors
+    with pytest.raises(InvalidSubgroup) as refused:
+        SublatticeInclusion(cols)
+    if len(factors) == r:
+        assert f"(index {math.prod(factors)} in its saturation)" in str(refused.value)
+    return factors
+
+
 class TestClosedFormInvariants:
-    def test_saturation_matches_sympy(self):
+    def test_random_columns_match_sympy(self):
         rng = random.Random(7)
-        for trial in range(600):
+        saturated = 0
+        for _ in range(200):
             d = rng.randint(1, 6)
             r = rng.randint(1, d)
-            cols = _random_columns(rng, d, r, trial)
-            factors = _sympy_invariant_factors(cols)
-            if len(factors) < r:
-                with pytest.raises(InvalidSubgroup, match="full column rank"):
-                    SublatticeInclusion.unchecked(cols)
-            else:
-                assert SublatticeInclusion.unchecked(cols).columns == tuple(map(tuple, cols))
-            if factors == [1] * r:
-                assert SublatticeInclusion(cols).columns == tuple(map(tuple, cols))
-                continue
-            with pytest.raises(InvalidSubgroup) as refused:
-                SublatticeInclusion(cols)
-            if len(factors) == r:
-                assert f"(index {math.prod(factors)} in its saturation)" in str(refused.value)
+            saturated += _check_saturation(_random_columns(rng, d, r, "random")) == [1] * r
+        assert saturated > 0
+
+    def test_scaled_columns_are_refused_as_sympy_says(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            d = rng.randint(1, 6)
+            r = rng.randint(1, d)
+            factors = _check_saturation(_random_columns(rng, d, r, "scaled"))
+            assert factors != [1] * r
+
+    def test_dependent_columns_are_refused_as_sympy_says(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            d = rng.randint(2, 6)
+            r = rng.randint(2, d)
+            factors = _check_saturation(_random_columns(rng, d, r, "dependent"))
+            assert len(factors) < r
 
     def test_norm_exponent_matches_sympy(self):
         rng = random.Random(8)
@@ -136,7 +163,7 @@ class TestClosedFormInvariants:
                  for j in range(d)]
                 for i in range(d)
             ])
-            cols = _random_columns(rng, d, r, checked)
+            cols = _random_columns(rng, d, r, COLUMN_KINDS[checked % 3])
             factors = _sympy_invariant_factors(cols)
             if len(factors) < r:
                 continue
