@@ -27,7 +27,7 @@ _EXPORTS = {
     "errors": (
         "ConfigError", "DegenerateSection", "EllcoverError", "ExponentMismatch",
         "IllConditioned", "InvalidOrder", "InvalidPoint", "InvalidSubgroup",
-        "NoConvergence", "NonGenericTarget", "NonIntegralNorm", "NotVeryAmpleWarning",
+        "NoConvergence", "NonGenericTarget", "NotVeryAmpleWarning",
         "OrderCapExceeded", "SumNotZero",
     ),
     "affine": ("AffineAutomorphism", "FiniteActionGroup"),

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Sequence
 from .elliptic import EPS_PT, FiniteSubgroupSpec
 from .errors import InvalidOrder
 from .groups import IntMatrix, SemidirectProduct, _identity
-from .isogeny import _fraction_inverse
-from .polarization import _det_bareiss, _Frozen, _matmul
+from .isogeny import _adjugate
+from .polarization import _Frozen, _matmul
 from .weierstrass import TorusPoint, _frac
 
 if TYPE_CHECKING:
@@ -58,11 +58,11 @@ def _mat_apply_translation(m: IntMatrix, t: Translation) -> Translation:
 
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix, which is integral exactly when det = +-1."""
-    inv = _fraction_inverse(m)
-    if any(v.denominator != 1 for row in inv for v in row):
-        raise InvalidOrder(f"matrix with det {_det_bareiss(m)} is not an automorphism of E^d")
-    return tuple(tuple(int(v) for v in row) for row in inv)
+    """Exact inverse adj / det of an integer matrix, which is integral exactly when det = +-1."""
+    det, adj = _adjugate(m)
+    if abs(det) != 1:
+        raise InvalidOrder(f"matrix with det {det} is not an automorphism of E^d")
+    return tuple(tuple(det * v for v in row) for row in adj)
 
 
 class AffineAutomorphism(_Frozen):

@@ -40,11 +40,7 @@ class OrderCapExceeded(EllcoverError):
 
 
 class ExponentMismatch(EllcoverError):
-    """Mixed intersection exponents do not sum to the ambient dimension."""
-
-
-class NonIntegralNorm(EllcoverError):
-    """Norm endomorphism came out non-integral; the sublattice was not saturated."""
+    """Mixed intersection exponents are not nonnegative integers summing to the ambient dimension."""
 
 
 class NonGenericTarget(EllcoverError):

@@ -3,8 +3,10 @@
 An abelian subvariety is a saturated integer sublattice inclusion; its norm
 endomorphism with respect to a polarization is an exact rational projector
 scaled to be integral.  Saturation is the gcd of the inclusion's maximal
-minors (`polarization._maximal_minor_gcd`), and the scale the lcm of the
-denominators of the restricted form's exact inverse.  No command runs this
+minors (`polarization._maximal_minor_gcd`).  The restricted form's inverse
+is its adjugate over its determinant, both from integer cofactors, so
+`polarization._det_bareiss` is the package's one elimination; the scale is
+|det| over the gcd of det and the adjugate's entries.  No command runs this
 calculus, so it lives apart from `polarization`, whose determinants the
 `intersection` command needs.  All of it is exact; no tolerances.
 """
@@ -12,9 +14,9 @@ calculus, so it lives apart from `polarization`, whose determinants the
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .errors import InvalidOrder, InvalidSubgroup, NonIntegralNorm
+from .errors import InvalidOrder, InvalidSubgroup
 from .polarization import (
     IntRows,
     PolarizationMatrix,
@@ -26,31 +28,21 @@ from .polarization import (
     _transpose,
 )
 
-if TYPE_CHECKING:
-    from fractions import Fraction
 
-
-def _fraction_inverse(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan over Q; raises on singular input."""
-    from fractions import Fraction
-
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det, adj) of a square integer matrix, from its cofactors; adj / det is the inverse."""
     n = len(rows)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
+    cof = [
+        [
+            (-1) ** (i + j) * _det_bareiss(
+                [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
     ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InvalidOrder("singular matrix has no inverse")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    det = sum(a * c for a, c in zip(rows[0], cof[0]))
+    return det, [list(col) for col in zip(*cof)]
 
 
 class SublatticeInclusion(_Frozen):
@@ -100,7 +92,8 @@ def norm_endomorphism(
     """(N, e) with N = e * I * (I^T L I)^(-1) * I^T L on the subvariety Z.
 
     e, the exponent of coker(I^T L I), is the lcm of the denominators of
-    (I^T L I)^(-1).  Each entry of N is checked to be integral.
+    (I^T L I)^(-1) = adj / det, that is |det| / gcd(det, adj's entries).
+    e * adj / det is then an integer matrix, and so is N.
     """
     if z.d != l.d:
         raise InvalidOrder(
@@ -109,25 +102,15 @@ def norm_endomorphism(
     i_mat = z.columns
     i_t = _transpose(i_mat)
     phi = _matmul(i_t, _matmul(l.rows, i_mat))
-    if _det_bareiss(phi) == 0:
+    det, adj = _adjugate(phi)
+    if det == 0:
         raise InvalidOrder(
             "restricted form I^T L I is singular; L must be definite on Z"
         )
-    phi_inv = _fraction_inverse(phi)
-    e = math.lcm(*(v.denominator for row in phi_inv for v in row))
-    n_frac = _matmul(i_mat, _matmul(phi_inv, _matmul(i_t, l.rows)))
-    n_rows = []
-    for row in n_frac:
-        out_row = []
-        for v in row:
-            scaled = e * v
-            if scaled.denominator != 1:
-                raise NonIntegralNorm(
-                    f"entry {scaled} of the norm endomorphism is not integral"
-                )
-            out_row.append(int(scaled))
-        n_rows.append(tuple(out_row))
-    return tuple(n_rows), e
+    g = math.gcd(det, *(v for row in adj for v in row))
+    e = abs(det) // g
+    scaled = [[v * e // det for v in row] for row in adj]
+    return _matmul(i_mat, _matmul(scaled, _matmul(i_t, l.rows))), e
 
 
 def pullback(alpha: Sequence[Sequence[int]], s: PolarizationMatrix) -> PolarizationMatrix:
@@ -137,4 +120,6 @@ def pullback(alpha: Sequence[Sequence[int]], s: PolarizationMatrix) -> Polarizat
         raise InvalidOrder(
             f"endomorphism has {len(a)} rows, polarization dimension is {s.d}"
         )
+    if not a or not a[0] or any(len(row) != len(a[0]) for row in a):
+        raise InvalidOrder("endomorphism must be a rectangular matrix with a column")
     return PolarizationMatrix(_matmul(_transpose(a), _matmul(s.rows, a)))

@@ -197,6 +197,8 @@ def mixed_intersection(
             raise ExponentMismatch(
                 f"matrix sizes disagree: {s.d} vs {d}"
             )
+        if isinstance(a, bool) or not hasattr(a, "__index__"):
+            raise ExponentMismatch(f"exponent {a!r} is not an integer")
         if a < 0:
             raise ExponentMismatch(f"negative exponent {a}")
     total = sum(a for _, a in terms)

@@ -101,7 +101,7 @@ class TestAffineAutomorphism:
         # a doubling, whose inverse is not integral, and a singular matrix
         for matrix in (((2, 0), (0, 1)), ((1, 2), (2, 4))):
             g = AffineAutomorphism(matrix, ((Fraction(0), Fraction(0)),) * 2)
-            with pytest.raises(InvalidOrder):
+            with pytest.raises(InvalidOrder, match=r"det [20] is not an automorphism"):
                 g.inverse()
 
     def test_apply_wraps_mod_one(self):

@@ -163,7 +163,7 @@ def test_verify_runs_without_dataclasses_or_json(tmp_path, construction):
 
 class TestLazyNamespace:
     def test_every_export_is_its_home_modules_object(self):
-        assert len(ellcover.__all__) == len(set(ellcover.__all__)) == 53
+        assert len(ellcover.__all__) == len(set(ellcover.__all__)) == 52
         for name in ellcover.__all__:
             value = getattr(ellcover, name)
             home = importlib.import_module(value.__module__)

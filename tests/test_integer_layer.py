@@ -4,9 +4,10 @@ sympy is a test dependency only.  The package computes the 2x2 Hermite form
 of `elliptic`, and the two invariants of `isogeny` from closed forms: the gcd
 of an inclusion's maximal minors (`polarization._maximal_minor_gcd`, which
 the Hermite form's covolume uses too) and the lcm of the denominators of the
-restricted form's inverse.  The tests compare them with sympy's Hermite and
-Smith forms, and the last test proves that every command runs with sympy
-made unimportable.
+restricted form's inverse, adj / det from integer cofactors.  The tests
+compare them, the norm endomorphism and the adjugate with sympy's, and the
+last test proves that every command and the norm endomorphism run with
+sympy and `fractions` made unimportable.
 """
 
 import math
@@ -32,6 +33,7 @@ from ellcover import (
 )
 from ellcover.elliptic import quotient_lattice
 from ellcover.elliptic import _hermite_2x2
+from ellcover.isogeny import _adjugate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -174,14 +176,26 @@ class TestClosedFormInvariants:
                 with pytest.raises(InvalidOrder, match="singular"):
                     norm_endomorphism(l, z)
                 continue
-            _, e = norm_endomorphism(l, z)
+            n, e = norm_endomorphism(l, z)
             assert e == _sympy_invariant_factors(phi.tolist())[-1]
+            expected = e * sympy.Matrix(cols) * phi.inv() * sympy.Matrix(cols).T * sympy.Matrix(l.rows)
+            assert n == tuple(tuple(int(v) for v in row) for row in expected.tolist())
             checked += 1
+
+    def test_adjugate_matches_sympy(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            det, adj = _adjugate(m)
+            assert det == sympy.Matrix(m).det()
+            assert adj == sympy.Matrix(m).adjugate().tolist()
 
 
 NO_SYMPY_SCRIPT = """
 import sys
-sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+for name in ("sympy", "fractions"):
+    sys.modules[name] = None  # any import of it now raises ImportError
 import warnings
 warnings.simplefilter("ignore")
 from ellcover import PolarizationMatrix, SublatticeInclusion, norm_endomorphism

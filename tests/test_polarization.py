@@ -174,6 +174,13 @@ class TestMixedIntersection:
         with pytest.raises(ExponentMismatch):
             mixed_intersection([(i2, 1), (i3, 1)])
 
+    def test_exponent_must_be_an_integer(self):
+        i2 = PolarizationMatrix.identity(2)
+        for a in (1.5, True):
+            with pytest.raises(ExponentMismatch, match="is not an integer"):
+                mixed_intersection([(i2, a), (i2, 2 - a)])
+        assert mixed_intersection([(i2, 2), (i2, 0)]) == self_intersection(i2)
+
     def test_symmetry_in_arguments(self):
         rng = random.Random(19)
         s1 = _random_posdef(rng, 3)
@@ -303,6 +310,11 @@ class TestPullback:
         assert chi(pullback(alpha, s)) == chi(s)
         alpha2 = ((2, 0), (0, 1))  # det 2
         assert chi(pullback(alpha2, s)) == 4 * chi(s)
+
+    def test_ragged_or_column_less_endomorphism_rejected(self):
+        for alpha in (((1, 2), (3,)), ((), ())):
+            with pytest.raises(InvalidOrder, match="rectangular"):
+                pullback(alpha, PolarizationMatrix.identity(2))
 
     def test_degenerate_pullback_of_norm(self):
         # the norm of a proper subvariety pulls the polarization back to a
